@@ -33,6 +33,9 @@ func main() {
 	flag.Parse()
 	cf.WarnTraceIgnored()
 	cf.CheckRouting()
+	// Profiles are flushed on the normal return path; a failing campaign
+	// exits without them.
+	defer cf.StartProfiles()()
 
 	switch *fig {
 	case "5.5":

@@ -60,6 +60,9 @@ func main() {
 	flag.Parse()
 	cf.WarnTraceIgnored()
 	cf.CheckRouting()
+	// Profiles are flushed on the normal return path; a failing campaign
+	// exits without them.
+	defer cf.StartProfiles()()
 
 	switch *table {
 	case "5.3":

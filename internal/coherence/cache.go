@@ -26,10 +26,29 @@ type CacheLine struct {
 // Cache is a node's second-level cache, modeled as a fully-associative
 // FIFO-replacement set of lines. CapacityBytes bounds residency; the paper's
 // experiments use 1 MB (Table 5.1).
+//
+// Lines are carved from chunks rather than allocated one by one. FIFO
+// replacement retires lines roughly in the order they were carved, so a
+// chunk's lines die together and the chunk is collected behind them.
 type Cache struct {
 	capacity int // lines
 	lines    map[Addr]*CacheLine
-	fifo     []Addr // insertion order for eviction
+	// fifo[head:] is the insertion order for eviction; entries of lines
+	// invalidated since are skipped when they reach the head.
+	fifo  []Addr
+	head  int
+	chunk []CacheLine // lines are carved from its spare capacity
+}
+
+// cacheChunk is the number of lines carved per allocation.
+const cacheChunk = 32
+
+func (c *Cache) newLine(state CacheState, token uint64) *CacheLine {
+	if len(c.chunk) == cap(c.chunk) {
+		c.chunk = make([]CacheLine, 0, cacheChunk)
+	}
+	c.chunk = append(c.chunk, CacheLine{State: state, Token: token})
+	return &c.chunk[len(c.chunk)-1]
 }
 
 // NewCache returns a cache holding capacityBytes worth of 128-byte lines.
@@ -63,15 +82,21 @@ func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, ev
 	if len(c.lines) >= c.capacity {
 		victim, evicted = c.evictOldest()
 	}
-	c.lines[a] = &CacheLine{State: state, Token: token}
+	c.lines[a] = c.newLine(state, token)
+	if c.head > 0 && len(c.fifo) == cap(c.fifo) && c.head >= len(c.fifo)/2 {
+		// Reclaim the consumed front in place instead of growing: at
+		// capacity every install evicts, so the live span stays bounded.
+		n := copy(c.fifo, c.fifo[c.head:])
+		c.fifo, c.head = c.fifo[:n], 0
+	}
 	c.fifo = append(c.fifo, a)
 	return victim, evicted
 }
 
 func (c *Cache) evictOldest() (Addr, *CacheLine) {
-	for len(c.fifo) > 0 {
-		a := c.fifo[0]
-		c.fifo = c.fifo[1:]
+	for c.head < len(c.fifo) {
+		a := c.fifo[c.head]
+		c.head++
 		if l, ok := c.lines[a]; ok {
 			delete(c.lines, a)
 			return a, l
@@ -93,7 +118,7 @@ func (c *Cache) Invalidate(a Addr) *CacheLine {
 // home (all exclusive lines) in deterministic FIFO order. Shared lines are
 // dropped silently: the home copy is valid (§4.5).
 func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
-	for _, a := range c.fifo {
+	for _, a := range c.fifo[c.head:] {
 		l, ok := c.lines[a]
 		if !ok {
 			continue
@@ -104,7 +129,7 @@ func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
 		}
 		delete(c.lines, a)
 	}
-	c.fifo = c.fifo[:0]
+	c.fifo, c.head = c.fifo[:0], 0
 	return addrs, lines
 }
 
@@ -115,18 +140,18 @@ func (c *Cache) Clone() *Cache {
 	n := &Cache{
 		capacity: c.capacity,
 		lines:    make(map[Addr]*CacheLine, len(c.lines)),
-		fifo:     append([]Addr(nil), c.fifo...),
+		fifo:     append([]Addr(nil), c.fifo[c.head:]...),
+		chunk:    make([]CacheLine, 0, len(c.lines)),
 	}
 	for a, l := range c.lines {
-		cl := *l
-		n.lines[a] = &cl
+		n.lines[a] = n.newLine(l.State, l.Token)
 	}
 	return n
 }
 
 // ForEach visits resident lines in insertion order.
 func (c *Cache) ForEach(fn func(a Addr, l *CacheLine)) {
-	for _, a := range c.fifo {
+	for _, a := range c.fifo[c.head:] {
 		if l, ok := c.lines[a]; ok {
 			fn(a, l)
 		}

@@ -43,17 +43,23 @@ func (s DirState) String() string {
 // Locked reports whether the line is in a transient state.
 func (s DirState) Locked() bool { return s == DirPendingRecall || s == DirPendingInval }
 
-// DirEntry is the directory state of one line at its home.
+// DirEntry is the directory state of one line at its home. Entries are
+// created by a Directory, which backs Sharers with the entry's own inline
+// word on machines of up to 64 nodes; copying an entry by value therefore
+// aliases the original's sharer list (Directory's copy-on-write re-points
+// it).
 type DirEntry struct {
-	State   DirState
-	Owner   int     // valid in DirExclusive and DirPendingRecall
-	Sharers NodeSet // valid in DirShared and DirPendingInval
+	State       DirState
+	PendingExcl bool    // the pending request is a GETX (valid while State.Locked())
+	Owner       int     // valid in DirExclusive and DirPendingRecall
+	Sharers     NodeSet // valid in DirShared and DirPendingInval
 
 	// Pending-transaction bookkeeping, valid while State.Locked():
-	PendingReq  int    // the requester the lock is held for
-	PendingExcl bool   // the pending request is a GETX
-	AcksLeft    int    // outstanding invalidate acks (DirPendingInval)
-	PendingSeq  uint64 // requester's sequence number, echoed in the reply
+	PendingReq int    // the requester the lock is held for
+	AcksLeft   int    // outstanding invalidate acks (DirPendingInval)
+	PendingSeq uint64 // requester's sequence number, echoed in the reply
+
+	word [1]uint64 // Sharers' backing store when the machine has <= 64 nodes
 }
 
 // Directory is the home-side protocol state for one node's memory lines.
@@ -66,10 +72,38 @@ type DirEntry struct {
 // entry. Whole-directory sweeps (ForEach, Scan, ScanLiveness) mutate every
 // entry anyway, so they materialize the base into the overlay first and
 // then run unchanged.
+//
+// Entries are carved from small per-directory chunks rather than allocated
+// one by one (an entry and its sharer list per swept line were a third of
+// the verify sweep's bytes). A dropped entry's slot is simply abandoned:
+// its chunk is collected once every entry in it is gone. The chunk is kept
+// small because a campaign holds every finished machine of a batch, and
+// each of their directories carries up to a chunk of slack; for the same
+// reason the index stays a sparse map — a dense array per node would
+// multiply that resident heap.
 type Directory struct {
 	nodes   int
 	entries map[Addr]*DirEntry // overlay; nil value = deleted base entry
 	frozen  map[Addr]*DirEntry // shared immutable base; nil when never frozen
+	chunk   []DirEntry         // entries are carved from its spare capacity
+}
+
+// dirChunk is the number of entries carved per allocation.
+const dirChunk = 8
+
+// newEntry carves a zeroed DirInvalid entry with an empty sharer list.
+func (d *Directory) newEntry() *DirEntry {
+	if len(d.chunk) == cap(d.chunk) {
+		d.chunk = make([]DirEntry, 0, dirChunk)
+	}
+	d.chunk = d.chunk[:len(d.chunk)+1]
+	e := &d.chunk[len(d.chunk)-1]
+	if d.nodes <= 64 {
+		e.Sharers = e.word[:]
+	} else {
+		e.Sharers = NewNodeSet(d.nodes)
+	}
+	return e
 }
 
 // NewDirectory returns an empty directory for a machine of n nodes.
@@ -94,11 +128,15 @@ func ForkDirectory(nodes int, frozen map[Addr]*DirEntry) *Directory {
 	return &Directory{nodes: nodes, entries: make(map[Addr]*DirEntry), frozen: frozen}
 }
 
-// cloneEntry copies a base entry up into a privately mutable one.
-func cloneEntry(e *DirEntry) *DirEntry {
-	c := *e
-	c.Sharers = e.Sharers.Clone()
-	return &c
+// cloneEntry copies a base entry up into a privately mutable one, with its
+// sharer list re-pointed at the copy's own storage.
+func (d *Directory) cloneEntry(e *DirEntry) *DirEntry {
+	c := d.newEntry()
+	sharers := c.Sharers
+	*c = *e
+	c.Sharers = sharers
+	copy(c.Sharers, e.Sharers)
+	return c
 }
 
 // materialize copies every un-shadowed base entry into the overlay and
@@ -108,7 +146,7 @@ func (d *Directory) materialize() {
 	if d.frozen != nil {
 		for a, fe := range d.frozen {
 			if _, shadowed := d.entries[a]; !shadowed {
-				d.entries[a] = cloneEntry(fe)
+				d.entries[a] = d.cloneEntry(fe)
 			}
 		}
 		d.frozen = nil
@@ -137,7 +175,7 @@ func (d *Directory) Lookup(a Addr) *DirEntry {
 		return e // may be a nil tombstone: the line is DirInvalid
 	}
 	if fe, ok := d.frozen[a]; ok {
-		e := cloneEntry(fe)
+		e := d.cloneEntry(fe)
 		d.entries[a] = e
 		return e
 	}
@@ -153,12 +191,12 @@ func (d *Directory) Get(a Addr) *DirEntry {
 	}
 	if !ok {
 		if fe, fok := d.frozen[a]; fok {
-			e = cloneEntry(fe)
+			e = d.cloneEntry(fe)
 			d.entries[a] = e
 			return e
 		}
 	}
-	e = &DirEntry{Sharers: NewNodeSet(d.nodes)}
+	e = d.newEntry()
 	d.entries[a] = e
 	return e
 }

@@ -12,6 +12,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flashfc/internal/timing"
 )
@@ -81,9 +82,7 @@ func (s NodeSet) Has(id int) bool { return s[id/64]&(1<<(uint(id)%64)) != 0 }
 func (s NodeSet) Count() int {
 	c := 0
 	for _, w := range s {
-		for ; w != 0; w &= w - 1 {
-			c++
-		}
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -101,11 +100,8 @@ func (s NodeSet) Empty() bool {
 // ForEach calls fn for every member in ascending order.
 func (s NodeSet) ForEach(fn func(id int)) {
 	for i, w := range s {
-		for w != 0 {
-			b := w & -w
-			id := i*64 + trailingZeros(w)
-			fn(id)
-			w &^= b
+		for ; w != 0; w &= w - 1 {
+			fn(i*64 + bits.TrailingZeros64(w))
 		}
 	}
 }
@@ -118,13 +114,4 @@ func (s NodeSet) Clear() {
 	for i := range s {
 		s[i] = 0
 	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }

@@ -1,0 +1,76 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"flashfc/internal/coherence"
+	"flashfc/internal/machine"
+	"flashfc/internal/magic"
+	"flashfc/internal/runner"
+)
+
+// mallocs counts the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// A coherence transaction — MSHR, request packet, home handler, directory,
+// reply packet, install, retire — runs on pooled records and chunk-carved
+// state, so its amortised allocation count stays below one. These guards
+// keep it there: a per-message, per-MSHR or per-line allocation creeping
+// back in costs at least one each and fails them outright.
+
+// A remote read miss on a 2-node machine: two wire records and one MSHR
+// per round trip, all recycled; what is left is the directory and cache
+// chunks and their maps' growth.
+func TestRemoteReadAllocs(t *testing.T) {
+	cfg := machine.DefaultConfig(2)
+	cfg.MemBytes = 256 << 10
+	cfg.L2Bytes = 64 << 10
+	m := machine.New(cfg)
+	done := func(r magic.Result) {
+		if r.Err != nil {
+			t.Errorf("remote read: %v", r.Err)
+		}
+	}
+	next := 0
+	reads := func(n int) {
+		for i := 0; i < n; i++ {
+			a := m.Space.Base(1) + coherence.Addr(next%m.Space.Lines()*128)
+			next += 7 // coprime with the line count: every read misses until the lines wrap
+			m.Nodes[0].Ctrl.Read(a, done)
+			m.E.Run()
+		}
+	}
+	reads(256) // warm the event pool, the wire pool, queues and maps
+	const n = 1024
+	per := float64(mallocs(func() { reads(n) })) / n
+	t.Logf("%.3f allocs per remote read", per)
+	if per > 1 {
+		t.Fatalf("remote read round trip allocates %.2f allocs, want <= 1", per)
+	}
+}
+
+// The whole-memory sweep of a warm-forked Table 5.3 machine: one sweep
+// object and one queue for all lines, not a closure and a dozen records
+// per line.
+func TestVerifyMemoryAllocs(t *testing.T) {
+	ws := WarmupValidation(DefaultValidationConfig(), runner.DeriveSeed(1, runner.StreamWarmup, 0))
+	machine.FromSnapshot(ws.Snap, nil).VerifyMemory(0, 1) // warm the pools
+	m := machine.FromSnapshot(ws.Snap, nil)
+	var res *machine.VerifyResult
+	n := mallocs(func() { res = m.VerifyMemory(0, 1) })
+	if !res.OK() || res.LinesChecked != 8*2048 {
+		t.Fatalf("sweep: %v", res)
+	}
+	per := float64(n) / float64(res.LinesChecked)
+	t.Logf("%.3f allocs per line checked", per)
+	if per > 1 {
+		t.Fatalf("verify sweep allocates %.2f allocs per line checked, want <= 1", per)
+	}
+}

@@ -18,7 +18,10 @@ func (sinkEndpoint) Accept(*Packet) bool { return true }
 // callback plus capacity-preserving channel queues make the whole
 // inject→hop→...→deliver chain allocation-free in steady state, and this
 // guard keeps it that way: any closure or queue reallocation creeping back
-// into the path fails the benchmark outright.
+// into the path fails the benchmark outright. Allocation-free was not
+// map-free: until the in-transit record became a single slot per channel,
+// every hop also paid a map insert and delete, which this guard cannot see —
+// ns/op here (the ledger's interconnect.packet_hop_ns) is what shows it.
 func BenchmarkFlitHopPath(b *testing.B) {
 	e := sim.NewEngine(1)
 	topo := topology.NewMesh(4, 4)

@@ -1,0 +1,240 @@
+package interconnect
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"flashfc/internal/sim"
+	"flashfc/internal/topology"
+	"flashfc/internal/trace"
+)
+
+// The in-transit record of a channel is a single slot, which is only right
+// if a link never services two packets at once. This property test drives
+// random traffic across a 4×4 mesh and fails links (permanently and for
+// transient windows) and routers at random instants, and at every link
+// failure compares what the fabric truncated against an oracle that never
+// looks at the slot: the packet in service on a sending channel is the head
+// of a channel that is `serving` — or, on a router that failed mid-service,
+// the head it had at that moment.
+
+// propFault is one scheduled failure.
+type propFault struct {
+	at     sim.Time
+	kind   int // 0 FailLink, 1 FailLinkTransient, 2 FailRouter
+	id     int // link or router
+	window sim.Time
+}
+
+// propOutcome is what must agree between worker counts of one fabric.
+type propOutcome struct {
+	Stats     Stats
+	Points    []trace.Point
+	Truncated [][]uint64 // per link failure, the truncated flows in order
+}
+
+// propRun runs one seeded scenario. regions 0 is the classic sequential
+// fabric; otherwise the mesh is striped into that many regions and run at
+// the given worker count.
+func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	topo := topology.NewMesh(4, 4)
+	tr := trace.New(0)
+	cfg := DefaultConfig()
+	cfg.Trace = tr
+
+	var e *sim.Engine
+	var P *sim.Partitioned
+	if regions > 0 {
+		tr.Deterministic = true
+		reg := topology.PartitionMesh(topo, regions)
+		const extra = 200
+		P = sim.NewPartitioned(seed, reg.Count(), LookaheadBound(extra), workers)
+		pt := &Partition{Of: make([]int, topo.Routers()), P: P, Extra: extra}
+		for r := range pt.Of {
+			pt.Of[r] = reg.Of(r)
+		}
+		for i := 0; i < reg.Count(); i++ {
+			pt.Engines = append(pt.Engines, P.Region(i))
+		}
+		cfg.Partition = pt
+		e = P.Region(0)
+	} else {
+		e = sim.NewEngine(seed)
+	}
+	n := New(e, topo, cfg)
+	for i := 0; i < topo.Routers(); i++ {
+		n.SetEndpoint(i, sinkEndpoint{})
+	}
+
+	// Random traffic, injected by events on each source's own engine.
+	const horizon = 20 * sim.Microsecond
+	send := sim.Callback(func(a1, _ any, _ uint64) { n.Send(a1.(*Packet)) })
+	var pkts []*Packet
+	for i := 0; i < 2000; i++ {
+		p := &Packet{Src: rng.Intn(16), Dst: rng.Intn(16), Lane: Lane(rng.Intn(int(NumLanes))), Bytes: 16}
+		if rng.Intn(2) == 0 {
+			p.Bytes = 128
+		}
+		pkts = append(pkts, p)
+		n.eng(p.Src).AtCall(sim.Time(rng.Int63n(int64(horizon))), send, p, nil, 0)
+	}
+	var faults []propFault
+	for i := 0; i < 8; i++ {
+		f := propFault{at: sim.Time(rng.Int63n(int64(horizon))), kind: rng.Intn(3)}
+		if f.kind == 2 {
+			f.id = rng.Intn(topo.Routers())
+		} else {
+			f.id = rng.Intn(len(topo.Links()))
+			f.window = sim.Time(100 + rng.Intn(2000))
+		}
+		faults = append(faults, f)
+	}
+	sort.Slice(faults, func(i, j int) bool { return faults[i].at < faults[j].at })
+
+	runTo := func(at sim.Time) {
+		if P != nil {
+			P.RunUntil(at)
+		} else {
+			e.RunUntil(at)
+		}
+	}
+	// Between RunUntil calls everything is single-threaded, so the fault
+	// calls and the OnLost observations below need no locking — but OnLost
+	// also fires from region workers during parallel windows, so it only
+	// records while a link failure is being applied.
+	var failing bool
+	var lostNow []*Packet
+	n.OnLost = func(p *Packet) {
+		if failing {
+			lostNow = append(lostNow, p)
+		}
+	}
+	doomed := map[*channel]*Packet{} // in service on a router when it failed
+	truncatedSoFar := map[*Packet]bool{}
+	var out propOutcome
+
+	for _, f := range faults {
+		runTo(f.at)
+		if P != nil {
+			P.SetGlobalFrom(P.Now())
+		}
+		if f.kind == 2 {
+			if !n.routers[f.id].failed {
+				for _, ports := range n.routers[f.id].chans {
+					for _, ch := range ports {
+						if ch.serving && len(ch.q) > 0 {
+							doomed[ch] = ch.q[0]
+						}
+					}
+				}
+			}
+			n.FailRouter(f.id)
+			continue
+		}
+		// Oracle: who is in service on the link's sending channels?
+		var want []*Packet
+		if n.linkUp[f.id] {
+			lk := topo.Links()[f.id]
+			for _, r := range [2]int{lk.A, lk.B} {
+				for _, ch := range n.routers[r].chans[topo.PortTo(r, lk.A+lk.B-r)] {
+					if (ch.inTransit != nil) != ch.serving {
+						t.Fatalf("seed %d: channel r%d p%d %v: slot set=%v but serving=%v",
+							seed, ch.router, ch.port, ch.lane, ch.inTransit != nil, ch.serving)
+					}
+					switch {
+					case !ch.serving:
+					case n.routers[r].failed:
+						want = append(want, doomed[ch])
+					default:
+						want = append(want, ch.q[0])
+					}
+				}
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].flow < want[j].flow })
+
+		failing, lostNow = true, nil
+		if f.kind == 0 {
+			n.FailLink(f.id)
+		} else {
+			n.FailLinkTransient(f.id, f.window)
+		}
+		failing = false
+
+		if !reflect.DeepEqual(lostNow, want) {
+			t.Fatalf("seed %d: link %d failed at %v: truncated %v, in service %v", seed, f.id, f.at, flows(lostNow), flows(want))
+		}
+		for _, p := range want {
+			truncatedSoFar[p] = true
+		}
+		for _, p := range pkts {
+			if p.Truncated != truncatedSoFar[p] {
+				t.Fatalf("seed %d: after failing link %d: packet flow %d Truncated=%v, want %v",
+					seed, f.id, p.flow, p.Truncated, truncatedSoFar[p])
+			}
+		}
+		out.Truncated = append(out.Truncated, flows(want))
+	}
+	runTo(horizon + sim.Millisecond)
+
+	truncPoints := 0
+	out.Points = tr.Points()
+	for _, pt := range out.Points {
+		if pt.Name == "truncate" {
+			truncPoints++
+		}
+	}
+	total := 0
+	for _, fl := range out.Truncated {
+		total += len(fl)
+	}
+	if truncPoints != total {
+		t.Fatalf("seed %d: %d truncate trace points for %d truncated packets", seed, truncPoints, total)
+	}
+	out.Stats = n.Stats
+	return out
+}
+
+func flows(ps []*Packet) []uint64 {
+	out := make([]uint64, len(ps))
+	for i, p := range ps {
+		out[i] = p.flow
+	}
+	return out
+}
+
+func TestInTransitSlotTruncatesExactlyTheInServicePackets(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		regions int
+	}{{"sequential", 0}, {"partitioned", 2}} {
+		t.Run(mode.name, func(t *testing.T) {
+			truncated := 0
+			for seed := int64(1); seed <= 25; seed++ {
+				one := propRun(t, seed, mode.regions, 1)
+				for _, fl := range one.Truncated {
+					truncated += len(fl)
+				}
+				if mode.regions == 0 {
+					continue
+				}
+				two := propRun(t, seed, mode.regions, 2)
+				if !reflect.DeepEqual(one, two) {
+					t.Fatalf("seed %d: Partitions 1 and 2 disagree:\n%s\nvs\n%s", seed, summarize(one), summarize(two))
+				}
+			}
+			if truncated == 0 {
+				t.Fatal("no link failure ever caught a packet in service: the property went unexercised")
+			}
+		})
+	}
+}
+
+func summarize(o propOutcome) string {
+	return fmt.Sprintf("stats %+v, %d trace points, truncated %v", o.Stats, len(o.Points), o.Truncated)
+}

@@ -2,7 +2,6 @@ package interconnect
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"flashfc/internal/metrics"
@@ -66,12 +65,16 @@ type channel struct {
 	blocked      bool
 	blockedAt    sim.Time
 	waiters      []*channel // channels blocked waiting for space here
-	// inTransit is the set of packets currently being serviced across this
-	// channel's link, used to truncate in-flight packets on link failure.
-	// Tracking it per channel (rather than per link) keeps every map owned
-	// by exactly one region in partitioned mode: a boundary link's two
-	// directions belong to different regions.
-	inTransit map[*Packet]int // pkt -> target router
+	// inTransit is the packet currently being serviced across this
+	// channel's link and inTransitTo the router it is heading for, used to
+	// truncate the in-flight packet on link failure. One slot suffices:
+	// serving serialises the link, so kick never starts a second service
+	// before arrive (or launchEv) has cleared the first. Tracking it per
+	// channel (rather than per link) keeps every slot owned by exactly one
+	// region in partitioned mode: a boundary link's two directions belong
+	// to different regions.
+	inTransit   *Packet
+	inTransitTo int
 }
 
 // shrinkFloor is the smallest backing-array capacity dropHead will shrink.
@@ -386,12 +389,12 @@ func (n *Network) FailLink(l int) {
 		return
 	}
 	n.linkUp[l] = false
-	// In-transit tracking lives on the link's two sending channels (one
-	// per direction, all lanes). The sets are unordered; process their
-	// packets in injection order so retention (reliable mode) and trace
-	// points come out in a deterministic sequence.
-	var victims []*Packet
-	target := map[*Packet]int{}
+	// In-transit tracking lives on the link's sending channels (one per
+	// direction and lane, one slot each). Process their packets in
+	// injection order so retention (reliable mode) and trace points come
+	// out in a deterministic sequence.
+	var victims [2 * int(NumLanes)]*channel
+	nv := 0
 	lk := n.Topo.Links()[l]
 	for _, r := range [2]int{lk.A, lk.B} {
 		p := n.Topo.PortTo(r, lk.A+lk.B-r)
@@ -399,17 +402,22 @@ func (n *Network) FailLink(l int) {
 			continue
 		}
 		for _, ch := range n.routers[r].chans[p] {
-			for pkt, far := range ch.inTransit {
-				victims = append(victims, pkt)
-				target[pkt] = far
+			if ch.inTransit == nil {
+				continue
 			}
+			i := nv
+			for ; i > 0 && victims[i-1].inTransit.flow > ch.inTransit.flow; i-- {
+				victims[i] = victims[i-1]
+			}
+			victims[i] = ch
+			nv++
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].flow < victims[j].flow })
-	for _, pkt := range victims {
+	for _, ch := range victims[:nv] {
+		pkt := ch.inTransit
 		pkt.Truncated = true
 		n.mTruncated.Inc()
-		n.tracePkt("truncate", target[pkt], pkt)
+		n.tracePkt("truncate", ch.inTransitTo, pkt)
 		n.lost(pkt)
 	}
 }
@@ -573,10 +581,7 @@ func (n *Network) kick(ch *channel) {
 		return
 	}
 	ch.serving = true
-	if ch.inTransit == nil {
-		ch.inTransit = make(map[*Packet]int)
-	}
-	ch.inTransit[pkt] = adj.To
+	ch.inTransit, ch.inTransitTo = pkt, adj.To
 	if pt := n.cfg.Partition; pt != nil && pt.Of[ch.router] != pt.Of[adj.To] {
 		// Inter-region link: the hop splits into a source-side launch
 		// (frees the channel after the link service time) and a
@@ -604,7 +609,7 @@ func (n *Network) arriveEv(a1, a2 any, u uint64) {
 // output channel (or node) or blocks, keeping its slot in ch.
 func (n *Network) arrive(ch *channel, pkt *Packet, link int) {
 	ch.serving = false
-	delete(ch.inTransit, pkt)
+	ch.inTransit = nil
 	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
 		// The source router failed mid-service and already destroyed
 		// this packet (and counted it); nothing left to advance.

@@ -62,6 +62,11 @@ type Packet struct {
 	// reception of a truncated packet as a recovery trigger.
 	Truncated bool
 	Injected  sim.Time
+	// Rec, when non-nil, is the sender's pooled record this packet is
+	// embedded in. It is opaque to the fabric, which neither reads it nor
+	// copies it onto a retransmission; the endpoint that consumes the
+	// packet uses it to hand the record back (see magic's wire pool).
+	Rec any
 
 	hop int // index of the current router within SourceRoute
 	// retried marks an end-to-end retransmission (reliable mode); a

@@ -82,7 +82,7 @@ func packRL(router, link int) uint64 {
 func (n *Network) launchEv(a1, a2 any, _ uint64) {
 	ch, pkt := a1.(*channel), a2.(*Packet)
 	ch.serving = false
-	delete(ch.inTransit, pkt)
+	ch.inTransit = nil
 	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
 		// The source router failed mid-service and already destroyed
 		// this packet (and counted it); nothing left to pop.

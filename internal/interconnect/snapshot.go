@@ -66,7 +66,7 @@ func (n *Network) mustQuiescent() {
 				panic(fmt.Sprintf("interconnect: snapshot with discard on router %d port %d", r, p))
 			}
 			for _, ch := range ports {
-				if len(ch.q) > 0 || ch.serving || ch.blocked || len(ch.waiters) > 0 || len(ch.inTransit) > 0 {
+				if len(ch.q) > 0 || ch.serving || ch.blocked || len(ch.waiters) > 0 || ch.inTransit != nil {
 					panic(fmt.Sprintf("interconnect: snapshot with active channel r%d p%d lane %v", r, p, ch.lane))
 				}
 			}

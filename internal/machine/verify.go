@@ -36,6 +36,38 @@ func (v *VerifyResult) String() string {
 		len(v.WrongData), len(v.OverMarked), len(v.MissingBusErr), v.Pending)
 }
 
+// verifySweep is the state of one VerifyMemory call. Every line's read
+// completes through the one bound lineDone, which gets the line's address
+// from the CPU: a sweep costs one object and one method value, not a
+// closure per line.
+type verifySweep struct {
+	m    *Machine
+	res  *VerifyResult
+	cpu  *proc.CPU
+	ctrl *magic.Controller
+	done func(coherence.Addr, magic.Result)
+}
+
+func (s *verifySweep) read(addr coherence.Addr) {
+	s.cpu.Submit(proc.Op{Kind: proc.OpRead, Addr: addr, DoneAt: s.done})
+}
+
+func (s *verifySweep) lineDone(addr coherence.Addr, r magic.Result) {
+	if r.Err == magic.ErrAborted {
+		// A concurrent recovery aborted the read; reissue it (the
+		// sweep is idempotent).
+		s.read(addr)
+		return
+	}
+	s.res.Pending--
+	home := s.m.Space.Home(addr)
+	// A home whose processor died but whose memory bank still answers
+	// (CPU-fail/memory-survives) is held to live-home standards: salvaged
+	// clean lines must read back correctly, not hide behind a blanket bus
+	// error.
+	s.m.classify(s.res, addr, s.ctrl.NodeUp(home) || s.ctrl.MemReachable(home), r)
+}
+
 // VerifyMemory sweeps every line of the system's memory from the reader
 // node, driving the simulation to completion. stride selects every
 // stride-th line (1 = full sweep) so large configurations stay tractable.
@@ -45,31 +77,18 @@ func (m *Machine) VerifyMemory(reader int, stride int) *VerifyResult {
 	}
 	res := &VerifyResult{}
 	cpu := m.Nodes[reader].CPU
-	ctrl := m.Nodes[reader].Ctrl
+	sweep := &verifySweep{m: m, res: res, cpu: cpu, ctrl: m.Nodes[reader].Ctrl}
+	sweep.done = sweep.lineDone
 	lineCount := int(m.Cfg.MemBytes / 128)
+	// Every read is queued up front (the CPU issues them a window at a
+	// time), so the queue is sized once for the whole sweep.
+	cpu.Reserve(m.Cfg.Nodes * ((lineCount + stride - 1) / stride))
 	for home := 0; home < m.Cfg.Nodes; home++ {
 		base := m.Space.Base(home)
 		for li := 0; li < lineCount; li += stride {
-			addr := base + coherence.Addr(li*128)
 			res.LinesChecked++
 			res.Pending++
-			var done func(r magic.Result)
-			done = func(r magic.Result) {
-				if r.Err == magic.ErrAborted {
-					// A concurrent recovery aborted the read;
-					// reissue it (the sweep is idempotent).
-					cpu.Submit(proc.Op{Kind: proc.OpRead, Addr: addr, Done: done})
-					return
-				}
-				res.Pending--
-				home := m.Space.Home(addr)
-				// A home whose processor died but whose memory bank
-				// still answers (CPU-fail/memory-survives) is held to
-				// live-home standards: salvaged clean lines must read
-				// back correctly, not hide behind a blanket bus error.
-				m.classify(res, addr, ctrl.NodeUp(home) || ctrl.MemReachable(home), r)
-			}
-			cpu.Submit(proc.Op{Kind: proc.OpRead, Addr: addr, Done: done})
+			sweep.read(base + coherence.Addr(li*128))
 		}
 	}
 	// Drive the simulation until the sweep completes. The drain is

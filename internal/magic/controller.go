@@ -10,6 +10,7 @@ package magic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
@@ -241,8 +242,13 @@ type Controller struct {
 	// is not lost — it is returned home during the P4 flush.
 	orphans []*coherence.Message
 
-	mshrs map[uint64]*mshr
-	seq   uint64
+	// mshrs is the table of outstanding operations in issue order, which
+	// is also ascending seq order. It is a handful of entries deep (the
+	// processor window plus uncached operations), so lookups scan it;
+	// mshrFree recycles completed records.
+	mshrs    []*mshr
+	mshrFree []*mshr
+	seq      uint64
 
 	lastNormalDelivery sim.Time
 
@@ -281,7 +287,6 @@ func New(e *sim.Engine, net *interconnect.Network, id int, space coherence.AddrS
 		memSrv:     make([]bool, space.Nodes),
 		slowFactor: 1,
 		firewall:   make(map[coherence.Addr]coherence.NodeSet),
-		mshrs:      make(map[uint64]*mshr),
 	}
 	c.dispatchFn = c.dispatchEv
 	c.completeFn = c.completeEv
@@ -388,7 +393,7 @@ func (c *Controller) CPUDied() {
 		m.timeout.Cancel()
 		m.retry.Cancel()
 	}
-	c.mshrs = make(map[uint64]*mshr)
+	c.dropAllMSHRs()
 }
 
 // CPUDead reports whether the local processor complex has failed while the
@@ -518,8 +523,10 @@ func (c *Controller) process() {
 	if c.busy || len(c.input) == 0 {
 		return
 	}
+	// Pop by shifting in place: the queue is at most InputQueue deep, and
+	// reslicing from the front would throw its capacity away.
 	p := c.input[0]
-	c.input = c.input[1:]
+	c.input = slices.Delete(c.input, 0, 1)
 	c.Net.NodeReady(c.ID) // freed an input slot
 	msg, ok := p.Payload.(*coherence.Message)
 	if !ok {
@@ -527,15 +534,19 @@ func (c *Controller) process() {
 		return
 	}
 	c.busy = true
-	c.E.AfterCall(c.occupancy(msg), c.dispatchFn, msg, nil, 0)
+	c.E.AfterCall(c.occupancy(msg), c.dispatchFn, p, nil, 0)
 }
 
 // dispatchEv fires when a handler's occupancy elapses: apply the handler's
-// effects and continue the dispatch loop.
+// effects, hand the packet's record back to the wire pool — this is its
+// one release point — and continue the dispatch loop.
 func (c *Controller) dispatchEv(a1, _ any, _ uint64) {
+	p := a1.(*interconnect.Packet)
 	c.busy = false
 	c.Stats.HandlersRun++
-	c.handle(a1.(*coherence.Message))
+	if !c.handle(p.Payload.(*coherence.Message)) {
+		releaseWire(p)
+	}
 	c.process()
 }
 
@@ -551,10 +562,10 @@ func (c *Controller) completeEv(a1, a2 any, u uint64) {
 }
 
 // timeoutEv fires a memory-op timeout for MSHR sequence u; completed
-// operations delete their MSHR, which makes a raced timeout a no-op.
+// operations drop their MSHR, which makes a raced timeout a no-op.
 func (c *Controller) timeoutEv(_, _ any, u uint64) {
-	m, live := c.mshrs[u]
-	if !live {
+	m := c.findMSHR(u)
+	if m == nil {
 		return
 	}
 	c.Stats.Timeouts++
@@ -566,7 +577,7 @@ func (c *Controller) timeoutEv(_, _ any, u uint64) {
 // retryEv reissues a NAKed request for MSHR sequence u if it is still
 // outstanding.
 func (c *Controller) retryEv(_, _ any, u uint64) {
-	if m, live := c.mshrs[u]; live {
+	if m := c.findMSHR(u); m != nil {
 		c.sendRequest(m)
 	}
 }

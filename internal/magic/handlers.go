@@ -1,19 +1,24 @@
 package magic
 
 import (
+	"math/bits"
+
 	"flashfc/internal/coherence"
 )
 
 // Home-side and requester-side protocol handlers. Each runs after its
 // dispatch occupancy has been charged (see Controller.process).
 
-func (c *Controller) handle(msg *coherence.Message) {
+// handle runs the handler for msg. It reports whether it retained msg beyond
+// its return (the orphan stash), in which case the caller must not recycle
+// the record msg lives in.
+func (c *Controller) handle(msg *coherence.Message) (retained bool) {
 	// The mode may have changed while this handler sat in the queue.
 	switch c.mode {
 	case ModeDead, ModeLoop:
 		c.Stats.DroppedInMode++
 		c.discarded(msg)
-		return
+		return false
 	case ModeDrain, ModeFlush:
 		switch msg.Type {
 		case coherence.MsgPut:
@@ -22,15 +27,13 @@ func (c *Controller) handle(msg *coherence.Message) {
 			// An exclusive grant whose requesting operation was
 			// aborted by recovery: the line's only valid copy is in
 			// this message. Stash it; the flush returns it home.
-			if m, ok := c.mshrs[msg.Seq]; ok && c.mode == ModeFlush {
-				_ = m // no outstanding ops survive recovery entry
-			}
 			c.orphans = append(c.orphans, msg)
+			return true
 		default:
 			c.Stats.DroppedInMode++
 			c.discarded(msg)
 		}
-		return
+		return false
 	}
 	switch msg.Type {
 	case coherence.MsgGet:
@@ -55,6 +58,7 @@ func (c *Controller) handle(msg *coherence.Message) {
 	case coherence.MsgUncachedReply, coherence.MsgUncachedErr:
 		c.handleUncachedReply(msg)
 	}
+	return false
 }
 
 // reply sends a response for the transaction identified by (req, seq).
@@ -67,7 +71,7 @@ func (c *Controller) reply(req int, ty coherence.MsgType, addr coherence.Addr, s
 	if ty == coherence.MsgBusErr {
 		c.Stats.BusErrors++
 	}
-	c.sendMsg(req, &coherence.Message{Type: ty, Addr: addr, Req: req, Seq: seq, Data: data})
+	c.sendMsg(req, coherence.Message{Type: ty, Addr: addr, Req: req, Seq: seq, Data: data})
 }
 
 // handleGet services a shared-copy request at the home.
@@ -97,7 +101,7 @@ func (c *Controller) handleGet(msg *coherence.Message) {
 		e.PendingReq = msg.Req
 		e.PendingExcl = false
 		e.PendingSeq = msg.Seq
-		c.sendMsg(e.Owner, &coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
+		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
 	case coherence.DirPendingRecall, coherence.DirPendingInval:
 		c.reply(msg.Req, coherence.MsgNak, msg.Addr, msg.Seq, 0)
 	case coherence.DirIncoherent:
@@ -122,12 +126,10 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.Owner = msg.Req
 		c.reply(msg.Req, coherence.MsgDataExcl, msg.Addr, msg.Seq, c.Mem.Read(msg.Addr))
 	case coherence.DirShared:
-		acks := 0
-		e.Sharers.ForEach(func(id int) {
-			if id != msg.Req {
-				acks++
-			}
-		})
+		acks := e.Sharers.Count()
+		if e.Sharers.Has(msg.Req) {
+			acks--
+		}
 		if acks == 0 {
 			// Requester is the only sharer (or none): grant directly.
 			e.Sharers.Clear()
@@ -141,11 +143,13 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
 		e.AcksLeft = acks
-		e.Sharers.ForEach(func(id int) {
-			if id != msg.Req {
-				c.sendMsg(id, &coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
+		for i, w := range e.Sharers {
+			for ; w != 0; w &= w - 1 {
+				if id := i*64 + bits.TrailingZeros64(w); id != msg.Req {
+					c.sendMsg(id, coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
+				}
 			}
-		})
+		}
 		e.Sharers.Clear()
 	case coherence.DirExclusive:
 		if e.Owner == msg.Req {
@@ -161,7 +165,7 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.PendingReq = msg.Req
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
-		c.sendMsg(e.Owner, &coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
+		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
 	case coherence.DirPendingRecall, coherence.DirPendingInval:
 		c.reply(msg.Req, coherence.MsgNak, msg.Addr, msg.Seq, 0)
 	case coherence.DirIncoherent:
@@ -249,14 +253,14 @@ func (c *Controller) handleRecall(msg *coherence.Message) {
 		}
 	}
 	if l := c.Cache.Invalidate(msg.Addr); l != nil {
-		c.sendMsg(home, &coherence.Message{
+		c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: msg.Addr, Req: c.ID, Data: l.Token,
 		})
 		return
 	}
 	// Not resident: our eviction writeback is already ahead of this
 	// reply in the same channel (in-order delivery).
-	c.sendMsg(home, &coherence.Message{Type: coherence.MsgRecallNak, Addr: msg.Addr, Req: c.ID})
+	c.sendMsg(home, coherence.Message{Type: coherence.MsgRecallNak, Addr: msg.Addr, Req: c.ID})
 }
 
 // handleRecallNak resolves a recall whose target no longer held the line.
@@ -283,7 +287,7 @@ func (c *Controller) handleInval(msg *coherence.Message) {
 			m.invalidated = true
 		}
 	}
-	c.sendMsg(home, &coherence.Message{Type: coherence.MsgInvAck, Addr: msg.Addr, Req: c.ID})
+	c.sendMsg(home, coherence.Message{Type: coherence.MsgInvAck, Addr: msg.Addr, Req: c.ID})
 }
 
 // handleInvAck counts invalidation acks at the home and grants the pending
@@ -305,8 +309,8 @@ func (c *Controller) handleInvAck(msg *coherence.Message) {
 
 // handleReply completes (or retries) the requester's outstanding operation.
 func (c *Controller) handleReply(msg *coherence.Message) {
-	m, ok := c.mshrs[msg.Seq]
-	if !ok || m.addr != msg.Addr {
+	m := c.findMSHR(msg.Seq)
+	if m == nil || m.addr != msg.Addr {
 		// Aborted or stale. With a dead processor complex the grant's
 		// data dies here — an in-flight exclusive grant may be the copy
 		// the home's directory now accounts to this node — so the oracle
@@ -335,7 +339,7 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 		if m.recalled {
 			// A recall overtook this grant: honor it immediately by
 			// writing the line straight back home instead of caching.
-			c.sendMsg(m.recallHome, &coherence.Message{
+			c.sendMsg(m.recallHome, coherence.Message{
 				Type: coherence.MsgPut, Addr: msg.Addr, Req: c.ID, Data: tok,
 			})
 			c.completeMSHR(m, Result{Token: tok})
@@ -367,7 +371,7 @@ func (c *Controller) handleUncached(msg *coherence.Message) {
 	if msg.IO && c.unit != nil && c.unit[msg.Req] != c.unit[c.ID] {
 		c.Stats.UncachedDenied++
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "uncached-denied", 0, int64(msg.Req), 0)
-		c.sendMsg(msg.Req, &coherence.Message{Type: coherence.MsgUncachedErr, Req: msg.Req, Seq: msg.Seq})
+		c.sendMsg(msg.Req, coherence.Message{Type: coherence.MsgUncachedErr, Req: msg.Req, Seq: msg.Seq})
 		return
 	}
 	var result any
@@ -379,23 +383,24 @@ func (c *Controller) handleUncached(msg *coherence.Message) {
 	if err != nil {
 		ty = coherence.MsgUncachedErr
 	}
-	c.sendMsg(msg.Req, &coherence.Message{Type: ty, Req: msg.Req, Seq: msg.Seq, UPayload: result})
+	c.sendMsg(msg.Req, coherence.Message{Type: ty, Req: msg.Req, Seq: msg.Seq, UPayload: result})
 }
 
 // handleUncachedReply completes an uncached operation at its issuer.
 func (c *Controller) handleUncachedReply(msg *coherence.Message) {
-	m, ok := c.mshrs[msg.Seq]
-	if !ok || !m.uncached {
+	m := c.findMSHR(msg.Seq)
+	if m == nil || !m.uncached {
 		return
 	}
 	m.timeout.Cancel()
-	delete(c.mshrs, m.seq)
-	if m.ucb == nil {
+	ucb := m.ucb // copied out: the callback may reuse the record
+	c.dropMSHR(m)
+	if ucb == nil {
 		return
 	}
 	if msg.Type == coherence.MsgUncachedErr {
-		m.ucb(nil, ErrBusError)
+		ucb(nil, ErrBusError)
 		return
 	}
-	m.ucb(msg.UPayload, nil)
+	ucb(msg.UPayload, nil)
 }

@@ -20,6 +20,12 @@ type testRig struct {
 
 func newRig(t *testing.T, nodes int, cfg Config) *testRig {
 	t.Helper()
+	return newRigNet(t, nodes, cfg, interconnect.DefaultConfig())
+}
+
+// newRigNet is newRig over a fabric with the given configuration.
+func newRigNet(t *testing.T, nodes int, cfg Config, icfg interconnect.Config) *testRig {
+	t.Helper()
 	e := sim.NewEngine(1)
 	var topo *topology.Topology
 	switch nodes {
@@ -30,7 +36,7 @@ func newRig(t *testing.T, nodes int, cfg Config) *testRig {
 	default:
 		topo = topology.NewMesh(nodes, 1)
 	}
-	net := interconnect.New(e, topo, interconnect.DefaultConfig())
+	net := interconnect.New(e, topo, icfg)
 	space := coherence.AddrSpace{Nodes: nodes, MemBytes: 1 << 20}
 	r := &testRig{e: e, net: net, space: space}
 	for i := 0; i < nodes; i++ {
@@ -682,4 +688,94 @@ func TestStrayRepliesIgnored(t *testing.T) {
 	if r.ctrl[0].Outstanding() != 0 {
 		t.Fatal("stray replies created state")
 	}
+}
+
+// churn pushes traffic through the wire pool: node-local misses still
+// travel as loopback packets, so every read acquires and releases records.
+func (r *testRig) churn(t *testing.T, node int) {
+	t.Helper()
+	for i := 0; i < 32; i++ {
+		r.read(t, node, r.space.Base(node)+coherence.Addr(0x1000+i*128))
+	}
+}
+
+// withPoison runs scenario with released records zeroed, then poisoned; a
+// record recycled while something still held it would make the two differ
+// (or fail the scenario's own checks under poison).
+func withPoison(t *testing.T, scenario func(t *testing.T)) {
+	t.Helper()
+	for _, poison := range []bool{false, true} {
+		PoisonReleasedForTest(poison)
+		scenario(t)
+	}
+	PoisonReleasedForTest(false)
+}
+
+// An exclusive grant stashed as a drain-mode orphan is retained past its
+// dispatch: its record must not be recycled under it.
+func TestOrphanStashKeepsItsRecord(t *testing.T) {
+	withPoison(t, func(t *testing.T) {
+		r := newRig(t, 2, DefaultConfig())
+		a := r.space.Base(1) + 0x80
+		r.ctrl[0].Write(a, 42, func(Result) {})
+		r.e.RunUntil(380) // grant issued, not yet delivered (see TestOrphanGrantReturnedByFlush)
+		r.ctrl[0].EnterRecovery()
+		r.ctrl[1].EnterRecovery()
+		r.e.RunUntil(r.e.Now() + sim.Millisecond)
+		if len(r.ctrl[0].Orphans()) != 1 {
+			t.Fatalf("orphans = %d, want 1", len(r.ctrl[0].Orphans()))
+		}
+		// Recycle records through a bystander pair before the flush.
+		by := newRig(t, 2, DefaultConfig())
+		by.churn(t, 0)
+		o := r.ctrl[0].Orphans()[0]
+		if o.Type != coherence.MsgDataExcl || o.Addr != a || o.Data != coherence.InitialToken(a) {
+			t.Fatalf("orphan overwritten while stashed: %+v", *o)
+		}
+		r.ctrl[0].SetMode(ModeFlush)
+		r.ctrl[1].SetMode(ModeFlush)
+		if sent := r.ctrl[0].FlushCache(); sent != 1 {
+			t.Fatalf("flush sent %d writebacks, want the orphan's", sent)
+		}
+		r.e.Run()
+		if lost := r.ctrl[1].ScanDirectory(); len(lost) != 0 {
+			t.Fatalf("scan marked %v after orphan return", lost)
+		}
+	})
+}
+
+// A packet truncated in flight is delivered (and dropped) at its
+// destination while a reliable fabric still holds it for retransmission:
+// the later resend carries the old record's message, which must be intact.
+func TestTruncatedDeliveryKeepsItsRecord(t *testing.T) {
+	withPoison(t, func(t *testing.T) {
+		icfg := interconnect.DefaultConfig()
+		icfg.Reliable = true
+		r := newRigNet(t, 2, DefaultConfig(), icfg)
+		e, net, space := r.e, r.net, r.space
+		truncated := 0
+		r.ctrl[1].SetTriggerHandler(func(tr TriggerReason) {
+			if tr == ReasonTruncated {
+				truncated++
+			}
+		})
+		a := space.Base(1) + 0x80
+		var res Result
+		done := false
+		r.ctrl[0].Read(a, func(rr Result) { res, done = rr, true })
+		e.RunUntil(1) // the GET is crossing the one link
+		net.FailLinkTransient(0, 10*sim.Microsecond)
+		e.RunUntil(20 * sim.Microsecond)
+		if truncated != 1 || net.RetainedLost() != 1 || done {
+			t.Fatalf("truncated=%d retained=%d done=%v, want 1 1 false", truncated, net.RetainedLost(), done)
+		}
+		r.churn(t, 1)
+		if sent := net.RetransmitLost(func(int) bool { return true }); sent != 1 {
+			t.Fatalf("retransmitted %d packets, want 1", sent)
+		}
+		e.RunUntil(e.Now() + 100*sim.Microsecond)
+		if !done || res.Err != nil || res.Token != coherence.InitialToken(a) {
+			t.Fatalf("read after retransmission: done=%v %+v", done, res)
+		}
+	})
 }

@@ -1,10 +1,9 @@
 package magic
 
 import (
-	"sort"
+	"slices"
 
 	"flashfc/internal/coherence"
-	"flashfc/internal/interconnect"
 )
 
 // Processor-side request path: cache hits, misses through the directory
@@ -74,12 +73,64 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 		c.completeErr(cb, ErrBusError)
 		return
 	}
-	m := &mshr{
+	c.sendRequest(c.addMSHR(mshr{
 		seq: c.nextSeq(), addr: addr, excl: excl,
 		hasStore: hasStore, storeTok: storeTok, cb: cb,
+	}))
+}
+
+// addMSHR appends v to the outstanding-operation table in a recycled (or
+// new) record. Sequence numbers only grow, so appending keeps the table in
+// seq order.
+func (c *Controller) addMSHR(v mshr) *mshr {
+	var m *mshr
+	if n := len(c.mshrFree); n > 0 {
+		m = c.mshrFree[n-1]
+		c.mshrFree = c.mshrFree[:n-1]
+	} else {
+		m = new(mshr)
 	}
-	c.mshrs[m.seq] = m
-	c.sendRequest(m)
+	*m = v
+	c.mshrs = append(c.mshrs, m)
+	return m
+}
+
+// findMSHR returns the outstanding operation with sequence number seq, or
+// nil if it has completed or was aborted.
+func (c *Controller) findMSHR(seq uint64) *mshr {
+	for _, m := range c.mshrs {
+		if m.seq == seq {
+			return m
+		}
+	}
+	return nil
+}
+
+// dropMSHR removes m from the table, preserving issue order, and recycles
+// the record. Callers must have copied out whatever they still need: the
+// next access may be handed the same record.
+func (c *Controller) dropMSHR(m *mshr) {
+	if i := slices.Index(c.mshrs, m); i >= 0 {
+		c.mshrs = slices.Delete(c.mshrs, i, i+1)
+	}
+	c.recycleMSHR(m)
+}
+
+// dropAllMSHRs empties the table, recycling every record.
+func (c *Controller) dropAllMSHRs() {
+	for _, m := range c.mshrs {
+		c.recycleMSHR(m)
+	}
+	clear(c.mshrs)
+	c.mshrs = c.mshrs[:0]
+}
+
+func (c *Controller) recycleMSHR(m *mshr) {
+	*m = mshr{}
+	if poisonReleased.Load() {
+		m.seq, m.addr = ^uint64(0), ^coherence.Addr(0)
+	}
+	c.mshrFree = append(c.mshrFree, m)
 }
 
 func (c *Controller) nextSeq() uint64 {
@@ -98,7 +149,7 @@ func (c *Controller) sendRequest(m *mshr) {
 		ty = coherence.MsgGetX
 	}
 	home := c.Space.Home(m.addr)
-	c.sendMsg(home, &coherence.Message{Type: ty, Addr: m.addr, Req: c.ID, Seq: m.seq})
+	c.sendMsg(home, coherence.Message{Type: ty, Addr: m.addr, Req: c.ID, Seq: m.seq})
 	c.armTimeout(m)
 }
 
@@ -110,20 +161,16 @@ func (c *Controller) armTimeout(m *mshr) {
 // sendMsg routes a protocol message to dst, applying the node map. It
 // reports whether the message was actually sent. A data-carrying message
 // suppressed by the node map is reported through the discard hook: its
-// content goes nowhere.
-func (c *Controller) sendMsg(dst int, msg *coherence.Message) bool {
+// content goes nowhere. The message travels in a pooled wire record.
+func (c *Controller) sendMsg(dst int, msg coherence.Message) bool {
 	if !c.reachable(dst) {
-		c.discarded(msg)
+		// Copy into a local inside this branch only: taking &msg would
+		// move every caller's message to the heap.
+		lost := msg
+		c.discarded(&lost)
 		return false
 	}
-	lane := interconnect.LaneReply
-	if msg.Type.IsRequest() {
-		lane = interconnect.LaneRequest
-	}
-	c.Net.Send(&interconnect.Packet{
-		Src: c.ID, Dst: dst, Lane: lane,
-		Bytes: msg.Bytes(), Payload: msg,
-	})
+	c.Net.Send(&acquireWire(c.ID, dst, msg).pkt)
 	return true
 }
 
@@ -132,12 +179,15 @@ func (c *Controller) sendMsg(dst int, msg *coherence.Message) bool {
 func (c *Controller) completeMSHR(m *mshr, res Result) {
 	m.timeout.Cancel()
 	m.retry.Cancel()
-	delete(c.mshrs, m.seq)
-	if m.cb != nil {
-		m.cb(res)
+	// Copy out before recycling: the callback re-enters access, which may
+	// be handed this very record.
+	cb, addr, waiters := m.cb, m.addr, m.waiters
+	c.dropMSHR(m)
+	if cb != nil {
+		cb(res)
 	}
-	for _, w := range m.waiters {
-		c.access(m.addr, w.excl, w.hasStore, w.storeTok, w.cb)
+	for _, w := range waiters {
+		c.access(addr, w.excl, w.hasStore, w.storeTok, w.cb)
 	}
 }
 
@@ -147,7 +197,7 @@ func (c *Controller) install(addr coherence.Addr, st coherence.CacheState, token
 	victim, ev := c.Cache.Install(addr, st, token)
 	if ev != nil && ev.State == coherence.CacheExclusive {
 		home := c.Space.Home(victim)
-		c.sendMsg(home, &coherence.Message{
+		c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: victim, Req: c.ID, Data: ev.Token,
 		})
 	}
@@ -159,14 +209,13 @@ func (c *Controller) install(addr coherence.Addr, st coherence.CacheState, token
 // register, which the target bus-errors when the sender is outside its
 // failure unit.
 func (c *Controller) SendUncached(dst int, write, io bool, payload any, cb func(any, error)) {
-	m := &mshr{seq: c.nextSeq(), uncached: true, udst: dst, uwrite: write, upayload: payload, ucb: cb}
-	c.mshrs[m.seq] = m
+	m := c.addMSHR(mshr{seq: c.nextSeq(), uncached: true, udst: dst, uwrite: write, upayload: payload, ucb: cb})
 	ty := coherence.MsgUncachedRead
 	if write {
 		ty = coherence.MsgUncachedWrite
 	}
-	if !c.sendMsg(dst, &coherence.Message{Type: ty, Req: c.ID, Seq: m.seq, UPayload: payload, IO: io}) {
-		delete(c.mshrs, m.seq)
+	if !c.sendMsg(dst, coherence.Message{Type: ty, Req: c.ID, Seq: m.seq, UPayload: payload, IO: io}) {
+		c.dropMSHR(m)
 		c.E.After(c.cfg.CacheHitTime, func() { cb(nil, ErrBusError) })
 		return
 	}
@@ -182,15 +231,10 @@ func (c *Controller) SendUncached(dst int, write, io bool, payload any, cb func(
 // nothing was actually entrusted to the interconnect. Cross-node grants in
 // flight are genuinely at risk and are left to the P4 directory sweep.
 func (c *Controller) EnterRecovery() {
-	// Abort in issue order: the completion callbacks re-enter user code,
-	// and whole-machine determinism requires a deterministic order here.
-	seqs := make([]uint64, 0, len(c.mshrs))
-	for s := range c.mshrs {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		m := c.mshrs[s]
+	// Abort in issue order — the table's own order: the completion
+	// callbacks re-enter user code, and whole-machine determinism requires
+	// a deterministic order here.
+	for _, m := range c.mshrs {
 		if !m.uncached && c.Space.Home(m.addr) == c.ID {
 			if e := c.Dir.Lookup(m.addr); e != nil &&
 				e.State == coherence.DirExclusive && e.Owner == c.ID &&
@@ -200,8 +244,7 @@ func (c *Controller) EnterRecovery() {
 			}
 		}
 	}
-	for _, s := range seqs {
-		m := c.mshrs[s]
+	for _, m := range c.mshrs {
 		m.timeout.Cancel()
 		m.retry.Cancel()
 		if m.cb != nil {
@@ -217,7 +260,7 @@ func (c *Controller) EnterRecovery() {
 			c.E.After(0, func() { ucb(nil, ErrAborted) })
 		}
 	}
-	c.mshrs = make(map[uint64]*mshr)
+	c.dropAllMSHRs()
 	// Queued writebacks and exclusive grants are still fielded in drain
 	// mode (they carry data); everything else queued is consumed.
 	kept := c.input[:0]
@@ -231,6 +274,7 @@ func (c *Controller) EnterRecovery() {
 			c.discarded(msg)
 		}
 	}
+	clear(c.input[len(kept):])
 	c.input = kept
 	c.SetMode(ModeDrain)
 	c.process()
@@ -252,7 +296,7 @@ func (c *Controller) FlushCache() int {
 	sent := 0
 	for i, a := range addrs {
 		home := c.Space.Home(a)
-		if c.sendMsg(home, &coherence.Message{
+		if c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: a, Req: c.ID, Data: lines[i].Token,
 		}) {
 			sent++
@@ -263,7 +307,7 @@ func (c *Controller) FlushCache() int {
 	// refreshed from the grant before the directory sweep.
 	for _, o := range c.orphans {
 		home := c.Space.Home(o.Addr)
-		if c.sendMsg(home, &coherence.Message{
+		if c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: o.Addr, Req: c.ID, Data: o.Data,
 		}) {
 			sent++

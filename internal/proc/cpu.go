@@ -8,6 +8,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/magic"
@@ -30,6 +31,10 @@ type Op struct {
 	Token uint64 // OpWrite only
 	// Done receives the completion. May be nil.
 	Done func(magic.Result)
+	// DoneAt, if set, receives the completion together with the
+	// operation's Addr, so one bound function can complete any number of
+	// operations without a closure per operation.
+	DoneAt func(coherence.Addr, magic.Result)
 }
 
 // Stats counts processor-level events.
@@ -49,8 +54,10 @@ type CPU struct {
 	Window int
 
 	inflight int
-	queue    []Op
-	paused   bool
+	// queue[head:] are the operations waiting to issue.
+	queue  []Op
+	head   int
+	paused bool
 	// onDrained fires once when paused and the last in-flight op ends.
 	onDrained func()
 
@@ -112,22 +119,46 @@ func (r *opRecord) retire(res magic.Result) {
 	if op.Done != nil {
 		op.Done(res)
 	}
+	if op.DoneAt != nil {
+		op.DoneAt(op.Addr, res)
+	}
 	if c.paused && c.inflight == 0 && c.onDrained != nil {
 		fn := c.onDrained
 		c.onDrained = nil
 		fn()
 	}
 	c.issue()
+	if len(c.queue) == 0 && cap(c.queue) > queueKeep {
+		c.queue = nil
+	}
 }
 
 // Submit queues an operation for issue.
 func (c *CPU) Submit(op Op) {
+	if c.head > 0 && len(c.queue) == cap(c.queue) && c.head >= len(c.queue)/2 {
+		// Reclaim the issued front in place instead of growing.
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
+	}
 	c.queue = append(c.queue, op)
 	c.issue()
 }
 
+// Reserve makes room for n more queued operations, so a caller about to
+// submit a known number of them pays for one backing array instead of a
+// doubling series.
+func (c *CPU) Reserve(n int) { c.queue = slices.Grow(c.queue, n) }
+
+// queueKeep is the largest backing array (in operations) a queue emptied by
+// a completion holds on to. Steady streams of a few operations reuse theirs;
+// the array a whole-memory sweep queued up front is released as soon as its
+// last operation issues, rather than staying pinned in every finished
+// machine.
+const queueKeep = 64
+
 // QueueLen reports operations waiting to issue.
-func (c *CPU) QueueLen() int { return len(c.queue) }
+func (c *CPU) QueueLen() int { return len(c.queue) - c.head }
 
 // Inflight reports operations issued but not completed.
 func (c *CPU) Inflight() int { return c.inflight }
@@ -146,9 +177,10 @@ func (c *CPU) Resume() {
 func (c *CPU) Paused() bool { return c.paused }
 
 func (c *CPU) issue() {
-	for !c.paused && c.inflight < c.Window && len(c.queue) > 0 {
-		op := c.queue[0]
-		c.queue = c.queue[1:]
+	for !c.paused && c.inflight < c.Window && c.head < len(c.queue) {
+		op := c.queue[c.head]
+		c.queue[c.head] = Op{}
+		c.head++
 		c.inflight++
 		c.Stats.Issued++
 		done := c.newRecord(op).done
@@ -160,6 +192,9 @@ func (c *CPU) issue() {
 		case OpWrite:
 			c.Ctrl.Write(op.Addr, op.Token, done)
 		}
+	}
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
 	}
 }
 
@@ -174,8 +209,8 @@ type Snapshot struct {
 // Snapshot captures the processor state, panicking if operations are
 // still queued or in flight.
 func (c *CPU) Snapshot() Snapshot {
-	if c.inflight > 0 || len(c.queue) > 0 {
-		panic(fmt.Sprintf("proc: snapshot of CPU %d with %d in flight, %d queued", c.ID, c.inflight, len(c.queue)))
+	if c.inflight > 0 || c.QueueLen() > 0 {
+		panic(fmt.Sprintf("proc: snapshot of CPU %d with %d in flight, %d queued", c.ID, c.inflight, c.QueueLen()))
 	}
 	return Snapshot{Stats: c.Stats, Paused: c.paused}
 }

@@ -130,3 +130,51 @@ func TestAbortedCounted(t *testing.T) {
 		t.Fatalf("stats = %+v", cpu.Stats)
 	}
 }
+
+// One bound DoneAt completes every operation of a sweep, in issue order,
+// with the operation's own address — including operations resubmitted from
+// inside the completion, which go to the tail. The sweep-sized queue is
+// released once a completion drains it; a steady trickle keeps its array.
+func TestDoneAtSweepOrderAndQueueRelease(t *testing.T) {
+	e, cpu, _ := newCPU(t)
+	const n = 4 * queueKeep
+	var got []coherence.Addr
+	resubmitted := false
+	var done func(coherence.Addr, magic.Result)
+	done = func(a coherence.Addr, r magic.Result) {
+		if r.Err != nil {
+			t.Errorf("read %v: %v", a, r.Err)
+		}
+		got = append(got, a)
+		if a == 0 && !resubmitted {
+			resubmitted = true
+			cpu.Submit(Op{Kind: OpRead, Addr: n * 128, DoneAt: done})
+		}
+	}
+	cpu.Reserve(n)
+	for i := 0; i < n; i++ {
+		cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(i * 128), DoneAt: done})
+	}
+	if cpu.QueueLen() != n-cpu.Window {
+		t.Fatalf("queued = %d, want %d", cpu.QueueLen(), n-cpu.Window)
+	}
+	e.Run()
+	if len(got) != n+1 {
+		t.Fatalf("completed %d operations, want %d", len(got), n+1)
+	}
+	for i, a := range got {
+		if a != coherence.Addr(i*128) {
+			t.Fatalf("completion %d was for %v, want issue order", i, a)
+		}
+	}
+	if cpu.QueueLen() != 0 || cap(cpu.queue) != 0 {
+		t.Fatalf("drained sweep queue still holds %d ops in a %d-op array", cpu.QueueLen(), cap(cpu.queue))
+	}
+	for i := 0; i < 3*queueKeep; i++ {
+		cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(i * 128)})
+		e.Run()
+	}
+	if c := cap(cpu.queue); c == 0 || c > queueKeep {
+		t.Fatalf("steady one-at-a-time stream left a %d-op queue array, want a small kept one", c)
+	}
+}
