@@ -85,7 +85,6 @@ func main() {
 		hout = os.Stderr
 	}
 
-	cf.WarnOversubscribed()
 	cf.CheckRouting()
 	cfg := flashfc.DefaultValidationConfig()
 	cfg.Routing = cf.Routing
@@ -94,8 +93,6 @@ func main() {
 	cfg.L2Bytes = *l2
 	cfg.FillLines = *fill
 	cfg.Stride = *stride
-	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
 	var tracer *flashfc.Tracer
 	if cf.WantTrace() {
 		if cf.Runs > 1 && cf.RunSeed < 0 {
@@ -119,6 +116,7 @@ func main() {
 		runCompound(cfg, *faultName, cf.Seed, topts, cf.Metrics, cf.MetricsJSON)
 		return
 	case "none", "boundary-link":
+		cf.WarnOversubscribed()
 		runPartition(cfg, *faultName, *fill, cf, topts)
 		return
 	}
@@ -145,15 +143,22 @@ func main() {
 		exit(2)
 	}
 
-	if cf.RunSeed >= 0 {
-		runReplay(cfg, ft, *faultName, cf, topts)
-		return
-	}
-	if cf.Runs > 1 {
-		runCampaign(cfg, ft, *faultName, cf)
+	if cf.RunSeed >= 0 || cf.Runs > 1 {
+		// Campaign runs (and their replays) fork a sequential machine's
+		// warm snapshot: -partitions cannot apply.
+		cf.WarnPartitionsIgnored()
+		if cf.RunSeed >= 0 {
+			runReplay(cfg, ft, *faultName, cf, topts)
+		} else {
+			runCampaign(cfg, ft, *faultName, cf)
+		}
 		return
 	}
 
+	// A single cold run is where -partitions is real.
+	cf.WarnOversubscribed()
+	cfg.Partitions = cf.Partitions
+	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
 	r := flashfc.RunValidation(cfg, ft, cf.Seed)
 	if tracer != nil && cf.Trace {
 		fmt.Fprintln(hout, "timeline:")
@@ -312,7 +317,8 @@ func runCampaign(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string
 }
 
 // runPartition runs the partitioned-simulation scenarios: -fault none is
-// the fault-free fill (the scenario the PR6 speedup benchmark times), and
+// the fault-free fill (the scenario the ledger's fill1024/fill1024-p2
+// workloads time), and
 // -fault boundary-link fails an inter-region link mid-fill and recovers
 // across the cut. Both honor -partitions (0 = sequential engine) and are
 // bit-identical at any partition count.
@@ -326,7 +332,7 @@ func runPartition(vcfg flashfc.ValidationConfig, kind string, fill int, cf *clif
 	cfg.L2Bytes = vcfg.L2Bytes
 	cfg.OpsPerNode = fill
 	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = vcfg.RegionLinkExtra
+	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
 	cfg.Trace = topts.tracer
 
 	if kind == "boundary-link" {

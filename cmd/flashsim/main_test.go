@@ -194,3 +194,40 @@ func TestProgressOnStderrAndTraceWarning(t *testing.T) {
 		}
 	}
 }
+
+// -partitions is real only where a machine is built cold: a campaign forks
+// a sequential machine's warm snapshot, so it must say the flag has no
+// effect and produce exactly the output it produces without it; a single
+// cold run honors the flag and must not print that warning.
+func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
+	dir := t.TempDir()
+	const noEffect = "no effect on warm-forked campaigns"
+	campaign := append(fastArgs, "-runs", "4", "-metrics-json")
+	plainLog, partLog := filepath.Join(dir, "plain.jsonl"), filepath.Join(dir, "part.jsonl")
+	plain, stderr := runFlashsim(t, append(campaign, "-run-log", plainLog)...)
+	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
+		t.Errorf("warning without -partitions:\n%s", stderr)
+	}
+	part, stderr := runFlashsim(t, append(campaign, "-run-log", partLog, "-partitions", "4")...)
+	if !bytes.Contains([]byte(stderr), []byte(noEffect)) {
+		t.Errorf("campaign with -partitions 4 does not warn:\n%s", stderr)
+	}
+	if plain != part {
+		t.Error("-partitions changed a warm-forked campaign's metrics JSON")
+	}
+	a, err := os.ReadFile(plainLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(partLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("-partitions changed a warm-forked campaign's run log")
+	}
+	_, stderr = runFlashsim(t, "-nodes", "16", "-fault", "fail-slow", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "4")
+	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
+		t.Errorf("single cold run warns that -partitions has no effect:\n%s", stderr)
+	}
+}

@@ -36,8 +36,10 @@
 // strategy everywhere.
 //
 // -run-log streams one JSONL record per run (ordered by run index,
-// byte-identical at any -workers/-partitions), -progress reports live
-// campaign progress on stderr, and -exemplars DIR replays the exact runs
+// byte-identical at any -workers and -warmstart setting; the routing table
+// emits one batch per scenario and strategy, run i of every strategy
+// carrying the same seed), -progress reports live campaign progress on
+// stderr, and -exemplars DIR replays the exact runs
 // behind the tail table's p50/p99/p999 with span tracing and writes
 // Perfetto-loadable traces plus critical-path summaries into DIR.
 package main
@@ -59,6 +61,12 @@ func main() {
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 0})
 	flag.Parse()
 	cf.WarnTraceIgnored()
+	if *table != "5.4" {
+		// 5.3, tail and routing are warm-forked; 5.4 boots a cold Hive
+		// machine per run, which has no partitioned form either but never
+		// claimed one.
+		cf.WarnPartitionsIgnored()
+	}
 	cf.CheckRouting()
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.
@@ -151,8 +159,6 @@ func tableTail(cf *cliflags.Flags) {
 	cfg.Routing = cf.Routing
 	cfg.Runs = cf.Runs
 	cfg.Workers = cf.Workers
-	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
 	if !cf.WarmStart {
 		cfg.WarmStart = flashfc.WarmStartOff
 	}
@@ -231,12 +237,13 @@ func tableRouting(cf *cliflags.Flags) {
 	cfg.Routing = "" // strategies come from the campaign's own sweep
 	cfg.Runs = cf.Runs
 	cfg.Workers = cf.Workers
-	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
 	if !cf.WarmStart {
 		cfg.WarmStart = flashfc.WarmStartOff
 	}
+	sink, finish := cf.Sinks()
+	cfg.Observe = sink
 	res := flashfc.RunRoutingCampaign(cfg, cf.Seed)
+	cliflags.FinishSinks(finish)
 	bad, cyclic := 0, 0
 	for _, sc := range res.Scenarios {
 		fmt.Printf("scenario: %s\n", sc.Spec.Name)

@@ -6,7 +6,7 @@
 //
 // The scenario is packaged as a custom campaign Experiment and repeated
 // across derived seeds, so one command checks the reroute against several
-// traffic histories — and a run that blows up becomes a failed CampaignRun
+// traffic histories — and a run that blows up becomes a failed run (Err set)
 // instead of killing the sweep.
 package main
 

@@ -21,10 +21,14 @@
 //     units, with firewalled kernel pages, exactly-once inter-cell RPC and
 //     OS recovery (§3.3, §4.6); NewParallelMake builds the §5.1 workload.
 //   - The experiment drivers regenerate every table and figure of §5:
-//     single runs through RunValidation / RunEndToEnd, batches and sweeps
-//     through RunCampaign with the per-family campaign structs
-//     (ValidationCampaign, EndToEndCampaign, Fig55Campaign, …), and the
-//     specialty campaigns through RunTailCampaign / RunRoutingCampaign.
+//     single runs through RunValidation / RunEndToEnd, and every batch and
+//     sweep through the one campaign path — RunCampaign with a per-family
+//     experiment struct (ValidationCampaign, EndToEndCampaign,
+//     Fig55Campaign, … or any custom Experiment[T]). RunTailCampaign and
+//     RunRoutingCampaign are loops over the same path that reduce its runs
+//     to percentile tables.
+//   - Performance claims go through the ledger: BENCHMARK.json and the
+//     bench/ module (go run -C bench .), not ad-hoc benchmark files.
 //
 // A minimal session:
 //
@@ -277,9 +281,8 @@ func NewParallelMake(h *Hive, cfg MakeConfig) *Make { return hive.NewMake(h, cfg
 // DefaultMakeConfig returns the standard workload sizes.
 func DefaultMakeConfig() MakeConfig { return hive.DefaultMakeConfig() }
 
-// Parallel campaign infrastructure. Every batch driver fans its fully
-// independent runs out over a bounded worker pool (the Workers field of
-// the experiment configs, or the workers argument of the figure sweeps;
+// Parallel campaign infrastructure. RunCampaign fans a campaign's fully
+// independent runs out over a bounded worker pool (CampaignConfig.Workers;
 // 0 = one worker per CPU) with bit-identical results for any worker
 // count: each run owns its whole simulated machine and derives its seed
 // purely from (base seed, stream, run index).
@@ -300,8 +303,8 @@ type (
 func DeriveSeed(base int64, stream, i int) int64 { return runner.DeriveSeed(base, stream, i) }
 
 // ParallelMap runs fn(0..n-1) on up to `workers` goroutines (0 = one per
-// CPU) and returns the results in index order — the primitive under every
-// batch driver, exported for custom experiment campaigns.
+// CPU) and returns the results in index order — the worker pool under
+// RunCampaign without its seeds, panic isolation or accounting.
 func ParallelMap[T any](n, workers int, fn func(i int) T) []T {
 	return runner.Map(n, workers, fn)
 }
@@ -391,8 +394,9 @@ func DefaultTailConfig() TailConfig { return experiments.DefaultTailConfig() }
 // fault classes (transient-link, fail-slow, CPU-fail/memory-survives):
 // cfg.Runs warm-forked validation runs per class reduced to p50/p99/p999
 // containment time plus the affected fraction of the machine. Results are
-// bit-identical for any worker count, any Partitions value, and warm-start
-// on or off.
+// bit-identical for any worker count (cfg.Workers) and warm-start on or off;
+// cfg.Observe receives one batch of run records per class. cfg.Partitions
+// has no effect: warm-forked machines are sequential.
 func RunTailCampaign(cfg TailConfig, seed int64) *TailResult {
 	return experiments.TailCampaign(cfg, seed)
 }
@@ -476,7 +480,8 @@ func DefaultRoutingConfig() RoutingConfig { return experiments.DefaultRoutingCon
 // scenario, every strategy replays the identical warm-forked faulted runs
 // (the seed stream never involves the strategy), so per-cell differences
 // are pure strategy effects. Bit-identical for any worker count and
-// warm-start mode.
+// warm-start mode; cfg.Observe receives one batch of run records per
+// (scenario, strategy), run i of every strategy carrying the same seed.
 func RunRoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
 	return experiments.RoutingCampaign(cfg, seed)
 }

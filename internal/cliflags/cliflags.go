@@ -11,9 +11,10 @@
 //	                   a compatible alias
 //	-partitions N      intra-machine worker goroutines: region schedulers
 //	                   of ONE machine in parallel (0 = classic sequential
-//	                   engine). Orthogonal to -parallel: the two multiply,
-//	                   and a warning is printed when the product exceeds
-//	                   GOMAXPROCS
+//	                   engine). It applies to flashsim single runs (cold
+//	                   validation, -fault none, -fault boundary-link);
+//	                   warm-forked campaigns build sequential machines and
+//	                   warn that the flag has no effect
 //	-region-extra D    extra inter-region wire latency of a partitioned
 //	                   machine (0 = the machine default)
 //	-metrics           print the aggregate metric registry
@@ -29,8 +30,8 @@
 //	                   adaptive (fault-region-aware, no drain), or
 //	                   incremental (patch broken routes, partial drain)
 //	-run-log FILE      stream one JSONL record per campaign run, ordered by
-//	                   run index; byte-identical at any -parallel or
-//	                   -partitions setting
+//	                   run index; byte-identical at any -parallel and with
+//	                   -warmstart on or off
 //	-run-log-host      keep the host-side record fields (wall_ns, worker)
 //	                   instead of zeroing them — real accounting at the
 //	                   price of byte-identity
@@ -72,7 +73,8 @@ type Flags struct {
 	Workers int
 	// Partitions is the intra-machine worker count: how many goroutines
 	// multiplex one machine's region schedulers. 0 keeps the classic
-	// sequential engine. Results are bit-identical at every value.
+	// sequential engine; results are bit-identical at every value > 0.
+	// Only flashsim's single runs build partitioned machines.
 	Partitions int
 	// RegionExtra is the extra inter-region wire latency (nanoseconds) of
 	// a partitioned machine; 0 uses the machine default.
@@ -119,7 +121,7 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 	fs.IntVar(&f.Runs, "runs", def.Runs, "independent runs per campaign")
 	fs.IntVar(&f.Workers, "workers", 0, "run-level campaign worker goroutines (0 = one per CPU)")
 	fs.IntVar(&f.Workers, "parallel", 0, "alias for -workers")
-	fs.IntVar(&f.Partitions, "partitions", 0, "intra-machine region workers (0 = sequential engine; bit-identical at any value)")
+	fs.IntVar(&f.Partitions, "partitions", 0, "intra-machine region workers of a flashsim single run (0 = sequential engine; bit-identical at any value > 0; no effect on warm-forked campaigns)")
 	fs.Int64Var(&f.RegionExtra, "region-extra", 0, "extra inter-region wire latency in `ns` for partitioned machines (0 = default)")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the aggregate metric registry")
 	fs.BoolVar(&f.MetricsJSON, "metrics-json", false, "emit the metric snapshot as stable-key JSON on stdout")
@@ -128,7 +130,7 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 	fs.BoolVar(&f.TraceCritical, "trace-critical", false, "print the recovery critical-path report (single runs)")
 	fs.BoolVar(&f.WarmStart, "warmstart", true, "share warmed machine snapshots across a batch's runs (false: rebuild per run; bit-identical)")
 	fs.StringVar(&f.Routing, "routing", "", "recovery routing `strategy`: "+strategyList()+" (default paper)")
-	fs.StringVar(&f.RunLog, "run-log", "", "stream one JSONL record per campaign run to `file`, ordered by run index (byte-identical at any -parallel/-partitions)")
+	fs.StringVar(&f.RunLog, "run-log", "", "stream one JSONL record per campaign run to `file`, ordered by run index (byte-identical at any -parallel, -warmstart on or off)")
 	fs.BoolVar(&f.RunLogHost, "run-log-host", false, "keep host-side run-log fields (wall_ns, worker) instead of zeroing them; breaks byte-identity across worker counts")
 	fs.BoolVar(&f.Progress, "progress", false, "live campaign progress on stderr (runs done/total, events/sec, failures, ETA)")
 	fs.StringVar(&f.Exemplars, "exemplars", "", "replay the runs behind a tail campaign's percentiles with tracing and write Perfetto traces + summaries into `dir`")
@@ -227,27 +229,32 @@ func (f *Flags) StartProfiles() func() {
 	}
 }
 
-// WarnOversubscribed prints a warning when the run-level and intra-machine
-// worker counts multiply past the host's scheduler width: -parallel
-// parallelizes across runs and -partitions within each run's machine, so a
-// campaign runs up to parallel×partitions busy goroutines. Oversubscribing
-// is correct (results never depend on worker counts) but slower. It reports
-// whether it warned.
+// WarnOversubscribed prints a warning when a single run's -partitions
+// exceeds the host's scheduler width. Oversubscribing is correct (results
+// never depend on worker counts) but slower. Run-level -parallel does not
+// multiply in: the only machines that honor -partitions are single runs.
+// It reports whether it warned.
 func (f *Flags) WarnOversubscribed() bool {
-	runLevel := f.Workers
-	if runLevel <= 0 {
-		runLevel = runtime.GOMAXPROCS(0)
+	if f.Partitions <= runtime.GOMAXPROCS(0) {
+		return false
 	}
-	if f.Runs <= 1 {
-		runLevel = 1 // single runs use no run-level workers
+	fmt.Fprintf(os.Stderr,
+		"warning: -partitions %d exceeds GOMAXPROCS %d; results are identical but oversubscription costs speed\n",
+		f.Partitions, runtime.GOMAXPROCS(0))
+	return true
+}
+
+// WarnPartitionsIgnored prints a warning when -partitions is set on a
+// warm-forked campaign (flashsim -runs N / -run-seed, tables -table
+// 5.3|tail|routing): every run forks a warm snapshot of a sequential
+// machine, so the flag changes nothing. It reports whether it warned.
+func (f *Flags) WarnPartitionsIgnored() bool {
+	if f.Partitions <= 0 {
+		return false
 	}
-	if f.Partitions > 0 && runLevel*f.Partitions > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr,
-			"warning: -parallel %d × -partitions %d = %d workers exceeds GOMAXPROCS %d; results are identical but oversubscription costs speed\n",
-			runLevel, f.Partitions, runLevel*f.Partitions, runtime.GOMAXPROCS(0))
-		return true
-	}
-	return false
+	fmt.Fprintln(os.Stderr, "warning: -partitions/-region-extra have no effect on warm-forked campaigns "+
+		"(runs fork a sequential machine's snapshot); they apply to flashsim single runs, -fault none and -fault boundary-link")
+	return true
 }
 
 // Sinks builds the observability sink the -run-log/-progress flags

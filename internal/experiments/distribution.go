@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"flashfc/internal/metrics"
+	"flashfc/internal/obs"
 	"flashfc/internal/runner"
 	"flashfc/internal/stats"
 )
 
 // Multi-seed distribution runs: the paper plots single representative
-// recovery times; this driver quantifies how tight they are across random
+// recovery times; this family quantifies how tight they are across random
 // fault placements and workload interleavings.
 
 // Distribution summarizes recovery-time statistics across seeds.
@@ -27,32 +28,35 @@ type Distribution struct {
 	Metrics *metrics.Snapshot
 }
 
-// RecoveryDistribution measures per-phase recovery times over `seeds`
-// independent runs of cfg on a cfg.Workers-wide pool. Each run's seed is
-// runner.DeriveSeed(cfg.Seed, StreamDistribution, s), and when cfg.Victim
-// is -1 the victim node is derived from the same seed — so the
-// distribution covers fault placement too, and is bit-identical for any
-// worker count. A run that panics counts as failed.
-func RecoveryDistribution(cfg ScalingConfig, seeds int) Distribution {
-	results, st := runner.Campaign(seeds, cfg.Workers, func(s int, rec *runner.Recorder) ScalingPoint {
-		if cfg.runHook != nil {
-			cfg.runHook(s)
-		}
-		run := cfg
-		run.Seed = runner.DeriveSeed(cfg.Seed, runner.StreamDistribution, s)
-		if run.Victim < 0 && cfg.Nodes > 1 {
-			run.Victim = 1 + int(uint64(run.Seed)%uint64(cfg.Nodes-1))
-		}
-		p := MeasureRecovery(run)
-		rec.Report(p.Events)
-		return p
-	}, nil)
-	return SummarizeDistribution(cfg.Nodes, results, st)
+// DistributionCampaign repeats node-failure recoveries across derived
+// seeds — and, when Config.Victim is -1, across fault placements: the
+// victim node is derived from the run's seed, so the distribution covers
+// fault placement too and stays bit-identical for any worker count.
+// Summarize the outcome with SummarizeDistribution.
+type DistributionCampaign struct {
+	// Config shapes the runs; use DefaultScalingConfig(n) as the base.
+	// Its Seed is superseded by the per-run derived seed.
+	Config ScalingConfig
 }
 
-// SummarizeDistribution folds per-run recovery measurements into the
-// per-phase distribution summary. Exposed so the façade's campaign path
-// can aggregate identically to RecoveryDistribution.
+func (c DistributionCampaign) Stream() int      { return runner.StreamDistribution }
+func (c DistributionCampaign) Points() int      { return 0 }
+func (c DistributionCampaign) Batch() obs.Batch { return obs.Batch{Label: "dist"} }
+func (c DistributionCampaign) Run(_ RunEnv, i int, seed int64) ScalingPoint {
+	run := c.Config
+	if run.runHook != nil {
+		run.runHook(i)
+	}
+	run.Seed = seed
+	if run.Victim < 0 && run.Nodes > 1 {
+		run.Victim = 1 + int(uint64(seed)%uint64(run.Nodes-1))
+	}
+	return MeasureRecovery(run)
+}
+
+// SummarizeDistribution folds a DistributionCampaign's per-run recovery
+// measurements into the per-phase distribution summary. A run that
+// panicked or did not complete recovery counts as failed.
 func SummarizeDistribution(nodes int, results []runner.Result[ScalingPoint], st runner.Stats) Distribution {
 	d := Distribution{Nodes: nodes}
 	d.Stats = st

@@ -5,6 +5,7 @@ import (
 	"flashfc/internal/hive"
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
+	"flashfc/internal/obs"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 )
@@ -28,11 +29,6 @@ type EndToEndConfig struct {
 	// InjectWindow bounds the random injection time within the run.
 	InjectMin, InjectMax sim.Time
 	Deadline             sim.Time
-	Seed                 int64
-	// Workers bounds the goroutines batch drivers (Table54, Fig57) may
-	// use; 0 means one per CPU. Single runs ignore it, and any worker
-	// count yields bit-identical results.
-	Workers int
 }
 
 // DefaultEndToEndConfig returns the §5.1 setup scaled for simulation: 8
@@ -48,7 +44,6 @@ func DefaultEndToEndConfig() EndToEndConfig {
 		InjectMin:    200 * sim.Microsecond,
 		InjectMax:    6 * sim.Millisecond,
 		Deadline:     30 * sim.Second,
-		Seed:         1,
 	}
 }
 
@@ -76,6 +71,17 @@ type EndToEndResult struct {
 // the fault still latent.
 func (r *EndToEndResult) OK() bool {
 	return (r.Recovered || r.Latent) && r.Outcome != nil && r.Outcome.OK()
+}
+
+// SimEvents, RunMetrics and FillRecord implement RunReport.
+func (r *EndToEndResult) SimEvents() uint64             { return r.Events }
+func (r *EndToEndResult) RunMetrics() *metrics.Snapshot { return r.Metrics }
+func (r *EndToEndResult) FillRecord(rec *obs.RunRecord) {
+	rec.Fault = r.Fault.String()
+	rec.ContainmentNS = int64(r.HW + r.OS)
+	if !r.OK() {
+		rec.Outcome, rec.Note = obs.OutcomeFail, r.Note
+	}
 }
 
 // EndToEnd performs one end-to-end experiment: boot Hive, start the
@@ -150,9 +156,22 @@ type Table54Row struct {
 	Metrics *metrics.Snapshot
 }
 
-// Batch driving lives in the flashfc Campaign API (EndToEndCampaign); the
-// pre-campaign wrappers (EndToEndBatch, Table54) are gone — aggregate
-// campaign results into Table54Row per fault type instead.
+// EndToEndCampaign repeats §5.1 Hive parallel-make runs of one fault type
+// (Table 5.4's per-type batches).
+type EndToEndCampaign struct {
+	// Config shapes the runs; use DefaultEndToEndConfig() as the base.
+	Config EndToEndConfig
+	Fault  fault.Type
+}
+
+func (c EndToEndCampaign) Stream() int { return runner.StreamEndToEnd + int(c.Fault) }
+func (c EndToEndCampaign) Points() int { return 0 }
+func (c EndToEndCampaign) Batch() obs.Batch {
+	return obs.Batch{Label: "end-to-end", Fault: c.Fault.String()}
+}
+func (c EndToEndCampaign) Run(_ RunEnv, _ int, seed int64) *EndToEndResult {
+	return EndToEnd(c.Config, c.Fault, seed)
+}
 
 // Fig57Point is one end-to-end suspension measurement.
 type Fig57Point struct {
@@ -162,28 +181,40 @@ type Fig57Point struct {
 	OK    bool
 }
 
-// Fig57 measures the user-process suspension time after a node failure for
-// growing machine sizes with one Hive cell per node (Fig 5.7's 16 MB/node,
-// 1 MB L2 configuration; sizes are configurable for tractability). The
-// points are measured on up to `workers` goroutines (0 = one per CPU) and
-// returned in nodeCounts order.
-func Fig57(nodeCounts []int, memBytes, l2Bytes uint64, seed int64, workers int) []Fig57Point {
-	return runner.Map(len(nodeCounts), workers, func(i int) Fig57Point {
-		return Fig57One(nodeCounts[i], memBytes, l2Bytes, seed)
-	})
+// SimEvents, RunMetrics and FillRecord implement RunReport; a point keeps
+// the two suspension times only, so it reports no event count or metrics.
+func (p Fig57Point) SimEvents() uint64             { return 0 }
+func (p Fig57Point) RunMetrics() *metrics.Snapshot { return nil }
+func (p Fig57Point) FillRecord(rec *obs.RunRecord) {
+	rec.ContainmentNS = int64(p.HWOS)
+	if !p.OK {
+		rec.Outcome = obs.OutcomeFail
+	}
 }
 
-// Fig57One measures one Fig 5.7 point: the suspension time after a node
-// failure on an n-node, n-cell machine. The engine seed derives from the
-// node count (not a run index), so a sweep's points are independent of
-// which other sizes it measures.
-func Fig57One(n int, memBytes, l2Bytes uint64, seed int64) Fig57Point {
+// Fig57Campaign sweeps machine sizes (one Hive cell per node) and measures
+// user-process suspension after a node failure (Fig 5.7's 16 MB/node, 1 MB
+// L2 configuration; sizes are configurable for tractability).
+type Fig57Campaign struct {
+	Nodes    []int
+	MemBytes uint64
+	L2Bytes  uint64
+}
+
+func (c Fig57Campaign) Stream() int      { return -1 }
+func (c Fig57Campaign) Points() int      { return len(c.Nodes) }
+func (c Fig57Campaign) Batch() obs.Batch { return obs.Batch{Label: "fig5.7"} }
+
+// Run measures one point on an n-node, n-cell machine. The engine seed
+// derives from the node count (not the run index), so a sweep's points are
+// independent of which other sizes it measures.
+func (c Fig57Campaign) Run(_ RunEnv, i int, seed int64) Fig57Point {
+	n := c.Nodes[i]
 	cfg := DefaultEndToEndConfig()
 	cfg.Cells = n
 	cfg.NodesPerCell = 1
-	cfg.MemBytes = memBytes
-	cfg.L2Bytes = l2Bytes
-	cfg.Seed = seed
+	cfg.MemBytes = c.MemBytes
+	cfg.L2Bytes = c.L2Bytes
 	r := EndToEnd(cfg, fault.NodeFailure, runner.DeriveSeed(seed, runner.StreamFig57, n))
 	return Fig57Point{Nodes: n, HW: r.HW, HWOS: r.HW + r.OS, OK: r.OK()}
 }

@@ -6,7 +6,6 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
-	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 )
@@ -124,7 +123,8 @@ func TestMeasureRecoveryScalesWithNodes(t *testing.T) {
 }
 
 func TestFig56L2Linear(t *testing.T) {
-	pts := fig56L2([]uint64{512 << 10, 2 << 20, 4 << 20}, 3, 0)
+	pts := RunCampaign(CampaignConfig{Seed: 3},
+		Fig56L2Campaign{L2Sizes: []uint64{512 << 10, 2 << 20, 4 << 20}}).Values()
 	if len(pts) != 3 {
 		t.Fatal("points missing")
 	}
@@ -138,11 +138,11 @@ func TestFig56L2Linear(t *testing.T) {
 }
 
 func TestFig56XCoordinates(t *testing.T) {
-	l2 := fig56L2([]uint64{512 << 10, 4 << 20}, 3, 0)
+	l2 := RunCampaign(CampaignConfig{Seed: 3}, Fig56L2Campaign{L2Sizes: []uint64{512 << 10, 4 << 20}}).Values()
 	if l2[0].X != 0.5 || l2[1].X != 4 {
 		t.Errorf("Fig56L2 X = %v, %v; want 0.5, 4 (MB)", l2[0].X, l2[1].X)
 	}
-	mem := fig56Mem([]uint64{1 << 20, 16 << 20}, 3, 0)
+	mem := RunCampaign(CampaignConfig{Seed: 3}, Fig56MemCampaign{MemSizes: []uint64{1 << 20, 16 << 20}}).Values()
 	if mem[0].X != 1 || mem[1].X != 16 {
 		t.Errorf("Fig56Mem X = %v, %v; want 1, 16 (MB)", mem[0].X, mem[1].X)
 	}
@@ -155,14 +155,14 @@ func TestFig56XCoordinates(t *testing.T) {
 			t.Error("point carries no event accounting")
 		}
 	}
-	n := fig55([]int{8}, machine.TopoMesh, 3, 0)[0]
+	n := RunCampaign(CampaignConfig{Seed: 3}, Fig55Campaign{Nodes: []int{8}, Topo: machine.TopoMesh}).Values()[0]
 	if n.X != 8 {
 		t.Errorf("Fig55 X = %v, want the node count", n.X)
 	}
 }
 
 func TestFig56MemLinear(t *testing.T) {
-	pts := fig56Mem([]uint64{1 << 20, 16 << 20}, 3, 0)
+	pts := RunCampaign(CampaignConfig{Seed: 3}, Fig56MemCampaign{MemSizes: []uint64{1 << 20, 16 << 20}}).Values()
 	r := float64(pts[1].Phases.Scan) / float64(pts[0].Phases.Scan)
 	if r < 8 || r > 24 {
 		t.Errorf("Scan(16MB)/Scan(1MB) = %.1f, want ~16", r)
@@ -174,8 +174,8 @@ func TestFig56MemLinear(t *testing.T) {
 }
 
 func TestHypercubeDisseminationFasterAtScale(t *testing.T) {
-	mesh := fig55([]int{64}, machine.TopoMesh, 5, 0)[0]
-	hyper := fig55([]int{64}, machine.TopoHypercube, 5, 0)[0]
+	mesh := RunCampaign(CampaignConfig{Seed: 5}, Fig55Campaign{Nodes: []int{64}, Topo: machine.TopoMesh}).Values()[0]
+	hyper := RunCampaign(CampaignConfig{Seed: 5}, Fig55Campaign{Nodes: []int{64}, Topo: machine.TopoHypercube}).Values()[0]
 	if !mesh.OK || !hyper.OK {
 		t.Fatal("incomplete runs")
 	}
@@ -198,7 +198,8 @@ func TestEndToEndCleanAndFaulty(t *testing.T) {
 }
 
 func TestFig57Monotone(t *testing.T) {
-	pts := Fig57([]int{2, 8}, 1<<20, 64<<10, 9, 0)
+	pts := RunCampaign(CampaignConfig{Seed: 9},
+		Fig57Campaign{Nodes: []int{2, 8}, MemBytes: 1 << 20, L2Bytes: 64 << 10}).Values()
 	for _, p := range pts {
 		if !p.OK {
 			t.Fatalf("run at %d nodes failed", p.Nodes)
@@ -248,8 +249,7 @@ func TestBFTHintsSpeedDissemination(t *testing.T) {
 }
 
 func TestRecoveryDistribution(t *testing.T) {
-	cfg := DefaultScalingConfig(8)
-	d := RecoveryDistribution(cfg, 5)
+	d := recoveryDistribution(DefaultScalingConfig(8), 5)
 	if d.Failed != 0 {
 		t.Fatalf("failed runs: %d", d.Failed)
 	}
@@ -264,41 +264,15 @@ func TestRecoveryDistribution(t *testing.T) {
 	if d.Stats.Runs != 5 || d.Stats.Events == 0 {
 		t.Fatalf("campaign stats missing: %+v", d.Stats)
 	}
-}
-
-func TestRecoveryDistributionParallelBitIdenticalToSequential(t *testing.T) {
-	seq := DefaultScalingConfig(8)
-	seq.Workers = 1
-	par := DefaultScalingConfig(8)
-	par.Workers = 8
-	a := RecoveryDistribution(seq, 6)
-	b := RecoveryDistribution(par, 6)
-	// Stats is host-side wall-clock accounting; everything else must be
-	// bit-identical.
-	a.Stats = runner.Stats{}
-	b.Stats = runner.Stats{}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("distributions diverge:\nworkers=1: %+v\nworkers=8: %+v", a, b)
-	}
-}
-
-func TestRecoveryDistributionPanicIsolation(t *testing.T) {
+	// A crashed run counts as failed and stays out of the summaries.
 	cfg := DefaultScalingConfig(8)
-	cfg.Workers = 4
 	cfg.runHook = func(i int) {
 		if i == 3 {
 			panic("injected driver crash")
 		}
 	}
-	d := RecoveryDistribution(cfg, 6)
-	if d.Failed != 1 {
-		t.Fatalf("Failed = %d, want the crashed run only", d.Failed)
-	}
-	if d.Total.N != 5 {
-		t.Fatalf("surviving runs = %d, want 5", d.Total.N)
-	}
-	if d.Stats.Failed != 1 {
-		t.Fatalf("stats.Failed = %d, want 1", d.Stats.Failed)
+	if d := recoveryDistribution(cfg, 6); d.Failed != 1 || d.Total.N != 5 || d.Stats.Failed != 1 {
+		t.Fatalf("with run 3 crashed: Failed=%d Total.N=%d Stats.Failed=%d, want 1/5/1", d.Failed, d.Total.N, d.Stats.Failed)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestBatchDriversCarryMetrics(t *testing.T) {
 		t.Errorf("ScalingPoint.Metrics missing or machine.recoveries != 1: %+v", p.Metrics)
 	}
 
-	d := RecoveryDistribution(DefaultScalingConfig(2), 3)
+	d := recoveryDistribution(DefaultScalingConfig(2), 3)
 	if d.Metrics == nil || d.Metrics.Counters["machine.recoveries"] != 3 {
 		t.Errorf("Distribution.Metrics missing or machine.recoveries != 3")
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/obs"
+	"flashfc/internal/runner"
 )
 
 // fastTailConfig shrinks the tail campaign to test scale.
@@ -19,26 +19,21 @@ func fastTailConfig() TailConfig {
 	return cfg
 }
 
-// tailRunLog runs a tail campaign with a RunLog attached and returns the
-// JSONL bytes, finishing the sink the way a driver would.
+// tailRunLog runs a tail campaign observed and returns the JSONL bytes.
 func tailRunLog(t *testing.T, cfg TailConfig, seed int64) string {
 	t.Helper()
-	var buf bytes.Buffer
-	log := obs.NewRunLog(&buf, false)
-	cfg.Observe = log
-	TailCampaign(cfg, seed)
-	log.Finish()
-	if err := log.Err(); err != nil {
-		t.Fatalf("run log: %v", err)
-	}
-	return buf.String()
+	log, _ := observed(t, func(sink obs.Sink) {
+		cfg.Observe = sink
+		TailCampaign(cfg, seed)
+	})
+	return log
 }
 
 // TestTailRunLogByteIdentity is the tentpole contract: the JSONL record
 // stream of a tail campaign is byte-identical regardless of how many
-// run-level workers raced to complete runs, and regardless of the
-// intra-machine partition count. The RunLog reorders completion-order
-// events back to run-index order and the records strip host-side fields.
+// run-level workers raced to complete runs, and regardless of whether runs
+// share a warm snapshot. The RunLog reorders completion-order events back
+// to run-index order and the records strip host-side fields.
 func TestTailRunLogByteIdentity(t *testing.T) {
 	cfg := fastTailConfig()
 	cfg.Workers = 1
@@ -50,11 +45,6 @@ func TestTailRunLogByteIdentity(t *testing.T) {
 	if got := tailRunLog(t, cfg, 23); got != want {
 		t.Errorf("run log differs between 1 and 8 workers:\n1: %q\n8: %q", want, got)
 	}
-	cfg.Partitions = 4
-	if got := tailRunLog(t, cfg, 23); got != want {
-		t.Errorf("run log differs between partitions 0 and 4")
-	}
-	cfg.Partitions = 0
 	cfg.WarmStart = WarmStartOff
 	if got := tailRunLog(t, cfg, 23); got != want {
 		t.Errorf("run log differs between warm-start on and off")
@@ -67,21 +57,17 @@ func TestTailRunLogByteIdentity(t *testing.T) {
 func TestTailRunLogRecords(t *testing.T) {
 	cfg := fastTailConfig()
 	seed := int64(23)
-	lines := strings.Split(strings.TrimSuffix(tailRunLog(t, cfg, seed), "\n"), "\n")
+	recs := parseRunLog(t, tailRunLog(t, cfg, seed))
 	faults := fault.ExtendedTypes()
-	if want := cfg.Runs * len(faults); len(lines) != want {
-		t.Fatalf("got %d records, want %d", len(lines), want)
+	if want := cfg.Runs * len(faults); len(recs) != want {
+		t.Fatalf("got %d records, want %d", len(recs), want)
 	}
-	for n, line := range lines {
-		var rec obs.RunRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("record %d: %v\n%s", n, err, line)
-		}
+	for n, rec := range recs {
 		batch, i := n/cfg.Runs, n%cfg.Runs
 		if rec.Run != i {
 			t.Fatalf("record %d: run index %d, want %d", n, rec.Run, i)
 		}
-		if want := tailRunSeed(seed, faults[batch], i); rec.Seed != want {
+		if want := runner.DeriveSeed(seed, runner.StreamTail+int(faults[batch]), i); rec.Seed != want {
 			t.Errorf("record %d: seed %d, want %d", n, rec.Seed, want)
 		}
 		if rec.Outcome != obs.OutcomePass {
@@ -97,10 +83,7 @@ func TestTailRunLogRecords(t *testing.T) {
 	}
 	// The first record's seed reproduces the first record's containment
 	// time: any run-log row is replayable.
-	var first obs.RunRecord
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
+	first := recs[0]
 	e := ReplayTailRun(cfg, faults[0], seed, first.Run)
 	if e.Seed != first.Seed {
 		t.Fatalf("replay derived seed %d, record says %d", e.Seed, first.Seed)
@@ -123,16 +106,12 @@ func TestTailRunLogPanicRecord(t *testing.T) {
 			panic("injected driver crash")
 		}
 	}
-	lines := strings.Split(strings.TrimSuffix(tailRunLog(t, cfg, 23), "\n"), "\n")
-	if want := cfg.Runs * len(fault.ExtendedTypes()); len(lines) != want {
-		t.Fatalf("got %d records, want %d (panics must not drop records)", len(lines), want)
+	recs := parseRunLog(t, tailRunLog(t, cfg, 23))
+	if want := cfg.Runs * len(fault.ExtendedTypes()); len(recs) != want {
+		t.Fatalf("got %d records, want %d (panics must not drop records)", len(recs), want)
 	}
 	panics := 0
-	for n, line := range lines {
-		var rec obs.RunRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("record %d: %v", n, err)
-		}
+	for n, rec := range recs {
 		if rec.Run != n%cfg.Runs {
 			t.Fatalf("record %d: run index %d, want %d", n, rec.Run, n%cfg.Runs)
 		}
@@ -265,37 +244,6 @@ func TestWriteExemplarDeterministicBytes(t *testing.T) {
 	}
 	if sum.Critical.Dominant.Step == "" {
 		t.Error("summary names no dominant recovery step")
-	}
-}
-
-// TestValidationBatchObserved wires a sink into the Table 5.3 path
-// (WarmValidationBatch via ValidationConfig.Observe) and checks batch
-// metadata and record/fault agreement.
-func TestValidationBatchObserved(t *testing.T) {
-	cfg := fastValidationConfig()
-	var buf bytes.Buffer
-	log := obs.NewRunLog(&buf, false)
-	cfg.Observe = log
-	seed := int64(7)
-	WarmValidationBatch(cfg, fault.NodeFailure, 4, seed)
-	WarmValidationBatch(cfg, fault.LinkFailure, 4, seed)
-	log.Finish()
-	if err := log.Err(); err != nil {
-		t.Fatalf("run log: %v", err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("got %d records, want 8", len(lines))
-	}
-	var rec obs.RunRecord
-	if err := json.Unmarshal([]byte(lines[5]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Run != 1 {
-		t.Errorf("second batch record 1 has run index %d", rec.Run)
-	}
-	if !strings.Contains(rec.Fault, "link") {
-		t.Errorf("second batch record reports fault %q, want a link failure", rec.Fault)
 	}
 }
 

@@ -85,10 +85,9 @@ func fillResult(m *machine.Machine, pf *workload.PartitionFill, res *PartitionRe
 	res.Completed = pf.Total() - pf.Remaining()
 	res.Total = pf.Total()
 	res.Now = m.Now()
-	res.Events = m.E.EventsFired()
+	res.Events = eventsFired(m)
 	res.Regions = 1
 	if m.P != nil {
-		res.Events = m.P.EventsFired()
 		res.Regions = m.P.Regions()
 		res.Barriers = m.P.Barriers()
 		res.Merged = m.P.Merged()
@@ -99,8 +98,9 @@ func fillResult(m *machine.Machine, pf *workload.PartitionFill, res *PartitionRe
 // PartitionFill runs the fault-free partitioned fill scenario: every node
 // fills its cache with mostly-local lines, regions execute their windows on
 // cfg.Partitions parallel workers, and the result is bit-identical at any
-// worker count (the speedup claim is measured by the PR6 benchmark, the
-// identity claim by the machine determinism tests).
+// worker count (the speedup claim is measured by the ledger's fill1024 vs
+// fill1024-p2 workloads, the identity claim by the machine determinism
+// tests).
 func PartitionFill(cfg PartitionConfig, seed int64) *PartitionResult {
 	m := buildPartitionMachine(cfg, seed)
 	pf := workload.NewPartitionFill(m)
@@ -147,10 +147,7 @@ func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
 	f := fault.Fault{Type: fault.LinkFailure, Link: link}
 	res := &ValidationResult{Fault: f}
 	defer func() {
-		res.Events = m.E.EventsFired()
-		if m.P != nil {
-			res.Events = m.P.EventsFired()
-		}
+		res.Events = eventsFired(m)
 		res.Metrics = m.MetricsSnapshot()
 	}()
 
@@ -167,16 +164,7 @@ func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
 	// Provoke detection with a read across the dead link.
 	kick := m.Topo.Links()[link].B
 	m.Nodes[m.Topo.Links()[link].A].CPU.Submit(workload.TouchOp(m, kick))
-	res.Recovered = m.RunUntilRecovered(cfg.Deadline)
-	if !res.Recovered {
-		res.Note = fmt.Sprintf("recovery incomplete after %v", cfg.Deadline)
-		return res
-	}
-	res.Phases = m.Aggregate()
-	res.Verify = m.VerifyMemory(0, cfg.Stride())
-	if !res.Verify.OK() {
-		res.Note = res.Verify.String()
-	}
+	recoverAndVerify(m, res, 0, 0, cfg.Deadline, cfg.Stride())
 	return res
 }
 

@@ -93,7 +93,7 @@ func poisonScenario(t *testing.T) poisonOutcome {
 	cfg := fastValidationConfig()
 	cfg.Workers = 8
 	for _, ft := range append(fault.AllTypes(), fault.ExtendedTypes()...) {
-		results, _ := WarmValidationBatch(cfg, ft, 8, 3)
+		results, _ := validationBatch(cfg, ft, 8, 3)
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("%v run %d crashed: %v", ft, i, r.Err)

@@ -40,53 +40,53 @@ type ExemplarReplay struct {
 // exactly.
 func (e ExemplarReplay) Match() bool { return e.TracedTime == e.CampaignTime }
 
-// ReplayTailExemplars replays every exemplar of a finished tail campaign
-// with tracing enabled. cfg and seed must be the ones the campaign ran
-// under: the replay rebuilds the campaign's warm snapshot (one warm-up,
-// shared across all exemplars — it is fault-independent) and forks each
-// exemplar's recorded seed from it, the identical computation the campaign
-// performed, plus a tracer.
-func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []ExemplarReplay {
-	var out []ExemplarReplay
-	bcfg := cfg.ValidationConfig
-	bcfg.Trace = nil
-	var ws *WarmState
-	for _, sc := range res.Scenarios {
-		for _, ex := range sc.Exemplars {
-			if ws == nil {
-				ws = WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
-			}
-			tr := trace.New(0)
-			r := ValidationFromWarm(ws, sc.Fault, ex.Seed, tr)
-			out = append(out, ExemplarReplay{
-				Fault:        sc.Fault,
-				Pct:          ex.Pct,
-				Run:          ex.Run,
-				Seed:         ex.Seed,
-				CampaignTime: ex.Time,
-				TracedTime:   r.Phases.Total,
-				Result:       r,
-				Trace:        tr,
-			})
-		}
-	}
-	return out
+// campaignWarmState rebuilds the warm state the campaign (cfg, seed) forks
+// its runs from by calling the campaign's own Warmup; it is fault- and
+// stream-independent, so one state serves every batch of a tail campaign.
+func campaignWarmState(cfg ValidationConfig, seed int64) *WarmState {
+	return ValidationCampaign{Config: cfg}.Warmup(CampaignConfig{Seed: seed}).(*WarmState)
 }
 
-// ReplayTailRun replays one arbitrary run of a tail campaign (not
-// necessarily an exemplar) with tracing: the flashsim -run-seed path.
-func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
-	bcfg := cfg.ValidationConfig
-	bcfg.Trace = nil
-	ws := WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
+// replay re-executes campaign run i — fork ws, run the fault script at the
+// run's derived seed — with a tracer attached. CampaignTime starts out as
+// the traced time; ReplayTailExemplars overwrites it with the recorded one.
+func replay(ws *WarmState, ft fault.Type, i int, runSeed int64) ExemplarReplay {
 	tr := trace.New(0)
-	runSeed := tailRunSeed(seed, ft, i)
 	r := ValidationFromWarm(ws, ft, runSeed, tr)
 	return ExemplarReplay{
 		Fault: ft, Run: i, Seed: runSeed,
 		CampaignTime: r.Phases.Total, TracedTime: r.Phases.Total,
 		Result: r, Trace: tr,
 	}
+}
+
+// ReplayTailExemplars replays every exemplar of a finished tail campaign
+// with tracing enabled. cfg and seed must be the ones the campaign ran
+// under: the replay rebuilds the campaign's warm snapshot (one warm-up,
+// shared across all exemplars) and forks each exemplar's recorded seed from
+// it, the identical computation the campaign performed, plus a tracer.
+func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []ExemplarReplay {
+	var out []ExemplarReplay
+	var ws *WarmState
+	for _, sc := range res.Scenarios {
+		for _, ex := range sc.Exemplars {
+			if ws == nil {
+				ws = campaignWarmState(cfg.ValidationConfig, seed)
+			}
+			e := replay(ws, sc.Fault, ex.Run, ex.Seed)
+			e.Pct = ex.Pct
+			e.CampaignTime = ex.Time
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// ReplayTailRun replays one arbitrary run of a tail campaign (not
+// necessarily an exemplar) with tracing.
+func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
+	return replay(campaignWarmState(cfg.ValidationConfig, seed), ft, i,
+		runner.DeriveSeed(seed, cfg.experiment(ft).Stream(), i))
 }
 
 // ReplayValidationRun replays run i of a validation campaign (Table 5.3 /
@@ -94,17 +94,8 @@ func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarRep
 // flashsim -run-seed path: the same warm fork the campaign executed, so
 // the traced run is campaign run i, not a lookalike.
 func ReplayValidationRun(cfg ValidationConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
-	bcfg := cfg
-	bcfg.Trace = nil
-	ws := WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
-	tr := trace.New(0)
-	runSeed := runner.DeriveSeed(seed, runner.StreamValidation+int(ft), i)
-	r := ValidationFromWarm(ws, ft, runSeed, tr)
-	return ExemplarReplay{
-		Fault: ft, Run: i, Seed: runSeed,
-		CampaignTime: r.Phases.Total, TracedTime: r.Phases.Total,
-		Result: r, Trace: tr,
-	}
+	exp := ValidationCampaign{Config: cfg, Fault: ft}
+	return replay(campaignWarmState(cfg, seed), ft, i, runner.DeriveSeed(seed, exp.Stream(), i))
 }
 
 // String renders the one-line replay summary the drivers print.

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
+	"flashfc/internal/metrics"
+	"flashfc/internal/obs"
 	"flashfc/internal/routing"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
@@ -90,6 +93,28 @@ type RoutingRun struct {
 	Events     uint64
 }
 
+// SimEvents, RunMetrics and FillRecord implement RunReport. A run that left
+// cyclic tables installed is a failing record (its cell counts it under
+// Deadlocks rather than Failed).
+func (r *RoutingRun) SimEvents() uint64             { return r.Events }
+func (r *RoutingRun) RunMetrics() *metrics.Snapshot { return nil }
+func (r *RoutingRun) FillRecord(rec *obs.RunRecord) {
+	names := make([]string, len(r.Faults))
+	for i, f := range r.Faults {
+		names[i] = f.String()
+	}
+	rec.Fault = strings.Join(names, "+")
+	rec.ContainmentNS = int64(r.Total)
+	switch {
+	case !r.Recovered:
+		rec.Outcome, rec.Note = obs.OutcomeFail, "recovery incomplete"
+	case !r.OK:
+		rec.Outcome, rec.Note = obs.OutcomeFail, "verification failed"
+	case !r.Acyclic:
+		rec.Outcome, rec.Note = obs.OutcomeFail, "installed routing tables have a dependency cycle"
+	}
+}
+
 // RoutingCell aggregates one (scenario, strategy) batch.
 type RoutingCell struct {
 	Strategy string
@@ -143,9 +168,10 @@ func RoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
 	for si, spec := range scenarios {
 		sc := RoutingScenario{Spec: spec}
 		for _, strat := range strategies {
-			results, st := routingBatch(cfg.ValidationConfig, strat, spec, runs, seed, si)
-			sc.Cells = append(sc.Cells, reduceRoutingCell(strat, results))
-			out.Stats.Merge(st)
+			batch := RunCampaign(cfg.envelope(seed, runs),
+				routingExperiment{cfg: cfg.ValidationConfig, strat: strat, spec: spec, scenario: si})
+			sc.Cells = append(sc.Cells, reduceRoutingCell(strat, batch.Runs))
+			out.Stats.Merge(batch.Stats)
 		}
 		out.Scenarios = append(out.Scenarios, sc)
 	}
@@ -185,10 +211,36 @@ func reduceRoutingCell(strat string, results []runner.Result[*RoutingRun]) Routi
 	return cell
 }
 
-// routingRunSeed derives the engine seed of run i of one scenario. The
-// strategy is deliberately absent: every strategy replays the same runs.
-func routingRunSeed(seed int64, scenario, i int) int64 {
-	return runner.DeriveSeed(seed, runner.StreamRouting+scenario, i)
+// routingExperiment is one (scenario, strategy) batch of a head-to-head
+// campaign. Its stream is runner.StreamRouting + scenario — the strategy is
+// deliberately absent, so every strategy replays the same run seeds — and
+// its warm state is the validation campaign's own, forked under strat.
+type routingExperiment struct {
+	cfg      ValidationConfig
+	strat    string
+	spec     RoutingScenarioSpec
+	scenario int
+}
+
+func (e routingExperiment) Stream() int { return runner.StreamRouting + e.scenario }
+func (e routingExperiment) Points() int { return 0 }
+
+// Run is the one-shot form (a private warm-up seeded by the run itself);
+// campaigns take Warmup/RunWarm instead.
+func (e routingExperiment) Run(_ RunEnv, _ int, seed int64) *RoutingRun {
+	return RoutingFromWarm(WarmupValidation(e.cfg, seed), e.strat, e.spec, seed)
+}
+func (e routingExperiment) Warmup(cfg CampaignConfig) any {
+	return ValidationCampaign{Config: e.cfg}.Warmup(cfg)
+}
+func (e routingExperiment) RunWarm(_ RunEnv, ws any, i int, seed int64) *RoutingRun {
+	if e.cfg.runHook != nil {
+		e.cfg.runHook(i)
+	}
+	return RoutingFromWarm(ws.(*WarmState), e.strat, e.spec, seed)
+}
+func (e routingExperiment) Batch() obs.Batch {
+	return obs.Batch{Label: "routing/" + e.spec.Name + "/" + e.strat}
 }
 
 // routingFaults draws one run's fault set: spec.Links distinct random links
@@ -219,29 +271,6 @@ func routingFaults(rng *rand.Rand, spec RoutingScenarioSpec, topo *topology.Topo
 	return out
 }
 
-// routingBatch runs one (scenario, strategy) batch of warm-forked runs.
-func routingBatch(cfg ValidationConfig, strat string, spec RoutingScenarioSpec, runs int, seed int64, scenario int) ([]runner.Result[*RoutingRun], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return routingRunSeed(seed, scenario, i) }
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *RoutingRun {
-				r := RoutingFromWarm(ws.(*WarmState), strat, spec, runSeed(i))
-				rec.Report(r.Events)
-				return r
-			}, nil)
-	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *RoutingRun {
-		ws := WarmupValidation(bcfg, warmSeed)
-		r := RoutingFromWarm(ws, strat, spec, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, nil)
-}
-
 // RoutingFromWarm performs one head-to-head run: fork ws under the named
 // strategy (router tables are rebuilt at construction, so the fork is
 // bit-identical to any sibling until the first fault), run a runSeed-private
@@ -260,22 +289,11 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
 	var lostBase uint64
-	injected := false
-	inject := func() {
-		injected = true
+	deadline := m.Now() + cfg.Deadline
+	fillAndInject(m, burst, deadline, func() {
 		lostBase = droppedPackets(m)
 		m.InjectAll(faults)
-	}
-	burst.OnHalfDone = inject
-	burstDone := false
-	burst.Start(func() { burstDone = true })
-	deadline := m.E.Now() + cfg.Deadline
-	for !burstDone && m.E.Now() < deadline {
-		m.E.RunUntil(m.E.Now() + sim.Millisecond)
-	}
-	if !injected {
-		inject()
-	}
+	})
 	reader := driveDetection(m, faults[0])
 	res.Recovered = m.RunUntilRecovered(deadline)
 	if !res.Recovered {

@@ -4,6 +4,7 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
+	"flashfc/internal/obs"
 	"flashfc/internal/sim"
 	"flashfc/internal/workload"
 )
@@ -29,13 +30,8 @@ type ScalingConfig struct {
 	// Knobs for the ablation studies.
 	SpeculativePing *bool
 	BFTHints        *bool
-	// Workers bounds the goroutines batch drivers (Fig55, Fig56*,
-	// RecoveryDistribution) may use; 0 means one per CPU. Single
-	// measurements ignore it, and any worker count yields bit-identical
-	// results.
-	Workers int
 	// runHook, when non-nil, runs at the start of every
-	// RecoveryDistribution run with the run index; test-only, see
+	// DistributionCampaign run with the run index; test-only, see
 	// ValidationConfig.runHook.
 	runHook func(i int)
 }
@@ -71,6 +67,16 @@ type ScalingPoint struct {
 	// Metrics is the run's machine-wide metric snapshot; sweeps merge the
 	// points' snapshots into a campaign aggregate.
 	Metrics *metrics.Snapshot
+}
+
+// SimEvents, RunMetrics and FillRecord implement RunReport.
+func (p ScalingPoint) SimEvents() uint64             { return p.Events }
+func (p ScalingPoint) RunMetrics() *metrics.Snapshot { return p.Metrics }
+func (p ScalingPoint) FillRecord(rec *obs.RunRecord) {
+	rec.ContainmentNS = int64(p.Phases.Total)
+	if !p.OK {
+		rec.Outcome = obs.OutcomeFail
+	}
 }
 
 // MeasureRecovery builds the machine, fills caches lightly, injects a node
@@ -116,10 +122,69 @@ func MeasureRecovery(cfg ScalingConfig) ScalingPoint {
 	}
 }
 
-// The figure sweeps live in the flashfc Campaign API (Fig55Campaign,
-// Fig56L2Campaign, Fig56MemCampaign); the pre-campaign wrappers (Fig55,
-// Fig56L2, Fig56Mem) are gone — drive MeasureRecovery over the sweep
-// coordinates instead.
+// Fig55Campaign sweeps machine sizes and measures total hardware recovery
+// time per size (Fig 5.5). Every point uses the campaign's base seed, as in
+// the paper's single-curve presentation.
+type Fig55Campaign struct {
+	Nodes []int
+	Topo  machine.TopoKind
+	// Routing optionally names the recovery routing strategy ("" = paper).
+	Routing string
+}
+
+func (c Fig55Campaign) Stream() int      { return -1 }
+func (c Fig55Campaign) Points() int      { return len(c.Nodes) }
+func (c Fig55Campaign) Batch() obs.Batch { return obs.Batch{Label: "fig5.5"} }
+func (c Fig55Campaign) Run(_ RunEnv, i int, seed int64) ScalingPoint {
+	cfg := DefaultScalingConfig(c.Nodes[i])
+	cfg.Topo = c.Topo
+	cfg.Seed = seed
+	cfg.Routing = c.Routing
+	return MeasureRecovery(cfg)
+}
+
+// Fig56L2Campaign sweeps the second-level cache size at 4 nodes (Fig 5.6
+// left): the flush component of coherence recovery scales with the L2.
+type Fig56L2Campaign struct {
+	L2Sizes []uint64
+	// Routing optionally names the recovery routing strategy ("" = paper).
+	Routing string
+}
+
+func (c Fig56L2Campaign) Stream() int      { return -1 }
+func (c Fig56L2Campaign) Points() int      { return len(c.L2Sizes) }
+func (c Fig56L2Campaign) Batch() obs.Batch { return obs.Batch{Label: "fig5.6-l2"} }
+func (c Fig56L2Campaign) Run(_ RunEnv, i int, seed int64) ScalingPoint {
+	cfg := DefaultScalingConfig(4)
+	cfg.L2Bytes = c.L2Sizes[i]
+	cfg.MemBytes = 4 << 20
+	cfg.Seed = seed
+	cfg.Routing = c.Routing
+	p := MeasureRecovery(cfg)
+	p.X = float64(c.L2Sizes[i]) / (1 << 20)
+	return p
+}
+
+// Fig56MemCampaign sweeps the per-node memory size at 4 nodes (Fig 5.6
+// right): the directory-sweep component scales with memory.
+type Fig56MemCampaign struct {
+	MemSizes []uint64
+	// Routing optionally names the recovery routing strategy ("" = paper).
+	Routing string
+}
+
+func (c Fig56MemCampaign) Stream() int      { return -1 }
+func (c Fig56MemCampaign) Points() int      { return len(c.MemSizes) }
+func (c Fig56MemCampaign) Batch() obs.Batch { return obs.Batch{Label: "fig5.6-mem"} }
+func (c Fig56MemCampaign) Run(_ RunEnv, i int, seed int64) ScalingPoint {
+	cfg := DefaultScalingConfig(4)
+	cfg.MemBytes = c.MemSizes[i]
+	cfg.Seed = seed
+	cfg.Routing = c.Routing
+	p := MeasureRecovery(cfg)
+	p.X = float64(c.MemSizes[i]) / (1 << 20)
+	return p
+}
 
 // TriggerLatency measures the §4.2 recovery-triggering latency: the time
 // from fault injection until the last functioning node has dropped into

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"flashfc/internal/fault"
-	"flashfc/internal/obs"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/stats"
@@ -79,13 +78,21 @@ type TailResult struct {
 	Stats     runner.Stats
 }
 
+// experiment is the tail campaign's batch for one fault class: the
+// validation experiment re-keyed onto runner.StreamTail under the "tail"
+// label.
+func (cfg TailConfig) experiment(ft fault.Type) ValidationCampaign {
+	return ValidationCampaign{Config: cfg.ValidationConfig, Fault: ft, stream: runner.StreamTail, label: "tail"}
+}
+
 // TailCampaign runs the tail analysis: for every requested fault class,
 // cfg.Runs warm-forked validation runs (seeded from runner.StreamTail, so
 // tail campaigns never correlate with Table 5.3 batches at the same base
 // seed) are reduced to containment-time percentiles and the affected
-// fraction. Results are bit-identical for any worker count, any Partitions
-// value, and warm-start on or off, because every run is the shared
-// ValidationFromWarm computation.
+// fraction. Results are bit-identical for any worker count and warm-start
+// on or off, because every run is the shared ValidationFromWarm
+// computation. (Partitions has no effect: warm-forked machines are
+// sequential.)
 func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 	runs := cfg.Runs
 	if runs <= 0 {
@@ -98,11 +105,12 @@ func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 	out := &TailResult{}
 	for _, ft := range faults {
 		sc := TailScenario{Fault: ft, Runs: runs}
-		results, st := tailBatch(cfg.ValidationConfig, ft, runs, seed)
+		exp := cfg.experiment(ft)
+		batch := RunCampaign(cfg.envelope(seed, runs), exp)
 		var times []float64
 		var affected []float64
 		var passing []tailObs
-		for i, r := range results {
+		for i, r := range batch.Runs {
 			if r.Err != nil || !r.Value.OK() {
 				sc.Failed++
 				continue
@@ -119,11 +127,11 @@ func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 			sc.P999 = sim.Time(stats.Percentile(times, 99.9))
 			sc.TailOK = stats.TailReliable(len(times), 99.9)
 			sc.Exemplars = tailExemplars(passing, func(i int) int64 {
-				return tailRunSeed(seed, ft, i)
+				return runner.DeriveSeed(seed, exp.Stream(), i)
 			})
 		}
 		sc.Affected = stats.Summarize(affected)
-		out.Stats.Merge(st)
+		out.Stats.Merge(batch.Stats)
 		out.Scenarios = append(out.Scenarios, sc)
 	}
 	return out
@@ -162,39 +170,4 @@ func tailExemplars(passing []tailObs, seedOf func(i int) int64) []TailExemplar {
 		out = append(out, TailExemplar{Pct: p, Run: o.run, Seed: seedOf(o.run), Time: o.t})
 	}
 	return out
-}
-
-// tailRunSeed derives the engine seed of tail run i of one fault class.
-func tailRunSeed(seed int64, ft fault.Type, i int) int64 {
-	return runner.DeriveSeed(seed, runner.StreamTail+int(ft), i)
-}
-
-// tailBatch is WarmValidationBatch with the tail campaign's seed stream.
-func tailBatch(cfg ValidationConfig, ft fault.Type, runs int, seed int64) ([]runner.Result[*ValidationResult], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return tailRunSeed(seed, ft, i) }
-	observe := observeBatch(cfg.Observe,
-		obs.Batch{Label: "tail", Fault: ft.String(), Runs: runs}, runSeed)
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *ValidationResult {
-				if cfg.runHook != nil {
-					cfg.runHook(i)
-				}
-				r := ValidationFromWarm(ws.(*WarmState), ft, runSeed(i), nil)
-				rec.Report(r.Events)
-				return r
-			}, observe)
-	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *ValidationResult {
-		if cfg.runHook != nil {
-			cfg.runHook(i)
-		}
-		r := ValidationWarm(bcfg, ft, warmSeed, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, observe)
 }

@@ -19,7 +19,7 @@ func TestTransientLinkTail524Contained(t *testing.T) {
 	cfg := DefaultTailConfig()
 	warmSeed := runner.DeriveSeed(1, runner.StreamWarmup, 0)
 	ws := WarmupValidation(cfg.ValidationConfig, warmSeed)
-	runSeed := tailRunSeed(1, fault.TransientLink, 524)
+	runSeed := runner.DeriveSeed(1, cfg.experiment(fault.TransientLink).Stream(), 524)
 	r := ValidationFromWarm(ws, fault.TransientLink, runSeed, nil)
 	if !r.OK() {
 		t.Fatalf("tail run 524 (seed %d) not contained: recovered=%v verify=%v",

@@ -14,6 +14,7 @@ import (
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
 	"flashfc/internal/obs"
+	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 	"flashfc/internal/workload"
@@ -58,7 +59,22 @@ func (r *ValidationResult) OK() bool {
 	return true
 }
 
-// ValidationConfig shapes one validation run.
+// SimEvents, RunMetrics and FillRecord implement RunReport.
+func (r *ValidationResult) SimEvents() uint64             { return r.Events }
+func (r *ValidationResult) RunMetrics() *metrics.Snapshot { return r.Metrics }
+func (r *ValidationResult) FillRecord(rec *obs.RunRecord) {
+	rec.Fault = r.Fault.String()
+	rec.ContainmentNS = int64(r.Phases.Total)
+	rec.AffectedNodes = r.AffectedNodes
+	if !r.OK() {
+		rec.Outcome, rec.Note = obs.OutcomeFail, r.Note
+	}
+}
+
+// ValidationConfig shapes one validation run. Workers, WarmStart and
+// Observe are the envelope of the campaigns that carry this config instead
+// of a CampaignConfig (TailCampaign, RoutingCampaign — see envelope);
+// RunCampaign takes its own from the CampaignConfig, single runs ignore them.
 type ValidationConfig struct {
 	Nodes     int
 	MemBytes  uint64
@@ -66,15 +82,14 @@ type ValidationConfig struct {
 	FillLines int // lines each node touches before the fault
 	Deadline  sim.Time
 	Stride    int // verification stride (1 = full sweep)
-	// Workers bounds the goroutines a batch driver (Table53,
-	// ValidationBatch) may use; 0 means one per CPU. Single runs ignore
-	// it. Any worker count yields bit-identical results.
+	// Workers bounds the campaign's goroutines; 0 means one per CPU. Any
+	// worker count yields bit-identical results.
 	Workers int
-	// Partitions, when > 0, runs the machine on the partitioned engine
-	// with that many intra-machine workers. Fault injection forces the
-	// deterministic global interleave, so validation results are
-	// bit-identical at any Partitions value (including 0, up to the
-	// partitioned fabric's longer inter-region links).
+	// Partitions, when > 0, runs a single cold Validation's machine on the
+	// partitioned engine with that many intra-machine workers. Fault
+	// injection forces the deterministic global interleave, so the result
+	// is bit-identical at any Partitions > 0. Warm-forked runs (every
+	// campaign: WarmupValidation builds a sequential machine) ignore it.
 	Partitions int
 	// RegionLinkExtra overrides the extra inter-region wire latency of a
 	// partitioned machine; 0 uses machine.DefaultRegionLinkExtra.
@@ -83,26 +98,25 @@ type ValidationConfig struct {
 	// use ("" or "paper" is the paper's policy on the byte-identical
 	// pre-strategy path; see internal/routing).
 	Routing string
-	// WarmStart selects how batch drivers amortize the cache-fill warm-up:
+	// WarmStart selects how the campaign amortizes the cache-fill warm-up:
 	// the default (Auto) builds one warmed machine snapshot per worker and
 	// forks every run from it; Off rebuilds the warm state per run. Both
-	// modes are bit-identical. Single Validation runs ignore it.
+	// modes are bit-identical.
 	WarmStart WarmStartMode
 	// BurstLines sizes the post-fork fill burst of warm-start runs; 0
 	// defaults to a quarter of the warm fill (minimum 8).
 	BurstLines int
 	// Trace, when non-nil, collects the run's event timeline. It applies
-	// to single Validation runs only: batch drivers clear it — the tracer
-	// itself is safe to share across goroutines, but interleaving many
-	// runs' simulated timelines into one trace produces nonsense.
+	// to single Validation runs only: the tracer itself is safe to share
+	// across goroutines, but interleaving many runs' simulated timelines
+	// into one trace produces nonsense.
 	Trace *trace.Tracer
 	// Observe, when non-nil, receives one obs.Batch announcement plus a
-	// per-run obs.RunRecord from every batch driver (ValidationBatch,
-	// TailCampaign); single runs ignore it. Records arrive in completion
-	// order; the driver never calls Finish — the owner of the sink does,
-	// after its last batch.
+	// per-run obs.RunRecord from every batch of the campaign. Records
+	// arrive in completion order; the campaign never calls Finish — the
+	// owner of the sink does, after its last batch.
 	Observe obs.Sink
-	// runHook, when non-nil, runs at the start of every batch run with
+	// runHook, when non-nil, runs at the start of every campaign run with
 	// the run index. Test-only: it lets the suite crash a chosen run and
 	// assert that the runner's panic isolation turns it into a failed
 	// row instead of aborting the campaign.
@@ -126,7 +140,9 @@ func DefaultValidationConfig() ValidationConfig {
 // Validation performs one §5.2 validation run: fill the caches with random
 // lines (shared/exclusive at random), inject the fault once half the fill
 // has committed (so transactions are in flight), run recovery, then read
-// back the entire memory and compare against the oracle.
+// back the entire memory and compare against the oracle. The machine is
+// built cold and the fault is drawn from the engine's own random stream;
+// ValidationFromWarm runs the same script on a forked warm machine.
 func Validation(cfg ValidationConfig, ft fault.Type, seed int64) *ValidationResult {
 	mc := machine.DefaultConfig(cfg.Nodes)
 	mc.Seed = seed
@@ -138,49 +154,74 @@ func Validation(cfg ValidationConfig, ft fault.Type, seed int64) *ValidationResu
 	mc.Routing = cfg.Routing
 	m := machine.New(mc)
 	f := fault.Random(m.E.Rand(), ft, m.Topo, 1)
-	res := &ValidationResult{Fault: f}
-	defer func() {
-		res.Events = m.E.EventsFired()
-		if m.P != nil {
-			res.Events = m.P.EventsFired()
-		}
-		res.Metrics = m.MetricsSnapshot()
-	}()
-
 	filler := workload.NewFiller(m)
 	if cfg.FillLines > 0 && cfg.FillLines < filler.FillLines {
 		filler.FillLines = cfg.FillLines
 	}
+	return validate(m, cfg, f, filler)
+}
+
+// validate is the script every validation run executes, cold or forked: f
+// lands mid-fill (the fill doubles as detection traffic for quiet faults),
+// recovery runs, and the whole-memory sweep judges the outcome. cfg.Deadline
+// is relative to the machine's clock at entry: 0 cold, the warm-up's end on
+// a fork.
+func validate(m *machine.Machine, cfg ValidationConfig, f fault.Fault, filler *workload.Filler) *ValidationResult {
+	res := &ValidationResult{Fault: f}
+	defer func() {
+		res.Events = eventsFired(m)
+		res.Metrics = m.MetricsSnapshot()
+	}()
+	start := m.Now()
+	fillAndInject(m, filler, start+cfg.Deadline, func() { m.Inject(f) })
+	recoverAndVerify(m, res, driveDetection(m, f), start, cfg.Deadline, cfg.Stride)
+	return res
+}
+
+// fillAndInject is the first half of a faulted run: start the fill, call
+// inject once half of it has committed (so transactions are in flight),
+// and drive the machine until the fill completes or the deadline passes. A
+// degenerate fill (everything completed in one batch) gets its fault after.
+func fillAndInject(m *machine.Machine, filler *workload.Filler, deadline sim.Time, inject func()) {
 	injected := false
 	filler.OnHalfDone = func() {
 		injected = true
-		m.Inject(f)
+		inject()
 	}
-	fillDone := false
-	filler.Start(func() { fillDone = true })
-	// Drive the fill; the fault lands mid-fill, and the fill operations
-	// double as the detection traffic for quiet faults.
-	for !fillDone && m.Now() < cfg.Deadline {
+	done := false
+	filler.Start(func() { done = true })
+	for !done && m.Now() < deadline {
 		m.Advance(m.Now() + sim.Millisecond)
 	}
 	if !injected {
-		// Degenerate fill (everything completed in one batch): inject
-		// now and provoke detection with one remote read.
-		m.Inject(f)
+		inject()
 	}
-	reader := driveDetection(m, f)
-	res.Recovered = m.RunUntilRecovered(cfg.Deadline)
+}
+
+// recoverAndVerify is the second half, entered once the fault is in and
+// detection traffic submitted: run recovery until start+budget, aggregate
+// the phase times, count the nodes the fault cost, and sweep memory from
+// reader. It fills res and notes whichever step failed.
+func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, start, budget sim.Time, stride int) {
+	res.Recovered = m.RunUntilRecovered(start + budget)
 	if !res.Recovered {
-		res.Note = fmt.Sprintf("recovery incomplete after %v", cfg.Deadline)
-		return res
+		res.Note = fmt.Sprintf("recovery incomplete after %v", budget)
+		return
 	}
 	res.Phases = m.Aggregate()
 	res.AffectedNodes = affectedNodes(m)
-	res.Verify = m.VerifyMemory(reader, cfg.Stride)
+	res.Verify = m.VerifyMemory(reader, stride)
 	if !res.Verify.OK() {
 		res.Note = res.Verify.String()
 	}
-	return res
+}
+
+// eventsFired is the machine's event count, partitioned or sequential.
+func eventsFired(m *machine.Machine) uint64 {
+	if m.P != nil {
+		return m.P.EventsFired()
+	}
+	return m.E.EventsFired()
 }
 
 // detectionVictim picks an address whose access will notice the fault.
@@ -233,7 +274,58 @@ type Table53Row struct {
 	Metrics *metrics.Snapshot
 }
 
-// Batch driving lives in WarmValidationBatch (this package) and in the
-// flashfc Campaign API (ValidationCampaign); the pre-campaign wrappers
-// (ValidationBatch, Table53) are gone — aggregate WarmValidationBatch
-// results into Table53Row per fault type instead.
+// ValidationCampaign repeats §5.2 validation runs of one fault type
+// (Table 5.3's per-type batches). Each run forks the campaign's warm
+// snapshot, runs a fill burst, injects the fault mid-burst, recovers, and
+// verifies all of memory against the oracle.
+type ValidationCampaign struct {
+	// Config shapes the runs; use DefaultValidationConfig() as the base.
+	Config ValidationConfig
+	Fault  fault.Type
+	// stream and label re-key the batch when set: the tail campaign is
+	// this experiment on runner.StreamTail under the label "tail", so its
+	// runs never correlate with a Table 5.3 batch at the same base seed.
+	stream int
+	label  string
+}
+
+func (c ValidationCampaign) Stream() int {
+	if c.stream != 0 {
+		return c.stream + int(c.Fault)
+	}
+	return runner.StreamValidation + int(c.Fault)
+}
+func (c ValidationCampaign) Points() int { return 0 }
+
+// Run is the cold form of a run; campaigns take Warmup/RunWarm instead.
+func (c ValidationCampaign) Run(env RunEnv, _ int, seed int64) *ValidationResult {
+	cfg := c.Config
+	cfg.Trace = env.Trace
+	return Validation(cfg, c.Fault, seed)
+}
+
+// Warmup implements WarmExperiment: one cache-fill warm-up, keyed on the
+// campaign seed via StreamWarmup, frozen into a forkable snapshot.
+func (c ValidationCampaign) Warmup(cfg CampaignConfig) any {
+	vcfg := c.Config
+	vcfg.Trace = nil
+	return WarmupValidation(vcfg, runner.DeriveSeed(cfg.Seed, runner.StreamWarmup, 0))
+}
+
+// RunWarm implements WarmExperiment: fork the warm snapshot and run the
+// fault/recovery/verify sequence with the run's derived seed.
+func (c ValidationCampaign) RunWarm(env RunEnv, ws any, i int, seed int64) *ValidationResult {
+	if c.Config.runHook != nil {
+		c.Config.runHook(i)
+	}
+	return ValidationFromWarm(ws.(*WarmState), c.Fault, seed, env.Trace)
+}
+
+// Batch implements Batcher.
+func (c ValidationCampaign) Batch() obs.Batch {
+	label := "validation"
+	if c.label != "" {
+		label = c.label
+	}
+	return obs.Batch{Label: label, Fault: c.Fault.String()}
+}

@@ -6,19 +6,18 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
-	"flashfc/internal/obs"
-	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 	"flashfc/internal/workload"
 )
 
-// WarmStartMode selects how a batch driver amortizes warm-up: Auto (the
-// zero value) and On share one warmed machine snapshot per worker and fork
+// WarmStartMode selects how a campaign amortizes warm-up: Auto (the zero
+// value) and On share one warmed machine snapshot per worker and fork
 // every run from it; Off builds a private warm state for every run. Both
 // modes execute the identical per-run computation — fork from a snapshot of
 // the same deterministic warm-up — so they are bit-identical; Off exists as
-// the cross-check (and the cost baseline the benchmarks compare against).
+// the cross-check (and the cost baseline: the ledger's experiments.warmup_ms
+// against machine.fork_ms is what sharing saves per run).
 type WarmStartMode int
 
 const (
@@ -48,8 +47,8 @@ type WarmState struct {
 // The warm-up is seeded by warmSeed alone — derive it with
 // DeriveSeed(base, StreamWarmup, 0), never from a run index — so every
 // worker of a campaign reconstructs the identical snapshot. It panics if
-// the fill cannot quiesce within cfg.Deadline (batch drivers turn that
-// into failed runs via the runner's panic isolation).
+// the fill cannot quiesce within cfg.Deadline (campaigns turn that into
+// failed runs via the runner's panic isolation).
 //
 // The warm-up machine is never traced: with warm-start, a run's trace
 // covers the forked portion only, in both warm-start modes.
@@ -99,93 +98,15 @@ func (ws *WarmState) burstLines() int {
 // machine rehydrated from the snapshot runs a runSeed-private fill burst,
 // the fault (also drawn from a runSeed-private stream, so sibling forks
 // place different faults) lands once half the burst has committed, and
-// recovery plus the whole-memory sweep proceed as in Validation. The
+// recovery plus the whole-memory sweep proceed as in Validation — the two
+// differ only in where the machine and the random streams come from. The
 // engine's own random stream is untouched by runSeed — it resumes exactly
 // where the warm-up paused it, which is what makes a fork bit-identical to
 // a fresh warm-up continued by the same script.
 func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.Tracer) *ValidationResult {
-	cfg := ws.Cfg
 	m := machine.FromSnapshot(ws.Snap, tr)
-	rng := rand.New(rand.NewSource(runSeed))
-	f := fault.Random(rng, ft, m.Topo, 1)
-	res := &ValidationResult{Fault: f}
-	defer func() {
-		res.Events = m.E.EventsFired()
-		res.Metrics = m.MetricsSnapshot()
-	}()
-
+	f := fault.Random(rand.New(rand.NewSource(runSeed)), ft, m.Topo, 1)
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
-	injected := false
-	burst.OnHalfDone = func() {
-		injected = true
-		m.Inject(f)
-	}
-	burstDone := false
-	burst.Start(func() { burstDone = true })
-	// The fork resumes at the warm-up's clock, so the deadline is relative.
-	deadline := m.E.Now() + cfg.Deadline
-	for !burstDone && m.E.Now() < deadline {
-		m.E.RunUntil(m.E.Now() + sim.Millisecond)
-	}
-	if !injected {
-		m.Inject(f)
-	}
-	reader := driveDetection(m, f)
-	res.Recovered = m.RunUntilRecovered(deadline)
-	if !res.Recovered {
-		res.Note = fmt.Sprintf("recovery incomplete after %v", cfg.Deadline)
-		return res
-	}
-	res.Phases = m.Aggregate()
-	res.AffectedNodes = affectedNodes(m)
-	res.Verify = m.VerifyMemory(reader, cfg.Stride)
-	if !res.Verify.OK() {
-		res.Note = res.Verify.String()
-	}
-	return res
-}
-
-// ValidationWarm is the one-shot warm-start run: a private warm-up
-// followed by one fork. It is the warm-start-off unit of work, and the
-// "fresh" side of the fork-vs-fresh determinism contract.
-func ValidationWarm(cfg ValidationConfig, ft fault.Type, warmSeed, runSeed int64) *ValidationResult {
-	ws := WarmupValidation(cfg, warmSeed)
-	return ValidationFromWarm(ws, ft, runSeed, cfg.Trace)
-}
-
-// WarmValidationBatch runs `runs` warm-start validation runs of one fault
-// type. Mode On/Auto: each worker builds the warm snapshot once and every
-// run forks from it. Mode Off: every run builds its own warm state. The
-// two are bit-identical; Off only pays the warm-up once per run instead of
-// once per worker. runner.DeriveSeed keys the warm-up on (seed,
-// StreamWarmup, 0) and each run on (seed, StreamValidation+ft, i), so
-// results are independent of worker count and of the other runs.
-func WarmValidationBatch(cfg ValidationConfig, ft fault.Type, runs int, seed int64) ([]runner.Result[*ValidationResult], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return runner.DeriveSeed(seed, runner.StreamValidation+int(ft), i) }
-	observe := observeBatch(cfg.Observe,
-		obs.Batch{Label: "validation", Fault: ft.String(), Runs: runs}, runSeed)
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *ValidationResult {
-				if cfg.runHook != nil {
-					cfg.runHook(i)
-				}
-				r := ValidationFromWarm(ws.(*WarmState), ft, runSeed(i), nil)
-				rec.Report(r.Events)
-				return r
-			}, observe)
-	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *ValidationResult {
-		if cfg.runHook != nil {
-			cfg.runHook(i)
-		}
-		r := ValidationWarm(bcfg, ft, warmSeed, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, observe)
+	return validate(m, ws.Cfg, f, burst)
 }

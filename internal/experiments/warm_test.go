@@ -22,7 +22,7 @@ func TestWarmForkVsFreshBitIdentical(t *testing.T) {
 	for _, ft := range fault.AllTypes() {
 		runSeed := runner.DeriveSeed(7, runner.StreamValidation+int(ft), 3)
 		shared := ValidationFromWarm(ws, ft, runSeed, nil)
-		fresh := ValidationWarm(cfg, ft, warmSeed, runSeed)
+		fresh := ValidationFromWarm(WarmupValidation(cfg, warmSeed), ft, runSeed, nil)
 		if !shared.OK() {
 			t.Errorf("%v: warm run failed: %s", ft, shared.Note)
 		}
@@ -123,16 +123,15 @@ func TestWarmMetricsGoldenSnapshot(t *testing.T) {
 // `go test ./internal/experiments -run WarmTraceGolden -update`.
 func TestWarmTraceGoldenSpanExport(t *testing.T) {
 	jsonFor := func() []byte {
-		cfg := traceValidationConfig()
-		cfg.Trace = trace.New(0)
-		r := ValidationWarm(cfg, fault.NodeFailure,
-			runner.DeriveSeed(7, runner.StreamWarmup, 0),
-			runner.DeriveSeed(7, runner.StreamValidation+int(fault.NodeFailure), 0))
+		tr := trace.New(0)
+		ws := WarmupValidation(traceValidationConfig(), runner.DeriveSeed(7, runner.StreamWarmup, 0))
+		r := ValidationFromWarm(ws, fault.NodeFailure,
+			runner.DeriveSeed(7, runner.StreamValidation+int(fault.NodeFailure), 0), tr)
 		if !r.OK() {
 			t.Fatalf("run failed: %s", r.Note)
 		}
 		var buf bytes.Buffer
-		if err := cfg.Trace.WriteChromeJSON(&buf); err != nil {
+		if err := tr.WriteChromeJSON(&buf); err != nil {
 			t.Fatalf("WriteChromeJSON: %v", err)
 		}
 		return buf.Bytes()

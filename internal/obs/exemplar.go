@@ -23,7 +23,7 @@ import (
 //	                     phase named (the -trace-critical report as data).
 //
 // Both files are byte-deterministic: the replay is a pure function of the
-// campaign's base seed, so CI compares them across -partitions settings.
+// campaign's base seed, so CI compares them across -parallel settings.
 
 // ExemplarTrace is one replayed percentile exemplar ready to render.
 type ExemplarTrace struct {

@@ -6,7 +6,7 @@
 //     (index, derived seed, fault, containment time, verify outcome,
 //     events, host accounting), and a RunLog writes them as JSONL ordered
 //     by run index regardless of worker scheduling — byte-identical at any
-//     worker or partition count;
+//     worker count;
 //   - live progress: a rate-limited Progress reporter on stderr (runs
 //     done/total, events/sec, ETA, failures so far) that never touches the
 //     JSON-only stdout contract;

@@ -61,8 +61,8 @@ func TestAutoRegions(t *testing.T) {
 	cases := []struct {
 		w, h, want int
 	}{
-		{4, 4, 4},   // small mesh: one stripe per row
-		{8, 8, 8},   //
+		{4, 4, 4},    // small mesh: one stripe per row
+		{8, 8, 8},    //
 		{32, 32, 16}, // capped at maxAutoRegions
 		{4, 2, 2},
 	}

@@ -9,10 +9,10 @@ import (
 
 // Campaign observability (internal/obs): per-run record streams, live
 // progress reporting, and tail-exemplar trace replay. Attach a Sink via
-// CampaignConfig.Observe or ValidationConfig.Observe/TailConfig.Observe;
-// the campaign announces each batch and emits one RunRecord per run in
-// completion order, and the sink's owner calls Finish after the last
-// batch.
+// CampaignConfig.Observe (or TailConfig.Observe / RoutingConfig.Observe,
+// which become it); the campaign announces each batch and emits one
+// RunRecord per run in completion order, and the sink's owner calls Finish
+// after the last batch.
 type (
 	// RunRecord is one campaign run reduced to a flat, serializable record:
 	// run index, derived seed, fault, outcome, containment time, events,
@@ -23,7 +23,7 @@ type (
 	// Sink consumes a campaign's observability stream.
 	Sink = obs.Sink
 	// RunLog writes records as JSONL ordered by run index regardless of
-	// worker scheduling — byte-identical at any -parallel or -partitions.
+	// worker scheduling — byte-identical at any -parallel.
 	RunLog = obs.RunLog
 	// Progress is a rate-limited live campaign reporter for stderr.
 	Progress = obs.Progress
