@@ -135,9 +135,13 @@ type Config struct {
 	// Routing selects the interconnect-recovery routing strategy P3 runs:
 	// its drain discipline, table repair, and per-entry reprogramming
 	// charge. nil is the paper's policy (full two-phase drain + complete
-	// up*/down* rewrite) on the exact pre-strategy code path, keeping
-	// every golden byte-identical.
+	// up*/down* rewrite) with the pre-strategy charges and none of the
+	// strategy-only counters, keeping every golden byte-identical.
 	Routing routing.Strategy
+	// Repairs memoises the P3 table repair across the agents of one
+	// machine, which wires a fresh memo into every agent it builds. nil
+	// gives the agent a private one.
+	Repairs *RepairMemo
 
 	// Metrics, when non-nil, receives machine-wide recovery-algorithm
 	// counters (gossip rounds, BFT bound growth, drain attempts/restarts,
@@ -267,6 +271,9 @@ func NewAgent(e *sim.Engine, net *interconnect.Network, ctrl *magic.Controller,
 	topo *topology.Topology, cfg Config) *Agent {
 	a := &Agent{
 		ID: ctrl.ID, E: e, Net: net, Ctrl: ctrl, Topo: topo, cfg: cfg,
+	}
+	if a.cfg.Repairs == nil {
+		a.cfg.Repairs = NewRepairMemo()
 	}
 	a.mGossipRounds = cfg.Metrics.Counter("core.gossip_rounds")
 	a.mBFTBoundHits = cfg.Metrics.Counter("core.bft_bound_hits")
@@ -471,16 +478,20 @@ func (a *Agent) armWatchdogFor(d sim.Time) {
 	if d < a.cfg.WatchdogTimeout {
 		d = a.cfg.WatchdogTimeout
 	}
-	epoch := a.epoch
-	a.watchdog = a.E.After(d, func() {
-		if a.epoch != epoch || a.phase == PhaseDone || a.phase == PhaseShutdown || a.phase == PhaseIdle {
-			return
-		}
-		// No progress: assume an additional failure and restart the
-		// algorithm at a higher epoch. The restart wave (pings carry
-		// the new epoch) brings everyone else along.
-		a.restartTo(a.epoch + 1)
-	})
+	a.watchdog = a.E.AfterCall(d, watchdogFired, a, nil, uint64(a.epoch))
+}
+
+// watchdogFired is the watchdog's pre-bound callback: a1 is the agent, u the
+// epoch the timer was armed in.
+func watchdogFired(a1, _ any, u uint64) {
+	a := a1.(*Agent)
+	if a.epoch != int(u) || a.phase == PhaseDone || a.phase == PhaseShutdown || a.phase == PhaseIdle {
+		return
+	}
+	// No progress: assume an additional failure and restart the algorithm
+	// at a higher epoch. The restart wave (pings carry the new epoch)
+	// brings everyone else along.
+	a.restartTo(a.epoch + 1)
 }
 
 // sendRec ships m to node `to` over the given source route and lane.

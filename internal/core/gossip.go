@@ -43,10 +43,14 @@ func (a *Agent) sendRound() {
 			return
 		}
 		a.mGossipRounds.Inc()
+		// One snapshot per round, shared by every message of the round:
+		// a.st keeps changing under merge, a state in flight never does —
+		// receivers only read m.State (merge writes the receiver's own).
+		snap := a.st.clone()
 		for _, q := range a.cwn {
 			a.sendRec(q, a.cwnPath[q], interconnect.LaneRecoveryA, &recMsg{
 				Kind: kState, Round: round,
-				State: a.st.clone(), Target: a.target, Hint: a.hint,
+				State: snap, Target: a.target, Hint: a.hint,
 			})
 		}
 		a.checkRound()
@@ -60,7 +64,7 @@ func (a *Agent) onState(m *recMsg) {
 	if a.phase > PhaseDissemination && a.finalState != nil {
 		a.sendRec(m.From, a.routeTo(m.From), interconnect.LaneRecoveryA, &recMsg{
 			Kind: kState, Round: m.Round,
-			State: a.finalState.clone(), Target: a.target, Hint: a.hint,
+			State: a.finalState, Target: a.target, Hint: a.hint,
 		})
 		return
 	}

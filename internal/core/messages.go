@@ -50,7 +50,7 @@ type recMsg struct {
 
 	// kState fields:
 	Round  int
-	State  *sysState // deep copy at send time
+	State  *sysState // sender's snapshot, shared by a round's messages: read-only
 	Target int       // sender's current termination-round bound
 	Hint   int       // BFT-height hint (0 = none), §4.3 scheduling optimization
 

@@ -5,7 +5,6 @@ import (
 
 	"flashfc/internal/routing"
 	"flashfc/internal/timing"
-	"flashfc/internal/topology"
 )
 
 // Phase 3: interconnect recovery (§4.4): isolate the failed regions, let
@@ -14,12 +13,12 @@ import (
 // coherence traffic is injected.
 //
 // The drain discipline and the table repair are owned by the configured
-// routing.Strategy. A nil strategy is the paper's policy on the exact
-// pre-strategy code path — full two-phase drain, complete up*/down*
-// rewrite, identical charges, barrier names, spans and counters — so every
-// pre-existing golden stays byte-identical. Alternatives swap in a
-// single-phase drain (DrainPartial) or none at all (DrainNone) and charge
-// reprogramming per entry actually patched.
+// routing.Strategy. A nil strategy is the paper's policy — full two-phase
+// drain, complete up*/down* rewrite, the pre-strategy charges, barrier
+// names, spans and counters — so every pre-existing golden stays
+// byte-identical. Alternatives swap in a single-phase drain (DrainPartial)
+// or none at all (DrainNone) and charge reprogramming per entry actually
+// patched.
 
 func (a *Agent) startInterconnectRecovery() {
 	a.setPhase(PhaseInterconnect)
@@ -151,38 +150,32 @@ func (a *Agent) drainQuietCheck(name string, attempt int) {
 	a.E.After(a.cfg.DrainTau, check)
 }
 
-// reprogramRoutes computes the strategy's repair on the surviving graph
-// (the paper's: full up*/down* tables) and installs this node's router row
-// (the root also handles dead nodes' live routers), then barriers before
-// new traffic is allowed (§4.4). The paper path charges a full-row rewrite;
-// strategies charge per entry their repair actually patched.
+// reprogramRoutes takes the strategy's repair of the surviving graph (the
+// paper's: full up*/down* tables) from the machine's memo — computed by the
+// first agent to get here with this view, shared read-only by the rest — and
+// installs this node's router row (the root also handles dead nodes' live
+// routers), then barriers before new traffic is allowed (§4.4). The memo
+// saves host time only: every agent is still charged, in simulated time, for
+// the entries the repair patches in its row (the paper's: the whole row).
 func (a *Agent) reprogramRoutes() {
 	n := a.Topo.Routers()
-	strat := a.cfg.Routing
-	var rep routing.Repair
-	charge := n * timing.InstrRouteTablePerEntry
-	if strat != nil {
-		rep = strat.RepairTables(a.view, a.bft)
-		charge = rep.PatchedPerRouter[a.ID] * timing.InstrRouteTablePerEntry
-		a.mRoutesPatched.Add(uint64(rep.PatchedPerRouter[a.ID]))
-		if rep.Fallback {
-			a.mRouteFallbacks.Inc()
-		}
+	rep := a.cfg.Repairs.lookup(a.cfg.Routing, a.view, a.bft)
+	patched := rep.PatchedPerRouter[a.ID]
+	a.mRoutesPatched.Add(uint64(patched))
+	if rep.Fallback {
+		a.mRouteFallbacks.Inc()
 	}
+	charge := patched * timing.InstrRouteTablePerEntry
 	if a.ID == a.root {
 		charge *= 2 // rows for orphaned routers too
 	}
 	spRoutes := a.cfg.Trace.Begin(a.E.Now(), a.ID, "route-reprogram", a.spPhase, 0)
 	a.execInstr(charge, func() {
-		tables := rep.Tables
-		if strat == nil {
-			tables = topology.UpDownTables(a.view, a.bft)
-		}
-		a.Net.SetRouterTable(a.ID, tables[a.ID])
+		a.Net.SetRouterTable(a.ID, rep.Tables[a.ID])
 		if a.ID == a.root {
 			for r := 0; r < n; r++ {
 				if a.st.Routers[r] == triUp && a.st.Nodes[r] != triUp {
-					a.Net.SetRouterTable(r, tables[r])
+					a.Net.SetRouterTable(r, rep.Tables[r])
 				}
 			}
 		}

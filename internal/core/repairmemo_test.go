@@ -1,0 +1,203 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"flashfc/internal/interconnect"
+	"flashfc/internal/routing"
+	"flashfc/internal/topology"
+)
+
+// randomSurvivorView fails 0–3 random routers and 0–3 random links of t and
+// returns the view with the dissemination BFT of its elected root.
+func randomSurvivorView(rng *rand.Rand, t *topology.Topology) (*topology.View, *topology.BFT) {
+	v := topology.NewView(t)
+	for i := rng.Intn(4); i > 0; i-- {
+		v.FailRouter(rng.Intn(t.Routers()))
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		v.FailLink(rng.Intn(len(t.Links())))
+	}
+	return v, v.BFS(v.ElectRoot())
+}
+
+// TestRepairMemoDifferential drives one memo through repeated, changed and
+// re-repeated (view, BFT) keys under every strategy and checks each answer
+// against a direct computation, and that exactly the changed keys missed.
+func TestRepairMemoDifferential(t *testing.T) {
+	topos := []*topology.Topology{topology.NewMesh(5, 4), topology.NewHypercube(4)}
+	strats := []routing.Strategy{nil, routing.Paper, routing.Incremental, routing.Adaptive}
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 40; iter++ {
+		topo := topos[iter%len(topos)]
+		strat := strats[(iter/len(topos))%len(strats)]
+		name := "nil"
+		if strat != nil {
+			name = strat.Name()
+		}
+		t.Run(fmt.Sprintf("%d-%v-%s", iter, topo.Kind(), name), func(t *testing.T) {
+			v1, b1 := randomSurvivorView(rng, topo)
+			// v2 differs from v1 in one link the first view still had up.
+			v2 := v1.Clone()
+			for l, up := range v2.LinkUp {
+				if up {
+					v2.FailLink(l)
+					break
+				}
+			}
+			b2 := v2.BFS(v2.ElectRoot())
+			// b3 keeps v1's graph but orients it from another root.
+			root3 := -1
+			for r, up := range v1.RouterUp {
+				if up && r != b1.Root {
+					root3 = r
+				}
+			}
+			if root3 < 0 {
+				t.Skip("fewer than two live routers")
+			}
+			b3 := v1.BFS(root3)
+
+			m := NewRepairMemo()
+			steps := []struct {
+				v    *topology.View
+				b    *topology.BFT
+				miss bool
+			}{
+				{v1, b1, true},
+				{v1.Clone(), v1.BFS(b1.Root), false}, // equal content, other pointers
+				{v2, b2, true},
+				{v1, b1, false},
+				{v1, b3, true},
+				{v2, b2, false},
+				{v1, b3, false},
+			}
+			for i, s := range steps {
+				before := m.Misses
+				got := m.lookup(strat, s.v, s.b)
+				if missed := m.Misses != before; missed != s.miss {
+					t.Fatalf("step %d: missed = %v, want %v", i, missed, s.miss)
+				}
+				direct := strat
+				if direct == nil {
+					direct = routing.Paper
+					if want := topology.UpDownTables(s.v, s.b); !reflect.DeepEqual(got.Tables, want) {
+						t.Fatalf("step %d: nil-strategy tables differ from UpDownTables", i)
+					}
+				}
+				if want := direct.RepairTables(s.v, s.b); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: memoised repair differs from a direct RepairTables\n got %+v\nwant %+v",
+						i, got, want)
+				}
+			}
+			if m.Lookups != len(steps) {
+				t.Fatalf("Lookups = %d, want %d", m.Lookups, len(steps))
+			}
+		})
+	}
+}
+
+// TestRepairMemoKeyedByStrategy: the same view under two strategies is two
+// entries, never one strategy's repair handed to the other.
+func TestRepairMemoKeyedByStrategy(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	v := topology.NewView(topo)
+	v.FailRouter(5)
+	b := v.BFS(v.ElectRoot())
+	m := NewRepairMemo()
+	for _, s := range []routing.Strategy{routing.Paper, routing.Incremental, routing.Paper, routing.Incremental} {
+		if got, want := m.lookup(s, v, b), s.RepairTables(v, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memoised repair differs from a direct one", s.Name())
+		}
+	}
+	if m.Misses != 2 {
+		t.Fatalf("Misses = %d, want 2 (one per strategy)", m.Misses)
+	}
+}
+
+// TestRepairMemoBounded: more distinct keys than the memo holds evict the
+// oldest, stay correct, and never grow the memo.
+func TestRepairMemoBounded(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	m := NewRepairMemo()
+	var views []*topology.View
+	for l := 0; l <= repairMemoSize; l++ {
+		v := topology.NewView(topo)
+		v.FailLink(l)
+		views = append(views, v)
+	}
+	for round := 0; round < 2; round++ {
+		for _, v := range views {
+			b := v.BFS(0)
+			if got, want := m.lookup(nil, v, b).Tables, topology.UpDownTables(v, b); !reflect.DeepEqual(got, want) {
+				t.Fatal("evicting memo returned wrong tables")
+			}
+		}
+	}
+	if len(m.entries) != repairMemoSize {
+		t.Fatalf("memo holds %d entries, bound is %d", len(m.entries), repairMemoSize)
+	}
+	// Cycling through size+1 keys round-robin misses every time.
+	if m.Misses != m.Lookups {
+		t.Fatalf("Misses = %d of %d lookups, want all", m.Misses, m.Lookups)
+	}
+}
+
+// TestGossipStateNeverWrittenAfterSend: a round's messages share one
+// snapshot of the sender's state, and the lame-duck echo sends finalState
+// itself, so neither may alias state the sender keeps merging into.
+func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
+	r := newRig(t, 2, 2, nil)
+	var got []*recMsg
+	for _, q := range []int{1, 2} {
+		r.ctrls[q].SetRecoveryHandler(func(p *interconnect.Packet) {
+			got = append(got, p.Payload.(*recMsg))
+		})
+	}
+	a := r.agents[0]
+	a.epoch = 1
+	a.report = &Report{}
+	a.resetState()
+	a.phase = PhaseDissemination
+	a.cwn = []int{1, 2}
+	a.cwnPath = map[int][]int{1: {0, 1}, 2: {0, 2}}
+	a.st.Nodes[1], a.st.Routers[1] = triUp, triUp
+	a.round, a.target = 1, 1
+
+	news := newSysState(len(a.st.Nodes), len(a.st.Links))
+	news.Nodes[3], news.Routers[3], news.Links[0] = triDown, triDown, triDown
+
+	want := a.st.clone()
+	a.sendRound()
+	r.e.RunUntil(a.busyUntil) // marshaling charge paid: the round is on the wire
+	if !a.st.merge(news) {
+		t.Fatal("merge changed nothing")
+	}
+	r.e.Run()
+	if len(got) != 2 {
+		t.Fatalf("captured %d state messages, want 2", len(got))
+	}
+	for _, m := range got {
+		if m.State == a.st || !statesEqual(m.State, want) {
+			t.Fatalf("in-flight round state was written after send: %+v, want %+v", m.State, want)
+		}
+	}
+
+	// Lame duck: dissemination is over, late state messages get finalState.
+	got = nil
+	a.finalState = a.st.clone()
+	want = a.st.clone()
+	a.phase = PhaseInterconnect
+	a.onState(&recMsg{Kind: kState, From: 1, Epoch: 1, Round: 2})
+	news.Nodes[2] = triDown
+	if !a.st.merge(news) {
+		t.Fatal("merge changed nothing")
+	}
+	r.e.Run()
+	if len(got) != 1 || !statesEqual(got[0].State, want) {
+		t.Fatalf("lame-duck echo state was written after send (%d messages)", len(got))
+	}
+}

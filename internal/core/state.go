@@ -62,20 +62,22 @@ type sysState struct {
 	Links   []tri
 }
 
+// newSysState backs the three arrays with one allocation.
 func newSysState(nodes, links int) *sysState {
+	buf := make([]tri, 2*nodes+links)
 	return &sysState{
-		Nodes:   make([]tri, nodes),
-		Routers: make([]tri, nodes),
-		Links:   make([]tri, links),
+		Nodes:   buf[:nodes:nodes],
+		Routers: buf[nodes : 2*nodes : 2*nodes],
+		Links:   buf[2*nodes:],
 	}
 }
 
 func (s *sysState) clone() *sysState {
-	return &sysState{
-		Nodes:   append([]tri(nil), s.Nodes...),
-		Routers: append([]tri(nil), s.Routers...),
-		Links:   append([]tri(nil), s.Links...),
-	}
+	c := newSysState(len(s.Nodes), len(s.Links))
+	copy(c.Nodes, s.Nodes)
+	copy(c.Routers, s.Routers)
+	copy(c.Links, s.Links)
+	return c
 }
 
 // merge folds other into s and reports whether anything changed.

@@ -150,6 +150,8 @@ type Machine struct {
 	// CPU-fail/memory-survives model). Such nodes are dead for recovery
 	// participation but stay addressable as homes.
 	memSurvives map[int]bool
+	// repairs is the P3 table-repair memo this machine's agents share.
+	repairs *core.RepairMemo
 
 	reports   map[int]*core.Report
 	expecting map[int]bool
@@ -291,6 +293,10 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	rcfg.Metrics = reg
 	rcfg.Trace = cfg.Trace
 	rcfg.Routing = strat
+	// Host-side cache, not simulated state: a cold build and every fork get
+	// a fresh memo, shared by this machine's agents only.
+	m.repairs = core.NewRepairMemo()
+	rcfg.Repairs = m.repairs
 	rcfg.ReliableInterconnect = rcfg.ReliableInterconnect || cfg.ReliableInterconnect
 	rcfg.FailureUnits = cfg.FailureUnits
 	rcfg.MemServes = func(n int) bool { return m.memSurvives[n] }

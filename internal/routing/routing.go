@@ -50,7 +50,10 @@ func (k DrainKind) String() string {
 	}
 }
 
-// Repair is the outcome of a strategy's post-fault table computation.
+// Repair is the outcome of a strategy's post-fault table computation. It is
+// immutable once returned: one Repair is shared read-only by every agent of
+// a machine whose view it answers (core.RepairMemo), so nothing may write to
+// Tables or PatchedPerRouter afterwards.
 type Repair struct {
 	// Tables is the complete table set to install (strategies that patch
 	// still return full tables; unpatched entries equal the pristine ones).
@@ -84,7 +87,8 @@ type Strategy interface {
 	// RepairTables computes the tables to install on the surviving graph.
 	// v is the stabilized post-dissemination view, bft the dissemination
 	// BFT rooted at the elected root. Deterministic: every agent computes
-	// the identical repair from its converged view.
+	// the identical repair from its converged view — which is what lets a
+	// machine compute it once and share it. v and bft are read-only.
 	RepairTables(v *topology.View, bft *topology.BFT) Repair
 	// Drain is the discipline P3 runs before installing the repair.
 	Drain() DrainKind

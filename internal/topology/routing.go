@@ -118,24 +118,30 @@ func (b *BFT) UpTraversal(r int, a Adj) bool { return linkIsUp(b, r, a) }
 // the destination by only-down traversals, then the region that reaches that
 // region by only-up traversals. A packet therefore goes up zero or more
 // times, then down zero or more times, and never turns down→up, which keeps
-// the channel-dependency graph acyclic.
+// the channel-dependency graph acyclic. v and bft are only read; the returned
+// tables are shared read-only once they become a recovery repair
+// (routing.Repair) — install rows by copy.
 func UpDownTables(v *View, bft *BFT) Tables {
 	n := v.T.Routers()
 	tb := NewTables(n)
 	if bft == nil {
 		return tb
 	}
+	// One scratch set for all destinations: each wave enqueues a router at
+	// most once, so the queue never outgrows n and is popped by index.
+	inDown := make([]bool, n)
+	inUp := make([]bool, n)
+	queue := make([]int, 0, n)
 	for d := 0; d < n; d++ {
 		if !v.RouterUp[d] || bft.Dist[d] < 0 {
 			continue
 		}
 		// Wave 1: routers reaching d via down-traversals only.
-		inDown := make([]bool, n)
+		clear(inDown)
 		inDown[d] = true
-		queue := []int{d}
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], d)
+		for head := 0; head < len(queue); head++ {
+			r := queue[head]
 			// A router q can go down into r iff the traversal q→r is
 			// a down traversal, i.e. r is the *down* end, i.e. the
 			// reverse traversal r→q is up.
@@ -153,16 +159,15 @@ func UpDownTables(v *View, bft *BFT) Tables {
 			}
 		}
 		// Wave 2: routers reaching the down-region via up-traversals.
-		inUp := make([]bool, n)
+		copy(inUp, inDown)
+		queue = queue[:0]
 		for r := range inDown {
 			if inDown[r] {
-				inUp[r] = true
 				queue = append(queue, r)
 			}
 		}
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			r := queue[head]
 			// A router q can go up into r iff q→r is an up traversal,
 			// i.e. the reverse r→q is down.
 			for _, a := range v.T.Adjacency(r) {
