@@ -5,9 +5,13 @@ import (
 	"testing"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/interconnect"
 	"flashfc/internal/machine"
 	"flashfc/internal/magic"
+	"flashfc/internal/metrics"
 	"flashfc/internal/runner"
+	"flashfc/internal/sim"
+	"flashfc/internal/topology"
 )
 
 // mallocs counts the heap allocations f makes.
@@ -72,5 +76,62 @@ func TestVerifyMemoryAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per line checked", per)
 	if per > 1 {
 		t.Fatalf("verify sweep allocates %.2f allocs per line checked, want <= 1", per)
+	}
+}
+
+// A packet's trip across the fabric — fourteen hops corner to corner on an
+// 8×8 mesh — runs on the flat channel array, the queues' inline storage and
+// pooled events, and allocates nothing; nor does a hop that blocks and is
+// woken. Each round sends six packets at a controller that refuses them, so
+// four fill the last channel (its head waiting on the node), the next channel
+// back blocks on that one, and opening the controller wakes both lists.
+func TestPacketHopAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	topo := topology.NewMesh(8, 8)
+	cfg := interconnect.DefaultConfig()
+	cfg.Metrics = metrics.NewRegistry()
+	stalls := cfg.Metrics.Counter("interconnect.backpressure_stalls")
+	n := interconnect.New(e, topo, cfg)
+	open, delivered := false, 0
+	n.SetEndpoint(63, interconnect.EndpointFunc(func(*interconnect.Packet) bool {
+		if open {
+			delivered++
+		}
+		return open
+	}))
+	var pkts [6]interconnect.Packet
+	round := func() {
+		open = false
+		for i := range pkts {
+			pkts[i] = interconnect.Packet{Src: 0, Dst: 63, Lane: interconnect.LaneRequest, Bytes: 16}
+			n.Send(&pkts[i])
+		}
+		e.Run()
+		if n.InFlight() != len(pkts) {
+			t.Fatalf("%d packets held behind the refusing controller, want %d", n.InFlight(), len(pkts))
+		}
+		open = true
+		n.NodeReady(63)
+		e.Run()
+	}
+	for i := 0; i < 512; i++ {
+		round() // warm the event pool, the wheel's slots, the source queue and the waiter lists
+	}
+	const rounds = 100
+	delivered = 0
+	stalled := stalls.Value()
+	if got := mallocs(func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	}); got != 0 {
+		t.Fatalf("%d allocations over %d packet trips, want 0", got, rounds*len(pkts))
+	}
+	if delivered != rounds*len(pkts) || n.InFlight() != 0 {
+		t.Fatalf("%d packets delivered, %d in flight; want %d and 0", delivered, n.InFlight(), rounds*len(pkts))
+	}
+	// One channel blocked on the node and one on that channel, every round.
+	if got := stalls.Value() - stalled; got < 2*rounds {
+		t.Fatalf("%d blocked hops over %d rounds: the blocked-and-woken path went unexercised", got, rounds)
 	}
 }

@@ -125,11 +125,10 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 		}
 		if f.kind == 2 {
 			if !n.routers[f.id].failed {
-				for _, ports := range n.routers[f.id].chans {
-					for _, ch := range ports {
-						if ch.serving && len(ch.q) > 0 {
-							doomed[ch] = ch.q[0]
-						}
+				chans := n.routerChans(f.id)
+				for i := range chans {
+					if ch := &chans[i]; ch.serving && len(ch.q) > 0 {
+						doomed[ch] = ch.q[0]
 					}
 				}
 			}
@@ -141,10 +140,12 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 		if n.linkUp[f.id] {
 			lk := topo.Links()[f.id]
 			for _, r := range [2]int{lk.A, lk.B} {
-				for _, ch := range n.routers[r].chans[topo.PortTo(r, lk.A+lk.B-r)] {
+				port := topo.PortTo(r, lk.A+lk.B-r)
+				for l := Lane(0); l < NumLanes; l++ {
+					ch := n.channel(r, port, l)
 					if (ch.inTransit != nil) != ch.serving {
 						t.Fatalf("seed %d: channel r%d p%d %v: slot set=%v but serving=%v",
-							seed, ch.router, ch.port, ch.lane, ch.inTransit != nil, ch.serving)
+							seed, r, port, l, ch.inTransit != nil, ch.serving)
 					}
 					switch {
 					case !ch.serving:

@@ -48,33 +48,41 @@ type Config struct {
 // DefaultConfig returns the standard fabric parameters.
 func DefaultConfig() Config {
 	return Config{
-		LaneBuffer:       4,
+		LaneBuffer:       defaultLaneBuffer,
 		RecoveryHeadDrop: 10 * sim.Microsecond,
 		LoopbackDelay:    60,
 	}
 }
 
+// defaultLaneBuffer is DefaultConfig's LaneBuffer and, because of that, the
+// capacity of the queue storage carved into every channel: a lane queue that
+// stays within the default buffer never touches the heap.
+const defaultLaneBuffer = 4
+
 // channel is one directed (router, port, lane) buffer: the sending side of a
 // virtual channel. Packets at the head either advance into the next router's
-// chosen channel (or node) or block there, exerting backpressure.
+// chosen channel (or node) or block there, exerting backpressure. All
+// channels live in Network.chans; a channel's (port, lane) is its position
+// there (see Network.channel).
 type channel struct {
-	router, port int
-	lane         Lane
-	q            []*Packet
-	serving      bool
-	blocked      bool
-	blockedAt    sim.Time
-	waiters      []*channel // channels blocked waiting for space here
+	// router is the sending router, to the router at the far end of the
+	// port's link, and link that link's id: Topo.Adjacency(router)[port],
+	// copied at construction so a hop never leaves the flat arrays.
+	router, to, link int32
+	serving, blocked bool
+	q                []*Packet
+	waiters          []*channel // channels blocked waiting for space here
 	// inTransit is the packet currently being serviced across this
-	// channel's link and inTransitTo the router it is heading for, used to
-	// truncate the in-flight packet on link failure. One slot suffices:
-	// serving serialises the link, so kick never starts a second service
-	// before arrive (or launchEv) has cleared the first. Tracking it per
-	// channel (rather than per link) keeps every slot owned by exactly one
-	// region in partitioned mode: a boundary link's two directions belong
-	// to different regions.
-	inTransit   *Packet
-	inTransitTo int
+	// channel's link, used to truncate the in-flight packet on link
+	// failure. One slot suffices: serving serialises the link, so kick
+	// never starts a second service before arrive (or launchEv) has
+	// cleared the first. Tracking it per channel (rather than per link)
+	// keeps every slot owned by exactly one region in partitioned mode: a
+	// boundary link's two directions belong to different regions.
+	inTransit *Packet
+	// buf is q's first backing array (New points q at it). A burst that
+	// outgrows it moves q to the heap; dropHead moves it back.
+	buf [defaultLaneBuffer]*Packet
 }
 
 // shrinkFloor is the smallest backing-array capacity dropHead will shrink.
@@ -83,38 +91,53 @@ type channel struct {
 // burst pay the copies, and those halve away in O(log cap) steps.
 const shrinkFloor = 16
 
+// push appends p to the queue. A queue that grows moves to a new backing
+// array; if it grew off the inline one, that must not keep its packets alive.
+func (ch *channel) push(p *Packet) {
+	grows := len(ch.q) == cap(ch.q)
+	ch.q = append(ch.q, p)
+	if grows {
+		clear(ch.buf[:])
+	}
+}
+
 // dropHead removes the head packet by shifting in place: lane queues are a
 // few entries deep, and keeping the backing array's front intact lets
 // enqueues reuse its capacity instead of reallocating every round trip.
 // Burst-inflated backing arrays are released once the queue drains below a
-// quarter of their capacity, so a congestion spike does not pin peak-sized
-// arrays for the rest of the run.
+// quarter of their capacity — to a half-sized array, or to the inline one
+// when the rest fits — so a congestion spike does not pin peak-sized arrays
+// for the rest of the run.
 func (ch *channel) dropHead() {
 	n := len(ch.q) - 1
 	copy(ch.q, ch.q[1:])
 	ch.q[n] = nil
 	ch.q = ch.q[:n]
 	if c := cap(ch.q); c > shrinkFloor && n < c/4 {
-		q := make([]*Packet, n, c/2)
-		copy(q, ch.q)
-		ch.q = q
+		q := ch.buf[:0]
+		if n > defaultLaneBuffer {
+			q = make([]*Packet, 0, c/2)
+		}
+		ch.q = append(q, ch.q...)
 	}
 }
 
 // routerState is the mutable state of one SPIDER router.
 type routerState struct {
 	failed bool
-	// discard[port] makes the router silently drop packets routed to
-	// that port: the interconnect-recovery isolation step (§4.4).
-	discard []bool
 	// discardLocal makes the router drop packets destined to its own
 	// attached node: the isolation step for a node whose controller has
 	// stopped accepting packets (firmware infinite loop, §3.1).
 	discardLocal bool
-	// table is this router's next-hop port per destination.
-	table []int
-	// chans[port][lane]
-	chans [][]*channel
+	// chanBase is the index in Network.chans of this router's (port 0,
+	// lane 0) channel; the rest follow port-major.
+	chanBase int32
+	// discard[port] makes the router silently drop packets routed to
+	// that port: the interconnect-recovery isolation step (§4.4).
+	discard []bool
+	// table is this router's next-hop port per destination: a row of the
+	// pristine tables until SetRouterTable installs a private copy.
+	table []topology.Port
 	// nodeWaiters are channels blocked delivering to this router's node.
 	nodeWaiters []*channel
 }
@@ -142,7 +165,11 @@ type Network struct {
 	Topo *topology.Topology
 	cfg  Config
 
-	routers   []*routerState
+	routers []routerState
+	// chans holds every channel of the fabric, router-major then
+	// port-major then by lane, so the NumLanes channels of a port and the
+	// ports of a router are neighbours in memory.
+	chans     []channel
 	linkUp    []bool
 	endpoints []Endpoint
 	Stats     Stats
@@ -239,7 +266,7 @@ func New(e *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 		E:         e,
 		Topo:      topo,
 		cfg:       cfg,
-		routers:   make([]*routerState, topo.Routers()),
+		routers:   make([]routerState, topo.Routers()),
 		linkUp:    make([]bool, len(topo.Links())),
 		endpoints: make([]Endpoint, topo.Routers()),
 	}
@@ -268,22 +295,63 @@ func New(e *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	if tables == nil {
 		tables = topology.DefaultTables(topo)
 	}
+	if len(tables) != len(n.routers) {
+		panic(fmt.Sprintf("interconnect: tables for %d routers on a %d-router topology", len(tables), len(n.routers)))
+	}
+	ports := 2 * len(topo.Links())
+	n.chans = make([]channel, ports*int(NumLanes))
+	discard := make([]bool, ports)
+	base := 0
 	for r := range n.routers {
-		deg := topo.Degree(r)
-		rs := &routerState{
-			discard: make([]bool, deg),
-			table:   tables[r],
-			chans:   make([][]*channel, deg),
+		adj := topo.Adjacency(r)
+		if len(adj) > topology.MaxDegree {
+			panic(fmt.Sprintf("interconnect: router %d has %d ports, a table entry names at most %d", r, len(adj), topology.MaxDegree))
 		}
-		for p := 0; p < deg; p++ {
-			rs.chans[p] = make([]*channel, NumLanes)
+		checkRow(topo, r, tables[r])
+		rs := &n.routers[r]
+		rs.chanBase = int32(base)
+		rs.discard, discard = discard[:len(adj):len(adj)], discard[len(adj):]
+		rs.table = tables[r]
+		for _, a := range adj {
 			for l := Lane(0); l < NumLanes; l++ {
-				rs.chans[p][l] = &channel{router: r, port: p, lane: l}
+				ch := &n.chans[base]
+				ch.router, ch.to, ch.link = int32(r), int32(a.To), int32(a.Link)
+				ch.q = ch.buf[:0]
+				base++
 			}
 		}
-		n.routers[r] = rs
 	}
 	return n
+}
+
+// checkRow panics unless row is a well-formed next-hop row for router r: one
+// entry per router, each PortLocal, -1 or one of r's ports. A malformed row
+// would otherwise surface as an index panic on whichever hop first used it.
+func checkRow(topo *topology.Topology, r int, row []topology.Port) {
+	if len(row) != topo.Routers() {
+		panic(fmt.Sprintf("interconnect: router %d table has %d entries, want %d", r, len(row), topo.Routers()))
+	}
+	deg := topo.Degree(r)
+	for d, p := range row {
+		if int(p) >= deg || p < topology.PortLocal {
+			panic(fmt.Sprintf("interconnect: router %d table sends destination %d to port %d; the router has %d ports", r, d, p, deg))
+		}
+	}
+}
+
+// channel returns the sending channel of (router r, port, lane).
+func (n *Network) channel(r, port int, lane Lane) *channel {
+	return &n.chans[int(n.routers[r].chanBase)+port*int(NumLanes)+int(lane)]
+}
+
+// portChans returns the NumLanes channels of router r's port.
+func (n *Network) portChans(r, port int) []channel {
+	return n.routerChans(r)[port*int(NumLanes):][:NumLanes]
+}
+
+// routerChans returns all of router r's channels.
+func (n *Network) routerChans(r int) []channel {
+	return n.chans[n.routers[r].chanBase:][:n.Topo.Degree(r)*int(NumLanes)]
 }
 
 // SetEndpoint attaches the node controller for node id.
@@ -297,14 +365,15 @@ func (n *Network) LinkAlive(l int) bool { return n.linkUp[l] }
 
 // SetRouterTable installs a new next-hop row on router r (one destination
 // entry per node). Used by interconnect recovery after the drain (§4.4).
-func (n *Network) SetRouterTable(r int, row []int) {
-	n.routers[r].table = append([]int(nil), row...)
+func (n *Network) SetRouterTable(r int, row []topology.Port) {
+	checkRow(n.Topo, r, row)
+	n.routers[r].table = append([]topology.Port(nil), row...)
 }
 
 // RouterTable returns a copy of router r's installed next-hop row, for
 // post-recovery deadlock-freedom verification.
-func (n *Network) RouterTable(r int) []int {
-	return append([]int(nil), n.routers[r].table...)
+func (n *Network) RouterTable(r int) []topology.Port {
+	return append([]topology.Port(nil), n.routers[r].table...)
 }
 
 // SetDiscard reprograms router r to discard (or stop discarding) traffic
@@ -312,13 +381,13 @@ func (n *Network) RouterTable(r int) []int {
 // packets already queued toward that port are dropped, which is what lets
 // stalled traffic behind them make forward progress (§4.4).
 func (n *Network) SetDiscard(r, p int, on bool) {
-	rs := n.routers[r]
-	rs.discard[p] = on
+	n.routers[r].discard[p] = on
 	if !on {
 		return
 	}
-	for l := Lane(0); l < NumLanes; l++ {
-		ch := rs.chans[p][l]
+	chans := n.portChans(r, p)
+	for i := range chans {
+		ch := &chans[i]
 		dropped := len(ch.q)
 		if ch.serving {
 			// The head packet is mid-flight; let it finish (it will
@@ -359,22 +428,22 @@ func (n *Network) SetDiscardLocal(r int, on bool) {
 // not also fail its links here — callers model a cabinet loss as explicit
 // combinations of router and link failures).
 func (n *Network) FailRouter(r int) {
-	rs := n.routers[r]
+	rs := &n.routers[r]
 	if rs.failed {
 		return
 	}
 	rs.failed = true
-	for p := range rs.chans {
-		for _, ch := range rs.chans[p] {
-			atomic.AddUint64(&n.Stats.DroppedRouter, uint64(len(ch.q)))
-			for _, pk := range ch.q {
-				n.tracePkt("drop-router", r, pk)
-				n.lost(pk)
-			}
-			ch.q = ch.q[:0]
-			ch.blocked = false
-			n.wakeWaiters(ch)
+	chans := n.routerChans(r)
+	for i := range chans {
+		ch := &chans[i]
+		atomic.AddUint64(&n.Stats.DroppedRouter, uint64(len(ch.q)))
+		for _, pk := range ch.q {
+			n.tracePkt("drop-router", r, pk)
+			n.lost(pk)
 		}
+		ch.q = ch.q[:0]
+		ch.blocked = false
+		n.wakeWaiters(ch)
 	}
 	// Channels blocked delivering into this node will retry, find the
 	// router failed, and sink their packets.
@@ -401,7 +470,9 @@ func (n *Network) FailLink(l int) {
 		if p < 0 {
 			continue
 		}
-		for _, ch := range n.routers[r].chans[p] {
+		chans := n.portChans(r, p)
+		for c := range chans {
+			ch := &chans[c]
 			if ch.inTransit == nil {
 				continue
 			}
@@ -417,7 +488,7 @@ func (n *Network) FailLink(l int) {
 		pkt := ch.inTransit
 		pkt.Truncated = true
 		n.mTruncated.Inc()
-		n.tracePkt("truncate", ch.inTransitTo, pkt)
+		n.tracePkt("truncate", int(ch.to), pkt)
 		n.lost(pkt)
 	}
 }
@@ -456,8 +527,9 @@ func (n *Network) healLink(l int) {
 		if p < 0 || n.routers[r].failed {
 			continue
 		}
-		for _, ch := range n.routers[r].chans[p] {
-			n.kick(ch)
+		chans := n.portChans(r, p)
+		for c := range chans {
+			n.kick(&chans[c])
 		}
 	}
 }
@@ -466,12 +538,8 @@ func (n *Network) healLink(l int) {
 // and drain instrumentation.
 func (n *Network) InFlight() int {
 	c := 0
-	for _, rs := range n.routers {
-		for _, ports := range rs.chans {
-			for _, ch := range ports {
-				c += len(ch.q)
-			}
-		}
+	for i := range n.chans {
+		c += len(n.chans[i].q)
 	}
 	return c
 }
@@ -505,8 +573,7 @@ func (n *Network) Send(p *Packet) {
 		n.eng(p.Src).AfterCall(n.cfg.LoopbackDelay, n.deliverFn, p, nil, 0)
 		return
 	}
-	rs := n.routers[p.Src]
-	if rs.failed {
+	if n.routers[p.Src].failed {
 		atomic.AddUint64(&n.Stats.DroppedRouter, 1)
 		n.tracePkt("drop-router", p.Src, p)
 		n.lost(p)
@@ -516,8 +583,8 @@ func (n *Network) Send(p *Packet) {
 	if !ok {
 		return // counted by nextPort
 	}
-	ch := rs.chans[port][p.Lane]
-	ch.q = append(ch.q, p) // elastic injection
+	ch := n.channel(p.Src, port, p.Lane)
+	ch.push(p) // elastic injection
 	n.kick(ch)
 }
 
@@ -541,7 +608,7 @@ func (n *Network) nextPort(r int, p *Packet) (port int, ok bool) {
 			return 0, false
 		}
 	} else {
-		port = n.routers[r].table[p.Dst]
+		port = int(n.routers[r].table[p.Dst])
 		if port < 0 {
 			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
 			n.tracePkt("drop-noroute", r, p)
@@ -563,15 +630,14 @@ func (n *Network) kick(ch *channel) {
 	if ch.serving || ch.blocked || len(ch.q) == 0 {
 		return
 	}
-	if n.routers[ch.router].failed {
+	from, to := int(ch.router), int(ch.to)
+	if n.routers[from].failed {
 		return
 	}
 	pkt := ch.q[0]
-	adj := n.Topo.Adjacency(ch.router)[ch.port]
-	link := adj.Link
-	if !n.linkUp[link] {
+	if !n.linkUp[ch.link] {
 		// Black hole: sink the head packet and try the next.
-		n.tracePkt("drop-blackhole", ch.router, pkt)
+		n.tracePkt("drop-blackhole", from, pkt)
 		n.lost(pkt)
 		ch.dropHead()
 		atomic.AddUint64(&n.Stats.DroppedLink, 1)
@@ -581,33 +647,33 @@ func (n *Network) kick(ch *channel) {
 		return
 	}
 	ch.serving = true
-	ch.inTransit, ch.inTransitTo = pkt, adj.To
-	if pt := n.cfg.Partition; pt != nil && pt.Of[ch.router] != pt.Of[adj.To] {
+	ch.inTransit = pkt
+	if pt := n.cfg.Partition; pt != nil && pt.Of[from] != pt.Of[to] {
 		// Inter-region link: the hop splits into a source-side launch
 		// (frees the channel after the link service time) and a
 		// destination-side ingress scheduled through the partition
 		// coordinator after the extra inter-region wire delay. See
 		// partition.go for the model.
-		e := n.eng(ch.router)
+		e := n.eng(from)
 		deliverAt := e.Now() + serviceTime(pkt) + pt.Extra
-		pt.P.Send(pt.Of[ch.router], pt.Of[adj.To], deliverAt,
-			nil, n.ingressFn, pkt, nil, packRL(adj.To, link))
-		e.AfterCall(serviceTime(pkt), n.launchFn, ch, pkt, uint64(link))
+		pt.P.Send(pt.Of[from], pt.Of[to], deliverAt,
+			nil, n.ingressFn, pkt, nil, packRL(to, int(ch.link)))
+		e.AfterCall(serviceTime(pkt), n.launchFn, ch, pkt, 0)
 		return
 	}
-	n.eng(ch.router).AfterCall(serviceTime(pkt), n.arriveFn, ch, pkt, uint64(link))
+	n.eng(from).AfterCall(serviceTime(pkt), n.arriveFn, ch, pkt, 0)
 }
 
 // arriveEv is the pre-bound event form of arrive, scheduled by kick for
 // every flit-hop traversal.
-func (n *Network) arriveEv(a1, a2 any, u uint64) {
-	n.arrive(a1.(*channel), a2.(*Packet), int(u))
+func (n *Network) arriveEv(a1, a2 any, _ uint64) {
+	n.arrive(a1.(*channel), a2.(*Packet))
 }
 
 // arrive is called when pkt finishes traversing ch's link. The packet is
 // logically at the far router's input; it advances into that router's chosen
 // output channel (or node) or blocks, keeping its slot in ch.
-func (n *Network) arrive(ch *channel, pkt *Packet, link int) {
+func (n *Network) arrive(ch *channel, pkt *Packet) {
 	ch.serving = false
 	ch.inTransit = nil
 	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
@@ -615,25 +681,26 @@ func (n *Network) arrive(ch *channel, pkt *Packet, link int) {
 		// this packet (and counted it); nothing left to advance.
 		return
 	}
-	if !n.linkUp[link] && !pkt.Truncated {
+	if !n.linkUp[ch.link] && !pkt.Truncated {
 		// The link died before service completed and the packet was
 		// not marked as the in-flight victim; sink it.
-		n.tracePkt("drop-blackhole", ch.router, pkt)
+		n.tracePkt("drop-blackhole", int(ch.router), pkt)
 		n.lost(pkt)
 		n.popHead(ch)
 		atomic.AddUint64(&n.Stats.DroppedLink, 1)
 		n.mBlackholed.Inc()
 		return
 	}
-	n.tracePkt("hop", n.Topo.Adjacency(ch.router)[ch.port].To, pkt)
+	n.tracePkt("hop", int(ch.to), pkt)
 	n.advance(ch, pkt)
 }
 
 // advance tries to move pkt (at the head of ch, already across ch's link)
 // into the far router. Called initially from arrive and again from wakeups.
 func (n *Network) advance(ch *channel, pkt *Packet) {
-	r := n.Topo.Adjacency(ch.router)[ch.port].To
-	if n.routers[r].failed {
+	r := int(ch.to)
+	rs := &n.routers[r]
+	if rs.failed {
 		n.tracePkt("drop-router", r, pkt)
 		n.lost(pkt)
 		n.popHead(ch)
@@ -654,7 +721,7 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 		atDst = pkt.hop+2 == len(pkt.SourceRoute) && atDst
 	}
 	if atDst {
-		if n.routers[r].discardLocal {
+		if rs.discardLocal {
 			n.tracePkt("drop-deadnode", r, pkt)
 			n.lost(pkt)
 			n.popHead(ch)
@@ -674,7 +741,7 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 			return
 		}
 		n.block(ch, pkt)
-		n.routers[r].nodeWaiters = append(n.routers[r].nodeWaiters, ch)
+		rs.nodeWaiters = append(rs.nodeWaiters, ch)
 		return
 	}
 	// Forward through r.
@@ -689,10 +756,10 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 		n.popHead(ch)
 		return
 	}
-	tch := n.routers[r].chans[port][pkt.Lane]
+	tch := n.channel(r, port, pkt.Lane)
 	if len(tch.q) < n.cfg.LaneBuffer {
 		n.popHead(ch)
-		tch.q = append(tch.q, pkt)
+		tch.push(pkt)
 		n.kick(tch)
 		return
 	}
@@ -707,10 +774,9 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 // the head-drop timeout.
 func (n *Network) block(ch *channel, pkt *Packet) {
 	ch.blocked = true
-	ch.blockedAt = n.now(ch.router)
 	n.mStalls.Inc()
 	if pkt.Lane.IsRecovery() {
-		n.eng(ch.router).AfterCall(n.cfg.RecoveryHeadDrop, n.headDropFn, ch, pkt, 0)
+		n.eng(int(ch.router)).AfterCall(n.cfg.RecoveryHeadDrop, n.headDropFn, ch, pkt, 0)
 	}
 }
 
@@ -720,7 +786,7 @@ func (n *Network) block(ch *channel, pkt *Packet) {
 func (n *Network) headDropEv(a1, a2 any, _ uint64) {
 	ch, pkt := a1.(*channel), a2.(*Packet)
 	if ch.blocked && len(ch.q) > 0 && ch.q[0] == pkt {
-		n.tracePkt("drop-headtimeout", ch.router, pkt)
+		n.tracePkt("drop-headtimeout", int(ch.router), pkt)
 		n.lost(pkt)
 		n.popHead(ch)
 		atomic.AddUint64(&n.Stats.DroppedHeadTimeout, 1)
@@ -737,29 +803,39 @@ func (n *Network) popHead(ch *channel) {
 }
 
 // wakeWaiters retries channels blocked on space in ch.
-func (n *Network) wakeWaiters(ch *channel) {
-	ws := ch.waiters
-	ch.waiters = nil
-	for _, w := range ws {
-		if w.blocked && len(w.q) > 0 {
-			w.blocked = false
-			n.advance(w, w.q[0])
-		}
-	}
-}
+func (n *Network) wakeWaiters(ch *channel) { n.wake(&ch.waiters) }
 
 // wakeNodeWaiters retries channels blocked delivering into node r's
 // controller.
-func (n *Network) wakeNodeWaiters(r int) {
-	rs := n.routers[r]
-	ws := rs.nodeWaiters
-	rs.nodeWaiters = nil
+func (n *Network) wakeNodeWaiters(r int) { n.wake(&n.routers[r].nodeWaiters) }
+
+// wake retries the channels on a waiter list. The list is emptied first: a
+// woken channel that finds its target still full blocks again and joins the
+// list for the next wake, and a wake of the same list nested inside this one
+// (a controller signalling NodeReady from inside Accept, a dead link sinking
+// the woken packet on the spot) sees only those new entries. So that the list keeps its storage, it is emptied by
+// advancing it past the entries being woken: entries added meanwhile land
+// behind them in the same backing array, or in a fresh one if that is full,
+// and are moved to the front at the end. A backing array that proved too
+// small for both is replaced by a roomier one, so a list stops allocating
+// once it has seen its worst wake.
+func (n *Network) wake(list *[]*channel) {
+	ws := *list
+	if len(ws) == 0 {
+		return
+	}
+	*list = ws[len(ws):]
 	for _, w := range ws {
 		if w.blocked && len(w.q) > 0 {
 			w.blocked = false
 			n.advance(w, w.q[0])
 		}
 	}
+	again := *list
+	if need := len(ws) + len(again); need > cap(ws) {
+		ws = make([]*channel, 0, 2*need)
+	}
+	*list = append(ws[:0], again...)
 }
 
 // NodeReady signals that node id's controller can accept input again;

@@ -179,7 +179,7 @@ func (n *Network) arriveFree(r int, pkt *Packet) {
 	if !ok {
 		return // counted by nextPort; packet is gone
 	}
-	tch := n.routers[r].chans[port][pkt.Lane]
-	tch.q = append(tch.q, pkt) // elastic ingress: the boundary absorbs bursts
+	tch := n.channel(r, port, pkt.Lane)
+	tch.push(pkt) // elastic ingress: the boundary absorbs bursts
 	n.kick(tch)
 }

@@ -51,7 +51,8 @@ func (n *Network) mustQuiescent() {
 			panic(fmt.Sprintf("interconnect: snapshot with failed link %d", l))
 		}
 	}
-	for r, rs := range n.routers {
+	for r := range n.routers {
+		rs := &n.routers[r]
 		if rs.failed {
 			panic(fmt.Sprintf("interconnect: snapshot with failed router %d", r))
 		}
@@ -61,13 +62,14 @@ func (n *Network) mustQuiescent() {
 		if len(rs.nodeWaiters) > 0 {
 			panic(fmt.Sprintf("interconnect: snapshot with blocked deliveries at router %d", r))
 		}
-		for p, ports := range rs.chans {
-			if rs.discard[p] {
+		for p, on := range rs.discard {
+			if on {
 				panic(fmt.Sprintf("interconnect: snapshot with discard on router %d port %d", r, p))
 			}
-			for _, ch := range ports {
-				if len(ch.q) > 0 || ch.serving || ch.blocked || len(ch.waiters) > 0 || ch.inTransit != nil {
-					panic(fmt.Sprintf("interconnect: snapshot with active channel r%d p%d lane %v", r, p, ch.lane))
+			chans := n.portChans(r, p)
+			for l := range chans {
+				if ch := &chans[l]; len(ch.q) > 0 || ch.serving || ch.blocked || len(ch.waiters) > 0 || ch.inTransit != nil {
+					panic(fmt.Sprintf("interconnect: snapshot with active channel r%d p%d lane %v", r, p, Lane(l)))
 				}
 			}
 		}

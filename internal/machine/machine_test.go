@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"flashfc/internal/coherence"
@@ -9,6 +10,7 @@ import (
 	"flashfc/internal/magic"
 	"flashfc/internal/proc"
 	"flashfc/internal/sim"
+	"flashfc/internal/topology"
 )
 
 // readOp builds a read operation for tests.
@@ -38,6 +40,25 @@ func TestMeshShape(t *testing.T) {
 		if w != want[0] || h != want[1] {
 			t.Errorf("MeshShape(%d) = %d,%d want %d,%d", n, w, h, want[0], want[1])
 		}
+	}
+}
+
+// InstalledTables reads the fabric's rows back through RouterTable: on a
+// pristine machine they are the topology's default tables, and a row
+// installed through SetRouterTable comes back as installed.
+func TestInstalledTablesRoundTrip(t *testing.T) {
+	m := New(smallConfig(1))
+	want := topology.DefaultTables(m.Topo)
+	if got := m.InstalledTables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pristine installed tables differ from the defaults:\n got %v\nwant %v", got, want)
+	}
+	v := topology.NewView(m.Topo)
+	v.FailRouter(5)
+	repair := topology.UpDownTables(v, v.BFS(0))
+	m.Net.SetRouterTable(2, repair[2])
+	want[2] = repair[2]
+	if got := m.InstalledTables(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("installed tables after one repaired row:\n got %v\nwant %v", got, want)
 	}
 }
 

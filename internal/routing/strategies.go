@@ -179,13 +179,13 @@ func patchBroken(v *topology.View, orient *topology.BFT, donor topology.Tables) 
 	if orient == nil {
 		return fullRepair(n, donor, false)
 	}
-	pristine := topology.DefaultTables(t)
-	broken := brokenEntries(v, pristine)
-	tb := make(topology.Tables, n)
+	// DefaultTables builds a fresh table set, so once the broken entries
+	// are known it is patched in place.
+	tb := topology.DefaultTables(t)
+	broken := brokenEntries(v, tb)
 	per := make([]int, n)
 	isDonor := make([][]bool, n)
 	for r := 0; r < n; r++ {
-		tb[r] = append([]int(nil), pristine[r]...)
 		isDonor[r] = make([]bool, n)
 	}
 	patch := func(r, d int) bool {

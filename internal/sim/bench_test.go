@@ -82,3 +82,31 @@ func BenchmarkTimerCancelPath(b *testing.B) {
 		e.RunUntil(e.Now() + 100)
 	}
 }
+
+// One level-0 slot of 2048 events on 24 timestamps, scheduled in order: the
+// shape the 1024-node fill and the 128-node recovery drain all day. The
+// slot is loaded by loadDrain's counting sort; ns/op covers scheduling,
+// the load and the firing of all 2048.
+func BenchmarkBigSlotDrain(b *testing.B) {
+	e := NewEngine(1)
+	var fired uint64
+	cb := Callback(func(_, _ any, u uint64) { fired += u })
+	round := func() {
+		base := e.Now() + 128
+		for i := 0; i < 2048; i++ {
+			e.AtCall(base+Time(i*7%24), cb, nil, nil, 1)
+		}
+		e.RunUntil(base + 64)
+	}
+	for i := 0; i < numSlots; i++ {
+		round() // warm the pool, the drain run and every slot the rounds rotate through
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	if fired != uint64(b.N+numSlots)*2048 {
+		b.Fatalf("fired %d events, want %d", fired, (b.N+numSlots)*2048)
+	}
+}

@@ -6,9 +6,13 @@
 //
 // The scheduler is a three-level hierarchical timing wheel (64 ns base slots,
 // ~1 s horizon) with a binary-heap fallback for far-future timeouts and a
-// free list that recycles event records across firings. Events pop in exactly
-// the (time, sequence) order of a binary heap — the structure is a throughput
-// optimization, never a semantic one.
+// free list that recycles event records across firings. A reached slot is
+// loaded into a sorted run without comparisons when it can be — events
+// scheduled straight into a slot already sit in sequence order, so a stable
+// counting sort on the 64 ns of the slot finishes the job — and the earliest
+// slot of each upper level is remembered between drains rather than
+// re-scanned. Events pop in exactly the (time, sequence) order of a binary
+// heap — the structure is a throughput optimization, never a semantic one.
 package sim
 
 import (

@@ -14,6 +14,15 @@ import (
 // a circular scan from the reference index enumerates slots in strictly
 // increasing time order, and a whole slot can be drained or cascaded
 // without filtering.
+//
+// Two more invariants make the drain cheap. A slot fills by append, so
+// events placed directly are in seq order; only a cascade, which appends
+// events scheduled long ago, can put older seqs behind newer ones, and
+// loadDrain looks for that while it counts (DESIGN.md, "Transport kernel
+// data layout", has the measured shares). And the base time of a resident
+// slot never depends on the reference a scan starts from, so each upper
+// level's earliest slot is cached (wheelLevel.min) until something that can
+// change it happens.
 const (
 	slotBits  = 8
 	numSlots  = 1 << slotBits
@@ -28,6 +37,17 @@ const (
 type wheelLevel struct {
 	slots [numSlots][]*event
 	occ   [occWords]uint64
+	// min caches earliestSlot's answer for an upper level, where it
+	// changes once per cascade rather than once per drained slot. A slot's
+	// base time is a property of the events in it, not of the reference
+	// the scan starts from (every resident event is >= ref and no slot
+	// mixes rotations), so the answer stays good until a placement
+	// undercuts it, its slot is taken, or a purge may have emptied it.
+	min struct {
+		known, any bool // any: the level is non-empty and base, idx are set
+		base       Time
+		idx        int
+	}
 }
 
 type wheel [numLevels]wheelLevel
@@ -52,6 +72,11 @@ func (e *Engine) placeWheel(ev *event, ref Time) {
 			lv := &e.wheel[l]
 			lv.slots[idx] = append(lv.slots[idx], ev)
 			lv.occ[idx>>6] |= 1 << (idx & 63)
+			if m := &lv.min; m.known {
+				if base := Time(d << uint(baseShift+l*slotBits)); !m.any || base < m.base {
+					m.any, m.base, m.idx = true, base, idx
+				}
+			}
 			return
 		}
 		d >>= slotBits
@@ -66,6 +91,9 @@ func (e *Engine) placeWheel(ev *event, ref Time) {
 // empty.
 func (e *Engine) earliestSlot(l int, ref Time) (Time, int, bool) {
 	lv := &e.wheel[l]
+	if m := &lv.min; m.known {
+		return m.base, m.idx, m.any
+	}
 	shift := uint(baseShift + l*slotBits)
 	cur := uint64(ref) >> shift
 	c := int(cur) & slotMask
@@ -80,8 +108,15 @@ func (e *Engine) earliestSlot(l int, ref Time) (Time, int, bool) {
 		if w != 0 {
 			idx := wi*64 + bits.TrailingZeros64(w)
 			slotTime := cur + uint64((idx-c)&slotMask)
-			return Time(slotTime << shift), idx, true
+			base := Time(slotTime << shift)
+			if l > 0 {
+				lv.min.known, lv.min.any, lv.min.base, lv.min.idx = true, true, base, idx
+			}
+			return base, idx, true
 		}
+	}
+	if l > 0 {
+		lv.min.known, lv.min.any = true, false
 	}
 	return 0, 0, false
 }
@@ -91,6 +126,7 @@ func (lv *wheelLevel) takeSlot(idx int) []*event {
 	evs := lv.slots[idx]
 	lv.slots[idx] = evs[:0]
 	lv.occ[idx>>6] &^= 1 << (idx & 63)
+	lv.min.known = false
 	return evs
 }
 
@@ -124,19 +160,7 @@ func (e *Engine) refill() bool {
 		}
 		evs := e.wheel[bestL].takeSlot(bestIdx)
 		if bestL == 0 {
-			e.drain = append(e.drain, evs...)
-			slices.SortFunc(e.drain, func(a, b *event) int {
-				if a.at != b.at {
-					if a.at < b.at {
-						return -1
-					}
-					return 1
-				}
-				if a.seq < b.seq {
-					return -1
-				}
-				return 1
-			})
+			e.loadDrain(evs)
 			e.drainCeil = bestBase + (1 << baseShift)
 			return true
 		}
@@ -150,6 +174,60 @@ func (e *Engine) refill() bool {
 			e.placeWheel(ev, bestBase)
 		}
 	}
+}
+
+// countingSortMin is the slot size from which loadDrain's counting sort
+// beats the comparison sort: below it, clearing and summing one counter per
+// nanosecond of the slot costs more than the comparisons it saves. Measured
+// on slots shaped like BenchmarkBigSlotDrain's, the two cross between 16 and
+// 24 events.
+const countingSortMin = 24
+
+// loadDrain makes evs, the events of one level-0 slot, the drain run, sorted
+// by (at, seq). Events scheduled straight into a level-0 slot arrive in seq
+// order, so a slot is normally already seq-sorted, and all its timestamps
+// share everything above the low baseShift bits; a stable counting sort on
+// those bits then yields (at, seq) order in O(n) with no comparisons. Only
+// a cascade can break the premise — it appends events scheduled long ago
+// behind ones placed directly since — so seq order is checked during the
+// counting pass, and such a slot, like a tiny one, is comparison-sorted.
+func (e *Engine) loadDrain(evs []*event) {
+	const slotSpan = 1 << baseShift
+	if len(evs) >= countingSortMin {
+		var start [slotSpan + 1]int32
+		inSeq := true
+		seq := evs[0].seq
+		for _, ev := range evs {
+			start[uint64(ev.at)&(slotSpan-1)+1]++
+			inSeq = inSeq && ev.seq >= seq
+			seq = ev.seq
+		}
+		if inSeq {
+			for i := 1; i < slotSpan; i++ {
+				start[i] += start[i-1]
+			}
+			e.drain = slices.Grow(e.drain, len(evs))[:len(evs)]
+			for _, ev := range evs {
+				k := uint64(ev.at) & (slotSpan - 1)
+				e.drain[start[k]] = ev
+				start[k]++
+			}
+			return
+		}
+	}
+	e.drain = append(e.drain, evs...)
+	slices.SortFunc(e.drain, func(a, b *event) int {
+		if a.at != b.at {
+			if a.at < b.at {
+				return -1
+			}
+			return 1
+		}
+		if a.seq < b.seq {
+			return -1
+		}
+		return 1
+	})
 }
 
 // insertDrain merges a new event into the pending part of the drain run.
@@ -178,6 +256,7 @@ func (e *Engine) insertDrain(ev *event) {
 func (w *wheel) purgeCancelled(e *Engine) {
 	for l := range w {
 		lv := &w[l]
+		lv.min.known = false
 		for wi, wbits := range lv.occ {
 			for wbits != 0 {
 				b := bits.TrailingZeros64(wbits)

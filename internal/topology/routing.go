@@ -1,5 +1,7 @@
 package topology
 
+import "math"
+
 // Routing tables. Tables[r][dst] is the port router r forwards a packet
 // destined to dst through, or -1 when dst is unreachable. Tables[dst][dst]
 // is PortLocal: deliver to the attached node.
@@ -12,20 +14,32 @@ package topology
 // connected surviving graph). Tests verify the no-cycle property of the
 // channel-dependency graph for both.
 
-// PortLocal is the pseudo-port meaning "deliver to the attached node".
-const PortLocal = -2
+// Port is one routing-table entry: an output port of the router (an index
+// into its adjacency list), -1 for "unreachable", or PortLocal. It is a byte
+// wide, like the few bits per destination of a SPIDER table RAM, so the
+// tables of a 1024-router machine are 1 MB rather than 8 and the per-hop
+// lookup stays in cache; it indexes an adjacency list directly.
+type Port int8
 
-// Tables holds per-router next-hop ports indexed by destination router.
-type Tables [][]int
+// PortLocal is the pseudo-port meaning "deliver to the attached node".
+const PortLocal Port = -2
+
+// MaxDegree is the largest router degree a Port can name.
+const MaxDegree = math.MaxInt8
+
+// Tables holds per-router next-hop ports indexed by destination router. The
+// rows NewTables returns are slices of one n×n backing array.
+type Tables [][]Port
 
 // NewTables allocates an n×n table filled with -1 and the local diagonal.
 func NewTables(n int) Tables {
+	cells := make([]Port, n*n)
+	for i := range cells {
+		cells[i] = -1
+	}
 	tb := make(Tables, n)
 	for r := range tb {
-		tb[r] = make([]int, n)
-		for d := range tb[r] {
-			tb[r][d] = -1
-		}
+		tb[r] = cells[r*n : (r+1)*n : (r+1)*n]
 		tb[r][r] = PortLocal
 	}
 	return tb
@@ -69,7 +83,7 @@ func dimOrderTables(t *Topology) Tables {
 				w, _ := t.MeshSize()
 				next = r - w
 			}
-			tb[r][d] = t.PortTo(r, next)
+			tb[r][d] = Port(t.PortTo(r, next))
 		}
 	}
 	return tb
@@ -90,7 +104,7 @@ func eCubeTables(t *Topology) Tables {
 				diff >>= 1
 				bit++
 			}
-			tb[r][d] = t.PortTo(r, r^(1<<bit))
+			tb[r][d] = Port(t.PortTo(r, r^(1<<bit)))
 		}
 	}
 	return tb
@@ -154,7 +168,7 @@ func UpDownTables(v *View, bft *BFT) Tables {
 				}
 				q := a.To
 				inDown[q] = true
-				tb[q][d] = v.T.PortTo(q, r)
+				tb[q][d] = Port(v.T.PortTo(q, r))
 				queue = append(queue, q)
 			}
 		}
@@ -179,7 +193,7 @@ func UpDownTables(v *View, bft *BFT) Tables {
 				}
 				q := a.To
 				inUp[q] = true
-				tb[q][d] = v.T.PortTo(q, r)
+				tb[q][d] = Port(v.T.PortTo(q, r))
 				queue = append(queue, q)
 			}
 		}

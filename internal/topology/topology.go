@@ -1,6 +1,7 @@
 // Package topology describes the interconnect graphs used by flashfc (the
-// 2-D mesh assumed by the paper's experiments and the hypercube used for the
-// Fig 5.5 dissemination comparison) and implements the graph algorithms the
+// 2-D mesh assumed by the paper's experiments, the hypercube used for the
+// Fig 5.5 dissemination comparison, and arbitrary link lists for irregular
+// fabrics) and implements the graph algorithms the
 // recovery algorithm needs: breadth-first trees, the 2h diameter bound
 // (§4.3), connected components, and deadlock-free up*/down* routing-table
 // computation for the interconnect-recovery phase (§4.4).
@@ -38,6 +39,9 @@ type Kind int
 const (
 	KindMesh Kind = iota
 	KindHypercube
+	// KindGraph is an arbitrary link list (NewGraph): no coordinate
+	// structure, so it is routed by up*/down* from the start.
+	KindGraph
 )
 
 // Topology is an immutable interconnect graph.
@@ -63,24 +67,26 @@ func NewMesh(w, h int) *Topology {
 		w:    w, h: h,
 		adj: make([][]Adj, w*h),
 	}
-	addLink := func(a, b int) {
-		id := len(t.links)
-		t.links = append(t.links, Link{A: a, B: b})
-		t.adj[a] = append(t.adj[a], Adj{Link: id, To: b})
-		t.adj[b] = append(t.adj[b], Adj{Link: id, To: a})
-	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			r := y*w + x
 			if x+1 < w {
-				addLink(r, r+1)
+				t.addLink(r, r+1)
 			}
 			if y+1 < h {
-				addLink(r, r+w)
+				t.addLink(r, r+w)
 			}
 		}
 	}
 	return t
+}
+
+// addLink appends the link a-b and its port at each end.
+func (t *Topology) addLink(a, b int) {
+	id := len(t.links)
+	t.links = append(t.links, Link{A: a, B: b})
+	t.adj[a] = append(t.adj[a], Adj{Link: id, To: b})
+	t.adj[b] = append(t.adj[b], Adj{Link: id, To: a})
 }
 
 // NewHypercube returns a dim-dimensional hypercube with 2^dim routers.
@@ -100,12 +106,27 @@ func NewHypercube(dim int) *Topology {
 		for d := 0; d < dim; d++ {
 			b := a ^ (1 << d)
 			if b > a {
-				id := len(t.links)
-				t.links = append(t.links, Link{A: a, B: b})
-				t.adj[a] = append(t.adj[a], Adj{Link: id, To: b})
-				t.adj[b] = append(t.adj[b], Adj{Link: id, To: a})
+				t.addLink(a, b)
 			}
 		}
+	}
+	return t
+}
+
+// NewGraph returns the irregular topology with n routers joined by links.
+// Ports are numbered in link order at each endpoint.
+func NewGraph(n int, links []Link) *Topology {
+	t := &Topology{
+		name: fmt.Sprintf("graph-%d", n),
+		kind: KindGraph,
+		n:    n,
+		adj:  make([][]Adj, n),
+	}
+	for id, l := range links {
+		if l.A < 0 || l.A >= n || l.B < 0 || l.B >= n || l.A == l.B {
+			panic(fmt.Sprintf("topology: link %d joins %d and %d in a %d-router graph", id, l.A, l.B, n))
+		}
+		t.addLink(l.A, l.B)
 	}
 	return t
 }

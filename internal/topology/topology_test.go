@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMeshConstruction(t *testing.T) {
@@ -349,6 +350,76 @@ func TestRouteDetectsDeadEnd(t *testing.T) {
 	if got := tb.Route(m, 2, 2); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("self route = %v, want [2]", got)
 	}
+}
+
+// NewTables is one n×n array of byte-wide entries: row r starts n entries
+// after row r-1, and a row is capped at its own n so that appending to one
+// can never run into the next.
+func TestNewTablesIsOneBackingArray(t *testing.T) {
+	const n = 9
+	tb := NewTables(n)
+	for r := range tb {
+		if len(tb[r]) != n || cap(tb[r]) != n {
+			t.Fatalf("row %d has len %d cap %d, want %d and %d", r, len(tb[r]), cap(tb[r]), n, n)
+		}
+		if off := uintptr(unsafe.Pointer(&tb[r][0])) - uintptr(unsafe.Pointer(&tb[0][0])); off != uintptr(r*n) {
+			t.Fatalf("row %d starts %d bytes into the table, want %d", r, off, r*n)
+		}
+		for d, p := range tb[r] {
+			want := Port(-1)
+			if d == r {
+				want = PortLocal
+			}
+			if p != want {
+				t.Fatalf("tb[%d][%d] = %d, want %d", r, d, p, want)
+			}
+		}
+	}
+	grown := append(tb[3], 5)
+	grown[0] = 0
+	if tb[4][0] != -1 || tb[3][0] != -1 {
+		t.Fatal("appending to a row wrote into the table")
+	}
+	if len(NewTables(0)) != 0 {
+		t.Fatal("NewTables(0) is not empty")
+	}
+}
+
+// An irregular graph has no coordinate routing: DefaultTables routes it by
+// up*/down*, which must reach every pair without a dependency cycle.
+func TestGraphDefaultTables(t *testing.T) {
+	g := NewGraph(6, []Link{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}})
+	if g.Kind() != KindGraph || g.Routers() != 6 || len(g.Links()) != 7 {
+		t.Fatalf("graph: kind %v, %d routers, %d links", g.Kind(), g.Routers(), len(g.Links()))
+	}
+	for r, want := range []int{2, 2, 3, 3, 2, 2} {
+		if g.Degree(r) != want {
+			t.Fatalf("router %d has degree %d, want %d", r, g.Degree(r), want)
+		}
+	}
+	for id, l := range g.Links() {
+		pa, pb := g.PortTo(l.A, l.B), g.PortTo(l.B, l.A)
+		if pa < 0 || pb < 0 || g.Adjacency(l.A)[pa].Link != id || g.Adjacency(l.B)[pb].Link != id {
+			t.Fatalf("link %d (%d-%d) is not a port at both ends", id, l.A, l.B)
+		}
+	}
+	tb := DefaultTables(g)
+	if !tb.DependencyAcyclic(NewView(g)) {
+		t.Fatal("default tables of the graph can deadlock")
+	}
+	for s := 0; s < g.Routers(); s++ {
+		for d := 0; d < g.Routers(); d++ {
+			if path := tb.Route(g, s, d); path == nil || path[len(path)-1] != d {
+				t.Fatalf("no route %d→%d: %v", s, d, path)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a link to a router outside the graph should panic")
+		}
+	}()
+	NewGraph(2, []Link{{0, 2}})
 }
 
 func TestMeshCoordPanicsOnHypercube(t *testing.T) {
