@@ -220,7 +220,7 @@ type Agent struct {
 	bft          *topology.BFT
 	root         int
 	participants []int
-	partSet      map[int]bool
+	partSet      []bool // partSet[v]: v is a participant
 	doomed       bool
 	routeCache   map[int][]int
 
@@ -229,9 +229,12 @@ type Agent struct {
 	pendingBar map[string][]*recMsg
 	voteAt     sim.Time
 
-	// P4 all-to-all flush barrier.
-	flushFrom map[int]bool
-	scanned   bool
+	// P4 all-to-all flush barrier: flushSeen[v] once node v's flush-done
+	// (or, for v == ID, this node's own flush) is in this epoch;
+	// flushCount counts the participants among them.
+	flushSeen  []bool
+	flushCount int
+	scanned    bool
 
 	watchdog sim.Timer
 	// codeRunning is set once the recovery code is confirmed executing
@@ -384,7 +387,7 @@ func (a *Agent) enter(reason magic.TriggerReason) {
 func (a *Agent) resetState() {
 	n := a.Topo.Routers()
 	a.st = newSysState(n, len(a.Topo.Links()))
-	a.st.Nodes[a.ID] = triUp
+	a.st.setNode(a.ID, triUp)
 	a.pathTo = map[int][]int{}
 	a.explored = map[int]bool{}
 	a.probing = 0
@@ -410,13 +413,23 @@ func (a *Agent) resetState() {
 	a.view = nil
 	a.bft = nil
 	a.participants = nil
-	a.partSet = map[int]bool{}
+	a.partSet = resetBools(a.partSet, n)
 	a.doomed = false
 	a.routeCache = map[int][]int{}
 	a.bars = map[string]*barrierState{}
 	a.pendingBar = map[string][]*recMsg{}
-	a.flushFrom = map[int]bool{}
+	a.flushSeen = resetBools(a.flushSeen, n)
+	a.flushCount = 0
 	a.scanned = false
+}
+
+// resetBools returns b cleared, or a fresh slice if b is not n long.
+func resetBools(b []bool, n int) []bool {
+	if len(b) != n {
+		return make([]bool, n)
+	}
+	clear(b)
+	return b
 }
 
 // restartTo abandons the current run and re-executes the algorithm at a
@@ -613,5 +626,5 @@ func (a *Agent) DebugString() string {
 	}
 	return fmt.Sprintf("node %d %v ep=%d probing=%d cwn=%v round=%d/%d stable=%d merging=%v missing=[%s] flush=%d/%d bars=%s",
 		a.ID, a.phase, a.epoch, a.probing, a.cwn, a.round, a.target, a.stable, a.merging,
-		missing, len(a.flushFrom), len(a.participants), bars)
+		missing, a.flushCount, len(a.participants), bars)
 }

@@ -193,22 +193,11 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 	a := r.agents[0]
 	// Hand the agent a converged view so the helpers can be probed
 	// without running the algorithm.
-	a.st = newSysState(8, len(r.topo.Links()))
-	for i := range a.st.Nodes {
-		a.st.Nodes[i] = triUp
-		a.st.Routers[i] = triUp
-	}
-	for l := range a.st.Links {
-		a.st.Links[l] = triUp
-	}
+	a.st = allUp(r.topo)
 	a.view = a.st.view(r.topo)
 	a.root = 0
 	a.bft = a.view.BFS(0)
-	a.participants = []int{0, 1, 2, 3, 4, 5, 6, 7}
-	a.partSet = map[int]bool{}
-	for _, p := range a.participants {
-		a.partSet[p] = true
-	}
+	setParticipants(a, 0, 1, 2, 3, 4, 5, 6, 7)
 	if got := a.barrierParent(0); got != -1 {
 		t.Fatalf("root's parent = %d", got)
 	}
@@ -250,5 +239,28 @@ func TestTriggerIgnoredWhileRunningAndWhenDead(t *testing.T) {
 	r.agents[1].Trigger(magic.ReasonTimeout)
 	if r.agents[1].Phase() != PhaseShutdown {
 		t.Fatal("killed agent must not restart")
+	}
+}
+
+// allUp returns a converged state in which every component of t is up.
+func allUp(t *topology.Topology) *sysState {
+	s := newSysState(t.Routers(), len(t.Links()))
+	for i := 0; i < t.Routers(); i++ {
+		s.setNode(i, triUp)
+		s.setRouter(i, triUp)
+	}
+	for l := range t.Links() {
+		s.setLink(l, triUp)
+	}
+	return s
+}
+
+// setParticipants fixes a's participant list by hand, as
+// finishDissemination would.
+func setParticipants(a *Agent, parts ...int) {
+	a.participants = parts
+	a.partSet = resetBools(a.partSet, a.Topo.Routers())
+	for _, p := range parts {
+		a.partSet[p] = true
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +12,18 @@ import (
 // Unit tests for the recovery algorithm's pure parts: state merging, the
 // termination bound, and barrier topology. Whole-algorithm behaviour is
 // covered by the machine and experiments integration tests.
+
+// mergeTri is the reference lattice join the packed state is checked
+// against: down wins over up wins over unknown.
+func mergeTri(a, b tri) tri {
+	if a == triDown || b == triDown {
+		return triDown
+	}
+	if a == triUp || b == triUp {
+		return triUp
+	}
+	return triUnknown
+}
 
 func TestMergeTriOrdering(t *testing.T) {
 	cases := []struct{ a, b, want tri }{
@@ -31,27 +44,113 @@ func TestMergeTriOrdering(t *testing.T) {
 
 func randomState(rng *rand.Rand, nodes, links int) *sysState {
 	s := newSysState(nodes, links)
-	fill := func(a []tri) {
-		for i := range a {
-			a[i] = tri(rng.Intn(3))
-		}
+	for i := 0; i < nodes; i++ {
+		s.setNode(i, tri(rng.Intn(3)))
+		s.setRouter(i, tri(rng.Intn(3)))
 	}
-	fill(s.Nodes)
-	fill(s.Routers)
-	fill(s.Links)
+	for l := 0; l < links; l++ {
+		s.setLink(l, tri(rng.Intn(3)))
+	}
 	return s
 }
 
-func statesEqual(a, b *sysState) bool {
-	eq := func(x, y []tri) bool {
-		for i := range x {
-			if x[i] != y[i] {
+// entries reads s back one entry at a time through the accessors, in the
+// packed layout's order: nodes, routers, links.
+func entries(s *sysState) []tri {
+	var out []tri
+	for i := 0; i < s.n; i++ {
+		out = append(out, s.node(i))
+	}
+	for r := 0; r < s.n; r++ {
+		out = append(out, s.router(r))
+	}
+	for l := 0; l < s.l; l++ {
+		out = append(out, s.link(l))
+	}
+	return out
+}
+
+func statesEqual(a, b *sysState) bool { return slices.Equal(entries(a), entries(b)) }
+
+// canonical reports whether s has no entry with both bits set and no bit set
+// past its last entry.
+func canonical(s *sysState) bool {
+	used := 2*s.n + s.l
+	for w := range s.up {
+		if s.up[w]&s.down[w] != 0 {
+			return false
+		}
+		if tail := used - 64*w; tail < 64 && (s.up[w]|s.down[w])>>tail != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the packed state is indistinguishable from a byte-per-entry
+// reference merged with mergeTri — every entry, merge's change report, and
+// the canonical encoding, after merge, set and clone — at sizes that end
+// just before, on and just after a word boundary, and on the 32×32 mesh.
+func TestQuickPackedStateMatchesReference(t *testing.T) {
+	mesh := topology.NewMesh(32, 32)
+	sizes := [][2]int{ // {nodes, links}: 2n+l = 63, 64, 65, 127, 128, 129
+		{20, 23}, {20, 24}, {20, 25}, {40, 47}, {40, 48}, {40, 49},
+		{mesh.Routers(), len(mesh.Links())},
+	}
+	check := func(s *sysState, ref []tri) bool {
+		return slices.Equal(entries(s), ref) && canonical(s)
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, sz := range sizes {
+			n, l := sz[0], sz[1]
+			a := randomState(rng, n, l)
+			var b *sysState
+			if rng.Intn(2) == 0 {
+				b = randomState(rng, n, l)
+			} else {
+				// A near copy, so merges that change nothing (or one
+				// entry) are common too.
+				b = a.clone()
+				for k := rng.Intn(3); k > 0; k-- {
+					b.set(rng.Intn(2*n+l), tri(rng.Intn(3)))
+				}
+			}
+			ra, rb := entries(a), entries(b)
+			if !check(a, ra) || !check(b, rb) {
+				return false
+			}
+			refChanged := false
+			for i := range ra {
+				if m := mergeTri(ra[i], rb[i]); m != ra[i] {
+					ra[i], refChanged = m, true
+				}
+			}
+			if a.merge(b) != refChanged || !check(a, ra) || !check(b, rb) {
+				return false
+			}
+			for k := 0; k < 8; k++ {
+				i, v := rng.Intn(2*n+l), tri(rng.Intn(3))
+				a.set(i, v)
+				ra[i] = v
+			}
+			if !check(a, ra) {
+				return false
+			}
+			c := a.clone()
+			if !check(c, ra) {
+				return false
+			}
+			c.set(rng.Intn(2*n+l), triDown)
+			if !check(a, ra) { // the clone owns its bits
 				return false
 			}
 		}
 		return true
 	}
-	return eq(a.Nodes, b.Nodes) && eq(a.Routers, b.Routers) && eq(a.Links, b.Links)
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
 }
 
 // Property: merge is commutative — the gossip outcome is independent of
@@ -117,13 +216,14 @@ func TestQuickMergeMonotone(t *testing.T) {
 		b := randomState(rng, 8, 10)
 		before := a.clone()
 		a.merge(b)
-		for i := range before.Nodes {
-			if before.Nodes[i] == triDown && a.Nodes[i] != triDown {
+		for i := 0; i < 8; i++ {
+			if before.node(i) == triDown && a.node(i) != triDown ||
+				before.router(i) == triDown && a.router(i) != triDown {
 				return false
 			}
 		}
-		for i := range before.Links {
-			if before.Links[i] == triDown && a.Links[i] != triDown {
+		for l := 0; l < 10; l++ {
+			if before.link(l) == triDown && a.link(l) != triDown {
 				return false
 			}
 		}
@@ -140,14 +240,14 @@ func TestSysStateWordsAndView(t *testing.T) {
 		t.Fatalf("words = %d", s.words())
 	}
 	topo := topology.NewMesh(4, 2)
-	for i := range s.Routers {
-		s.Routers[i] = triUp
+	for i := 0; i < 8; i++ {
+		s.setRouter(i, triUp)
 	}
-	for l := range s.Links {
-		s.Links[l] = triUp
+	for l := 0; l < 10; l++ {
+		s.setLink(l, triUp)
 	}
-	s.Routers[3] = triDown
-	s.Links[0] = triUnknown // unknown is treated as down in views
+	s.setRouter(3, triDown)
+	s.setLink(0, triUnknown) // unknown is treated as down in views
 	v := s.view(topo)
 	if v.RouterUp[3] || v.LinkUp[0] {
 		t.Fatal("view should treat down/unknown as unavailable")
@@ -155,11 +255,18 @@ func TestSysStateWordsAndView(t *testing.T) {
 	if !v.RouterUp[0] {
 		t.Fatal("up router lost in view")
 	}
-	s.Nodes[2] = triUp
-	s.Nodes[5] = triUp
+	s.setNode(2, triUp)
+	s.setNode(5, triUp)
 	fn := s.functioningNodes()
 	if len(fn) != 2 || fn[0] != 2 || fn[1] != 5 {
 		t.Fatalf("functioningNodes = %v", fn)
+	}
+	// The charged size counts one word per entry however the host packs
+	// the entries, up to the 32×32 mesh.
+	mesh := topology.NewMesh(32, 32)
+	big := newSysState(mesh.Routers(), len(mesh.Links()))
+	if want := 2*mesh.Routers() + len(mesh.Links()) + 4; big.words() != want {
+		t.Fatalf("32x32 words = %d, want %d", big.words(), want)
 	}
 }
 

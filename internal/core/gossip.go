@@ -43,15 +43,16 @@ func (a *Agent) sendRound() {
 			return
 		}
 		a.mGossipRounds.Inc()
-		// One snapshot per round, shared by every message of the round:
-		// a.st keeps changing under merge, a state in flight never does —
-		// receivers only read m.State (merge writes the receiver's own).
-		snap := a.st.clone()
+		// One message per round, snapshot included, shared by every cwn
+		// member: a.st keeps changing under merge, a message in flight
+		// never does — receivers only read it (merge writes the
+		// receiver's own state).
+		m := &recMsg{
+			Kind: kState, Round: round,
+			State: a.st.clone(), Target: a.target, Hint: a.hint,
+		}
 		for _, q := range a.cwn {
-			a.sendRec(q, a.cwnPath[q], interconnect.LaneRecoveryA, &recMsg{
-				Kind: kState, Round: round,
-				State: snap, Target: a.target, Hint: a.hint,
-			})
+			a.sendRec(q, a.cwnPath[q], interconnect.LaneRecoveryA, m)
 		}
 		a.checkRound()
 	})
@@ -193,11 +194,15 @@ func (a *Agent) finishDissemination() {
 		// Participants: functioning nodes reachable from the root.
 		// The algorithm assumes no split brain (§4.2).
 		a.participants = nil
-		a.partSet = map[int]bool{}
+		clear(a.partSet)
+		a.flushCount = 0
 		for _, n := range functioning {
 			if a.bft.Dist[n] >= 0 {
 				a.participants = append(a.participants, n)
 				a.partSet[n] = true
+				if a.flushSeen[n] {
+					a.flushCount++ // a flush-done that beat the participant list
+				}
 			}
 		}
 		if !a.partSet[a.ID] {
@@ -222,12 +227,12 @@ func (a *Agent) finishDissemination() {
 		// memory-reachable, so clean lines homed there stay readable
 		// instead of bus-erroring.
 		for i := 0; i < a.Topo.Routers(); i++ {
-			up := a.st.Nodes[i] == triUp
+			up := a.st.node(i) == triUp
 			if up && units != nil && failedUnit[units[i]] {
 				up = false
 			}
 			a.Ctrl.SetNodeUp(i, up)
-			memSrv := !up && a.st.Routers[i] == triUp &&
+			memSrv := !up && a.st.router(i) == triUp &&
 				a.cfg.MemServes != nil && a.cfg.MemServes(i)
 			a.Ctrl.SetMemReachable(i, memSrv)
 		}
@@ -245,16 +250,12 @@ func (a *Agent) failedUnits() map[int]bool {
 		return out
 	}
 	for i := 0; i < a.Topo.Routers(); i++ {
-		if a.st.Nodes[i] == triDown || a.st.Routers[i] == triDown {
+		if a.st.node(i) == triDown || a.st.router(i) == triDown {
 			out[units[i]] = true
 		}
 	}
-	for l, st := range a.st.Links {
-		if st != triDown {
-			continue
-		}
-		link := a.Topo.Links()[l]
-		if units[link.A] == units[link.B] {
+	for l, link := range a.Topo.Links() {
+		if a.st.link(l) == triDown && units[link.A] == units[link.B] {
 			out[units[link.A]] = true
 		}
 	}

@@ -42,7 +42,9 @@ func (k msgKind) String() string {
 	}
 }
 
-// recMsg is the payload of a recovery packet.
+// recMsg is the payload of a recovery packet. A sent message is read-only:
+// every packet of a gossip round, and every flush-done packet of one flush,
+// carries the same one.
 type recMsg struct {
 	Kind  msgKind
 	From  int
@@ -50,7 +52,7 @@ type recMsg struct {
 
 	// kState fields:
 	Round  int
-	State  *sysState // sender's snapshot, shared by a round's messages: read-only
+	State  *sysState // sender's snapshot (or final state, for a lame-duck echo)
 	Target int       // sender's current termination-round bound
 	Hint   int       // BFT-height hint (0 = none), §4.3 scheduling optimization
 

@@ -35,7 +35,7 @@ func (a *Agent) startInterconnectRecovery() {
 		a.isolateRouter(a.ID)
 		if a.ID == a.root {
 			for r := 0; r < a.Topo.Routers(); r++ {
-				if a.st.Routers[r] == triUp && a.st.Nodes[r] != triUp {
+				if a.st.router(r) == triUp && a.st.node(r) != triUp {
 					// A dead node whose memory bank still serves requests
 					// (CPU-fail/memory-survives) keeps local delivery: its
 					// MAGIC must go on fielding coherence traffic for the
@@ -93,7 +93,7 @@ func (a *Agent) startPartialDrain() {
 // dead link or dead router.
 func (a *Agent) isolateRouter(r int) {
 	for port, adj := range a.Topo.Adjacency(r) {
-		if a.st.Links[adj.Link] == triDown || a.st.Routers[adj.To] == triDown {
+		if a.st.link(adj.Link) == triDown || a.st.router(adj.To) == triDown {
 			a.Net.SetDiscard(r, port, true)
 		}
 	}
@@ -174,7 +174,7 @@ func (a *Agent) reprogramRoutes() {
 		a.Net.SetRouterTable(a.ID, rep.Tables[a.ID])
 		if a.ID == a.root {
 			for r := 0; r < n; r++ {
-				if a.st.Routers[r] == triUp && a.st.Nodes[r] != triUp {
+				if a.st.router(r) == triUp && a.st.node(r) != triUp {
 					a.Net.SetRouterTable(r, rep.Tables[r])
 				}
 			}

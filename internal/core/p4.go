@@ -86,33 +86,46 @@ func (a *Agent) doFlush() {
 		a.cfg.Trace.End(a.E.Now(), spFlush)
 		a.spFlushWait = a.cfg.Trace.Begin(a.E.Now(), a.ID, "flush-barrier", a.spPhase, 0)
 		// All-to-all barrier: one message to every other participant
-		// on the normal reply lane, behind our writebacks.
+		// on the normal reply lane, behind our writebacks. The packets
+		// share one read-only payload.
+		m := &recMsg{Kind: kFlushDone}
 		for _, q := range a.participants {
 			if q == a.ID {
 				continue
 			}
-			a.sendRec(q, nil, interconnect.LaneReply, &recMsg{Kind: kFlushDone})
+			a.sendRec(q, nil, interconnect.LaneReply, m)
 		}
-		a.flushFrom[a.ID] = true
+		a.noteFlushDone(a.ID)
 		a.checkFlushBarrier()
 	})
 }
 
 // onFlushDone records a peer's flush completion. Arrivals may precede this
-// node's own flush; the map is consulted when both sides are ready.
+// node's own flush; the count is consulted when both sides are ready.
 func (a *Agent) onFlushDone(m *recMsg) {
-	a.flushFrom[m.From] = true
+	a.noteFlushDone(m.From)
 	a.checkFlushBarrier()
 }
 
-func (a *Agent) checkFlushBarrier() {
-	if a.phase != PhaseCoherence || a.scanned || !a.flushFrom[a.ID] {
+// noteFlushDone marks node from's flush done this epoch, counting it once
+// if it is a participant. A flush-done that arrives before the participant
+// list is fixed is counted by finishDissemination instead.
+func (a *Agent) noteFlushDone(from int) {
+	if a.flushSeen[from] {
 		return
 	}
-	for _, q := range a.participants {
-		if !a.flushFrom[q] {
-			return
-		}
+	a.flushSeen[from] = true
+	if a.partSet[from] {
+		a.flushCount++
+	}
+}
+
+// checkFlushBarrier releases the directory sweep once this node's own flush
+// is done and every participant's flush-done has been seen.
+func (a *Agent) checkFlushBarrier() {
+	if a.phase != PhaseCoherence || a.scanned || !a.flushSeen[a.ID] ||
+		a.flushCount < len(a.participants) {
+		return
 	}
 	a.scanned = true
 	a.doScan()

@@ -31,7 +31,7 @@ func (a *Agent) recoveryCodeRunning() {
 	answered := false
 	a.Net.ProbeRouter([]int{a.ID}, func() {
 		answered = true
-		a.st.Routers[a.ID] = triUp
+		a.st.setRouter(a.ID, triUp)
 		a.pathTo[a.ID] = []int{a.ID}
 		a.exploreFrom(a.ID)
 		a.checkExplorationDone()
@@ -99,7 +99,7 @@ func (a *Agent) probeLink(link, far int, path []int) {
 		// No answer: the link (or the router behind it) is dead. Mark
 		// the link down; the router may still be proven alive through
 		// another path.
-		a.st.Links[link] = triDown
+		a.st.setLink(link, triDown)
 		a.probing--
 		a.checkExplorationDone()
 	})
@@ -108,8 +108,8 @@ func (a *Agent) probeLink(link, far int, path []int) {
 // onRouterAlive records a live link+router and waits on the attached node's
 // ping outcome.
 func (a *Agent) onRouterAlive(link, far int, path []int) {
-	a.st.Links[link] = triUp
-	a.st.Routers[far] = triUp
+	a.st.setLink(link, triUp)
+	a.st.setRouter(far, triUp)
 	if a.pathTo[far] == nil {
 		a.pathTo[far] = path
 	}
@@ -155,9 +155,9 @@ func (a *Agent) onPong(m *recMsg) {
 func (a *Agent) resolveNode(node int, alive bool) {
 	a.nodePong[node] = alive
 	if alive {
-		a.st.Nodes[node] = triUp
+		a.st.setNode(node, triUp)
 	} else {
-		a.st.Nodes[node] = triDown
+		a.st.setNode(node, triDown)
 	}
 	if a.phase != PhaseInit {
 		return

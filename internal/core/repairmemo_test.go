@@ -146,11 +146,13 @@ func TestRepairMemoBounded(t *testing.T) {
 	}
 }
 
-// TestGossipStateNeverWrittenAfterSend: a round's messages share one
-// snapshot of the sender's state, and the lame-duck echo sends finalState
-// itself, so neither may alias state the sender keeps merging into.
+// TestGossipStateNeverWrittenAfterSend: a round's packets share one message
+// holding one snapshot of the sender's state, the lame-duck echo sends
+// finalState itself, and a P4 flush's packets share one flush-done message,
+// so none of them may alias state the sender keeps writing, and no later
+// send may rewrite a message already on the wire.
 func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
-	r := newRig(t, 2, 2, nil)
+	r := newRig(t, 2, 2, func(c *Config) { c.WatchdogTimeout = 0 })
 	var got []*recMsg
 	for _, q := range []int{1, 2} {
 		r.ctrls[q].SetRecoveryHandler(func(p *interconnect.Packet) {
@@ -164,11 +166,14 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	a.phase = PhaseDissemination
 	a.cwn = []int{1, 2}
 	a.cwnPath = map[int][]int{1: {0, 1}, 2: {0, 2}}
-	a.st.Nodes[1], a.st.Routers[1] = triUp, triUp
+	a.st.setNode(1, triUp)
+	a.st.setRouter(1, triUp)
 	a.round, a.target = 1, 1
 
-	news := newSysState(len(a.st.Nodes), len(a.st.Links))
-	news.Nodes[3], news.Routers[3], news.Links[0] = triDown, triDown, triDown
+	news := newSysState(a.st.n, a.st.l)
+	news.setNode(3, triDown)
+	news.setRouter(3, triDown)
+	news.setLink(0, triDown)
 
 	want := a.st.clone()
 	a.sendRound()
@@ -180,10 +185,26 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("captured %d state messages, want 2", len(got))
 	}
-	for _, m := range got {
-		if m.State == a.st || !statesEqual(m.State, want) {
-			t.Fatalf("in-flight round state was written after send: %+v, want %+v", m.State, want)
-		}
+	if got[0] != got[1] {
+		t.Fatal("a round's packets should share one message")
+	}
+	round1 := got[0]
+	sent := *round1
+	if round1.State == a.st || !statesEqual(round1.State, want) {
+		t.Fatalf("in-flight round state was written after send: %v, want %v",
+			entries(round1.State), entries(want))
+	}
+	// The next round ships a message of its own; the first is untouched.
+	got = nil
+	a.round, a.target, a.hint = 2, 3, 3
+	a.sendRound()
+	r.e.Run()
+	if len(got) != 2 || got[0] != got[1] || got[0] == round1 || got[0].Round != 2 {
+		t.Fatalf("round 2 sent %d messages (shared %v, new %v)", len(got),
+			len(got) == 2 && got[0] == got[1], len(got) > 0 && got[0] != round1)
+	}
+	if *round1 != sent || !statesEqual(round1.State, want) {
+		t.Fatalf("round 1's message was rewritten: %+v, want %+v", *round1, sent)
 	}
 
 	// Lame duck: dissemination is over, late state messages get finalState.
@@ -192,12 +213,40 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	want = a.st.clone()
 	a.phase = PhaseInterconnect
 	a.onState(&recMsg{Kind: kState, From: 1, Epoch: 1, Round: 2})
-	news.Nodes[2] = triDown
+	news.setNode(2, triDown)
 	if !a.st.merge(news) {
 		t.Fatal("merge changed nothing")
 	}
 	r.e.Run()
 	if len(got) != 1 || !statesEqual(got[0].State, want) {
 		t.Fatalf("lame-duck echo state was written after send (%d messages)", len(got))
+	}
+
+	// P4: every participant's flush-done packet carries the same message,
+	// and a later flush (a restarted epoch's) does not rewrite it.
+	flush := func() []*recMsg {
+		got = nil
+		a.phase = PhaseCoherence
+		setParticipants(a, 0, 1, 2)
+		a.doFlush()
+		r.e.Run()
+		return got
+	}
+	first := flush()
+	if len(first) != 2 || first[0] != first[1] {
+		t.Fatalf("flush sent %d flush-done messages, want 2 sharing one", len(first))
+	}
+	done := *first[0]
+	if done.Kind != kFlushDone || done.From != a.ID || done.Epoch != 1 {
+		t.Fatalf("flush-done message = %+v", done)
+	}
+	a.epoch = 2
+	a.resetState()
+	second := flush()
+	if len(second) != 2 || second[0] == first[0] || second[0].Epoch != 2 {
+		t.Fatalf("the restarted epoch's flush should send a message of its own")
+	}
+	if *first[0] != done {
+		t.Fatalf("a sent flush-done message was rewritten: %+v, want %+v", *first[0], done)
 	}
 }

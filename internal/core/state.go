@@ -28,6 +28,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"flashfc/internal/topology"
 )
 
@@ -42,62 +44,77 @@ const (
 	triDown
 )
 
-func mergeTri(a, b tri) tri {
-	if a == triDown || b == triDown {
+// sysState is one node's current knowledge of the machine: per-node, per-
+// router and per-link liveness. This is the (LState, NState) pair of §4.3
+// with router state tracked separately because a dead node's router can
+// still carry transit traffic.
+//
+// Entry i (nodes [0,n), routers [n,2n), links [2n,2n+l)) is bit i of two
+// bitmaps sharing one allocation. The encoding is canonical — up is clear
+// wherever down is set — so each tri has exactly one bit pattern, and a
+// word changes under merge exactly when one of its entries' tri does.
+type sysState struct {
+	n, l     int
+	up, down []uint64
+}
+
+// newSysState returns an all-unknown state.
+func newSysState(nodes, links int) *sysState {
+	w := (2*nodes + links + 63) / 64
+	buf := make([]uint64, 2*w)
+	return &sysState{n: nodes, l: links, up: buf[:w:w], down: buf[w:]}
+}
+
+func (s *sysState) clone() *sysState {
+	c := newSysState(s.n, s.l)
+	copy(c.up, s.up)
+	copy(c.down, s.down)
+	return c
+}
+
+func (s *sysState) get(i int) tri {
+	w, b := i>>6, uint64(1)<<(i&63)
+	switch {
+	case s.down[w]&b != 0:
 		return triDown
-	}
-	if a == triUp || b == triUp {
+	case s.up[w]&b != 0:
 		return triUp
 	}
 	return triUnknown
 }
 
-// sysState is one node's current knowledge of the machine: per-node, per-
-// router and per-link liveness. This is the (LState, NState) pair of §4.3
-// with router state tracked separately because a dead node's router can
-// still carry transit traffic.
-type sysState struct {
-	Nodes   []tri
-	Routers []tri
-	Links   []tri
-}
-
-// newSysState backs the three arrays with one allocation.
-func newSysState(nodes, links int) *sysState {
-	buf := make([]tri, 2*nodes+links)
-	return &sysState{
-		Nodes:   buf[:nodes:nodes],
-		Routers: buf[nodes : 2*nodes : 2*nodes],
-		Links:   buf[2*nodes:],
+// set stores v as entry i's knowledge outright (not a merge: P1's probe
+// and ping verdicts overwrite).
+func (s *sysState) set(i int, v tri) {
+	w, b := i>>6, uint64(1)<<(i&63)
+	s.up[w] &^= b
+	s.down[w] &^= b
+	switch v {
+	case triUp:
+		s.up[w] |= b
+	case triDown:
+		s.down[w] |= b
 	}
 }
 
-func (s *sysState) clone() *sysState {
-	c := newSysState(len(s.Nodes), len(s.Links))
-	copy(c.Nodes, s.Nodes)
-	copy(c.Routers, s.Routers)
-	copy(c.Links, s.Links)
-	return c
-}
+func (s *sysState) node(i int) tri         { return s.get(i) }
+func (s *sysState) router(r int) tri       { return s.get(s.n + r) }
+func (s *sysState) link(l int) tri         { return s.get(2*s.n + l) }
+func (s *sysState) setNode(i int, v tri)   { s.set(i, v) }
+func (s *sysState) setRouter(r int, v tri) { s.set(s.n+r, v) }
+func (s *sysState) setLink(l int, v tri)   { s.set(2*s.n+l, v) }
 
-// merge folds other into s and reports whether anything changed.
+// merge folds other into s and reports whether anything changed: per word,
+// down is the union and up the union minus down.
 func (s *sysState) merge(other *sysState) bool {
+	sd := s.down
+	su, od, ou := s.up[:len(sd)], other.down[:len(sd)], other.up[:len(sd)]
 	changed := false
-	for i, v := range other.Nodes {
-		if m := mergeTri(s.Nodes[i], v); m != s.Nodes[i] {
-			s.Nodes[i] = m
-			changed = true
-		}
-	}
-	for i, v := range other.Routers {
-		if m := mergeTri(s.Routers[i], v); m != s.Routers[i] {
-			s.Routers[i] = m
-			changed = true
-		}
-	}
-	for i, v := range other.Links {
-		if m := mergeTri(s.Links[i], v); m != s.Links[i] {
-			s.Links[i] = m
+	for i := range sd {
+		d := sd[i] | od[i]
+		u := (su[i] | ou[i]) &^ d
+		if d != sd[i] || u != su[i] {
+			sd[i], su[i] = d, u
 			changed = true
 		}
 	}
@@ -106,9 +123,11 @@ func (s *sysState) merge(other *sysState) bool {
 
 // words is the serialized size of the state in 32-bit words, used to charge
 // gossip marshaling cost and packet serialization: one word per entry (the
-// firmware ships its state arrays as-is) plus a header.
+// firmware ships its state arrays as-is) plus a header. It counts entries,
+// not the host's bitmap words, so the simulated charge is independent of
+// how the host stores the state.
 func (s *sysState) words() int {
-	return len(s.Nodes) + len(s.Routers) + len(s.Links) + 4
+	return 2*s.n + s.l + 4
 }
 
 // view converts the state into a topology.View for graph computations.
@@ -117,13 +136,13 @@ func (s *sysState) words() int {
 // anything still unknown is unreachable.
 func (s *sysState) view(t *topology.Topology) *topology.View {
 	v := topology.NewView(t)
-	for r, st := range s.Routers {
-		if st != triUp {
+	for r := range v.RouterUp {
+		if s.router(r) != triUp {
 			v.RouterUp[r] = false
 		}
 	}
-	for l, st := range s.Links {
-		if st != triUp {
+	for l := range v.LinkUp {
+		if s.link(l) != triUp {
 			v.LinkUp[l] = false
 		}
 	}
@@ -133,8 +152,12 @@ func (s *sysState) view(t *topology.Topology) *topology.View {
 // functioningNodes lists nodes known up, ascending.
 func (s *sysState) functioningNodes() []int {
 	var out []int
-	for i, st := range s.Nodes {
-		if st == triUp {
+	for w, word := range s.up {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			if i >= s.n {
+				return out
+			}
 			out = append(out, i)
 		}
 	}

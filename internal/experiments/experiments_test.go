@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/sim"
+	"flashfc/internal/topology"
 	"flashfc/internal/trace"
 )
 
@@ -119,6 +122,42 @@ func TestMeasureRecoveryScalesWithNodes(t *testing.T) {
 	if big.Phases.P2Time() <= small.Phases.P2Time() {
 		t.Errorf("dissemination should grow with node count: 8=%v 32=%v",
 			small.Phases.P2Time(), big.Phases.P2Time())
+	}
+}
+
+// TestP2RoundsWithinBFTBound holds dissemination to the paper's termination
+// bound (§4.3): no agent runs more than 2h rounds, h the height of the
+// breadth-first tree from the elected root (the lowest surviving node) over
+// the surviving graph. A node failure leaves its router and links up, so
+// that graph is the whole topology.
+func TestP2RoundsWithinBFTBound(t *testing.T) {
+	topos := []struct {
+		name string
+		kind machine.TopoKind
+	}{{"mesh", machine.TopoMesh}, {"hypercube", machine.TopoHypercube}}
+	for _, tc := range topos {
+		for _, n := range []int{16, 64, 128} {
+			t.Run(fmt.Sprintf("%s-%d", tc.name, n), func(t *testing.T) {
+				cfg := DefaultScalingConfig(n)
+				cfg.Topo = tc.kind
+				p := MeasureRecovery(cfg)
+				if !p.OK {
+					t.Fatal("recovery incomplete")
+				}
+				var topo *topology.Topology
+				if tc.kind == machine.TopoHypercube {
+					topo = topology.NewHypercube(bits.Len(uint(n)) - 1)
+				} else {
+					topo = topology.NewMesh(machine.MeshShape(n))
+				}
+				root := 0 // MeasureRecovery never kills node 0
+				bound := 2 * topology.NewView(topo).BFS(root).Height
+				if p.Phases.MaxRounds == 0 || p.Phases.MaxRounds > bound {
+					t.Fatalf("%d P2 rounds, bound 2h = %d", p.Phases.MaxRounds, bound)
+				}
+				t.Logf("%d P2 rounds, bound 2h = %d", p.Phases.MaxRounds, bound)
+			})
+		}
 	}
 }
 

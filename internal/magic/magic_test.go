@@ -779,3 +779,74 @@ func TestTruncatedDeliveryKeepsItsRecord(t *testing.T) {
 		}
 	})
 }
+
+// Every way a store can complete successfully hands the processor the token
+// it stored in Result.Token, which lets a workload learn a committed write's
+// value from the completion alone: an L2 exclusive hit, an exclusive grant,
+// a grant whose line a recall claimed before it arrived, and a store merged
+// into another operation's outstanding miss.
+func TestWriteCompletionReturnsStoredToken(t *testing.T) {
+	const tok = 0x5107e
+	run := func(t *testing.T, r *testRig, wantTok uint64, res *Result, done *bool) {
+		t.Helper()
+		r.e.Run()
+		if !*done || res.Err != nil || res.Token != wantTok {
+			t.Fatalf("write completed=%v with %+v, want token %#x", *done, *res, wantTok)
+		}
+	}
+	t.Run("exclusive-grant", func(t *testing.T) {
+		r := newRig(t, 4, DefaultConfig())
+		if res := r.write(t, 0, r.space.Base(2)+0x80, tok); res.Err != nil || res.Token != tok {
+			t.Fatalf("write: %+v, want token %#x", res, tok)
+		}
+	})
+	t.Run("l2-hit", func(t *testing.T) {
+		r := newRig(t, 4, DefaultConfig())
+		a := r.space.Base(2) + 0x80
+		r.write(t, 0, a, 1)
+		var res Result
+		done := false
+		r.ctrl[0].Write(a, tok, func(rr Result) { res, done = rr, true })
+		if r.ctrl[0].Outstanding() != 0 {
+			t.Fatal("a store to an exclusive line should hit in the L2")
+		}
+		run(t, r, tok, &res, &done)
+	})
+	t.Run("recalled-grant", func(t *testing.T) {
+		r := newRig(t, 4, DefaultConfig())
+		a := r.space.Base(1) + 0x80
+		var res Result
+		done := false
+		r.ctrl[0].Write(a, tok, func(rr Result) { res, done = rr, true })
+		// The home's recall overtakes the grant (request lane vs reply lane).
+		r.ctrl[0].handleRecall(&coherence.Message{Type: coherence.MsgRecall, Addr: a, Req: 1})
+		run(t, r, tok, &res, &done)
+		if r.ctrl[0].Cache.Lookup(a) != nil || r.ctrl[1].Mem.Read(a) != tok {
+			t.Fatal("a recalled grant should go straight home with the store")
+		}
+	})
+	t.Run("merged-into-read-miss", func(t *testing.T) {
+		r := newRig(t, 4, DefaultConfig())
+		a := r.space.Base(3) + 0x80
+		r.ctrl[0].Read(a, func(Result) {})
+		var res Result
+		done := false
+		r.ctrl[0].Write(a, tok, func(rr Result) { res, done = rr, true })
+		if r.ctrl[0].Outstanding() != 1 {
+			t.Fatal("the store should merge into the read's miss")
+		}
+		run(t, r, tok, &res, &done)
+	})
+	t.Run("merged-into-write-miss", func(t *testing.T) {
+		r := newRig(t, 4, DefaultConfig())
+		a := r.space.Base(3) + 0x80
+		r.ctrl[0].Write(a, 1, func(Result) {})
+		var res Result
+		done := false
+		r.ctrl[0].Write(a, tok, func(rr Result) { res, done = rr, true })
+		if r.ctrl[0].Outstanding() != 1 {
+			t.Fatal("the store should merge into the first store's miss")
+		}
+		run(t, r, tok, &res, &done)
+	})
+}

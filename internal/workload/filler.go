@@ -57,21 +57,23 @@ func NewFillerSeeded(m *machine.Machine, seed int64) *Filler {
 }
 
 // Start submits the fill operations on every node; done fires when all
-// processors have completed their fills.
+// processors have completed their fills. Every operation completes through
+// one of two completions bound here, so a fill allocates no closure per op.
 func (f *Filler) Start(done func()) {
 	f.done = done
+	completed, stored := f.completed, f.stored
 	totalLines := uint64(f.M.Cfg.Nodes) * f.M.Cfg.MemBytes / 128
 	for _, n := range f.M.Nodes {
 		for i := 0; i < f.FillLines; i++ {
 			line := coherence.Addr(uint64(f.rng.Int63n(int64(totalLines))) * 128)
 			f.pending++
-			op := proc.Op{Kind: proc.OpRead, Addr: line, Done: f.complete(line, 0)}
+			op := proc.Op{Kind: proc.OpRead, Addr: line, DoneAt: completed}
 			if f.rng.Intn(2) == 0 {
 				if f.rng.Float64() < f.WriteFraction {
 					tok := f.M.Oracle.NextToken()
-					op = proc.Op{Kind: proc.OpWrite, Addr: line, Token: tok, Done: f.complete(line, tok)}
+					op = proc.Op{Kind: proc.OpWrite, Addr: line, Token: tok, DoneAt: stored}
 				} else {
-					op = proc.Op{Kind: proc.OpReadExclusive, Addr: line, Done: f.complete(line, 0)}
+					op = proc.Op{Kind: proc.OpReadExclusive, Addr: line, DoneAt: completed}
 				}
 			}
 			n.CPU.Submit(op)
@@ -83,24 +85,29 @@ func (f *Filler) Start(done func()) {
 	}
 }
 
-func (f *Filler) complete(line coherence.Addr, tok uint64) func(magic.Result) {
-	return func(r magic.Result) {
-		if r.Err == nil && tok != 0 {
-			// The store committed: it is now the expected content.
-			f.M.Oracle.Wrote(line, tok)
+// stored completes a fill store. A successful store completes with the
+// token it stored (every write completion path returns it).
+func (f *Filler) stored(line coherence.Addr, r magic.Result) {
+	if r.Err == nil {
+		// The store committed: it is now the expected content.
+		f.M.Oracle.Wrote(line, r.Token)
+	}
+	f.completed(line, r)
+}
+
+// completed completes any fill operation.
+func (f *Filler) completed(coherence.Addr, magic.Result) {
+	f.pending--
+	if !f.halfSeen && f.pending <= f.total/2 {
+		f.halfSeen = true
+		if f.OnHalfDone != nil {
+			f.OnHalfDone()
 		}
-		f.pending--
-		if !f.halfSeen && f.pending <= f.total/2 {
-			f.halfSeen = true
-			if f.OnHalfDone != nil {
-				f.OnHalfDone()
-			}
-		}
-		if f.pending == 0 && f.done != nil {
-			d := f.done
-			f.done = nil
-			d()
-		}
+	}
+	if f.pending == 0 && f.done != nil {
+		d := f.done
+		f.done = nil
+		d()
 	}
 }
 

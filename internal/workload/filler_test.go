@@ -66,14 +66,15 @@ func TestFillerRecordsWritesInOracle(t *testing.T) {
 	if len(written) == 0 {
 		t.Fatal("no writes recorded")
 	}
-	// Spot-check: a committed write's token is readable.
-	a := written[0]
-	home := m.Space.Home(a)
-	var res magic.Result
-	m.Nodes[home].Ctrl.Read(a, func(r magic.Result) { res = r })
-	m.E.Run()
-	if res.Err != nil || res.Token != m.Oracle.ExpectedToken(a) {
-		t.Fatalf("read of written line: %+v, want %x", res, m.Oracle.ExpectedToken(a))
+	// Every line's last committed token is what the oracle expects.
+	for _, a := range written {
+		home := m.Space.Home(a)
+		var res magic.Result
+		m.Nodes[home].Ctrl.Read(a, func(r magic.Result) { res = r })
+		m.E.Run()
+		if res.Err != nil || res.Token != m.Oracle.ExpectedToken(a) {
+			t.Fatalf("read of written line %v: %+v, want %x", a, res, m.Oracle.ExpectedToken(a))
+		}
 	}
 }
 

@@ -62,6 +62,7 @@ func (f *PartitionFill) Start() {
 	lines := int64(f.M.Cfg.MemBytes / 128)
 	f.total = int64(nodes) * int64(f.OpsPerNode)
 	f.remaining.Store(f.total)
+	done := f.complete // one method value for every op, not one per op
 	for id, n := range f.M.Nodes {
 		rng := rand.New(rand.NewSource(f.M.Cfg.Seed ^ (int64(id)+1)*0x5851f42d4c957f2d))
 		for i := 0; i < f.OpsPerNode; i++ {
@@ -70,7 +71,7 @@ func (f *PartitionFill) Start() {
 				target = rng.Intn(nodes)
 			}
 			addr := f.M.Space.Base(target) + coherence.Addr(rng.Int63n(lines)*128)
-			op := proc.Op{Kind: proc.OpRead, Addr: addr, Done: f.complete}
+			op := proc.Op{Kind: proc.OpRead, Addr: addr, Done: done}
 			if rng.Float64() < f.ExclusiveFraction {
 				op.Kind = proc.OpReadExclusive
 			}
