@@ -20,10 +20,12 @@
 // (N > 1) flashsim instead runs a campaign of N independent experiments
 // with seeds derived from -seed, fanned out over -parallel workers
 // (0 = one per CPU), and reports pass/fail counts plus simulated-event
-// throughput. Campaigns stream per-run JSONL records with -run-log and a
-// live stderr progress line with -progress; -trace applies to single runs,
-// and -run-seed <i> traces exactly campaign run i (same derived seed and
-// warm fork as run i of the -runs N campaign):
+// throughput. A single run is run 0 of that campaign: the same warm-up, then
+// a fork at run 0's derived seed, so `flashsim -seed S` and `flashsim -runs
+// N -seed S -run-seed 0` are one computation. Campaigns stream per-run JSONL
+// records with -run-log and a live stderr progress line with -progress;
+// -trace applies to single runs, and -run-seed <i> runs exactly campaign
+// run i (same derived seed and warm fork as run i of the -runs N campaign):
 //
 //	flashsim -fault fail-slow -runs 1000 -run-log runs.jsonl -progress
 //	flashsim -fault fail-slow -runs 1000 -run-seed 837 -trace-critical
@@ -69,7 +71,6 @@ func exit(code int) {
 
 func main() {
 	nodes := flag.Int("nodes", 8, "number of nodes")
-	topo := flag.String("topo", "mesh", "topology: mesh or hypercube")
 	faultName := flag.String("fault", "node",
 		"fault: node, router, link, loop, false-alarm, transient-link, fail-slow, cpu-fail, powerloss, cablecut, boundary-link, none")
 	mem := flag.Uint64("mem", 256<<10, "memory bytes per node")
@@ -93,7 +94,6 @@ func main() {
 	cfg.L2Bytes = *l2
 	cfg.FillLines = *fill
 	cfg.Stride = *stride
-	var tracer *flashfc.Tracer
 	if cf.WantTrace() {
 		if cf.Runs > 1 && cf.RunSeed < 0 {
 			// Multi-run campaigns interleave timelines into nonsense:
@@ -101,16 +101,12 @@ func main() {
 			// -exemplars, -run-seed) instead of silently dropping the
 			// flags.
 			cf.WarnTraceIgnored()
-		} else if cf.RunSeed < 0 {
-			tracer = flashfc.NewTracer(0)
-			cfg.Trace = tracer
+		} else {
+			cfg.Trace = flashfc.NewTracer(0)
 		}
 	}
-	topts := traceOpts{tracer: tracer, dump: cf.Trace, jsonPath: cf.TraceJSON, critical: cf.TraceCritical}
+	topts := traceOpts{tracer: cfg.Trace, dump: cf.Trace, jsonPath: cf.TraceJSON, critical: cf.TraceCritical}
 
-	if *topo == "hypercube" {
-		fmt.Fprintln(os.Stderr, "note: -topo hypercube applies to scaling runs; validation uses a mesh")
-	}
 	switch *faultName {
 	case "powerloss", "cablecut":
 		runCompound(cfg, *faultName, cf.Seed, topts, cf.Metrics, cf.MetricsJSON)
@@ -143,44 +139,12 @@ func main() {
 		exit(2)
 	}
 
-	if cf.RunSeed >= 0 || cf.Runs > 1 {
-		// Campaign runs (and their replays) fork a sequential machine's
-		// warm snapshot: -partitions cannot apply.
-		cf.WarnPartitionsIgnored()
-		if cf.RunSeed >= 0 {
-			runReplay(cfg, ft, *faultName, cf, topts)
-		} else {
-			runCampaign(cfg, ft, *faultName, cf)
-		}
+	cf.WarnPartitionsIgnored()
+	if cf.Runs > 1 && cf.RunSeed < 0 {
+		runCampaign(cfg, ft, *faultName, cf)
 		return
 	}
-
-	// A single cold run is where -partitions is real.
-	cf.WarnOversubscribed()
-	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
-	r := flashfc.RunValidation(cfg, ft, cf.Seed)
-	if tracer != nil && cf.Trace {
-		fmt.Fprintln(hout, "timeline:")
-		tracer.Dump(hout)
-		fmt.Fprintln(hout)
-	}
-	fmt.Fprintf(hout, "fault:      %v\n", r.Fault)
-	fmt.Fprintf(hout, "recovered:  %v\n", r.Recovered)
-	if r.Recovered {
-		p := r.Phases
-		fmt.Fprintf(hout, "phases:     P1=%v  P1,2=%v  P1,2,3=%v  total=%v\n", p.P1, p.P12, p.P123, p.Total)
-		fmt.Fprintf(hout, "            flush=%v  directory sweep=%v  gossip rounds=%d\n", p.WB, p.Scan, p.MaxRounds)
-		fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
-	}
-	emitTrace(topts)
-	emitMetrics(r.Metrics, cf.Metrics, cf.MetricsJSON)
-	if r.OK() {
-		fmt.Fprintln(hout, "result:     PASS — fault contained, no data anomalies")
-		return
-	}
-	fmt.Fprintf(hout, "result:     FAIL — %s\n", r.Note)
-	exit(1)
+	runReplay(cfg, ft, *faultName, cf, topts)
 }
 
 // traceOpts bundles the trace output configuration for one run.
@@ -237,19 +201,20 @@ func emitMetrics(snap *flashfc.MetricsSnapshot, table, asJSON bool) {
 	}
 }
 
-// runReplay traces exactly one run of the -runs N campaign: the same
-// derived seed and the same warm fork the campaign executes for run i, so
-// the traced run IS campaign run i — containment time, verify outcome and
-// all — not a fresh lookalike.
+// runReplay executes one validation run: campaign run -run-seed of the -runs
+// N campaign, or run 0 without -run-seed. It is the same derived seed and
+// the same warm fork the campaign executes for that run, so a single run,
+// the traced replay and the campaign's run agree — containment time, verify
+// outcome and all.
 func runReplay(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string, cf *cliflags.Flags, topts traceOpts) {
-	e := flashfc.ReplayValidationRun(cfg, ft, cf.Seed, cf.RunSeed)
-	topts.tracer = e.Trace
+	i := max(cf.RunSeed, 0)
+	e := flashfc.ReplayValidationRun(cfg, ft, cf.Seed, i)
 	r := e.Result
-	fmt.Fprintf(hout, "replay:     %s campaign run %d (base seed %d, derived seed %d)\n",
-		name, e.Run, cf.Seed, e.Seed)
-	if cf.Trace {
+	fmt.Fprintf(hout, "run:        %s campaign run %d (base seed %d, derived seed %d)\n",
+		name, i, cf.Seed, e.Seed)
+	if topts.tracer != nil && topts.dump {
 		fmt.Fprintln(hout, "timeline:")
-		e.Trace.Dump(hout)
+		topts.tracer.Dump(hout)
 		fmt.Fprintln(hout)
 	}
 	fmt.Fprintf(hout, "fault:      %v\n", r.Fault)
@@ -257,6 +222,7 @@ func runReplay(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string, 
 	if r.Recovered {
 		p := r.Phases
 		fmt.Fprintf(hout, "phases:     P1=%v  P1,2=%v  P1,2,3=%v  total=%v\n", p.P1, p.P12, p.P123, p.Total)
+		fmt.Fprintf(hout, "            flush=%v  directory sweep=%v  gossip rounds=%d\n", p.WB, p.Scan, p.MaxRounds)
 		fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
 	}
 	emitTrace(topts)

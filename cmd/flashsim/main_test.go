@@ -195,13 +195,13 @@ func TestProgressOnStderrAndTraceWarning(t *testing.T) {
 	}
 }
 
-// -partitions is real only where a machine is built cold: a campaign forks
-// a sequential machine's warm snapshot, so it must say the flag has no
-// effect and produce exactly the output it produces without it; a single
-// cold run honors the flag and must not print that warning.
+// -partitions is real only on -fault none|boundary-link. Every validation
+// run — a campaign or a single run, which is campaign run 0 — forks a
+// sequential machine's warm snapshot, so it must say the flag has no effect
+// and produce exactly the output it produces without it.
 func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
 	dir := t.TempDir()
-	const noEffect = "no effect on warm-forked campaigns"
+	const noEffect = "no effect on validation runs"
 	campaign := append(fastArgs, "-runs", "4", "-metrics-json")
 	plainLog, partLog := filepath.Join(dir, "plain.jsonl"), filepath.Join(dir, "part.jsonl")
 	plain, stderr := runFlashsim(t, append(campaign, "-run-log", plainLog)...)
@@ -213,7 +213,7 @@ func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
 		t.Errorf("campaign with -partitions 4 does not warn:\n%s", stderr)
 	}
 	if plain != part {
-		t.Error("-partitions changed a warm-forked campaign's metrics JSON")
+		t.Error("-partitions changed a campaign's metrics JSON")
 	}
 	a, err := os.ReadFile(plainLog)
 	if err != nil {
@@ -224,10 +224,29 @@ func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Error("-partitions changed a warm-forked campaign's run log")
+		t.Error("-partitions changed a campaign's run log")
 	}
-	_, stderr = runFlashsim(t, "-nodes", "16", "-fault", "fail-slow", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "4")
+	single := append(fastArgs, "-fault", "fail-slow", "-metrics-json")
+	plain, _ = runFlashsim(t, single...)
+	part, stderr = runFlashsim(t, append(single, "-partitions", "4")...)
+	if !bytes.Contains([]byte(stderr), []byte(noEffect)) {
+		t.Errorf("single validation run with -partitions 4 does not warn:\n%s", stderr)
+	}
+	if plain != part {
+		t.Error("-partitions changed a single validation run's metrics JSON")
+	}
+	_, stderr = runFlashsim(t, "-nodes", "16", "-fault", "none", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2")
 	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
-		t.Errorf("single cold run warns that -partitions has no effect:\n%s", stderr)
+		t.Errorf("-fault none warns that -partitions has no effect:\n%s", stderr)
+	}
+}
+
+// A single run is run 0 of its campaign: flashsim -seed S and -runs N -seed
+// S -run-seed 0 print the same metrics JSON.
+func TestSingleRunIsRunSeedZero(t *testing.T) {
+	single, _ := runFlashsim(t, append(fastArgs, "-seed", "7", "-metrics-json")...)
+	replay, _ := runFlashsim(t, append(fastArgs, "-seed", "7", "-runs", "4", "-run-seed", "0", "-metrics-json")...)
+	if single != replay {
+		t.Error("single run and -run-seed 0 print different metrics JSON")
 	}
 }

@@ -381,7 +381,10 @@ func ValidationFromWarm(ws *WarmState, ft FaultType, runSeed int64, tr *Tracer) 
 // StreamWarmup is the seed stream of warm-start snapshot construction.
 const StreamWarmup = runner.StreamWarmup
 
-// RunValidation performs one §5.2 validation run.
+// RunValidation performs one §5.2 validation run: run 0 of the one-run
+// validation campaign at base seed seed (its warm-up, then a fork at the
+// run's derived seed, traced into cfg.Trace), so it equals RunCampaign's run
+// 0 and ReplayValidationRun(cfg, ft, seed, 0) exactly.
 func RunValidation(cfg ValidationConfig, ft FaultType, seed int64) *ValidationResult {
 	return experiments.Validation(cfg, ft, seed)
 }
@@ -395,8 +398,7 @@ func DefaultTailConfig() TailConfig { return experiments.DefaultTailConfig() }
 // cfg.Runs warm-forked validation runs per class reduced to p50/p99/p999
 // containment time plus the affected fraction of the machine. Results are
 // bit-identical for any worker count (cfg.Workers) and warm-start on or off;
-// cfg.Observe receives one batch of run records per class. cfg.Partitions
-// has no effect: warm-forked machines are sequential.
+// cfg.Observe receives one batch of run records per class.
 func RunTailCampaign(cfg TailConfig, seed int64) *TailResult {
 	return experiments.TailCampaign(cfg, seed)
 }

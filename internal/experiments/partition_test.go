@@ -144,22 +144,6 @@ func TestPartitionNodeFaultOnBoundaryRow(t *testing.T) {
 	}
 }
 
-// TestPartitionedValidationAllFaults runs the standard validation scenario
-// on a partitioned machine for every fault type: fault injection forces the
-// global interleave, so the full recovery algorithm must work unchanged.
-func TestPartitionedValidationAllFaults(t *testing.T) {
-	cfg := DefaultValidationConfig()
-	cfg.Nodes = 16
-	cfg.FillLines = 64
-	cfg.Partitions = 2
-	for _, ft := range fault.AllTypes() {
-		r := Validation(cfg, ft, 5)
-		if !r.OK() {
-			t.Errorf("%v: %s (recovered=%v verify=%v)", ft, r.Note, r.Recovered, r.Verify)
-		}
-	}
-}
-
 // TestPartitionSequentialBaseline pins the relationship between the
 // sequential engine and the partitioned engine at partitions=1: same
 // workload completes on both, and the partitioned run reports its region

@@ -48,10 +48,10 @@ func campaignWarmState(cfg ValidationConfig, seed int64) *WarmState {
 }
 
 // replay re-executes campaign run i — fork ws, run the fault script at the
-// run's derived seed — with a tracer attached. CampaignTime starts out as
-// the traced time; ReplayTailExemplars overwrites it with the recorded one.
-func replay(ws *WarmState, ft fault.Type, i int, runSeed int64) ExemplarReplay {
-	tr := trace.New(0)
+// run's derived seed — traced into tr (nil: untraced). CampaignTime starts
+// out as the traced time; ReplayTailExemplars overwrites it with the
+// recorded one.
+func replay(ws *WarmState, ft fault.Type, i int, runSeed int64, tr *trace.Tracer) ExemplarReplay {
 	r := ValidationFromWarm(ws, ft, runSeed, tr)
 	return ExemplarReplay{
 		Fault: ft, Run: i, Seed: runSeed,
@@ -73,7 +73,7 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 			if ws == nil {
 				ws = campaignWarmState(cfg.ValidationConfig, seed)
 			}
-			e := replay(ws, sc.Fault, ex.Run, ex.Seed)
+			e := replay(ws, sc.Fault, ex.Run, ex.Seed, trace.New(0))
 			e.Pct = ex.Pct
 			e.CampaignTime = ex.Time
 			out = append(out, e)
@@ -86,16 +86,17 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 // necessarily an exemplar) with tracing.
 func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
 	return replay(campaignWarmState(cfg.ValidationConfig, seed), ft, i,
-		runner.DeriveSeed(seed, cfg.experiment(ft).Stream(), i))
+		runner.DeriveSeed(seed, cfg.experiment(ft).Stream(), i), trace.New(0))
 }
 
 // ReplayValidationRun replays run i of a validation campaign (Table 5.3 /
-// flashsim -runs N batches, StreamValidation seeds) with tracing — the
-// flashsim -run-seed path: the same warm fork the campaign executed, so
-// the traced run is campaign run i, not a lookalike.
+// flashsim -runs N batches, StreamValidation seeds) traced into cfg.Trace
+// (nil: untraced) — the path of every flashsim validation run: the same
+// warm fork the campaign executed, so the replay is campaign run i, not a
+// lookalike. Validation is its run 0.
 func ReplayValidationRun(cfg ValidationConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
 	exp := ValidationCampaign{Config: cfg, Fault: ft}
-	return replay(campaignWarmState(cfg, seed), ft, i, runner.DeriveSeed(seed, exp.Stream(), i))
+	return replay(campaignWarmState(cfg, seed), ft, i, runner.DeriveSeed(seed, exp.Stream(), i), cfg.Trace)
 }
 
 // String renders the one-line replay summary the drivers print.

@@ -91,8 +91,7 @@ func (cfg TailConfig) experiment(ft fault.Type) ValidationCampaign {
 // seed) are reduced to containment-time percentiles and the affected
 // fraction. Results are bit-identical for any worker count and warm-start
 // on or off, because every run is the shared ValidationFromWarm
-// computation. (Partitions has no effect: warm-forked machines are
-// sequential.)
+// computation.
 func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 	runs := cfg.Runs
 	if runs <= 0 {

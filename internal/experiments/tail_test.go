@@ -11,23 +11,6 @@ import (
 	"flashfc/internal/workload"
 )
 
-// TestPartitionedValidationExtendedFaults runs the validation scenario on a
-// partitioned machine for every degradation fault class: transient link,
-// fail-slow, and CPU-fail/memory-survives all force the global interleave
-// at injection and must recover and verify like the fail-stop classes.
-func TestPartitionedValidationExtendedFaults(t *testing.T) {
-	cfg := DefaultValidationConfig()
-	cfg.Nodes = 16
-	cfg.FillLines = 64
-	cfg.Partitions = 2
-	for _, ft := range fault.ExtendedTypes() {
-		r := Validation(cfg, ft, 5)
-		if !r.OK() {
-			t.Errorf("%v: %s (recovered=%v verify=%v)", ft, r.Note, r.Recovered, r.Verify)
-		}
-	}
-}
-
 // TestTransientLinkHealOnLookaheadBarrier pins the nastiest transient-link
 // timing: the heal window ends exactly on a conservative-lookahead window
 // boundary of the partitioned engine. The heal event must fire at the right

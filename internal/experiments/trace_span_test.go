@@ -43,10 +43,16 @@ func spanJSONFor(t *testing.T, seed int64) []byte {
 
 // The span export of a fixed small run is pinned as a golden file, just
 // like the metrics snapshot: any drift in span placement, packet flow ids,
-// or export encoding shows as a diff. Regenerate intentional changes with
+// the warm-up, the snapshot/fork cycle or export encoding shows as a diff.
+// The run is a fork, so the trace covers the forked portion only (the
+// warm-up is untraced) and timestamps start at the warm-up's end clock.
+// Regenerate intentional changes with
 // `go test ./internal/experiments -run TraceGolden -update`.
 func TestTraceGoldenSpanExport(t *testing.T) {
 	got := spanJSONFor(t, 7)
+	if again := spanJSONFor(t, 7); !bytes.Equal(got, again) {
+		t.Fatal("traced run is not reproducible")
+	}
 	golden := filepath.Join("testdata", "trace_node_failure_seed7.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -85,15 +85,6 @@ type ValidationConfig struct {
 	// Workers bounds the campaign's goroutines; 0 means one per CPU. Any
 	// worker count yields bit-identical results.
 	Workers int
-	// Partitions, when > 0, runs a single cold Validation's machine on the
-	// partitioned engine with that many intra-machine workers. Fault
-	// injection forces the deterministic global interleave, so the result
-	// is bit-identical at any Partitions > 0. Warm-forked runs (every
-	// campaign: WarmupValidation builds a sequential machine) ignore it.
-	Partitions int
-	// RegionLinkExtra overrides the extra inter-region wire latency of a
-	// partitioned machine; 0 uses machine.DefaultRegionLinkExtra.
-	RegionLinkExtra sim.Time
 	// Routing names the interconnect-recovery routing strategy the runs
 	// use ("" or "paper" is the paper's policy on the byte-identical
 	// pre-strategy path; see internal/routing).
@@ -107,9 +98,9 @@ type ValidationConfig struct {
 	// defaults to a quarter of the warm fill (minimum 8).
 	BurstLines int
 	// Trace, when non-nil, collects the run's event timeline. It applies
-	// to single Validation runs only: the tracer itself is safe to share
-	// across goroutines, but interleaving many runs' simulated timelines
-	// into one trace produces nonsense.
+	// to single runs only (Validation, ReplayValidationRun): the tracer
+	// itself is safe to share across goroutines, but interleaving many
+	// runs' simulated timelines into one trace produces nonsense.
 	Trace *trace.Tracer
 	// Observe, when non-nil, receives one obs.Batch announcement plus a
 	// per-run obs.RunRecord from every batch of the campaign. Records
@@ -140,42 +131,13 @@ func DefaultValidationConfig() ValidationConfig {
 // Validation performs one §5.2 validation run: fill the caches with random
 // lines (shared/exclusive at random), inject the fault once half the fill
 // has committed (so transactions are in flight), run recovery, then read
-// back the entire memory and compare against the oracle. The machine is
-// built cold and the fault is drawn from the engine's own random stream;
-// ValidationFromWarm runs the same script on a forked warm machine.
+// back the entire memory and compare against the oracle. It is run 0 of the
+// one-run validation campaign at base seed seed — the campaign's warm-up,
+// then ValidationFromWarm at the run's derived seed, traced into cfg.Trace
+// — so a single run, RunCampaign's run 0 and ReplayValidationRun(…, 0) are
+// one computation.
 func Validation(cfg ValidationConfig, ft fault.Type, seed int64) *ValidationResult {
-	mc := machine.DefaultConfig(cfg.Nodes)
-	mc.Seed = seed
-	mc.MemBytes = cfg.MemBytes
-	mc.L2Bytes = cfg.L2Bytes
-	mc.Trace = cfg.Trace
-	mc.Partitions = cfg.Partitions
-	mc.RegionLinkExtra = cfg.RegionLinkExtra
-	mc.Routing = cfg.Routing
-	m := machine.New(mc)
-	f := fault.Random(m.E.Rand(), ft, m.Topo, 1)
-	filler := workload.NewFiller(m)
-	if cfg.FillLines > 0 && cfg.FillLines < filler.FillLines {
-		filler.FillLines = cfg.FillLines
-	}
-	return validate(m, cfg, f, filler)
-}
-
-// validate is the script every validation run executes, cold or forked: f
-// lands mid-fill (the fill doubles as detection traffic for quiet faults),
-// recovery runs, and the whole-memory sweep judges the outcome. cfg.Deadline
-// is relative to the machine's clock at entry: 0 cold, the warm-up's end on
-// a fork.
-func validate(m *machine.Machine, cfg ValidationConfig, f fault.Fault, filler *workload.Filler) *ValidationResult {
-	res := &ValidationResult{Fault: f}
-	defer func() {
-		res.Events = eventsFired(m)
-		res.Metrics = m.MetricsSnapshot()
-	}()
-	start := m.Now()
-	fillAndInject(m, filler, start+cfg.Deadline, func() { m.Inject(f) })
-	recoverAndVerify(m, res, driveDetection(m, f), start, cfg.Deadline, cfg.Stride)
-	return res
+	return ReplayValidationRun(cfg, ft, seed, 0).Result
 }
 
 // fillAndInject is the first half of a faulted run: start the fill, call
@@ -297,11 +259,10 @@ func (c ValidationCampaign) Stream() int {
 }
 func (c ValidationCampaign) Points() int { return 0 }
 
-// Run is the cold form of a run; campaigns take Warmup/RunWarm instead.
+// Run is the self-contained form of a run, warmed up and forked at the one
+// seed it is given; RunCampaign takes Warmup/RunWarm instead.
 func (c ValidationCampaign) Run(env RunEnv, _ int, seed int64) *ValidationResult {
-	cfg := c.Config
-	cfg.Trace = env.Trace
-	return Validation(cfg, c.Fault, seed)
+	return ValidationFromWarm(WarmupValidation(c.Config, seed), c.Fault, seed, env.Trace)
 }
 
 // Warmup implements WarmExperiment: one cache-fill warm-up, keyed on the

@@ -98,15 +98,24 @@ func (ws *WarmState) burstLines() int {
 // machine rehydrated from the snapshot runs a runSeed-private fill burst,
 // the fault (also drawn from a runSeed-private stream, so sibling forks
 // place different faults) lands once half the burst has committed, and
-// recovery plus the whole-memory sweep proceed as in Validation — the two
-// differ only in where the machine and the random streams come from. The
-// engine's own random stream is untouched by runSeed — it resumes exactly
-// where the warm-up paused it, which is what makes a fork bit-identical to
-// a fresh warm-up continued by the same script.
+// recovery plus the whole-memory sweep judge the outcome. The burst doubles
+// as detection traffic for quiet faults, and ws.Cfg.Deadline is relative to
+// the warm-up's end clock. The engine's own random stream is untouched by
+// runSeed — it resumes exactly where the warm-up paused it, which is what
+// makes a fork bit-identical to a fresh warm-up continued by the same
+// script.
 func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.Tracer) *ValidationResult {
 	m := machine.FromSnapshot(ws.Snap, tr)
 	f := fault.Random(rand.New(rand.NewSource(runSeed)), ft, m.Topo, 1)
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
-	return validate(m, ws.Cfg, f, burst)
+	res := &ValidationResult{Fault: f}
+	defer func() {
+		res.Events = eventsFired(m)
+		res.Metrics = m.MetricsSnapshot()
+	}()
+	start := m.Now()
+	fillAndInject(m, burst, start+ws.Cfg.Deadline, func() { m.Inject(f) })
+	recoverAndVerify(m, res, driveDetection(m, f), start, ws.Cfg.Deadline, ws.Cfg.Stride)
+	return res
 }

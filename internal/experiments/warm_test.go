@@ -116,11 +116,11 @@ func TestWarmMetricsGoldenSnapshot(t *testing.T) {
 	}
 }
 
-// The span export of a fixed traced warm run is pinned as a golden file.
-// With warm-start the trace covers the forked portion only (the warm-up is
-// untraced), so timestamps start at the warm-up's end clock. Regenerate
-// intentional changes with
-// `go test ./internal/experiments -run WarmTraceGolden -update`.
+// A traced run built by hand from the warm-start pieces — WarmupValidation
+// at the warm-up stream's seed, then ValidationFromWarm at run 0's seed —
+// must export the same spans as Validation, which is run 0 of the one-run
+// campaign: both are checked against the one pinned golden file of
+// TestTraceGoldenSpanExport (regenerate intentional changes there).
 func TestWarmTraceGoldenSpanExport(t *testing.T) {
 	jsonFor := func() []byte {
 		tr := trace.New(0)
@@ -140,17 +140,12 @@ func TestWarmTraceGoldenSpanExport(t *testing.T) {
 	if again := jsonFor(); !bytes.Equal(got, again) {
 		t.Fatal("traced warm run is not reproducible")
 	}
-	golden := filepath.Join("testdata", "trace_warm_node_failure_seed7.golden.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	golden := filepath.Join("testdata", "trace_node_failure_seed7.golden.json")
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+		t.Fatalf("reading golden file (regenerate with -run TraceGolden -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("warm trace differs from golden file %s (regenerate intentional changes with -update)", golden)
+		t.Errorf("warm trace differs from golden file %s", golden)
 	}
 }

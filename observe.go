@@ -66,9 +66,9 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 }
 
 // ReplayValidationRun replays run i of a validation campaign (the batches
-// behind flashsim -runs N and Table 5.3) with tracing — the flashsim
-// -run-seed path: same warm fork, same derived seed, so the traced run is
-// campaign run i.
+// behind flashsim -runs N and Table 5.3) traced into cfg.Trace (nil:
+// untraced) — the path of every flashsim validation run: same warm fork,
+// same derived seed, so the replay is campaign run i.
 func ReplayValidationRun(cfg ValidationConfig, ft FaultType, seed int64, i int) ExemplarReplay {
 	return experiments.ReplayValidationRun(cfg, ft, seed, i)
 }
