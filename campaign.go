@@ -17,14 +17,18 @@ import "flashfc/internal/experiments"
 //
 // A custom experiment is any type with Stream/Points/Run. Its results take
 // part in throughput accounting, merged metrics and the -run-log stream by
-// implementing RunReport; its batches get a name by implementing Batcher.
-// Both are optional: a bare int result is a passing run with zero events.
+// implementing RunReport; its batches get a name by implementing Batcher;
+// its runs share a per-worker warm state by implementing
+// Warmup(CampaignConfig) any, whose result each run receives as
+// RunEnv.Warm. All three are optional: a bare int result is a passing run
+// with zero events.
 
 type (
 	// CampaignConfig is the execution envelope of one campaign: seed, run
-	// count, workers, metrics, tracer, warm-start mode, observability sink.
+	// count, workers, metrics, observability sink.
 	CampaignConfig = experiments.CampaignConfig
-	// RunEnv is the per-run environment RunCampaign hands an Experiment.
+	// RunEnv is the per-run environment RunCampaign hands an Experiment:
+	// the worker's warm state, when the experiment has a Warmup.
 	RunEnv = experiments.RunEnv
 	// RunReport is the optional interface of run results: event count,
 	// metric snapshot, outcome fields of the run's record.
@@ -41,13 +45,6 @@ type (
 // (ValidationCampaign, Fig55Campaign, …); custom experiments only need
 // these three methods.
 type Experiment[T any] interface{ experiments.Experiment[T] }
-
-// WarmExperiment is an Experiment whose runs can fork a shared, immutable
-// warm state (a machine snapshot) instead of warming up from scratch: with
-// warm-start on (the default) Warmup runs once per worker and RunWarm
-// replaces Run; with warm-start off every run builds a private warm state
-// and forks it — the identical computation, so both modes are bit-identical.
-type WarmExperiment[T any] interface{ experiments.WarmExperiment[T] }
 
 // CampaignResult is everything one campaign produced: Runs (per-run value,
 // captured panic, wall time and event count, in run order), Stats (host-side

@@ -30,6 +30,10 @@
 //	flashsim -fault fail-slow -runs 1000 -run-log runs.jsonl -progress
 //	flashsim -fault fail-slow -runs 1000 -run-seed 837 -trace-critical
 //
+// The single-scenario faults (powerloss, cablecut, none, boundary-link) run
+// once at -seed; given campaign flags, they print one warning naming the
+// flags they ignore.
+//
 // -metrics prints the machine-wide metric registry after the run (merged
 // across runs in campaign mode, plus per-run distributions). -metrics-json
 // emits the same snapshot as stable-key JSON alone on stdout — the human
@@ -51,6 +55,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"flashfc"
 	"flashfc/internal/cliflags"
@@ -94,8 +99,14 @@ func main() {
 	cfg.L2Bytes = *l2
 	cfg.FillLines = *fill
 	cfg.Stride = *stride
+	campaign := cf.Runs > 1 && cf.RunSeed < 0
+	switch *faultName {
+	case "powerloss", "cablecut", "none", "boundary-link":
+		campaign = false
+		warnSingleScenario(*faultName, cf)
+	}
 	if cf.WantTrace() {
-		if cf.Runs > 1 && cf.RunSeed < 0 {
+		if campaign {
 			// Multi-run campaigns interleave timelines into nonsense:
 			// point at the campaign-scale alternatives (-run-log,
 			// -exemplars, -run-seed) instead of silently dropping the
@@ -140,11 +151,38 @@ func main() {
 	}
 
 	cf.WarnPartitionsIgnored()
-	if cf.Runs > 1 && cf.RunSeed < 0 {
+	if campaign {
 		runCampaign(cfg, ft, *faultName, cf)
 		return
 	}
 	runReplay(cfg, ft, *faultName, cf, topts)
+}
+
+// warnSingleScenario prints one warning naming the flags a single-scenario
+// fault was given but does not honour. Each of them runs one scenario at
+// -seed and writes no run records, so the campaign flags (-runs N,
+// -run-seed, -run-log, -progress) have nothing to act on; the compound
+// faults also build a sequential machine, so -partitions has no effect.
+func warnSingleScenario(name string, cf *cliflags.Flags) {
+	var ignored []string
+	if cf.Runs > 1 {
+		ignored = append(ignored, "-runs")
+	}
+	if cf.RunSeed >= 0 {
+		ignored = append(ignored, "-run-seed")
+	}
+	if cf.RunLog != "" {
+		ignored = append(ignored, "-run-log")
+	}
+	if cf.Progress {
+		ignored = append(ignored, "-progress")
+	}
+	if cf.Partitions > 0 && (name == "powerloss" || name == "cablecut") {
+		ignored = append(ignored, "-partitions")
+	}
+	if len(ignored) > 0 {
+		fmt.Fprintf(os.Stderr, "warning: -fault %s runs a single scenario; ignoring %s\n", name, strings.Join(ignored, " "))
+	}
 }
 
 // traceOpts bundles the trace output configuration for one run.
@@ -289,9 +327,6 @@ func runCampaign(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string
 // across the cut. Both honor -partitions (0 = sequential engine) and are
 // bit-identical at any partition count.
 func runPartition(vcfg flashfc.ValidationConfig, kind string, fill int, cf *cliflags.Flags, topts traceOpts) {
-	if cf.Runs > 1 {
-		fmt.Fprintln(os.Stderr, "warning: -fault none/boundary-link run single scenarios; -runs ignored")
-	}
 	cfg := flashfc.DefaultPartitionConfig()
 	cfg.Nodes = vcfg.Nodes
 	cfg.MemBytes = vcfg.MemBytes

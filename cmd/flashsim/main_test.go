@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -238,6 +239,44 @@ func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
 	_, stderr = runFlashsim(t, "-nodes", "16", "-fault", "none", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2")
 	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
 		t.Errorf("-fault none warns that -partitions has no effect:\n%s", stderr)
+	}
+}
+
+// The single-scenario faults run once at -seed and write no run records.
+// One warning must name every campaign flag they were given and ignore (and
+// -partitions on the sequential compound faults), no run log may appear,
+// and a validation campaign given the same flags must not print it.
+func TestSingleScenarioWarnsIgnoredFlags(t *testing.T) {
+	dir := t.TempDir()
+	log := filepath.Join(dir, "runs.jsonl")
+	machine := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-fill", "32"}
+	campaign := []string{"-runs", "3", "-run-seed", "1", "-run-log", log, "-progress", "-partitions", "2"}
+	for _, tc := range []struct {
+		fault, ignored string
+		honoured       []string // flags the scenario uses, for the quiet leg
+	}{
+		{"powerloss", "-runs -run-seed -run-log -progress -partitions", nil},
+		{"cablecut", "-runs -run-seed -run-log -progress -partitions", nil},
+		{"none", "-runs -run-seed -run-log -progress", []string{"-partitions", "2"}},
+		{"boundary-link", "-runs -run-seed -run-log -progress", []string{"-partitions", "2"}},
+	} {
+		args := append([]string{"-fault", tc.fault}, machine...)
+		_, stderr := runFlashsim(t, append(args, campaign...)...)
+		want := "warning: -fault " + tc.fault + " runs a single scenario; ignoring " + tc.ignored + "\n"
+		if strings.Count(stderr, "runs a single scenario") != 1 || !strings.Contains(stderr, want) {
+			t.Errorf("-fault %s: want the one warning %q, stderr:\n%s", tc.fault, want, stderr)
+		}
+		if _, err := os.Stat(log); err == nil {
+			t.Fatalf("-fault %s wrote a run log it says it ignores", tc.fault)
+		}
+		_, stderr = runFlashsim(t, append(args, tc.honoured...)...)
+		if strings.Contains(stderr, "runs a single scenario") {
+			t.Errorf("-fault %s warns without campaign flags:\n%s", tc.fault, stderr)
+		}
+	}
+	_, stderr := runFlashsim(t, append(fastArgs, "-runs", "3", "-run-log", log, "-progress")...)
+	if strings.Contains(stderr, "runs a single scenario") {
+		t.Errorf("a validation campaign warns that it ignores campaign flags:\n%s", stderr)
 	}
 }
 

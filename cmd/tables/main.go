@@ -36,7 +36,7 @@
 // strategy everywhere.
 //
 // -run-log streams one JSONL record per run (ordered by run index,
-// byte-identical at any -workers and -warmstart setting; the routing table
+// byte-identical at any -workers setting; the routing table
 // emits one batch per scenario and strategy, run i of every strategy
 // carrying the same seed), -progress reports live campaign progress on
 // stderr, and -exemplars DIR replays the exact runs
@@ -159,9 +159,6 @@ func tableTail(cf *cliflags.Flags) {
 	cfg.Routing = cf.Routing
 	cfg.Runs = cf.Runs
 	cfg.Workers = cf.Workers
-	if !cf.WarmStart {
-		cfg.WarmStart = flashfc.WarmStartOff
-	}
 	sink, finish := cf.Sinks()
 	cfg.Observe = sink
 	res := flashfc.RunTailCampaign(cfg, cf.Seed)
@@ -237,9 +234,6 @@ func tableRouting(cf *cliflags.Flags) {
 	cfg.Routing = "" // strategies come from the campaign's own sweep
 	cfg.Runs = cf.Runs
 	cfg.Workers = cf.Workers
-	if !cf.WarmStart {
-		cfg.WarmStart = flashfc.WarmStartOff
-	}
 	sink, finish := cf.Sinks()
 	cfg.Observe = sink
 	res := flashfc.RunRoutingCampaign(cfg, cf.Seed)

@@ -290,11 +290,6 @@ type (
 	// CampaignStats aggregates a campaign's host-side accounting: wall
 	// and CPU time, simulated-event totals and events/sec throughput.
 	CampaignStats = runner.Stats
-	// ValidationRun is one run of a validation batch: the result plus
-	// per-run wall time, event count, and any captured panic.
-	ValidationRun = runner.Result[*experiments.ValidationResult]
-	// EndToEndRun is one run of an end-to-end batch.
-	EndToEndRun = runner.Result[*experiments.EndToEndResult]
 )
 
 // DeriveSeed is the campaign seed-derivation mixer: a SplitMix64-style
@@ -315,8 +310,6 @@ type (
 	ValidationConfig = experiments.ValidationConfig
 	// ValidationResult is one Table 5.3 run.
 	ValidationResult = experiments.ValidationResult
-	// Table53Row aggregates validation runs per fault type.
-	Table53Row = experiments.Table53Row
 	// ScalingConfig shapes a recovery-time measurement.
 	ScalingConfig = experiments.ScalingConfig
 	// ScalingPoint is one measured configuration.
@@ -325,13 +318,8 @@ type (
 	EndToEndConfig = experiments.EndToEndConfig
 	// EndToEndResult is one Table 5.4 run.
 	EndToEndResult = experiments.EndToEndResult
-	// Table54Row aggregates end-to-end runs per fault type.
-	Table54Row = experiments.Table54Row
 	// Fig57Point is one suspension-time measurement.
 	Fig57Point = experiments.Fig57Point
-	// WarmStartMode selects how batch drivers amortize warm-up (shared
-	// snapshot per worker vs per-run rebuild; bit-identical either way).
-	WarmStartMode = experiments.WarmStartMode
 	// WarmState is a warmed-up validation machine frozen into a forkable
 	// snapshot (see WarmupValidation / ValidationFromWarm in
 	// internal/experiments).
@@ -355,13 +343,6 @@ type (
 // enough observations that the p999 rests on a real one.
 const DefaultTailRuns = experiments.DefaultTailRuns
 
-// Warm-start modes (see WarmStartMode).
-const (
-	WarmStartAuto = experiments.WarmStartAuto
-	WarmStartOff  = experiments.WarmStartOff
-	WarmStartOn   = experiments.WarmStartOn
-)
-
 // DefaultValidationConfig returns the standard §5.2 validation setup.
 func DefaultValidationConfig() ValidationConfig { return experiments.DefaultValidationConfig() }
 
@@ -378,7 +359,8 @@ func ValidationFromWarm(ws *WarmState, ft FaultType, runSeed int64, tr *Tracer) 
 	return experiments.ValidationFromWarm(ws, ft, runSeed, tr)
 }
 
-// StreamWarmup is the seed stream of warm-start snapshot construction.
+// StreamWarmup is the seed stream of a campaign's warm-snapshot
+// construction.
 const StreamWarmup = runner.StreamWarmup
 
 // RunValidation performs one §5.2 validation run: run 0 of the one-run
@@ -397,7 +379,7 @@ func DefaultTailConfig() TailConfig { return experiments.DefaultTailConfig() }
 // fault classes (transient-link, fail-slow, CPU-fail/memory-survives):
 // cfg.Runs warm-forked validation runs per class reduced to p50/p99/p999
 // containment time plus the affected fraction of the machine. Results are
-// bit-identical for any worker count (cfg.Workers) and warm-start on or off;
+// bit-identical for any worker count (cfg.Workers);
 // cfg.Observe receives one batch of run records per class.
 func RunTailCampaign(cfg TailConfig, seed int64) *TailResult {
 	return experiments.TailCampaign(cfg, seed)
@@ -481,9 +463,9 @@ func DefaultRoutingConfig() RoutingConfig { return experiments.DefaultRoutingCon
 // RunRoutingCampaign runs the head-to-head routing comparison: for each
 // scenario, every strategy replays the identical warm-forked faulted runs
 // (the seed stream never involves the strategy), so per-cell differences
-// are pure strategy effects. Bit-identical for any worker count and
-// warm-start mode; cfg.Observe receives one batch of run records per
-// (scenario, strategy), run i of every strategy carrying the same seed.
+// are pure strategy effects. Bit-identical for any worker count;
+// cfg.Observe receives one batch of run records per (scenario, strategy),
+// run i of every strategy carrying the same seed.
 func RunRoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
 	return experiments.RoutingCampaign(cfg, seed)
 }

@@ -21,16 +21,12 @@
 //	-trace             print the recovery event timeline (single runs)
 //	-trace-json FILE   write Chrome trace-event JSON (single runs)
 //	-trace-critical    print the recovery critical path (single runs)
-//	-warmstart         share warmed machine snapshots across a batch's runs
-//	                   (default true; false rebuilds warm state per run —
-//	                   bit-identical, just slower)
 //	-routing NAME      interconnect-recovery routing strategy: paper
 //	                   (dim-order + full drain + up*/down*, the default),
 //	                   adaptive (fault-region-aware, no drain), or
 //	                   incremental (patch broken routes, partial drain)
 //	-run-log FILE      stream one JSONL record per campaign run, ordered by
-//	                   run index; byte-identical at any -parallel and with
-//	                   -warmstart on or off
+//	                   run index; byte-identical at any -parallel
 //	-run-log-host      keep the host-side record fields (wall_ns, worker)
 //	                   instead of zeroing them — real accounting at the
 //	                   price of byte-identity
@@ -86,8 +82,6 @@ type Flags struct {
 	TraceJSON     string
 	TraceCritical bool
 
-	WarmStart bool
-
 	// Routing is the interconnect-recovery routing strategy name ("" and
 	// "paper" run the paper's byte-identical dim-order + full-drain +
 	// up*/down* pipeline). CheckRouting validates it after parse.
@@ -127,9 +121,8 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 	fs.BoolVar(&f.Trace, "trace", false, "print the recovery event timeline (single runs)")
 	fs.StringVar(&f.TraceJSON, "trace-json", "", "write the recovery span tree as Chrome trace-event JSON to `file` (single runs)")
 	fs.BoolVar(&f.TraceCritical, "trace-critical", false, "print the recovery critical-path report (single runs)")
-	fs.BoolVar(&f.WarmStart, "warmstart", true, "share warmed machine snapshots across a batch's runs (false: rebuild per run; bit-identical)")
 	fs.StringVar(&f.Routing, "routing", "", "recovery routing `strategy`: "+strategyList()+" (default paper)")
-	fs.StringVar(&f.RunLog, "run-log", "", "stream one JSONL record per campaign run to `file`, ordered by run index (byte-identical at any -parallel, -warmstart on or off)")
+	fs.StringVar(&f.RunLog, "run-log", "", "stream one JSONL record per campaign run to `file`, ordered by run index (byte-identical at any -parallel)")
 	fs.BoolVar(&f.RunLogHost, "run-log-host", false, "keep host-side run-log fields (wall_ns, worker) instead of zeroing them; breaks byte-identity across worker counts")
 	fs.BoolVar(&f.Progress, "progress", false, "live campaign progress on stderr (runs done/total, events/sec, failures, ETA)")
 	fs.StringVar(&f.Exemplars, "exemplars", "", "replay the runs behind a tail campaign's percentiles with tracing and write Perfetto traces + summaries into `dir`")
@@ -143,16 +136,11 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 // Metrics is set whenever either metric output was requested, so campaigns
 // aggregate snapshots exactly when something will consume them.
 func (f *Flags) Config() flashfc.CampaignConfig {
-	warm := flashfc.WarmStartAuto
-	if !f.WarmStart {
-		warm = flashfc.WarmStartOff
-	}
 	return flashfc.CampaignConfig{
-		Seed:      f.Seed,
-		Runs:      f.Runs,
-		Workers:   f.Workers,
-		Metrics:   f.Metrics || f.MetricsJSON,
-		WarmStart: warm,
+		Seed:    f.Seed,
+		Runs:    f.Runs,
+		Workers: f.Workers,
+		Metrics: f.Metrics || f.MetricsJSON,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flashfc/internal/metrics"
 	"flashfc/internal/obs"
 	"flashfc/internal/runner"
-	"flashfc/internal/trace"
 )
 
 // The one campaign path. Every experiment family — Table 5.3 and 5.4
@@ -12,10 +11,10 @@ import (
 // head-to-head campaigns, and custom experiments written against the
 // façade — is an Experiment[T] executed by RunCampaign, the only caller of
 // runner.CampaignWithSetup outside internal/runner. CampaignConfig carries
-// the execution envelope (seed, run count, parallelism, metrics, tracing,
-// warm-start mode, observability sink) shared by every campaign; a
-// per-family struct carries only what that family varies; results describe
-// themselves through the optional RunReport interface.
+// the execution envelope (seed, run count, parallelism, metrics,
+// observability sink) shared by every campaign; a per-family struct carries
+// only what that family varies; results describe themselves through the
+// optional RunReport interface.
 
 // CampaignConfig is the execution envelope of one campaign: everything
 // about how runs execute, nothing about what they simulate.
@@ -35,19 +34,6 @@ type CampaignConfig struct {
 	// Metrics, when set, merges every non-crashed run's machine-wide
 	// metric snapshot (in run order) into CampaignResult.Metrics.
 	Metrics bool
-	// Trace, when non-nil, collects the run's event timeline. It applies
-	// only to single-run campaigns: interleaving many runs' simulated
-	// timelines into one trace produces nonsense, so multi-run campaigns
-	// ignore it.
-	Trace *trace.Tracer
-	// WarmStart controls warm-up amortization for experiments that support
-	// it (those implementing WarmExperiment, e.g. ValidationCampaign). The
-	// default (Auto) shares one warmed machine snapshot per worker and
-	// forks every run from it; Off rebuilds the warm state privately for
-	// every run. Both modes execute the identical per-run computation, so
-	// results are bit-identical — Off is the cross-check and the cost
-	// baseline. Experiments without warm support ignore it.
-	WarmStart WarmStartMode
 	// Observe, when non-nil, receives the campaign's observability stream:
 	// one Batch announcement, then one RunRecord per run in completion
 	// order (sinks needing index order reorder internally — RunLog does).
@@ -58,14 +44,23 @@ type CampaignConfig struct {
 
 // RunEnv is the per-run environment RunCampaign hands an Experiment.
 type RunEnv struct {
-	// Trace is the campaign tracer; non-nil only for single-run campaigns
-	// whose CampaignConfig carried one.
-	Trace *trace.Tracer
+	// Warm is the running worker's warm state: what the experiment's
+	// Warmup returned, or nil for an experiment without one. It is shared
+	// by every run the worker executes, so a run must treat it as
+	// read-only (fork, never mutate).
+	Warm any
 }
 
 // Experiment is one experiment family producing a T per run. Implementations
 // are small config structs (ValidationCampaign, Fig55Campaign, …); custom
 // experiments only need these three methods.
+//
+// An experiment whose runs fork a shared, immutable warm state (a machine
+// snapshot) also implements Warmup(cfg CampaignConfig) any. RunCampaign
+// calls it once per worker, before that worker's first run, and hands the
+// result to every run the worker executes as RunEnv.Warm. Warmup must be
+// deterministic in cfg alone — that is what keeps any worker count
+// bit-identical.
 type Experiment[T any] interface {
 	// Stream is the campaign's seed-derivation stream. Non-negative
 	// streams give run i the engine seed DeriveSeed(base, Stream(), i);
@@ -77,24 +72,6 @@ type Experiment[T any] interface {
 	Points() int
 	// Run performs run i with the derived seed.
 	Run(env RunEnv, i int, seed int64) T
-}
-
-// WarmExperiment is an Experiment whose runs can fork a shared, immutable
-// warm state (a machine snapshot) instead of warming up from scratch.
-// RunCampaign uses it automatically: with warm-start on (the default),
-// Warmup runs once per worker and RunWarm replaces Run; with warm-start
-// off, every run builds a private warm state and forks it — the identical
-// computation, so both modes stay deterministic per (seed, i).
-//
-// Warmup must be deterministic in cfg alone, and RunWarm must treat ws as
-// read-only (fork, never mutate) — that is what keeps any worker count and
-// both modes bit-identical.
-type WarmExperiment[T any] interface {
-	Experiment[T]
-	// Warmup builds the shared warm state for one worker.
-	Warmup(cfg CampaignConfig) any
-	// RunWarm performs run i from the warm state ws.
-	RunWarm(env RunEnv, ws any, i int, seed int64) T
 }
 
 // RunReport is the optional interface a run result implements to take part
@@ -149,17 +126,15 @@ func (r CampaignResult[T]) Values() []T {
 
 // RunCampaign executes exp under cfg: Points() (or cfg.Runs) independent
 // runs on up to cfg.Workers goroutines, with per-run seeds derived from
-// (cfg.Seed, exp.Stream(), i). Results are bit-identical for any worker
-// count; a run that panics becomes a failed run (and an outcome=panic
-// record) instead of aborting the campaign.
+// (cfg.Seed, exp.Stream(), i) and, when exp has a Warmup, its worker's warm
+// state. Results are bit-identical for any worker count; a run that panics
+// becomes a failed run (and an outcome=panic record) instead of aborting
+// the campaign. A panic in Warmup fails the run that triggered it, and the
+// worker retries Warmup on its next run.
 func RunCampaign[T any](cfg CampaignConfig, exp Experiment[T]) CampaignResult[T] {
 	n := exp.Points()
 	if n == 0 {
 		n = cfg.Runs
-	}
-	env := RunEnv{}
-	if n == 1 {
-		env.Trace = cfg.Trace
 	}
 	stream := exp.Stream()
 	seedFor := func(i int) int64 {
@@ -168,23 +143,12 @@ func RunCampaign[T any](cfg CampaignConfig, exp Experiment[T]) CampaignResult[T]
 		}
 		return cfg.Seed
 	}
-	warm, isWarm := exp.(WarmExperiment[T])
 	var setup func() any
-	if isWarm && cfg.WarmStart.Enabled() {
-		setup = func() any { return warm.Warmup(cfg) }
+	if w, ok := exp.(interface{ Warmup(CampaignConfig) any }); ok {
+		setup = func() any { return w.Warmup(cfg) }
 	}
 	run := func(i int, ws any, rec *runner.Recorder) T {
-		var v T
-		if isWarm {
-			if setup == nil {
-				// Warm-start off: a private warm state for this run alone,
-				// then the same fork the shared mode performs.
-				ws = warm.Warmup(cfg)
-			}
-			v = warm.RunWarm(env, ws, i, seedFor(i))
-		} else {
-			v = exp.Run(env, i, seedFor(i))
-		}
+		v := exp.Run(RunEnv{Warm: ws}, i, seedFor(i))
 		if rep, ok := any(v).(RunReport); ok {
 			rec.Report(rep.SimEvents())
 		}
@@ -248,10 +212,9 @@ func RunRecordOf(i int, seed int64, r runner.Result[*ValidationResult]) obs.RunR
 // ValidationConfig instead of a CampaignConfig, reach the one path.
 func (cfg ValidationConfig) envelope(seed int64, runs int) CampaignConfig {
 	return CampaignConfig{
-		Seed:      seed,
-		Runs:      runs,
-		Workers:   cfg.Workers,
-		WarmStart: cfg.WarmStart,
-		Observe:   cfg.Observe,
+		Seed:    seed,
+		Runs:    runs,
+		Workers: cfg.Workers,
+		Observe: cfg.Observe,
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
+	"flashfc/internal/metrics"
 	"flashfc/internal/obs"
 	"flashfc/internal/runner"
 )
@@ -16,21 +18,31 @@ import (
 // Helpers shared by the suite: each runs a real family through RunCampaign.
 
 // validationBatch runs one Table 5.3 batch, taking the envelope (workers,
-// warm-start mode, sink) from cfg the way the tail and routing campaigns do.
+// sink) from cfg the way the tail and routing campaigns do.
 func validationBatch(cfg ValidationConfig, ft fault.Type, runs int, seed int64) ([]runner.Result[*ValidationResult], runner.Stats) {
 	out := RunCampaign(cfg.envelope(seed, runs), ValidationCampaign{Config: cfg, Fault: ft})
 	return out.Runs, out.Stats
 }
 
+// table53Row aggregates a batch of validation runs for one fault type.
+type table53Row struct {
+	Fault  fault.Type
+	Runs   int
+	Failed int
+	// Metrics is the batch aggregate: every non-crashed run's snapshot,
+	// merged in run order.
+	Metrics *metrics.Snapshot
+}
+
 // table53 aggregates one validation batch per fail-stop fault type.
-func table53(cfg ValidationConfig, runs int, seed int64) ([]Table53Row, runner.Stats) {
-	var rows []Table53Row
+func table53(cfg ValidationConfig, runs int, seed int64) ([]table53Row, runner.Stats) {
+	var rows []table53Row
 	var total runner.Stats
 	env := cfg.envelope(seed, runs)
 	env.Metrics = true
 	for _, ft := range fault.AllTypes() {
 		out := RunCampaign(env, ValidationCampaign{Config: cfg, Fault: ft})
-		row := Table53Row{Fault: ft, Runs: runs, Metrics: out.Metrics}
+		row := table53Row{Fault: ft, Runs: runs, Metrics: out.Metrics}
 		for _, r := range out.Runs {
 			if r.Err != nil || !r.Value.OK() {
 				row.Failed++
@@ -131,29 +143,21 @@ func checkFamily[T any](t *testing.T, exp Experiment[T], crash Experiment[T], wa
 		t.Errorf("announced batch %+v, want %+v", batch, want)
 	}
 
-	// same re-runs the campaign under alt and requires identical values
-	// and an identical run log.
-	same := func(name string, alt CampaignConfig) {
-		t.Run(name, func(t *testing.T) {
-			got, _, _, log := campaignLog(t, alt, exp)
-			for i := range ref.Runs {
-				if !reflect.DeepEqual(ref.Runs[i].Value, got.Runs[i].Value) {
-					t.Errorf("run %d: %+v != %+v", i, ref.Runs[i].Value, got.Runs[i].Value)
-				}
+	// At 8 workers every run of a warm family forks a different worker's
+	// warm state than at 1; values and the run log must not move.
+	t.Run("workers 1 vs 8", func(t *testing.T) {
+		alt := cfg
+		alt.Workers = 8
+		got, _, _, log := campaignLog(t, alt, exp)
+		for i := range ref.Runs {
+			if !reflect.DeepEqual(ref.Runs[i].Value, got.Runs[i].Value) {
+				t.Errorf("run %d: %+v != %+v", i, ref.Runs[i].Value, got.Runs[i].Value)
 			}
-			if log != log1 {
-				t.Errorf("run log differs:\n%s\nvs\n%s", log1, log)
-			}
-		})
-	}
-	alt := cfg
-	alt.Workers = 8
-	same("workers 1 vs 8", alt)
-	if _, warm := exp.(WarmExperiment[T]); warm {
-		alt = cfg
-		alt.WarmStart = WarmStartOff
-		same("warm-start on vs off", alt)
-	}
+		}
+		if log != log1 {
+			t.Errorf("run log differs:\n%s\nvs\n%s", log1, log)
+		}
+	})
 
 	t.Run("records", func(t *testing.T) {
 		if len(recs) != n {
@@ -222,18 +226,40 @@ func checkFamily[T any](t *testing.T, exp Experiment[T], crash Experiment[T], wa
 	})
 }
 
-// bareInts is a custom experiment whose results implement nothing.
+// bareInts is a custom experiment whose results implement nothing. It has
+// no Warmup, so a run handed a warm state crashes into a panic record.
 type bareInts struct{}
 
-func (bareInts) Stream() int                      { return 0x900 }
-func (bareInts) Points() int                      { return 0 }
-func (bareInts) Run(_ RunEnv, i int, _ int64) int { return i * i }
+func (bareInts) Stream() int { return 0x900 }
+func (bareInts) Points() int { return 0 }
+func (bareInts) Run(env RunEnv, i int, _ int64) int {
+	if env.Warm != nil {
+		panic("warm state handed to an experiment without Warmup")
+	}
+	return i * i
+}
+
+// warmInts is a custom experiment with a Warmup: each call returns a fresh
+// state, and every run reports the state it was handed.
+type warmInts struct{ warmups *atomic.Int64 }
+
+// warmState is one Warmup call's product, numbered in call order.
+type warmState struct{ id int64 }
+
+func (warmInts) Stream() int { return 0x901 }
+func (warmInts) Points() int { return 0 }
+func (e warmInts) Warmup(CampaignConfig) any {
+	return &warmState{id: e.warmups.Add(1)}
+}
+func (warmInts) Run(env RunEnv, _ int, _ int64) *warmState { return env.Warm.(*warmState) }
 
 // TestOneCampaignPath holds every experiment family to the same contract on
-// the one path: values bit-identical at workers 1 vs 8 and (warm families)
-// warm-start on vs off, a dense index-ordered record stream carrying the
-// derived seeds and the results' own event counts, byte-identical run logs,
-// and a panic at run 3 isolated into exactly one outcome=panic record.
+// the one path: values bit-identical at workers 1 vs 8, a dense
+// index-ordered record stream carrying the derived seeds and the results'
+// own event counts, byte-identical run logs, and a panic at run 3 isolated
+// into exactly one outcome=panic record. Custom experiments see a warm
+// state exactly when they implement Warmup: one per worker, shared by that
+// worker's runs.
 func TestOneCampaignPath(t *testing.T) {
 	vcfg := fastValidationConfig()
 	crashAt3 := func(i int) {
@@ -299,6 +325,38 @@ func TestOneCampaignPath(t *testing.T) {
 			if out.Runs[i].Value != i*i || out.Runs[i].Events != 0 {
 				t.Errorf("run %d = %+v", i, out.Runs[i])
 			}
+		}
+	})
+	t.Run("custom with Warmup", func(t *testing.T) {
+		const runs, workers = 12, 3
+		exp := warmInts{warmups: new(atomic.Int64)}
+		out := RunCampaign[*warmState](CampaignConfig{Seed: 7, Runs: runs, Workers: workers}, exp)
+		if n := exp.warmups.Load(); n < 1 || n > workers {
+			t.Fatalf("Warmup ran %d times for %d workers", n, workers)
+		}
+		// A worker's warm state is built for it alone and serves all its
+		// runs: every run holds one of the built states, and runs on one
+		// worker hold the same one.
+		byWorker := map[int]*warmState{}
+		for i, r := range out.Runs {
+			if r.Err != nil {
+				t.Fatalf("run %d crashed: %v", i, r.Err)
+			}
+			ws := r.Value
+			if ws == nil || ws.id < 1 || ws.id > exp.warmups.Load() {
+				t.Fatalf("run %d saw warm state %+v", i, ws)
+			}
+			if prev, ok := byWorker[r.Worker]; ok && prev != ws {
+				t.Errorf("run %d on worker %d saw state %d, an earlier run there saw %d", i, r.Worker, ws.id, prev.id)
+			}
+			byWorker[r.Worker] = ws
+		}
+		seen := map[*warmState]int{}
+		for w, ws := range byWorker {
+			if other, dup := seen[ws]; dup {
+				t.Errorf("workers %d and %d share warm state %d", other, w, ws.id)
+			}
+			seen[ws] = w
 		}
 	})
 }

@@ -146,16 +146,6 @@ func EndToEnd(cfg EndToEndConfig, ft fault.Type, seed int64) *EndToEndResult {
 	return res
 }
 
-// Table54Row aggregates end-to-end runs for one fault type.
-type Table54Row struct {
-	Fault  fault.Type
-	Runs   int
-	Failed int
-	// Metrics is the fault type's batch aggregate: the per-run snapshots
-	// of every non-crashed run, merged in run order.
-	Metrics *metrics.Snapshot
-}
-
 // EndToEndCampaign repeats §5.1 Hive parallel-make runs of one fault type
 // (Table 5.4's per-type batches).
 type EndToEndCampaign struct {

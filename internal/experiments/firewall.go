@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"flashfc/internal/coherence"
 	"flashfc/internal/machine"
 	"flashfc/internal/magic"
 	"flashfc/internal/sim"
@@ -34,7 +33,6 @@ func FirewallLatency(on bool, seed int64) sim.Time {
 		end = m.E.Now()
 	})
 	m.E.Run()
-	_ = coherence.Addr(0)
 	return end - start
 }
 

@@ -150,7 +150,7 @@ type RoutingResult struct {
 // runner.StreamRouting+scenario — the seed never involves the strategy, so
 // each strategy replays the identical fault sequence and the cells of one
 // scenario are directly comparable. Results are bit-identical for any
-// worker count and warm-start mode.
+// worker count.
 func RoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
 	runs := cfg.Runs
 	if runs <= 0 {
@@ -225,19 +225,14 @@ type routingExperiment struct {
 func (e routingExperiment) Stream() int { return runner.StreamRouting + e.scenario }
 func (e routingExperiment) Points() int { return 0 }
 
-// Run is the one-shot form (a private warm-up seeded by the run itself);
-// campaigns take Warmup/RunWarm instead.
-func (e routingExperiment) Run(_ RunEnv, _ int, seed int64) *RoutingRun {
-	return RoutingFromWarm(WarmupValidation(e.cfg, seed), e.strat, e.spec, seed)
-}
 func (e routingExperiment) Warmup(cfg CampaignConfig) any {
 	return ValidationCampaign{Config: e.cfg}.Warmup(cfg)
 }
-func (e routingExperiment) RunWarm(_ RunEnv, ws any, i int, seed int64) *RoutingRun {
+func (e routingExperiment) Run(env RunEnv, i int, seed int64) *RoutingRun {
 	if e.cfg.runHook != nil {
 		e.cfg.runHook(i)
 	}
-	return RoutingFromWarm(ws.(*WarmState), e.strat, e.spec, seed)
+	return RoutingFromWarm(env.Warm.(*WarmState), e.strat, e.spec, seed)
 }
 func (e routingExperiment) Batch() obs.Batch {
 	return obs.Batch{Label: "routing/" + e.spec.Name + "/" + e.strat}

@@ -89,9 +89,8 @@ func (cfg TailConfig) experiment(ft fault.Type) ValidationCampaign {
 // cfg.Runs warm-forked validation runs (seeded from runner.StreamTail, so
 // tail campaigns never correlate with Table 5.3 batches at the same base
 // seed) are reduced to containment-time percentiles and the affected
-// fraction. Results are bit-identical for any worker count and warm-start
-// on or off, because every run is the shared ValidationFromWarm
-// computation.
+// fraction. Results are bit-identical for any worker count, because every
+// run forks the same deterministic warm-up.
 func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 	runs := cfg.Runs
 	if runs <= 0 {

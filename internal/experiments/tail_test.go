@@ -81,22 +81,23 @@ func TestTransientLinkHealOnLookaheadBarrier(t *testing.T) {
 	}
 }
 
-// TestTailCampaignCrossForkDeterminism is the warm-start contract applied
-// to the tail campaign: warm-start on (runs fork a shared snapshot) and off
-// (every run builds a private warm-up) must produce identical scenarios —
+// TestTailCampaignCrossForkDeterminism is the fork contract applied to the
+// tail campaign: at 1 worker every run forks one warm snapshot, at 8 runs
+// fork eight workers' copies of it, and the scenarios must be identical —
 // same percentiles, same failure counts, same affected fractions.
 func TestTailCampaignCrossForkDeterminism(t *testing.T) {
 	cfg := DefaultTailConfig()
 	cfg.FillLines = 64
 	cfg.Runs = 6
-	on := TailCampaign(cfg, 17)
-	cfg.WarmStart = WarmStartOff
-	off := TailCampaign(cfg, 17)
-	if !reflect.DeepEqual(on.Scenarios, off.Scenarios) {
-		t.Fatalf("tail scenarios differ between warm-start on and off:\non:  %+v\noff: %+v",
-			on.Scenarios, off.Scenarios)
+	cfg.Workers = 1
+	one := TailCampaign(cfg, 17)
+	cfg.Workers = 8
+	eight := TailCampaign(cfg, 17)
+	if !reflect.DeepEqual(one.Scenarios, eight.Scenarios) {
+		t.Fatalf("tail scenarios differ between 1 and 8 workers:\n1: %+v\n8: %+v",
+			one.Scenarios, eight.Scenarios)
 	}
-	for _, sc := range on.Scenarios {
+	for _, sc := range one.Scenarios {
 		if sc.Failed != 0 {
 			t.Errorf("%v: %d/%d runs failed", sc.Fault, sc.Failed, sc.Runs)
 		}

@@ -71,9 +71,9 @@ func (r *ValidationResult) FillRecord(rec *obs.RunRecord) {
 	}
 }
 
-// ValidationConfig shapes one validation run. Workers, WarmStart and
-// Observe are the envelope of the campaigns that carry this config instead
-// of a CampaignConfig (TailCampaign, RoutingCampaign — see envelope);
+// ValidationConfig shapes one validation run. Workers and Observe are the
+// envelope of the campaigns that carry this config instead of a
+// CampaignConfig (TailCampaign, RoutingCampaign — see envelope);
 // RunCampaign takes its own from the CampaignConfig, single runs ignore them.
 type ValidationConfig struct {
 	Nodes     int
@@ -89,12 +89,7 @@ type ValidationConfig struct {
 	// use ("" or "paper" is the paper's policy on the byte-identical
 	// pre-strategy path; see internal/routing).
 	Routing string
-	// WarmStart selects how the campaign amortizes the cache-fill warm-up:
-	// the default (Auto) builds one warmed machine snapshot per worker and
-	// forks every run from it; Off rebuilds the warm state per run. Both
-	// modes are bit-identical.
-	WarmStart WarmStartMode
-	// BurstLines sizes the post-fork fill burst of warm-start runs; 0
+	// BurstLines sizes the post-fork fill burst of every run; 0
 	// defaults to a quarter of the warm fill (minimum 8).
 	BurstLines int
 	// Trace, when non-nil, collects the run's event timeline. It applies
@@ -226,16 +221,6 @@ func affectedNodes(m *machine.Machine) int {
 	return m.Cfg.Nodes - healthy
 }
 
-// Table53Row aggregates a batch of validation runs for one fault type.
-type Table53Row struct {
-	Fault  fault.Type
-	Runs   int
-	Failed int
-	// Metrics is the fault type's batch aggregate: the per-run snapshots
-	// of every non-crashed run, merged in run order.
-	Metrics *metrics.Snapshot
-}
-
 // ValidationCampaign repeats §5.2 validation runs of one fault type
 // (Table 5.3's per-type batches). Each run forks the campaign's warm
 // snapshot, runs a fill burst, injects the fault mid-burst, recovers, and
@@ -259,13 +244,7 @@ func (c ValidationCampaign) Stream() int {
 }
 func (c ValidationCampaign) Points() int { return 0 }
 
-// Run is the self-contained form of a run, warmed up and forked at the one
-// seed it is given; RunCampaign takes Warmup/RunWarm instead.
-func (c ValidationCampaign) Run(env RunEnv, _ int, seed int64) *ValidationResult {
-	return ValidationFromWarm(WarmupValidation(c.Config, seed), c.Fault, seed, env.Trace)
-}
-
-// Warmup implements WarmExperiment: one cache-fill warm-up, keyed on the
+// Warmup is the campaign's one cache-fill warm-up per worker, keyed on the
 // campaign seed via StreamWarmup, frozen into a forkable snapshot.
 func (c ValidationCampaign) Warmup(cfg CampaignConfig) any {
 	vcfg := c.Config
@@ -273,13 +252,13 @@ func (c ValidationCampaign) Warmup(cfg CampaignConfig) any {
 	return WarmupValidation(vcfg, runner.DeriveSeed(cfg.Seed, runner.StreamWarmup, 0))
 }
 
-// RunWarm implements WarmExperiment: fork the warm snapshot and run the
+// Run forks the worker's warm snapshot (env.Warm, from Warmup) and runs the
 // fault/recovery/verify sequence with the run's derived seed.
-func (c ValidationCampaign) RunWarm(env RunEnv, ws any, i int, seed int64) *ValidationResult {
+func (c ValidationCampaign) Run(env RunEnv, i int, seed int64) *ValidationResult {
 	if c.Config.runHook != nil {
 		c.Config.runHook(i)
 	}
-	return ValidationFromWarm(ws.(*WarmState), c.Fault, seed, env.Trace)
+	return ValidationFromWarm(env.Warm.(*WarmState), c.Fault, seed, nil)
 }
 
 // Batch implements Batcher.

@@ -11,27 +11,6 @@ import (
 	"flashfc/internal/workload"
 )
 
-// WarmStartMode selects how a campaign amortizes warm-up: Auto (the zero
-// value) and On share one warmed machine snapshot per worker and fork
-// every run from it; Off builds a private warm state for every run. Both
-// modes execute the identical per-run computation — fork from a snapshot of
-// the same deterministic warm-up — so they are bit-identical; Off exists as
-// the cross-check (and the cost baseline: the ledger's experiments.warmup_ms
-// against machine.fork_ms is what sharing saves per run).
-type WarmStartMode int
-
-const (
-	// WarmStartAuto is the default: warm-start on.
-	WarmStartAuto WarmStartMode = iota
-	// WarmStartOff rebuilds the warm state privately for every run.
-	WarmStartOff
-	// WarmStartOn shares one warm snapshot per worker (same as Auto).
-	WarmStartOn
-)
-
-// Enabled reports whether runs may share a warm snapshot.
-func (m WarmStartMode) Enabled() bool { return m != WarmStartOff }
-
 // WarmState is a warmed-up validation machine, frozen pre-fault: the
 // snapshot is immutable and every run forks its own machine from it, so one
 // WarmState may serve any number of concurrent runs.
@@ -50,8 +29,8 @@ type WarmState struct {
 // the fill cannot quiesce within cfg.Deadline (campaigns turn that into
 // failed runs via the runner's panic isolation).
 //
-// The warm-up machine is never traced: with warm-start, a run's trace
-// covers the forked portion only, in both warm-start modes.
+// The warm-up machine is never traced: a run's trace covers the forked
+// portion only.
 func WarmupValidation(cfg ValidationConfig, warmSeed int64) *WarmState {
 	mc := machine.DefaultConfig(cfg.Nodes)
 	mc.Seed = warmSeed

@@ -11,8 +11,8 @@ import (
 // out of order are parked in a reorder buffer and flushed as soon as the
 // contiguous prefix they complete is known. With host fields stripped (the
 // default), the stream is a pure function of (base seed, run index), so the
-// bytes are identical at any -parallel and -warmstart setting — the
-// property the experiments test suite and CI enforce.
+// bytes are identical at any -parallel setting — the property the
+// experiments test suite and CI enforce.
 //
 // Encoding is one json.Marshal'd RunRecord per line with the struct's fixed
 // field order; no indenting, no map keys, nothing host-dependent.

@@ -111,8 +111,8 @@ func Campaign[T any](n, workers int, fn func(i int, rec *Recorder) T, observe fu
 
 // CampaignWithSetup is Campaign with per-worker shared state: each worker
 // runs setup() lazily before its first run and passes the result to every
-// run it executes. The warm-start drivers use it to build one machine
-// snapshot per worker and fork every run from it.
+// run it executes. RunCampaign passes an experiment's Warmup as setup, so
+// each worker builds one machine snapshot and forks every run from it.
 //
 // The bit-identity guarantee extends to the shared state only if setup is
 // deterministic and runs never mutate the state they receive (forking,

@@ -8,9 +8,10 @@ const (
 	StreamEndToEnd     = 0x200 // Table 5.4 end-to-end batches (+ fault type)
 	StreamFig57        = 0x300 // Fig 5.7 suspension sweep (+ node count)
 	StreamDistribution = 0x400 // recovery-time distribution campaigns
-	// StreamWarmup seeds warm-start snapshot construction (index 0): the
-	// warm-up is shared by every run of a config, so its seed depends only
-	// on the campaign base seed, never on a run index or fault type.
+	// StreamWarmup seeds a campaign's warm-snapshot construction (index
+	// 0): the warm-up is shared by every run of a config, so its seed
+	// depends only on the campaign base seed, never on a run index or
+	// fault type.
 	StreamWarmup = 0x500
 	// StreamTail seeds the containment-time tail campaigns (+ fault type).
 	StreamTail = 0x600

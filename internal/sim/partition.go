@@ -330,19 +330,47 @@ func (p *Partitioned) runWindowParallel(end Time) {
 	}
 }
 
-// runWindowGlobal fires all regions' events with at < end on the calling
-// goroutine, interleaved in (time, region) order: always the globally
-// earliest pending event, region index breaking timestamp ties. The
-// interleave gives cross-region handlers a single deterministic,
-// time-ordered thread of control.
+// runWindowGlobal fires all regions' events with at < end in the global
+// (time, region) interleave, then settles every clock at end.
 func (p *Partitioned) runWindowGlobal(end Time) {
 	fired := make([]uint64, len(p.engines))
+	p.interleave(end-1, fired)
+	for i, e := range p.engines {
+		if e.now < end {
+			e.now = end
+		}
+		if fired[i] == 0 {
+			p.idleWindows[i]++
+		}
+	}
+}
+
+// runBoundary executes the events at exactly time t (the RunUntil target)
+// in the same interleave, settles every clock at t, then merges any sends
+// they produced. It always runs single-threaded: boundary events are the
+// tail of a RunUntil contract, not a parallel window.
+func (p *Partitioned) runBoundary(t Time) {
+	p.interleave(t, nil)
+	for _, e := range p.engines {
+		if e.now < t {
+			e.now = t
+		}
+	}
+	p.mergeOutboxes()
+}
+
+// interleave fires all regions' events with at <= last on the calling
+// goroutine, in (time, region) order: always the globally earliest pending
+// event, region index breaking timestamp ties. The interleave gives
+// cross-region handlers a single deterministic, time-ordered thread of
+// control. fired, when non-nil, accumulates each region's fired count.
+func (p *Partitioned) interleave(last Time, fired []uint64) {
 	for {
 		best := -1
 		var bestAt Time
 		for i, e := range p.engines {
 			ev := e.peekNext()
-			if ev == nil || ev.at >= end {
+			if ev == nil || ev.at > last {
 				continue
 			}
 			if best < 0 || ev.at < bestAt {
@@ -350,7 +378,7 @@ func (p *Partitioned) runWindowGlobal(end Time) {
 			}
 		}
 		if best < 0 {
-			break
+			return
 		}
 		// Advance every region's clock to the fire time first, so a
 		// cross-region handler scheduling on another engine (legal in
@@ -369,53 +397,10 @@ func (p *Partitioned) runWindowGlobal(end Time) {
 		before := e.fired
 		e.stopped = false
 		e.step(bestAt, true)
-		fired[best] += e.fired - before
-	}
-	for i, e := range p.engines {
-		if e.now < end {
-			e.now = end
-		}
-		if fired[i] == 0 {
-			p.idleWindows[i]++
+		if fired != nil {
+			fired[best] += e.fired - before
 		}
 	}
-}
-
-// runBoundary executes the events at exactly time t (the RunUntil target)
-// across all regions in deterministic (time, region) interleave, then
-// merges any sends they produced. It always runs single-threaded: boundary
-// events are the tail of a RunUntil contract, not a parallel window.
-func (p *Partitioned) runBoundary(t Time) {
-	for {
-		best := -1
-		var bestAt Time
-		for i, e := range p.engines {
-			ev := e.peekNext()
-			if ev == nil || ev.at > t {
-				continue
-			}
-			if best < 0 || ev.at < bestAt {
-				best, bestAt = i, ev.at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		for _, e := range p.engines {
-			if e.now < bestAt {
-				e.now = bestAt
-			}
-		}
-		e := p.engines[best]
-		e.stopped = false
-		e.step(bestAt, true)
-	}
-	for _, e := range p.engines {
-		if e.now < t {
-			e.now = t
-		}
-	}
-	p.mergeOutboxes()
 }
 
 // mergeOutboxes inserts every pending cross-region message into its
