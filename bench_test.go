@@ -343,7 +343,7 @@ func BenchmarkAblationRTLTiming(b *testing.B) {
 
 // --- Tracing overhead: disabled tracer must be free ------------------------------
 
-// The span/point/event hooks sit on simulation hot paths (packet routing,
+// The span/point hooks sit on simulation hot paths (packet routing,
 // gossip rounds, directory scans). A nil tracer must cost nothing: no
 // allocations, just a nil check. testing.AllocsPerRun makes the contract a
 // failing test, not a trend to eyeball.
@@ -368,25 +368,20 @@ func BenchmarkTracerDisabledSpanPath(b *testing.B) {
 func BenchmarkTracerDisabledRecord(b *testing.B) {
 	var tr *flashfc.Tracer
 	if allocs := testing.AllocsPerRun(1000, func() {
-		tr.RecordEvent(1, 0, flashfc.TraceKindNote, "noop")
-	}); allocs != 0 {
-		b.Fatalf("nil tracer RecordEvent allocates %.0f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(1, 0, flashfc.TraceKindNote, "noop")
+		tr.Record(1, 0, "phase", "noop")
 	}); allocs != 0 {
 		b.Fatalf("nil tracer Record allocates %.0f allocs/op, want 0", allocs)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.RecordEvent(1, 0, flashfc.TraceKindNote, "noop")
+		tr.Record(1, 0, "phase", "noop")
 	}
 }
 
 // BenchmarkTracerEnabledSpanPath is the paired enabled-path number, for
 // judging the cost of turning tracing on.
 func BenchmarkTracerEnabledSpanPath(b *testing.B) {
-	tr := flashfc.NewTracer(0)
+	tr := flashfc.NewTracer()
 	root := tr.EnsureRoot(0, "recovery")
 	b.ReportAllocs()
 	b.ResetTimer()

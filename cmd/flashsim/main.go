@@ -92,6 +92,10 @@ func main() {
 	}
 
 	cf.CheckRouting()
+	if *faultName == "boundary-link" && cf.Partitions <= 0 {
+		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
+		exit(2)
+	}
 	cfg := flashfc.DefaultValidationConfig()
 	cfg.Routing = cf.Routing
 	cfg.Nodes = *nodes
@@ -113,7 +117,7 @@ func main() {
 			// flags.
 			cf.WarnTraceIgnored()
 		} else {
-			cfg.Trace = flashfc.NewTracer(0)
+			cfg.Trace = flashfc.NewTracer()
 		}
 	}
 	topts := traceOpts{tracer: cfg.Trace, dump: cf.Trace, jsonPath: cf.TraceJSON, critical: cf.TraceCritical}
@@ -162,7 +166,8 @@ func main() {
 // fault was given but does not honour. Each of them runs one scenario at
 // -seed and writes no run records, so the campaign flags (-runs N,
 // -run-seed, -run-log, -progress) have nothing to act on; the compound
-// faults also build a sequential machine, so -partitions has no effect.
+// faults also build a sequential machine, so -partitions has no effect,
+// and the partitioned scenarios always recover with the paper's routing.
 func warnSingleScenario(name string, cf *cliflags.Flags) {
 	var ignored []string
 	if cf.Runs > 1 {
@@ -179,6 +184,9 @@ func warnSingleScenario(name string, cf *cliflags.Flags) {
 	}
 	if cf.Partitions > 0 && (name == "powerloss" || name == "cablecut") {
 		ignored = append(ignored, "-partitions")
+	}
+	if cf.Routing != "" && (name == "none" || name == "boundary-link") {
+		ignored = append(ignored, "-routing")
 	}
 	if len(ignored) > 0 {
 		fmt.Fprintf(os.Stderr, "warning: -fault %s runs a single scenario; ignoring %s\n", name, strings.Join(ignored, " "))

@@ -22,8 +22,19 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runFlashsim runs main() in a child process with the given flags.
+// runFlashsim runs main() in a child process with the given flags and
+// fails the test unless it exits 0.
 func runFlashsim(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	stdout, stderr, code := runFlashsimExit(t, args...)
+	if code != 0 {
+		t.Fatalf("flashsim %v: exit %d\nstdout:\n%s\nstderr:\n%s", args, code, stdout, stderr)
+	}
+	return stdout, stderr
+}
+
+// runFlashsimExit runs main() in a child process and returns its exit code.
+func runFlashsimExit(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "FLASHSIM_MAIN=1")
@@ -31,9 +42,13 @@ func runFlashsim(t *testing.T, args ...string) (stdout, stderr string) {
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("flashsim %v: %v\nstdout:\n%s\nstderr:\n%s", args, err, out.String(), errb.String())
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("flashsim %v: %v", args, err)
+		}
+		code = ee.ExitCode()
 	}
-	return out.String(), errb.String()
+	return out.String(), errb.String(), code
 }
 
 var fastArgs = []string{"-nodes", "4", "-fault", "node", "-mem", "65536", "-l2", "16384", "-fill", "32"}
@@ -250,15 +265,15 @@ func TestSingleScenarioWarnsIgnoredFlags(t *testing.T) {
 	dir := t.TempDir()
 	log := filepath.Join(dir, "runs.jsonl")
 	machine := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-fill", "32"}
-	campaign := []string{"-runs", "3", "-run-seed", "1", "-run-log", log, "-progress", "-partitions", "2"}
+	campaign := []string{"-runs", "3", "-run-seed", "1", "-run-log", log, "-progress", "-partitions", "2", "-routing", "incremental"}
 	for _, tc := range []struct {
 		fault, ignored string
 		honoured       []string // flags the scenario uses, for the quiet leg
 	}{
-		{"powerloss", "-runs -run-seed -run-log -progress -partitions", nil},
-		{"cablecut", "-runs -run-seed -run-log -progress -partitions", nil},
-		{"none", "-runs -run-seed -run-log -progress", []string{"-partitions", "2"}},
-		{"boundary-link", "-runs -run-seed -run-log -progress", []string{"-partitions", "2"}},
+		{"powerloss", "-runs -run-seed -run-log -progress -partitions", []string{"-routing", "incremental"}},
+		{"cablecut", "-runs -run-seed -run-log -progress -partitions", []string{"-routing", "incremental"}},
+		{"none", "-runs -run-seed -run-log -progress -routing", []string{"-partitions", "2"}},
+		{"boundary-link", "-runs -run-seed -run-log -progress -routing", []string{"-partitions", "2"}},
 	} {
 		args := append([]string{"-fault", tc.fault}, machine...)
 		_, stderr := runFlashsim(t, append(args, campaign...)...)
@@ -287,5 +302,15 @@ func TestSingleRunIsRunSeedZero(t *testing.T) {
 	replay, _ := runFlashsim(t, append(fastArgs, "-seed", "7", "-runs", "4", "-run-seed", "0", "-metrics-json")...)
 	if single != replay {
 		t.Error("single run and -run-seed 0 print different metrics JSON")
+	}
+}
+
+// -fault boundary-link fails a link on a region boundary, so without
+// -partitions there is nothing to fail: it is refused up front, naming the
+// flag, instead of panicking mid-run.
+func TestBoundaryLinkNeedsPartitions(t *testing.T) {
+	stdout, stderr, code := runFlashsimExit(t, "-nodes", "16", "-fault", "boundary-link")
+	if code != 2 || !strings.Contains(stderr, "-partitions") || strings.Contains(stderr, "panic") {
+		t.Fatalf("exit %d, want 2 with a message naming -partitions; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }

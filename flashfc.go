@@ -173,23 +173,20 @@ const (
 // makes a quiet fault observable.
 func TouchOp(m *Machine, target int) Op { return workload.TouchOp(m, target) }
 
-// Tracer collects a machine-wide event timeline (injections, triggers,
-// phase transitions, completions); attach one via MachineConfig.Trace or
-// ValidationConfig.Trace.
+// Tracer records one point stream and a span tree; attach one via
+// MachineConfig.Trace or ValidationConfig.Trace. Points are packet
+// lifecycles ("pkt"), MAGIC denials and triggers ("magic") and the
+// timeline: every other point — fault injections, per-node phase
+// transitions, completions — which Tracer.Dump prints and Tracer.Timeline
+// returns. The span tree is the recovery hierarchy (recovery → per-node
+// P1–P4 → gossip rounds, drain attempts, flush/scan). Export with
+// Tracer.WriteChromeJSON (Perfetto-loadable) or analyze with
+// Tracer.CriticalPaths / WriteCriticalReport.
 type Tracer = trace.Tracer
 
-// TraceEvent is one timeline entry.
-type TraceEvent = trace.Event
+// NewTracer returns an empty tracer.
+func NewTracer() *Tracer { return trace.New() }
 
-// NewTracer returns a tracer retaining at most limit events (0: unlimited).
-func NewTracer(limit int) *Tracer { return trace.New(limit) }
-
-// Span-based causal tracing: beyond the flat timeline, a Tracer records a
-// hierarchical span tree (recovery → per-node P1–P4 → gossip rounds, drain
-// attempts, flush/scan) and causally-linked point events (packet
-// lifecycles, MAGIC denials). Export with Tracer.WriteChromeJSON
-// (Perfetto-loadable) or analyze with Tracer.CriticalPaths /
-// WriteCriticalReport.
 type (
 	// SpanID identifies one span in a Tracer's span tree (0 = none).
 	SpanID = trace.SpanID
@@ -197,18 +194,8 @@ type (
 	TraceSpan = trace.Span
 	// TracePoint is one instantaneous causal event.
 	TracePoint = trace.Point
-	// TraceKind classifies flat timeline events.
-	TraceKind = trace.Kind
 	// CriticalPath is the longest-latency span chain of one recovery.
 	CriticalPath = trace.CriticalPath
-)
-
-// Flat timeline event kinds.
-const (
-	TraceKindFault    = trace.KindFault
-	TraceKindPhase    = trace.KindPhase
-	TraceKindComplete = trace.KindComplete
-	TraceKindNote     = trace.KindNote
 )
 
 // Metrics layer: every Machine owns a MetricsRegistry that all simulation

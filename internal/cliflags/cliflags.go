@@ -82,9 +82,9 @@ type Flags struct {
 	TraceJSON     string
 	TraceCritical bool
 
-	// Routing is the interconnect-recovery routing strategy name ("" and
-	// "paper" run the paper's byte-identical dim-order + full-drain +
-	// up*/down* pipeline). CheckRouting validates it after parse.
+	// Routing is the interconnect-recovery routing strategy name ("" is
+	// "paper": dim-order + full-drain + up*/down*). CheckRouting validates
+	// it after parse.
 	Routing string
 
 	// RunLog is the -run-log path: one JSONL record per campaign run,
@@ -162,7 +162,7 @@ func strategyList() string {
 // and exits with a friendly error naming the alternatives when the name is
 // unknown. Call it once after fs.Parse.
 func (f *Flags) CheckRouting() {
-	if f.Routing == "" || f.Routing == "paper" {
+	if f.Routing == "" {
 		return
 	}
 	for _, n := range flashfc.RoutingStrategies() {

@@ -134,9 +134,9 @@ type Config struct {
 
 	// Routing selects the interconnect-recovery routing strategy P3 runs:
 	// its drain discipline, table repair, and per-entry reprogramming
-	// charge. nil is the paper's policy (full two-phase drain + complete
-	// up*/down* rewrite) with the pre-strategy charges and none of the
-	// strategy-only counters, keeping every golden byte-identical.
+	// charge. nil is routing.Paper (full two-phase drain + complete
+	// up*/down* rewrite). The strategy-only counters are registered for
+	// every other strategy, so a paper machine's metrics carry none.
 	Routing routing.Strategy
 	// Repairs memoises the P3 table repair across the agents of one
 	// machine, which wires a fresh memo into every agent it builds. nil
@@ -275,6 +275,9 @@ func NewAgent(e *sim.Engine, net *interconnect.Network, ctrl *magic.Controller,
 	a := &Agent{
 		ID: ctrl.ID, E: e, Net: net, Ctrl: ctrl, Topo: topo, cfg: cfg,
 	}
+	if a.cfg.Routing == nil {
+		a.cfg.Routing = routing.Paper
+	}
 	if a.cfg.Repairs == nil {
 		a.cfg.Repairs = NewRepairMemo()
 	}
@@ -283,7 +286,7 @@ func NewAgent(e *sim.Engine, net *interconnect.Network, ctrl *magic.Controller,
 	a.mDrainAttempts = cfg.Metrics.Counter("core.drain_attempts")
 	a.mDrainRestarts = cfg.Metrics.Counter("core.drain_restarts")
 	a.mRestarts = cfg.Metrics.Counter("core.recovery_restarts")
-	if cfg.Routing != nil {
+	if a.cfg.Routing != routing.Paper {
 		a.mRoutesPatched = cfg.Metrics.Counter("core.routes_patched")
 		a.mRouteFallbacks = cfg.Metrics.Counter("core.route_fallbacks")
 	}
@@ -305,7 +308,7 @@ func (a *Agent) setPhase(p Phase) {
 	a.phase = p
 	if tr := a.cfg.Trace; tr != nil {
 		now := a.E.Now()
-		tr.RecordEvent(now, a.ID, trace.KindPhase, p.String())
+		tr.Point(now, a.ID, trace.KindPhase, p.String(), 0, 0, 0)
 		tr.End(now, a.spPhase) // also closes any open round/drain sub-spans
 		a.spPhase, a.spRound = 0, 0
 		switch p {

@@ -13,10 +13,9 @@ import (
 // coherence traffic is injected.
 //
 // The drain discipline and the table repair are owned by the configured
-// routing.Strategy. A nil strategy is the paper's policy — full two-phase
-// drain, complete up*/down* rewrite, the pre-strategy charges, barrier
-// names, spans and counters — so every pre-existing golden stays
-// byte-identical. Alternatives swap in a single-phase drain (DrainPartial)
+// routing.Strategy. The default, routing.Paper, is the paper's policy —
+// full two-phase drain (DrainFull), complete up*/down* rewrite charged per
+// whole row. Alternatives swap in a single-phase drain (DrainPartial)
 // or none at all (DrainNone) and charge reprogramming per entry actually
 // patched.
 
@@ -56,11 +55,7 @@ func (a *Agent) startInterconnectRecovery() {
 // startDrainPhase enters the drain discipline the routing strategy asks
 // for (the paper's full two-phase agreement by default).
 func (a *Agent) startDrainPhase() {
-	kind := routing.DrainFull
-	if a.cfg.Routing != nil {
-		kind = a.cfg.Routing.Drain()
-	}
-	switch kind {
+	switch a.cfg.Routing.Drain() {
 	case routing.DrainNone:
 		// Tables change under live traffic; in-flight packets reroute
 		// mid-journey or die against the new discards.

@@ -51,13 +51,10 @@ type repairEntry struct {
 // NewRepairMemo returns an empty memo for one machine's agents to share.
 func NewRepairMemo() *RepairMemo { return &RepairMemo{} }
 
-// lookup returns strat's repair of (v, bft), computing it on a miss. A nil
-// strategy is the paper's. The result is shared: callers must not write to
-// it (Network.SetRouterTable copies the row it installs).
+// lookup returns strat's repair of (v, bft), computing it on a miss. The
+// result is shared: callers must not write to it (Network.SetRouterTable
+// copies the row it installs).
 func (m *RepairMemo) lookup(strat routing.Strategy, v *topology.View, bft *topology.BFT) routing.Repair {
-	if strat == nil {
-		strat = routing.Paper
-	}
 	m.Lookups++
 	for i := range m.entries {
 		e := &m.entries[i]

@@ -30,6 +30,9 @@ func randomSurvivorView(rng *rand.Rand, t *topology.Topology) (*topology.View, *
 func TestRepairMemoDifferential(t *testing.T) {
 	topos := []*topology.Topology{topology.NewMesh(5, 4), topology.NewHypercube(4)}
 	strats := []routing.Strategy{nil, routing.Paper, routing.Incremental, routing.Adaptive}
+	// nil stands for the strategy an agent built with a nil Config.Routing
+	// runs.
+	defaulted := newRig(t, 2, 1, nil).agents[0].cfg.Routing
 	rng := rand.New(rand.NewSource(15))
 	for iter := 0; iter < 40; iter++ {
 		topo := topos[iter%len(topos)]
@@ -37,6 +40,8 @@ func TestRepairMemoDifferential(t *testing.T) {
 		name := "nil"
 		if strat != nil {
 			name = strat.Name()
+		} else {
+			strat = defaulted
 		}
 		t.Run(fmt.Sprintf("%d-%v-%s", iter, topo.Kind(), name), func(t *testing.T) {
 			v1, b1 := randomSurvivorView(rng, topo)
@@ -81,14 +86,12 @@ func TestRepairMemoDifferential(t *testing.T) {
 				if missed := m.Misses != before; missed != s.miss {
 					t.Fatalf("step %d: missed = %v, want %v", i, missed, s.miss)
 				}
-				direct := strat
-				if direct == nil {
-					direct = routing.Paper
+				if name == "nil" {
 					if want := topology.UpDownTables(s.v, s.b); !reflect.DeepEqual(got.Tables, want) {
 						t.Fatalf("step %d: nil-strategy tables differ from UpDownTables", i)
 					}
 				}
-				if want := direct.RepairTables(s.v, s.b); !reflect.DeepEqual(got, want) {
+				if want := strat.RepairTables(s.v, s.b); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: memoised repair differs from a direct RepairTables\n got %+v\nwant %+v",
 						i, got, want)
 				}
@@ -132,7 +135,7 @@ func TestRepairMemoBounded(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, v := range views {
 			b := v.BFS(0)
-			if got, want := m.lookup(nil, v, b).Tables, topology.UpDownTables(v, b); !reflect.DeepEqual(got, want) {
+			if got, want := m.lookup(routing.Paper, v, b).Tables, topology.UpDownTables(v, b); !reflect.DeepEqual(got, want) {
 				t.Fatal("evicting memo returned wrong tables")
 			}
 		}

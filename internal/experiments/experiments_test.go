@@ -337,25 +337,28 @@ func TestRecoveryDistribution(t *testing.T) {
 
 func TestValidationTraceTimeline(t *testing.T) {
 	cfg := fastValidationConfig()
-	tr := trace.New(0)
+	tr := trace.New()
 	cfg.Trace = tr
 	r := Validation(cfg, fault.NodeFailure, 3)
 	if !r.OK() {
 		t.Fatalf("run failed: %s", r.Note)
 	}
-	if len(tr.ByKind(trace.KindFault)) != 1 {
-		t.Fatalf("fault events = %d", len(tr.ByKind(trace.KindFault)))
+	byKind := map[string][]trace.Point{}
+	for _, p := range tr.Timeline() {
+		byKind[p.Cat] = append(byKind[p.Cat], p)
 	}
-	phases := tr.ByKind(trace.KindPhase)
-	if len(phases) < 10 {
+	if len(byKind[trace.KindFault]) != 1 {
+		t.Fatalf("fault events = %d", len(byKind[trace.KindFault]))
+	}
+	if phases := byKind[trace.KindPhase]; len(phases) < 10 {
 		t.Fatalf("phase events = %d, want a full timeline", len(phases))
 	}
-	completes := tr.ByKind(trace.KindComplete)
+	completes := byKind[trace.KindComplete]
 	if len(completes) != 7 {
 		t.Fatalf("completions = %d, want 7 survivors", len(completes))
 	}
 	// The fault strictly precedes every completion.
-	faultT := tr.ByKind(trace.KindFault)[0].T
+	faultT := byKind[trace.KindFault][0].T
 	for _, c := range completes {
 		if c.T <= faultT {
 			t.Fatal("completion before the fault?")

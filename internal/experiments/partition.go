@@ -29,7 +29,7 @@ type PartitionConfig struct {
 	// machine.DefaultRegionLinkExtra.
 	RegionLinkExtra sim.Time
 	Deadline        sim.Time
-	// Trace, when non-nil, collects the run's event timeline.
+	// Trace, when non-nil, collects the run's spans and points.
 	Trace *trace.Tracer
 }
 

@@ -27,7 +27,7 @@ func testPartitionConfig() PartitionConfig {
 // CLI would emit for -metrics-json and -trace-json.
 func metricsAndTrace(t *testing.T, cfg PartitionConfig, seed int64) (string, string) {
 	t.Helper()
-	tr := trace.New(0)
+	tr := trace.New()
 	cfg.Trace = tr
 	r := PartitionFill(cfg, seed)
 	if !r.OK() {

@@ -6,7 +6,6 @@ import (
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/fault"
-	"flashfc/internal/interconnect"
 	"flashfc/internal/machine"
 	"flashfc/internal/magic"
 	"flashfc/internal/metrics"
@@ -18,9 +17,8 @@ import (
 // run that a recycled-too-early record could disturb.
 type reliableOutcome struct {
 	Recovered bool
-	Retained  int // packets held for end-to-end retransmission after recovery
-	Net       interconnect.Stats
-	Ctrl      []magic.Stats
+	Retained  int                       // packets held for end-to-end retransmission after recovery
+	Dropped   uint64                    // packets the fabric destroyed
 	Cached    [][]cachedLine            // per node, in insertion order
 	Memory    map[coherence.Addr]uint64 // home copy of every line the fill wrote
 	Events    uint64
@@ -61,13 +59,12 @@ func reliableLinkRun(seed int64) reliableOutcome {
 	// Let the retransmission fire (a millisecond after the root resumes)
 	// and the resent transactions settle.
 	m.Advance(m.Now() + 20*sim.Millisecond)
-	out.Net = m.Net.Stats
+	out.Dropped = m.Net.Dropped()
 	out.Memory = map[coherence.Addr]uint64{}
 	for _, a := range m.Oracle.WrittenLines() {
 		out.Memory[a] = m.Nodes[m.Space.Home(a)].Mem.Read(a)
 	}
 	for _, n := range m.Nodes {
-		out.Ctrl = append(out.Ctrl, n.Ctrl.Stats)
 		var lines []cachedLine
 		n.Cache.ForEach(func(a coherence.Addr, l *coherence.CacheLine) {
 			lines = append(lines, cachedLine{a, *l})

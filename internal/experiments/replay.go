@@ -73,7 +73,7 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 			if ws == nil {
 				ws = campaignWarmState(cfg.ValidationConfig, seed)
 			}
-			e := replay(ws, sc.Fault, ex.Run, ex.Seed, trace.New(0))
+			e := replay(ws, sc.Fault, ex.Run, ex.Seed, trace.New())
 			e.Pct = ex.Pct
 			e.CampaignTime = ex.Time
 			out = append(out, e)
@@ -86,7 +86,7 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 // necessarily an exemplar) with tracing.
 func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
 	return replay(campaignWarmState(cfg.ValidationConfig, seed), ft, i,
-		runner.DeriveSeed(seed, cfg.experiment(ft).Stream(), i), trace.New(0))
+		runner.DeriveSeed(seed, cfg.experiment(ft).Stream(), i), trace.New())
 }
 
 // ReplayValidationRun replays run i of a validation campaign (Table 5.3 /

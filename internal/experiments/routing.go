@@ -286,7 +286,7 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	var lostBase uint64
 	deadline := m.Now() + cfg.Deadline
 	fillAndInject(m, burst, deadline, func() {
-		lostBase = droppedPackets(m)
+		lostBase = m.Net.Dropped()
 		m.InjectAll(faults)
 	})
 	reader := driveDetection(m, faults[0])
@@ -298,7 +298,7 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	res.Total = ph.Total
 	res.P3 = ph.P123 - ph.P12
 	res.Acyclic = m.RoutingAcyclic()
-	res.Lost = droppedPackets(m) - lostBase
+	res.Lost = m.Net.Dropped() - lostBase
 	t0 := m.Now()
 	v := m.VerifyMemory(reader, cfg.Stride)
 	res.OK = v.OK()
@@ -306,13 +306,6 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 		res.Throughput = float64(v.LinesChecked) / (float64(el) / float64(sim.Millisecond))
 	}
 	return res
-}
-
-// droppedPackets totals every way the fabric destroys a packet.
-func droppedPackets(m *machine.Machine) uint64 {
-	s := &m.Net.Stats
-	return s.DroppedLink + s.DroppedRouter + s.DroppedNoRoute +
-		s.DroppedIsolation + s.DroppedHeadTimeout + s.DroppedDeadNode
 }
 
 // String renders one scenario's head-to-head comparison.

@@ -29,7 +29,7 @@ func traceValidationConfig() ValidationConfig {
 func spanJSONFor(t *testing.T, seed int64) []byte {
 	t.Helper()
 	cfg := traceValidationConfig()
-	cfg.Trace = trace.New(0)
+	cfg.Trace = trace.New()
 	r := Validation(cfg, fault.NodeFailure, seed)
 	if !r.OK() {
 		t.Fatalf("run failed: %s", r.Note)
@@ -104,7 +104,7 @@ func TestTraceSpanExportIdenticalAcrossConcurrency(t *testing.T) {
 // non-negative self-times that sum exactly to the root duration.
 func TestTraceCriticalPathInvariants(t *testing.T) {
 	cfg := fastValidationConfig()
-	cfg.Trace = trace.New(0)
+	cfg.Trace = trace.New()
 	r := Validation(cfg, fault.NodeFailure, 7)
 	if !r.OK() {
 		t.Fatalf("run failed: %s", r.Note)
@@ -137,7 +137,7 @@ func TestTraceCriticalPathInvariants(t *testing.T) {
 // hierarchy, and every parent link points at an existing earlier span.
 func TestTraceSpanTreeShape(t *testing.T) {
 	cfg := fastValidationConfig()
-	cfg.Trace = trace.New(0)
+	cfg.Trace = trace.New()
 	r := Validation(cfg, fault.NodeFailure, 7)
 	if !r.OK() {
 		t.Fatalf("run failed: %s", r.Note)

@@ -114,7 +114,7 @@ func TestWarmMetricsGoldenSnapshot(t *testing.T) {
 // TestTraceGoldenSpanExport (regenerate intentional changes there).
 func TestWarmTraceGoldenSpanExport(t *testing.T) {
 	jsonFor := func() []byte {
-		tr := trace.New(0)
+		tr := trace.New()
 		ws := WarmupValidation(traceValidationConfig(), runner.DeriveSeed(7, runner.StreamWarmup, 0))
 		r := ValidationFromWarm(ws, fault.NodeFailure,
 			runner.DeriveSeed(7, runner.StreamValidation+int(fault.NodeFailure), 0), tr)

@@ -231,7 +231,7 @@ func TestFirewallProtectsKernelFromSpeculativeWrites(t *testing.T) {
 	if m.Nodes[1].Cache.Lookup(kernelLine) != nil {
 		t.Fatal("firewall should have denied the speculative exclusive fetch")
 	}
-	if m.Nodes[0].Ctrl.Stats.FirewallDenied == 0 {
+	if m.Metrics.Counter("magic.firewall_denied").Value() == 0 {
 		t.Fatal("firewall denial not counted")
 	}
 	// Cell 1 dies; cell 0's kernel data is intact and its heartbeat keeps

@@ -32,6 +32,8 @@ func BenchmarkFlitHopPath(b *testing.B) {
 	// A corner-to-corner packet crosses six links; reusing it keeps the
 	// measurement on the hop path rather than packet construction.
 	p := &Packet{Src: 0, Dst: 15, Lane: LaneRequest, Bytes: 16}
+	delivered := 0
+	n.SetEndpoint(15, EndpointFunc(func(*Packet) bool { delivered++; return true }))
 	send := func() {
 		n.Send(p)
 		e.Run()
@@ -48,7 +50,7 @@ func BenchmarkFlitHopPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		send()
 	}
-	if n.Stats.Delivered == 0 {
+	if delivered == 0 {
 		b.Fatal("nothing delivered")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"flashfc/internal/sim"
@@ -31,7 +32,7 @@ type propFault struct {
 
 // propOutcome is what must agree between worker counts of one fabric.
 type propOutcome struct {
-	Stats     Stats
+	Dropped   uint64
 	Points    []trace.Point
 	Truncated [][]uint64 // per link failure, the truncated flows in order
 }
@@ -43,7 +44,7 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	topo := topology.NewMesh(4, 4)
-	tr := trace.New(0)
+	tr := trace.New()
 	cfg := DefaultConfig()
 	cfg.Trace = tr
 
@@ -183,11 +184,14 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 	}
 	runTo(horizon + sim.Millisecond)
 
-	truncPoints := 0
+	truncPoints, dropPoints := 0, uint64(0)
 	out.Points = tr.Points()
 	for _, pt := range out.Points {
-		if pt.Name == "truncate" {
+		switch {
+		case pt.Name == "truncate":
 			truncPoints++
+		case strings.HasPrefix(pt.Name, "drop-"):
+			dropPoints++
 		}
 	}
 	total := 0
@@ -197,7 +201,12 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 	if truncPoints != total {
 		t.Fatalf("seed %d: %d truncate trace points for %d truncated packets", seed, truncPoints, total)
 	}
-	out.Stats = n.Stats
+	// Every drop site records its point and counts through one helper, so
+	// the count and the points agree at any worker count.
+	out.Dropped = n.Dropped()
+	if out.Dropped != dropPoints {
+		t.Fatalf("seed %d: Dropped %d, but %d drop-* trace points", seed, out.Dropped, dropPoints)
+	}
 	return out
 }
 
@@ -237,5 +246,5 @@ func TestInTransitSlotTruncatesExactlyTheInServicePackets(t *testing.T) {
 }
 
 func summarize(o propOutcome) string {
-	return fmt.Sprintf("stats %+v, %d trace points, truncated %v", o.Stats, len(o.Points), o.Truncated)
+	return fmt.Sprintf("dropped %d, %d trace points, truncated %v", o.Dropped, len(o.Points), o.Truncated)
 }

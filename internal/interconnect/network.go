@@ -142,23 +142,6 @@ type routerState struct {
 	nodeWaiters []*channel
 }
 
-// Stats counts fabric-level events of interest to the experiments. All
-// fields are updated with atomic adds: in partitioned mode concurrent
-// region workers share one Stats, and because the updates are commutative
-// sums the totals are identical at any worker count. Read between windows
-// (or after the run), plain loads are safe.
-type Stats struct {
-	Injected           uint64
-	Delivered          uint64
-	DeliveredTrunc     uint64
-	DroppedLink        uint64 // black-holed by a failed link
-	DroppedRouter      uint64 // sunk by a failed router
-	DroppedNoRoute     uint64
-	DroppedIsolation   uint64 // discarded by the isolation step
-	DroppedHeadTimeout uint64 // recovery-lane head drop
-	DroppedDeadNode    uint64 // delivered to a failed node controller
-}
-
 // Network is the whole fabric.
 type Network struct {
 	E    *sim.Engine
@@ -172,7 +155,10 @@ type Network struct {
 	chans     []channel
 	linkUp    []bool
 	endpoints []Endpoint
-	Stats     Stats
+	// dropped counts the packets drop has destroyed. In partitioned mode
+	// concurrent region workers share it; the adds commute, so the total is
+	// identical at any worker count.
+	dropped atomic.Uint64
 
 	// OnLost, if set, observes every packet whose content is destroyed
 	// by the fabric: drops of any kind and in-flight truncations. The
@@ -220,6 +206,22 @@ func (n *Network) tracePkt(name string, at int, p *Packet) {
 		tr.Point(n.now(at), at, "pkt", name, p.flow, int64(p.Dst), int64(p.Lane))
 	}
 }
+
+// drop destroys p at router (or node) at: it records the name trace point
+// (one of the drop-* kinds), reports the loss and counts it in Dropped.
+// Every fabric drop goes through here.
+func (n *Network) drop(name string, at int, p *Packet) {
+	n.tracePkt(name, at, p)
+	n.lost(p)
+	n.dropped.Add(1)
+}
+
+// Dropped reports how many packets the fabric has destroyed: black-holed by
+// a failed link, sunk by a failed router, unroutable, discarded by
+// isolation, head-dropped on a recovery lane, or bound for an isolated
+// node. Truncated packets still arrive and are not counted. Read it between
+// partition windows or after the run.
+func (n *Network) Dropped() uint64 { return n.dropped.Load() }
 
 func (n *Network) lost(p *Packet) {
 	if n.cfg.Reliable && !p.Lane.IsRecovery() && !p.retried {
@@ -388,26 +390,21 @@ func (n *Network) SetDiscard(r, p int, on bool) {
 	chans := n.portChans(r, p)
 	for i := range chans {
 		ch := &chans[i]
-		dropped := len(ch.q)
 		if ch.serving {
 			// The head packet is mid-flight; let it finish (it will
 			// be re-checked on arrival). Drop the rest.
-			if dropped > 1 {
+			if len(ch.q) > 1 {
 				for _, pk := range ch.q[1:] {
-					n.tracePkt("drop-isolation", r, pk)
-					n.lost(pk)
+					n.drop("drop-isolation", r, pk)
 				}
 				ch.q = ch.q[:1]
-				atomic.AddUint64(&n.Stats.DroppedIsolation, uint64(dropped-1))
 			}
 		} else {
 			for _, pk := range ch.q {
-				n.tracePkt("drop-isolation", r, pk)
-				n.lost(pk)
+				n.drop("drop-isolation", r, pk)
 			}
 			ch.q = ch.q[:0]
 			ch.blocked = false
-			atomic.AddUint64(&n.Stats.DroppedIsolation, uint64(dropped))
 		}
 		n.wakeWaiters(ch)
 	}
@@ -436,10 +433,8 @@ func (n *Network) FailRouter(r int) {
 	chans := n.routerChans(r)
 	for i := range chans {
 		ch := &chans[i]
-		atomic.AddUint64(&n.Stats.DroppedRouter, uint64(len(ch.q)))
 		for _, pk := range ch.q {
-			n.tracePkt("drop-router", r, pk)
-			n.lost(pk)
+			n.drop("drop-router", r, pk)
 		}
 		ch.q = ch.q[:0]
 		ch.blocked = false
@@ -548,7 +543,6 @@ func (n *Network) InFlight() int {
 // outbox is modeled as elastic, so congestion manifests downstream in the
 // fabric rather than at the injection point.
 func (n *Network) Send(p *Packet) {
-	atomic.AddUint64(&n.Stats.Injected, 1)
 	n.mLanePackets[p.Lane].Inc()
 	n.mLaneFlits[p.Lane].Add(uint64(flits(p)))
 	p.Injected = n.now(p.Src)
@@ -574,9 +568,7 @@ func (n *Network) Send(p *Packet) {
 		return
 	}
 	if n.routers[p.Src].failed {
-		atomic.AddUint64(&n.Stats.DroppedRouter, 1)
-		n.tracePkt("drop-router", p.Src, p)
-		n.lost(p)
+		n.drop("drop-router", p.Src, p)
 		return
 	}
 	port, ok := n.nextPort(p.Src, p)
@@ -594,32 +586,24 @@ func (n *Network) Send(p *Packet) {
 func (n *Network) nextPort(r int, p *Packet) (port int, ok bool) {
 	if p.SourceRoute != nil {
 		if p.hop+1 >= len(p.SourceRoute) {
-			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
-			n.tracePkt("drop-noroute", r, p)
-			n.lost(p)
+			n.drop("drop-noroute", r, p)
 			return 0, false
 		}
 		next := p.SourceRoute[p.hop+1]
 		port = n.Topo.PortTo(r, next)
 		if port < 0 {
-			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
-			n.tracePkt("drop-noroute", r, p)
-			n.lost(p)
+			n.drop("drop-noroute", r, p)
 			return 0, false
 		}
 	} else {
 		port = int(n.routers[r].table[p.Dst])
 		if port < 0 {
-			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
-			n.tracePkt("drop-noroute", r, p)
-			n.lost(p)
+			n.drop("drop-noroute", r, p)
 			return 0, false
 		}
 	}
 	if n.routers[r].discard[port] {
-		atomic.AddUint64(&n.Stats.DroppedIsolation, 1)
-		n.tracePkt("drop-isolation", r, p)
-		n.lost(p)
+		n.drop("drop-isolation", r, p)
 		return 0, false
 	}
 	return port, true
@@ -637,10 +621,8 @@ func (n *Network) kick(ch *channel) {
 	pkt := ch.q[0]
 	if !n.linkUp[ch.link] {
 		// Black hole: sink the head packet and try the next.
-		n.tracePkt("drop-blackhole", from, pkt)
-		n.lost(pkt)
+		n.drop("drop-blackhole", from, pkt)
 		ch.dropHead()
-		atomic.AddUint64(&n.Stats.DroppedLink, 1)
 		n.mBlackholed.Inc()
 		n.wakeWaiters(ch)
 		n.kick(ch)
@@ -684,10 +666,8 @@ func (n *Network) arrive(ch *channel, pkt *Packet) {
 	if !n.linkUp[ch.link] && !pkt.Truncated {
 		// The link died before service completed and the packet was
 		// not marked as the in-flight victim; sink it.
-		n.tracePkt("drop-blackhole", int(ch.router), pkt)
-		n.lost(pkt)
+		n.drop("drop-blackhole", int(ch.router), pkt)
 		n.popHead(ch)
-		atomic.AddUint64(&n.Stats.DroppedLink, 1)
 		n.mBlackholed.Inc()
 		return
 	}
@@ -701,18 +681,14 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 	r := int(ch.to)
 	rs := &n.routers[r]
 	if rs.failed {
-		n.tracePkt("drop-router", r, pkt)
-		n.lost(pkt)
+		n.drop("drop-router", r, pkt)
 		n.popHead(ch)
-		atomic.AddUint64(&n.Stats.DroppedRouter, 1)
 		return
 	}
 	if pkt.SourceRoute != nil {
 		if pkt.hop+1 >= len(pkt.SourceRoute) || pkt.SourceRoute[pkt.hop+1] != r {
-			n.tracePkt("drop-noroute", r, pkt)
-			n.lost(pkt)
+			n.drop("drop-noroute", r, pkt)
 			n.popHead(ch)
-			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
 			return
 		}
 	}
@@ -722,10 +698,8 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 	}
 	if atDst {
 		if rs.discardLocal {
-			n.tracePkt("drop-deadnode", r, pkt)
-			n.lost(pkt)
+			n.drop("drop-deadnode", r, pkt)
 			n.popHead(ch)
-			atomic.AddUint64(&n.Stats.DroppedDeadNode, 1)
 			return
 		}
 		if n.endpoints[r] == nil || n.endpoints[r].Accept(pkt) {
@@ -734,10 +708,6 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 			}
 			n.tracePkt("deliver", r, pkt)
 			n.popHead(ch)
-			atomic.AddUint64(&n.Stats.Delivered, 1)
-			if pkt.Truncated {
-				atomic.AddUint64(&n.Stats.DeliveredTrunc, 1)
-			}
 			return
 		}
 		n.block(ch, pkt)
@@ -786,10 +756,8 @@ func (n *Network) block(ch *channel, pkt *Packet) {
 func (n *Network) headDropEv(a1, a2 any, _ uint64) {
 	ch, pkt := a1.(*channel), a2.(*Packet)
 	if ch.blocked && len(ch.q) > 0 && ch.q[0] == pkt {
-		n.tracePkt("drop-headtimeout", int(ch.router), pkt)
-		n.lost(pkt)
+		n.drop("drop-headtimeout", int(ch.router), pkt)
 		n.popHead(ch)
-		atomic.AddUint64(&n.Stats.DroppedHeadTimeout, 1)
 	}
 }
 
@@ -853,9 +821,7 @@ func (n *Network) deliver(p *Packet) {
 		return
 	}
 	if n.routers[p.Dst].discardLocal {
-		atomic.AddUint64(&n.Stats.DroppedDeadNode, 1)
-		n.tracePkt("drop-deadnode", p.Dst, p)
-		n.lost(p)
+		n.drop("drop-deadnode", p.Dst, p)
 		return
 	}
 	if !ep.Accept(p) {
@@ -867,7 +833,6 @@ func (n *Network) deliver(p *Packet) {
 		return
 	}
 	n.tracePkt("deliver", p.Dst, p)
-	atomic.AddUint64(&n.Stats.Delivered, 1)
 }
 
 // deliverEv is the pre-bound event form of deliver, used for loopback

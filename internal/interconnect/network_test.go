@@ -1,11 +1,14 @@
 package interconnect
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"flashfc/internal/metrics"
 	"flashfc/internal/sim"
 	"flashfc/internal/topology"
+	"flashfc/internal/trace"
 )
 
 // collector is a test Endpoint that records delivered packets and can be
@@ -27,18 +30,45 @@ func (c *collector) Accept(p *Packet) bool {
 	return true
 }
 
-// rig builds a w×h mesh fabric with collector endpoints on every node.
+// rig builds a w×h mesh fabric with collector endpoints on every node, a
+// tracer and a metrics registry. When the test ends it checks that Dropped
+// counts exactly the drop-* points: every drop site goes through drop.
 func rig(t *testing.T, w, h int) (*sim.Engine, *Network, []*collector) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	topo := topology.NewMesh(w, h)
-	n := New(e, topo, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Trace = trace.New()
+	cfg.Metrics = metrics.NewRegistry()
+	n := New(e, topo, cfg)
 	cols := make([]*collector, topo.Routers())
 	for i := range cols {
 		cols[i] = &collector{}
 		n.SetEndpoint(i, cols[i])
 	}
+	t.Cleanup(func() {
+		drops := 0
+		for _, p := range cfg.Trace.Points() {
+			if strings.HasPrefix(p.Name, "drop-") {
+				drops++
+			}
+		}
+		if n.Dropped() != uint64(drops) {
+			t.Errorf("Dropped = %d, but %d drop-* trace points", n.Dropped(), drops)
+		}
+	})
 	return e, n, cols
+}
+
+// points counts the packet trace points named name on a rig's fabric.
+func points(n *Network, name string) int {
+	c := 0
+	for _, p := range n.cfg.Trace.Points() {
+		if p.Name == name {
+			c++
+		}
+	}
+	return c
 }
 
 func TestBasicDelivery(t *testing.T) {
@@ -51,8 +81,8 @@ func TestBasicDelivery(t *testing.T) {
 	if cols[15].got[0].Payload != "hello" {
 		t.Fatal("payload mangled")
 	}
-	if n.Stats.Delivered != 1 {
-		t.Fatalf("Stats.Delivered = %d", n.Stats.Delivered)
+	if got := points(n, "deliver"); got != 1 {
+		t.Fatalf("deliver points = %d", got)
 	}
 }
 
@@ -121,8 +151,8 @@ func TestFailedRouterSinksTraffic(t *testing.T) {
 	if len(cols[3].got) != 0 {
 		t.Fatal("packet should have been sunk by failed router")
 	}
-	if n.Stats.DroppedRouter == 0 {
-		t.Fatal("DroppedRouter not counted")
+	if points(n, "drop-router") != 1 || n.Dropped() != 1 {
+		t.Fatalf("router drop not counted: %d points, Dropped %d", points(n, "drop-router"), n.Dropped())
 	}
 }
 
@@ -136,8 +166,8 @@ func TestFailedLinkBlackHole(t *testing.T) {
 	if len(cols[3].got) != 0 {
 		t.Fatal("packet should have been black-holed")
 	}
-	if n.Stats.DroppedLink == 0 {
-		t.Fatal("DroppedLink not counted")
+	if n.cfg.Metrics.Counter("interconnect.blackholed_packets").Value() != 1 || n.Dropped() != 1 {
+		t.Fatalf("black hole not counted: Dropped %d", n.Dropped())
 	}
 }
 
@@ -156,8 +186,8 @@ func TestInFlightTruncationOnLinkFailure(t *testing.T) {
 	if !cols[3].got[0].Truncated {
 		t.Fatal("packet should be marked truncated")
 	}
-	if n.Stats.DeliveredTrunc != 1 {
-		t.Fatal("DeliveredTrunc not counted")
+	if n.cfg.Metrics.Counter("interconnect.truncated_packets").Value() != 1 || points(n, "deliver") != 1 {
+		t.Fatal("truncated delivery not counted")
 	}
 }
 
@@ -180,8 +210,8 @@ func TestRefusingNodeCongestsFabric(t *testing.T) {
 	if got := n.InFlight(); got != 0 {
 		t.Fatalf("fabric should drain after isolation, %d in flight", got)
 	}
-	if n.Stats.DroppedDeadNode == 0 {
-		t.Fatal("DroppedDeadNode not counted")
+	if points(n, "drop-deadnode") == 0 {
+		t.Fatal("dead-node drop not counted")
 	}
 }
 
@@ -237,7 +267,7 @@ func TestRecoveryHeadDrop(t *testing.T) {
 		})
 	}
 	e.RunUntil(sim.Second)
-	if n.Stats.DroppedHeadTimeout == 0 {
+	if points(n, "drop-headtimeout") == 0 {
 		t.Fatal("blocked recovery packets should be head-dropped")
 	}
 	if n.InFlight() != 0 {
@@ -497,7 +527,7 @@ func TestLoopbackDiscardLocalDropsRetry(t *testing.T) {
 	// Isolation stops the retry loop; the simulation must drain fully.
 	n.SetDiscardLocal(1, true)
 	e.Run()
-	if n.Stats.DroppedDeadNode == 0 {
+	if points(n, "drop-deadnode") != 1 || n.Dropped() != 1 {
 		t.Fatal("loopback should be dropped by local discard")
 	}
 }

@@ -1,8 +1,6 @@
 package interconnect
 
 import (
-	"sync/atomic"
-
 	"flashfc/internal/sim"
 	"flashfc/internal/timing"
 )
@@ -101,9 +99,7 @@ func (n *Network) ingressEv(a1, _ any, u uint64) {
 	// marked it as the truncation victim, in which case it continues to
 	// its destination truncated, like any in-flight packet (§3.1).
 	if !n.linkUp[link] && !pkt.Truncated {
-		n.tracePkt("drop-blackhole", r, pkt)
-		n.lost(pkt)
-		atomic.AddUint64(&n.Stats.DroppedLink, 1)
+		n.drop("drop-blackhole", r, pkt)
 		n.mBlackholed.Inc()
 		return
 	}
@@ -129,16 +125,12 @@ func (n *Network) retryEv(a1, _ any, u uint64) {
 // synchronously touch another mid-window.
 func (n *Network) arriveFree(r int, pkt *Packet) {
 	if n.routers[r].failed {
-		n.tracePkt("drop-router", r, pkt)
-		n.lost(pkt)
-		atomic.AddUint64(&n.Stats.DroppedRouter, 1)
+		n.drop("drop-router", r, pkt)
 		return
 	}
 	if pkt.SourceRoute != nil {
 		if pkt.hop+1 >= len(pkt.SourceRoute) || pkt.SourceRoute[pkt.hop+1] != r {
-			n.tracePkt("drop-noroute", r, pkt)
-			n.lost(pkt)
-			atomic.AddUint64(&n.Stats.DroppedNoRoute, 1)
+			n.drop("drop-noroute", r, pkt)
 			return
 		}
 	}
@@ -148,9 +140,7 @@ func (n *Network) arriveFree(r int, pkt *Packet) {
 	}
 	if atDst {
 		if n.routers[r].discardLocal {
-			n.tracePkt("drop-deadnode", r, pkt)
-			n.lost(pkt)
-			atomic.AddUint64(&n.Stats.DroppedDeadNode, 1)
+			n.drop("drop-deadnode", r, pkt)
 			return
 		}
 		if n.endpoints[r] == nil || n.endpoints[r].Accept(pkt) {
@@ -158,10 +148,6 @@ func (n *Network) arriveFree(r int, pkt *Packet) {
 				pkt.hop++
 			}
 			n.tracePkt("deliver", r, pkt)
-			atomic.AddUint64(&n.Stats.Delivered, 1)
-			if pkt.Truncated {
-				atomic.AddUint64(&n.Stats.DeliveredTrunc, 1)
-			}
 			return
 		}
 		backoff := n.cfg.LoopbackDelay

@@ -3,13 +3,13 @@ package interconnect
 import "fmt"
 
 // Snapshot is the durable fabric state at a quiescent, pre-fault point:
-// the delivery statistics and the packet flow-id sequence (which seeds
+// the drop count and the packet flow-id sequence (which seeds
 // trace flow ids and the deterministic in-transit ordering). Everything
 // else — channel queues, in-flight packets, blocked waiters, retained
 // retransmissions — must be empty at a safe point, which Network.Snapshot
 // enforces, so a fork rebuilds it from the topology instead of copying it.
 type Snapshot struct {
-	Stats   Stats
+	Dropped uint64
 	FlowSeq uint64
 	// FlowSeqR holds the per-region flow counters of a partitioned
 	// fabric; nil on classic fabrics, keeping their snapshot format
@@ -23,7 +23,7 @@ type Snapshot struct {
 // snapshots are taken before any fault is injected.
 func (n *Network) Snapshot() *Snapshot {
 	n.mustQuiescent()
-	s := &Snapshot{Stats: n.Stats, FlowSeq: n.flowSeq}
+	s := &Snapshot{Dropped: n.Dropped(), FlowSeq: n.flowSeq}
 	if n.flowSeqR != nil {
 		s.FlowSeqR = append([]uint64(nil), n.flowSeqR...)
 	}
@@ -33,7 +33,7 @@ func (n *Network) Snapshot() *Snapshot {
 // Restore installs a snapshot's state on a freshly built Network over the
 // same topology and config.
 func (n *Network) Restore(s *Snapshot) {
-	n.Stats = s.Stats
+	n.dropped.Store(s.Dropped)
 	n.flowSeq = s.FlowSeq
 	if s.FlowSeqR != nil {
 		copy(n.flowSeqR, s.FlowSeqR)

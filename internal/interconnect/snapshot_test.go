@@ -66,13 +66,18 @@ func TestNetworkSnapshotRestore(t *testing.T) {
 		}()
 		_ = s
 	}
+	// 0 and 3 are not neighbours on a 2x2 mesh: one unroutable drop.
+	n.Send(&Packet{Src: 0, Dst: 3, Lane: LaneRecoveryA, Bytes: 16, SourceRoute: []int{0, 3}})
 	e.Run()
 	snap := n.Snapshot()
+	if snap.Dropped != 1 {
+		t.Fatalf("snapshot drop count %d, want 1", snap.Dropped)
+	}
 
 	f := New(sim.NewEngine(1), topo, DefaultConfig())
 	f.Restore(snap)
-	if f.Stats != n.Stats {
-		t.Fatalf("restored stats %+v != source %+v", f.Stats, n.Stats)
+	if f.Dropped() != n.Dropped() {
+		t.Fatalf("restored drop count %d != source %d", f.Dropped(), n.Dropped())
 	}
 	// New traffic on the fork continues the flow-id sequence, keeping
 	// trace flow ids and FailLink victim ordering aligned with a fresh

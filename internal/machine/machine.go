@@ -51,8 +51,9 @@ type Config struct {
 	ReliableInterconnect bool
 	// FailureUnits maps node → failure unit (nil: one unit per node).
 	FailureUnits []int
-	// Trace, when non-nil, collects a machine-wide event timeline:
-	// injections, triggers, per-node phase transitions, completions.
+	// Trace, when non-nil, collects the span tree and the point stream:
+	// packet lifecycles, MAGIC events and the timeline (injections,
+	// per-node phase transitions, completions).
 	Trace *trace.Tracer
 	// Magic carries controller options (firewall, protocol-memory range).
 	Magic magic.Config
@@ -60,10 +61,9 @@ type Config struct {
 	// overwrites the callbacks and charge sizes.
 	Recovery core.Config
 	// Routing names the interconnect-recovery routing strategy
-	// (routing.Names: "paper", "incremental", "adaptive"). "" and "paper"
-	// build the exact pre-strategy machine — byte-identical goldens. Kept
-	// as a name rather than a routing.Strategy so snapshots serialize it
-	// and forks can override it (FromSnapshotRouting).
+	// (routing.Names: "paper", "incremental", "adaptive"; "" is "paper").
+	// Kept as a name rather than a routing.Strategy so snapshots serialize
+	// it and forks can override it (FromSnapshotRouting).
 	Routing string
 
 	// Partitions, when > 0, runs the machine's event core as a partitioned
@@ -245,20 +245,15 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	} else {
 		e = sim.NewEngine(cfg.Seed)
 	}
-	var strat routing.Strategy
-	if cfg.Routing != "" && cfg.Routing != "paper" {
-		var err error
-		if strat, err = routing.Get(cfg.Routing); err != nil {
-			panic("machine: " + err.Error())
-		}
+	strat, err := routing.Get(cfg.Routing)
+	if err != nil {
+		panic("machine: " + err.Error())
 	}
 	icfg := interconnect.DefaultConfig()
 	icfg.Reliable = cfg.ReliableInterconnect
 	icfg.Metrics = reg
 	icfg.Trace = cfg.Trace
-	if strat != nil {
-		icfg.Tables = strat.PristineTables(topo)
-	}
+	icfg.Tables = strat.PristineTables(topo)
 	if P != nil {
 		of := make([]int, topo.Routers())
 		engines := make([]*sim.Engine, regions.Count())
@@ -341,7 +336,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 			n.CPU.Restore(snap.Nodes[i].CPU)
 		}
 		// Phase transitions are recorded by the agents themselves (both
-		// the flat timeline and the phase spans), so no OnPhase wrapper
+		// the timeline point and the phase spans), so no OnPhase wrapper
 		// is needed here.
 		nodeCfg := rcfg
 		nodeCfg.OnEnter = func(id int) {

@@ -149,21 +149,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts controller-level events.
-type Stats struct {
-	HandlersRun    uint64
-	NAKsSent       uint64
-	NAKsReceived   uint64
-	BusErrors      uint64
-	Timeouts       uint64
-	Retries        uint64
-	FirewallDenied uint64
-	RangeDenied    uint64
-	UncachedDenied uint64
-	TruncatedSeen  uint64
-	DroppedInMode  uint64 // packets consumed and dropped in drain/flush/dead
-}
-
 // mshr tracks one outstanding processor-initiated operation.
 type mshr struct {
 	seq      uint64
@@ -256,8 +241,6 @@ type Controller struct {
 	onRecoveryPkt   func(*interconnect.Packet)
 	onDeadDrop      func(*coherence.Message)
 	uncachedHandler func(src int, payload any) (any, error)
-
-	Stats Stats
 
 	// Pre-resolved machine-wide metric instruments (nil-safe).
 	mFirewallDenied *metrics.Counter
@@ -472,7 +455,6 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 		// §3.1: MAGIC completed the message with parity-error bits set;
 		// the next dispatch is the error handler, which triggers
 		// recovery. The data is unusable and dropped.
-		c.Stats.TruncatedSeen++
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "truncated-seen", p.Flow(), int64(p.Src), int64(p.Lane))
 		c.trigger(ReasonTruncated)
 		return true
@@ -498,13 +480,11 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 		case coherence.MsgPut, coherence.MsgDataExcl:
 			// handled below (queued normally)
 		default:
-			c.Stats.DroppedInMode++
 			c.discarded(msg)
 			return true
 		}
 	case ModeFlush:
 		if msg.Type != coherence.MsgPut && msg.Type != coherence.MsgDataExcl {
-			c.Stats.DroppedInMode++
 			c.discarded(msg)
 			return true
 		}
@@ -543,7 +523,6 @@ func (c *Controller) process() {
 func (c *Controller) dispatchEv(a1, _ any, _ uint64) {
 	p := a1.(*interconnect.Packet)
 	c.busy = false
-	c.Stats.HandlersRun++
 	if !c.handle(p.Payload.(*coherence.Message)) {
 		releaseWire(p)
 	}
@@ -568,7 +547,6 @@ func (c *Controller) timeoutEv(_, _ any, u uint64) {
 	if m == nil {
 		return
 	}
-	c.Stats.Timeouts++
 	c.mTimeouts.Inc()
 	c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "memop-timeout", 0, int64(m.addr), 0)
 	c.trigger(ReasonTimeout)

@@ -16,7 +16,6 @@ func (c *Controller) handle(msg *coherence.Message) (retained bool) {
 	// The mode may have changed while this handler sat in the queue.
 	switch c.mode {
 	case ModeDead, ModeLoop:
-		c.Stats.DroppedInMode++
 		c.discarded(msg)
 		return false
 	case ModeDrain, ModeFlush:
@@ -30,7 +29,6 @@ func (c *Controller) handle(msg *coherence.Message) (retained bool) {
 			c.orphans = append(c.orphans, msg)
 			return true
 		default:
-			c.Stats.DroppedInMode++
 			c.discarded(msg)
 		}
 		return false
@@ -64,12 +62,8 @@ func (c *Controller) handle(msg *coherence.Message) (retained bool) {
 // reply sends a response for the transaction identified by (req, seq).
 func (c *Controller) reply(req int, ty coherence.MsgType, addr coherence.Addr, seq uint64, data uint64) {
 	if ty == coherence.MsgNak {
-		c.Stats.NAKsSent++
 		c.mNAKsSent.Inc()
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "nak-sent", 0, int64(addr), int64(req))
-	}
-	if ty == coherence.MsgBusErr {
-		c.Stats.BusErrors++
 	}
 	c.sendMsg(req, coherence.Message{Type: ty, Addr: addr, Req: req, Seq: seq, Data: data})
 }
@@ -113,7 +107,6 @@ func (c *Controller) handleGet(msg *coherence.Message) {
 // firewall write-access check (§3.3).
 func (c *Controller) handleGetX(msg *coherence.Message) {
 	if !c.firewallAllows(msg.Addr, msg.Req) {
-		c.Stats.FirewallDenied++
 		c.mFirewallDenied.Inc()
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "firewall-denied", 0, int64(msg.Addr), int64(msg.Req))
 		c.reply(msg.Req, coherence.MsgBusErr, msg.Addr, msg.Seq, 0)
@@ -348,7 +341,6 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 		c.install(msg.Addr, coherence.CacheExclusive, tok)
 		c.completeMSHR(m, Result{Token: tok})
 	case coherence.MsgNak:
-		c.Stats.NAKsReceived++
 		c.mNAKsReceived.Inc()
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "nak-received", 0, int64(msg.Addr), int64(m.naks+1))
 		m.naks++
@@ -358,7 +350,6 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 			c.trigger(ReasonNAKOverflow)
 			return
 		}
-		c.Stats.Retries++
 		m.retry = c.E.AfterCall(c.cfg.NAKRetryDelay, c.retryFn, nil, nil, m.seq)
 	case coherence.MsgBusErr:
 		c.completeMSHR(m, Result{Err: ErrBusError})
@@ -369,7 +360,6 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 // the cross-failure-unit access check for I/O device accesses (§3.3).
 func (c *Controller) handleUncached(msg *coherence.Message) {
 	if msg.IO && c.unit != nil && c.unit[msg.Req] != c.unit[c.ID] {
-		c.Stats.UncachedDenied++
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "uncached-denied", 0, int64(msg.Req), 0)
 		c.sendMsg(msg.Req, coherence.Message{Type: coherence.MsgUncachedErr, Req: msg.Req, Seq: msg.Seq})
 		return

@@ -5,17 +5,22 @@ import (
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
+	"flashfc/internal/metrics"
 	"flashfc/internal/sim"
 	"flashfc/internal/topology"
+	"flashfc/internal/trace"
 )
 
 // testRig is a small machine: engine, fabric, and one controller per node
-// with its own directory/memory/cache.
+// with its own directory/memory/cache. Fabric and controllers report into
+// one registry and one tracer, as on a machine.
 type testRig struct {
 	e     *sim.Engine
 	net   *interconnect.Network
 	space coherence.AddrSpace
 	ctrl  []*Controller
+	reg   *metrics.Registry
+	tr    *trace.Tracer
 }
 
 func newRig(t *testing.T, nodes int, cfg Config) *testRig {
@@ -36,9 +41,12 @@ func newRigNet(t *testing.T, nodes int, cfg Config, icfg interconnect.Config) *t
 	default:
 		topo = topology.NewMesh(nodes, 1)
 	}
+	reg, tr := metrics.NewRegistry(), trace.New()
+	icfg.Metrics, icfg.Trace = reg, tr
+	cfg.Metrics, cfg.Trace = reg, tr
 	net := interconnect.New(e, topo, icfg)
 	space := coherence.AddrSpace{Nodes: nodes, MemBytes: 1 << 20}
-	r := &testRig{e: e, net: net, space: space}
+	r := &testRig{e: e, net: net, space: space, reg: reg, tr: tr}
 	for i := 0; i < nodes; i++ {
 		dir := coherence.NewDirectory(nodes)
 		mem := coherence.NewMemory(space.Base(i), space.MemBytes)
@@ -46,6 +54,17 @@ func newRigNet(t *testing.T, nodes int, cfg Config, icfg interconnect.Config) *t
 		r.ctrl = append(r.ctrl, New(e, net, i, space, dir, mem, cache, cfg))
 	}
 	return r
+}
+
+// points counts the trace points named name recorded at node.
+func (r *testRig) points(node int, name string) int {
+	c := 0
+	for _, p := range r.tr.Points() {
+		if p.Node == node && p.Name == name {
+			c++
+		}
+	}
+	return c
 }
 
 // read performs a blocking-style read and runs the engine to completion.
@@ -204,8 +223,9 @@ func TestNodeMapBusErrorsRequestsToDeadHomes(t *testing.T) {
 	if res.Err != ErrBusError {
 		t.Fatalf("err = %v, want bus error", res.Err)
 	}
-	if r.ctrl[0].Stats.BusErrors == 0 {
-		t.Fatal("bus error not counted")
+	// The node map refuses the request locally: nothing enters the fabric.
+	if got := r.points(0, "inject"); got != 0 {
+		t.Fatalf("request to a dead home injected %d packets", got)
 	}
 }
 
@@ -251,8 +271,8 @@ func TestFirewallDeniesRemoteExclusive(t *testing.T) {
 	if res := r.write(t, 3, page+0x80, 9); res.Err != ErrBusError {
 		t.Fatalf("firewalled write: %+v", res)
 	}
-	if r.ctrl[0].Stats.FirewallDenied != 1 {
-		t.Fatal("FirewallDenied not counted")
+	if r.reg.Counter("magic.firewall_denied").Value() != 1 || r.points(0, "firewall-denied") != 1 {
+		t.Fatal("firewall denial not counted")
 	}
 	// Writes from inside the ACL succeed.
 	if res := r.write(t, 1, page+0x80, 9); res.Err != nil {
@@ -272,8 +292,8 @@ func TestRangeCheckProtectsProtocolMemory(t *testing.T) {
 	if res := r.write(t, 0, r.space.Base(0)+0x100, 1); res.Err != ErrBusError {
 		t.Fatalf("local protocol write: %+v", res)
 	}
-	if r.ctrl[0].Stats.RangeDenied != 1 {
-		t.Fatal("RangeDenied not counted")
+	if r.reg.Counter("magic.range_denied").Value() != 1 || r.points(0, "range-denied") != 1 {
+		t.Fatal("range denial not counted")
 	}
 	// Reads are allowed.
 	if res := r.read(t, 0, r.space.Base(0)+0x100); res.Err != nil {
@@ -321,7 +341,7 @@ func TestNAKOverflowTriggersRecovery(t *testing.T) {
 	if len(reasons) == 0 || reasons[0] != ReasonNAKOverflow {
 		t.Fatalf("reasons = %v, want NAK overflow first", reasons)
 	}
-	if r.ctrl[2].Stats.NAKsReceived == 0 {
+	if r.points(2, "nak-received") == 0 {
 		t.Fatal("no NAKs observed")
 	}
 }
@@ -376,14 +396,16 @@ func TestEnterRecoveryAbortsOutstanding(t *testing.T) {
 func TestDrainModeConsumesWithoutReplying(t *testing.T) {
 	r := newRig(t, 2, DefaultConfig())
 	r.ctrl[1].SetMode(ModeDrain)
+	drained := 0
+	r.ctrl[1].SetDeadDropHandler(func(*coherence.Message) { drained++ })
 	done := false
 	r.ctrl[0].Read(r.space.Base(1), func(Result) { done = true })
 	r.e.RunUntil(100 * sim.Microsecond)
 	if done {
 		t.Fatal("drain mode must not reply")
 	}
-	if r.ctrl[1].Stats.DroppedInMode == 0 {
-		t.Fatal("drained packet not counted")
+	if drained == 0 {
+		t.Fatal("drained packet not reported")
 	}
 	if r.ctrl[1].LastNormalDelivery() == 0 {
 		t.Fatal("drain must record delivery times for the τ agreement")
@@ -461,8 +483,8 @@ func TestUncachedCrossUnitDenied(t *testing.T) {
 	if !done || gerr != ErrBusError {
 		t.Fatalf("cross-unit uncached op: done=%v err=%v", done, gerr)
 	}
-	if r.ctrl[1].Stats.UncachedDenied != 1 {
-		t.Fatal("UncachedDenied not counted")
+	if r.points(1, "uncached-denied") != 1 {
+		t.Fatal("uncached denial not counted")
 	}
 }
 

@@ -32,7 +32,6 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 	// Range check: the protocol-memory region is writable only by the
 	// local protocol processor (§3.3).
 	if excl && c.rangeDenied(addr) {
-		c.Stats.RangeDenied++
 		c.mRangeDenied.Inc()
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "range-denied", 0, int64(addr), 0)
 		c.completeErr(cb, ErrBusError)
@@ -69,7 +68,6 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 	// addressable.
 	home := c.Space.Home(addr)
 	if !c.reachable(home) {
-		c.Stats.BusErrors++
 		c.completeErr(cb, ErrBusError)
 		return
 	}

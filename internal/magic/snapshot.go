@@ -9,15 +9,13 @@ import (
 
 // Snapshot is the durable MAGIC controller state at a quiescent, pre-fault
 // point: the message sequence counter (which orders protocol replies), the
-// normal-delivery watermark, the statistics (NAK counters included), the
-// node-liveness view, and the firewall image. Transient state — the input
-// queue, outstanding mshrs with their armed timers, orphaned grants —
-// must be empty at a safe point, which Snapshot enforces; a fork rebuilds
-// it empty.
+// normal-delivery watermark, the node-liveness view, and the firewall
+// image. Transient state — the input queue, outstanding mshrs with their
+// armed timers, orphaned grants — must be empty at a safe point, which
+// Snapshot enforces; a fork rebuilds it empty.
 type Snapshot struct {
 	Seq                uint64
 	LastNormalDelivery sim.Time
-	Stats              Stats
 	NodeUp             []bool
 	Firewall           map[coherence.Addr]coherence.NodeSet
 }
@@ -43,7 +41,6 @@ func (c *Controller) Snapshot() *Snapshot {
 	return &Snapshot{
 		Seq:                c.seq,
 		LastNormalDelivery: c.lastNormalDelivery,
-		Stats:              c.Stats,
 		NodeUp:             append([]bool(nil), c.nodeUp...),
 		Firewall:           fw,
 	}
@@ -55,7 +52,6 @@ func (c *Controller) Snapshot() *Snapshot {
 func (c *Controller) Restore(s *Snapshot) {
 	c.seq = s.Seq
 	c.lastNormalDelivery = s.LastNormalDelivery
-	c.Stats = s.Stats
 	copy(c.nodeUp, s.NodeUp)
 	for page, writers := range s.Firewall {
 		c.firewall[page] = writers.Clone()

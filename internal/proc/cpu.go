@@ -37,14 +37,6 @@ type Op struct {
 	DoneAt func(coherence.Addr, magic.Result)
 }
 
-// Stats counts processor-level events.
-type Stats struct {
-	Issued    uint64
-	Completed uint64
-	BusErrors uint64
-	Aborted   uint64
-}
-
 // CPU issues memory operations through the node's MAGIC controller with a
 // bounded number outstanding.
 type CPU struct {
@@ -62,19 +54,13 @@ type CPU struct {
 	onDrained func()
 
 	// freeRecs pools in-flight operation records so the issue/retire
-	// cycle allocates nothing in steady state; specDone is the shared
-	// completion for discarded speculative fetches.
+	// cycle allocates nothing in steady state.
 	freeRecs []*opRecord
-	specDone func(magic.Result)
-
-	Stats Stats
 }
 
 // New returns a CPU with the given outstanding-operation window.
 func New(e *sim.Engine, ctrl *magic.Controller, window int) *CPU {
-	c := &CPU{ID: ctrl.ID, E: e, Ctrl: ctrl, Window: window}
-	c.specDone = func(magic.Result) { c.Stats.Completed++ }
-	return c
+	return &CPU{ID: ctrl.ID, E: e, Ctrl: ctrl, Window: window}
 }
 
 // opRecord carries one in-flight operation through its MAGIC round trip.
@@ -100,8 +86,7 @@ func (c *CPU) newRecord(op Op) *opRecord {
 	return r
 }
 
-// retire completes the record's operation: accounting, the submitter's
-// callback, drain notification, and the next issue round. The record
+// retire completes the record's operation: the submitter's callback, drain notification, and the next issue round. The record
 // returns to the pool first — the op is copied out — so a completion that
 // submits new work can reuse it immediately.
 func (r *opRecord) retire(res magic.Result) {
@@ -109,13 +94,6 @@ func (r *opRecord) retire(res magic.Result) {
 	r.op = Op{}
 	c.freeRecs = append(c.freeRecs, r)
 	c.inflight--
-	c.Stats.Completed++
-	switch res.Err {
-	case magic.ErrBusError:
-		c.Stats.BusErrors++
-	case magic.ErrAborted:
-		c.Stats.Aborted++
-	}
 	if op.Done != nil {
 		op.Done(res)
 	}
@@ -182,7 +160,6 @@ func (c *CPU) issue() {
 		c.queue[c.head] = Op{}
 		c.head++
 		c.inflight++
-		c.Stats.Issued++
 		done := c.newRecord(op).done
 		switch op.Kind {
 		case OpRead:
@@ -198,11 +175,10 @@ func (c *CPU) issue() {
 	}
 }
 
-// Snapshot is the durable processor state at a quiescent point: the
-// statistics and the pause flag. Everything else (the issue queue, in-
-// flight records) must be empty, which Snapshot enforces.
+// Snapshot is the durable processor state at a quiescent point: the pause
+// flag. Everything else (the issue queue, in-flight records) must be empty,
+// which Snapshot enforces.
 type Snapshot struct {
-	Stats  Stats
 	Paused bool
 }
 
@@ -212,12 +188,11 @@ func (c *CPU) Snapshot() Snapshot {
 	if c.inflight > 0 || c.QueueLen() > 0 {
 		panic(fmt.Sprintf("proc: snapshot of CPU %d with %d in flight, %d queued", c.ID, c.inflight, c.QueueLen()))
 	}
-	return Snapshot{Stats: c.Stats, Paused: c.paused}
+	return Snapshot{Paused: c.paused}
 }
 
 // Restore installs a snapshot's state on a freshly built CPU.
 func (c *CPU) Restore(s Snapshot) {
-	c.Stats = s.Stats
 	c.paused = s.Paused
 }
 
@@ -225,6 +200,8 @@ func (c *CPU) Restore(s Snapshot) {
 // discarded: the §3.3 hazard where incorrect speculation pulls an arbitrary
 // line exclusive into a cache that may subsequently fail.
 func (c *CPU) Speculate(addr coherence.Addr) {
-	c.Stats.Issued++
-	c.Ctrl.ReadExclusive(addr, c.specDone)
+	c.Ctrl.ReadExclusive(addr, discard)
 }
+
+// discard is the completion of a speculative fetch: the result is unused.
+func discard(magic.Result) {}

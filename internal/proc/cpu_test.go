@@ -42,8 +42,8 @@ func TestWindowLimitsInflight(t *testing.T) {
 	if done != 6 {
 		t.Fatalf("done = %d, want 6", done)
 	}
-	if cpu.Stats.Issued != 6 || cpu.Stats.Completed != 6 {
-		t.Fatalf("stats = %+v", cpu.Stats)
+	if cpu.Inflight() != 0 || cpu.QueueLen() != 0 {
+		t.Fatalf("after the run: inflight=%d queued=%d", cpu.Inflight(), cpu.QueueLen())
 	}
 }
 
@@ -92,14 +92,11 @@ func TestWriteAndReadExclusive(t *testing.T) {
 func TestBusErrorCounted(t *testing.T) {
 	e, cpu, ctrl := newCPU(t)
 	ctrl.SetNodeUp(1, false)
-	var got error
-	cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(64 << 10), Done: func(r magic.Result) { got = r.Err }})
+	var got []error
+	cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(64 << 10), Done: func(r magic.Result) { got = append(got, r.Err) }})
 	e.Run()
-	if got != magic.ErrBusError {
-		t.Fatalf("err = %v", got)
-	}
-	if cpu.Stats.BusErrors != 1 {
-		t.Fatalf("stats = %+v", cpu.Stats)
+	if len(got) != 1 || got[0] != magic.ErrBusError {
+		t.Fatalf("completions = %v, want one bus error", got)
 	}
 }
 
@@ -117,17 +114,14 @@ func TestSpeculateDiscardsResult(t *testing.T) {
 
 func TestAbortedCounted(t *testing.T) {
 	e, cpu, ctrl := newCPU(t)
-	var got error
+	var got []error
 	// A remote read that will be aborted by recovery entry.
-	cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(64<<10) + 0x80, Done: func(r magic.Result) { got = r.Err }})
+	cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(64<<10) + 0x80, Done: func(r magic.Result) { got = append(got, r.Err) }})
 	e.RunUntil(10) // issued, not yet complete
 	ctrl.EnterRecovery()
 	e.RunUntil(e.Now() + sim.Millisecond)
-	if got != magic.ErrAborted {
-		t.Fatalf("err = %v", got)
-	}
-	if cpu.Stats.Aborted != 1 {
-		t.Fatalf("stats = %+v", cpu.Stats)
+	if len(got) != 1 || got[0] != magic.ErrAborted {
+		t.Fatalf("completions = %v, want one abort", got)
 	}
 }
 

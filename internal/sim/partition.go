@@ -52,11 +52,6 @@ type Partitioned struct {
 	outbox  [][]xmsg // per source region, filled during a window
 	sendIdx []uint32 // per source region, reset at each barrier
 
-	// onBarrier, when non-nil, runs single-threaded after every barrier
-	// merge with the barrier time. The machine layer uses it to drain
-	// region-local completion queues into machine-wide state.
-	onBarrier func(Time)
-
 	barriers uint64
 	merged   uint64
 	// Per-region deterministic load/stall accounting, exposed so the
@@ -151,10 +146,6 @@ func (p *Partitioned) Workers() int { return p.workers }
 // Now returns the coordinator clock: the start of the next unexecuted
 // window. Between windows every region's engine reads the same Now.
 func (p *Partitioned) Now() Time { return p.windowStart }
-
-// OnBarrier installs the per-barrier hook (single-threaded, may touch any
-// region's state).
-func (p *Partitioned) OnBarrier(fn func(Time)) { p.onBarrier = fn }
 
 // SetGlobalFrom switches every window that starts at or after t to the
 // deterministic global interleave. Calls only narrow the threshold (the
@@ -261,8 +252,8 @@ func (p *Partitioned) Run() {
 }
 
 // runWindow executes [windowStart, end) on every region, then performs the
-// barrier: merge cross-region messages in deterministic order, advance the
-// window clock, and run the barrier hook.
+// barrier: merge cross-region messages in deterministic order and advance
+// the window clock.
 func (p *Partitioned) runWindow(end Time) {
 	switch {
 	case p.GlobalActive():
@@ -275,9 +266,6 @@ func (p *Partitioned) runWindow(end Time) {
 	p.windowStart = end
 	p.mergeOutboxes()
 	p.barriers++
-	if p.onBarrier != nil {
-		p.onBarrier(end)
-	}
 }
 
 // runWindowSeq is the one-worker window execution: each region in turn runs

@@ -270,9 +270,10 @@ func TestPartitionedGlobalModeCrossRegionScheduling(t *testing.T) {
 	}
 }
 
-// TestPartitionedSetGlobalFromMidRun checks the deterministic mode switch:
-// parallel windows before the threshold, global interleave after, with
-// results identical at any worker count.
+// TestPartitionedSetGlobalFromMidRun checks the deterministic mode switch
+// as machine.Inject makes it, between two RunUntil calls: parallel windows
+// before the threshold, global interleave after, with results identical at
+// any worker count.
 func TestPartitionedSetGlobalFromMidRun(t *testing.T) {
 	run := func(workers int) progResult {
 		const L = Time(750)
@@ -288,12 +289,12 @@ func TestPartitionedSetGlobalFromMidRun(t *testing.T) {
 				})
 			}
 		}
-		p.OnBarrier(func(end Time) {
-			if end == 750 {
-				p.SetGlobalFrom(end) // switch after the first window
-			}
-		})
-		p.Run()
+		p.RunUntil(L) // the first window
+		if p.GlobalActive() {
+			t.Fatal("global mode engaged before the switch")
+		}
+		p.SetGlobalFrom(p.Now())
+		p.RunUntil(4 * L)
 		if !p.GlobalActive() {
 			t.Fatal("global mode never engaged")
 		}

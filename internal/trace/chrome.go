@@ -9,14 +9,14 @@ import (
 	"flashfc/internal/sim"
 )
 
-// Chrome trace-event export: the span/point/event stream rendered as the
-// JSON array format understood by Perfetto (ui.perfetto.dev) and
+// Chrome trace-event export: the span/point stream rendered as the JSON
+// array format understood by Perfetto (ui.perfetto.dev) and
 // chrome://tracing. Each node becomes a process (pid = node+1; pid 0 is the
 // machine), with one thread per stream: spans on tid 0, packet points on
-// tid 1, MAGIC points on tid 2 and the flat timeline on tid 3.
+// tid 1, MAGIC points on tid 2 and the timeline points on tid 3.
 //
 // The output is deterministic: spans are emitted in creation order, points
-// and flat events in recorded order, args objects via encoding/json (which
+// in recorded order, args objects via encoding/json (which
 // sorts map keys), timestamps as exact microsecond fractions of the
 // simulated nanosecond clock. Two runs with identical inputs produce
 // byte-identical files.
@@ -56,10 +56,6 @@ func pidFor(node int) int {
 func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	spans := t.SnapshotSpans()
 	points := t.Points()
-	var events []Event
-	if t != nil {
-		events = t.Events()
-	}
 
 	// Metadata first: name every (process, thread) pair in use so Perfetto
 	// shows "node 3 / packets" instead of bare ids.
@@ -70,9 +66,6 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 	}
 	for _, p := range points {
 		threads[thread{pidFor(p.Node), pointTid(p.Cat)}] = struct{}{}
-	}
-	for _, e := range events {
-		threads[thread{pidFor(e.Node), tidTimeline}] = struct{}{}
 	}
 	ordered := make([]thread, 0, len(threads))
 	for th := range threads {
@@ -85,7 +78,7 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 		return ordered[i].tid < ordered[j].tid
 	})
 
-	out := make([]chromeEvent, 0, 2*len(ordered)+len(spans)+len(points)+len(events))
+	out := make([]chromeEvent, 0, 2*len(ordered)+len(spans)+len(points))
 	seenPid := map[int]bool{}
 	for _, th := range ordered {
 		if !seenPid[th.pid] {
@@ -118,13 +111,6 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 			Name: p.Name, Cat: p.Cat, Ph: "i", Ts: us(p.T),
 			Pid: pidFor(p.Node), Tid: pointTid(p.Cat), S: "t",
 			Args: map[string]any{"flow": p.Flow, "a": p.A, "b": p.B},
-		})
-	}
-	for _, e := range events {
-		out = append(out, chromeEvent{
-			Name: string(e.Kind), Cat: "event", Ph: "i", Ts: us(e.T),
-			Pid: pidFor(e.Node), Tid: tidTimeline, S: "t",
-			Args: map[string]any{"detail": e.Detail},
 		})
 	}
 

@@ -6,8 +6,7 @@ import (
 	"flashfc/internal/sim"
 )
 
-// Span-based causal tracing. The flat Event timeline (trace.go) remains the
-// human rendering; spans and points are the structured stream underneath it:
+// Span-based causal tracing:
 //
 //   - A Span is a named interval with a parent, forming the recovery tree:
 //     machine-wide "recovery" root → per-node "node-recovery" (one per
@@ -15,16 +14,13 @@ import (
 //     agreement sub-phases, the cache flush and the directory sweep.
 //   - A Point is an instant with an optional causal flow id, used for
 //     packet lifecycles (inject → hop → deliver/drop, linked by the
-//     packet's flow id) and MAGIC denials/triggers.
+//     packet's flow id), MAGIC denials/triggers, and the timeline
+//     (trace.go).
 //
 // Every method is nil-safe and allocation-free on a nil *Tracer: arguments
 // are scalars and static strings, so instrumented hot paths cost one
 // predicted branch when tracing is disabled — the same contract as the
 // metrics instruments.
-//
-// Spans and points are not subject to the flat timeline's retention Limit:
-// the span tree is the structured record, and dropping its head would
-// orphan the tail.
 
 // SpanID identifies one span within a Tracer. 0 means "no span": it is the
 // parent of roots, the return value of every method on a nil tracer, and a
@@ -49,7 +45,7 @@ type Span struct {
 type Point struct {
 	T    sim.Time
 	Node int
-	Cat  string // "pkt" (packet lifecycle), "magic" (controller events)
+	Cat  string // "pkt" (packet lifecycle), "magic" (controller events), or a timeline kind
 	Name string
 	// Flow links the points of one causal chain (a packet's lifetime from
 	// injection to delivery or destruction). 0 means unlinked.

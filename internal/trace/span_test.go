@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"flashfc/internal/sim"
@@ -15,7 +16,7 @@ func TestNilTracerSpanAPIIsSafe(t *testing.T) {
 	}
 	tr.End(2, 1)
 	tr.Point(3, 0, "pkt", "inject", 1, 0, 0)
-	tr.RecordEvent(4, 0, KindNote, "n")
+	tr.Record(4, 0, KindPhase, "n")
 	if id := tr.EnsureRoot(5, "recovery"); id != 0 {
 		t.Fatalf("nil EnsureRoot = %d, want 0", id)
 	}
@@ -29,7 +30,7 @@ func TestNilTracerSpanAPIIsSafe(t *testing.T) {
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	root := tr.EnsureRoot(10, "recovery")
 	if root == 0 {
 		t.Fatal("EnsureRoot returned 0")
@@ -64,7 +65,7 @@ func TestSpanNesting(t *testing.T) {
 // Ending a span must close its still-open descendants at the same
 // timestamp, keeping the tree well-nested across restarts.
 func TestEndClosesOpenDescendants(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	root := tr.Begin(0, -1, "recovery", 0, 0)
 	node := tr.Begin(1, 2, "node-recovery", root, 1)
 	phase := tr.Begin(2, 2, "P2-dissemination", node, 0)
@@ -94,7 +95,7 @@ func TestEndClosesOpenDescendants(t *testing.T) {
 }
 
 func TestSnapshotClampsOpenSpans(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Begin(5, -1, "recovery", 0, 0)
 	tr.Point(42, 0, "pkt", "inject", 1, 0, 0) // advances the observed clock
 	snap := tr.SnapshotSpans()
@@ -105,7 +106,7 @@ func TestSnapshotClampsOpenSpans(t *testing.T) {
 
 // Self-times along a critical path telescope to exactly the root duration.
 func TestCriticalPathSelfTimesTelescope(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	root := tr.Begin(0, -1, "recovery", 0, 0)
 	a := tr.Begin(10, 0, "node-recovery", root, 1)
 	p2 := tr.Begin(20, 0, "P2-dissemination", a, 0)
@@ -164,7 +165,7 @@ func TestCriticalPathSelfTimesTelescope(t *testing.T) {
 }
 
 func TestCriticalReportMentionsDominant(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	root := tr.Begin(0, -1, "recovery", 0, 0)
 	n := tr.Begin(0, 0, "node-recovery", root, 1)
 	tr.End(90, n)
@@ -181,12 +182,12 @@ func TestCriticalReportMentionsDominant(t *testing.T) {
 
 func TestChromeJSONValidAndDeterministic(t *testing.T) {
 	build := func() *Tracer {
-		tr := New(0)
+		tr := New()
 		root := tr.EnsureRoot(0, "recovery")
 		n := tr.Begin(5, 1, "node-recovery", root, 1)
 		tr.Point(7, 1, "pkt", "inject", 3, 2, 1)
 		tr.Point(8, 1, "magic", "nak-sent", 0, 64, 2)
-		tr.RecordEvent(9, 1, KindPhase, "P1-initiation")
+		tr.Record(9, 1, KindPhase, "P1-initiation")
 		tr.End(50, n)
 		tr.EndRoot(60)
 		return tr
@@ -217,38 +218,29 @@ func TestChromeJSONValidAndDeterministic(t *testing.T) {
 	}
 }
 
-// Same-timestamp events must keep insertion order in Events and ByKind,
-// and the cached sort must stay correct across later Records.
+// Same-timestamp timeline points keep recording order, also after a later
+// Record lands earlier in time; a Deterministic tracer orders them by the
+// full field tuple instead.
 func TestEventOrderingStableAtEqualTimestamps(t *testing.T) {
-	tr := New(0)
-	tr.Record(5, 0, KindNote, "first")
-	tr.Record(5, 1, KindNote, "second")
-	tr.Record(5, 2, KindNote, "third")
-	notes := tr.ByKind(KindNote)
-	want := []string{"first", "second", "third"}
-	for i, w := range want {
-		if notes[i].Detail != w {
-			t.Fatalf("ByKind order %v, want %v", notes, want)
+	tr := New()
+	tr.Record(5, 2, KindPhase, "first")
+	tr.Record(5, 1, KindPhase, "second")
+	tr.Record(5, 0, KindPhase, "third")
+	tr.Record(1, 3, KindPhase, "zeroth")
+	names := func(ps []Point) []string {
+		var out []string
+		for _, p := range ps {
+			out = append(out, p.Name)
 		}
+		return out
 	}
-	// Invalidate the cache with an earlier event; order must re-sort but
-	// stay stable within equal timestamps.
-	tr.Record(1, 3, KindNote, "zeroth")
-	notes = tr.ByKind(KindNote)
-	want = []string{"zeroth", "first", "second", "third"}
-	if len(notes) != len(want) {
-		t.Fatalf("got %d notes, want %d", len(notes), len(want))
+	want := []string{"zeroth", "first", "second", "third"}
+	if got := names(tr.Timeline()); !slices.Equal(got, want) {
+		t.Fatalf("Timeline order %v, want %v", got, want)
 	}
-	for i, w := range want {
-		if notes[i].Detail != w {
-			t.Fatalf("after invalidation: ByKind order %v, want %v", notes, want)
-		}
-	}
-	// Repeated calls reuse the cache and must return equal, independent
-	// copies.
-	again := tr.Events()
-	again[0].Detail = "mutated"
-	if tr.Events()[0].Detail == "mutated" {
-		t.Fatal("Events returned a shared backing array")
+	tr.Deterministic = true
+	want = []string{"zeroth", "third", "second", "first"} // by node at t=5
+	if got := names(tr.Timeline()); !slices.Equal(got, want) {
+		t.Fatalf("deterministic Timeline order %v, want %v", got, want)
 	}
 }

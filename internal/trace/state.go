@@ -2,21 +2,17 @@ package trace
 
 import "flashfc/internal/sim"
 
-// State is a frozen deep copy of a tracer's full contents — the flat event
-// ring, the span/point stream, and the open-span bookkeeping — taken at a
-// machine snapshot so a forked run's tracer can resume recording exactly
-// where the warm-up left off. Span and Point values contain no pointers,
-// so copying the slices copies everything.
+// State is a frozen deep copy of a tracer's full contents — the span/point
+// stream and the open-span bookkeeping — taken at a machine snapshot so a
+// forked run's tracer can resume recording exactly where the warm-up left
+// off. Span and Point values contain no pointers, so copying the slices
+// copies everything.
 type State struct {
-	limit   int
-	events  []Event
-	head    int
-	dropped int
-	spans   []Span
-	points  []Point
-	open    map[SpanID]struct{}
-	root    SpanID
-	last    sim.Time
+	spans  []Span
+	points []Point
+	open   map[SpanID]struct{}
+	root   SpanID
+	last   sim.Time
 }
 
 // SnapshotState returns a frozen copy of the tracer's contents, or nil for
@@ -28,14 +24,10 @@ func (t *Tracer) SnapshotState() *State {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &State{
-		limit:   t.Limit,
-		events:  append([]Event(nil), t.events...),
-		head:    t.head,
-		dropped: t.dropped,
-		spans:   append([]Span(nil), t.spans...),
-		points:  append([]Point(nil), t.points...),
-		root:    t.rootSpan,
-		last:    t.last,
+		spans:  append([]Span(nil), t.spans...),
+		points: append([]Point(nil), t.points...),
+		root:   t.rootSpan,
+		last:   t.last,
 	}
 	if t.openSpans != nil {
 		s.open = make(map[SpanID]struct{}, len(t.openSpans))
@@ -55,11 +47,7 @@ func (t *Tracer) Restore(s *State) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.sorted = nil
 	if s == nil {
-		t.events = nil
-		t.head = 0
-		t.dropped = 0
 		t.spans = nil
 		t.points = nil
 		t.openSpans = nil
@@ -67,10 +55,6 @@ func (t *Tracer) Restore(s *State) {
 		t.last = 0
 		return
 	}
-	t.Limit = s.limit
-	t.events = append([]Event(nil), s.events...)
-	t.head = s.head
-	t.dropped = s.dropped
 	t.spans = append([]Span(nil), s.spans...)
 	t.points = append([]Point(nil), s.points...)
 	t.openSpans = nil

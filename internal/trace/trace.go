@@ -1,7 +1,10 @@
-// Package trace collects a timestamped event timeline from a simulated
-// machine: fault injections, per-node recovery phase transitions, recovery
-// completions and OS-level events. The timeline is what the cmd/flashsim
-// -trace flag prints, and what tests use to assert event ordering.
+// Package trace records what happened in a simulated machine as one point
+// stream and one span tree (span.go). Every point carries a category: "pkt"
+// (packet lifecycle), "magic" (controller events), or one of the timeline
+// kinds below — fault injections, per-node recovery phase transitions and
+// recovery completions. The timeline is the non-packet, non-MAGIC points: it
+// is what the cmd/flashsim -trace flag prints (Dump), what tests use to
+// assert event ordering (Timeline), and tid 3 of the Chrome export.
 package trace
 
 import (
@@ -13,69 +16,33 @@ import (
 	"flashfc/internal/sim"
 )
 
-// Kind classifies timeline events.
-type Kind string
-
+// Timeline kinds: the Cat of a timeline point. Its Name is the detail (the
+// fault, the phase entered, the completion summary).
 const (
-	KindFault    Kind = "fault"
-	KindTrigger  Kind = "trigger"
-	KindPhase    Kind = "phase"
-	KindComplete Kind = "complete"
-	KindOS       Kind = "os"
-	KindNote     Kind = "note"
+	KindFault    = "fault"
+	KindPhase    = "phase"
+	KindComplete = "complete"
 )
 
-// Event is one timeline entry.
-type Event struct {
-	T      sim.Time
-	Node   int // -1 for machine-wide events
-	Kind   Kind
-	Detail string
-}
-
-func (e Event) String() string {
-	who := "machine"
-	if e.Node >= 0 {
-		who = fmt.Sprintf("node %d", e.Node)
-	}
-	return fmt.Sprintf("%12v  %-8s %-9s %s", e.T, who, e.Kind, e.Detail)
-}
-
-// Tracer accumulates events up to a limit (0 = unlimited). With a nonzero
-// limit it is a ring buffer that keeps the most recent Limit events: the
-// interesting end of a recovery timeline is its tail, so overflow drops the
-// oldest events from the head rather than silently discarding the tail.
+// Tracer accumulates the span tree and the point stream.
 //
-// A Tracer is internally synchronized: Record and the read methods may be
-// called from concurrent goroutines (e.g. a tracer observed by test
-// harnesses while a campaign worker drives the machine). Events from
-// different runs still interleave into one timeline, so the batch drivers
-// keep rejecting a shared tracer for multi-run campaigns.
+// A Tracer is internally synchronized: every method may be called from
+// concurrent goroutines (e.g. a tracer observed by test harnesses while a
+// campaign worker drives the machine). Points from different runs still
+// interleave into one stream, so the batch drivers keep rejecting a shared
+// tracer for multi-run campaigns.
 type Tracer struct {
-	// Limit is the retention bound set at construction. Mutating it after
-	// events have been recorded is unsupported.
-	Limit int
-
 	// Deterministic, set at construction, makes every read-side ordering a
-	// pure function of the recorded values: events and points sort by all
-	// of their fields instead of keeping insertion order among equal
-	// timestamps. Partitioned machines record from concurrent region
-	// workers, so their insertion order is scheduling noise; sorting by
-	// the full tuple makes equal entries interchangeable and the exported
-	// bytes bit-identical at any worker count. Classic single-threaded
-	// machines leave this off and keep the historical insertion-order
-	// tiebreak (golden traces depend on it). A deterministic tracer should
-	// use Limit 0: ring-buffer eviction is insertion-ordered and would
-	// reintroduce the noise.
+	// pure function of the recorded values: points sort by all of their
+	// fields instead of keeping insertion order among equal timestamps.
+	// Partitioned machines record from concurrent region workers, so their
+	// insertion order is scheduling noise; sorting by the full tuple makes
+	// equal entries interchangeable and the exported bytes bit-identical at
+	// any worker count. Classic single-threaded machines leave this off and
+	// keep the insertion-order tiebreak (golden traces depend on it).
 	Deterministic bool
 
-	mu      sync.Mutex
-	events  []Event
-	head    int // index of the oldest retained event once the ring is full
-	dropped int
-	sorted  []Event // chronological cache of retained(); nil when stale
-
-	// Span/point stream (span.go). Not subject to Limit.
+	mu        sync.Mutex
 	spans     []Span
 	points    []Point
 	openSpans map[SpanID]struct{}
@@ -83,128 +50,39 @@ type Tracer struct {
 	last      sim.Time // largest timestamp observed on any record path
 }
 
-// New returns a tracer retaining at most limit events (0 = unlimited).
-func New(limit int) *Tracer { return &Tracer{Limit: limit} }
+// New returns an empty tracer.
+func New() *Tracer { return &Tracer{} }
 
-// Record appends an event. Once a limited tracer is full, each new event
-// overwrites the oldest retained one and Dropped grows.
-func (t *Tracer) Record(ts sim.Time, node int, kind Kind, format string, args ...any) {
+// Record records a timeline point of the given kind whose Name is the
+// formatted detail.
+func (t *Tracer) Record(ts sim.Time, node int, kind, format string, args ...any) {
 	if t == nil {
 		return
 	}
-	t.RecordEvent(ts, node, kind, fmt.Sprintf(format, args...))
+	t.Point(ts, node, kind, fmt.Sprintf(format, args...), 0, 0, 0)
 }
 
-// RecordEvent is Record for a pre-rendered detail string. With static
-// details it is allocation-free on a nil tracer (no varargs boxing), making
-// it the flat-timeline counterpart of the span hot-path methods.
-func (t *Tracer) RecordEvent(ts sim.Time, node int, kind Kind, detail string) {
-	if t == nil {
-		return
+// Timeline returns the timeline points in time order: stably by timestamp
+// (same-timestamp points keep recording order), or by the full field tuple
+// on a Deterministic tracer.
+func (t *Tracer) Timeline() []Point {
+	var out []Point
+	for _, p := range t.Points() {
+		if pointTid(p.Cat) == tidTimeline {
+			out = append(out, p)
+		}
 	}
-	e := Event{T: ts, Node: node, Kind: kind, Detail: detail}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sorted = nil
-	t.observe(ts)
-	if t.Limit > 0 && len(t.events) >= t.Limit {
-		t.events[t.head] = e
-		t.head = (t.head + 1) % t.Limit
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, e)
-}
-
-// retained returns the kept events in insertion order (oldest first).
-// Callers must hold t.mu.
-func (t *Tracer) retained() []Event {
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }
 
-// chronological returns the retained events sorted by timestamp (stably, so
-// same-timestamp events keep insertion order). The sort result is cached and
-// only rebuilt after a Record invalidates it, so repeated Events/ByKind/Dump
-// calls sort at most once. Callers must hold t.mu and must not mutate the
-// returned slice.
-func (t *Tracer) chronological() []Event {
-	if t.sorted == nil {
-		t.sorted = t.retained()
-		if t.Deterministic {
-			sort.Slice(t.sorted, func(i, j int) bool {
-				a, b := t.sorted[i], t.sorted[j]
-				if a.T != b.T {
-					return a.T < b.T
-				}
-				if a.Node != b.Node {
-					return a.Node < b.Node
-				}
-				if a.Kind != b.Kind {
-					return a.Kind < b.Kind
-				}
-				return a.Detail < b.Detail
-			})
-		} else {
-			sort.SliceStable(t.sorted, func(i, j int) bool { return t.sorted[i].T < t.sorted[j].T })
-		}
-	}
-	return t.sorted
-}
-
-// Events returns the recorded timeline in chronological order.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Event(nil), t.chronological()...)
-}
-
-// ByKind returns the events of one kind, chronologically. It filters the
-// cached sort rather than re-sorting the full timeline per call.
-func (t *Tracer) ByKind(k Kind) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Event
-	for _, e := range t.chronological() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Len reports recorded events; Dropped reports events lost from the head of
-// the timeline to the retention limit.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-func (t *Tracer) Dropped() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Dump writes the timeline to w. A truncated timeline notes the drop count
-// and the truncation point up front, where the missing events would be.
+// Dump writes the timeline to w, one line per point.
 func (t *Tracer) Dump(w io.Writer) {
-	t.mu.Lock()
-	events := append([]Event(nil), t.chronological()...)
-	dropped, limit := t.dropped, t.Limit
-	t.mu.Unlock()
-	if dropped > 0 {
-		from := "start"
-		if len(events) > 0 {
-			from = fmt.Sprintf("%v", events[0].T)
+	for _, p := range t.Timeline() {
+		who := "machine"
+		if p.Node >= 0 {
+			who = fmt.Sprintf("node %d", p.Node)
 		}
-		fmt.Fprintf(w, "(%d events dropped from the head by the %d-event limit; timeline resumes at %s)\n",
-			dropped, limit, from)
-	}
-	for _, e := range events {
-		fmt.Fprintln(w, e)
+		fmt.Fprintf(w, "%12v  %-8s %-9s %s\n", p.T, who, p.Cat, p.Name)
 	}
 }

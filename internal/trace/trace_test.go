@@ -9,111 +9,85 @@ import (
 )
 
 func TestRecordAndOrder(t *testing.T) {
-	tr := New(0)
+	tr := New()
 	tr.Record(30, 1, KindPhase, "P2")
 	tr.Record(10, -1, KindFault, "node failure")
-	tr.Record(20, 0, KindTrigger, "timeout")
-	evs := tr.Events()
+	tr.Record(20, 0, KindComplete, "epoch=%d", 1)
+	evs := tr.Timeline()
 	if len(evs) != 3 {
 		t.Fatalf("len = %d", len(evs))
 	}
-	if evs[0].Kind != KindFault || evs[1].Kind != KindTrigger || evs[2].Kind != KindPhase {
+	if evs[0].Cat != KindFault || evs[1].Cat != KindComplete || evs[2].Cat != KindPhase {
 		t.Fatalf("ordering wrong: %v", evs)
 	}
-	if tr.Len() != 3 || tr.Dropped() != 0 {
-		t.Fatal("counters wrong")
-	}
-}
-
-func TestLimitDrops(t *testing.T) {
-	tr := New(2)
-	for i := 0; i < 5; i++ {
-		tr.Record(sim.Time(i), 0, KindNote, "e%d", i)
-	}
-	if tr.Len() != 2 || tr.Dropped() != 3 {
-		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-	// The ring keeps the most recent events: a truncated recovery timeline
-	// must retain its tail, not its head (regression: the limit used to
-	// discard every event after the first Limit).
-	evs := tr.Events()
-	if evs[0].Detail != "e3" || evs[1].Detail != "e4" {
-		t.Fatalf("ring kept %q, %q; want the newest events e3, e4", evs[0].Detail, evs[1].Detail)
-	}
-	var b strings.Builder
-	tr.Dump(&b)
-	out := b.String()
-	if !strings.Contains(out, "3 events dropped") {
-		t.Fatalf("dump: %q", out)
-	}
-	if !strings.Contains(out, "e3") || !strings.Contains(out, "e4") || strings.Contains(out, "e0") {
-		t.Fatalf("dump should show the tail of the timeline: %q", out)
-	}
-	// The truncation note states where the surviving timeline resumes.
-	if !strings.Contains(out, "resumes at 3ns") {
-		t.Fatalf("dump missing truncation point: %q", out)
-	}
-}
-
-func TestRingWrapsRepeatedly(t *testing.T) {
-	tr := New(3)
-	for i := 0; i < 10; i++ {
-		tr.Record(sim.Time(i), i, KindNote, "e%d", i)
-	}
-	if tr.Len() != 3 || tr.Dropped() != 7 {
-		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-	evs := tr.Events()
-	for i, want := range []string{"e7", "e8", "e9"} {
-		if evs[i].Detail != want {
-			t.Fatalf("evs[%d] = %q, want %q", i, evs[i].Detail, want)
-		}
+	if evs[1].Name != "epoch=1" {
+		t.Fatalf("Record formatted %q, want epoch=1", evs[1].Name)
 	}
 }
 
 // Regression for the campaign data race: a tracer shared across goroutines
 // must be safe under the race detector.
 func TestConcurrentRecord(t *testing.T) {
-	tr := New(64)
+	tr := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Record(sim.Time(i), g, KindNote, "g%d e%d", g, i)
-				_ = tr.Len()
+				tr.Record(sim.Time(i), g, KindPhase, "g%d e%d", g, i)
+				_ = tr.Timeline()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tr.Len() != 64 || tr.Dropped() != 8*100-64 {
-		t.Fatalf("len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-	if got := len(tr.Events()); got != 64 {
-		t.Fatalf("Events len = %d", got)
+	if got := len(tr.Timeline()); got != 8*100 {
+		t.Fatalf("Timeline len = %d", got)
 	}
 }
 
-func TestByKindAndNilSafety(t *testing.T) {
-	tr := New(0)
+// The timeline is the points of every category but "pkt" and "magic".
+func TestTimelineFiltersKindsAndNilSafety(t *testing.T) {
+	tr := New()
 	tr.Record(1, 0, KindPhase, "a")
-	tr.Record(2, 0, KindOS, "b")
+	tr.Point(2, 0, "pkt", "inject", 1, 0, 0)
+	tr.Point(2, 0, "magic", "nak-sent", 0, 0, 0)
 	tr.Record(3, 1, KindPhase, "c")
-	if got := tr.ByKind(KindPhase); len(got) != 2 {
-		t.Fatalf("ByKind = %v", got)
+	if got := tr.Timeline(); len(got) != 2 || got[0].Name != "a" || got[1].Name != "c" {
+		t.Fatalf("Timeline = %v", got)
+	}
+	if got := len(tr.Points()); got != 4 {
+		t.Fatalf("Points len = %d, want 4", got)
 	}
 	var nilTr *Tracer
-	nilTr.Record(1, 0, KindNote, "ignored") // must not panic
+	nilTr.Record(1, 0, KindPhase, "ignored") // must not panic
+	if nilTr.Timeline() != nil {
+		t.Fatal("nil tracer returned a timeline")
+	}
+	var b strings.Builder
+	nilTr.Dump(&b)
+	if b.Len() != 0 {
+		t.Fatalf("nil tracer dumped %q", b.String())
+	}
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{T: sim.Millisecond, Node: 3, Kind: KindPhase, Detail: "P4"}
-	if !strings.Contains(e.String(), "node 3") {
-		t.Fatalf("event string: %q", e.String())
+	tr := New()
+	tr.Record(sim.Millisecond, 3, KindPhase, "P4")
+	tr.Record(2*sim.Millisecond, -1, KindFault, "node 2 failure")
+	var b strings.Builder
+	tr.Dump(&b)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("dump: %q", b.String())
 	}
-	e.Node = -1
-	if !strings.Contains(e.String(), "machine") {
-		t.Fatalf("machine event string: %q", e.String())
+	want := []string{
+		"     1.000ms  node 3   phase     P4",
+		"     2.000ms  machine  fault     node 2 failure",
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Fatalf("line %d = %q, want %q", i, lines[i], want[i])
+		}
 	}
 }
