@@ -43,6 +43,8 @@
 // -trace-json writes the recovery's span tree (per-node phases, gossip
 // rounds, drain/τ agreement, flush and scan chunks) plus packet and MAGIC
 // point events as Chrome trace-event JSON, loadable at ui.perfetto.dev;
+// packet points stop once recovery completes, so the verify sweep is not
+// traced;
 // the bytes are deterministic for a fixed seed regardless of -parallel.
 // -trace-critical prints the recovery's critical path: the span chain that
 // explains the latency, with per-step self-times summing exactly to the
@@ -82,6 +84,7 @@ func main() {
 	l2 := flag.Uint64("l2", 64<<10, "L2 cache bytes")
 	fill := flag.Int("fill", 192, "cache-fill lines per node")
 	stride := flag.Int("stride", 1, "verification stride (1 = every line)")
+	runSeed := flag.Int("run-seed", -1, "trace exactly campaign run `i` (same derived seed as run i of the -runs N campaign); -1 = off")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 1})
 	flag.Parse()
 	stopProfiles = cf.StartProfiles()
@@ -103,18 +106,17 @@ func main() {
 	cfg.L2Bytes = *l2
 	cfg.FillLines = *fill
 	cfg.Stride = *stride
-	campaign := cf.Runs > 1 && cf.RunSeed < 0
+	campaign := cf.Runs > 1 && *runSeed < 0
 	switch *faultName {
 	case "powerloss", "cablecut", "none", "boundary-link":
 		campaign = false
-		warnSingleScenario(*faultName, cf)
+		warnSingleScenario(*faultName, cf, *runSeed)
 	}
 	if cf.WantTrace() {
 		if campaign {
 			// Multi-run campaigns interleave timelines into nonsense:
 			// point at the campaign-scale alternatives (-run-log,
-			// -exemplars, -run-seed) instead of silently dropping the
-			// flags.
+			// -run-seed) instead of silently dropping the flags.
 			cf.WarnTraceIgnored()
 		} else {
 			cfg.Trace = flashfc.NewTracer()
@@ -159,7 +161,7 @@ func main() {
 		runCampaign(cfg, ft, *faultName, cf)
 		return
 	}
-	runReplay(cfg, ft, *faultName, cf, topts)
+	runReplay(cfg, ft, *faultName, max(*runSeed, 0), cf, topts)
 }
 
 // warnSingleScenario prints one warning naming the flags a single-scenario
@@ -168,12 +170,12 @@ func main() {
 // -run-seed, -run-log, -progress) have nothing to act on; the compound
 // faults also build a sequential machine, so -partitions has no effect,
 // and the partitioned scenarios always recover with the paper's routing.
-func warnSingleScenario(name string, cf *cliflags.Flags) {
+func warnSingleScenario(name string, cf *cliflags.Flags, runSeed int) {
 	var ignored []string
 	if cf.Runs > 1 {
 		ignored = append(ignored, "-runs")
 	}
-	if cf.RunSeed >= 0 {
+	if runSeed >= 0 {
 		ignored = append(ignored, "-run-seed")
 	}
 	if cf.RunLog != "" {
@@ -247,13 +249,12 @@ func emitMetrics(snap *flashfc.MetricsSnapshot, table, asJSON bool) {
 	}
 }
 
-// runReplay executes one validation run: campaign run -run-seed of the -runs
-// N campaign, or run 0 without -run-seed. It is the same derived seed and
-// the same warm fork the campaign executes for that run, so a single run,
-// the traced replay and the campaign's run agree — containment time, verify
-// outcome and all.
-func runReplay(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string, cf *cliflags.Flags, topts traceOpts) {
-	i := max(cf.RunSeed, 0)
+// runReplay executes one validation run: campaign run i of the -runs N
+// campaign (i is -run-seed, or 0 without it). It is the same derived seed
+// and the same warm fork the campaign executes for that run, so a single
+// run, the traced replay and the campaign's run agree — containment time,
+// verify outcome and all.
+func runReplay(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string, i int, cf *cliflags.Flags, topts traceOpts) {
 	e := flashfc.ReplayValidationRun(cfg, ft, cf.Seed, i)
 	r := e.Result
 	fmt.Fprintf(hout, "run:        %s campaign run %d (base seed %d, derived seed %d)\n",

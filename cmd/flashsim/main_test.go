@@ -195,7 +195,7 @@ func TestRunSeedTraceJSON(t *testing.T) {
 }
 
 // -progress writes to stderr only; the run-log warning path for trace flags
-// points at the campaign-scale alternatives.
+// points at the campaign-scale alternatives flashsim has, and only those.
 func TestProgressOnStderrAndTraceWarning(t *testing.T) {
 	stdout, stderr := runFlashsim(t, append(fastArgs, "-runs", "4", "-progress", "-trace")...)
 	if !bytes.Contains([]byte(stderr), []byte("progress:")) {
@@ -204,10 +204,22 @@ func TestProgressOnStderrAndTraceWarning(t *testing.T) {
 	if bytes.Contains([]byte(stdout), []byte("progress:")) {
 		t.Error("progress leaked onto stdout")
 	}
-	for _, want := range []string{"-run-log", "-exemplars", "-run-seed"} {
+	for _, want := range []string{"-run-log", "-run-seed"} {
 		if !bytes.Contains([]byte(stderr), []byte(want)) {
 			t.Errorf("trace warning does not mention %s:\n%s", want, stderr)
 		}
+	}
+	if strings.Contains(stderr, "-exemplars") {
+		t.Errorf("trace warning names -exemplars, a tables flag:\n%s", stderr)
+	}
+}
+
+// -exemplars belongs to tables -table tail: flashsim does not register it,
+// so passing it is a usage error rather than a silently ignored flag.
+func TestExemplarsIsNotAFlashsimFlag(t *testing.T) {
+	_, stderr, code := runFlashsimExit(t, append(fastArgs, "-exemplars", t.TempDir())...)
+	if code != 2 || !strings.Contains(stderr, "-exemplars") {
+		t.Fatalf("exit %d, want 2 naming -exemplars; stderr:\n%s", code, stderr)
 	}
 }
 

@@ -39,9 +39,10 @@
 // byte-identical at any -workers setting; the routing table
 // emits one batch per scenario and strategy, run i of every strategy
 // carrying the same seed), -progress reports live campaign progress on
-// stderr, and -exemplars DIR replays the exact runs
-// behind the tail table's p50/p99/p999 with span tracing and writes
-// Perfetto-loadable traces plus critical-path summaries into DIR.
+// stderr, and -exemplars DIR (-table tail only) replays the exact runs
+// behind the tail table's p50/p99/p999 with span tracing and writes one
+// Perfetto-loadable trace per distinct run plus a critical-path summary per
+// percentile into DIR.
 package main
 
 import (
@@ -58,8 +59,13 @@ func main() {
 	table := flag.String("table", "5.3", "table to regenerate: 5.3, 5.4, tail, or routing")
 	legacy := flag.Bool("legacy-bug", false, "reenable the paper's incoherent-line OS bugs (5.4)")
 	full := flag.Bool("full", false, "paper-scale run counts (200/type for 5.3; ~300/type for 5.4)")
+	exemplars := flag.String("exemplars", "", "with -table tail, replay the runs behind the percentiles with tracing and write Perfetto traces + summaries into `dir`")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 0})
 	flag.Parse()
+	if *exemplars != "" && *table != "tail" {
+		fmt.Fprintf(os.Stderr, "-exemplars replays the percentiles of -table tail; -table %s has none\n", *table)
+		os.Exit(2)
+	}
 	cf.WarnTraceIgnored()
 	if *table != "5.4" {
 		// 5.3, tail and routing are warm-forked; 5.4 boots a cold Hive
@@ -96,7 +102,7 @@ func main() {
 				cf.Runs = flashfc.DefaultTailRuns
 			}
 		}
-		tableTail(cf)
+		tableTail(cf, *exemplars)
 	case "routing":
 		if cf.Runs == 0 {
 			cf.Runs = 25
@@ -153,7 +159,7 @@ func table53(cf *cliflags.Flags) {
 
 // tableTail runs the containment-time tail campaign over the degradation
 // fault classes and renders the percentile table.
-func tableTail(cf *cliflags.Flags) {
+func tableTail(cf *cliflags.Flags, exemplars string) {
 	fmt.Printf("Containment-time tail — degradation fault classes (%d runs per scenario)\n\n", cf.Runs)
 	cfg := flashfc.DefaultTailConfig()
 	cfg.Routing = cf.Routing
@@ -182,8 +188,8 @@ func tableTail(cf *cliflags.Flags) {
 		fmt.Println("\n* p999 interpolated, not supported by a real observation; rerun with -full")
 	}
 	fmt.Printf("\nthroughput: %v\n", res.Stats)
-	if cf.Exemplars != "" {
-		writeExemplars(cf, cfg, res)
+	if exemplars != "" {
+		writeExemplars(exemplars, cfg, cf.Seed, res)
 	}
 	if bad > 0 {
 		os.Exit(1)
@@ -192,22 +198,23 @@ func tableTail(cf *cliflags.Flags) {
 
 // writeExemplars replays the exact runs behind each scenario's percentiles
 // with span tracing (bit-identical by the determinism contract) and writes
-// Perfetto-loadable trace files plus critical-path summaries into the
-// -exemplars directory. A traced containment time that differs from the
-// campaign's recorded observation means the replay contract is broken —
-// that is a hard failure, not a warning.
-func writeExemplars(cf *cliflags.Flags, cfg flashfc.TailConfig, res *flashfc.TailResult) {
-	fmt.Printf("\nexemplars (replayed with tracing into %s):\n", cf.Exemplars)
+// Perfetto-loadable trace files, one per distinct run, plus a critical-path
+// summary per percentile into dir. A traced containment time that differs
+// from the campaign's recorded observation means the replay contract is
+// broken — that is a hard failure, not a warning.
+func writeExemplars(dir string, cfg flashfc.TailConfig, seed int64, res *flashfc.TailResult) {
+	fmt.Printf("\nexemplars (replayed with tracing into %s):\n", dir)
+	es := flashfc.ReplayTailExemplars(cfg, seed, res)
 	mismatch := false
-	for _, e := range flashfc.ReplayTailExemplars(cfg, cf.Seed, res) {
+	for _, e := range es {
 		fmt.Printf("  %v\n", e)
-		if err := flashfc.WriteExemplar(cf.Exemplars, flashfc.ExemplarTraceOf(e)); err != nil {
-			fmt.Fprintf(os.Stderr, "exemplars: %v\n", err)
-			os.Exit(1)
-		}
 		if !e.Match() {
 			mismatch = true
 		}
+	}
+	if err := flashfc.WriteExemplars(dir, es); err != nil {
+		fmt.Fprintf(os.Stderr, "exemplars: %v\n", err)
+		os.Exit(1)
 	}
 	if mismatch {
 		fmt.Fprintln(os.Stderr, "exemplars: traced containment time diverged from the campaign observation — determinism contract broken")

@@ -33,15 +33,11 @@
 //	-progress          live rate-limited campaign progress on stderr (runs
 //	                   done/total, events/sec, failures, ETA); never
 //	                   touches the JSON-only stdout contract
-//	-exemplars DIR     after a tail campaign, replay the exact runs behind
-//	                   p50/p99/p999 with span tracing and write Perfetto
-//	                   traces + critical-path summaries into DIR (tables
-//	                   -table tail)
-//	-run-seed I        trace exactly campaign run I: same derived seed and
-//	                   warm fork as run I of the -runs N campaign
-//	                   (flashsim)
 //	-cpuprofile FILE   write a pprof CPU profile
 //	-memprofile FILE   write a pprof allocation profile at exit
+//
+// A flag only one binary honours is registered by that binary alone:
+// flashsim's -run-seed and tables' -exemplars.
 package cliflags
 
 import (
@@ -50,6 +46,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"flashfc"
 )
@@ -94,22 +91,20 @@ type Flags struct {
 	RunLogHost bool
 	// Progress enables the live stderr campaign reporter.
 	Progress bool
-	// Exemplars is the -exemplars directory for replayed tail-percentile
-	// traces (empty = off).
-	Exemplars string
-	// RunSeed is the -run-seed campaign run index to trace exactly
-	// (flashsim); -1 = off.
-	RunSeed int
 
 	CPUProfile string
 	MemProfile string
+
+	// fs is the flag set the flags were registered on; WarnTraceIgnored
+	// looks up which campaign-scale alternatives the binary has.
+	fs *flag.FlagSet
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the
 // binaries) and returns the destination struct, to be read after
 // fs.Parse.
 func Register(fs *flag.FlagSet, def Defaults) *Flags {
-	f := &Flags{}
+	f := &Flags{fs: fs}
 	fs.Int64Var(&f.Seed, "seed", 1, "base random seed")
 	fs.IntVar(&f.Runs, "runs", def.Runs, "independent runs per campaign")
 	fs.IntVar(&f.Workers, "workers", 0, "run-level campaign worker goroutines (0 = one per CPU)")
@@ -125,8 +120,6 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 	fs.StringVar(&f.RunLog, "run-log", "", "stream one JSONL record per campaign run to `file`, ordered by run index (byte-identical at any -parallel)")
 	fs.BoolVar(&f.RunLogHost, "run-log-host", false, "keep host-side run-log fields (wall_ns, worker) instead of zeroing them; breaks byte-identity across worker counts")
 	fs.BoolVar(&f.Progress, "progress", false, "live campaign progress on stderr (runs done/total, events/sec, failures, ETA)")
-	fs.StringVar(&f.Exemplars, "exemplars", "", "replay the runs behind a tail campaign's percentiles with tracing and write Perfetto traces + summaries into `dir`")
-	fs.IntVar(&f.RunSeed, "run-seed", -1, "trace exactly campaign run `i` (same derived seed as run i of the -runs N campaign); -1 = off")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to `file`")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof allocation profile to `file` at exit")
 	return f
@@ -309,13 +302,20 @@ func (f *Flags) WantTrace() bool {
 
 // WarnTraceIgnored prints the standard guidance when trace flags are set
 // in a mode that cannot honor them (a single trace of N interleaved runs
-// is nonsense), pointing at the campaign-scale alternatives instead of a
-// dead end. It reports whether it warned.
+// is nonsense), pointing at the campaign-scale alternatives the binary has
+// instead of a dead end. It reports whether it warned.
 func (f *Flags) WarnTraceIgnored() bool {
 	if !f.WantTrace() {
 		return false
 	}
+	alts := []string{"-run-log (per-run records)"}
+	if f.fs.Lookup("exemplars") != nil {
+		alts = append(alts, "-exemplars (traced tail exemplars)")
+	}
+	if f.fs.Lookup("run-seed") != nil {
+		alts = append(alts, "-run-seed <i> (trace exactly campaign run i)")
+	}
 	fmt.Fprintln(os.Stderr, "warning: -trace/-trace-json/-trace-critical trace a single run; for campaigns use "+
-		"-run-log (per-run records), -exemplars (traced tail exemplars), or flashsim -run-seed <i> (trace exactly campaign run i)")
+		strings.Join(alts, ", "))
 	return true
 }

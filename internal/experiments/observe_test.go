@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -183,45 +185,52 @@ func TestTailExemplarReplayExact(t *testing.T) {
 	}
 }
 
-// TestWriteExemplarDeterministicBytes renders one replayed exemplar twice
-// (through two fresh campaigns) and requires both output files to be
-// byte-identical — the trace JSON and the summary carry no host state.
+// TestWriteExemplarDeterministicBytes renders a tail campaign's exemplars
+// twice (through two fresh campaigns) and requires every output file to be
+// byte-identical — the trace JSON and the summaries carry no host state —
+// with one trace file per distinct replayed run.
 func TestWriteExemplarDeterministicBytes(t *testing.T) {
 	cfg := fastTailConfig()
 	cfg.Runs = 4
-	render := func(dir string) {
+	render := func(dir string) []ExemplarReplay {
 		res := TailCampaign(cfg, 23)
-		for _, e := range ReplayTailExemplars(cfg, 23, res) {
-			et := obs.ExemplarTrace{
-				Name:       obs.ExemplarName(e.Fault.String(), e.Pct),
-				Fault:      e.Fault.String(),
-				Pct:        e.Pct,
-				Run:        e.Run,
-				Seed:       e.Seed,
-				CampaignNS: int64(e.CampaignTime),
-				TracedNS:   int64(e.TracedTime),
-				Tracer:     e.Trace,
-			}
-			if err := obs.WriteExemplar(dir, et); err != nil {
-				t.Fatal(err)
-			}
+		es := ReplayTailExemplars(cfg, 23, res)
+		if err := WriteExemplars(dir, es); err != nil {
+			t.Fatal(err)
 		}
+		return es
 	}
 	a, b := t.TempDir(), t.TempDir()
-	render(a)
+	es := render(a)
 	render(b)
-	names := []string{"fail-slow-p50", "fail-slow-p999", "cpu-fail-p99"}
-	for _, name := range names {
-		for _, suffix := range []string{".json", ".trace.json"} {
-			fa := readFile(t, a+"/"+name+suffix)
-			fb := readFile(t, b+"/"+name+suffix)
-			if fa != fb {
-				t.Errorf("%s%s differs between two identical renders", name, suffix)
-			}
-			if fa == "" {
-				t.Errorf("%s%s is empty", name, suffix)
+	runs := map[string]bool{}
+	for _, e := range es {
+		runs[fmt.Sprintf("%v-run%d.trace.json", e.Fault, e.Run)] = true
+	}
+	entries, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := 0
+	for _, ent := range entries {
+		name := ent.Name()
+		if strings.HasSuffix(name, ".trace.json") {
+			traces++
+			if !runs[name] {
+				t.Errorf("trace file %s names no replayed run", name)
 			}
 		}
+		fa := readFile(t, filepath.Join(a, name))
+		if fb := readFile(t, filepath.Join(b, name)); fa != fb {
+			t.Errorf("%s differs between two identical renders", name)
+		}
+		if fa == "" {
+			t.Errorf("%s is empty", name)
+		}
+	}
+	if traces != len(runs) || len(entries) != len(runs)+len(es) {
+		t.Errorf("%d files, %d traces: want one trace per distinct run (%d) and one summary per replay (%d)",
+			len(entries), traces, len(runs), len(es))
 	}
 	// The summary must verify its own replay and name a dominant step.
 	var sum struct {
@@ -232,7 +241,7 @@ func TestWriteExemplarDeterministicBytes(t *testing.T) {
 			} `json:"dominant"`
 		} `json:"critical"`
 	}
-	if err := json.Unmarshal([]byte(readFile(t, a+"/fail-slow-p999.json")), &sum); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, filepath.Join(a, "fail-slow-p999.json"))), &sum); err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Match {
@@ -240,6 +249,63 @@ func TestWriteExemplarDeterministicBytes(t *testing.T) {
 	}
 	if sum.Critical.Dominant.Step == "" {
 		t.Error("summary names no dominant recovery step")
+	}
+}
+
+// When two percentiles pick one run (p99 and p999 at small run counts), the
+// run is replayed once, its trace is written once, and both summaries name
+// that trace file.
+func TestExemplarRunWrittenOnce(t *testing.T) {
+	cfg := fastTailConfig()
+	cfg.Runs = 4
+	cfg.Faults = []fault.Type{fault.FailSlow}
+	res := TailCampaign(cfg, 23)
+	es := ReplayTailExemplars(cfg, 23, res)
+	p99, p999 := es[1], es[2]
+	if p99.Run != p999.Run {
+		t.Fatalf("p99 picks run %d, p999 run %d: want one run at %d runs", p99.Run, p999.Run, cfg.Runs)
+	}
+	if p99.Trace != p999.Trace || p99.Result != p999.Result {
+		t.Error("one run behind two percentiles was replayed twice")
+	}
+	dir := t.TempDir()
+	if err := WriteExemplars(dir, es); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("fail-slow-run%d.trace.json", p999.Run)
+	for _, name := range []string{"fail-slow-p99.json", "fail-slow-p999.json"} {
+		var sum struct {
+			Trace string `json:"trace"`
+		}
+		if err := json.Unmarshal([]byte(readFile(t, filepath.Join(dir, name))), &sum); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Trace != want {
+			t.Errorf("%s names trace %q, want %q", name, sum.Trace, want)
+		}
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, "*.trace.json"))
+	if len(matches) != 2 {
+		t.Errorf("%d trace files for runs %d, %d, %d: want 2", len(matches), es[0].Run, p99.Run, p999.Run)
+	}
+	if got := readFile(t, filepath.Join(dir, want)); !strings.HasPrefix(got, "[\n{") {
+		t.Errorf("%s is not a trace-event array", want)
+	}
+}
+
+func TestExemplarName(t *testing.T) {
+	for _, tc := range []struct {
+		fault string
+		pct   float64
+		want  string
+	}{
+		{"fail-slow", 50, "fail-slow-p50"},
+		{"transient-link", 99, "transient-link-p99"},
+		{"node", 99.9, "node-p999"},
+	} {
+		if got := exemplarName(tc.fault, tc.pct); got != tc.want {
+			t.Errorf("exemplarName(%q, %v) = %q, want %q", tc.fault, tc.pct, got, tc.want)
+		}
 	}
 }
 

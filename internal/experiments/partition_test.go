@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"flashfc/internal/fault"
@@ -50,6 +52,16 @@ func TestPartitionFillWorkerInvariance(t *testing.T) {
 	cfg := testPartitionConfig()
 	cfg.Partitions = 1
 	wantM, wantT := metricsAndTrace(t, cfg, 7)
+	// A fault-free fill never completes a recovery, so its trace keeps every
+	// packet and the comparison below is over real data.
+	var snap struct{ Counters map[string]uint64 }
+	if err := json.Unmarshal([]byte(wantM), &snap); err != nil {
+		t.Fatal(err)
+	}
+	sent := lanePackets(snap.Counters)
+	if traced := strings.Count(wantT, `{"name":"inject","cat":"pkt"`); sent == 0 || uint64(traced) != sent {
+		t.Fatalf("%d packets traced of %d sent: a fault-free fill traces every packet", traced, sent)
+	}
 	for _, w := range []int{2, 4} {
 		cfg.Partitions = w
 		gotM, gotT := metricsAndTrace(t, cfg, 7)

@@ -61,19 +61,26 @@ func replay(ws *WarmState, ft fault.Type, i int, runSeed int64, tr *trace.Tracer
 }
 
 // ReplayTailExemplars replays every exemplar of a finished tail campaign
-// with tracing enabled. cfg and seed must be the ones the campaign ran
-// under: the replay rebuilds the campaign's warm snapshot (one warm-up,
-// shared across all exemplars) and forks each exemplar's recorded seed from
-// it, the identical computation the campaign performed, plus a tracer.
+// with tracing enabled, one replay per exemplar in scenario and percentile
+// order. cfg and seed must be the ones the campaign ran under: the replay
+// rebuilds the campaign's warm snapshot (one warm-up, shared across all
+// exemplars) and forks each exemplar's recorded seed from it, the identical
+// computation the campaign performed, plus a tracer. A run that supports
+// several percentiles is executed once; its replays share Result and Trace.
 func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []ExemplarReplay {
 	var out []ExemplarReplay
 	var ws *WarmState
 	for _, sc := range res.Scenarios {
+		byRun := map[int]ExemplarReplay{}
 		for _, ex := range sc.Exemplars {
-			if ws == nil {
-				ws = campaignWarmState(cfg.ValidationConfig, seed)
+			e, ok := byRun[ex.Run]
+			if !ok {
+				if ws == nil {
+					ws = campaignWarmState(cfg.ValidationConfig, seed)
+				}
+				e = replay(ws, sc.Fault, ex.Run, ex.Seed, trace.New())
+				byRun[ex.Run] = e
 			}
-			e := replay(ws, sc.Fault, ex.Run, ex.Seed, trace.New())
 			e.Pct = ex.Pct
 			e.CampaignTime = ex.Time
 			out = append(out, e)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,4 +183,53 @@ func TestTraceSpanTreeShape(t *testing.T) {
 			t.Errorf("no %q packet points recorded", want)
 		}
 	}
+}
+
+// A validation run's trace explains its containment window: once the
+// machine-wide recovery completes, the verify sweep that follows records no
+// packet point, so none lies past the root recovery span's end — while every
+// packet up to it is traced.
+func TestValidationTraceStopsPacketsAtRecovery(t *testing.T) {
+	cfg := fastValidationConfig()
+	cfg.Trace = trace.New()
+	r := Validation(cfg, fault.NodeFailure, 7)
+	if !r.OK() {
+		t.Fatalf("run failed: %s", r.Note)
+	}
+	var end sim.Time
+	for _, s := range cfg.Trace.Spans() {
+		if s.Parent == 0 && s.Name == "recovery" && s.End > end {
+			end = s.End
+		}
+	}
+	if end == 0 {
+		t.Fatal("no closed recovery span")
+	}
+	injected := 0
+	for _, p := range cfg.Trace.Points() {
+		if p.Cat != "pkt" {
+			continue
+		}
+		if p.T > end {
+			t.Fatalf("packet point %+v after the recovery span ends at %v", p, end)
+		}
+		if p.Name == "inject" {
+			injected++
+		}
+	}
+	if sent := lanePackets(r.Metrics.Counters); injected == 0 || uint64(injected) >= sent {
+		t.Errorf("%d packets traced of %d sent: want the fault's and recovery's, not the sweep's", injected, sent)
+	}
+}
+
+// lanePackets sums the per-lane packet counters: every packet the fabric
+// was handed.
+func lanePackets(counters map[string]uint64) uint64 {
+	var n uint64
+	for name, v := range counters {
+		if strings.HasPrefix(name, "interconnect.lane.") && strings.HasSuffix(name, ".packets") {
+			n += v
+		}
+	}
+	return n
 }

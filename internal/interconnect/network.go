@@ -33,7 +33,8 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives per-packet lifecycle point events
 	// (inject, per-hop route, deliver, every kind of drop) linked by the
-	// packet's flow id. Nil disables tracing at zero cost.
+	// packet's flow id while packet tracing is on (see TracePackets). Nil
+	// disables tracing at zero cost.
 	Trace *trace.Tracer
 	// Partition, when non-nil, spreads the fabric across the region-local
 	// engines of a partitioned simulation (see partition.go). Nil keeps
@@ -188,6 +189,8 @@ type Network struct {
 	flowSeq  uint64
 	flowSeqR []uint64
 
+	pktTrace *trace.Tracer // cfg.Trace while packet points are recorded
+
 	// Pre-bound event callbacks: the method values are bound once in New
 	// so the per-flit hop, loopback-delivery and head-drop schedulings
 	// allocate nothing.
@@ -202,8 +205,18 @@ type Network struct {
 // tracePkt records one packet-lifecycle trace point at the given router or
 // node. No-op (and allocation-free) when tracing is disabled.
 func (n *Network) tracePkt(name string, at int, p *Packet) {
-	if tr := n.cfg.Trace; tr != nil {
+	if tr := n.pktTrace; tr != nil {
 		tr.Point(n.now(at), at, "pkt", name, p.flow, int64(p.Dst), int64(p.Lane))
+	}
+}
+
+// TracePackets turns packet points on or off; a new fabric records them.
+// The machine turns them off once a machine-wide recovery completes and on
+// again at the next fault injection.
+func (n *Network) TracePackets(on bool) {
+	n.pktTrace = nil
+	if on {
+		n.pktTrace = n.cfg.Trace
 	}
 }
 
@@ -271,6 +284,7 @@ func New(e *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 		routers:   make([]routerState, topo.Routers()),
 		linkUp:    make([]bool, len(topo.Links())),
 		endpoints: make([]Endpoint, topo.Routers()),
+		pktTrace:  cfg.Trace,
 	}
 	n.arriveFn = n.arriveEv
 	n.deliverFn = n.deliverEv

@@ -487,28 +487,11 @@ func (m *Machine) detectionDelay() sim.Time {
 	return timing.MemOpTimeout
 }
 
-// Inject applies f now. On a partitioned machine it also switches all
-// further execution to the deterministic global interleave: fault handling
-// and recovery touch cross-region state (truth view, oracle, remote agents)
-// and must not run concurrently with region workers.
-func (m *Machine) Inject(f fault.Fault) {
-	if m.P != nil {
-		m.P.SetGlobalFrom(m.P.Now())
-	}
-	m.Cfg.Trace.Record(m.Now(), -1, trace.KindFault, "%v", f)
-	m.Metrics.Counter("machine.faults_injected").Inc()
-	f.Apply(m)
-}
+// Inject applies f now.
+func (m *Machine) Inject(f fault.Fault) { m.inject(f) }
 
 // InjectAll applies a compound fault (e.g. fault.PowerLoss) now.
-func (m *Machine) InjectAll(fs []fault.Fault) {
-	if m.P != nil {
-		m.P.SetGlobalFrom(m.P.Now())
-	}
-	for _, f := range fs {
-		f.Apply(m)
-	}
-}
+func (m *Machine) InjectAll(fs []fault.Fault) { m.inject(fs...) }
 
 // InjectAt schedules f at simulated time t. On a partitioned machine every
 // window from the one containing t on runs globally interleaved, so the
@@ -522,7 +505,24 @@ func (m *Machine) InjectAt(f fault.Fault, t sim.Time) {
 		}
 		m.P.SetGlobalFrom(g)
 	}
-	m.E.At(t, func() { f.Apply(m) })
+	m.E.At(t, func() { m.inject(f) })
+}
+
+// inject is the one injection path: it turns packet points back on (see
+// agentDone), then records, counts and applies each fault. On a
+// partitioned machine it also switches all further execution to the
+// deterministic global interleave: fault handling and recovery touch
+// cross-region state and must not run concurrently with region workers.
+func (m *Machine) inject(fs ...fault.Fault) {
+	if m.P != nil {
+		m.P.SetGlobalFrom(m.P.Now())
+	}
+	m.Net.TracePackets(true)
+	for _, f := range fs {
+		m.Cfg.Trace.Record(m.Now(), -1, trace.KindFault, "%v", f)
+		m.Metrics.Counter("machine.faults_injected").Inc()
+		f.Apply(m)
+	}
 }
 
 // lostCacheContents records every exclusive line cached on a node that is
@@ -640,6 +640,10 @@ func (m *Machine) agentDone(r *core.Report) {
 	}
 	m.recovered = true
 	m.Cfg.Trace.EndRoot(m.E.Now())
+	// The trace explains the containment window, fault to recovery: what
+	// follows (the verify sweep, OS recovery, the workload resuming) records
+	// no packet points until the next injection.
+	m.Net.TracePackets(false)
 	m.salvageMemServed()
 	m.observeRecovery()
 	if m.OnAllRecovered != nil {

@@ -32,8 +32,10 @@ type NodeSnapshot struct {
 // continues unaffected (its memory and directory images turn copy-on-write
 // over the shared frozen bases).
 //
-// Not captured: Cfg.Trace (pass a tracer to FromSnapshot instead) and
-// OnAllRecovered (re-install on the fork if needed). Callback function
+// Not captured: Cfg.Trace and OnAllRecovered. A snapshot carries no trace:
+// warm-ups run untraced, and each fork records into the tracer passed to
+// FromSnapshot, from the fork on. Re-install OnAllRecovered on the fork if
+// needed. Callback function
 // values inside Cfg (Recovery.OnEnter etc.) are carried as-is and must not
 // close over per-run state.
 type Snapshot struct {
@@ -47,7 +49,6 @@ type Snapshot struct {
 	Nodes   []NodeSnapshot
 	Oracle  *Oracle
 	Metrics *metrics.Registry
-	Trace   *trace.State
 }
 
 // Snapshot captures the machine's full durable state. The machine must be
@@ -91,7 +92,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		Nodes:   make([]NodeSnapshot, m.Cfg.Nodes),
 		Oracle:  m.Oracle.Clone(),
 		Metrics: m.Metrics.Clone(),
-		Trace:   m.Cfg.Trace.SnapshotState(),
 	}
 	if m.P != nil {
 		s.Regions = make([]sim.EngineSnapshot, m.P.Regions())
@@ -117,13 +117,10 @@ func (m *Machine) Snapshot() *Snapshot {
 // FromSnapshot rehydrates an independent machine from a snapshot in
 // O(non-memory state): memory and directory images are shared
 // copy-on-write with the snapshot rather than copied. tr, which may be
-// nil, becomes the fork's tracer; its contents are overwritten with the
-// snapshot's trace state so the fork's timeline continues seamlessly from
-// the warm-up's.
+// nil, becomes the fork's tracer as given.
 func FromSnapshot(s *Snapshot, tr *trace.Tracer) *Machine {
 	cfg := s.Cfg
 	cfg.Trace = tr
-	tr.Restore(s.Trace)
 	return build(cfg, s)
 }
 
@@ -138,6 +135,5 @@ func FromSnapshotRouting(s *Snapshot, tr *trace.Tracer, routing string) *Machine
 	cfg := s.Cfg
 	cfg.Trace = tr
 	cfg.Routing = routing
-	tr.Restore(s.Trace)
 	return build(cfg, s)
 }

@@ -199,19 +199,3 @@ func TestProgressRateLimit(t *testing.T) {
 		t.Fatal("run after the interval should print")
 	}
 }
-
-func TestExemplarName(t *testing.T) {
-	for _, tc := range []struct {
-		fault string
-		pct   float64
-		want  string
-	}{
-		{"fail-slow", 50, "fail-slow-p50"},
-		{"transient-link", 99, "transient-link-p99"},
-		{"node", 99.9, "node-p999"},
-	} {
-		if got := ExemplarName(tc.fault, tc.pct); got != tc.want {
-			t.Errorf("ExemplarName(%q, %v) = %q, want %q", tc.fault, tc.pct, got, tc.want)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Package obs is the campaign-scale observability layer: where PR 2's
 // metrics and PR 3's span traces make a single run legible, obs makes a
-// thousand-run campaign legible. It provides three pieces:
+// thousand-run campaign legible. It provides two pieces:
 //
 //   - per-run record streams: every campaign run reduces to one RunRecord
 //     (index, derived seed, fault, containment time, verify outcome,
@@ -9,11 +9,10 @@
 //     worker count;
 //   - live progress: a rate-limited Progress reporter on stderr (runs
 //     done/total, events/sec, ETA, failures so far) that never touches the
-//     JSON-only stdout contract;
-//   - exemplar traces: WriteExemplar renders the replayed tail exemplars
-//     (the exact runs behind a campaign's p50/p99/p999) as
-//     Perfetto-loadable trace files plus a critical-path summary naming
-//     the dominant recovery phase.
+//     JSON-only stdout contract.
+//
+// The traced replays of a tail campaign's exemplars are rendered next to
+// the replay itself, by experiments.WriteExemplars.
 //
 // Sinks receive records in completion order — that is what makes live
 // progress live — and each sink decides whether it needs index order (the

@@ -128,9 +128,9 @@ func walkCritical(spans []Span, children map[SpanID][]SpanID, id SpanID, ws, we 
 	}
 }
 
-// stepLabel renders a step name with its argument when meaningful
+// Label renders the step's name with its argument when meaningful
 // ("gossip-round#2", "node-recovery#1").
-func stepLabel(s CriticalStep) string {
+func (s CriticalStep) Label() string {
 	if s.Arg != 0 {
 		return fmt.Sprintf("%s#%d", s.Name, s.Arg)
 	}
@@ -158,7 +158,7 @@ func (t *Tracer) WriteCriticalReport(w io.Writer) {
 			sum += s.Self
 			indent := strings.Repeat("  ", s.Depth)
 			fmt.Fprintf(w, "  %-34s %-8s window %12v  self %12v\n",
-				indent+stepLabel(s), who, s.End-s.Start, s.Self)
+				indent+s.Label(), who, s.End-s.Start, s.Self)
 		}
 		d := p.Dominant()
 		pct := 0.0
@@ -166,6 +166,6 @@ func (t *Tracer) WriteCriticalReport(w io.Writer) {
 			pct = 100 * float64(d.Self) / float64(p.Duration())
 		}
 		fmt.Fprintf(w, "  self-time sum %v = root duration %v\n", sum, p.Duration())
-		fmt.Fprintf(w, "  dominant: %s (self %v, %.1f%% of recovery)\n", stepLabel(d), d.Self, pct)
+		fmt.Fprintf(w, "  dominant: %s (self %v, %.1f%% of recovery)\n", d.Label(), d.Self, pct)
 	}
 }

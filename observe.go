@@ -27,9 +27,6 @@ type (
 	RunLog = obs.RunLog
 	// Progress is a rate-limited live campaign reporter for stderr.
 	Progress = obs.Progress
-	// ExemplarTrace is one replayed percentile exemplar ready to render as
-	// a Perfetto-loadable trace plus a critical-path summary.
-	ExemplarTrace = obs.ExemplarTrace
 	// TailExemplar names the campaign run supporting one tail percentile.
 	TailExemplar = experiments.TailExemplar
 	// ExemplarReplay is one tail exemplar re-run with span tracing; its
@@ -79,25 +76,10 @@ func ReplayTailRun(cfg TailConfig, ft FaultType, seed int64, i int) ExemplarRepl
 	return experiments.ReplayTailRun(cfg, ft, seed, i)
 }
 
-// WriteExemplar renders one replayed exemplar into dir: <name>.trace.json
-// (Chrome trace events, Perfetto-loadable) and <name>.json (run identity,
-// campaign-vs-traced containment match, critical-path summary naming the
-// dominant recovery phase). Both files are byte-deterministic.
-func WriteExemplar(dir string, e ExemplarTrace) error { return obs.WriteExemplar(dir, e) }
-
-// ExemplarName builds the conventional exemplar file stem ("fail-slow-p999").
-func ExemplarName(fault string, pct float64) string { return obs.ExemplarName(fault, pct) }
-
-// ExemplarTraceOf packages a replay for WriteExemplar.
-func ExemplarTraceOf(e ExemplarReplay) ExemplarTrace {
-	return ExemplarTrace{
-		Name:       obs.ExemplarName(e.Fault.String(), e.Pct),
-		Fault:      e.Fault.String(),
-		Pct:        e.Pct,
-		Run:        e.Run,
-		Seed:       e.Seed,
-		CampaignNS: int64(e.CampaignTime),
-		TracedNS:   int64(e.TracedTime),
-		Tracer:     e.Trace,
-	}
+// WriteExemplars renders replayed exemplars into dir: one Perfetto-loadable
+// <fault>-run<i>.trace.json per distinct run and one <fault>-p<pct>.json
+// summary per replay (run identity, its trace file, campaign-vs-traced
+// match, the critical path's dominant step). All files are deterministic.
+func WriteExemplars(dir string, es []ExemplarReplay) error {
+	return experiments.WriteExemplars(dir, es)
 }
