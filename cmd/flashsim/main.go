@@ -33,6 +33,9 @@
 // The single-scenario faults (powerloss, cablecut, none, boundary-link) run
 // once at -seed; given campaign flags, they print one warning naming the
 // flags they ignore.
+// -partitions N and -region-extra D, which only flashsim registers, run
+// -fault none|boundary-link on N region workers of a partitioned machine;
+// a validation run warns that they have no effect.
 //
 // -metrics prints the machine-wide metric registry after the run (merged
 // across runs in campaign mode, plus per-run distributions). -metrics-json
@@ -57,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"flashfc"
@@ -85,6 +89,8 @@ func main() {
 	fill := flag.Int("fill", 192, "cache-fill lines per node")
 	stride := flag.Int("stride", 1, "verification stride (1 = every line)")
 	runSeed := flag.Int("run-seed", -1, "trace exactly campaign run `i` (same derived seed as run i of the -runs N campaign); -1 = off")
+	partitions := flag.Int("partitions", 0, "intra-machine region workers of -fault none|boundary-link (0 = sequential engine; bit-identical at any value > 0; no effect on validation runs)")
+	regionExtra := flag.Int64("region-extra", 0, "extra inter-region wire latency in `ns` for -fault none|boundary-link (0 = default)")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 1})
 	flag.Parse()
 	stopProfiles = cf.StartProfiles()
@@ -95,7 +101,7 @@ func main() {
 	}
 
 	cf.CheckRouting()
-	if *faultName == "boundary-link" && cf.Partitions <= 0 {
+	if *faultName == "boundary-link" && *partitions <= 0 {
 		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
 		exit(2)
 	}
@@ -110,7 +116,7 @@ func main() {
 	switch *faultName {
 	case "powerloss", "cablecut", "none", "boundary-link":
 		campaign = false
-		warnSingleScenario(*faultName, cf, *runSeed)
+		warnSingleScenario(*faultName, cf, *runSeed, *partitions)
 	}
 	if cf.WantTrace() {
 		if campaign {
@@ -129,8 +135,8 @@ func main() {
 		runCompound(cfg, *faultName, cf.Seed, topts, cf.Metrics, cf.MetricsJSON)
 		return
 	case "none", "boundary-link":
-		cf.WarnOversubscribed()
-		runPartition(cfg, *faultName, *fill, cf, topts)
+		warnOversubscribed(*partitions)
+		runPartition(cfg, *faultName, *fill, *partitions, *regionExtra, cf, topts)
 		return
 	}
 	var ft flashfc.FaultType
@@ -156,7 +162,12 @@ func main() {
 		exit(2)
 	}
 
-	cf.WarnPartitionsIgnored()
+	if *partitions > 0 {
+		// Every validation run forks a warm snapshot of a sequential
+		// machine, so the partitioned engine never runs.
+		fmt.Fprintln(os.Stderr, "warning: -partitions/-region-extra have no effect on validation runs "+
+			"(they fork a sequential machine's snapshot); only -fault none|boundary-link honour them")
+	}
 	if campaign {
 		runCampaign(cfg, ft, *faultName, cf)
 		return
@@ -170,7 +181,7 @@ func main() {
 // -run-seed, -run-log, -progress) have nothing to act on; the compound
 // faults also build a sequential machine, so -partitions has no effect,
 // and the partitioned scenarios always recover with the paper's routing.
-func warnSingleScenario(name string, cf *cliflags.Flags, runSeed int) {
+func warnSingleScenario(name string, cf *cliflags.Flags, runSeed, partitions int) {
 	var ignored []string
 	if cf.Runs > 1 {
 		ignored = append(ignored, "-runs")
@@ -184,7 +195,7 @@ func warnSingleScenario(name string, cf *cliflags.Flags, runSeed int) {
 	if cf.Progress {
 		ignored = append(ignored, "-progress")
 	}
-	if cf.Partitions > 0 && (name == "powerloss" || name == "cablecut") {
+	if partitions > 0 && (name == "powerloss" || name == "cablecut") {
 		ignored = append(ignored, "-partitions")
 	}
 	if cf.Routing != "" && (name == "none" || name == "boundary-link") {
@@ -192,6 +203,17 @@ func warnSingleScenario(name string, cf *cliflags.Flags, runSeed int) {
 	}
 	if len(ignored) > 0 {
 		fmt.Fprintf(os.Stderr, "warning: -fault %s runs a single scenario; ignoring %s\n", name, strings.Join(ignored, " "))
+	}
+}
+
+// warnOversubscribed prints a warning when -partitions exceeds the host's
+// scheduler width. Oversubscribing is correct (results never depend on
+// worker counts) but slower.
+func warnOversubscribed(partitions int) {
+	if partitions > runtime.GOMAXPROCS(0) {
+		fmt.Fprintf(os.Stderr,
+			"warning: -partitions %d exceeds GOMAXPROCS %d; results are identical but oversubscription costs speed\n",
+			partitions, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -335,14 +357,14 @@ func runCampaign(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string
 // -fault boundary-link fails an inter-region link mid-fill and recovers
 // across the cut. Both honor -partitions (0 = sequential engine) and are
 // bit-identical at any partition count.
-func runPartition(vcfg flashfc.ValidationConfig, kind string, fill int, cf *cliflags.Flags, topts traceOpts) {
+func runPartition(vcfg flashfc.ValidationConfig, kind string, fill, partitions int, regionExtra int64, cf *cliflags.Flags, topts traceOpts) {
 	cfg := flashfc.DefaultPartitionConfig()
 	cfg.Nodes = vcfg.Nodes
 	cfg.MemBytes = vcfg.MemBytes
 	cfg.L2Bytes = vcfg.L2Bytes
 	cfg.OpsPerNode = fill
-	cfg.Partitions = cf.Partitions
-	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
+	cfg.Partitions = partitions
+	cfg.RegionLinkExtra = flashfc.Time(regionExtra)
 	cfg.Trace = topts.tracer
 
 	if kind == "boundary-link" {

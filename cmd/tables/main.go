@@ -67,12 +67,6 @@ func main() {
 		os.Exit(2)
 	}
 	cf.WarnTraceIgnored()
-	if *table != "5.4" {
-		// 5.3, tail and routing are warm-forked; 5.4 boots a cold Hive
-		// machine per run, which has no partitioned form either but never
-		// claimed one.
-		cf.WarnPartitionsIgnored()
-	}
 	cf.CheckRouting()
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.

@@ -57,6 +57,19 @@ func TestRunSeedIsNotATablesFlag(t *testing.T) {
 	}
 }
 
+// -partitions and -region-extra drive flashsim's partitioned scenarios;
+// tables never builds a partitioned machine and does not register them.
+func TestPartitionFlagsAreNotTablesFlags(t *testing.T) {
+	for _, flag := range []string{"-partitions", "-region-extra"} {
+		for _, table := range []string{"5.3", "5.4"} {
+			stderr, code := runTables(t, "-table", table, "-runs", "1", flag, "2")
+			if code != 2 || !strings.Contains(stderr, flag) {
+				t.Errorf("tables -table %s %s: exit %d, want 2 naming %s; stderr:\n%s", table, flag, code, flag, stderr)
+			}
+		}
+	}
+}
+
 // The trace-flag warning names the campaign-scale alternatives tables has
 // (-run-log, -exemplars) and not flashsim's -run-seed.
 func TestTraceWarningNamesTablesFlags(t *testing.T) {

@@ -9,13 +9,6 @@
 //	-workers N         run-level worker goroutines (0 = one per CPU):
 //	                   independent campaign runs in parallel; -parallel is
 //	                   a compatible alias
-//	-partitions N      intra-machine worker goroutines: region schedulers
-//	                   of ONE machine in parallel (0 = classic sequential
-//	                   engine). Only flashsim -fault none|boundary-link
-//	                   honour it; validation runs fork sequential machines
-//	                   and warn that the flag has no effect
-//	-region-extra D    extra inter-region wire latency of a partitioned
-//	                   machine (0 = the machine default)
 //	-metrics           print the aggregate metric registry
 //	-metrics-json      emit the metric snapshot as JSON on stdout
 //	-trace             print the recovery event timeline (single runs)
@@ -37,7 +30,8 @@
 //	-memprofile FILE   write a pprof allocation profile at exit
 //
 // A flag only one binary honours is registered by that binary alone:
-// flashsim's -run-seed and tables' -exemplars.
+// flashsim's -run-seed, -partitions and -region-extra, and tables'
+// -exemplars.
 package cliflags
 
 import (
@@ -63,14 +57,6 @@ type Flags struct {
 	Seed    int64
 	Runs    int
 	Workers int
-	// Partitions is the intra-machine worker count: how many goroutines
-	// multiplex one machine's region schedulers. 0 keeps the classic
-	// sequential engine; results are bit-identical at every value > 0.
-	// Only flashsim -fault none|boundary-link build partitioned machines.
-	Partitions int
-	// RegionExtra is the extra inter-region wire latency (nanoseconds) of
-	// a partitioned machine; 0 uses the machine default.
-	RegionExtra int64
 
 	Metrics     bool
 	MetricsJSON bool
@@ -109,8 +95,6 @@ func Register(fs *flag.FlagSet, def Defaults) *Flags {
 	fs.IntVar(&f.Runs, "runs", def.Runs, "independent runs per campaign")
 	fs.IntVar(&f.Workers, "workers", 0, "run-level campaign worker goroutines (0 = one per CPU)")
 	fs.IntVar(&f.Workers, "parallel", 0, "alias for -workers")
-	fs.IntVar(&f.Partitions, "partitions", 0, "intra-machine region workers of flashsim -fault none|boundary-link (0 = sequential engine; bit-identical at any value > 0; no effect on validation runs)")
-	fs.Int64Var(&f.RegionExtra, "region-extra", 0, "extra inter-region wire latency in `ns` for partitioned machines (0 = default)")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the aggregate metric registry")
 	fs.BoolVar(&f.MetricsJSON, "metrics-json", false, "emit the metric snapshot as stable-key JSON on stdout")
 	fs.BoolVar(&f.Trace, "trace", false, "print the recovery event timeline (single runs)")
@@ -207,36 +191,6 @@ func (f *Flags) StartProfiles() func() {
 			}
 		}
 	}
-}
-
-// WarnOversubscribed prints a warning when -partitions exceeds the host's
-// scheduler width. Oversubscribing is correct (results never depend on
-// worker counts) but slower. Run-level -parallel does not multiply in: the
-// only machines that honor -partitions are flashsim's single -fault
-// none|boundary-link scenarios.
-// It reports whether it warned.
-func (f *Flags) WarnOversubscribed() bool {
-	if f.Partitions <= runtime.GOMAXPROCS(0) {
-		return false
-	}
-	fmt.Fprintf(os.Stderr,
-		"warning: -partitions %d exceeds GOMAXPROCS %d; results are identical but oversubscription costs speed\n",
-		f.Partitions, runtime.GOMAXPROCS(0))
-	return true
-}
-
-// WarnPartitionsIgnored prints a warning when -partitions is set on a
-// validation run (every flashsim validation fault, single run or campaign;
-// tables -table 5.3|tail|routing): every run forks a warm snapshot of a
-// sequential machine, so the flag changes nothing. It reports whether it
-// warned.
-func (f *Flags) WarnPartitionsIgnored() bool {
-	if f.Partitions <= 0 {
-		return false
-	}
-	fmt.Fprintln(os.Stderr, "warning: -partitions/-region-extra have no effect on validation runs "+
-		"(they fork a sequential machine's snapshot); only flashsim -fault none|boundary-link honour them")
-	return true
 }
 
 // Sinks builds the observability sink the -run-log/-progress flags

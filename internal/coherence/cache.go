@@ -30,6 +30,11 @@ type CacheLine struct {
 // Lines are carved from chunks rather than allocated one by one. FIFO
 // replacement retires lines roughly in the order they were carved, so a
 // chunk's lines die together and the chunk is collected behind them.
+//
+// A fork copies its cache eagerly (Clone), but the P4 flush empties it and
+// Flush then releases the index, FIFO and chunk, so a finished forked
+// machine holds only what its run installed after recovery, not a
+// warm-sized map.
 type Cache struct {
 	capacity int // lines
 	lines    map[Addr]*CacheLine
@@ -115,13 +120,16 @@ func (c *Cache) Invalidate(a Addr) *CacheLine {
 }
 
 // Flush empties the cache and returns every line that must be written back
-// home (all exclusive lines) in deterministic FIFO order. Shared lines are
-// dropped silently: the home copy is valid (§4.5).
+// home (all exclusive lines) in deterministic FIFO order, each exactly once
+// with its latest token. Shared lines are dropped silently: the home copy is
+// valid (§4.5). The emptied index, FIFO and chunk are released rather than
+// kept at their warm size: a campaign holds every finished machine of a
+// batch, and a flushed cache that refills regrows them from empty.
 func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
 	for _, a := range c.fifo[c.head:] {
 		l, ok := c.lines[a]
 		if !ok {
-			continue
+			continue // invalidated, or an older entry of a re-installed line
 		}
 		if l.State == CacheExclusive {
 			addrs = append(addrs, a)
@@ -129,7 +137,8 @@ func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
 		}
 		delete(c.lines, a)
 	}
-	c.fifo, c.head = c.fifo[:0], 0
+	c.lines = make(map[Addr]*CacheLine)
+	c.fifo, c.head, c.chunk = nil, 0, nil
 	return addrs, lines
 }
 

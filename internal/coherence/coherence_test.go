@@ -186,6 +186,31 @@ func TestCacheFlushReturnsOnlyExclusive(t *testing.T) {
 	}
 }
 
+// A line invalidated and re-installed has two FIFO entries; the flush must
+// write it back once (at its older FIFO position) with its latest token,
+// and leave the cache usable.
+func TestCacheFlushWritesBackOnceWithLatestToken(t *testing.T) {
+	c := NewCache(8 * timing.LineSize)
+	c.Install(0, CacheExclusive, 1)
+	c.Install(128, CacheExclusive, 2)
+	c.Invalidate(0)
+	c.Install(0, CacheExclusive, 3)
+	addrs, lines := c.Flush()
+	if len(addrs) != 2 || addrs[0] != 0 || addrs[1] != 128 {
+		t.Fatalf("flush wrote back %v, want [0x0 0x80]", addrs)
+	}
+	if lines[0].Token != 3 || lines[1].Token != 2 {
+		t.Fatalf("flush tokens %d, %d; want 3, 2", lines[0].Token, lines[1].Token)
+	}
+	if c.Len() != 0 {
+		t.Fatal("cache not empty after flush")
+	}
+	c.Install(256, CacheShared, 4)
+	if l := c.Lookup(256); l == nil || l.Token != 4 || c.Len() != 1 {
+		t.Fatal("a flushed cache must accept new lines")
+	}
+}
+
 func TestCacheForEach(t *testing.T) {
 	c := NewCache(8 * timing.LineSize)
 	c.Install(0, CacheShared, 1)

@@ -1,5 +1,10 @@
 package coherence
 
+import (
+	"maps"
+	"slices"
+)
+
 // DirState is the home-side coherence state of a line.
 type DirState uint8
 
@@ -66,12 +71,14 @@ type DirEntry struct {
 // Entries are sparse: absent means DirInvalid.
 //
 // A directory can be frozen for forking: Freeze seals the current entries
-// as an immutable base map shared by any number of forked machines, and
-// subsequent accesses copy entries up into a private overlay on first
-// touch. A nil overlay value is a tombstone shadowing a deleted base
-// entry. Whole-directory sweeps (ForEach, Scan, ScanLiveness) mutate every
-// entry anyway, so they materialize the base into the overlay first and
-// then run unchanged.
+// as an immutable base map shared by any number of forked machines. A fork
+// pays only for the lines its run changes. Get and Lookup copy an entry up
+// into a private overlay on first touch; Peek reads the base in place and
+// Drop shadows a base entry with a nil tombstone without copying it. The
+// P4 sweeps read the base in place too: ScanLiveness copies up only the
+// entries whose state it changes and tombstones the ones it resets; Scan,
+// after which only incoherent lines survive, copies those up and lets go
+// of the base. The warm image a fork never touched is never duplicated.
 //
 // Entries are carved from small per-directory chunks rather than allocated
 // one by one (an entry and its sharer list per swept line were a third of
@@ -114,10 +121,26 @@ func NewDirectory(n int) *Directory {
 // Freeze seals the directory's current contents as an immutable shared
 // base and returns it. The directory itself continues copy-on-write on top
 // of the same base, so freezing is invisible to protocol behavior; the
-// returned map (entries included) must never be mutated.
+// returned map (entries included) must never be mutated. A refreeze
+// merges the overlay into a new base that shares the old base's entries.
 func (d *Directory) Freeze() map[Addr]*DirEntry {
-	d.materialize()
-	d.frozen = d.entries
+	switch {
+	case d.frozen == nil:
+		d.frozen = d.entries // no base, so no tombstones
+	case len(d.entries) > 0:
+		merged := make(map[Addr]*DirEntry, len(d.frozen)+len(d.entries))
+		maps.Copy(merged, d.frozen)
+		for a, e := range d.entries {
+			if e == nil {
+				delete(merged, a)
+			} else {
+				merged[a] = e
+			}
+		}
+		d.frozen = merged
+	default:
+		return d.frozen
+	}
 	d.entries = make(map[Addr]*DirEntry)
 	return d.frozen
 }
@@ -128,39 +151,44 @@ func ForkDirectory(nodes int, frozen map[Addr]*DirEntry) *Directory {
 	return &Directory{nodes: nodes, entries: make(map[Addr]*DirEntry), frozen: frozen}
 }
 
-// cloneEntry copies a base entry up into a privately mutable one, with its
-// sharer list re-pointed at the copy's own storage.
+// cloneEntry copies a base entry up into a privately mutable one.
 func (d *Directory) cloneEntry(e *DirEntry) *DirEntry {
 	c := d.newEntry()
-	sharers := c.Sharers
-	*c = *e
-	c.Sharers = sharers
-	copy(c.Sharers, e.Sharers)
+	copyEntry(c, e)
 	return c
 }
 
-// materialize copies every un-shadowed base entry into the overlay and
-// drops the base, removing tombstones along the way. Called before sweeps
-// that visit (and mutate) every entry.
-func (d *Directory) materialize() {
-	if d.frozen != nil {
-		for a, fe := range d.frozen {
-			if _, shadowed := d.entries[a]; !shadowed {
-				d.entries[a] = d.cloneEntry(fe)
-			}
-		}
-		d.frozen = nil
-	}
-	for a, e := range d.entries {
-		if e == nil {
-			delete(d.entries, a)
-		}
-	}
+// copyEntry overwrites dst with src, keeping dst's own sharer storage.
+func copyEntry(dst, src *DirEntry) {
+	sharers := dst.Sharers
+	*dst = *src
+	dst.Sharers = sharers
+	copy(dst.Sharers, src.Sharers)
 }
 
-// drop removes line a from the live view: a plain delete when no base
-// entry shadows it, a nil tombstone otherwise.
-func (d *Directory) drop(a Addr) {
+// sameEntry reports whether two entries hold the same state.
+func sameEntry(a, b *DirEntry) bool {
+	return a.State == b.State && a.PendingExcl == b.PendingExcl && a.Owner == b.Owner &&
+		a.PendingReq == b.PendingReq && a.AcksLeft == b.AcksLeft && a.PendingSeq == b.PendingSeq &&
+		slices.Equal(a.Sharers, b.Sharers)
+}
+
+// Peek returns the entry for line a without copying it up, or nil if the
+// line is DirInvalid. The entry may belong to the shared frozen base: the
+// caller must not mutate it (use Lookup or Get for that).
+func (d *Directory) Peek(a Addr) *DirEntry {
+	a = a.Line()
+	if e, ok := d.entries[a]; ok {
+		return e // may be a nil tombstone: the line is DirInvalid
+	}
+	return d.frozen[a]
+}
+
+// Drop returns line a to DirInvalid, whatever its state, without copying
+// a base entry up first: a plain delete when no base entry shadows it, a
+// nil tombstone otherwise.
+func (d *Directory) Drop(a Addr) {
+	a = a.Line()
 	if _, ok := d.frozen[a]; ok {
 		d.entries[a] = nil
 	} else {
@@ -169,6 +197,7 @@ func (d *Directory) drop(a Addr) {
 }
 
 // Lookup returns the entry for line a, or nil if the line is DirInvalid.
+// A base entry is copied up so the caller may mutate it.
 func (d *Directory) Lookup(a Addr) *DirEntry {
 	a = a.Line()
 	if e, ok := d.entries[a]; ok {
@@ -204,40 +233,79 @@ func (d *Directory) Get(a Addr) *DirEntry {
 // Release removes a line's entry if it has returned to DirInvalid, keeping
 // the directory sparse.
 func (d *Directory) Release(a Addr) {
-	a = a.Line()
-	if e, ok := d.entries[a]; ok {
-		if e != nil && e.State == DirInvalid {
-			d.drop(a)
-		}
-		return
-	}
-	if fe, ok := d.frozen[a]; ok && fe.State == DirInvalid {
-		d.drop(a)
+	if e := d.Peek(a); e != nil && e.State == DirInvalid {
+		d.Drop(a)
 	}
 }
 
 // Len returns the number of non-invalid entries, for tests.
 func (d *Directory) Len() int {
 	n := 0
-	for _, e := range d.entries {
-		if e != nil {
-			n++
-		}
-	}
-	for a := range d.frozen {
-		if _, shadowed := d.entries[a]; !shadowed {
-			n++
-		}
-	}
+	d.ForEach(func(Addr, *DirEntry) { n++ })
 	return n
 }
 
-// ForEach visits all entries (order unspecified); the visitor may mutate
-// entry state but must not add or delete entries.
+// ForEach visits every live entry (order unspecified) without copying the
+// base up. It is a read-only walk: the visitor must not mutate entries,
+// which may belong to the shared frozen base.
 func (d *Directory) ForEach(fn func(a Addr, e *DirEntry)) {
-	d.materialize()
 	for a, e := range d.entries {
-		fn(a, e)
+		if e != nil {
+			fn(a, e)
+		}
+	}
+	for a, e := range d.frozen {
+		if _, shadowed := d.entries[a]; !shadowed {
+			fn(a, e)
+		}
+	}
+}
+
+// sweep applies fix, a P4 directory sweep's per-entry rule, to every live
+// entry and drops the entries fix returns to DirInvalid. Overlay entries
+// are fixed in place; a base entry is fixed in a scratch copy. Without
+// detach, the copy is kept only if fix changed it, and a base entry that
+// fix resets gets a tombstone. With detach, every surviving copy is kept
+// and the directory then lets go of the base and its tombstones: the
+// cheaper choice for a sweep that resets almost every entry, where a
+// tombstone per reset line would outweigh the few survivors' copies.
+func (d *Directory) sweep(fix func(a Addr, e *DirEntry), detach bool) {
+	for a, e := range d.entries {
+		if e == nil {
+			continue
+		}
+		fix(a, e)
+		if e.State == DirInvalid {
+			d.Drop(a) // updates or deletes a key the range holds
+		}
+	}
+	var scratch *DirEntry
+	for a, fe := range d.frozen {
+		if _, shadowed := d.entries[a]; shadowed {
+			continue
+		}
+		if scratch == nil {
+			scratch = d.newEntry()
+		}
+		copyEntry(scratch, fe)
+		fix(a, scratch)
+		switch {
+		case scratch.State == DirInvalid:
+			if !detach {
+				d.entries[a] = nil
+			}
+		case detach || !sameEntry(scratch, fe):
+			d.entries[a] = scratch
+			scratch = nil
+		}
+	}
+	if detach && d.frozen != nil {
+		for a, e := range d.entries {
+			if e == nil {
+				delete(d.entries, a)
+			}
+		}
+		d.frozen = nil
 	}
 }
 
@@ -246,11 +314,11 @@ func (d *Directory) ForEach(fn func(a Addr, e *DirEntry)) {
 // is still locked waiting for an owner's writeback) has lost its only valid
 // copy and is marked incoherent; every other entry is reset to "clean and
 // not cached", because after the flush all processor caches are empty. It
-// returns the addresses newly marked incoherent.
+// returns the addresses newly marked incoherent. Only incoherent lines
+// survive it, so it copies those up and lets go of the frozen base.
 func (d *Directory) Scan() []Addr {
-	d.materialize()
 	var lost []Addr
-	for a, e := range d.entries {
+	d.sweep(func(a Addr, e *DirEntry) {
 		switch e.State {
 		case DirExclusive, DirPendingRecall:
 			e.State = DirIncoherent
@@ -262,13 +330,7 @@ func (d *Directory) Scan() []Addr {
 			// Stays incoherent until the OS scrubs it.
 		}
 		e.AcksLeft = 0
-	}
-	// Drop entries that returned to invalid.
-	for a, e := range d.entries {
-		if e.State == DirInvalid {
-			delete(d.entries, a)
-		}
-	}
+	}, true)
 	return lost
 }
 
@@ -282,9 +344,8 @@ func (d *Directory) Scan() []Addr {
 // so it conservatively becomes shared by every live node. It returns the
 // addresses newly marked incoherent.
 func (d *Directory) ScanLiveness(up func(node int) bool) []Addr {
-	d.materialize()
 	var lost []Addr
-	for a, e := range d.entries {
+	d.sweep(func(a Addr, e *DirEntry) {
 		switch e.State {
 		case DirExclusive:
 			if !up(e.Owner) {
@@ -301,13 +362,13 @@ func (d *Directory) ScanLiveness(up func(node int) bool) []Addr {
 				lost = append(lost, a)
 			}
 		case DirShared:
-			live := e.Sharers.Clone()
+			// ForEach ranges over a copy of each word, so removing
+			// members as it goes is safe.
 			e.Sharers.ForEach(func(id int) {
 				if !up(id) {
-					live.Remove(id)
+					e.Sharers.Remove(id)
 				}
 			})
-			copy(e.Sharers, live)
 			if e.Sharers.Empty() {
 				e.State = DirInvalid
 			}
@@ -322,18 +383,13 @@ func (d *Directory) ScanLiveness(up func(node int) bool) []Addr {
 			}
 		}
 		e.AcksLeft = 0
-	}
-	for a, e := range d.entries {
-		if e.State == DirInvalid {
-			delete(d.entries, a)
-		}
-	}
+	}, false)
 	return lost
 }
 
 // Incoherent reports whether line a is marked incoherent.
 func (d *Directory) Incoherent(a Addr) bool {
-	e := d.Lookup(a)
+	e := d.Peek(a)
 	return e != nil && e.State == DirIncoherent
 }
 
@@ -341,17 +397,9 @@ func (d *Directory) Incoherent(a Addr) bool {
 // Hive uses before reusing a page (§4.6). It reports whether the line was
 // incoherent.
 func (d *Directory) Scrub(a Addr) bool {
-	a = a.Line()
-	if e, ok := d.entries[a]; ok {
-		if e == nil || e.State != DirIncoherent {
-			return false
-		}
-		d.drop(a)
-		return true
+	if e := d.Peek(a); e == nil || e.State != DirIncoherent {
+		return false
 	}
-	if fe, ok := d.frozen[a]; ok && fe.State == DirIncoherent {
-		d.drop(a)
-		return true
-	}
-	return false
+	d.Drop(a)
+	return true
 }

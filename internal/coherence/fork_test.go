@@ -1,6 +1,11 @@
 package coherence
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // A forked memory must see frozen writes, diverge privately, and leave the
 // source and its base untouched.
@@ -115,7 +120,7 @@ func TestDirectoryCOWForkIndependence(t *testing.T) {
 	}
 }
 
-// Sweeps materialize the base first: Scan must behave identically on a
+// Scan reads the frozen base in place: it must behave identically on a
 // fork and on a never-frozen directory with the same contents.
 func TestDirectoryScanAfterFork(t *testing.T) {
 	states := map[Addr]DirState{
@@ -156,5 +161,155 @@ func TestCacheClone(t *testing.T) {
 	addrs, _ := f.Flush()
 	if len(addrs) != 1 || addrs[0] != 0x000 {
 		t.Fatalf("clone flush order wrong: %v", addrs)
+	}
+}
+
+// forkFixture is one entry in every directory state, with live and dead
+// owners and sharers for ScanLiveness's node 5 failure.
+var forkFixture = map[Addr]func(e *DirEntry){
+	0x000: func(e *DirEntry) { e.State, e.Owner = DirExclusive, 2 },
+	0x080: func(e *DirEntry) { e.State, e.Owner = DirExclusive, 5 },
+	0x100: func(e *DirEntry) { e.State, e.Owner, e.PendingReq, e.PendingSeq = DirPendingRecall, 3, 1, 7 },
+	0x180: func(e *DirEntry) { e.State, e.Owner, e.PendingReq = DirPendingRecall, 5, 2 },
+	0x200: func(e *DirEntry) { e.State = DirShared; e.Sharers.Add(1); e.Sharers.Add(5) },
+	0x280: func(e *DirEntry) { e.State = DirShared; e.Sharers.Add(5) },
+	0x300: func(e *DirEntry) { e.State = DirShared; e.Sharers.Add(0); e.Sharers.Add(6) },
+	0x380: func(e *DirEntry) { e.State, e.PendingReq, e.AcksLeft = DirPendingInval, 4, 2 },
+	0x400: func(e *DirEntry) { e.State = DirIncoherent },
+	0x480: func(e *DirEntry) { e.State, e.Owner = DirExclusive, 7 },
+}
+
+func fixtureDirectory() *Directory {
+	d := NewDirectory(8)
+	for a, set := range forkFixture {
+		set(d.Get(a))
+	}
+	return d
+}
+
+// deepCopy copies a frozen map, entries and sharer lists included.
+func deepCopy(m map[Addr]*DirEntry) map[Addr]*DirEntry {
+	out := make(map[Addr]*DirEntry, len(m))
+	for a, e := range m {
+		c := &DirEntry{Sharers: NewNodeSet(8)}
+		copyEntry(c, e)
+		out[a] = c
+	}
+	return out
+}
+
+// view renders a directory's live contents, for comparing two directories.
+func view(d *Directory) map[Addr]string {
+	out := map[Addr]string{}
+	d.ForEach(func(a Addr, e *DirEntry) {
+		out[a] = fmt.Sprintf("%v excl=%v owner=%d sharers=%v req=%d acks=%d seq=%d",
+			e.State, e.PendingExcl, e.Owner, e.Sharers, e.PendingReq, e.AcksLeft, e.PendingSeq)
+	})
+	return out
+}
+
+// Every read-only or sweeping access on a fork leaves the shared frozen
+// base exactly as Freeze sealed it, and the sweeps leave the fork in the
+// state a never-frozen directory reaches.
+func TestForkAccessesLeaveFrozenBaseUntouched(t *testing.T) {
+	up := func(n int) bool { return n != 5 }
+	for _, tc := range []struct {
+		name  string
+		sweep func(d *Directory) []Addr
+	}{
+		{"Scan", (*Directory).Scan},
+		{"ScanLiveness", func(d *Directory) []Addr { return d.ScanLiveness(up) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frozen := fixtureDirectory().Freeze()
+			want := deepCopy(frozen)
+			f := ForkDirectory(8, frozen)
+			plain := fixtureDirectory()
+			for a := range forkFixture {
+				f.Peek(a)
+				f.Incoherent(a)
+			}
+			f.Drop(0x480)
+			plain.Drop(0x480)
+
+			lostF, lostP := tc.sweep(f), tc.sweep(plain)
+			if !reflect.DeepEqual(frozen, want) {
+				t.Fatalf("%s on a fork mutated the frozen base", tc.name)
+			}
+			slices.Sort(lostF)
+			slices.Sort(lostP)
+			if !slices.Equal(lostF, lostP) {
+				t.Fatalf("fork lost %v, never-frozen lost %v", lostF, lostP)
+			}
+			if got, exp := view(f), view(plain); !reflect.DeepEqual(got, exp) {
+				t.Fatalf("fork after %s:\n%v\nnever-frozen:\n%v", tc.name, got, exp)
+			}
+			if got := f.Len(); got != plain.Len() {
+				t.Fatalf("fork Len = %d, never-frozen Len = %d", got, plain.Len())
+			}
+		})
+	}
+}
+
+// A line dropped in the fork over a frozen exclusive entry is invalid; a
+// sweep must not read the base entry underneath and mark it lost.
+func TestForkDropOverFrozenExclusiveStaysInvalid(t *testing.T) {
+	frozen := fixtureDirectory().Freeze()
+	for _, sweep := range []func(d *Directory) []Addr{
+		(*Directory).Scan,
+		func(d *Directory) []Addr { return d.ScanLiveness(func(int) bool { return false }) },
+	} {
+		f := ForkDirectory(8, frozen)
+		f.Drop(0x000)
+		if slices.Contains(sweep(f), 0x000) {
+			t.Fatal("dropped line reported lost by the sweep")
+		}
+		if e := f.Peek(0x000); e != nil {
+			t.Fatalf("dropped line came back as %v", e.State)
+		}
+		if frozen[0x000].State != DirExclusive {
+			t.Fatal("Drop reached the frozen base")
+		}
+	}
+}
+
+// Peek reads a frozen line in place: no allocation, no copy-up.
+func TestForkPeekAllocatesNothing(t *testing.T) {
+	f := ForkDirectory(8, fixtureDirectory().Freeze())
+	var e *DirEntry
+	if allocs := testing.AllocsPerRun(100, func() { e = f.Peek(0x200) }); allocs != 0 {
+		t.Fatalf("Peek of a frozen line allocated %.0f times", allocs)
+	}
+	if e == nil || e.State != DirShared {
+		t.Fatalf("Peek returned %+v", e)
+	}
+	if len(f.entries) != 0 {
+		t.Fatalf("Peek copied %d entries up", len(f.entries))
+	}
+}
+
+// Freezing a fork merges its overlay (copied-up entries and tombstones)
+// into a new base without touching the base it was forked from.
+func TestDirectoryRefreezeMergesOverlay(t *testing.T) {
+	base1 := fixtureDirectory().Freeze()
+	want1 := deepCopy(base1)
+	f := ForkDirectory(8, base1)
+	f.Drop(0x000)
+	f.Get(0x200).Sharers.Add(3)
+	f.Get(0x500).State = DirShared
+	f.Get(0x500).Sharers.Add(4)
+	wantView := view(f)
+	base2 := f.Freeze()
+	if !reflect.DeepEqual(base1, want1) {
+		t.Fatal("refreeze mutated the base the fork was taken from")
+	}
+	if got := view(ForkDirectory(8, base2)); !reflect.DeepEqual(got, wantView) {
+		t.Fatalf("refrozen base:\n%v\nwant:\n%v", got, wantView)
+	}
+	if _, ok := base2[0x000]; ok {
+		t.Fatal("a dropped line survived the refreeze")
+	}
+	if got := view(f); !reflect.DeepEqual(got, wantView) {
+		t.Fatal("refreeze changed the fork's own view")
 	}
 }

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"flashfc/internal/coherence"
 )
@@ -18,10 +20,20 @@ import (
 //     that cache;
 //   - no directory entry is stuck in a transient (locked) state.
 //
-// Tests call this after workloads and after recovery; it is the
-// protocol-level ground truth the §5.2 experiments rely on.
+// Violations are reported in address order (those of one line in sweep
+// order), so the result is the same bytes on every call. Tests call this
+// after workloads and after recovery; it is the protocol-level ground
+// truth the §5.2 experiments rely on. It only reads: a forked machine's
+// shared directory and memory images are not copied up.
 func (m *Machine) CheckCoherenceInvariants() []string {
-	var bad []string
+	type violation struct {
+		a   coherence.Addr
+		msg string
+	}
+	var found []violation
+	flag := func(a coherence.Addr, format string, args ...any) {
+		found = append(found, violation{a, fmt.Sprintf(format, args...)})
+	}
 	// Forward sweep: directory entries against caches.
 	for _, home := range m.Nodes {
 		home.Dir.ForEach(func(a coherence.Addr, e *coherence.DirEntry) {
@@ -30,13 +42,13 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 				owner := m.Nodes[e.Owner]
 				l := owner.Cache.Lookup(a)
 				if l == nil {
-					bad = append(bad, fmt.Sprintf("%v: exclusive at %d but not resident", a, e.Owner))
+					flag(a, "exclusive at %d but not resident", e.Owner)
 				} else if l.State != coherence.CacheExclusive {
-					bad = append(bad, fmt.Sprintf("%v: owner %d holds it non-exclusive", a, e.Owner))
+					flag(a, "owner %d holds it non-exclusive", e.Owner)
 				}
 				for _, n := range m.Nodes {
 					if n.ID != e.Owner && n.Cache.Lookup(a) != nil {
-						bad = append(bad, fmt.Sprintf("%v: second copy at %d beside owner %d", a, n.ID, e.Owner))
+						flag(a, "second copy at %d beside owner %d", n.ID, e.Owner)
 					}
 				}
 			case coherence.DirShared:
@@ -47,17 +59,17 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 						continue
 					}
 					if !e.Sharers.Has(n.ID) {
-						bad = append(bad, fmt.Sprintf("%v: unrecorded sharer %d", a, n.ID))
+						flag(a, "unrecorded sharer %d", n.ID)
 					}
 					if l.State != coherence.CacheShared {
-						bad = append(bad, fmt.Sprintf("%v: sharer %d holds it exclusive", a, n.ID))
+						flag(a, "sharer %d holds it exclusive", n.ID)
 					}
 					if l.Token != memTok {
-						bad = append(bad, fmt.Sprintf("%v: sharer %d token %x != memory %x", a, n.ID, l.Token, memTok))
+						flag(a, "sharer %d token %x != memory %x", n.ID, l.Token, memTok)
 					}
 				}
 			case coherence.DirPendingRecall, coherence.DirPendingInval:
-				bad = append(bad, fmt.Sprintf("%v: stuck in %v at quiescence", a, e.State))
+				flag(a, "stuck in %v at quiescence", e.State)
 			}
 		})
 	}
@@ -65,24 +77,29 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 	for _, n := range m.Nodes {
 		n.Cache.ForEach(func(a coherence.Addr, l *coherence.CacheLine) {
 			home := m.Nodes[m.Space.Home(a)]
-			e := home.Dir.Lookup(a)
+			e := home.Dir.Peek(a)
 			if e == nil {
-				bad = append(bad, fmt.Sprintf("%v: resident at %d with no directory entry", a, n.ID))
+				flag(a, "resident at %d with no directory entry", n.ID)
 				return
 			}
 			switch e.State {
 			case coherence.DirExclusive:
 				if e.Owner != n.ID {
-					bad = append(bad, fmt.Sprintf("%v: resident at %d but owned by %d", a, n.ID, e.Owner))
+					flag(a, "resident at %d but owned by %d", n.ID, e.Owner)
 				}
 			case coherence.DirShared:
 				if !e.Sharers.Has(n.ID) {
-					bad = append(bad, fmt.Sprintf("%v: resident at %d but not a recorded sharer", a, n.ID))
+					flag(a, "resident at %d but not a recorded sharer", n.ID)
 				}
 			case coherence.DirIncoherent:
-				bad = append(bad, fmt.Sprintf("%v: resident at %d while marked incoherent", a, n.ID))
+				flag(a, "resident at %d while marked incoherent", n.ID)
 			}
 		})
+	}
+	slices.SortStableFunc(found, func(x, y violation) int { return cmp.Compare(x.a, y.a) })
+	var bad []string
+	for _, v := range found {
+		bad = append(bad, fmt.Sprintf("%v: %s", v.a, v.msg))
 	}
 	return bad
 }

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"maps"
+
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
 )
@@ -30,18 +32,11 @@ func NewOracle() *Oracle {
 // Clone returns an independent deep copy of the oracle, so a forked
 // machine's ground truth diverges from the source's.
 func (o *Oracle) Clone() *Oracle {
-	c := &Oracle{
-		expected:  make(map[coherence.Addr]uint64, len(o.expected)),
-		mayBeLost: make(map[coherence.Addr]bool, len(o.mayBeLost)),
+	return &Oracle{
+		expected:  maps.Clone(o.expected),
+		mayBeLost: maps.Clone(o.mayBeLost),
 		nextTok:   o.nextTok,
 	}
-	for a, t := range o.expected {
-		c.expected[a] = t
-	}
-	for a := range o.mayBeLost {
-		c.mayBeLost[a] = true
-	}
-	return c
 }
 
 // NextToken mints a unique token for a store.

@@ -116,8 +116,12 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // FromSnapshot rehydrates an independent machine from a snapshot in
 // O(non-memory state): memory and directory images are shared
-// copy-on-write with the snapshot rather than copied. tr, which may be
-// nil, becomes the fork's tracer as given.
+// copy-on-write with the snapshot rather than copied, and the fork then
+// pays only for the lines its run changes. Reads, drops and the P4
+// directory sweeps work on the shared image in place; only a line whose
+// state the run changes is copied into the fork. Caches and the oracle
+// are copied eagerly, and a flushed cache releases its storage. tr, which
+// may be nil, becomes the fork's tracer as given.
 func FromSnapshot(s *Snapshot, tr *trace.Tracer) *Machine {
 	cfg := s.Cfg
 	cfg.Trace = tr

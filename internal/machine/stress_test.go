@@ -2,6 +2,8 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"flashfc/internal/coherence"
@@ -118,5 +120,41 @@ func TestInvariantCheckerDetectsViolations(t *testing.T) {
 	m.Nodes[2].Cache.Install(0x100, coherence.CacheShared, 5)
 	if bad := m.CheckCoherenceInvariants(); len(bad) == 0 {
 		t.Fatal("checker should flag the orphan resident line")
+	}
+}
+
+// Violations come back in address order, the same bytes on every call, so
+// they can be recorded in byte-identical run records.
+func TestCoherenceViolationsInAddressOrder(t *testing.T) {
+	m := New(smallConfig(99))
+	nodes := len(m.Nodes)
+	var addrs []coherence.Addr
+	for n := nodes - 1; n >= 0; n-- {
+		for k := 7; k >= 0; k-- {
+			a := m.Space.Base(n) + coherence.Addr(k*128)
+			addrs = append(addrs, a)
+			if k%2 == 0 {
+				// A phantom exclusive owner that does not hold the line.
+				e := m.Nodes[n].Dir.Get(a)
+				e.State = coherence.DirExclusive
+				e.Owner = (n + 1) % nodes
+			} else {
+				// A resident line its home has no entry for.
+				m.Nodes[(n+2)%nodes].Cache.Install(a, coherence.CacheShared, 5)
+			}
+		}
+	}
+	first := m.CheckCoherenceInvariants()
+	if len(first) != len(addrs) {
+		t.Fatalf("%d violations, want %d:\n%s", len(first), len(addrs), strings.Join(first, "\n"))
+	}
+	slices.Sort(addrs)
+	for i, v := range first {
+		if !strings.HasPrefix(v, addrs[i].String()+": ") {
+			t.Fatalf("violation %d is %q, want line %v", i, v, addrs[i])
+		}
+	}
+	if second := m.CheckCoherenceInvariants(); !slices.Equal(first, second) {
+		t.Fatal("two calls on the same state reported different bytes")
 	}
 }

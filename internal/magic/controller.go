@@ -571,7 +571,7 @@ func (c *Controller) occupancy(msg *coherence.Message) sim.Time {
 			c.unit[msg.Req] != c.unit[c.ID] {
 			occ += timing.HandlerFirewallCheck
 		}
-		if e := c.Dir.Lookup(msg.Addr); e != nil && e.State == coherence.DirShared {
+		if e := c.Dir.Peek(msg.Addr); e != nil && e.State == coherence.DirShared {
 			occ += sim.Time(e.Sharers.Count()) * timing.HandlerPerInvalidation
 		}
 	case coherence.MsgUncachedRead, coherence.MsgUncachedWrite:

@@ -169,7 +169,7 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 // handlePut services a writeback at the home. The writeback carries the
 // only valid copy of the line (§3.2).
 func (c *Controller) handlePut(msg *coherence.Message) {
-	e := c.Dir.Lookup(msg.Addr)
+	e := c.Dir.Peek(msg.Addr)
 	if e == nil {
 		return // stale writeback for a reset line
 	}
@@ -181,21 +181,19 @@ func (c *Controller) handlePut(msg *coherence.Message) {
 		if (e.State == coherence.DirExclusive && e.Owner == msg.Req) ||
 			(e.State == coherence.DirPendingRecall && e.Owner == msg.Req) {
 			c.Mem.Write(msg.Addr, msg.Data)
-			e.State = coherence.DirInvalid
-			c.Dir.Release(msg.Addr)
+			c.Dir.Drop(msg.Addr)
 		}
 		return
 	}
 	switch {
 	case e.State == coherence.DirExclusive && e.Owner == msg.Req:
 		c.Mem.Write(msg.Addr, msg.Data)
-		e.State = coherence.DirInvalid
-		c.Dir.Release(msg.Addr)
+		c.Dir.Drop(msg.Addr)
 	case e.State == coherence.DirPendingRecall && e.Owner == msg.Req:
 		// The recalled owner's data arrives; complete the waiting
 		// transaction.
 		c.Mem.Write(msg.Addr, msg.Data)
-		c.completeRecall(msg.Addr, e, msg.Data)
+		c.completeRecall(msg.Addr, c.Dir.Lookup(msg.Addr), msg.Data)
 	default:
 		// Stale PUT (e.g. crossing an invalidation); ignore.
 	}
@@ -261,11 +259,11 @@ func (c *Controller) handleRecall(msg *coherence.Message) {
 // before this message, so a still-pending entry means the memory copy is
 // current.
 func (c *Controller) handleRecallNak(msg *coherence.Message) {
-	e := c.Dir.Lookup(msg.Addr)
+	e := c.Dir.Peek(msg.Addr)
 	if e == nil || e.State != coherence.DirPendingRecall || e.Owner != msg.Req {
 		return
 	}
-	c.completeRecall(msg.Addr, e, c.Mem.Read(msg.Addr))
+	c.completeRecall(msg.Addr, c.Dir.Lookup(msg.Addr), c.Mem.Read(msg.Addr))
 }
 
 // handleInval services an invalidation at a sharer. Sharers always ack,
@@ -286,10 +284,11 @@ func (c *Controller) handleInval(msg *coherence.Message) {
 // handleInvAck counts invalidation acks at the home and grants the pending
 // exclusive request when the last one arrives.
 func (c *Controller) handleInvAck(msg *coherence.Message) {
-	e := c.Dir.Lookup(msg.Addr)
+	e := c.Dir.Peek(msg.Addr)
 	if e == nil || e.State != coherence.DirPendingInval {
 		return
 	}
+	e = c.Dir.Lookup(msg.Addr)
 	e.AcksLeft--
 	if e.AcksLeft > 0 {
 		return

@@ -766,6 +766,45 @@ func TestOrphanStashKeepsItsRecord(t *testing.T) {
 	})
 }
 
+// The P4 flush's writebacks travel in flush records, which their homes hand
+// back to flushFree, never to wirePool, so the flush burst never sits in the
+// collector-cleared pool; ordinary traffic leaves flushFree alone.
+func TestFlushRecordsRecycleThroughFlushFree(t *testing.T) {
+	free := func() int {
+		flushFree.Lock()
+		defer flushFree.Unlock()
+		return len(flushFree.recs)
+	}
+	r := newRig(t, 2, DefaultConfig())
+	const lines = 4
+	for i := 0; i < lines; i++ {
+		r.write(t, 0, r.space.Base(1)+coherence.Addr(i*128), uint64(10+i))
+	}
+	r.ctrl[0].EnterRecovery()
+	r.ctrl[1].EnterRecovery()
+	r.e.Run()
+	r.ctrl[0].SetMode(ModeFlush)
+	r.ctrl[1].SetMode(ModeFlush)
+	before := free()
+	if n := r.ctrl[0].FlushCache(); n != lines {
+		t.Fatalf("flush sent %d writebacks, want %d", n, lines)
+	}
+	sent := free()
+	if want := max(before-lines, 0); sent != want {
+		t.Fatalf("flushFree holds %d records after the flush took %d of %d, want %d", sent, lines, before, want)
+	}
+	r.e.Run()
+	if got := free(); got != sent+lines {
+		t.Fatalf("flushFree holds %d records after delivery, want %d", got, sent+lines)
+	}
+	r.ctrl[0].SetMode(ModeNormal)
+	r.ctrl[1].SetMode(ModeNormal)
+	r.churn(t, 0)
+	if got := free(); got != sent+lines {
+		t.Fatalf("ordinary traffic moved flushFree to %d records, want %d", got, sent+lines)
+	}
+}
+
 // A packet truncated in flight is delivered (and dropped) at its
 // destination while a reliable fabric still holds it for retransmission:
 // the later resend carries the old record's message, which must be intact.

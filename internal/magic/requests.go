@@ -234,11 +234,10 @@ func (c *Controller) EnterRecovery() {
 	// a deterministic order here.
 	for _, m := range c.mshrs {
 		if !m.uncached && c.Space.Home(m.addr) == c.ID {
-			if e := c.Dir.Lookup(m.addr); e != nil &&
+			if e := c.Dir.Peek(m.addr); e != nil &&
 				e.State == coherence.DirExclusive && e.Owner == c.ID &&
 				c.Cache.Lookup(m.addr) == nil {
-				e.State = coherence.DirInvalid
-				c.Dir.Release(m.addr)
+				c.Dir.Drop(m.addr)
 			}
 		}
 	}
@@ -288,28 +287,30 @@ func (c *Controller) Orphans() []*coherence.Message { return c.orphans }
 // FlushCache implements the P4 cache flush (§4.5): every exclusive line is
 // written back to its home (skipping homes the node map reports dead: those
 // lines are inaccessible anyway) and the cache is left empty. It returns the
-// number of writebacks sent.
+// number of writebacks sent. The writebacks travel in flush records (see
+// flushFree), not pooled ones.
 func (c *Controller) FlushCache() int {
 	addrs, lines := c.Cache.Flush()
 	sent := 0
-	for i, a := range addrs {
+	put := func(a coherence.Addr, data uint64) {
+		msg := coherence.Message{Type: coherence.MsgPut, Addr: a, Req: c.ID, Data: data}
 		home := c.Space.Home(a)
-		if c.sendMsg(home, coherence.Message{
-			Type: coherence.MsgPut, Addr: a, Req: c.ID, Data: lines[i].Token,
-		}) {
-			sent++
+		if !c.reachable(home) {
+			lost := msg // as in sendMsg: only this branch moves it to the heap
+			c.discarded(&lost)
+			return
 		}
+		c.Net.Send(&acquireFlushWire(c.ID, home, msg).pkt)
+		sent++
+	}
+	for i, a := range addrs {
+		put(a, lines[i].Token)
 	}
 	// Return orphaned exclusive grants stashed during the drain: their
 	// data never reached a cache, so the home's memory copy must be
 	// refreshed from the grant before the directory sweep.
 	for _, o := range c.orphans {
-		home := c.Space.Home(o.Addr)
-		if c.sendMsg(home, coherence.Message{
-			Type: coherence.MsgPut, Addr: o.Addr, Req: c.ID, Data: o.Data,
-		}) {
-			sent++
-		}
+		put(o.Addr, o.Data)
 	}
 	c.orphans = nil
 	return sent

@@ -12,27 +12,63 @@ import (
 // coherence message it carries, in a single pooled record (pkt.Payload
 // points at msg, pkt.Rec back at the record).
 //
-// Ownership: sendMsg acquires a record and hands &pkt to the fabric. The
-// record has exactly one release point — the end of the receiving
-// controller's dispatchEv, after the handler has returned. Any record that
-// does not reach that point is never recycled and falls to the garbage
-// collector: packets the fabric destroys (it may retain them for an
-// end-to-end resend of the same payload), truncated deliveries, packets a
-// controller consumes without dispatching (dead/drain/flush modes, recovery
-// entry), and exclusive grants stashed as orphans.
+// Ownership: sendMsg (FlushCache for a writeback of the P4 flush) acquires
+// a record and hands &pkt to the fabric. The record has exactly one release
+// point — the end of the receiving controller's dispatchEv, after the
+// handler has returned. Any record that does not reach that point is never
+// recycled and falls to the garbage collector: packets the fabric destroys
+// (it may retain them for an end-to-end resend of the same payload),
+// truncated deliveries, packets a controller consumes without dispatching
+// (dead/drain/flush modes, recovery entry), and exclusive grants stashed as
+// orphans.
 type wire struct {
 	pkt interconnect.Packet
 	msg coherence.Message
 }
 
+// flushWire is a wire record of a P4 flush writeback, recycled through
+// flushFree; pkt.Rec holds it as this type rather than as *wire, so the
+// mark costs the record no space.
+type flushWire wire
+
 // wirePool is process-wide, not per machine or per controller: a campaign
 // holds every finished machine of a batch, and a free list owned by one
-// would pin that machine's burst high-water mark (the P4 flush) for as long
-// as the machine is held. sync.Pool also makes the records safe to pass
-// between partition workers and between parallel runs. Records are zeroed
-// before Put and fully overwritten on Get, so nothing about a run can depend
-// on which record it was handed.
+// would pin that machine's high-water mark for as long as the machine is
+// held. sync.Pool also makes the records safe to pass between partition
+// workers and between parallel runs. Records are zeroed before Put and fully
+// overwritten on Get, so nothing about a run can depend on which record it
+// was handed.
 var wirePool = sync.Pool{New: func() any { return new(wire) }}
+
+// flushFree recycles the records of P4 flush writebacks. The flush is the
+// protocol's one burst — every dirty line of every cache in flight at once,
+// thousands of records on a 128-node machine — and in wirePool the burst
+// would outlive its run in whatever part no collection had cleared yet, so
+// the heap a campaign holds would vary with the collector's timing from one
+// run of the same work to the next. This list is process-wide for the same
+// reason as wirePool but never cleared: it holds the most flush records the
+// process has had in flight at once, the same number after every run of the
+// same work. Flushes are rare enough for a mutex.
+var flushFree struct {
+	sync.Mutex
+	recs []*wire
+}
+
+// acquireFlushWire is acquireWire for a flush writeback.
+func acquireFlushWire(src, dst int, m coherence.Message) *wire {
+	flushFree.Lock()
+	var w *wire
+	if n := len(flushFree.recs); n > 0 {
+		w = flushFree.recs[n-1]
+		flushFree.recs = flushFree.recs[:n-1]
+	} else {
+		w = new(wire)
+	}
+	flushFree.Unlock()
+	w.load(src, dst, m)
+	w.pkt.Rec = (*flushWire)(w)
+	return w
+}
 
 // poisonReleased makes release poison records instead of zeroing them; see
 // PoisonReleasedForTest.
@@ -45,9 +81,17 @@ var poisonReleased atomic.Bool
 // on it.
 func PoisonReleasedForTest(on bool) { poisonReleased.Store(on) }
 
-// acquireWire returns a record carrying m from src to dst.
+// acquireWire returns a pooled record carrying m from src to dst.
 func acquireWire(src, dst int, m coherence.Message) *wire {
 	w := wirePool.Get().(*wire)
+	w.load(src, dst, m)
+	w.pkt.Rec = w
+	return w
+}
+
+// load fills w with m travelling from src to dst, its packet carrying no
+// record yet.
+func (w *wire) load(src, dst int, m coherence.Message) {
 	w.msg = m
 	lane := interconnect.LaneReply
 	if m.Type.IsRequest() {
@@ -55,23 +99,34 @@ func acquireWire(src, dst int, m coherence.Message) *wire {
 	}
 	w.pkt = interconnect.Packet{
 		Src: src, Dst: dst, Lane: lane,
-		Bytes: w.msg.Bytes(), Payload: &w.msg, Rec: w,
+		Bytes: w.msg.Bytes(), Payload: &w.msg,
 	}
-	return w
 }
 
 // releaseWire recycles the record p is embedded in, if there is one: packets
-// built outside sendMsg (tests, the fabric's retransmissions) carry no
-// record and are left alone.
+// built outside sendMsg and FlushCache (tests, the fabric's retransmissions)
+// carry no record and are left alone.
 func releaseWire(p *interconnect.Packet) {
-	w, ok := p.Rec.(*wire)
-	if !ok {
+	var w *wire
+	flush := false
+	switch r := p.Rec.(type) {
+	case *wire:
+		w = r
+	case *flushWire:
+		w, flush = (*wire)(r), true
+	default:
 		return
 	}
 	*w = wire{}
 	if poisonReleased.Load() {
 		w.msg = coherence.Message{Type: 0xFF, Addr: ^coherence.Addr(0), Seq: ^uint64(0)}
 		w.pkt.Src, w.pkt.Dst = -1, -1
+	}
+	if flush {
+		flushFree.Lock()
+		flushFree.recs = append(flushFree.recs, w)
+		flushFree.Unlock()
+		return
 	}
 	wirePool.Put(w)
 }
