@@ -32,7 +32,7 @@ func main() {
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 12})
 	flag.Parse()
 	cf.WarnTraceIgnored()
-	cf.CheckRouting()
+	cf.Check()
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.
 	defer cf.StartProfiles()()

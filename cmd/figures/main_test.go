@@ -69,3 +69,18 @@ func TestTraceWarningNamesOnlyRunLog(t *testing.T) {
 		}
 	}
 }
+
+// A negative count is a usage error naming the flag, not a silent run of
+// nothing (or of a default).
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "ablations", "-workers", "-2"},
+		{"-fig", "ablations", "-parallel", "-1"},
+		{"-fig", "dist", "-runs", "-1"},
+	} {
+		stderr, code := runFigures(t, args...)
+		if code != 2 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("figures %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, args[2], stderr)
+		}
+	}
+}

@@ -100,7 +100,7 @@ func main() {
 		hout = os.Stderr
 	}
 
-	cf.CheckRouting()
+	cf.Check()
 	if *faultName == "boundary-link" && *partitions <= 0 {
 		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
 		exit(2)

@@ -326,3 +326,13 @@ func TestBoundaryLinkNeedsPartitions(t *testing.T) {
 		t.Fatalf("exit %d, want 2 with a message naming -partitions; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
+
+// A negative count is a usage error naming the flag.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, flag := range []string{"-runs", "-workers", "-parallel"} {
+		_, stderr, code := runFlashsimExit(t, append(fastArgs, flag, "-1")...)
+		if code != 2 || !strings.Contains(stderr, flag) {
+			t.Errorf("flashsim %s -1: exit %d, want 2 naming %s; stderr:\n%s", flag, code, flag, stderr)
+		}
+	}
+}

@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 	cf.WarnTraceIgnored()
-	cf.CheckRouting()
+	cf.Check()
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.
 	defer cf.StartProfiles()()

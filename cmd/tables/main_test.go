@@ -86,3 +86,19 @@ func TestTraceWarningNamesTablesFlags(t *testing.T) {
 		t.Errorf("trace warning names -run-seed, a flashsim flag:\n%s", stderr)
 	}
 }
+
+// A negative count is a usage error naming the flag: -runs -1 used to run
+// nothing and report success, and -table routing -runs -2 ran its default.
+func TestNegativeCountsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "5.3", "-runs", "-1"},
+		{"-table", "routing", "-runs", "-2"},
+		{"-table", "5.3", "-workers", "-1"},
+		{"-table", "tail", "-parallel", "-3"},
+	} {
+		stderr, code := runTables(t, args...)
+		if code != 2 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("tables %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, args[2], stderr)
+		}
+	}
+}

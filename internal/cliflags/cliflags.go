@@ -66,8 +66,8 @@ type Flags struct {
 	TraceCritical bool
 
 	// Routing is the interconnect-recovery routing strategy name ("" is
-	// "paper": dim-order + full-drain + up*/down*). CheckRouting validates
-	// it after parse.
+	// "paper": dim-order + full-drain + up*/down*). Check validates it
+	// after parse.
 	Routing string
 
 	// RunLog is the -run-log path: one JSONL record per campaign run,
@@ -135,10 +135,26 @@ func strategyList() string {
 	return s
 }
 
-// CheckRouting validates the -routing flag against the strategy registry
-// and exits with a friendly error naming the alternatives when the name is
-// unknown. Call it once after fs.Parse.
-func (f *Flags) CheckRouting() {
+// Check validates what fs.Parse cannot: the -routing name against the
+// strategy registry, and the -runs and -workers counts, which must not be
+// negative. An invalid value exits 2 with a message naming the flag. Call
+// it once after fs.Parse.
+func (f *Flags) Check() {
+	workers := "workers"
+	f.fs.Visit(func(fl *flag.Flag) {
+		if fl.Name == "parallel" {
+			workers = "parallel"
+		}
+	})
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"runs", f.Runs}, {workers, f.Workers}} {
+		if c.n < 0 {
+			fmt.Fprintf(os.Stderr, "invalid -%s %d: must be 0 or more\n", c.name, c.n)
+			os.Exit(2)
+		}
+	}
 	if f.Routing == "" {
 		return
 	}

@@ -30,14 +30,10 @@ type cachedLine struct {
 	Line coherence.CacheLine
 }
 
-// reliableLinkRun fills an 8-node machine with a HAL-style reliable fabric,
-// fails a link mid-fill, and recovers: the packets the failure destroyed sit
-// in Network.retained across recovery and are resent — old payloads in
-// fresh packets — by RetransmitLost. The outcome is the machine's settled
-// state rather than a verify sweep: without the P4 flush, a grant orphaned
-// by an aborted operation is never returned home, and a sweep reader that
-// happens to be its recorded owner waits out the sweep's 30 s deadline.
-func reliableLinkRun(seed int64) reliableOutcome {
+// reliableLinkMachine fills an 8-node machine with a HAL-style reliable
+// fabric, fails a link mid-fill, and runs recovery. It returns the machine,
+// the node that drove detection, and whether recovery completed.
+func reliableLinkMachine(seed int64) (*machine.Machine, int, bool) {
 	mc := machine.DefaultConfig(8)
 	mc.Seed = seed
 	mc.MemBytes = 64 << 10
@@ -50,8 +46,20 @@ func reliableLinkRun(seed int64) reliableOutcome {
 	filler.OnHalfDone = func() { m.Inject(f) }
 	filler.Start(func() {})
 	m.Advance(m.Now() + sim.Millisecond)
-	driveDetection(m, f)
-	out := reliableOutcome{Recovered: m.RunUntilRecovered(5 * sim.Second)}
+	reader := driveDetection(m, f)
+	return m, reader, m.RunUntilRecovered(5 * sim.Second)
+}
+
+// reliableLinkRun runs reliableLinkMachine's scenario: the packets the
+// failure destroyed sit in Network.retained across recovery and are resent
+// — old payloads in fresh packets — by RetransmitLost. The outcome is the
+// machine's settled state rather than a verify sweep: without the P4 flush,
+// a grant orphaned by an aborted operation is never returned home, and a
+// sweep reader that happens to be its recorded owner waits for it until
+// the sweep gives up (TestReliableLinkSweepFailsFast).
+func reliableLinkRun(seed int64) reliableOutcome {
+	m, _, recovered := reliableLinkMachine(seed)
+	out := reliableOutcome{Recovered: recovered}
 	if !out.Recovered {
 		return out
 	}
@@ -142,4 +150,22 @@ func TestPoisonedRecordsChangeNothing(t *testing.T) {
 		}
 	}
 	t.Run("tail524", TestTransientLinkTail524Contained)
+}
+
+// A sweep whose reads stop completing gives up within its stall window
+// instead of driving the simulation on: on these seeds the reliable
+// fabric's orphaned grants leave reads that never complete. Whether the
+// sweep comes back clean is not asserted, only that it comes back fast.
+func TestReliableLinkSweepFailsFast(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		m, reader, recovered := reliableLinkMachine(seed)
+		if !recovered {
+			t.Fatalf("seed %d did not recover", seed)
+		}
+		start := m.Now()
+		v := m.VerifyMemory(reader, 1)
+		if took := m.Now() - start; took >= sim.Second {
+			t.Errorf("seed %d: sweep took %v of simulated time (%v)", seed, took, v)
+		}
+	}
 }

@@ -8,7 +8,6 @@ package proc
 
 import (
 	"fmt"
-	"slices"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/magic"
@@ -16,7 +15,7 @@ import (
 )
 
 // OpKind is the kind of a memory operation.
-type OpKind int
+type OpKind uint32
 
 const (
 	OpRead OpKind = iota
@@ -26,9 +25,15 @@ const (
 
 // Op is one memory operation submitted to the CPU.
 type Op struct {
-	Kind  OpKind
-	Addr  coherence.Addr
-	Token uint64 // OpWrite only
+	Kind OpKind
+	// more is how many reads of a range (SubmitReads) follow Addr, each
+	// Token bytes past the one before. It shares Kind's word, so an Op
+	// stays 40 bytes.
+	more uint32
+	Addr coherence.Addr
+	// Token is the value an OpWrite stores; a read range keeps its step
+	// here.
+	Token uint64
 	// Done receives the completion. May be nil.
 	Done func(magic.Result)
 	// DoneAt, if set, receives the completion together with the
@@ -123,20 +128,34 @@ func (c *CPU) Submit(op Op) {
 	c.issue()
 }
 
-// Reserve makes room for n more queued operations, so a caller about to
-// submit a known number of them pays for one backing array instead of a
-// doubling series.
-func (c *CPU) Reserve(n int) { c.queue = slices.Grow(c.queue, n) }
+// SubmitReads queues n reads, of addr, addr+step, addr+2*step and so on,
+// as one queue entry, each completing through doneAt. The CPU expands the
+// range one read per issue at the entry's own queue position, so the reads
+// issue and complete exactly as n Submit calls in a row would, and anything
+// submitted later — a read resubmitted from doneAt included — queues behind
+// all of them.
+func (c *CPU) SubmitReads(addr coherence.Addr, n int, step coherence.Addr, doneAt func(coherence.Addr, magic.Result)) {
+	if n < 1 {
+		return
+	}
+	c.Submit(Op{Kind: OpRead, more: uint32(n - 1), Addr: addr, Token: uint64(step), DoneAt: doneAt})
+}
 
-// queueKeep is the largest backing array (in operations) a queue emptied by
-// a completion holds on to. Steady streams of a few operations reuse theirs;
-// the array a whole-memory sweep queued up front is released as soon as its
-// last operation issues, rather than staying pinned in every finished
-// machine.
+// queueKeep is the largest backing array (in entries) a queue emptied by a
+// completion holds on to. Steady streams of a few operations reuse theirs;
+// a bigger array is released as soon as its last entry issues, rather than
+// staying pinned in every finished machine.
 const queueKeep = 64
 
-// QueueLen reports operations waiting to issue.
-func (c *CPU) QueueLen() int { return len(c.queue) - c.head }
+// QueueLen reports operations waiting to issue, counting every read of a
+// queued range.
+func (c *CPU) QueueLen() int {
+	n := 0
+	for i := c.head; i < len(c.queue); i++ {
+		n += 1 + int(c.queue[i].more)
+	}
+	return n
+}
 
 // Inflight reports operations issued but not completed.
 func (c *CPU) Inflight() int { return c.inflight }
@@ -156,9 +175,21 @@ func (c *CPU) Paused() bool { return c.paused }
 
 func (c *CPU) issue() {
 	for !c.paused && c.inflight < c.Window && c.head < len(c.queue) {
-		op := c.queue[c.head]
-		c.queue[c.head] = Op{}
-		c.head++
+		next := &c.queue[c.head]
+		op := *next
+		if op.more > 0 {
+			// The range's first read issues; the rest keep its place,
+			// a plain read once only one is left.
+			next.more--
+			next.Addr += coherence.Addr(op.Token)
+			if next.more == 0 {
+				next.Token = 0
+			}
+			op.more, op.Token = 0, 0
+		} else {
+			*next = Op{}
+			c.head++
+		}
 		c.inflight++
 		done := c.newRecord(op).done
 		switch op.Kind {

@@ -1,7 +1,9 @@
 package proc
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
@@ -145,7 +147,6 @@ func TestDoneAtSweepOrderAndQueueRelease(t *testing.T) {
 			cpu.Submit(Op{Kind: OpRead, Addr: n * 128, DoneAt: done})
 		}
 	}
-	cpu.Reserve(n)
 	for i := 0; i < n; i++ {
 		cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(i * 128), DoneAt: done})
 	}
@@ -170,5 +171,66 @@ func TestDoneAtSweepOrderAndQueueRelease(t *testing.T) {
 	}
 	if c := cap(cpu.queue); c == 0 || c > queueKeep {
 		t.Fatalf("steady one-at-a-time stream left a %d-op queue array, want a small kept one", c)
+	}
+}
+
+// A read range issues and completes exactly as the same reads submitted one
+// by one: same addresses, same order, same simulated times. A read
+// resubmitted from a completion — the verify sweep's answer to an aborted
+// read — queues behind every read of every range still waiting.
+func TestSubmitReadsMatchesPerLineSubmits(t *testing.T) {
+	type completion struct {
+		addr coherence.Addr
+		at   sim.Time
+	}
+	const lines, step = 40, 3 * 128
+	run := func(ranged bool) []completion {
+		e, cpu, _ := newCPU(t)
+		var got []completion
+		resubmitted := false
+		var done func(coherence.Addr, magic.Result)
+		done = func(a coherence.Addr, r magic.Result) {
+			if r.Err != nil {
+				t.Errorf("read %v: %v", a, r.Err)
+			}
+			got = append(got, completion{a, e.Now()})
+			if a == step && !resubmitted {
+				resubmitted = true
+				cpu.Submit(Op{Kind: OpRead, Addr: a, DoneAt: done})
+			}
+		}
+		// One range on each node's memory, the remote one second.
+		for _, base := range []coherence.Addr{0, 64 << 10} {
+			if ranged {
+				cpu.SubmitReads(base, lines, step, done)
+				continue
+			}
+			for i := 0; i < lines; i++ {
+				cpu.Submit(Op{Kind: OpRead, Addr: base + coherence.Addr(i*step), DoneAt: done})
+			}
+		}
+		if q := cpu.QueueLen(); q != 2*lines-cpu.Window {
+			t.Fatalf("ranged %v: %d reads queued, want %d", ranged, q, 2*lines-cpu.Window)
+		}
+		e.Run()
+		return got
+	}
+	perLine, ranged := run(false), run(true)
+	if len(ranged) != 2*lines+1 {
+		t.Fatalf("%d completions, want %d", len(ranged), 2*lines+1)
+	}
+	if !slices.Equal(perLine, ranged) {
+		t.Fatalf("a range completes differently from per-line submits:\nper-line %v\nranged   %v", perLine, ranged)
+	}
+	if last := ranged[len(ranged)-1]; last.addr != step {
+		t.Fatalf("last completion is %v, want the resubmitted read of %v behind both ranges", last.addr, coherence.Addr(step))
+	}
+}
+
+// fill1024 queues every fill operation up front, so an Op that grows costs
+// every queued operation the difference.
+func TestOpStaysFortyBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 40 {
+		t.Fatalf("proc.Op is %d bytes, want 40", n)
 	}
 }

@@ -6,7 +6,10 @@
 //
 // The scheduler is a three-level hierarchical timing wheel (64 ns base slots,
 // ~1 s horizon) with a binary-heap fallback for far-future timeouts and a
-// free list that recycles event records across firings. A reached slot is
+// free list that recycles event records across firings. Level-0 slots are
+// arrays, handed from a loaded slot to the next one to fill; upper-level
+// slots are lists threaded through the event records themselves, so a
+// fresh engine schedules into them without allocating. A reached slot is
 // loaded into a sorted run without comparisons when it can be — events
 // scheduled straight into a slot already sit in sequence order, so a stable
 // counting sort on the 64 ns of the slot finishes the job — and the earliest
@@ -90,6 +93,8 @@ type event struct {
 	u      uint64
 	gen    uint64
 	cancel bool
+	// next links the event into an upper-level wheel slot's list.
+	next *event
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is not

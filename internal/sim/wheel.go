@@ -15,14 +15,22 @@ import (
 // increasing time order, and a whole slot can be drained or cascaded
 // without filtering.
 //
-// Two more invariants make the drain cheap. A slot fills by append, so
-// events placed directly are in seq order; only a cascade, which appends
-// events scheduled long ago, can put older seqs behind newer ones, and
-// loadDrain looks for that while it counts (DESIGN.md, "Transport kernel
-// data layout", has the measured shares). And the base time of a resident
-// slot never depends on the reference a scan starts from, so each upper
-// level's earliest slot is cached (wheelLevel.min) until something that can
-// change it happens.
+// A level-0 slot is an array, because loadDrain sorts it into the drain
+// run; once loaded, the array goes to a spare list for the next empty slot
+// to fill, so an engine keeps about as many arrays as it has level-0 slots
+// occupied at once, not one per index. An upper-level slot is a FIFO list
+// threaded through the event records (event.next): a cascade walks it
+// once, in placement order, and re-places each event a level down, so it
+// needs no array at all.
+//
+// Two more invariants make the drain cheap. A slot fills in placement
+// order, so events placed directly are in seq order; only a cascade, which
+// appends events scheduled long ago, can put older seqs behind newer ones,
+// and loadDrain looks for that while it counts (DESIGN.md, "Transport
+// kernel data layout", has the measured shares). And the base time of a
+// resident slot never depends on the reference a scan starts from, so each
+// upper level's earliest slot is cached (wheelLevel.min) until something
+// that can change it happens.
 const (
 	slotBits  = 8
 	numSlots  = 1 << slotBits
@@ -32,11 +40,10 @@ const (
 	occWords  = numSlots / 64
 )
 
-// wheelLevel is one ring of slots plus an occupancy bitmap for O(1) scans
-// to the next non-empty slot.
+// wheelLevel is one ring's occupancy bitmap, for O(1) scans to the next
+// non-empty slot, and its cached earliest slot.
 type wheelLevel struct {
-	slots [numSlots][]*event
-	occ   [occWords]uint64
+	occ [occWords]uint64
 	// min caches earliestSlot's answer for an upper level, where it
 	// changes once per cascade rather than once per drained slot. A slot's
 	// base time is a property of the events in it, not of the reference
@@ -50,7 +57,27 @@ type wheelLevel struct {
 	}
 }
 
-type wheel [numLevels]wheelLevel
+// eventList is a FIFO of events linked through event.next.
+type eventList struct{ head, tail *event }
+
+func (q *eventList) push(ev *event) {
+	if q.tail == nil {
+		q.head = ev
+	} else {
+		q.tail.next = ev
+	}
+	q.tail = ev
+}
+
+type wheel struct {
+	levels [numLevels]wheelLevel
+	// slots are level 0's slots.
+	slots [numSlots][]*event
+	// lists are the slots of levels 1 and 2.
+	lists [numLevels - 1][numSlots]eventList
+	// spare holds the emptied arrays of loaded level-0 slots.
+	spare [][]*event
+}
 
 // ref is the wheel placement reference: every wheel-resident event has
 // at >= ref, which is what keeps slot windows unambiguous.
@@ -69,8 +96,18 @@ func (e *Engine) placeWheel(ev *event, ref Time) {
 	for l := 0; l < numLevels; l++ {
 		if d-r < numSlots {
 			idx := int(d) & slotMask
-			lv := &e.wheel[l]
-			lv.slots[idx] = append(lv.slots[idx], ev)
+			w := &e.wheel
+			if l == 0 {
+				slot := w.slots[idx]
+				if slot == nil && len(w.spare) > 0 {
+					slot = w.spare[len(w.spare)-1]
+					w.spare = w.spare[:len(w.spare)-1]
+				}
+				w.slots[idx] = append(slot, ev)
+			} else {
+				w.lists[l-1][idx].push(ev)
+			}
+			lv := &w.levels[l]
 			lv.occ[idx>>6] |= 1 << (idx & 63)
 			if m := &lv.min; m.known {
 				if base := Time(d << uint(baseShift+l*slotBits)); !m.any || base < m.base {
@@ -90,7 +127,7 @@ func (e *Engine) placeWheel(ev *event, ref Time) {
 // ref. The second return is the slot index; ok is false if the level is
 // empty.
 func (e *Engine) earliestSlot(l int, ref Time) (Time, int, bool) {
-	lv := &e.wheel[l]
+	lv := &e.wheel.levels[l]
 	if m := &lv.min; m.known {
 		return m.base, m.idx, m.any
 	}
@@ -121,13 +158,11 @@ func (e *Engine) earliestSlot(l int, ref Time) (Time, int, bool) {
 	return 0, 0, false
 }
 
-// takeSlot detaches and returns a slot's events, clearing its occupancy.
-func (lv *wheelLevel) takeSlot(idx int) []*event {
-	evs := lv.slots[idx]
-	lv.slots[idx] = evs[:0]
+// vacate clears a taken slot's occupancy bit and the level's cached
+// earliest slot.
+func (lv *wheelLevel) vacate(idx int) {
 	lv.occ[idx>>6] &^= 1 << (idx & 63)
 	lv.min.known = false
-	return evs
 }
 
 // refill advances the wheel to its next non-empty slot and loads that
@@ -158,20 +193,30 @@ func (e *Engine) refill() bool {
 		if bestL < 0 {
 			return false
 		}
-		evs := e.wheel[bestL].takeSlot(bestIdx)
+		w := &e.wheel
+		w.levels[bestL].vacate(bestIdx)
 		if bestL == 0 {
+			evs := w.slots[bestIdx]
+			w.slots[bestIdx] = nil
 			e.loadDrain(evs)
+			w.spare = append(w.spare, evs[:0])
 			e.drainCeil = bestBase + (1 << baseShift)
 			return true
 		}
 		// Cascade: no wheel event precedes bestBase, so it becomes the
 		// new placement reference; every event in the slot re-places at
-		// a strictly lower level.
+		// a strictly lower level, in the order it was placed here.
 		if e.drainCeil < bestBase {
 			e.drainCeil = bestBase
 		}
-		for _, ev := range evs {
+		q := &w.lists[bestL-1][bestIdx]
+		ev := q.head
+		*q = eventList{}
+		for ev != nil {
+			next := ev.next
+			ev.next = nil
 			e.placeWheel(ev, bestBase)
+			ev = next
 		}
 	}
 }
@@ -254,34 +299,64 @@ func (e *Engine) insertDrain(ev *event) {
 // purgeCancelled drops cancelled events from every occupied slot during a
 // compaction sweep, releasing them to the free list.
 func (w *wheel) purgeCancelled(e *Engine) {
-	for l := range w {
-		lv := &w[l]
+	for l := range w.levels {
+		lv := &w.levels[l]
 		lv.min.known = false
 		for wi, wbits := range lv.occ {
 			for wbits != 0 {
 				b := bits.TrailingZeros64(wbits)
 				wbits &^= 1 << b
 				idx := wi*64 + b
-				slot := lv.slots[idx]
-				k := 0
-				for _, ev := range slot {
-					if ev.cancel {
-						e.release(ev)
-					} else {
-						slot[k] = ev
-						k++
-					}
+				var empty bool
+				if l == 0 {
+					empty = w.purgeSlot(e, idx)
+				} else {
+					empty = w.purgeList(e, &w.lists[l-1][idx])
 				}
-				for i := k; i < len(slot); i++ {
-					slot[i] = nil
-				}
-				lv.slots[idx] = slot[:k]
-				if k == 0 {
+				if empty {
 					lv.occ[wi] &^= 1 << b
 				}
 			}
 		}
 	}
+}
+
+// purgeSlot filters level-0 slot idx in place and reports whether it is
+// now empty.
+func (w *wheel) purgeSlot(e *Engine, idx int) bool {
+	slot := w.slots[idx]
+	k := 0
+	for _, ev := range slot {
+		if ev.cancel {
+			e.release(ev)
+		} else {
+			slot[k] = ev
+			k++
+		}
+	}
+	for i := k; i < len(slot); i++ {
+		slot[i] = nil
+	}
+	w.slots[idx] = slot[:k]
+	return k == 0
+}
+
+// purgeList relinks an upper-level slot's list without its cancelled
+// events and reports whether it is now empty.
+func (w *wheel) purgeList(e *Engine, q *eventList) bool {
+	ev := q.head
+	*q = eventList{}
+	for ev != nil {
+		next := ev.next
+		ev.next = nil
+		if ev.cancel {
+			e.release(ev)
+		} else {
+			q.push(ev)
+		}
+		ev = next
+	}
+	return q.head == nil
 }
 
 // farHeap is a plain (at, seq) min-heap for events beyond the wheel

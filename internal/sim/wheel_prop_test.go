@@ -242,6 +242,15 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// events lists an upper-level slot's events in placement order.
+func (q eventList) events() []*event {
+	var evs []*event
+	for ev := q.head; ev != nil; ev = ev.next {
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
 // seqSorted reports whether evs are in scheduling order.
 func seqSorted(evs []*event) bool {
 	for i := 1; i < len(evs); i++ {
@@ -270,7 +279,7 @@ func TestBigSlotCountingSort(t *testing.T) {
 	for id := 0; id < 2048; id += 5 {
 		p.cancel(id)
 	}
-	slot := p.e.wheel[0].slots[slotAt>>baseShift&slotMask]
+	slot := p.e.wheel.slots[slotAt>>baseShift&slotMask]
 	if len(slot) != 2048 || !seqSorted(slot) {
 		t.Fatalf("slot holds %d events, seq-sorted %v: the counting sort would not run", len(slot), seqSorted(slot))
 	}
@@ -296,7 +305,7 @@ func TestCascadedSlotFallsBackToComparisonSort(t *testing.T) {
 		p.after(target+Time(i%24), -1)
 	}
 	p.runUntil(5000) // loads the blocker's slot: the reference is now 16064
-	old := p.e.wheel[1].slots[target>>(baseShift+slotBits)&slotMask]
+	old := p.e.wheel.lists[0][target>>(baseShift+slotBits)&slotMask].events()
 	if len(old) != 600 {
 		t.Fatalf("level-1 slot holds %d events, want the 600 scheduled from afar", len(old))
 	}
@@ -307,7 +316,7 @@ func TestCascadedSlotFallsBackToComparisonSort(t *testing.T) {
 		}
 		p.after(target-5000+Time(i%24), spawn)
 	}
-	young := p.e.wheel[0].slots[target>>baseShift&slotMask]
+	young := p.e.wheel.slots[target>>baseShift&slotMask]
 	if len(young) != 600 || young[0].seq < old[len(old)-1].seq {
 		t.Fatalf("level-0 slot holds %d events: the direct placements did not get in ahead of the cascade", len(young))
 	}
@@ -381,11 +390,11 @@ func TestUpperLevelMinCacheStaysExact(t *testing.T) {
 	p.after(20*Millisecond, -1) // level 2
 	p.runUntil(200)             // the refill behind the first event scans both upper levels
 	for l := 1; l < numLevels; l++ {
-		if m := p.e.wheel[l].min; !m.known || !m.any {
+		if m := p.e.wheel.levels[l].min; !m.known || !m.any {
 			t.Fatalf("level %d: earliest slot not cached after a refill: %+v", l, m)
 		}
 	}
-	l1 := &p.e.wheel[1].min
+	l1 := &p.e.wheel.levels[1].min
 	if want := 100 * Microsecond >> l1Shift << l1Shift; l1.base != want {
 		t.Fatalf("level 1 earliest base = %v, want %v", l1.base, want)
 	}
@@ -413,5 +422,36 @@ func TestUpperLevelMinCacheStaysExact(t *testing.T) {
 	p.runUntil(Second)
 	if p.e.Pending() != 0 {
 		t.Fatalf("%d events still pending", p.e.Pending())
+	}
+}
+
+// Upper-level slots are lists threaded through the pooled event records, so
+// placing an event there touches the heap not at all, even in a slot a
+// fresh engine has never used. Each round uses a new level-1 and a new
+// level-2 slot.
+func TestUpperLevelPlacementAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		e.free = append(e.free, &event{})
+	}
+	const l1, l2 = Time(1) << (baseShift + slotBits), Time(1) << (baseShift + 2*slotBits)
+	round := Time(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		round++
+		e.At(round*l1+l1/2, fn) // level 1: 16 us to 4 ms out
+		e.At(round*l2+l2, fn)   // level 2: 4 ms to 1 s out
+	})
+	if allocs != 0 {
+		t.Fatalf("placing into level-1 and level-2 slots allocates %.2f per round, want 0", allocs)
+	}
+	for l := 1; l < numLevels; l++ {
+		n := 0
+		for _, q := range e.wheel.lists[l-1] {
+			n += len(q.events())
+		}
+		if n != 201 {
+			t.Fatalf("level %d holds %d events, want 201", l, n)
+		}
 	}
 }
