@@ -13,12 +13,18 @@
 // aggregate metric registry (every point's machine-wide snapshot, merged)
 // for figs 5.5, 5.6 and dist. -runs sets the seeds of the dist sweep.
 // -run-log streams one JSONL record per point/run (byte-identical at any
-// -workers) and -progress reports live sweep progress on stderr.
+// -workers) and -progress reports live sweep progress on stderr. A flag the
+// chosen figure does not read (-runs outside dist, -full outside 5.7,
+// -metrics or -routing on 5.7, every campaign flag on ablations) exits 2.
+//
+// A point whose recovery did not complete is named on stderr after the
+// figure is printed, and figures then exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,28 +39,61 @@ func main() {
 	flag.Parse()
 	cf.WarnTraceIgnored()
 	cf.Check()
+	cf.RejectIgnored("-fig "+*fig, ignored[*fig]...)
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.
 	defer cf.StartProfiles()()
 
+	var failed failures
 	switch *fig {
 	case "5.5":
-		fig55(cf)
+		failed = fig55(cf)
 	case "5.6":
-		fig56(cf)
+		failed = fig56(cf)
 	case "5.7":
-		fig57(cf, *full)
+		failed = fig57(cf, *full)
 	case "ablations":
-		ablations(cf.Seed)
+		failed = ablations(cf.Seed)
 	case "dist":
-		dist(cf)
+		failed = dist(cf)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
+	if failed.report(os.Stderr) {
+		os.Exit(1)
+	}
 }
 
-func fig55(cf *cliflags.Flags) {
+// ignored lists, per figure, the flags it never reads. Only dist has runs
+// to count, and only 5.7 has a paper-scale size.
+var ignored = map[string][]string{
+	"5.5":       {"runs", "full", "metrics-json"},
+	"5.6":       {"runs", "full", "metrics-json"},
+	"5.7":       {"runs", "metrics", "metrics-json", "routing"},
+	"ablations": {"runs", "workers", "parallel", "metrics", "metrics-json", "routing", "run-log", "run-log-host", "progress", "full"},
+	"dist":      {"full", "metrics-json"},
+}
+
+// failures names the points of a figure whose recovery did not complete.
+type failures []string
+
+// check records the point format names unless ok.
+func (f *failures) check(ok bool, format string, args ...any) {
+	if !ok {
+		*f = append(*f, fmt.Sprintf(format, args...))
+	}
+}
+
+// report names each failed point on w and reports whether any failed.
+func (f failures) report(w io.Writer) bool {
+	for _, p := range f {
+		fmt.Fprintf(w, "figures: %s did not recover\n", p)
+	}
+	return len(f) > 0
+}
+
+func fig55(cf *cliflags.Flags) (failed failures) {
 	start := time.Now()
 	fmt.Println("Fig 5.5 — total hardware recovery times (1 MB memory/node, 1 MB L2)")
 	fmt.Println("\nmesh topology:")
@@ -71,6 +110,7 @@ func fig55(cf *cliflags.Flags) {
 		fmt.Printf("%6d %12v %12v %12v %12v %8d\n",
 			p.Nodes, ph.P1, ph.P12, ph.P123, ph.Total, ph.MaxRounds)
 		events += p.Events
+		failed.check(p.OK, "fig 5.5 mesh at %d nodes", p.Nodes)
 	}
 	snaps = append(snaps, mesh.Metrics)
 	fmt.Println("\nhypercube topology (the dissemination phase grows with the diameter):")
@@ -80,11 +120,13 @@ func fig55(cf *cliflags.Flags) {
 		ph := p.Phases
 		fmt.Printf("%6d %12v %12v %12v %8d\n", p.Nodes, ph.P1, ph.P12, ph.Total, ph.MaxRounds)
 		events += p.Events
+		failed.check(p.OK, "fig 5.5 hypercube at %d nodes", p.Nodes)
 	}
 	snaps = append(snaps, cube.Metrics)
 	cliflags.FinishSinks(finish)
 	throughput(events, start)
 	emitSweepMetrics(snaps, cf.Metrics)
+	return failed
 }
 
 // emitSweepMetrics prints the merged metric registry of a whole sweep.
@@ -96,7 +138,7 @@ func emitSweepMetrics(snaps []*flashfc.MetricsSnapshot, show bool) {
 	flashfc.MergeMetrics(snaps).WriteTable(os.Stdout)
 }
 
-func fig56(cf *cliflags.Flags) {
+func fig56(cf *cliflags.Flags) (failed failures) {
 	start := time.Now()
 	fmt.Println("Fig 5.6 — cache coherence protocol recovery times (4 nodes)")
 	fmt.Println("\nleft: vs second-level cache size (4 MB/node memory):")
@@ -114,6 +156,7 @@ func fig56(cf *cliflags.Flags) {
 		ph := p.Phases
 		fmt.Printf("%10.1f %12v %12v\n", p.X, ph.WB, ph.P4Time())
 		events += p.Events
+		failed.check(p.OK, "fig 5.6 at %.1f MB L2", p.X)
 	}
 	snaps = append(snaps, l2.Metrics)
 	fmt.Println("\nright: vs node memory size (1 MB L2):")
@@ -126,14 +169,16 @@ func fig56(cf *cliflags.Flags) {
 		ph := p.Phases
 		fmt.Printf("%10.0f %12v %12v\n", p.X, ph.Scan, ph.P4Time())
 		events += p.Events
+		failed.check(p.OK, "fig 5.6 at %.0f MB memory", p.X)
 	}
 	snaps = append(snaps, mem.Metrics)
 	cliflags.FinishSinks(finish)
 	throughput(events, start)
 	emitSweepMetrics(snaps, cf.Metrics)
+	return failed
 }
 
-func fig57(cf *cliflags.Flags, full bool) {
+func fig57(cf *cliflags.Flags, full bool) (failed failures) {
 	mem := uint64(2 << 20)
 	l2 := uint64(256 << 10)
 	if full {
@@ -156,11 +201,13 @@ func fig57(cf *cliflags.Flags, full bool) {
 			status = "  (run failed)"
 		}
 		fmt.Printf("%6d %14v %14v%s\n", p.Nodes, p.HW, p.HWOS, status)
+		failed.check(p.OK, "fig 5.7 at %d nodes", p.Nodes)
 	}
 	fmt.Println("\npaper: OS recovery scales with cells rather than nodes (§5.3)")
+	return failed
 }
 
-func dist(cf *cliflags.Flags) {
+func dist(cf *cliflags.Flags) (failed failures) {
 	fmt.Printf("Recovery-time distributions (node failures at random workload points, %d seeds)\n", cf.Runs)
 	fmt.Println()
 	fmt.Printf("%6s %28s %28s\n", "nodes", "P2 ms (min/med/max)", "total ms (min/med/max)")
@@ -174,6 +221,9 @@ func dist(cf *cliflags.Flags) {
 		scfg.Routing = cf.Routing
 		out := flashfc.RunCampaign(ccfg, flashfc.DistributionCampaign{Config: scfg})
 		d := flashfc.SummarizeRecovery(n, out)
+		for i, r := range out.Runs {
+			failed.check(r.Err == nil && r.Value.OK, "dist at %d nodes, run %d", n, i)
+		}
 		fmt.Printf("%6d %12.2f /%6.2f /%6.2f %12.2f /%6.2f /%6.2f\n",
 			n, d.P2.Min, d.P2.Median, d.P2.Max, d.Total.Min, d.Total.Median, d.Total.Max)
 		stats.Merge(d.Stats)
@@ -182,6 +232,7 @@ func dist(cf *cliflags.Flags) {
 	cliflags.FinishSinks(finish)
 	fmt.Printf("\nthroughput: %v\n", stats)
 	emitSweepMetrics(snaps, cf.Metrics)
+	return failed
 }
 
 // throughput prints the sweep's aggregate simulated-event rate.
@@ -191,7 +242,7 @@ func throughput(events uint64, start time.Time) {
 		events, wall.Round(time.Millisecond), float64(events)/wall.Seconds()/1e6)
 }
 
-func ablations(seed int64) {
+func ablations(seed int64) (failed failures) {
 	fmt.Println("Ablations")
 	fmt.Println("\n§4.2 speculative pings (recovery-triggering latency, 32 nodes):")
 	with := flashfc.TriggerLatency(32, true, seed)
@@ -209,6 +260,8 @@ func ablations(seed int64) {
 	pOff := flashfc.MeasureRecovery(cfgOff)
 	fmt.Printf("  with hints:    %v\n  without hints: %v\n",
 		pOn.Phases.P2Time(), pOff.Phases.P2Time())
+	failed.check(pOn.OK, "ablations §4.3 with hints")
+	failed.check(pOff.OK, "ablations §4.3 without hints")
 
 	fmt.Println("\n§6.2 firewall cost (intercell write miss latency):")
 	offLat := flashfc.FirewallLatency(false, seed)
@@ -223,6 +276,7 @@ func ablations(seed int64) {
 	fmt.Println("\n§6.2 hardwired controller (minimum-support P4, 8 nodes):")
 	fmt.Printf("  programmable:  %v\n  hardwired:     %v\n",
 		measureP4(seed, false, false), measureP4(seed, false, true))
+	return failed
 }
 
 // measureP4 runs one node-failure recovery and returns the P4 duration.

@@ -6,6 +6,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"flashfc"
 )
 
 // The tests re-exec the test binary with FIGURES_MAIN=1 so that main() runs
@@ -82,5 +84,62 @@ func TestNegativeCountsRefused(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr, args[2]) {
 			t.Errorf("figures %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, args[2], stderr)
 		}
+	}
+}
+
+// A flag the chosen figure never reads is a usage error naming it, not a
+// silent no-op: ablations is a fixed set of single runs, 5.7 prints
+// neither metrics nor takes a routing strategy, only dist counts -runs and
+// only 5.7 has a -full size. A refused -run-log is never created.
+func TestIgnoredFlagsRefused(t *testing.T) {
+	log := t.TempDir() + "/runs.jsonl"
+	for _, args := range [][]string{
+		{"-fig", "ablations", "-run-log", log},
+		{"-fig", "ablations", "-metrics"},
+		{"-fig", "ablations", "-routing", "adaptive"},
+		{"-fig", "ablations", "-runs", "3"},
+		{"-fig", "ablations", "-full"},
+		{"-fig", "ablations", "-progress"},
+		{"-fig", "5.7", "-metrics"},
+		{"-fig", "5.7", "-routing", "adaptive"},
+		{"-fig", "5.7", "-runs", "3"},
+		{"-fig", "5.5", "-runs", "2"},
+		{"-fig", "5.6", "-full"},
+		{"-fig", "dist", "-full"},
+		{"-fig", "dist", "-metrics-json"},
+	} {
+		stderr, code := runFigures(t, args...)
+		if code != 2 || !strings.Contains(stderr, args[2]) || !strings.Contains(stderr, "-fig "+args[1]) {
+			t.Errorf("figures %v: exit %d, want 2 naming %s and -fig %s; stderr:\n%s", args, code, args[2], args[1], stderr)
+		}
+	}
+	stderr, code := runFigures(t, "-fig", "ablations", "-run-log", log, "-metrics", "-routing", "adaptive", "-runs", "3", "-full")
+	if code != 2 {
+		t.Errorf("figures -fig ablations with five ignored flags: exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if _, err := os.Stat(log); err == nil {
+		t.Error("a refused -run-log was created")
+	}
+}
+
+// A point whose recovery did not complete is named on stderr, and report
+// says so, which makes figures exit 1.
+func TestFailedPointsNamed(t *testing.T) {
+	var f failures
+	stuck := flashfc.ScalingPoint{Nodes: 64} // OK is false: recovery never completed
+	f.check(true, "fig 5.5 mesh at %d nodes", 32)
+	f.check(stuck.OK, "fig 5.5 mesh at %d nodes", stuck.Nodes)
+	var buf bytes.Buffer
+	if !f.report(&buf) {
+		t.Fatal("report with a failed point returned false")
+	}
+	if got, want := buf.String(), "figures: fig 5.5 mesh at 64 nodes did not recover\n"; got != want {
+		t.Fatalf("stderr = %q, want %q", got, want)
+	}
+	buf.Reset()
+	var none failures
+	none.check(true, "fig 5.7 at %d nodes", 2)
+	if none.report(&buf) || buf.Len() != 0 {
+		t.Fatalf("report with every point recovered = true, wrote %q", buf.String())
 	}
 }

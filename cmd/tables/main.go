@@ -43,6 +43,10 @@
 // behind the tail table's p50/p99/p999 with span tracing and writes one
 // Perfetto-loadable trace per distinct run plus a critical-path summary per
 // percentile into DIR.
+//
+// A flag the chosen table does not read exits 2 naming it: -legacy-bug
+// outside 5.4, -metrics on tail and routing, -routing on routing,
+// -metrics-json everywhere, and -full together with -runs N.
 package main
 
 import (
@@ -68,6 +72,11 @@ func main() {
 	}
 	cf.WarnTraceIgnored()
 	cf.Check()
+	if *full && cf.Runs > 0 {
+		fmt.Fprintf(os.Stderr, "-full picks the default run count, which -runs %d overrides; drop one of them\n", cf.Runs)
+		os.Exit(2)
+	}
+	cf.RejectIgnored("-table "+*table, ignored[*table]...)
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.
 	defer cf.StartProfiles()()
@@ -109,6 +118,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
 	}
+}
+
+// ignored lists, per table, the flags it never reads. -exemplars, which
+// only -table tail reads, is refused before them with its own message.
+var ignored = map[string][]string{
+	"5.3":     {"legacy-bug", "metrics-json"},
+	"5.4":     {"metrics-json"},
+	"tail":    {"legacy-bug", "metrics", "metrics-json"},
+	"routing": {"legacy-bug", "metrics", "metrics-json", "routing"},
 }
 
 func table53(cf *cliflags.Flags) {

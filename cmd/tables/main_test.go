@@ -102,3 +102,34 @@ func TestNegativeCountsRefused(t *testing.T) {
 		}
 	}
 }
+
+// A flag the chosen table never reads is a usage error naming it, not a
+// silent no-op: only 5.4 reads -legacy-bug, tail and routing print no
+// metrics, the routing table sweeps every strategy itself, and no table
+// prints -metrics-json. -full only picks the default of -runs, so the two
+// together are refused too.
+func TestIgnoredFlagsRefused(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-table", "5.3", "-legacy-bug"}, []string{"-legacy-bug", "-table 5.3"}},
+		{[]string{"-table", "tail", "-legacy-bug"}, []string{"-legacy-bug", "-table tail"}},
+		{[]string{"-table", "tail", "-metrics"}, []string{"-metrics", "-table tail"}},
+		{[]string{"-table", "routing", "-metrics"}, []string{"-metrics", "-table routing"}},
+		{[]string{"-table", "routing", "-routing", "adaptive"}, []string{"-routing", "-table routing"}},
+		{[]string{"-table", "5.4", "-metrics-json"}, []string{"-metrics-json", "-table 5.4"}},
+		{[]string{"-table", "5.3", "-full", "-runs", "3"}, []string{"-full", "-runs 3"}},
+		{[]string{"-table", "tail", "-full", "-runs", "1"}, []string{"-full", "-runs 1"}},
+	} {
+		stderr, code := runTables(t, c.args...)
+		if code != 2 {
+			t.Errorf("tables %v: exit %d, want 2; stderr:\n%s", c.args, code, stderr)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(stderr, w) {
+				t.Errorf("tables %v: stderr does not name %s:\n%s", c.args, w, stderr)
+			}
+		}
+	}
+}

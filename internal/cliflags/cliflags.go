@@ -31,7 +31,8 @@
 //
 // A flag only one binary honours is registered by that binary alone:
 // flashsim's -run-seed, -partitions and -region-extra, and tables'
-// -exemplars.
+// -exemplars. A registered flag the chosen table or figure does not read
+// is refused by RejectIgnored.
 package cliflags
 
 import (
@@ -40,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"flashfc"
@@ -165,6 +167,18 @@ func (f *Flags) Check() {
 	}
 	fmt.Fprintf(os.Stderr, "unknown -routing %q; registered strategies: %s\n", f.Routing, strategyList())
 	os.Exit(2)
+}
+
+// RejectIgnored exits 2, naming the flag, if any flag in names was set on
+// the command line: what (a table or figure, as "-table 5.3") never reads
+// it, and running on would silently drop it. Call it after Check.
+func (f *Flags) RejectIgnored(what string, names ...string) {
+	f.fs.Visit(func(fl *flag.Flag) {
+		if slices.Contains(names, fl.Name) {
+			fmt.Fprintf(os.Stderr, "%s ignores -%s; drop the flag\n", what, fl.Name)
+			os.Exit(2)
+		}
+	})
 }
 
 // StartProfiles starts the profiles the flags requested and returns a stop

@@ -1,8 +1,11 @@
 package coherence
 
 import (
+	"fmt"
 	"maps"
 	"slices"
+
+	"flashfc/internal/timing"
 )
 
 // DirState is the home-side coherence state of a line.
@@ -50,22 +53,26 @@ func (s DirState) Locked() bool { return s == DirPendingRecall || s == DirPendin
 
 // DirEntry is the directory state of one line at its home. Entries are
 // created by a Directory, which backs Sharers with the entry's own inline
-// word on machines of up to 64 nodes; copying an entry by value therefore
-// aliases the original's sharer list (Directory's copy-on-write re-points
-// it).
+// word on machines of up to 64 nodes and with words carved beside the
+// entry on larger ones; copying an entry by value therefore aliases the
+// original's sharer list (Directory's copy-on-write re-points it). The
+// pending-transaction fields share one word with State, which keeps an
+// entry at 56 bytes.
 type DirEntry struct {
 	State       DirState
 	PendingExcl bool    // the pending request is a GETX (valid while State.Locked())
+	AcksLeft    uint16  // outstanding invalidate acks (DirPendingInval); at most the sharer count
+	PendingReq  int32   // the requester the lock is held for (valid while State.Locked())
 	Owner       int     // valid in DirExclusive and DirPendingRecall
 	Sharers     NodeSet // valid in DirShared and DirPendingInval
-
-	// Pending-transaction bookkeeping, valid while State.Locked():
-	PendingReq int    // the requester the lock is held for
-	AcksLeft   int    // outstanding invalidate acks (DirPendingInval)
-	PendingSeq uint64 // requester's sequence number, echoed in the reply
+	PendingSeq  uint64  // requester's sequence number, echoed in the reply (valid while State.Locked())
 
 	word [1]uint64 // Sharers' backing store when the machine has <= 64 nodes
 }
+
+// maxDirNodes is the largest machine a Directory serves: AcksLeft counts
+// sharers in 16 bits.
+const maxDirNodes = 1<<16 - 1
 
 // Directory is the home-side protocol state for one node's memory lines.
 // Entries are sparse: absent means DirInvalid.
@@ -74,49 +81,149 @@ type DirEntry struct {
 // as an immutable base map shared by any number of forked machines. A fork
 // pays only for the lines its run changes. Get and Lookup copy an entry up
 // into a private overlay on first touch; Peek reads the base in place and
-// Drop shadows a base entry with a nil tombstone without copying it. The
+// Drop shadows a base entry with a tombstone without copying it. The
 // P4 sweeps read the base in place too: ScanLiveness copies up only the
 // entries whose state it changes and tombstones the ones it resets; Scan,
 // after which only incoherent lines survive, copies those up and lets go
 // of the base. The warm image a fork never touched is never duplicated.
 //
-// Entries are carved from small per-directory chunks rather than allocated
-// one by one (an entry and its sharer list per swept line were a third of
-// the verify sweep's bytes). A dropped entry's slot is simply abandoned:
-// its chunk is collected once every entry in it is gone. The chunk is kept
-// small because a campaign holds every finished machine of a batch, and
-// each of their directories carries up to a chunk of slack; for the same
-// reason the index stays a sparse map — a dense array per node would
-// multiply that resident heap.
+// The overlay starts as a sparse map. Once it holds more than a quarter of
+// the home's lines, a map that size already costs about a pointer per
+// line, and a run that touches that many (the §5.2 verify sweep touches
+// every one) is headed for all of them: the overlay becomes a slice
+// indexed by local line number and stays one. Only a directory told its
+// lines by SetHome can switch; the frozen base is always a map.
+//
+// Entries, and on machines of more than 64 nodes their sharer words, are
+// carved from small per-directory chunks rather than allocated one by one
+// (an entry and its sharer list per swept line were a third of the verify
+// sweep's bytes). A dropped entry's slot is simply abandoned: its chunk is
+// collected once every entry in it is gone. The chunk is kept small
+// because a campaign holds every finished machine of a batch, and each of
+// their directories carries up to a chunk of slack.
 type Directory struct {
 	nodes   int
-	entries map[Addr]*DirEntry // overlay; nil value = deleted base entry
+	entries map[Addr]*DirEntry // sparse overlay; nil value = deleted base entry
+	dense   []*DirEntry        // line-indexed overlay once promoted; nil = absent, tombstone = deleted
 	frozen  map[Addr]*DirEntry // shared immutable base; nil when never frozen
+	base    Addr               // first line homed here (see SetHome)
+	lines   int                // lines homed here; 0 keeps the overlay a map
 	chunk   []DirEntry         // entries are carved from its spare capacity
+	words   []uint64           // sharer words for the chunk's entries on > 64 nodes
 }
 
 // dirChunk is the number of entries carved per allocation.
 const dirChunk = 8
 
+// tombstone marks a deleted base entry in the line-indexed overlay.
+var tombstone = new(DirEntry)
+
 // newEntry carves a zeroed DirInvalid entry with an empty sharer list.
 func (d *Directory) newEntry() *DirEntry {
+	w := (d.nodes + 63) / 64
 	if len(d.chunk) == cap(d.chunk) {
 		d.chunk = make([]DirEntry, 0, dirChunk)
+		if w > 1 {
+			d.words = make([]uint64, dirChunk*w)
+		}
 	}
 	d.chunk = d.chunk[:len(d.chunk)+1]
 	e := &d.chunk[len(d.chunk)-1]
-	if d.nodes <= 64 {
+	if w <= 1 {
 		e.Sharers = e.word[:]
 	} else {
-		e.Sharers = NewNodeSet(d.nodes)
+		e.Sharers = NodeSet(d.words[:w:w])
+		d.words = d.words[w:]
 	}
 	return e
 }
 
-// NewDirectory returns an empty directory for a machine of n nodes.
+// NewDirectory returns an empty directory for a machine of n nodes. It
+// panics if n exceeds 65 535, the most sharers AcksLeft can count.
 func NewDirectory(n int) *Directory {
+	if n > maxDirNodes {
+		panic(fmt.Sprintf("coherence: a directory serves at most %d nodes, not %d", maxDirNodes, n))
+	}
 	return &Directory{nodes: n, entries: make(map[Addr]*DirEntry)}
 }
+
+// SetHome tells the directory that it holds the lines lines starting at
+// base, which lets its overlay become line-indexed once it is dense. A
+// directory never told keeps a map overlay.
+func (d *Directory) SetHome(base Addr, lines int) {
+	d.base, d.lines = base.Line(), lines
+}
+
+// The overlay helpers below hide which form the overlay has. A line the
+// overlay holds has an entry, or nil for a tombstone over the base.
+
+// over returns line a's overlay entry (nil for a tombstone) and whether
+// the overlay holds the line.
+func (d *Directory) over(a Addr) (*DirEntry, bool) {
+	if d.dense == nil {
+		e, ok := d.entries[a]
+		return e, ok
+	}
+	switch e := d.dense[d.index(a)]; e {
+	case nil:
+		return nil, false
+	case tombstone:
+		return nil, true
+	default:
+		return e, true
+	}
+}
+
+// setOver stores e, or a tombstone when e is nil, as line a's overlay
+// entry, promoting the overlay once it holds a quarter of the home's lines.
+func (d *Directory) setOver(a Addr, e *DirEntry) {
+	if d.dense != nil {
+		if e == nil {
+			e = tombstone
+		}
+		d.dense[d.index(a)] = e
+		return
+	}
+	d.entries[a] = e
+	if d.lines > 0 && 4*len(d.entries) > d.lines {
+		d.dense = make([]*DirEntry, d.lines)
+		for la, le := range d.entries {
+			d.setOver(la, le)
+		}
+		d.entries = nil
+	}
+}
+
+// unsetOver removes line a from the overlay.
+func (d *Directory) unsetOver(a Addr) {
+	if d.dense != nil {
+		d.dense[d.index(a)] = nil
+	} else {
+		delete(d.entries, a)
+	}
+}
+
+// rangeOver calls fn for every line the overlay holds (order unspecified).
+// fn may set or unset the line it is given.
+func (d *Directory) rangeOver(fn func(a Addr, e *DirEntry)) {
+	if d.dense == nil {
+		for a, e := range d.entries {
+			fn(a, e)
+		}
+		return
+	}
+	for i, e := range d.dense {
+		if e == tombstone {
+			e = nil
+		} else if e == nil {
+			continue
+		}
+		fn(d.base+Addr(i)*timing.LineSize, e)
+	}
+}
+
+// index returns line a's slot in the line-indexed overlay.
+func (d *Directory) index(a Addr) int { return int((a - d.base) / timing.LineSize) }
 
 // Freeze seals the directory's current contents as an immutable shared
 // base and returns it. The directory itself continues copy-on-write on top
@@ -125,30 +232,37 @@ func NewDirectory(n int) *Directory {
 // merges the overlay into a new base that shares the old base's entries.
 func (d *Directory) Freeze() map[Addr]*DirEntry {
 	switch {
-	case d.frozen == nil:
+	case d.frozen == nil && d.dense == nil:
 		d.frozen = d.entries // no base, so no tombstones
-	case len(d.entries) > 0:
-		merged := make(map[Addr]*DirEntry, len(d.frozen)+len(d.entries))
-		maps.Copy(merged, d.frozen)
-		for a, e := range d.entries {
-			if e == nil {
-				delete(merged, a)
-			} else {
-				merged[a] = e
-			}
-		}
-		d.frozen = merged
-	default:
+		d.entries = make(map[Addr]*DirEntry)
+		return d.frozen
+	case d.dense == nil && len(d.entries) == 0:
 		return d.frozen
 	}
-	d.entries = make(map[Addr]*DirEntry)
+	merged := make(map[Addr]*DirEntry, len(d.frozen)+len(d.entries))
+	maps.Copy(merged, d.frozen)
+	d.rangeOver(func(a Addr, e *DirEntry) {
+		if e == nil {
+			delete(merged, a)
+		} else {
+			merged[a] = e
+		}
+	})
+	d.frozen = merged
+	if d.dense != nil {
+		clear(d.dense)
+	} else {
+		d.entries = make(map[Addr]*DirEntry)
+	}
 	return d.frozen
 }
 
 // ForkDirectory returns a directory whose initial contents are the frozen
 // base, shared copy-on-write with every other fork of the same snapshot.
 func ForkDirectory(nodes int, frozen map[Addr]*DirEntry) *Directory {
-	return &Directory{nodes: nodes, entries: make(map[Addr]*DirEntry), frozen: frozen}
+	d := NewDirectory(nodes)
+	d.frozen = frozen
+	return d
 }
 
 // cloneEntry copies a base entry up into a privately mutable one.
@@ -178,21 +292,21 @@ func sameEntry(a, b *DirEntry) bool {
 // caller must not mutate it (use Lookup or Get for that).
 func (d *Directory) Peek(a Addr) *DirEntry {
 	a = a.Line()
-	if e, ok := d.entries[a]; ok {
-		return e // may be a nil tombstone: the line is DirInvalid
+	if e, ok := d.over(a); ok {
+		return e // may be nil for a tombstone: the line is DirInvalid
 	}
 	return d.frozen[a]
 }
 
 // Drop returns line a to DirInvalid, whatever its state, without copying
 // a base entry up first: a plain delete when no base entry shadows it, a
-// nil tombstone otherwise.
+// tombstone otherwise.
 func (d *Directory) Drop(a Addr) {
 	a = a.Line()
 	if _, ok := d.frozen[a]; ok {
-		d.entries[a] = nil
+		d.setOver(a, nil)
 	} else {
-		delete(d.entries, a)
+		d.unsetOver(a)
 	}
 }
 
@@ -200,12 +314,12 @@ func (d *Directory) Drop(a Addr) {
 // A base entry is copied up so the caller may mutate it.
 func (d *Directory) Lookup(a Addr) *DirEntry {
 	a = a.Line()
-	if e, ok := d.entries[a]; ok {
-		return e // may be a nil tombstone: the line is DirInvalid
+	if e, ok := d.over(a); ok {
+		return e // may be nil for a tombstone: the line is DirInvalid
 	}
 	if fe, ok := d.frozen[a]; ok {
 		e := d.cloneEntry(fe)
-		d.entries[a] = e
+		d.setOver(a, e)
 		return e
 	}
 	return nil
@@ -214,19 +328,19 @@ func (d *Directory) Lookup(a Addr) *DirEntry {
 // Get returns the entry for line a, creating a DirInvalid entry if needed.
 func (d *Directory) Get(a Addr) *DirEntry {
 	a = a.Line()
-	e, ok := d.entries[a]
+	e, ok := d.over(a)
 	if e != nil {
 		return e
 	}
 	if !ok {
 		if fe, fok := d.frozen[a]; fok {
 			e = d.cloneEntry(fe)
-			d.entries[a] = e
+			d.setOver(a, e)
 			return e
 		}
 	}
 	e = d.newEntry()
-	d.entries[a] = e
+	d.setOver(a, e)
 	return e
 }
 
@@ -249,13 +363,13 @@ func (d *Directory) Len() int {
 // base up. It is a read-only walk: the visitor must not mutate entries,
 // which may belong to the shared frozen base.
 func (d *Directory) ForEach(fn func(a Addr, e *DirEntry)) {
-	for a, e := range d.entries {
+	d.rangeOver(func(a Addr, e *DirEntry) {
 		if e != nil {
 			fn(a, e)
 		}
-	}
+	})
 	for a, e := range d.frozen {
-		if _, shadowed := d.entries[a]; !shadowed {
+		if _, shadowed := d.over(a); !shadowed {
 			fn(a, e)
 		}
 	}
@@ -270,18 +384,18 @@ func (d *Directory) ForEach(fn func(a Addr, e *DirEntry)) {
 // cheaper choice for a sweep that resets almost every entry, where a
 // tombstone per reset line would outweigh the few survivors' copies.
 func (d *Directory) sweep(fix func(a Addr, e *DirEntry), detach bool) {
-	for a, e := range d.entries {
+	d.rangeOver(func(a Addr, e *DirEntry) {
 		if e == nil {
-			continue
+			return
 		}
 		fix(a, e)
 		if e.State == DirInvalid {
-			d.Drop(a) // updates or deletes a key the range holds
+			d.Drop(a) // updates or deletes the line being visited
 		}
-	}
+	})
 	var scratch *DirEntry
 	for a, fe := range d.frozen {
-		if _, shadowed := d.entries[a]; shadowed {
+		if _, shadowed := d.over(a); shadowed {
 			continue
 		}
 		if scratch == nil {
@@ -292,19 +406,19 @@ func (d *Directory) sweep(fix func(a Addr, e *DirEntry), detach bool) {
 		switch {
 		case scratch.State == DirInvalid:
 			if !detach {
-				d.entries[a] = nil
+				d.setOver(a, nil)
 			}
 		case detach || !sameEntry(scratch, fe):
-			d.entries[a] = scratch
+			d.setOver(a, scratch)
 			scratch = nil
 		}
 	}
 	if detach && d.frozen != nil {
-		for a, e := range d.entries {
+		d.rangeOver(func(a Addr, e *DirEntry) {
 			if e == nil {
-				delete(d.entries, a)
+				d.unsetOver(a)
 			}
-		}
+		})
 		d.frozen = nil
 	}
 }

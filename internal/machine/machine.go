@@ -319,6 +319,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 			n.Dir = coherence.NewDirectory(cfg.Nodes)
 			n.Cache = coherence.NewCache(cfg.L2Bytes)
 		}
+		n.Dir.SetHome(space.Base(i), space.Lines())
 		n.Ctrl = magic.New(en, net, i, space, n.Dir, n.Mem, n.Cache, cfg.Magic)
 		if snap != nil {
 			n.Ctrl.Restore(snap.Nodes[i].Ctrl)

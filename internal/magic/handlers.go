@@ -85,14 +85,14 @@ func (c *Controller) handleGet(msg *coherence.Message) {
 			// writeback is in flight and was overtaken on the request
 			// lane: lock the line and complete when the PUT arrives.
 			e.State = coherence.DirPendingRecall
-			e.PendingReq = msg.Req
+			e.PendingReq = int32(msg.Req)
 			e.PendingExcl = false
 			e.PendingSeq = msg.Seq
 			return
 		}
 		// Lock the line and recall the owner's copy (§3.2).
 		e.State = coherence.DirPendingRecall
-		e.PendingReq = msg.Req
+		e.PendingReq = int32(msg.Req)
 		e.PendingExcl = false
 		e.PendingSeq = msg.Seq
 		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
@@ -132,10 +132,10 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 			return
 		}
 		e.State = coherence.DirPendingInval
-		e.PendingReq = msg.Req
+		e.PendingReq = int32(msg.Req)
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
-		e.AcksLeft = acks
+		e.AcksLeft = uint16(acks)
 		for i, w := range e.Sharers {
 			for ; w != 0; w &= w - 1 {
 				if id := i*64 + bits.TrailingZeros64(w); id != msg.Req {
@@ -149,13 +149,13 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 			// Owner re-requesting: its eviction PUT was overtaken by
 			// this request; wait for the writeback and grant fresh.
 			e.State = coherence.DirPendingRecall
-			e.PendingReq = msg.Req
+			e.PendingReq = int32(msg.Req)
 			e.PendingExcl = true
 			e.PendingSeq = msg.Seq
 			return
 		}
 		e.State = coherence.DirPendingRecall
-		e.PendingReq = msg.Req
+		e.PendingReq = int32(msg.Req)
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
 		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
@@ -201,7 +201,7 @@ func (c *Controller) handlePut(msg *coherence.Message) {
 
 // completeRecall finishes a pending-recall transaction with the line data.
 func (c *Controller) completeRecall(addr coherence.Addr, e *coherence.DirEntry, data uint64) {
-	req, seq := e.PendingReq, e.PendingSeq
+	req, seq := int(e.PendingReq), e.PendingSeq
 	if e.PendingExcl {
 		e.State = coherence.DirExclusive
 		e.Owner = req
@@ -293,7 +293,7 @@ func (c *Controller) handleInvAck(msg *coherence.Message) {
 	if e.AcksLeft > 0 {
 		return
 	}
-	req, seq := e.PendingReq, e.PendingSeq
+	req, seq := int(e.PendingReq), e.PendingSeq
 	e.State = coherence.DirExclusive
 	e.Owner = req
 	c.reply(req, coherence.MsgDataExcl, msg.Addr, seq, c.Mem.Read(msg.Addr))
