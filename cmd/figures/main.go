@@ -15,7 +15,8 @@
 // -run-log streams one JSONL record per point/run (byte-identical at any
 // -workers) and -progress reports live sweep progress on stderr. A flag the
 // chosen figure does not read (-runs outside dist, -full outside 5.7,
-// -metrics or -routing on 5.7, every campaign flag on ablations) exits 2.
+// -metrics or -routing on 5.7, every campaign flag on ablations) exits 2,
+// as do the trace flags, which trace one run, on every figure.
 //
 // A point whose recovery did not complete is named on stderr after the
 // figure is printed, and figures then exits 1.
@@ -37,8 +38,8 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale parameters (16 MB/node for 5.7)")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 12})
 	flag.Parse()
-	cf.WarnTraceIgnored()
 	cf.Check()
+	cf.RejectIgnored("figures", cliflags.TraceFlags...)
 	cf.RejectIgnored("-fig "+*fig, ignored[*fig]...)
 	// Profiles are flushed on the normal return path; a failing campaign
 	// exits without them.

@@ -55,19 +55,26 @@ func TestTableAndFlashsimFlagsRefused(t *testing.T) {
 	}
 }
 
-// The trace-flag warning names the one campaign-scale alternative figures
-// has, -run-log.
-func TestTraceWarningNamesOnlyRunLog(t *testing.T) {
-	stderr, code := runFigures(t, "-fig", "ablations", "-trace")
-	if code != 0 {
-		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "-run-log") {
-		t.Errorf("trace warning does not mention -run-log:\n%s", stderr)
-	}
-	for _, other := range []string{"-exemplars", "-run-seed"} {
-		if strings.Contains(stderr, other) {
-			t.Errorf("trace warning names %s, which figures does not have:\n%s", other, stderr)
+// figures runs only campaigns, so each trace flag exits 2 naming it, and
+// the refusal names the one campaign-scale alternative figures has,
+// -run-log.
+func TestTraceFlagsRefusedNamingRunLog(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fig", "ablations", "-trace"},
+		{"-fig", "5.6", "-trace-json", t.TempDir() + "/t.json"},
+		{"-fig", "dist", "-trace-critical"},
+	} {
+		stderr, code := runFigures(t, args...)
+		if code != 2 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("figures %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, args[2], stderr)
+		}
+		if !strings.Contains(stderr, "-run-log") {
+			t.Errorf("figures %v: refusal does not mention -run-log:\n%s", args, stderr)
+		}
+		for _, other := range []string{"-exemplars", "-run-seed"} {
+			if strings.Contains(stderr, other) {
+				t.Errorf("figures %v: refusal names %s, which figures does not have:\n%s", args, other, stderr)
+			}
 		}
 	}
 }

@@ -30,6 +30,10 @@
 //	flashsim -fault fail-slow -runs 1000 -run-log runs.jsonl -progress
 //	flashsim -fault fail-slow -runs 1000 -run-seed 837 -trace-critical
 //
+// A size the simulator cannot run (-nodes below 2, -mem that is not a
+// positive multiple of the 128-byte line, -fill below 0, -stride below 1)
+// exits 2 naming the flag.
+//
 // The single-scenario faults (powerloss, cablecut, none, boundary-link) run
 // once at -seed; given campaign flags, they print one warning naming the
 // flags they ignore.
@@ -65,6 +69,7 @@ import (
 
 	"flashfc"
 	"flashfc/internal/cliflags"
+	"flashfc/internal/timing"
 )
 
 // hout is where the human-readable report goes: stdout normally, stderr
@@ -101,6 +106,7 @@ func main() {
 	}
 
 	cf.Check()
+	checkSizes(*nodes, *mem, *fill, *stride)
 	if *faultName == "boundary-link" && *partitions <= 0 {
 		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
 		exit(2)
@@ -173,6 +179,28 @@ func main() {
 		return
 	}
 	runReplay(cfg, ft, *faultName, max(*runSeed, 0), cf, topts)
+}
+
+// checkSizes exits 2, naming the flag, on a machine or workload size the
+// simulator cannot run: fewer than two nodes leaves no survivor to recover,
+// memory must be whole coherence lines, and the fill and verify stride
+// count lines.
+func checkSizes(nodes int, mem uint64, fill, stride int) {
+	var bad string
+	switch {
+	case nodes < 2:
+		bad = fmt.Sprintf("-nodes %d: need at least 2 (a victim and a survivor)", nodes)
+	case mem == 0 || mem%timing.LineSize != 0:
+		bad = fmt.Sprintf("-mem %d: must be a positive multiple of the %d-byte line", mem, timing.LineSize)
+	case fill < 0:
+		bad = fmt.Sprintf("-fill %d: must be 0 or more", fill)
+	case stride < 1:
+		bad = fmt.Sprintf("-stride %d: must be 1 or more", stride)
+	default:
+		return
+	}
+	fmt.Fprintln(os.Stderr, "invalid "+bad)
+	exit(2)
 }
 
 // warnSingleScenario prints one warning naming the flags a single-scenario

@@ -336,3 +336,24 @@ func TestNegativeCountsRefused(t *testing.T) {
 		}
 	}
 }
+
+// A size the simulator cannot run is a usage error naming the flag. Before
+// the check, -nodes 0, -nodes 1, -mem 0 and -mem 200 panicked deep in the
+// build or the workload, and -mem 100 reported a contained fault after
+// verifying no line at all.
+func TestBadSizesRefused(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-nodes", "0"},
+		{"-nodes", "1"},
+		{"-mem", "0"},
+		{"-mem", "100"},
+		{"-mem", "200"},
+		{"-fill", "-1"},
+		{"-stride", "0"},
+	} {
+		stdout, stderr, code := runFlashsimExit(t, append(fastArgs, c.flag, c.value)...)
+		if code != 2 || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic") || stdout != "" {
+			t.Errorf("flashsim %s %s: exit %d, want 2 naming %s; stdout:\n%s\nstderr:\n%s", c.flag, c.value, code, c.flag, stdout, stderr)
+		}
+	}
+}

@@ -46,7 +46,9 @@
 //
 // A flag the chosen table does not read exits 2 naming it: -legacy-bug
 // outside 5.4, -metrics on tail and routing, -routing on routing,
-// -metrics-json everywhere, and -full together with -runs N.
+// -metrics-json everywhere, and -full together with -runs N. The trace
+// flags, which trace one run, exit 2 on every table and name -run-log and
+// -exemplars instead.
 package main
 
 import (
@@ -70,8 +72,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-exemplars replays the percentiles of -table tail; -table %s has none\n", *table)
 		os.Exit(2)
 	}
-	cf.WarnTraceIgnored()
 	cf.Check()
+	cf.RejectIgnored("tables", cliflags.TraceFlags...)
 	if *full && cf.Runs > 0 {
 		fmt.Fprintf(os.Stderr, "-full picks the default run count, which -runs %d overrides; drop one of them\n", cf.Runs)
 		os.Exit(2)

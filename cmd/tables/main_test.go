@@ -70,20 +70,27 @@ func TestPartitionFlagsAreNotTablesFlags(t *testing.T) {
 	}
 }
 
-// The trace-flag warning names the campaign-scale alternatives tables has
-// (-run-log, -exemplars) and not flashsim's -run-seed.
-func TestTraceWarningNamesTablesFlags(t *testing.T) {
-	stderr, code := runTables(t, "-table", "tail", "-runs", "1", "-trace")
-	if code != 0 {
-		t.Fatalf("exit %d; stderr:\n%s", code, stderr)
-	}
-	for _, want := range []string{"-run-log", "-exemplars"} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("trace warning does not mention %s:\n%s", want, stderr)
+// tables runs only campaigns, so each trace flag exits 2 naming it, and the
+// refusal names the campaign-scale alternatives tables has (-run-log,
+// -exemplars), not flashsim's -run-seed.
+func TestTraceFlagsRefusedNamingTablesFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "tail", "-trace"},
+		{"-table", "5.3", "-trace-json", t.TempDir() + "/t.json"},
+		{"-table", "routing", "-trace-critical"},
+	} {
+		stderr, code := runTables(t, args...)
+		if code != 2 || !strings.Contains(stderr, args[2]) {
+			t.Errorf("tables %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, args[2], stderr)
 		}
-	}
-	if strings.Contains(stderr, "-run-seed") {
-		t.Errorf("trace warning names -run-seed, a flashsim flag:\n%s", stderr)
+		for _, want := range []string{"-run-log", "-exemplars"} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("tables %v: refusal does not mention %s:\n%s", args, want, stderr)
+			}
+		}
+		if strings.Contains(stderr, "-run-seed") {
+			t.Errorf("tables %v: refusal names -run-seed, a flashsim flag:\n%s", args, stderr)
+		}
 	}
 }
 

@@ -98,8 +98,7 @@ const (
 // Machine configuration knobs worth noting: Config.ReliableInterconnect
 // builds the §6.3 HAL-style machine (flush-free recovery, end-to-end
 // retransmission); Config.Recovery.HardwiredController models the §6.2
-// minimum-support variant; Config.Recovery.QuorumFraction is the §4.2
-// split-brain guard.
+// minimum-support variant.
 
 // MachineSnapshot is a frozen machine image taken at a quiescent point
 // (see Machine.Snapshot); MachineFromSnapshot forks it any number of times.

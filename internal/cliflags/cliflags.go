@@ -14,6 +14,8 @@
 //	-trace             print the recovery event timeline (single runs)
 //	-trace-json FILE   write Chrome trace-event JSON (single runs)
 //	-trace-critical    print the recovery critical path (single runs)
+//	                   (flashsim only: tables and figures refuse the
+//	                   three trace flags)
 //	-routing NAME      interconnect-recovery routing strategy: paper
 //	                   (dim-order + full drain + up*/down*, the default),
 //	                   adaptive (fault-region-aware, no drain), or
@@ -83,7 +85,7 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 
-	// fs is the flag set the flags were registered on; WarnTraceIgnored
+	// fs is the flag set the flags were registered on; traceAlternatives
 	// looks up which campaign-scale alternatives the binary has.
 	fs *flag.FlagSet
 }
@@ -169,13 +171,22 @@ func (f *Flags) Check() {
 	os.Exit(2)
 }
 
+// TraceFlags are the single-run trace flags. tables and figures run only
+// campaigns, so they refuse them with RejectIgnored.
+var TraceFlags = []string{"trace", "trace-json", "trace-critical"}
+
 // RejectIgnored exits 2, naming the flag, if any flag in names was set on
-// the command line: what (a table or figure, as "-table 5.3") never reads
-// it, and running on would silently drop it. Call it after Check.
+// the command line: what (a binary, or a table or figure as "-table 5.3")
+// never reads it, and running on would silently drop it. A refused trace
+// flag also names the campaign-scale alternatives. Call it after Check.
 func (f *Flags) RejectIgnored(what string, names ...string) {
 	f.fs.Visit(func(fl *flag.Flag) {
 		if slices.Contains(names, fl.Name) {
-			fmt.Fprintf(os.Stderr, "%s ignores -%s; drop the flag\n", what, fl.Name)
+			msg := fmt.Sprintf("%s ignores -%s; drop the flag", what, fl.Name)
+			if slices.Contains(TraceFlags, fl.Name) {
+				msg += "; " + f.traceAlternatives()
+			}
+			fmt.Fprintln(os.Stderr, msg)
 			os.Exit(2)
 		}
 	})
@@ -292,6 +303,13 @@ func (f *Flags) WarnTraceIgnored() bool {
 	if !f.WantTrace() {
 		return false
 	}
+	fmt.Fprintln(os.Stderr, "warning: -trace/-trace-json/-trace-critical trace a single run; "+f.traceAlternatives())
+	return true
+}
+
+// traceAlternatives names the campaign-scale alternatives to the trace
+// flags that the binary has.
+func (f *Flags) traceAlternatives() string {
 	alts := []string{"-run-log (per-run records)"}
 	if f.fs.Lookup("exemplars") != nil {
 		alts = append(alts, "-exemplars (traced tail exemplars)")
@@ -299,7 +317,5 @@ func (f *Flags) WarnTraceIgnored() bool {
 	if f.fs.Lookup("run-seed") != nil {
 		alts = append(alts, "-run-seed <i> (trace exactly campaign run i)")
 	}
-	fmt.Fprintln(os.Stderr, "warning: -trace/-trace-json/-trace-critical trace a single run; for campaigns use "+
-		strings.Join(alts, ", "))
-	return true
+	return "for campaigns use " + strings.Join(alts, ", ")
 }

@@ -85,18 +85,6 @@ type Config struct {
 	// run in parallel at the end of dissemination instead of chaining
 	// between neighbors (§4.3).
 	BFTHints bool
-	// DrainTau is the τ bound between consecutive stalled-packet
-	// deliveries used by the drain agreement (§4.4).
-	DrainTau sim.Time
-	// ProbeTimeout bounds a router probe round trip.
-	ProbeTimeout sim.Time
-	// PingTimeout bounds how long to wait for a pong: it must cover the
-	// target's recovery-entry time (~70 µs of uncached execution).
-	PingTimeout sim.Time
-	// WatchdogTimeout restarts recovery (with a higher epoch) when no
-	// progress happens for this long — the §4.1 reaction to additional
-	// failures during recovery.
-	WatchdogTimeout sim.Time
 	// FailureUnits maps node → failure-unit id; a functioning node whose
 	// unit contains a failed component shuts down after P4 (§3.3, §4.3).
 	// nil means every node is its own unit.
@@ -107,23 +95,13 @@ type Config struct {
 	// marked memory-reachable instead of being isolated, so survivors can
 	// salvage clean lines homed there. nil means never.
 	MemServes func(node int) bool
-	// L2ChargeLines is the number of cache lines the flush loop iterates
-	// (the full configured L2 size; Fig 5.6 left).
-	L2ChargeLines int
-	// MemChargeLines is the number of memory lines the directory sweep
-	// iterates (the full per-node memory; Fig 5.6 right).
-	MemChargeLines int
-	// QuorumFraction is the §4.2 split-brain heuristic: a node that ends
-	// dissemination in a component holding less than this fraction of the
-	// machine shuts itself down instead of recovering a minority island.
-	// Zero disables the check.
-	QuorumFraction float64
 	// ReliableInterconnect models the HAL machine of §6.3: the hardware
 	// provides end-to-end reliable delivery of coherence traffic, so the
 	// coherence-recovery phase skips the global cache flush entirely —
 	// caches stay warm — and the directory sweep only accounts for lines
 	// entrusted to dead nodes. Lost packets are retransmitted by the
-	// fabric once recovery completes.
+	// fabric once recovery completes. The machine sets it from its own
+	// ReliableInterconnect, the one switch for the HAL variant.
 	ReliableInterconnect bool
 	// HardwiredController models the §6.2 hardwired-node-controller
 	// variant: the main processor performs the node controller's
@@ -160,22 +138,20 @@ type Config struct {
 	OnComplete func(*Report)
 	// OnPhase, if set, observes phase transitions (tests, tracing).
 	OnPhase func(node int, p Phase)
+
+	// watchdogTimeout is timing.WatchdogTimeout; a test rig sets it to 0
+	// to run without the restart watchdog.
+	watchdogTimeout sim.Time
 }
 
-// DefaultConfig returns paper-calibrated defaults for a machine with the
-// given per-node L2 and memory sizes in bytes.
-func DefaultConfig(l2Bytes, memBytes uint64) Config {
+// DefaultConfig returns the paper-calibrated recovery options. The P4
+// charge sizes come from the node's own cache and memory.
+func DefaultConfig() Config {
 	return Config{
 		UncachedInstr:   timing.UncachedInstrSimOS,
 		SpeculativePing: true,
 		BFTHints:        true,
-		DrainTau:        timing.DrainTau,
-		ProbeTimeout:    timing.ProbeTimeout,
-		PingTimeout:     400 * sim.Microsecond,
-		WatchdogTimeout: 150 * sim.Millisecond,
-		QuorumFraction:  0.5,
-		L2ChargeLines:   int(l2Bytes / timing.LineSize),
-		MemChargeLines:  int(memBytes / timing.LineSize),
+		watchdogTimeout: timing.WatchdogTimeout,
 	}
 }
 
@@ -481,18 +457,18 @@ func (a *Agent) execTime(d sim.Time, fn func()) {
 }
 
 // armWatchdog (re)arms the no-progress watchdog.
-func (a *Agent) armWatchdog() { a.armWatchdogFor(a.cfg.WatchdogTimeout) }
+func (a *Agent) armWatchdog() { a.armWatchdogFor(a.cfg.watchdogTimeout) }
 
 // armWatchdogFor (re)arms the watchdog with an explicit deadline — used
 // before long known-duration local work (the P4 flush and directory sweep
 // can legitimately exceed the normal progress timeout on big memories).
 func (a *Agent) armWatchdogFor(d sim.Time) {
 	a.watchdog.Cancel()
-	if a.cfg.WatchdogTimeout <= 0 {
+	if a.cfg.watchdogTimeout <= 0 {
 		return
 	}
-	if d < a.cfg.WatchdogTimeout {
-		d = a.cfg.WatchdogTimeout
+	if d < a.cfg.watchdogTimeout {
+		d = a.cfg.watchdogTimeout
 	}
 	a.watchdog = a.E.AfterCall(d, watchdogFired, a, nil, uint64(a.epoch))
 }

@@ -34,7 +34,7 @@ func newRig(t *testing.T, w, h int, mod func(*Config)) *rig {
 			coherence.NewDirectory(n),
 			coherence.NewMemory(space.Base(i), space.MemBytes),
 			coherence.NewCache(16<<10), magic.DefaultConfig())
-		cfg := DefaultConfig(16<<10, 64<<10)
+		cfg := DefaultConfig()
 		cfg.OnComplete = func(rep *Report) { r.done[rep.Node] = rep }
 		if mod != nil {
 			mod(&cfg)
@@ -167,7 +167,7 @@ func TestIsolatedNodeShutsDown(t *testing.T) {
 }
 
 func TestQuorumRefusesMinorityIsland(t *testing.T) {
-	r := newRig(t, 4, 2, func(c *Config) { c.QuorumFraction = 0.5 })
+	r := newRig(t, 4, 2, nil)
 	// Cut column 0 (nodes 0 and 4) off: links 0-1 and 4-5.
 	for _, pair := range [][2]int{{0, 1}, {4, 5}} {
 		p := r.topo.PortTo(pair[0], pair[1])

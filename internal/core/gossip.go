@@ -210,8 +210,7 @@ func (a *Agent) finishDissemination() {
 			return
 		}
 		// Split-brain guard (§4.2): refuse to recover a minority island.
-		if a.cfg.QuorumFraction > 0 &&
-			float64(len(a.participants)) < a.cfg.QuorumFraction*float64(a.Topo.Routers()) {
+		if float64(len(a.participants)) < timing.QuorumFraction*float64(a.Topo.Routers()) {
 			a.isolatedShutdown()
 			return
 		}

@@ -135,14 +135,14 @@ func (a *Agent) drainQuietCheck(name string, attempt int) {
 		}
 		last := a.Ctrl.LastNormalDelivery()
 		quiet := a.E.Now() - last
-		if quiet >= a.cfg.DrainTau {
+		if quiet >= timing.DrainTau {
 			a.voteAt = a.E.Now()
 			a.barrierReady(name, false)
 			return
 		}
-		a.E.After(a.cfg.DrainTau-quiet, check)
+		a.E.After(timing.DrainTau-quiet, check)
 	}
-	a.E.After(a.cfg.DrainTau, check)
+	a.E.After(timing.DrainTau, check)
 }
 
 // reprogramRoutes takes the strategy's repair of the surviving graph (the

@@ -36,8 +36,8 @@ func (a *Agent) startCoherenceRecovery() {
 // in place.
 func (a *Agent) doScanReliable() {
 	a.report.FlushEnd = a.E.Now()
-	scanTime := sim.Time(a.cfg.MemChargeLines) * timing.DirScanPerLine
-	a.armWatchdogFor(2*scanTime + a.cfg.WatchdogTimeout)
+	scanTime := sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine
+	a.armWatchdogFor(2*scanTime + a.cfg.watchdogTimeout)
 	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
 	a.traceScanChunks(spScan, scanTime)
 	a.execTime(scanTime, func() {
@@ -77,8 +77,8 @@ func (a *Agent) doFlush() {
 	if a.cfg.HardwiredController {
 		perLine = timing.InstrHardwiredFlushPerLine
 	}
-	charge := a.cfg.L2ChargeLines * perLine
-	a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.WatchdogTimeout)
+	charge := a.Ctrl.Cache.CapacityLines() * perLine
+	a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.watchdogTimeout)
 	spFlush := a.cfg.Trace.Begin(a.E.Now(), a.ID, "cache-flush", a.spPhase, 0)
 	a.execInstr(charge, func() {
 		a.report.Writebacks = a.Ctrl.FlushCache()
@@ -141,8 +141,8 @@ func (a *Agent) doScan() {
 	a.spFlushWait = 0
 	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
 	if a.cfg.HardwiredController {
-		charge := a.cfg.MemChargeLines * timing.InstrHardwiredScanPerLine
-		a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.WatchdogTimeout)
+		charge := a.Ctrl.Space.Lines() * timing.InstrHardwiredScanPerLine
+		a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.watchdogTimeout)
 		a.traceScanChunks(spScan, sim.Time(charge)*a.cfg.UncachedInstr)
 		a.execInstr(charge, func() {
 			a.report.Incoherent = len(a.Ctrl.ScanDirectory())
@@ -152,8 +152,8 @@ func (a *Agent) doScan() {
 		})
 		return
 	}
-	scanTime := sim.Time(a.cfg.MemChargeLines) * timing.DirScanPerLine
-	a.armWatchdogFor(2*scanTime + a.cfg.WatchdogTimeout)
+	scanTime := sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine
+	a.armWatchdogFor(2*scanTime + a.cfg.watchdogTimeout)
 	a.traceScanChunks(spScan, scanTime)
 	a.execTime(scanTime, func() {
 		a.report.Incoherent = len(a.Ctrl.ScanDirectory())

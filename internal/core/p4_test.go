@@ -14,7 +14,7 @@ import (
 
 func flushAgent(t *testing.T) (*rig, *Agent) {
 	t.Helper()
-	r := newRig(t, 4, 2, func(c *Config) { c.WatchdogTimeout = 0 })
+	r := newRig(t, 4, 2, func(c *Config) { c.watchdogTimeout = 0 })
 	a := r.agents[0]
 	a.epoch = 1
 	a.report = &Report{}

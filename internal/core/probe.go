@@ -37,7 +37,7 @@ func (a *Agent) recoveryCodeRunning() {
 		a.checkExplorationDone()
 	})
 	epoch := a.epoch
-	a.E.After(a.cfg.ProbeTimeout, func() {
+	a.E.After(timing.ProbeTimeout, func() {
 		if !answered && a.epoch == epoch && a.phase == PhaseInit {
 			// Own router dead: the node cannot reach anyone; shut
 			// down cleanly (it is inside a failed region).
@@ -92,7 +92,7 @@ func (a *Agent) probeLink(link, far int, path []int) {
 		answered = true
 		a.onRouterAlive(link, far, path)
 	})
-	a.E.After(a.cfg.ProbeTimeout, func() {
+	a.E.After(timing.ProbeTimeout, func() {
 		if answered || a.epoch != epoch || a.phase != PhaseInit {
 			return
 		}
@@ -131,7 +131,7 @@ func (a *Agent) ensurePing(node int, route []int) {
 	a.pinged[node] = true
 	a.sendPing(node, route)
 	epoch := a.epoch
-	a.pongTimer[node] = a.E.After(a.cfg.PingTimeout, func() {
+	a.pongTimer[node] = a.E.After(timing.PingTimeout, func() {
 		if a.epoch != epoch {
 			return
 		}

@@ -155,7 +155,7 @@ func TestRepairMemoBounded(t *testing.T) {
 // so none of them may alias state the sender keeps writing, and no later
 // send may rewrite a message already on the wire.
 func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
-	r := newRig(t, 2, 2, func(c *Config) { c.WatchdogTimeout = 0 })
+	r := newRig(t, 2, 2, func(c *Config) { c.watchdogTimeout = 0 })
 	var got []*recMsg
 	for _, q := range []int{1, 2} {
 		r.ctrls[q].SetRecoveryHandler(func(p *interconnect.Packet) {

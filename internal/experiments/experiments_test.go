@@ -9,6 +9,7 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/sim"
+	"flashfc/internal/timing"
 	"flashfc/internal/topology"
 	"flashfc/internal/trace"
 )
@@ -230,6 +231,45 @@ func TestFig56MemLinear(t *testing.T) {
 	if pts[1].Phases.Scan < 20*sim.Millisecond || pts[1].Phases.Scan > 100*sim.Millisecond {
 		t.Errorf("Scan(16MB) = %v, want ~45ms", pts[1].Phases.Scan)
 	}
+}
+
+// TestFig56PerMBShape pins Fig 5.6's shape at the sizes figures -fig 5.6
+// sweeps: the flush (WB) costs a fixed time per MB of L2 and the directory
+// sweep a fixed time per MB of memory. Each per-MB time stays within ±5 %
+// of its sweep's mean, and the mean within ±5 % of what the P4 agent
+// charges per MB: 8 192 lines × the flush loop's instructions at the
+// uncached rate, and 8 192 lines × the per-line scan cost. A flush charged
+// by memory lines, or a sweep by cache lines, breaks both.
+func TestFig56PerMBShape(t *testing.T) {
+	const linesPerMB = (1 << 20) / timing.LineSize
+	check := func(what string, pts []ScalingPoint, phase func(machine.PhaseTimes) sim.Time, charged float64) {
+		t.Helper()
+		perMB := make([]float64, len(pts))
+		mean := 0.0
+		for i, p := range pts {
+			if !p.OK {
+				t.Fatalf("%s at %v MB did not recover", what, p.X)
+			}
+			perMB[i] = float64(phase(p.Phases)) / p.X
+			mean += perMB[i] / float64(len(pts))
+		}
+		for i, v := range perMB {
+			if v < 0.95*mean || v > 1.05*mean {
+				t.Errorf("%s at %v MB: %.0f ns/MB, more than 5%% from the mean %.0f", what, pts[i].X, v, mean)
+			}
+		}
+		if mean < 0.95*charged || mean > 1.05*charged {
+			t.Errorf("%s: mean %.0f ns/MB, more than 5%% from the charged %.0f", what, mean, charged)
+		}
+	}
+	l2 := RunCampaign(CampaignConfig{Seed: 1}, Fig56L2Campaign{
+		L2Sizes: []uint64{512 << 10, 1 << 20, 2 << 20, 4 << 20}}).Values()
+	check("WB", l2, func(pt machine.PhaseTimes) sim.Time { return pt.WB },
+		float64(linesPerMB*timing.InstrFlushPerLine*timing.UncachedInstrSimOS))
+	mem := RunCampaign(CampaignConfig{Seed: 1}, Fig56MemCampaign{
+		MemSizes: []uint64{1 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}}).Values()
+	check("scan", mem, func(pt machine.PhaseTimes) sim.Time { return pt.Scan },
+		float64(linesPerMB*timing.DirScanPerLine))
 }
 
 func TestHypercubeDisseminationFasterAtScale(t *testing.T) {

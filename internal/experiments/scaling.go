@@ -27,9 +27,9 @@ type ScalingConfig struct {
 	Routing string
 	// Victim selects the node to kill; -1 picks the middle of the mesh.
 	Victim int
-	// Knobs for the ablation studies.
-	SpeculativePing *bool
-	BFTHints        *bool
+	// BFTHints, when non-nil, switches the §4.3 BFT-hint optimization for
+	// its ablation; nil keeps the default (on).
+	BFTHints *bool
 	// runHook, when non-nil, runs at the start of every
 	// DistributionCampaign run with the run index; test-only, see
 	// ValidationConfig.runHook.
@@ -88,9 +88,6 @@ func MeasureRecovery(cfg ScalingConfig) ScalingPoint {
 	mc.MemBytes = cfg.MemBytes
 	mc.L2Bytes = cfg.L2Bytes
 	mc.Routing = cfg.Routing
-	if cfg.SpeculativePing != nil {
-		mc.Recovery.SpeculativePing = *cfg.SpeculativePing
-	}
 	if cfg.BFTHints != nil {
 		mc.Recovery.BFTHints = *cfg.BFTHints
 	}

@@ -20,50 +20,49 @@ import (
 	"flashfc/internal/timing"
 )
 
+// OS-model parameters, calibrated against the experiments (§5.2, §5.3).
+const (
+	// kernelPages is the number of kernel-data pages per cell, placed at
+	// the bottom of the cell's boss-node memory and firewalled.
+	kernelPages = 8
+	// heartbeatInterval is how often each cell touches its kernel data; a
+	// bus error on kernel data is a kernel panic.
+	heartbeatInterval = 500 * sim.Microsecond
+	// crossCheckInterval is how often each cell probes its ring neighbor
+	// with an uncached no-op. A probe into a failed cell is how Hive
+	// notices quiet failures: the memory-operation timeout on the probe
+	// triggers hardware recovery (Table 4.1).
+	crossCheckInterval = sim.Millisecond
+	// bugCrashProb is the chance that the legacy incoherent-line bug
+	// crashes a cell in a recovery that scrubbed incoherent lines.
+	bugCrashProb = 0.08
+	// osBaseTime and osPerCellTime shape the OS recovery duration, which
+	// scales with the number of cells rather than nodes (§5.3).
+	osBaseTime    = 5 * sim.Millisecond
+	osPerCellTime = 1500 * sim.Microsecond
+	// rpcRetry is the retransmission interval of the RPC subsystem.
+	rpcRetry = 3 * sim.Millisecond
+)
+
 // Config tunes the Hive model.
 type Config struct {
 	// Cells is the number of cells; nodes are split into contiguous
 	// equal ranges, one per cell (Fig 3.2).
 	Cells int
-	// KernelPages is the number of kernel-data pages per cell, placed at
-	// the bottom of the cell's boss-node memory and firewalled.
-	KernelPages int
-	// HeartbeatInterval is how often each cell touches its kernel data;
-	// a bus error on kernel data is a kernel panic.
-	HeartbeatInterval sim.Time
-	// CrossCheckInterval is how often each cell probes its ring neighbor
-	// with an uncached no-op. A probe into a failed cell is how Hive
-	// notices quiet failures: the memory-operation timeout on the probe
-	// triggers hardware recovery (Table 4.1).
-	CrossCheckInterval sim.Time
 	// LegacyIncoherentBug reenables the OS bugs the paper found in 8.4%
 	// of its end-to-end runs (§5.2): mishandling of incoherent lines
 	// during post-recovery cleanup crashes the cell with probability
-	// BugCrashProb per recovery that encounters incoherent lines.
+	// bugCrashProb per recovery that encounters incoherent lines.
 	LegacyIncoherentBug bool
-	BugCrashProb        float64
-	// OSBaseTime and OSPerCellTime shape the OS recovery duration, which
-	// scales with the number of cells rather than nodes (§5.3).
-	OSBaseTime    sim.Time
-	OSPerCellTime sim.Time
-	// RPCRetry is the retransmission interval of the RPC subsystem.
-	RPCRetry sim.Time
-	// OnOSRecovered fires after OS recovery completes.
-	OnOSRecovered func()
+
+	// bugCrashProb is the package constant; a test raises it to 1 to
+	// make the crash certain.
+	bugCrashProb float64
 }
 
 // DefaultConfig returns an experiment-calibrated Hive configuration.
 func DefaultConfig(cells int) Config {
-	return Config{
-		Cells:              cells,
-		KernelPages:        8,
-		HeartbeatInterval:  500 * sim.Microsecond,
-		CrossCheckInterval: sim.Millisecond,
-		BugCrashProb:       0.08,
-		OSBaseTime:         5 * sim.Millisecond,
-		OSPerCellTime:      1500 * sim.Microsecond,
-		RPCRetry:           3 * sim.Millisecond,
-	}
+	return Config{Cells: cells, bugCrashProb: bugCrashProb}
 }
 
 // MachineConfig builds the machine configuration a Hive system needs:
@@ -182,7 +181,7 @@ func (c *Cell) setupKernelPages() {
 		writers.Add(n)
 	}
 	base := c.h.M.Space.Base(c.Boss())
-	for p := 0; p < c.h.Cfg.KernelPages; p++ {
+	for p := 0; p < kernelPages; p++ {
 		page := base + coherence.Addr(p*timing.PageSize)
 		boss.Ctrl.SetFirewall(page, writers)
 		// One heartbeat line per page.
@@ -193,9 +192,6 @@ func (c *Cell) setupKernelPages() {
 // scheduleHeartbeat arranges the periodic kernel-data touch. A bus error on
 // kernel data means the cell lost its own kernel state: kernel panic.
 func (c *Cell) scheduleHeartbeat() {
-	if c.h.Cfg.HeartbeatInterval <= 0 {
-		return
-	}
 	h := c.h
 	var beat func()
 	beat = func() {
@@ -203,7 +199,7 @@ func (c *Cell) scheduleHeartbeat() {
 			return
 		}
 		if c.suspended() {
-			h.M.E.After(h.Cfg.HeartbeatInterval, beat)
+			h.M.E.After(heartbeatInterval, beat)
 			return
 		}
 		addr := c.kernel[c.hbIndex%len(c.kernel)]
@@ -220,9 +216,9 @@ func (c *Cell) scheduleHeartbeat() {
 				// Recovery in progress; the next beat retries.
 			}
 		}})
-		h.M.E.After(h.Cfg.HeartbeatInterval, beat)
+		h.M.E.After(heartbeatInterval, beat)
 	}
-	h.M.E.After(h.Cfg.HeartbeatInterval, beat)
+	h.M.E.After(heartbeatInterval, beat)
 }
 
 // scheduleCrossCheck arranges the periodic aliveness probes: the boss
@@ -233,9 +229,6 @@ func (c *Cell) scheduleHeartbeat() {
 // is what drops this node into recovery (Table 4.1).
 func (c *Cell) scheduleCrossCheck() {
 	h := c.h
-	if h.Cfg.CrossCheckInterval <= 0 {
-		return
-	}
 	// Probe targets: own members (excluding the boss) plus the ring
 	// neighbor's boss.
 	var targets []int
@@ -266,9 +259,9 @@ func (c *Cell) scheduleCrossCheck() {
 				boss.Ctrl.SendUncached(target, false, false, "hive-alive?", func(any, error) {})
 			}
 		}
-		h.M.E.After(h.Cfg.CrossCheckInterval, check)
+		h.M.E.After(crossCheckInterval, check)
 	}
-	h.M.E.After(h.Cfg.CrossCheckInterval, check)
+	h.M.E.After(crossCheckInterval, check)
 }
 
 // panic crashes the cell for a software reason.

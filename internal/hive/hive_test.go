@@ -192,7 +192,7 @@ func TestLegacyBugCrashesCell(t *testing.T) {
 	m := machine.New(mc)
 	hcfg := DefaultConfig(4)
 	hcfg.LegacyIncoherentBug = true
-	hcfg.BugCrashProb = 1.0
+	hcfg.bugCrashProb = 1.0
 	h := New(m, hcfg)
 	mk := NewMake(h, DefaultMakeConfig())
 	idle := false

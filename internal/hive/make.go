@@ -141,13 +141,13 @@ func NewMake(h *Hive, cfg MakeConfig) *Make {
 // input files, then one results page per client.
 func (mk *Make) fileBase(fileID int) coherence.Addr {
 	base := mk.H.M.Space.Base(mk.Server.Boss())
-	off := mk.H.Cfg.KernelPages * timing.PageSize
+	off := kernelPages * timing.PageSize
 	return base + coherence.Addr(off+fileID*mk.Cfg.FileLines*timing.LineSize)
 }
 
 func (mk *Make) resultsBase(fileID int) coherence.Addr {
 	base := mk.H.M.Space.Base(mk.Server.Boss())
-	off := mk.H.Cfg.KernelPages*timing.PageSize +
+	off := kernelPages*timing.PageSize +
 		(len(mk.H.Cells)-1)*mk.Cfg.FileLines*timing.LineSize
 	off = (off + timing.PageSize - 1) &^ (timing.PageSize - 1)
 	return base + coherence.Addr(off+fileID*timing.PageSize)
@@ -156,7 +156,7 @@ func (mk *Make) resultsBase(fileID int) coherence.Addr {
 // outputBase is the client-local object-file region, above its kernel pages.
 func (mk *Make) outputBase(t *CompileTask) coherence.Addr {
 	base := mk.H.M.Space.Base(t.Cell.Boss())
-	return base + coherence.Addr(mk.H.Cfg.KernelPages*timing.PageSize)
+	return base + coherence.Addr(kernelPages*timing.PageSize)
 }
 
 // prepareFiles fills the server's file regions (modeling the page cache

@@ -54,7 +54,7 @@ func (h *Hive) osRecover(reports map[int]*core.Report) {
 
 	// Per-cell recovery work: configuration adjustment plus the page
 	// scrub of incoherent lines left in the cell's memory.
-	osWork := h.Cfg.OSBaseTime + sim.Time(aliveCells)*h.Cfg.OSPerCellTime
+	osWork := osBaseTime + sim.Time(aliveCells)*osPerCellTime
 	maxScrub := sim.Time(0)
 	for _, c := range h.Cells {
 		if !c.Alive() {
@@ -94,7 +94,7 @@ func (h *Hive) osRecover(reports map[int]*core.Report) {
 		if scrubbed > 0 && h.Cfg.LegacyIncoherentBug {
 			// The paper's end-to-end failures (§5.2): OS bugs in the
 			// handling of incoherent lines after a fault.
-			if h.M.E.Rand().Float64() < h.Cfg.BugCrashProb {
+			if h.M.E.Rand().Float64() < h.Cfg.bugCrashProb {
 				c.panic("legacy bug: mishandled incoherent line during cleanup")
 			}
 		}
@@ -111,9 +111,6 @@ func (h *Hive) osRecover(reports map[int]*core.Report) {
 			for _, n := range c.Nodes {
 				h.M.Nodes[n].CPU.Resume()
 			}
-		}
-		if h.Cfg.OnOSRecovered != nil {
-			h.Cfg.OnOSRecovered()
 		}
 	})
 }

@@ -107,7 +107,7 @@ func (c *Cell) transmit(call *rpcCall) {
 	}
 	if c.suspended() || target.suspended() {
 		// Recovery owns the processors; retry once it completes.
-		c.h.M.E.After(c.h.Cfg.RPCRetry, func() { c.transmit(call) })
+		c.h.M.E.After(rpcRetry, func() { c.transmit(call) })
 		return
 	}
 	call.attempts++
@@ -126,7 +126,7 @@ func (c *Cell) transmit(call *rpcCall) {
 		if err != nil {
 			// Lost doorbell or recovery abort: retransmit later; the
 			// server's dedup table preserves exactly-once semantics.
-			c.h.M.E.After(c.h.Cfg.RPCRetry, func() { c.transmit(call) })
+			c.h.M.E.After(rpcRetry, func() { c.transmit(call) })
 			return
 		}
 		reply, ok := v.(*rpcEnvelope)
@@ -142,7 +142,7 @@ func (c *Cell) transmit(call *rpcCall) {
 	})
 	// Belt-and-braces timer: if the transport never completed (e.g. the
 	// request died with a recovery epoch), retransmit.
-	c.h.M.E.After(c.h.Cfg.RPCRetry*4, func() {
+	c.h.M.E.After(rpcRetry*4, func() {
 		if !answered && !call.done {
 			answered = true // avoid double paths
 			c.transmit(call)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flashfc/internal/sim"
+	"flashfc/internal/timing"
 	"flashfc/internal/topology"
 )
 
@@ -47,7 +48,7 @@ func TestFlatChannelLayout(t *testing.T) {
 							t.Fatalf("r%d p%d %v carries router %d, far router %d, link %d; the topology says %d, %d, %d",
 								r, p, l, ch.router, ch.to, ch.link, r, a.To, a.Link)
 						}
-						if len(ch.q) != 0 || cap(ch.q) != defaultLaneBuffer || &ch.q[:1][0] != &ch.buf[0] {
+						if len(ch.q) != 0 || cap(ch.q) != timing.LaneBuffer || &ch.q[:1][0] != &ch.buf[0] {
 							t.Fatalf("r%d p%d %v: the queue does not start on the inline array", r, p, l)
 						}
 					}
@@ -274,7 +275,7 @@ func TestWakeReblocksOnTheListBeingWoken(t *testing.T) {
 	}
 	e.Run()
 	merge := n.channel(5, n.Topo.PortTo(5, 8), LaneRequest)
-	if len(merge.q) != n.cfg.LaneBuffer || len(merge.waiters) != 2 {
+	if len(merge.q) != timing.LaneBuffer || len(merge.waiters) != 2 {
 		t.Fatalf("merge channel holds %d packets with %d waiters; the scenario needs it full with both feeders blocked",
 			len(merge.q), len(merge.waiters))
 	}

@@ -19,14 +19,6 @@ type Config struct {
 	// is restored. Recovery lanes are never retransmitted (the recovery
 	// algorithm has its own timeouts and retries).
 	Reliable bool
-	// LaneBuffer is the per-channel, per-lane buffer capacity in packets.
-	LaneBuffer int
-	// RecoveryHeadDrop is how long a source-routed recovery packet may
-	// stay blocked at the head of a channel before it is discarded, the
-	// §4.1 mechanism that keeps the recovery lanes from congesting.
-	RecoveryHeadDrop sim.Time
-	// LoopbackDelay is the delivery delay for node-to-self packets.
-	LoopbackDelay sim.Time
 	// Metrics, when non-nil, receives fabric counters (per-lane traffic,
 	// truncations, black holes, backpressure stalls). Nil disables
 	// reporting at zero cost: the instruments are nil-safe.
@@ -46,19 +38,9 @@ type Config struct {
 	Tables topology.Tables
 }
 
-// DefaultConfig returns the standard fabric parameters.
-func DefaultConfig() Config {
-	return Config{
-		LaneBuffer:       defaultLaneBuffer,
-		RecoveryHeadDrop: 10 * sim.Microsecond,
-		LoopbackDelay:    60,
-	}
-}
-
-// defaultLaneBuffer is DefaultConfig's LaneBuffer and, because of that, the
-// capacity of the queue storage carved into every channel: a lane queue that
-// stays within the default buffer never touches the heap.
-const defaultLaneBuffer = 4
+// DefaultConfig returns the standard fabric: unreliable, untraced, on one
+// engine.
+func DefaultConfig() Config { return Config{} }
 
 // channel is one directed (router, port, lane) buffer: the sending side of a
 // virtual channel. Packets at the head either advance into the next router's
@@ -83,7 +65,7 @@ type channel struct {
 	inTransit *Packet
 	// buf is q's first backing array (New points q at it). A burst that
 	// outgrows it moves q to the heap; dropHead moves it back.
-	buf [defaultLaneBuffer]*Packet
+	buf [timing.LaneBuffer]*Packet
 }
 
 // shrinkFloor is the smallest backing-array capacity dropHead will shrink.
@@ -116,7 +98,7 @@ func (ch *channel) dropHead() {
 	ch.q = ch.q[:n]
 	if c := cap(ch.q); c > shrinkFloor && n < c/4 {
 		q := ch.buf[:0]
-		if n > defaultLaneBuffer {
+		if n > timing.LaneBuffer {
 			q = make([]*Packet, 0, c/2)
 		}
 		ch.q = append(q, ch.q...)
@@ -578,7 +560,7 @@ func (n *Network) Send(p *Packet) {
 		p.hop = 0
 	}
 	if p.Dst == p.Src && (p.SourceRoute == nil || len(p.SourceRoute) == 1) {
-		n.eng(p.Src).AfterCall(n.cfg.LoopbackDelay, n.deliverFn, p, nil, 0)
+		n.eng(p.Src).AfterCall(timing.LoopbackDelay, n.deliverFn, p, nil, 0)
 		return
 	}
 	if n.routers[p.Src].failed {
@@ -741,7 +723,7 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 		return
 	}
 	tch := n.channel(r, port, pkt.Lane)
-	if len(tch.q) < n.cfg.LaneBuffer {
+	if len(tch.q) < timing.LaneBuffer {
 		n.popHead(ch)
 		tch.push(pkt)
 		n.kick(tch)
@@ -760,7 +742,7 @@ func (n *Network) block(ch *channel, pkt *Packet) {
 	ch.blocked = true
 	n.mStalls.Inc()
 	if pkt.Lane.IsRecovery() {
-		n.eng(int(ch.router)).AfterCall(n.cfg.RecoveryHeadDrop, n.headDropFn, ch, pkt, 0)
+		n.eng(int(ch.router)).AfterCall(timing.RecoveryHeadDrop, n.headDropFn, ch, pkt, 0)
 	}
 }
 
@@ -839,11 +821,7 @@ func (n *Network) deliver(p *Packet) {
 		return
 	}
 	if !ep.Accept(p) {
-		backoff := n.cfg.LoopbackDelay
-		if backoff < sim.Microsecond {
-			backoff = sim.Microsecond
-		}
-		n.eng(p.Dst).AfterCall(backoff, n.deliverFn, p, nil, 0)
+		n.eng(p.Dst).AfterCall(timing.DeliveryRetry, n.deliverFn, p, nil, 0)
 		return
 	}
 	n.tracePkt("deliver", p.Dst, p)

@@ -150,12 +150,8 @@ func (n *Network) arriveFree(r int, pkt *Packet) {
 			n.tracePkt("deliver", r, pkt)
 			return
 		}
-		backoff := n.cfg.LoopbackDelay
-		if backoff < sim.Microsecond {
-			backoff = sim.Microsecond
-		}
 		n.mStalls.Inc()
-		n.eng(r).AfterCall(backoff, n.retryFn, pkt, nil, uint64(r))
+		n.eng(r).AfterCall(timing.DeliveryRetry, n.retryFn, pkt, nil, uint64(r))
 		return
 	}
 	if pkt.SourceRoute != nil {

@@ -53,7 +53,6 @@ func TestCableCutMinorityShutsDown(t *testing.T) {
 	cfg.Seed = 43
 	cfg.MemBytes = 64 << 10
 	cfg.L2Bytes = 16 << 10
-	cfg.Recovery.QuorumFraction = 0.5
 	m := New(cfg)
 	cut := fault.CableCut(m.Topo, 0) // isolates column 0: 4 nodes
 	if len(cut) != 4 {

@@ -42,10 +42,6 @@ type Config struct {
 	MemBytes uint64 // main memory per node (Table 5.1: 1–16 MB)
 	L2Bytes  uint64 // second-level cache (Table 5.1: 1 MB)
 	Seed     int64
-	// CPUWindow is the number of outstanding misses per processor.
-	CPUWindow int
-	// VectorTop enables the exception-vector remap below this address.
-	VectorTop coherence.Addr
 	// ReliableInterconnect builds the §6.3 HAL-style machine: hardware
 	// end-to-end reliable coherence delivery and flush-free recovery.
 	ReliableInterconnect bool
@@ -57,8 +53,9 @@ type Config struct {
 	Trace *trace.Tracer
 	// Magic carries controller options (firewall, protocol-memory range).
 	Magic magic.Config
-	// Recovery carries recovery-algorithm options; machine wiring
-	// overwrites the callbacks and charge sizes.
+	// Recovery carries recovery-algorithm options; machine wiring wraps
+	// its callbacks and sets its routing strategy, failure units and
+	// ReliableInterconnect from this Config.
 	Recovery core.Config
 	// Routing names the interconnect-recovery routing strategy
 	// (routing.Names: "paper", "incremental", "adaptive"; "" is "paper").
@@ -99,14 +96,13 @@ const DefaultRegionLinkExtra = 2 * sim.Microsecond
 // memory per node, 1 MB L2.
 func DefaultConfig(nodes int) Config {
 	return Config{
-		Nodes:     nodes,
-		Topo:      TopoMesh,
-		MemBytes:  1 << 20,
-		L2Bytes:   1 << 20,
-		Seed:      1,
-		CPUWindow: 4,
-		Magic:     magic.DefaultConfig(),
-		Recovery:  core.DefaultConfig(1<<20, 1<<20),
+		Nodes:    nodes,
+		Topo:     TopoMesh,
+		MemBytes: 1 << 20,
+		L2Bytes:  1 << 20,
+		Seed:     1,
+		Magic:    magic.DefaultConfig(),
+		Recovery: core.DefaultConfig(),
 	}
 }
 
@@ -269,7 +265,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	if snap != nil {
 		net.Restore(snap.Net)
 	}
-	space := coherence.AddrSpace{Nodes: cfg.Nodes, MemBytes: cfg.MemBytes, VectorTop: cfg.VectorTop}
+	space := coherence.AddrSpace{Nodes: cfg.Nodes, MemBytes: cfg.MemBytes}
 	m := &Machine{
 		Cfg: cfg, E: e, Topo: topo, P: P, Regions: regions, Net: net, Space: space,
 		Oracle:      oracle,
@@ -292,11 +288,9 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	// a fresh memo, shared by this machine's agents only.
 	m.repairs = core.NewRepairMemo()
 	rcfg.Repairs = m.repairs
-	rcfg.ReliableInterconnect = rcfg.ReliableInterconnect || cfg.ReliableInterconnect
+	rcfg.ReliableInterconnect = cfg.ReliableInterconnect
 	rcfg.FailureUnits = cfg.FailureUnits
 	rcfg.MemServes = func(n int) bool { return m.memSurvives[n] }
-	rcfg.L2ChargeLines = int(cfg.L2Bytes / 128)
-	rcfg.MemChargeLines = int(cfg.MemBytes / 128)
 	userOnEnter := rcfg.OnEnter
 	userOnComplete := rcfg.OnComplete
 
@@ -332,7 +326,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 		if cfg.FailureUnits != nil {
 			n.Ctrl.SetFailureUnits(cfg.FailureUnits)
 		}
-		n.CPU = proc.New(en, n.Ctrl, cfg.CPUWindow)
+		n.CPU = proc.New(en, n.Ctrl, timing.CPUWindow)
 		if snap != nil {
 			n.CPU.Restore(snap.Nodes[i].CPU)
 		}
@@ -431,7 +425,7 @@ func (m *Machine) SlowNode(id, factor int) {
 	// once one of its memory operations times out behind the 10-100x
 	// handlers. Modeled as a deterministic trigger one timeout after onset.
 	agent := m.Nodes[id].Agent
-	m.engineOf(id).After(m.detectionDelay(), func() {
+	m.engineOf(id).After(timing.MemOpTimeout, func() {
 		agent.Trigger(magic.ReasonTimeout)
 	})
 }
@@ -457,7 +451,7 @@ func (m *Machine) KillCPU(id int) {
 	// the victim cannot run recovery code on a dead processor.
 	if s := m.Survivors(); len(s) > 0 {
 		agent := m.Nodes[s[0]].Agent
-		m.engineOf(s[0]).After(m.detectionDelay(), func() {
+		m.engineOf(s[0]).After(timing.MemOpTimeout, func() {
 			agent.Trigger(magic.ReasonCPUDead)
 		})
 	}
@@ -476,16 +470,6 @@ func (m *Machine) engineOf(id int) *sim.Engine {
 		return m.P.Region(m.Regions.Of(id))
 	}
 	return m.E
-}
-
-// detectionDelay is the modeled latency between a degradation fault and its
-// detection trigger: one memory-operation timeout, the containment bound
-// the paper's hardware guarantees (Table 4.1).
-func (m *Machine) detectionDelay() sim.Time {
-	if d := m.Cfg.Magic.MemOpTimeout; d > 0 {
-		return d
-	}
-	return timing.MemOpTimeout
 }
 
 // Inject applies f now.

@@ -116,17 +116,6 @@ type Config struct {
 	// for MAGIC code/data; processor writes to it are bus-errored by the
 	// range check (§3.3). Zero disables the check.
 	ProtocolMemBytes uint64
-	// InputQueue is the controller input buffer in packets; when full,
-	// deliveries are refused and back up into the fabric.
-	InputQueue int
-	// NAKLimit is the NAK-counter overflow threshold (Table 4.1).
-	NAKLimit int
-	// MemOpTimeout bounds outstanding memory operations (Table 4.1).
-	MemOpTimeout sim.Time
-	// NAKRetryDelay is the backoff before retrying a NAKed request.
-	NAKRetryDelay sim.Time
-	// CacheHitTime is the latency of a local L2 hit.
-	CacheHitTime sim.Time
 	// Metrics, when non-nil, receives machine-wide controller counters
 	// (firewall/range denials, NAK traffic, timeouts). All controllers of
 	// one machine share the registry; instrument names are global, not
@@ -136,17 +125,16 @@ type Config struct {
 	// (firewall/range/uncached denials, NAK traffic, memory-op timeouts)
 	// and recovery triggers. Nil disables tracing at zero cost.
 	Trace *trace.Tracer
+
+	// nakLimit is the NAK-counter overflow threshold (Table 4.1):
+	// timing.NAKLimit, lowered by a test that overflows it quickly.
+	nakLimit int
 }
 
-// DefaultConfig returns the paper-calibrated controller parameters.
+// DefaultConfig returns the paper-calibrated controller: no firewall, no
+// protocol-memory range check.
 func DefaultConfig() Config {
-	return Config{
-		InputQueue:    16,
-		NAKLimit:      timing.NAKLimit,
-		MemOpTimeout:  timing.MemOpTimeout,
-		NAKRetryDelay: timing.NAKRetryDelay,
-		CacheHitTime:  50,
-	}
+	return Config{nakLimit: timing.NAKLimit}
 }
 
 // mshr tracks one outstanding processor-initiated operation.
@@ -489,7 +477,7 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 			return true
 		}
 	}
-	if len(c.input) >= c.cfg.InputQueue {
+	if len(c.input) >= timing.InputQueue {
 		return false
 	}
 	c.input = append(c.input, p)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/timing"
 )
 
 // Home-side and requester-side protocol handlers. Each runs after its
@@ -343,13 +344,13 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 		c.mNAKsReceived.Inc()
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "nak-received", 0, int64(msg.Addr), int64(m.naks+1))
 		m.naks++
-		if m.naks >= c.cfg.NAKLimit {
+		if m.naks >= c.cfg.nakLimit {
 			// NAK counter overflow: likely deadlock after a failure
 			// (Table 4.1).
 			c.trigger(ReasonNAKOverflow)
 			return
 		}
-		m.retry = c.E.AfterCall(c.cfg.NAKRetryDelay, c.retryFn, nil, nil, m.seq)
+		m.retry = c.E.AfterCall(timing.NAKRetryDelay, c.retryFn, nil, nil, m.seq)
 	case coherence.MsgBusErr:
 		c.completeMSHR(m, Result{Err: ErrBusError})
 	}

@@ -321,7 +321,7 @@ func TestTimeoutTriggersRecovery(t *testing.T) {
 
 func TestNAKOverflowTriggersRecovery(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.NAKLimit = 10
+	cfg.nakLimit = 10
 	r := newRig(t, 4, cfg)
 	var reasons []TriggerReason
 	r.ctrl[2].SetTriggerHandler(func(tr TriggerReason) { reasons = append(reasons, tr) })

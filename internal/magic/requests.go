@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/timing"
 )
 
 // Processor-side request path: cache hits, misses through the directory
@@ -40,14 +41,14 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 	// L2 hit path.
 	if l := c.Cache.Lookup(addr); l != nil {
 		if !excl {
-			c.E.AfterCall(c.cfg.CacheHitTime, c.completeFn, cb, nil, l.Token)
+			c.E.AfterCall(timing.CacheHitTime, c.completeFn, cb, nil, l.Token)
 			return
 		}
 		if l.State == coherence.CacheExclusive {
 			if hasStore {
 				l.Token = storeTok
 			}
-			c.E.AfterCall(c.cfg.CacheHitTime, c.completeFn, cb, nil, l.Token)
+			c.E.AfterCall(timing.CacheHitTime, c.completeFn, cb, nil, l.Token)
 			return
 		}
 		// Shared→exclusive upgrade falls through to a GETX.
@@ -137,7 +138,7 @@ func (c *Controller) nextSeq() uint64 {
 }
 
 func (c *Controller) completeErr(cb func(Result), err error) {
-	c.E.AfterCall(c.cfg.CacheHitTime, c.completeFn, cb, err, 0)
+	c.E.AfterCall(timing.CacheHitTime, c.completeFn, cb, err, 0)
 }
 
 // sendRequest (re)issues the coherence request for m and arms its timeout.
@@ -153,7 +154,7 @@ func (c *Controller) sendRequest(m *mshr) {
 
 func (c *Controller) armTimeout(m *mshr) {
 	m.timeout.Cancel()
-	m.timeout = c.E.AfterCall(c.cfg.MemOpTimeout, c.timeoutFn, nil, nil, m.seq)
+	m.timeout = c.E.AfterCall(timing.MemOpTimeout, c.timeoutFn, nil, nil, m.seq)
 }
 
 // sendMsg routes a protocol message to dst, applying the node map. It
@@ -214,7 +215,7 @@ func (c *Controller) SendUncached(dst int, write, io bool, payload any, cb func(
 	}
 	if !c.sendMsg(dst, coherence.Message{Type: ty, Req: c.ID, Seq: m.seq, UPayload: payload, IO: io}) {
 		c.dropMSHR(m)
-		c.E.After(c.cfg.CacheHitTime, func() { cb(nil, ErrBusError) })
+		c.E.After(timing.CacheHitTime, func() { cb(nil, ErrBusError) })
 		return
 	}
 	c.armTimeout(m)

@@ -114,6 +114,42 @@ const (
 	// DrainTau is the τ bound between consecutive deliveries of stalled
 	// packets used by the interconnect-drain agreement (§4.4).
 	DrainTau = 50 * sim.Microsecond
+	// PingTimeout bounds how long a recovering node waits for a pong: it
+	// must cover the target's recovery-entry time (~70 µs of uncached
+	// execution).
+	PingTimeout = 400 * sim.Microsecond
+	// WatchdogTimeout restarts recovery (with a higher epoch) when no
+	// progress happens for this long — the §4.1 reaction to additional
+	// failures during recovery.
+	WatchdogTimeout = 150 * sim.Millisecond
+	// RecoveryHeadDrop is how long a source-routed recovery packet may
+	// stay blocked at the head of a channel before it is discarded, the
+	// §4.1 mechanism that keeps the recovery lanes from congesting.
+	RecoveryHeadDrop = 10 * sim.Microsecond
+)
+
+// QuorumFraction is the §4.2 split-brain heuristic: a node that ends
+// dissemination in a component holding less than this fraction of the
+// machine shuts itself down instead of recovering a minority island.
+const QuorumFraction = 0.5
+
+// Node and fabric latencies and buffer sizes.
+const (
+	// CacheHitTime is the latency of a local L2 hit.
+	CacheHitTime sim.Time = 50
+	// LoopbackDelay is the delivery delay of a node-to-self packet.
+	LoopbackDelay sim.Time = 60
+	// DeliveryRetry is the backoff before the fabric retries a delivery
+	// the node controller refused because its input queue was full.
+	DeliveryRetry = sim.Microsecond
+	// InputQueue is the node controller's input buffer in packets; when
+	// full, deliveries are refused and back up into the fabric.
+	InputQueue = 16
+	// LaneBuffer is the per-channel, per-lane buffer capacity of a router
+	// in packets.
+	LaneBuffer = 4
+	// CPUWindow is the number of outstanding misses per processor.
+	CPUWindow = 4
 )
 
 // Machine geometry constants.
