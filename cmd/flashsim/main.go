@@ -106,7 +106,7 @@ func main() {
 	}
 
 	cf.Check()
-	checkSizes(*nodes, *mem, *fill, *stride)
+	checkSizes(*nodes, *mem, *l2, *fill, *stride)
 	if *faultName == "boundary-link" && *partitions <= 0 {
 		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
 		exit(2)
@@ -183,15 +183,17 @@ func main() {
 
 // checkSizes exits 2, naming the flag, on a machine or workload size the
 // simulator cannot run: fewer than two nodes leaves no survivor to recover,
-// memory must be whole coherence lines, and the fill and verify stride
-// count lines.
-func checkSizes(nodes int, mem uint64, fill, stride int) {
+// memory and cache must be whole coherence lines, and the fill and verify
+// stride count lines.
+func checkSizes(nodes int, mem, l2 uint64, fill, stride int) {
 	var bad string
 	switch {
 	case nodes < 2:
 		bad = fmt.Sprintf("-nodes %d: need at least 2 (a victim and a survivor)", nodes)
 	case mem == 0 || mem%timing.LineSize != 0:
 		bad = fmt.Sprintf("-mem %d: must be a positive multiple of the %d-byte line", mem, timing.LineSize)
+	case l2 == 0 || l2%timing.LineSize != 0:
+		bad = fmt.Sprintf("-l2 %d: must be a positive multiple of the %d-byte line", l2, timing.LineSize)
 	case fill < 0:
 		bad = fmt.Sprintf("-fill %d: must be 0 or more", fill)
 	case stride < 1:

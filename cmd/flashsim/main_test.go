@@ -340,7 +340,8 @@ func TestNegativeCountsRefused(t *testing.T) {
 // A size the simulator cannot run is a usage error naming the flag. Before
 // the check, -nodes 0, -nodes 1, -mem 0 and -mem 200 panicked deep in the
 // build or the workload, and -mem 100 reported a contained fault after
-// verifying no line at all.
+// verifying no line at all. -l2 0 and -l2 100 ran with a cache that still
+// held a line and reported PASS, the P4 flush charged for none of it.
 func TestBadSizesRefused(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"-nodes", "0"},
@@ -348,6 +349,9 @@ func TestBadSizesRefused(t *testing.T) {
 		{"-mem", "0"},
 		{"-mem", "100"},
 		{"-mem", "200"},
+		{"-l2", "0"},
+		{"-l2", "100"},
+		{"-l2", "200"},
 		{"-fill", "-1"},
 		{"-stride", "0"},
 	} {

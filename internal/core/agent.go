@@ -183,11 +183,17 @@ type Agent struct {
 	pongQueue   []pongDest  // pings answered once recovery code runs
 
 	// P2 state.
-	round      int
-	target     int
-	stable     int
-	merging    bool                    // a round merge is charged but not yet applied
-	inbox      map[int]map[int]*recMsg // round -> from -> message
+	round   int
+	target  int
+	stable  int
+	merging bool                    // a round merge is charged but not yet applied
+	inbox   map[int]map[int]*recMsg // round -> from -> message
+	// spareInbox is the last merged round's map, cleared, kept for the
+	// next round to fill.
+	spareInbox map[int]*recMsg
+	// snap is the state the last round shipped. It is read-only once
+	// sent; the next round ships it again if a.st still equals it.
+	snap       *sysState
 	hint       int
 	finalState *sysState // lame-duck echo source after P2
 
@@ -201,6 +207,7 @@ type Agent struct {
 	routeCache   map[int][]int
 
 	// Barriers.
+	tree       *barrierTree // built on the epoch's first barrier
 	bars       map[string]*barrierState
 	pendingBar map[string][]*recMsg
 	voteAt     sim.Time
@@ -295,6 +302,12 @@ func (a *Agent) setPhase(p Phase) {
 			a.spNode = 0
 		}
 	}
+	if p == PhaseDone || p == PhaseShutdown {
+		// A finished agent stays resident with its machine: it keeps
+		// none of the epoch's scratch.
+		a.dropP2Scratch()
+		a.tree = nil
+	}
 	if a.cfg.OnPhase != nil {
 		a.cfg.OnPhase(a.ID, p)
 	}
@@ -386,7 +399,7 @@ func (a *Agent) resetState() {
 	a.merging = false
 	a.target = 0
 	a.stable = 0
-	a.inbox = map[int]map[int]*recMsg{}
+	a.dropP2Scratch()
 	a.hint = 0
 	a.finalState = nil
 	a.view = nil
@@ -395,6 +408,7 @@ func (a *Agent) resetState() {
 	a.partSet = resetBools(a.partSet, n)
 	a.doomed = false
 	a.routeCache = map[int][]int{}
+	a.tree = nil
 	a.bars = map[string]*barrierState{}
 	a.pendingBar = map[string][]*recMsg{}
 	a.flushSeen = resetBools(a.flushSeen, n)
@@ -440,20 +454,32 @@ func (a *Agent) execInstr(n int, fn func()) {
 	a.execTime(sim.Time(n)*a.cfg.UncachedInstr, fn)
 }
 
-// execTime charges a raw duration of node-local work.
+// execTime charges a raw duration of node-local work. The event record
+// carries the agent, fn and the epoch, so the charge adds no allocation to
+// fn's own.
 func (a *Agent) execTime(d sim.Time, fn func()) {
+	a.E.AtCall(a.reserve(d), runCharged, a, fn, uint64(a.epoch))
+}
+
+// runCharged is execTime's pre-bound event: a1 is the agent, a2 the
+// continuation, u the epoch the charge began in.
+func runCharged(a1, a2 any, u uint64) {
+	a := a1.(*Agent)
+	if a.dead || a.epoch != int(u) {
+		return // node died or superseded by a restart
+	}
+	a2.(func())()
+}
+
+// reserve books d of processor time behind the work already charged and
+// returns when it ends.
+func (a *Agent) reserve(d sim.Time) sim.Time {
 	start := a.E.Now()
 	if a.busyUntil > start {
 		start = a.busyUntil
 	}
 	a.busyUntil = start + d
-	epoch := a.epoch
-	a.E.At(a.busyUntil, func() {
-		if a.dead || a.epoch != epoch {
-			return // node died or superseded by a restart
-		}
-		fn()
-	})
+	return a.busyUntil
 }
 
 // armWatchdog (re)arms the no-progress watchdog.
@@ -486,18 +512,60 @@ func watchdogFired(a1, _ any, u uint64) {
 	a.restartTo(a.epoch + 1)
 }
 
+// recPacket is a single-destination send: the packet and its message share
+// one allocation.
+type recPacket struct {
+	pkt interconnect.Packet
+	msg recMsg
+}
+
 // sendRec ships m to node `to` over the given source route and lane.
-func (a *Agent) sendRec(to int, route []int, lane interconnect.Lane, m *recMsg) {
-	m.From = a.ID
-	m.Epoch = a.epoch
-	a.Net.Send(&interconnect.Packet{
+func (a *Agent) sendRec(to int, route []int, lane interconnect.Lane, m recMsg) {
+	rp := &recPacket{msg: m}
+	rp.msg.From, rp.msg.Epoch = a.ID, a.epoch
+	rp.pkt = interconnect.Packet{
 		Src: a.ID, Dst: to, Lane: lane,
-		SourceRoute: route, Bytes: m.bytes(), Payload: m,
-	})
+		SourceRoute: route, Bytes: rp.msg.bytes(), Payload: &rp.msg,
+	}
+	a.Net.Send(&rp.pkt)
+}
+
+// broadcast ships m to every node of to but this one, route(i) giving the
+// source route to to[i] (nil route: follow the tables). Every packet
+// carries m, read-only from here on, and the packets are carved from one
+// slice, so a broadcast allocates twice whatever its fan-out. Each
+// destination still gets a packet, flow and route of its own.
+func (a *Agent) broadcast(to []int, lane interconnect.Lane, m *recMsg, route func(i int) []int) {
+	n := 0
+	for _, q := range to {
+		if q != a.ID {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	m.From, m.Epoch = a.ID, a.epoch
+	bytes := m.bytes()
+	pkts := make([]interconnect.Packet, 0, n)
+	for i, q := range to {
+		if q == a.ID {
+			continue
+		}
+		var r []int
+		if route != nil {
+			r = route(i)
+		}
+		pkts = append(pkts, interconnect.Packet{
+			Src: a.ID, Dst: q, Lane: lane,
+			SourceRoute: r, Bytes: bytes, Payload: m,
+		})
+		a.Net.Send(&pkts[len(pkts)-1])
+	}
 }
 
 func (a *Agent) sendPing(to int, route []int) {
-	a.sendRec(to, route, interconnect.LaneRecoveryA, &recMsg{Kind: kPing})
+	a.sendRec(to, route, interconnect.LaneRecoveryA, recMsg{Kind: kPing})
 }
 
 // handlePacket receives recovery-lane packets (and normal-lane recovery
@@ -523,7 +591,7 @@ func (a *Agent) handlePacket(p *interconnect.Packet) {
 		if m.Kind == kPing {
 			// Stale pinger: our pong carries the newer epoch and
 			// restarts it.
-			a.sendRec(m.From, reverseRoute(p.SourceRoute), interconnect.LaneRecoveryB, &recMsg{Kind: kPong})
+			a.sendRec(m.From, reverseRoute(p.SourceRoute), interconnect.LaneRecoveryB, recMsg{Kind: kPong})
 		}
 		return
 	}
@@ -555,7 +623,7 @@ func (a *Agent) onPing(m *recMsg, p *interconnect.Packet) {
 		a.enter(magic.ReasonPing)
 	case PhaseInit:
 		if a.codeRunning {
-			a.sendRec(m.From, route, interconnect.LaneRecoveryB, &recMsg{Kind: kPong})
+			a.sendRec(m.From, route, interconnect.LaneRecoveryB, recMsg{Kind: kPong})
 			return
 		}
 		// Recovery code not confirmed running yet: answer when it is.
@@ -563,7 +631,7 @@ func (a *Agent) onPing(m *recMsg, p *interconnect.Packet) {
 	case PhaseShutdown:
 		// A node that decided to shut down never answers.
 	default:
-		a.sendRec(m.From, route, interconnect.LaneRecoveryB, &recMsg{Kind: kPong})
+		a.sendRec(m.From, route, interconnect.LaneRecoveryB, recMsg{Kind: kPong})
 	}
 }
 

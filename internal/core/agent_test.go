@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"flashfc/internal/coherence"
@@ -217,6 +218,79 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 		if a.barrierParent(c) != 0 {
 			t.Fatalf("child %d's parent is not the root", c)
 		}
+	}
+	// The epoch's tree caches the same neighbours and routes.
+	tree := a.barrierTree()
+	if tree.parent != -1 || tree.up != nil || !slices.Equal(tree.children, ch) || len(tree.down) != len(ch) {
+		t.Fatalf("tree = %+v, want the root with children %v", tree, ch)
+	}
+	for i, c := range ch {
+		if !slices.Equal(tree.down[i], a.bftRoute(0, c)) {
+			t.Fatalf("tree route to child %d = %v, want %v", c, tree.down[i], a.bftRoute(0, c))
+		}
+	}
+	if a.barrierTree() != tree {
+		t.Fatal("the tree should be built once per epoch")
+	}
+}
+
+// A finished agent stays resident with its machine, so it keeps none of the
+// epoch's scratch: P2's round snapshot goes when P2 ends, its inbox maps and
+// the barrier tree's routes by the time the node resumes, shuts down with
+// its failure unit, or dies.
+func TestFinishedAgentHoldsNoScratch(t *testing.T) {
+	noScratch := func(a *Agent) bool {
+		return a.inbox == nil && a.spareInbox == nil && a.snap == nil && a.tree == nil
+	}
+	units := []int{0, 0, 1, 1, 0, 0, 1, 1} // columns 0-1 unit 0, 2-3 unit 1
+	var r *rig
+	trees := 0
+	r = newRig(t, 4, 2, func(c *Config) {
+		c.FailureUnits = units
+		c.OnPhase = func(node int, p Phase) {
+			a := r.agents[node]
+			switch p {
+			case PhaseInterconnect:
+				if a.snap != nil || a.finalState == nil {
+					t.Errorf("node %d entered P3 holding its round snapshot", node)
+				}
+			case PhaseCoherence:
+				if a.tree != nil {
+					trees++
+				}
+			}
+		}
+	})
+	r.ctrls[2].SetMode(magic.ModeDead) // unit 1 loses a node
+	r.agents[2].Kill()
+	r.agents[1].Trigger(magic.ReasonTimeout)
+	r.run(t, 2*sim.Second, []int{0, 1, 3, 4, 5, 6, 7})
+	if trees != 7 {
+		t.Fatalf("%d nodes entered P4 with their barrier tree built, want 7", trees)
+	}
+	for _, a := range r.agents {
+		if p := a.Phase(); p != PhaseDone && p != PhaseShutdown {
+			t.Fatalf("node %d ended in %v", a.ID, p)
+		}
+		if !noScratch(a) {
+			t.Errorf("finished node %d (%v) holds scratch: inbox %v, spare %v, snapshot %v, tree %v",
+				a.ID, a.Phase(), a.inbox != nil, a.spareInbox != nil, a.snap != nil, a.tree != nil)
+		}
+	}
+
+	// A node that dies mid-P2 drops what it held.
+	r = newRig(t, 2, 2, nil)
+	a := r.agents[3]
+	r.agents[0].Trigger(magic.ReasonTimeout)
+	for a.Phase() != PhaseDissemination || a.snap == nil {
+		if r.e.Now() > sim.Second {
+			t.Fatalf("node 3 never shipped a round: %s", a.DebugString())
+		}
+		r.e.RunUntil(r.e.Now() + sim.Microsecond)
+	}
+	a.Kill()
+	if !noScratch(a) {
+		t.Fatal("a node killed mid-P2 kept its round snapshot or inbox")
 	}
 }
 

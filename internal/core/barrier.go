@@ -75,15 +75,43 @@ func (a *Agent) bftRoute(from, to int) []int {
 	return a.routeTo(to)
 }
 
+// barrierTree is this node's place in the epoch's barrier tree: its parent
+// and children, and the source routes to each along the BFT. Every barrier
+// of an epoch runs over the same tree, so it is built once, on the first.
+type barrierTree struct {
+	parent   int // -1 at the root
+	children []int
+	up       []int   // route to parent
+	down     [][]int // down[i]: route to children[i]
+}
+
+// barrierTree returns the epoch's tree, building it on first use.
+func (a *Agent) barrierTree() *barrierTree {
+	if a.tree != nil {
+		return a.tree
+	}
+	t := &barrierTree{parent: a.barrierParent(a.ID), children: a.barrierChildren(a.ID)}
+	if t.parent >= 0 {
+		t.up = a.bftRoute(a.ID, t.parent)
+	}
+	t.down = make([][]int, len(t.children))
+	for i, ch := range t.children {
+		t.down[i] = a.bftRoute(a.ID, ch)
+	}
+	a.tree = t
+	return t
+}
+
 // startBarrier creates (or retrieves) the named barrier and replays any
 // early messages that arrived before this node reached it.
 func (a *Agent) startBarrier(name string, onDone func(dirty bool)) *barrierState {
 	b := a.bars[name]
 	if b == nil {
+		t := a.barrierTree()
 		b = &barrierState{
 			name:     name,
-			parent:   a.barrierParent(a.ID),
-			children: a.barrierChildren(a.ID),
+			parent:   t.parent,
+			children: t.children,
 			upFrom:   map[int]bool{},
 		}
 		a.bars[name] = b
@@ -150,8 +178,8 @@ func (a *Agent) tryBarrierAdvance(b *barrierState) {
 			a.releaseBarrier(b, b.dirty)
 			return
 		}
-		a.sendRec(b.parent, a.bftRoute(a.ID, b.parent), interconnect.LaneRecoveryB,
-			&recMsg{Kind: kBarrierUp, Barrier: b.name, Dirty: b.dirty})
+		a.sendRec(b.parent, a.barrierTree().up, interconnect.LaneRecoveryB,
+			recMsg{Kind: kBarrierUp, Barrier: b.name, Dirty: b.dirty})
 	})
 }
 
@@ -162,10 +190,11 @@ func (a *Agent) releaseBarrier(b *barrierState, dirty bool) {
 		return
 	}
 	b.released = true
-	for _, ch := range b.children {
-		ch := ch
-		a.sendRec(ch, a.bftRoute(a.ID, ch), interconnect.LaneRecoveryB,
-			&recMsg{Kind: kBarrierDown, Barrier: b.name, Dirty: dirty})
+	if len(b.children) > 0 {
+		t := a.barrierTree()
+		a.broadcast(b.children, interconnect.LaneRecoveryB,
+			&recMsg{Kind: kBarrierDown, Barrier: b.name, Dirty: dirty},
+			func(i int) []int { return t.down[i] })
 	}
 	if b.onDone != nil {
 		done := b.onDone

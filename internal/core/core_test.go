@@ -117,7 +117,7 @@ func TestQuickPackedStateMatchesReference(t *testing.T) {
 				}
 			}
 			ra, rb := entries(a), entries(b)
-			if !check(a, ra) || !check(b, rb) {
+			if !check(a, ra) || !check(b, rb) || a.equal(b) != slices.Equal(ra, rb) {
 				return false
 			}
 			refChanged := false
@@ -141,8 +141,14 @@ func TestQuickPackedStateMatchesReference(t *testing.T) {
 			if !check(c, ra) {
 				return false
 			}
+			if !c.equal(a) {
+				return false
+			}
 			c.set(rng.Intn(2*n+l), triDown)
 			if !check(a, ra) { // the clone owns its bits
+				return false
+			}
+			if c.equal(a) != slices.Equal(entries(c), ra) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"flashfc/internal/interconnect"
+	"flashfc/internal/sim"
 	"flashfc/internal/timing"
 )
 
@@ -36,42 +37,76 @@ func (a *Agent) sendRound() {
 	words := a.gossipWords()
 	charge := timing.InstrGossipRoundFixed + words*timing.InstrGossipPerWord +
 		len(a.cwn)*timing.InstrGossipPerNeighbor
-	round := a.round
-	a.spRound = a.cfg.Trace.Begin(a.E.Now(), a.ID, "gossip-round", a.spPhase, int64(round))
-	a.execInstr(charge, func() {
-		if a.phase != PhaseDissemination || a.round != round {
-			return
-		}
-		a.mGossipRounds.Inc()
-		// One message per round, snapshot included, shared by every cwn
-		// member: a.st keeps changing under merge, a message in flight
-		// never does — receivers only read it (merge writes the
-		// receiver's own state).
-		m := &recMsg{
-			Kind: kState, Round: round,
-			State: a.st.clone(), Target: a.target, Hint: a.hint,
-		}
-		for _, q := range a.cwn {
-			a.sendRec(q, a.cwnPath[q], interconnect.LaneRecoveryA, m)
-		}
-		a.checkRound()
-	})
+	a.spRound = a.cfg.Trace.Begin(a.E.Now(), a.ID, "gossip-round", a.spPhase, int64(a.round))
+	a.execRound(charge, roundSent)
+}
+
+// execRound charges n instructions, then runs the round's pre-bound
+// continuation cb(a, nil, u) with the epoch and the round packed in u.
+func (a *Agent) execRound(n int, cb sim.Callback) {
+	at := a.reserve(sim.Time(n) * a.cfg.UncachedInstr)
+	a.E.AtCall(at, cb, a, nil, uint64(a.epoch)<<32|uint64(uint32(a.round)))
+}
+
+// atRound reports whether a round continuation armed with u still applies:
+// the node is alive and still in P2 at that epoch and round.
+func (a *Agent) atRound(u uint64) bool {
+	return !a.dead && a.epoch == int(u>>32) && a.phase == PhaseDissemination &&
+		a.round == int(uint32(u))
+}
+
+// roundSent ships the round once its marshaling charge is paid.
+func roundSent(a1, _ any, u uint64) {
+	a := a1.(*Agent)
+	if !a.atRound(u) {
+		return
+	}
+	a.mGossipRounds.Inc()
+	// One message per round, shared by every cwn member: a.st keeps
+	// changing under merge, a message in flight never does — receivers
+	// only read it (merge writes the receiver's own state).
+	a.broadcast(a.cwn, interconnect.LaneRecoveryA, &recMsg{
+		Kind: kState, Round: a.round,
+		State: a.snapshot(), Target: a.target, Hint: a.hint,
+	}, func(i int) []int { return a.cwnPath[a.cwn[i]] })
+	a.checkRound()
+}
+
+// snapshot returns a read-only copy of a.st. While nothing has written a.st
+// since the last round shipped — the merge between them changed nothing —
+// that round's copy is the answer; otherwise it is a fresh clone.
+func (a *Agent) snapshot() *sysState {
+	if a.stable == 0 || a.snap == nil || !a.snap.equal(a.st) {
+		a.snap = a.st.clone()
+	}
+	return a.snap
 }
 
 // onState buffers an incoming gossip message and advances the round when
 // complete. After dissemination has finished locally, incoming state
-// messages get an immediate echo of the final state instead.
+// messages get an immediate echo of the final state instead; a node that
+// shut down without finishing it drops them.
 func (a *Agent) onState(m *recMsg) {
 	if a.phase > PhaseDissemination && a.finalState != nil {
-		a.sendRec(m.From, a.routeTo(m.From), interconnect.LaneRecoveryA, &recMsg{
+		a.sendRec(m.From, a.routeTo(m.From), interconnect.LaneRecoveryA, recMsg{
 			Kind: kState, Round: m.Round,
 			State: a.finalState, Target: a.target, Hint: a.hint,
 		})
 		return
 	}
+	if a.phase >= PhaseDone {
+		return // no round of this epoch will be merged any more
+	}
 	rm := a.inbox[m.Round]
 	if rm == nil {
-		rm = map[int]*recMsg{}
+		if a.inbox == nil {
+			a.inbox = map[int]map[int]*recMsg{}
+		}
+		rm = a.spareInbox
+		a.spareInbox = nil
+		if rm == nil {
+			rm = make(map[int]*recMsg, len(a.cwn))
+		}
 		a.inbox[m.Round] = rm
 	}
 	rm[m.From] = m
@@ -95,34 +130,40 @@ func (a *Agent) checkRound() {
 	// The merge is one pass over the state arrays consulting all the
 	// received buffers, so its cost scales with the state size, not the
 	// neighbor count.
-	charge := 2 * a.gossipWords() * timing.InstrGossipPerWord
-	round := a.round
-	a.execInstr(charge, func() {
-		if a.phase != PhaseDissemination || a.round != round {
-			return
+	a.execRound(2*a.gossipWords()*timing.InstrGossipPerWord, roundMerged)
+}
+
+// roundMerged folds the round's messages into a.st once the merge charge is
+// paid, and recycles the round's inbox map for a later round.
+func roundMerged(a1, _ any, u uint64) {
+	a := a1.(*Agent)
+	if !a.atRound(u) {
+		return
+	}
+	rm := a.inbox[a.round]
+	changed := false
+	for _, q := range a.cwn {
+		m := rm[q]
+		if a.st.merge(m.State) {
+			changed = true
 		}
-		changed := false
-		for _, q := range a.cwn {
-			m := a.inbox[round][q]
-			if a.st.merge(m.State) {
-				changed = true
-			}
-			if m.Target > a.target {
-				a.target = m.Target
-			}
-			if m.Hint > a.hint {
-				a.hint = m.Hint
-			}
+		if m.Target > a.target {
+			a.target = m.Target
 		}
-		delete(a.inbox, round)
-		if changed {
-			a.stable = 0
-		} else {
-			a.stable++
+		if m.Hint > a.hint {
+			a.hint = m.Hint
 		}
-		a.report.Rounds = round
-		a.afterMerge()
-	})
+	}
+	delete(a.inbox, a.round)
+	clear(rm)
+	a.spareInbox = rm
+	if changed {
+		a.stable = 0
+	} else {
+		a.stable++
+	}
+	a.report.Rounds = a.round
+	a.afterMerge()
 }
 
 // afterMerge updates the termination bound and either advances to the next
@@ -180,7 +221,8 @@ func (a *Agent) advanceRound() {
 // breadth-first tree used by all later barriers, determines which failure
 // units are doomed, and updates the hardware node map (§4.3).
 func (a *Agent) finishDissemination() {
-	a.finalState = a.st.clone()
+	a.finalState = a.snapshot()
+	a.dropP2Scratch()
 	charge := timing.InstrBFTPerEdge * (a.Topo.Routers() + len(a.Topo.Links()))
 	a.execInstr(charge, func() {
 		a.view = a.st.view(a.Topo)
@@ -238,6 +280,12 @@ func (a *Agent) finishDissemination() {
 		a.report.P2End = a.E.Now()
 		a.startInterconnectRecovery()
 	})
+}
+
+// dropP2Scratch releases what only the gossip rounds read: the inbox maps
+// and the round snapshot (finalState keeps it, if it was the last).
+func (a *Agent) dropP2Scratch() {
+	a.inbox, a.spareInbox, a.snap = nil, nil, nil
 }
 
 // failedUnits returns the set of failure-unit ids containing any failed

@@ -43,8 +43,8 @@ func (k msgKind) String() string {
 }
 
 // recMsg is the payload of a recovery packet. A sent message is read-only:
-// every packet of a gossip round, and every flush-done packet of one flush,
-// carries the same one.
+// every packet of one broadcast (a gossip round, a barrier release, a
+// flush's flush-dones) carries the same one.
 type recMsg struct {
 	Kind  msgKind
 	From  int

@@ -86,15 +86,8 @@ func (a *Agent) doFlush() {
 		a.cfg.Trace.End(a.E.Now(), spFlush)
 		a.spFlushWait = a.cfg.Trace.Begin(a.E.Now(), a.ID, "flush-barrier", a.spPhase, 0)
 		// All-to-all barrier: one message to every other participant
-		// on the normal reply lane, behind our writebacks. The packets
-		// share one read-only payload.
-		m := &recMsg{Kind: kFlushDone}
-		for _, q := range a.participants {
-			if q == a.ID {
-				continue
-			}
-			a.sendRec(q, nil, interconnect.LaneReply, m)
-		}
+		// on the normal reply lane, behind our writebacks.
+		a.broadcast(a.participants, interconnect.LaneReply, &recMsg{Kind: kFlushDone}, nil)
 		a.noteFlushDone(a.ID)
 		a.checkFlushBarrier()
 	})

@@ -24,7 +24,7 @@ func (a *Agent) recoveryCodeRunning() {
 	// Answer pings received while dropping into recovery: the reply is
 	// the evidence that this node works (§4.2).
 	for _, pd := range a.pongQueue {
-		a.sendRec(pd.to, pd.route, interconnect.LaneRecoveryB, &recMsg{Kind: kPong})
+		a.sendRec(pd.to, pd.route, interconnect.LaneRecoveryB, recMsg{Kind: kPong})
 	}
 	a.pongQueue = nil
 	// Diagnose the local router.

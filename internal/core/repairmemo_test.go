@@ -153,7 +153,9 @@ func TestRepairMemoBounded(t *testing.T) {
 // holding one snapshot of the sender's state, the lame-duck echo sends
 // finalState itself, and a P4 flush's packets share one flush-done message,
 // so none of them may alias state the sender keeps writing, and no later
-// send may rewrite a message already on the wire.
+// send may rewrite a message already on the wire. A snapshot is shipped
+// again by the next round only when the merge between them changed nothing,
+// and P2's end hands the last one to finalState.
 func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	r := newRig(t, 2, 2, func(c *Config) { c.watchdogTimeout = 0 })
 	var got []*recMsg
@@ -251,5 +253,78 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	}
 	if *first[0] != done {
 		t.Fatalf("a sent flush-done message was rewritten: %+v, want %+v", *first[0], done)
+	}
+
+	// Snapshot reuse across real merges, in a fresh epoch.
+	a.epoch = 3
+	a.resetState()
+	a.phase = PhaseDissemination
+	a.cwn = []int{1, 2}
+	a.cwnPath = map[int][]int{1: {0, 1}, 2: {0, 2}}
+	a.round, a.target, a.hint = 1, 3, 3
+	// ship runs the engine until the current round is on the wire — past
+	// a pending merge, which charges the send — and returns its message,
+	// which must hold a.st as it was at that instant.
+	ship := func() *recMsg {
+		t.Helper()
+		got = nil
+		r.e.RunUntil(a.busyUntil)
+		r.e.RunUntil(a.busyUntil)
+		atSend := a.st.clone()
+		r.e.Run()
+		if len(got) != 2 || got[0] != got[1] || got[0].Round != a.round {
+			t.Fatalf("round %d sent %d messages, want 2 sharing one", a.round, len(got))
+		}
+		if !statesEqual(got[0].State, atSend) {
+			t.Fatalf("round %d shipped %v, but the sender held %v", a.round,
+				entries(got[0].State), entries(atSend))
+		}
+		return got[0]
+	}
+	// merge hands the current round's messages, all carrying s, to a. The
+	// round's inbox map is the last merged round's, reused: it must come
+	// back empty, so the round waits for every message.
+	merge := func(s *sysState) {
+		t.Helper()
+		for i, q := range a.cwn {
+			if i > 0 && a.merging {
+				t.Fatalf("round %d merged before all its messages were in", a.round)
+			}
+			a.onState(&recMsg{Kind: kState, From: q, Epoch: a.epoch, Round: a.round, State: s, Target: a.target})
+		}
+	}
+	a.sendRound()
+	r1 := ship()
+	sent1 := r1.State.clone()
+	merge(newSysState(a.st.n, a.st.l)) // teaches a nothing
+	r2 := ship()
+	if r2 == r1 || r2.State != r1.State {
+		t.Fatal("a round after a merge that changed nothing should ship the previous round's snapshot")
+	}
+	// A pong answering a speculative ping can land in P2 and write a.st
+	// outside any merge: the next round must not ship the stale snapshot.
+	a.onPong(&recMsg{Kind: kPong, From: 3, Epoch: a.epoch})
+	merge(newSysState(a.st.n, a.st.l))
+	r3 := ship()
+	if r3.State == r2.State {
+		t.Fatal("a round after a write outside the merge shipped the previous round's snapshot")
+	}
+	merge(news) // teaches a the failures
+	r4 := ship()
+	if r4.State == r3.State {
+		t.Fatal("a round after a merge that changed something shipped the previous round's snapshot")
+	}
+	if !statesEqual(r1.State, sent1) {
+		t.Fatalf("a shipped snapshot was written: %v, want %v", entries(r1.State), entries(sent1))
+	}
+	// A last merge that changes nothing ends P2 at round 4 >= target: the
+	// last round's snapshot becomes finalState, and P2's scratch goes.
+	merge(news)
+	r.e.RunUntil(a.busyUntil)
+	if a.finalState != r4.State {
+		t.Fatal("finalState should be the last round's snapshot, not a fresh clone")
+	}
+	if a.inbox != nil || a.spareInbox != nil || a.snap != nil {
+		t.Fatal("P2's inbox maps and snapshot outlived P2")
 	}
 }

@@ -29,6 +29,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"flashfc/internal/topology"
 )
@@ -70,6 +71,12 @@ func (s *sysState) clone() *sysState {
 	copy(c.up, s.up)
 	copy(c.down, s.down)
 	return c
+}
+
+// equal reports whether s and o hold the same knowledge: the encoding is
+// canonical, so equal tris are equal bits.
+func (s *sysState) equal(o *sysState) bool {
+	return slices.Equal(s.up, o.up) && slices.Equal(s.down, o.down)
 }
 
 func (s *sysState) get(i int) tri {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/fault"
 	"flashfc/internal/interconnect"
 	"flashfc/internal/machine"
 	"flashfc/internal/magic"
@@ -12,6 +13,7 @@ import (
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/topology"
+	"flashfc/internal/workload"
 )
 
 // mallocs counts the heap allocations f makes.
@@ -133,5 +135,63 @@ func TestPacketHopAllocs(t *testing.T) {
 	// One channel blocked on the node and one on that channel, every round.
 	if got := stalls.Value() - stalled; got < 2*rounds {
 		t.Fatalf("%d blocked hops over %d rounds: the blocked-and-woken path went unexercised", got, rounds)
+	}
+}
+
+// recoveryAllocsPerPacket sits between the 6.1 allocations per recovery
+// packet that a packet and a message per destination, a closure per charge
+// and a state clone per round cost, and the 2.7 (3.2 on a cold engine) they
+// cost with one allocation per send.
+const recoveryAllocsPerPacket = 4.5
+
+// A node-failure recovery on a 64-node mesh, from the injection to the
+// last node resuming. The recovery is message-bound (P2's gossip rounds to
+// every cwn member, barriers up and down the tree), and each send is one
+// allocation: a single-destination packet shares one record with its
+// message, a broadcast carves all its packets from one slice beside one
+// shared message. Charges ride pre-bound events, and a round whose merge
+// changed nothing ships the previous round's snapshot again. A per-packet
+// or per-charge allocation creeping back in pushes the ratio past the bound.
+func TestRecoveryAllocs(t *testing.T) {
+	cfg := DefaultScalingConfig(64)
+	mc := machine.DefaultConfig(cfg.Nodes)
+	mc.MemBytes, mc.L2Bytes = cfg.MemBytes, cfg.L2Bytes
+	m := machine.New(mc)
+	filler := workload.NewFiller(m)
+	filler.FillLines = cfg.FillLines
+	filled := false
+	filler.Start(func() { filled = true })
+	for !filled && m.Now() < sim.Second {
+		m.Advance(m.Now() + sim.Millisecond)
+	}
+	if !filled {
+		t.Fatal("fill did not finish")
+	}
+	lanes := []*metrics.Counter{
+		m.Metrics.Counter("interconnect.lane.recA.packets"),
+		m.Metrics.Counter("interconnect.lane.recB.packets"),
+	}
+	sent := func() (n uint64) {
+		for _, c := range lanes {
+			n += c.Value()
+		}
+		return n
+	}
+	const victim = 32
+	before := sent()
+	recovered := false
+	n := mallocs(func() {
+		m.Inject(fault.Fault{Type: fault.NodeFailure, Node: victim})
+		m.Nodes[0].CPU.Submit(workload.TouchOp(m, victim))
+		recovered = m.RunUntilRecovered(cfg.Deadline)
+	})
+	pkts := sent() - before
+	if !recovered || pkts == 0 {
+		t.Fatalf("recovered %v after %d recovery packets", recovered, pkts)
+	}
+	per := float64(n) / float64(pkts)
+	t.Logf("%d allocs over %d recovery packets: %.2f per packet", n, pkts, per)
+	if per > recoveryAllocsPerPacket {
+		t.Fatalf("recovery allocates %.2f per recovery packet, want <= %.1f", per, recoveryAllocsPerPacket)
 	}
 }

@@ -29,6 +29,22 @@ func TestNilTracerSpanAPIIsSafe(t *testing.T) {
 	}
 }
 
+// Tracing off is a nil *Tracer, and every recovery charge and send calls
+// it: each method must return without allocating.
+func TestNilTracerAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	for name, f := range map[string]func(){
+		"Begin":  func() { tr.Begin(1, 0, "node-recovery", 0, 1) },
+		"Point":  func() { tr.Point(2, 0, "pkt", "inject", 1, 3, 0) },
+		"End":    func() { tr.End(3, 1) },
+		"Record": func() { tr.Record(4, 0, KindPhase, "epoch=%d", 1) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("nil tracer %s allocates %.0f per call, want 0", name, allocs)
+		}
+	}
+}
+
 func TestSpanNesting(t *testing.T) {
 	tr := New()
 	root := tr.EnsureRoot(10, "recovery")
