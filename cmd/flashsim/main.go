@@ -35,11 +35,12 @@
 // exits 2 naming the flag.
 //
 // The single-scenario faults (powerloss, cablecut, none, boundary-link) run
-// once at -seed; given campaign flags, they print one warning naming the
-// flags they ignore.
-// -partitions N and -region-extra D, which only flashsim registers, run
-// -fault none|boundary-link on N region workers of a partitioned machine;
-// a validation run warns that they have no effect.
+// once at -seed. -partitions N and -region-extra D, which only flashsim
+// registers, run -fault none|boundary-link on N region workers of a
+// partitioned machine. A flag the chosen mode never reads exits 2 naming
+// it, as tables and figures do: campaign flags on a single scenario or a
+// single run, -partitions and -region-extra on a validation run, and the
+// trace flags on a campaign.
 //
 // -metrics prints the machine-wide metric registry after the run (merged
 // across runs in campaign mode, plus per-run distributions). -metrics-json
@@ -56,7 +57,8 @@
 // -trace-critical prints the recovery's critical path: the span chain that
 // explains the latency, with per-step self-times summing exactly to the
 // recovery duration and the dominant step named. Like -trace, both apply
-// to single runs only and are ignored (with a warning) in campaign mode.
+// to single runs only; a campaign refuses them, naming -run-log and
+// -run-seed instead.
 package main
 
 import (
@@ -65,7 +67,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 
 	"flashfc"
 	"flashfc/internal/cliflags"
@@ -94,7 +95,7 @@ func main() {
 	fill := flag.Int("fill", 192, "cache-fill lines per node")
 	stride := flag.Int("stride", 1, "verification stride (1 = every line)")
 	runSeed := flag.Int("run-seed", -1, "trace exactly campaign run `i` (same derived seed as run i of the -runs N campaign); -1 = off")
-	partitions := flag.Int("partitions", 0, "intra-machine region workers of -fault none|boundary-link (0 = sequential engine; bit-identical at any value > 0; no effect on validation runs)")
+	partitions := flag.Int("partitions", 0, "intra-machine region workers of -fault none|boundary-link (0 = sequential engine; bit-identical at any value > 0)")
 	regionExtra := flag.Int64("region-extra", 0, "extra inter-region wire latency in `ns` for -fault none|boundary-link (0 = default)")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 1})
 	flag.Parse()
@@ -118,67 +119,67 @@ func main() {
 	cfg.L2Bytes = *l2
 	cfg.FillLines = *fill
 	cfg.Stride = *stride
-	campaign := cf.Runs > 1 && *runSeed < 0
+	mode, what := "run", fmt.Sprintf("a single -fault %s run", *faultName)
+	ft, validation := validationFaults[*faultName]
 	switch *faultName {
-	case "powerloss", "cablecut", "none", "boundary-link":
-		campaign = false
-		warnSingleScenario(*faultName, cf, *runSeed, *partitions)
-	}
-	if cf.WantTrace() {
-		if campaign {
-			// Multi-run campaigns interleave timelines into nonsense:
-			// point at the campaign-scale alternatives (-run-log,
-			// -run-seed) instead of silently dropping the flags.
-			cf.WarnTraceIgnored()
-		} else {
-			cfg.Trace = flashfc.NewTracer()
+	case "powerloss", "cablecut":
+		mode, what = "compound", "-fault "+*faultName
+	case "none", "boundary-link":
+		mode, what = "partitioned", "-fault "+*faultName
+	default:
+		if !validation {
+			fmt.Fprintf(os.Stderr, "unknown fault %q\n", *faultName)
+			exit(2)
 		}
+		if cf.Runs > 1 && *runSeed < 0 {
+			mode, what = "campaign", fmt.Sprintf("a -fault %s campaign", *faultName)
+		}
+	}
+	cf.RejectIgnored(what, ignored[mode]...)
+	if cf.WantTrace() {
+		cfg.Trace = flashfc.NewTracer()
 	}
 	topts := traceOpts{tracer: cfg.Trace, dump: cf.Trace, jsonPath: cf.TraceJSON, critical: cf.TraceCritical}
 
-	switch *faultName {
-	case "powerloss", "cablecut":
+	switch mode {
+	case "compound":
 		runCompound(cfg, *faultName, cf.Seed, topts, cf.Metrics, cf.MetricsJSON)
-		return
-	case "none", "boundary-link":
+	case "partitioned":
 		warnOversubscribed(*partitions)
 		runPartition(cfg, *faultName, *fill, *partitions, *regionExtra, cf, topts)
-		return
-	}
-	var ft flashfc.FaultType
-	switch *faultName {
-	case "node":
-		ft = flashfc.NodeFailure
-	case "router":
-		ft = flashfc.RouterFailure
-	case "link":
-		ft = flashfc.LinkFailure
-	case "loop":
-		ft = flashfc.InfiniteLoop
-	case "false-alarm":
-		ft = flashfc.FalseAlarm
-	case "transient-link":
-		ft = flashfc.TransientLink
-	case "fail-slow":
-		ft = flashfc.FailSlow
-	case "cpu-fail":
-		ft = flashfc.CPUFail
-	default:
-		fmt.Fprintf(os.Stderr, "unknown fault %q\n", *faultName)
-		exit(2)
-	}
-
-	if *partitions > 0 {
-		// Every validation run forks a warm snapshot of a sequential
-		// machine, so the partitioned engine never runs.
-		fmt.Fprintln(os.Stderr, "warning: -partitions/-region-extra have no effect on validation runs "+
-			"(they fork a sequential machine's snapshot); only -fault none|boundary-link honour them")
-	}
-	if campaign {
+	case "campaign":
 		runCampaign(cfg, ft, *faultName, cf)
-		return
+	default:
+		runReplay(cfg, ft, *faultName, max(*runSeed, 0), cf, topts)
 	}
-	runReplay(cfg, ft, *faultName, max(*runSeed, 0), cf, topts)
+}
+
+// validationFaults maps the -fault names of the validation classes, which
+// run as campaigns or as one campaign run, to their fault types.
+var validationFaults = map[string]flashfc.FaultType{
+	"node":           flashfc.NodeFailure,
+	"router":         flashfc.RouterFailure,
+	"link":           flashfc.LinkFailure,
+	"loop":           flashfc.InfiniteLoop,
+	"false-alarm":    flashfc.FalseAlarm,
+	"transient-link": flashfc.TransientLink,
+	"fail-slow":      flashfc.FailSlow,
+	"cpu-fail":       flashfc.CPUFail,
+}
+
+// ignored lists, per mode, the flags it never reads; RejectIgnored refuses
+// them. The single scenarios run once at -seed and write no run records:
+// the compound faults touch memory without a fill on a sequential machine,
+// and the partitioned fill and boundary-link fault pick their own verify
+// stride and recover with the paper's routing. Every validation run forks
+// a sequential machine's warm snapshot, so the partitioned engine never
+// runs; a single run writes no run records, and a campaign's interleaved
+// timelines trace nothing.
+var ignored = map[string][]string{
+	"compound":    {"runs", "run-seed", "run-log", "run-log-host", "progress", "fill", "partitions", "region-extra"},
+	"partitioned": {"runs", "run-seed", "run-log", "run-log-host", "progress", "stride", "routing"},
+	"run":         {"run-log", "run-log-host", "progress", "partitions", "region-extra"},
+	"campaign":    append([]string{"partitions", "region-extra"}, cliflags.TraceFlags...),
 }
 
 // checkSizes exits 2, naming the flag, on a machine or workload size the
@@ -203,37 +204,6 @@ func checkSizes(nodes int, mem, l2 uint64, fill, stride int) {
 	}
 	fmt.Fprintln(os.Stderr, "invalid "+bad)
 	exit(2)
-}
-
-// warnSingleScenario prints one warning naming the flags a single-scenario
-// fault was given but does not honour. Each of them runs one scenario at
-// -seed and writes no run records, so the campaign flags (-runs N,
-// -run-seed, -run-log, -progress) have nothing to act on; the compound
-// faults also build a sequential machine, so -partitions has no effect,
-// and the partitioned scenarios always recover with the paper's routing.
-func warnSingleScenario(name string, cf *cliflags.Flags, runSeed, partitions int) {
-	var ignored []string
-	if cf.Runs > 1 {
-		ignored = append(ignored, "-runs")
-	}
-	if runSeed >= 0 {
-		ignored = append(ignored, "-run-seed")
-	}
-	if cf.RunLog != "" {
-		ignored = append(ignored, "-run-log")
-	}
-	if cf.Progress {
-		ignored = append(ignored, "-progress")
-	}
-	if partitions > 0 && (name == "powerloss" || name == "cablecut") {
-		ignored = append(ignored, "-partitions")
-	}
-	if cf.Routing != "" && (name == "none" || name == "boundary-link") {
-		ignored = append(ignored, "-routing")
-	}
-	if len(ignored) > 0 {
-		fmt.Fprintf(os.Stderr, "warning: -fault %s runs a single scenario; ignoring %s\n", name, strings.Join(ignored, " "))
-	}
 }
 
 // warnOversubscribed prints a warning when -partitions exceeds the host's

@@ -194,23 +194,29 @@ func TestRunSeedTraceJSON(t *testing.T) {
 	}
 }
 
-// -progress writes to stderr only; the run-log warning path for trace flags
-// points at the campaign-scale alternatives flashsim has, and only those.
+// -progress writes to stderr only. A campaign refuses the trace flags,
+// naming the campaign-scale alternatives flashsim has, and only those.
 func TestProgressOnStderrAndTraceWarning(t *testing.T) {
-	stdout, stderr := runFlashsim(t, append(fastArgs, "-runs", "4", "-progress", "-trace")...)
+	stdout, stderr := runFlashsim(t, append(fastArgs, "-runs", "4", "-progress")...)
 	if !bytes.Contains([]byte(stderr), []byte("progress:")) {
 		t.Errorf("no progress lines on stderr:\n%s", stderr)
 	}
 	if bytes.Contains([]byte(stdout), []byte("progress:")) {
 		t.Error("progress leaked onto stdout")
 	}
-	for _, want := range []string{"-run-log", "-run-seed"} {
-		if !bytes.Contains([]byte(stderr), []byte(want)) {
-			t.Errorf("trace warning does not mention %s:\n%s", want, stderr)
+	for _, flag := range []string{"-trace", "-trace-critical"} {
+		_, stderr, code := runFlashsimExit(t, append(fastArgs, "-runs", "4", flag)...)
+		if code != 2 || !strings.Contains(stderr, "campaign ignores "+flag+";") {
+			t.Errorf("campaign with %s: exit %d, want 2 naming it; stderr:\n%s", flag, code, stderr)
 		}
-	}
-	if strings.Contains(stderr, "-exemplars") {
-		t.Errorf("trace warning names -exemplars, a tables flag:\n%s", stderr)
+		for _, want := range []string{"-run-log", "-run-seed"} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("refusal of %s does not mention %s:\n%s", flag, want, stderr)
+			}
+		}
+		if strings.Contains(stderr, "-exemplars") {
+			t.Errorf("refusal of %s names -exemplars, a tables flag:\n%s", flag, stderr)
+		}
 	}
 }
 
@@ -225,85 +231,68 @@ func TestExemplarsIsNotAFlashsimFlag(t *testing.T) {
 
 // -partitions is real only on -fault none|boundary-link. Every validation
 // run — a campaign or a single run, which is campaign run 0 — forks a
-// sequential machine's warm snapshot, so it must say the flag has no effect
-// and produce exactly the output it produces without it.
+// sequential machine's warm snapshot, so it refuses -partitions and
+// -region-extra, exit 2 naming the flag, before it writes a run log.
 func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
-	dir := t.TempDir()
-	const noEffect = "no effect on validation runs"
-	campaign := append(fastArgs, "-runs", "4", "-metrics-json")
-	plainLog, partLog := filepath.Join(dir, "plain.jsonl"), filepath.Join(dir, "part.jsonl")
-	plain, stderr := runFlashsim(t, append(campaign, "-run-log", plainLog)...)
-	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
-		t.Errorf("warning without -partitions:\n%s", stderr)
+	log := filepath.Join(t.TempDir(), "runs.jsonl")
+	campaign := append(fastArgs, "-runs", "4", "-run-log", log)
+	for _, args := range [][]string{
+		append(campaign, "-partitions", "4"),
+		append(campaign, "-region-extra", "500"),
+		append(fastArgs, "-fault", "fail-slow", "-partitions", "4"),
+		append(fastArgs, "-fault", "fail-slow", "-region-extra", "500"),
+	} {
+		flag := args[len(args)-2]
+		_, stderr, code := runFlashsimExit(t, args...)
+		if code != 2 || !strings.Contains(stderr, "ignores "+flag+";") {
+			t.Errorf("flashsim %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, flag, stderr)
+		}
+		if _, err := os.Stat(log); err == nil {
+			t.Fatalf("flashsim %v wrote a run log before refusing %s", args, flag)
+		}
 	}
-	part, stderr := runFlashsim(t, append(campaign, "-run-log", partLog, "-partitions", "4")...)
-	if !bytes.Contains([]byte(stderr), []byte(noEffect)) {
-		t.Errorf("campaign with -partitions 4 does not warn:\n%s", stderr)
-	}
-	if plain != part {
-		t.Error("-partitions changed a campaign's metrics JSON")
-	}
-	a, err := os.ReadFile(plainLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(partLog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("-partitions changed a campaign's run log")
-	}
-	single := append(fastArgs, "-fault", "fail-slow", "-metrics-json")
-	plain, _ = runFlashsim(t, single...)
-	part, stderr = runFlashsim(t, append(single, "-partitions", "4")...)
-	if !bytes.Contains([]byte(stderr), []byte(noEffect)) {
-		t.Errorf("single validation run with -partitions 4 does not warn:\n%s", stderr)
-	}
-	if plain != part {
-		t.Error("-partitions changed a single validation run's metrics JSON")
-	}
-	_, stderr = runFlashsim(t, "-nodes", "16", "-fault", "none", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2")
-	if bytes.Contains([]byte(stderr), []byte(noEffect)) {
-		t.Errorf("-fault none warns that -partitions has no effect:\n%s", stderr)
+	_, stderr := runFlashsim(t, "-nodes", "16", "-fault", "none", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2", "-region-extra", "500")
+	if strings.Contains(stderr, "ignores") {
+		t.Errorf("-fault none refuses a partition flag:\n%s", stderr)
 	}
 }
 
 // The single-scenario faults run once at -seed and write no run records.
-// One warning must name every campaign flag they were given and ignore (and
-// -partitions on the sequential compound faults), no run log may appear,
-// and a validation campaign given the same flags must not print it.
+// Each refuses every flag it was given and does not read, exit 2 naming it,
+// and writes no run log; with only the flags it honours it runs, and a
+// validation campaign takes the campaign flags the scenarios refuse.
 func TestSingleScenarioWarnsIgnoredFlags(t *testing.T) {
-	dir := t.TempDir()
-	log := filepath.Join(dir, "runs.jsonl")
-	machine := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-fill", "32"}
-	campaign := []string{"-runs", "3", "-run-seed", "1", "-run-log", log, "-progress", "-partitions", "2", "-routing", "incremental"}
+	log := filepath.Join(t.TempDir(), "runs.jsonl")
+	campaign := [][]string{{"-runs", "3"}, {"-run-seed", "1"}, {"-run-log", log}, {"-progress"}}
+	compound := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-routing", "incremental", "-stride", "4"}
+	partitioned := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2"}
 	for _, tc := range []struct {
-		fault, ignored string
-		honoured       []string // flags the scenario uses, for the quiet leg
+		fault    string
+		honoured []string
+		ignored  [][]string
 	}{
-		{"powerloss", "-runs -run-seed -run-log -progress -partitions", []string{"-routing", "incremental"}},
-		{"cablecut", "-runs -run-seed -run-log -progress -partitions", []string{"-routing", "incremental"}},
-		{"none", "-runs -run-seed -run-log -progress -routing", []string{"-partitions", "2"}},
-		{"boundary-link", "-runs -run-seed -run-log -progress -routing", []string{"-partitions", "2"}},
+		{"powerloss", compound, append(campaign, []string{"-fill", "32"}, []string{"-partitions", "2"}, []string{"-region-extra", "500"})},
+		{"cablecut", compound, append(campaign, []string{"-fill", "32"}, []string{"-partitions", "2"}, []string{"-region-extra", "500"})},
+		{"none", partitioned, append(campaign, []string{"-stride", "4"}, []string{"-routing", "incremental"})},
+		{"boundary-link", partitioned, append(campaign, []string{"-stride", "4"}, []string{"-routing", "incremental"})},
 	} {
-		args := append([]string{"-fault", tc.fault}, machine...)
-		_, stderr := runFlashsim(t, append(args, campaign...)...)
-		want := "warning: -fault " + tc.fault + " runs a single scenario; ignoring " + tc.ignored + "\n"
-		if strings.Count(stderr, "runs a single scenario") != 1 || !strings.Contains(stderr, want) {
-			t.Errorf("-fault %s: want the one warning %q, stderr:\n%s", tc.fault, want, stderr)
+		args := append([]string{"-fault", tc.fault}, tc.honoured...)
+		for _, flag := range tc.ignored {
+			_, stderr, code := runFlashsimExit(t, append(args, flag...)...)
+			want := "-fault " + tc.fault + " ignores " + flag[0] + "; drop the flag\n"
+			if code != 2 || !strings.Contains(stderr, want) {
+				t.Errorf("-fault %s %v: exit %d, want 2 and %q; stderr:\n%s", tc.fault, flag, code, want, stderr)
+			}
+			if _, err := os.Stat(log); err == nil {
+				t.Fatalf("-fault %s wrote a run log it refuses", tc.fault)
+			}
 		}
-		if _, err := os.Stat(log); err == nil {
-			t.Fatalf("-fault %s wrote a run log it says it ignores", tc.fault)
-		}
-		_, stderr = runFlashsim(t, append(args, tc.honoured...)...)
-		if strings.Contains(stderr, "runs a single scenario") {
-			t.Errorf("-fault %s warns without campaign flags:\n%s", tc.fault, stderr)
+		if _, stderr := runFlashsim(t, args...); strings.Contains(stderr, "ignores") {
+			t.Errorf("-fault %s refuses a flag it honours:\n%s", tc.fault, stderr)
 		}
 	}
-	_, stderr := runFlashsim(t, append(fastArgs, "-runs", "3", "-run-log", log, "-progress")...)
-	if strings.Contains(stderr, "runs a single scenario") {
-		t.Errorf("a validation campaign warns that it ignores campaign flags:\n%s", stderr)
+	if _, stderr := runFlashsim(t, append(fastArgs, "-runs", "3", "-run-log", log, "-progress")...); strings.Contains(stderr, "ignores") {
+		t.Errorf("a validation campaign refuses a campaign flag:\n%s", stderr)
 	}
 }
 

@@ -14,8 +14,8 @@
 //	-trace             print the recovery event timeline (single runs)
 //	-trace-json FILE   write Chrome trace-event JSON (single runs)
 //	-trace-critical    print the recovery critical path (single runs)
-//	                   (flashsim only: tables and figures refuse the
-//	                   three trace flags)
+//	                   (flashsim single runs only: tables, figures and
+//	                   flashsim campaigns refuse the three trace flags)
 //	-routing NAME      interconnect-recovery routing strategy: paper
 //	                   (dim-order + full drain + up*/down*, the default),
 //	                   adaptive (fault-region-aware, no drain), or
@@ -34,7 +34,8 @@
 // A flag only one binary honours is registered by that binary alone:
 // flashsim's -run-seed, -partitions and -region-extra, and tables'
 // -exemplars. A registered flag the chosen table or figure does not read
-// is refused by RejectIgnored.
+// is refused by RejectIgnored, and so is one the chosen flashsim mode does
+// not read.
 package cliflags
 
 import (
@@ -293,18 +294,6 @@ func FinishSinks(finish func() error) {
 // WantTrace reports whether any trace output was requested.
 func (f *Flags) WantTrace() bool {
 	return f.Trace || f.TraceJSON != "" || f.TraceCritical
-}
-
-// WarnTraceIgnored prints the standard guidance when trace flags are set
-// in a mode that cannot honor them (a single trace of N interleaved runs
-// is nonsense), pointing at the campaign-scale alternatives the binary has
-// instead of a dead end. It reports whether it warned.
-func (f *Flags) WarnTraceIgnored() bool {
-	if !f.WantTrace() {
-		return false
-	}
-	fmt.Fprintln(os.Stderr, "warning: -trace/-trace-json/-trace-critical trace a single run; "+f.traceAlternatives())
-	return true
 }
 
 // traceAlternatives names the campaign-scale alternatives to the trace

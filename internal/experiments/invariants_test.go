@@ -46,7 +46,10 @@ func recoveredFork(t *testing.T, ws *WarmState, ft fault.Type, runSeed int64) *m
 // After recovery from any fault class, the coherence state of what is left
 // of the machine is consistent: the checker skips what the fault killed
 // (a dead node's cache, the directory of a dead home) and finds nothing in
-// the rest. Default Table 5.3 sizes, three runs per class.
+// the rest. Every live survivor's node map agrees with the liveness view on
+// which homes still serve, the agreement the verify sweep's classify relies
+// on when it judges a home by the reader's map. Default Table 5.3 sizes,
+// three runs per class.
 func TestCoherenceInvariantsHoldAfterRecovery(t *testing.T) {
 	ws := WarmupValidation(DefaultValidationConfig(), 1)
 	for _, ft := range append(fault.AllTypes(), fault.ExtendedTypes()...) {
@@ -54,6 +57,18 @@ func TestCoherenceInvariantsHoldAfterRecovery(t *testing.T) {
 			m := recoveredFork(t, ws, ft, seed)
 			if bad := m.CheckCoherenceInvariants(); len(bad) != 0 {
 				t.Errorf("%v seed %d: %d violations after recovery:\n%s", ft, seed, len(bad), strings.Join(bad, "\n"))
+			}
+			live := m.Liveness()
+			for _, s := range live.Survivors() {
+				if !live.Live(s) {
+					continue
+				}
+				ctrl := m.Nodes[s].Ctrl
+				for h := range m.Nodes {
+					if got, want := ctrl.NodeUp(h) || ctrl.MemReachable(h), live.HomeServes(h); got != want {
+						t.Errorf("%v seed %d: node %d's map says home %d serves = %v, the liveness view %v", ft, seed, s, h, got, want)
+					}
+				}
 			}
 		}
 	}

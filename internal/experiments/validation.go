@@ -166,7 +166,7 @@ func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, sta
 		return
 	}
 	res.Phases = m.Aggregate()
-	res.AffectedNodes = affectedNodes(m)
+	res.AffectedNodes = m.Liveness().Affected()
 	res.Verify = m.VerifyMemory(reader, stride)
 	if !res.Verify.OK() {
 		res.Note = res.Verify.String()
@@ -207,18 +207,6 @@ func driveDetection(m *machine.Machine, f fault.Fault) int {
 	}
 	m.Nodes[s[0]].CPU.Submit(workload.TouchOp(m, detectionVictim(m, f)))
 	return s[0]
-}
-
-// affectedNodes counts the nodes the fault cost the machine once recovery
-// completed: everything that did not report back healthy.
-func affectedNodes(m *machine.Machine) int {
-	healthy := 0
-	for _, r := range m.Reports() {
-		if !r.ShutDown && !r.Isolated {
-			healthy++
-		}
-	}
-	return m.Cfg.Nodes - healthy
 }
 
 // ValidationCampaign repeats §5.2 validation runs of one fault type

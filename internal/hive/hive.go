@@ -129,7 +129,6 @@ type Hive struct {
 	// HWTime and OSTime record the durations of the last hardware and OS
 	// recovery (Fig 5.7).
 	HWTime, OSTime sim.Time
-	recoveries     int
 	// OnCellDeath observes cells dying (hardware or software).
 	OnCellDeath func(c *Cell, why string)
 }

@@ -1,6 +1,8 @@
 package hive
 
 import (
+	"slices"
+
 	"flashfc/internal/coherence"
 	"flashfc/internal/core"
 	"flashfc/internal/sim"
@@ -19,7 +21,6 @@ import (
 
 // osRecover is installed as machine.OnAllRecovered.
 func (h *Hive) osRecover(reports map[int]*core.Report) {
-	h.recoveries++
 	hwStart := h.M.E.Now()
 	var earliest sim.Time = -1
 	for _, r := range reports {
@@ -32,20 +33,13 @@ func (h *Hive) osRecover(reports map[int]*core.Report) {
 	}
 
 	// Declare cells whose failure unit was lost.
+	live := h.M.Liveness()
 	aliveCells := 0
 	for _, c := range h.Cells {
 		if !c.alive {
 			continue
 		}
-		lost := false
-		for _, n := range c.Nodes {
-			r := reports[n]
-			if r == nil || r.ShutDown || r.Isolated {
-				lost = true
-				break
-			}
-		}
-		if lost {
+		if slices.ContainsFunc(c.Nodes, func(n int) bool { return !live.Healthy(n) }) {
 			c.hardwareDeath("failure unit lost a component")
 			continue
 		}
@@ -114,6 +108,3 @@ func (h *Hive) osRecover(reports map[int]*core.Report) {
 		}
 	})
 }
-
-// Recoveries reports how many OS recoveries have run.
-func (h *Hive) Recoveries() int { return h.recoveries }

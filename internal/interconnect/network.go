@@ -355,12 +355,6 @@ func (n *Network) routerChans(r int) []channel {
 // SetEndpoint attaches the node controller for node id.
 func (n *Network) SetEndpoint(id int, ep Endpoint) { n.endpoints[id] = ep }
 
-// RouterAlive reports whether router r is functioning.
-func (n *Network) RouterAlive(r int) bool { return !n.routers[r].failed }
-
-// LinkAlive reports whether link l is functioning.
-func (n *Network) LinkAlive(l int) bool { return n.linkUp[l] }
-
 // SetRouterTable installs a new next-hop row on router r (one destination
 // entry per node). Used by interconnect recovery after the drain (§4.4).
 func (n *Network) SetRouterTable(r int, row []topology.Port) {

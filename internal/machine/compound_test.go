@@ -34,10 +34,10 @@ func TestPowerLossRegionRecovery(t *testing.T) {
 	m.InjectAll(fault.PowerLoss(m.Topo, []int{5, 6}))
 	m.Nodes[1].CPU.Submit(readOp(m, uint64(m.Space.Base(5))+0x80))
 	if !m.RunUntilRecovered(5 * sim.Second) {
-		t.Fatalf("recovery incomplete: %d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery incomplete: %d/%d", len(m.Reports()), len(m.Survivors()))
 	}
-	if len(m.reports) != 14 {
-		t.Fatalf("reports = %d, want 14 survivors", len(m.reports))
+	if len(m.Reports()) != 14 {
+		t.Fatalf("reports = %d, want 14 survivors", len(m.Reports()))
 	}
 	res := m.VerifyMemory(0, 1)
 	if !res.OK() {
@@ -63,21 +63,21 @@ func TestCableCutMinorityShutsDown(t *testing.T) {
 	m.Nodes[0].CPU.Submit(readOp(m, uint64(m.Space.Base(1))+0x80))
 	m.Nodes[1].CPU.Submit(readOp(m, uint64(m.Space.Base(0))+0x80))
 	if !m.RunUntilRecovered(10 * sim.Second) {
-		t.Fatalf("recovery incomplete: %d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery incomplete: %d/%d", len(m.Reports()), len(m.Survivors()))
 	}
 	// The machine tracks the majority side; let the minority island's
 	// own (shutdown) recovery finish too before inspecting it.
 	deadline := m.E.Now() + 10*sim.Second
-	for len(m.reports) < 16 && m.E.Now() < deadline {
+	for len(m.Reports()) < 16 && m.E.Now() < deadline {
 		m.E.RunUntil(m.E.Now() + sim.Millisecond)
 	}
-	if len(m.reports) != 16 {
-		t.Fatalf("reports = %d, want 16", len(m.reports))
+	if len(m.Reports()) != 16 {
+		t.Fatalf("reports = %d, want 16", len(m.Reports()))
 	}
 	// Column 0 is a 4/16 minority: its nodes must shut down rather than
 	// recover a split-brain island (§4.2).
 	minority := map[int]bool{0: true, 4: true, 8: true, 12: true}
-	for n, r := range m.reports {
+	for n, r := range m.Reports() {
 		if minority[n] && !r.ShutDown {
 			t.Errorf("minority node %d should shut down", n)
 		}

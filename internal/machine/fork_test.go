@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flashfc/internal/fault"
@@ -118,16 +119,43 @@ func TestSnapshotPanicsMidFlight(t *testing.T) {
 	m.Snapshot()
 }
 
+// Snapshot refuses a machine any fault.Target method has touched, whether
+// or not the fault changed ground truth: a false alarm, a degraded link and
+// a slowed node leave every component up, yet the machine is no longer
+// pre-fault. The table names every method of the interface.
 func TestSnapshotPanicsPostFault(t *testing.T) {
-	m := newSmall(2)
-	runBurst(t, m, 16, 1)
-	m.KillNode(3)
-	// Drain whatever the kill provoked, then try to snapshot.
-	m.E.RunUntil(m.E.Now() + sim.Second)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Snapshot after a fault did not panic")
+	cases := map[string]func(fault.Target){
+		"KillNode":    func(m fault.Target) { m.KillNode(3) },
+		"LoopNode":    func(m fault.Target) { m.LoopNode(3) },
+		"FailRouter":  func(m fault.Target) { m.FailRouter(3) },
+		"FailLink":    func(m fault.Target) { m.FailLink(0) },
+		"FalseAlarm":  func(m fault.Target) { m.FalseAlarm(3) },
+		"DegradeLink": func(m fault.Target) { m.DegradeLink(0, sim.Millisecond) },
+		"SlowNode":    func(m fault.Target) { m.SlowNode(3, 10) },
+		"KillCPU":     func(m fault.Target) { m.KillCPU(3) },
+	}
+	target := reflect.TypeFor[fault.Target]()
+	if target.NumMethod() != len(cases) {
+		t.Fatalf("fault.Target has %d methods, the table %d", target.NumMethod(), len(cases))
+	}
+	for i := 0; i < target.NumMethod(); i++ {
+		name := target.Method(i).Name
+		inject, ok := cases[name]
+		if !ok {
+			t.Fatalf("no case for fault.Target.%s", name)
 		}
-	}()
-	m.Snapshot()
+		t.Run(name, func(t *testing.T) {
+			m := newSmall(2)
+			runBurst(t, m, 16, 1)
+			inject(m)
+			// Drain whatever the fault provoked, then try to snapshot.
+			m.E.RunUntil(m.E.Now() + sim.Second)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Snapshot after a fault did not panic")
+				}
+			}()
+			m.Snapshot()
+		})
+	}
 }

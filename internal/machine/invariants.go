@@ -20,12 +20,13 @@ import (
 //     that cache;
 //   - no directory entry is stuck in a transient (locked) state.
 //
-// The check knows which hardware failed. A node that is dead, cut off, or
-// shut down by recovery has no cache worth checking, and a home among them
-// no directory: both are skipped, along with every rule that would look
-// into them. A home whose processor died but whose memory bank still
-// answers (CPU-fail/memory-survives) keeps its directory's rules, as the
-// verify sweep holds it to live-home standards.
+// The check knows which hardware failed, from the liveness view. A node
+// that is not Live — dead, cut off, or shut down by recovery — has no cache
+// worth checking, and a home that does not serve no directory: both are
+// skipped, along with every rule that would look into them. A home whose
+// processor died but whose memory bank still answers (CPU-fail/memory-
+// survives) serves, so it keeps its directory's rules, as the verify sweep
+// holds it to live-home standards.
 //
 // Violations are reported in address order (those of one line in sweep
 // order), so the result is the same bytes on every call. Tests call this
@@ -41,17 +42,15 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 	flag := func(a coherence.Addr, format string, args ...any) {
 		found = append(found, violation{a, fmt.Sprintf(format, args...)})
 	}
-	cacheLive := m.liveNodes()
-	dirLive := func(home int) bool { return cacheLive[home] || m.memSurvives[home] }
 	// Forward sweep: directory entries against caches.
 	for _, home := range m.Nodes {
-		if !dirLive(home.ID) {
+		if !m.live.HomeServes(home.ID) {
 			continue
 		}
 		home.Dir.ForEach(func(a coherence.Addr, e *coherence.DirEntry) {
 			switch e.State {
 			case coherence.DirExclusive:
-				if cacheLive[e.Owner] {
+				if m.live.Live(e.Owner) {
 					owner := m.Nodes[e.Owner]
 					l := owner.Cache.Lookup(a)
 					if l == nil {
@@ -61,14 +60,14 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 					}
 				}
 				for _, n := range m.Nodes {
-					if cacheLive[n.ID] && n.ID != e.Owner && n.Cache.Lookup(a) != nil {
+					if m.live.Live(n.ID) && n.ID != e.Owner && n.Cache.Lookup(a) != nil {
 						flag(a, "second copy at %d beside owner %d", n.ID, e.Owner)
 					}
 				}
 			case coherence.DirShared:
 				memTok := home.Mem.Read(a)
 				for _, n := range m.Nodes {
-					if !cacheLive[n.ID] {
+					if !m.live.Live(n.ID) {
 						continue
 					}
 					l := n.Cache.Lookup(a)
@@ -92,12 +91,12 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 	}
 	// Reverse sweep: cached lines must be known to their homes.
 	for _, n := range m.Nodes {
-		if !cacheLive[n.ID] {
+		if !m.live.Live(n.ID) {
 			continue
 		}
 		n.Cache.ForEach(func(a coherence.Addr, l *coherence.CacheLine) {
 			home := m.Nodes[m.Space.Home(a)]
-			if !dirLive(home.ID) {
+			if !m.live.HomeServes(home.ID) {
 				return
 			}
 			e := home.Dir.Peek(a)
@@ -125,20 +124,4 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 		bad = append(bad, fmt.Sprintf("%v: %s", v.a, v.msg))
 	}
 	return bad
-}
-
-// liveNodes reports, from ground truth, which nodes are still in the
-// machine: a working controller and router in the main surviving
-// component, not shut down or isolated by the last recovery.
-func (m *Machine) liveNodes() []bool {
-	live := make([]bool, m.Cfg.Nodes)
-	for _, id := range m.Survivors() {
-		live[id] = true
-	}
-	for id, r := range m.reports {
-		if r.ShutDown || r.Isolated {
-			live[id] = false
-		}
-	}
-	return live
 }

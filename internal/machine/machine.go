@@ -137,20 +137,13 @@ type Machine struct {
 	// runs stay independent and bit-identical.
 	Metrics *metrics.Registry
 
-	// truth is the harness's ground-truth hardware state (what was
-	// actually injected), independent of what the algorithm discovers.
-	truth    *topology.View
-	ctrlDead map[int]bool // controllers killed or wedged
-	// memSurvives marks nodes whose processor complex died but whose
-	// MAGIC and memory/directory bank still serve coherence traffic (the
-	// CPU-fail/memory-survives model). Such nodes are dead for recovery
-	// participation but stay addressable as homes.
-	memSurvives map[int]bool
+	// live is the ground truth about the hardware (what was actually
+	// injected, independent of what the algorithm discovers) and the
+	// current recovery round's reports.
+	live *Liveness
 	// repairs is the P3 table-repair memo this machine's agents share.
 	repairs *core.RepairMemo
 
-	reports   map[int]*core.Report
-	expecting map[int]bool
 	recovered bool
 	lastEpoch int
 	// OnAllRecovered, if set, replaces the default post-recovery action
@@ -268,13 +261,9 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	space := coherence.AddrSpace{Nodes: cfg.Nodes, MemBytes: cfg.MemBytes}
 	m := &Machine{
 		Cfg: cfg, E: e, Topo: topo, P: P, Regions: regions, Net: net, Space: space,
-		Oracle:      oracle,
-		Metrics:     reg,
-		truth:       topology.NewView(topo),
-		ctrlDead:    map[int]bool{},
-		memSurvives: map[int]bool{},
-		reports:     map[int]*core.Report{},
-		expecting:   map[int]bool{},
+		Oracle:  oracle,
+		Metrics: reg,
+		live:    newLiveness(topo, cfg.Nodes),
 	}
 	net.OnLost = m.Oracle.PacketLost
 	cfg.Magic.Metrics = reg
@@ -290,7 +279,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	rcfg.Repairs = m.repairs
 	rcfg.ReliableInterconnect = cfg.ReliableInterconnect
 	rcfg.FailureUnits = cfg.FailureUnits
-	rcfg.MemServes = func(n int) bool { return m.memSurvives[n] }
+	rcfg.MemServes = m.live.MemServes
 	userOnEnter := rcfg.OnEnter
 	userOnComplete := rcfg.OnComplete
 
@@ -358,23 +347,20 @@ var _ fault.Target = (*Machine)(nil)
 
 // KillNode implements a Table 5.2 node failure: the controller, processor,
 // memory and caches become unavailable; the router stays up.
-func (m *Machine) KillNode(id int) {
-	m.lostCacheContents(id)
-	m.Nodes[id].CPU.Pause()
-	m.Nodes[id].Ctrl.SetMode(magic.ModeDead)
-	m.Nodes[id].Agent.Kill()
-	m.ctrlDead[id] = true
-	m.planExpectations()
-}
+func (m *Machine) KillNode(id int) { m.stopController(id, magic.ModeDead) }
 
 // LoopNode implements the infinite-loop fault: the controller stops
 // accepting packets and traffic backs up into the fabric.
-func (m *Machine) LoopNode(id int) {
+func (m *Machine) LoopNode(id int) { m.stopController(id, magic.ModeLoop) }
+
+// stopController takes node id's controller, and the processor and caches
+// behind it, out of the machine in mode.
+func (m *Machine) stopController(id int, mode magic.Mode) {
 	m.lostCacheContents(id)
 	m.Nodes[id].CPU.Pause()
-	m.Nodes[id].Ctrl.SetMode(magic.ModeLoop)
+	m.Nodes[id].Ctrl.SetMode(mode)
 	m.Nodes[id].Agent.Kill()
-	m.ctrlDead[id] = true
+	m.live.kill(id, ctrlDead)
 	m.planExpectations()
 }
 
@@ -383,14 +369,14 @@ func (m *Machine) LoopNode(id int) {
 func (m *Machine) FailRouter(r int) {
 	m.lostCacheContents(r)
 	m.Net.FailRouter(r)
-	m.truth.FailRouter(r)
+	m.live.failRouter(r)
 	m.planExpectations()
 }
 
 // FailLink implements a link failure.
 func (m *Machine) FailLink(l int) {
 	m.Net.FailLink(l)
-	m.truth.FailLink(l)
+	m.live.failLink(l)
 	m.planExpectations()
 }
 
@@ -443,8 +429,7 @@ func (m *Machine) KillCPU(id int) {
 	m.Nodes[id].Cache.Flush() // the cache dies with the processor complex
 	m.Nodes[id].Ctrl.CPUDied()
 	m.Nodes[id].Agent.Kill()
-	m.ctrlDead[id] = true
-	m.memSurvives[id] = true
+	m.live.kill(id, ctrlDead|memServes)
 	m.planExpectations()
 	// Detection: the victim's MAGIC notices its processor interface died
 	// and signals a surviving neighbor, which starts the recovery wave —
@@ -456,10 +441,6 @@ func (m *Machine) KillCPU(id int) {
 		})
 	}
 }
-
-// MemSurvives reports whether node id is a CPU-failed node whose memory
-// bank is still served.
-func (m *Machine) MemSurvives(id int) bool { return m.memSurvives[id] }
 
 // engineOf returns the event engine owning node id's region (the machine's
 // single engine on classic builds). Fault injection always forces the
@@ -533,60 +514,16 @@ func (m *Machine) InstalledTables() topology.Tables {
 	return tb
 }
 
-// RoutingAcyclic verifies deadlock freedom of the installed tables: their
-// channel-dependency graph on the true surviving topology must be acyclic.
-// The routing experiments check it after every recovery, per strategy.
-func (m *Machine) RoutingAcyclic() bool {
-	return m.InstalledTables().DependencyAcyclic(m.truth)
-}
-
-// Survivors returns the ids of nodes whose controller is functioning, whose
-// router works, and which sit in the largest surviving component (the "main
-// machine" after a partition; ties go to the component with the lowest id).
-func (m *Machine) Survivors() []int {
-	alive := map[int]bool{}
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		if !m.ctrlDead[i] && m.truth.RouterUp[i] {
-			alive[i] = true
-		}
-	}
-	var best []int
-	seen := map[int]bool{}
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		if !alive[i] || seen[i] {
-			continue
-		}
-		b := m.truth.BFS(i)
-		var comp []int
-		for j := 0; j < m.Cfg.Nodes; j++ {
-			if alive[j] && b.Dist[j] >= 0 {
-				comp = append(comp, j)
-				seen[j] = true
-			}
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	return best
-}
-
-// planExpectations recomputes which nodes are expected to produce recovery
-// reports: the survivors (doomed unit members included — they report with
-// ShutDown set). Nodes with working controllers that are cut off from the
-// main component (partitions, dead routers) cannot return their exclusive
-// lines: the oracle learns those may be lost.
+// planExpectations closes every fault.Target method: the liveness view
+// recomputes the survivors, which are the nodes expected to produce
+// recovery reports. Nodes with working controllers that are cut off from
+// the main component (partitions, dead routers) cannot return their
+// exclusive lines: the oracle learns those may be lost.
 func (m *Machine) planExpectations() {
 	m.recovered = false
-	m.reports = map[int]*core.Report{}
-	m.expecting = map[int]bool{}
-	inMain := map[int]bool{}
-	for _, s := range m.Survivors() {
-		m.expecting[s] = true
-		inMain[s] = true
-	}
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		if !m.ctrlDead[i] && !inMain[i] {
+	m.live.applyFault()
+	for i := range m.Nodes {
+		if m.live.cutOff(i) {
 			m.lostCacheContents(i)
 		}
 	}
@@ -598,12 +535,12 @@ func (m *Machine) agentDone(r *core.Report) {
 		// timeout) after the previous one completed: collect reports
 		// anew so its completion is acted on too.
 		m.recovered = false
-		m.reports = map[int]*core.Report{}
+		m.live.newRound()
 	}
 	if r.Epoch > m.lastEpoch {
 		m.lastEpoch = r.Epoch
 	}
-	m.reports[r.Node] = r
+	all := m.live.report(r)
 	m.Cfg.Trace.Record(m.E.Now(), r.Node, trace.KindComplete,
 		"epoch=%d restarts=%d shutdown=%v incoherent=%d", r.Epoch, r.Restarts, r.ShutDown, r.Incoherent)
 	if r.Isolated || r.ShutDown {
@@ -615,13 +552,8 @@ func (m *Machine) agentDone(r *core.Report) {
 			m.Oracle.LostLine(o.Addr)
 		}
 	}
-	if m.recovered {
+	if m.recovered || !all {
 		return
-	}
-	for n := range m.expecting {
-		if m.reports[n] == nil {
-			return
-		}
 	}
 	m.recovered = true
 	m.Cfg.Trace.EndRoot(m.E.Now())
@@ -632,7 +564,7 @@ func (m *Machine) agentDone(r *core.Report) {
 	m.salvageMemServed()
 	m.observeRecovery()
 	if m.OnAllRecovered != nil {
-		m.OnAllRecovered(m.reports)
+		m.OnAllRecovered(m.Reports())
 		return
 	}
 	m.ResumeSurvivors()
@@ -644,20 +576,13 @@ func (m *Machine) agentDone(r *core.Report) {
 // caches incoherent — clean and memory-resident lines are salvaged instead
 // of the blanket inaccessibility a fully dead home would impose.
 func (m *Machine) salvageMemServed() {
-	if len(m.memSurvives) == 0 {
-		return
-	}
-	alive := map[int]bool{}
-	for _, s := range m.Survivors() {
-		alive[s] = true
-	}
-	for v := 0; v < m.Cfg.Nodes; v++ {
-		if !m.memSurvives[v] {
+	for v := range m.Nodes {
+		if !m.live.MemServes(v) {
 			continue
 		}
 		ctrl := m.Nodes[v].Ctrl
-		for i := 0; i < m.Cfg.Nodes; i++ {
-			ctrl.SetNodeUp(i, alive[i])
+		for i := range m.Nodes {
+			ctrl.SetNodeUp(i, m.live.Survivor(i))
 		}
 		marked := ctrl.ScanDirectoryLiveness()
 		m.Metrics.Counter("machine.salvage_sweeps").Inc()
@@ -670,7 +595,7 @@ func (m *Machine) salvageMemServed() {
 // shutdown count.
 func (m *Machine) observeRecovery() {
 	m.Metrics.Counter("machine.recoveries").Inc()
-	for _, r := range m.reports {
+	for _, r := range m.Reports() {
 		if r.ShutDown || r.Isolated {
 			m.Metrics.Counter("machine.nodes_shutdown").Inc()
 		}
@@ -717,8 +642,8 @@ func (m *Machine) MetricsSnapshot() *metrics.Snapshot {
 // without shutting down, in node order (resume order is visible to user
 // code, so it must be deterministic).
 func (m *Machine) ResumeSurvivors() {
-	for n := 0; n < m.Cfg.Nodes; n++ {
-		if r := m.reports[n]; r != nil && !r.ShutDown && !r.Isolated {
+	for n := range m.Nodes {
+		if m.live.Healthy(n) {
 			m.Nodes[n].CPU.Resume()
 		}
 	}
@@ -726,9 +651,6 @@ func (m *Machine) ResumeSurvivors() {
 
 // Recovered reports whether all expected recovery reports have arrived.
 func (m *Machine) Recovered() bool { return m.recovered }
-
-// Reports returns the collected recovery reports by node.
-func (m *Machine) Reports() map[int]*core.Report { return m.reports }
 
 // Now returns the machine's simulated time: the partition coordinator's
 // clock on a partitioned machine, the engine clock otherwise.
@@ -785,7 +707,7 @@ func (pt PhaseTimes) P4Time() sim.Time { return pt.Total - pt.P123 }
 func (m *Machine) Aggregate() PhaseTimes {
 	var pt PhaseTimes
 	first := true
-	for _, r := range m.reports {
+	for _, r := range m.Reports() {
 		if r.Isolated {
 			continue
 		}
@@ -794,7 +716,7 @@ func (m *Machine) Aggregate() PhaseTimes {
 		}
 		first = false
 	}
-	for _, r := range m.reports {
+	for _, r := range m.Reports() {
 		if r.Isolated {
 			continue
 		}

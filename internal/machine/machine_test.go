@@ -78,12 +78,12 @@ func TestFalseAlarmRecoveryNoDataLoss(t *testing.T) {
 	m.E.Run()
 	m.Inject(fault.Fault{Type: fault.FalseAlarm, Node: 3})
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d expecting=%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d expecting=%d", len(m.Reports()), len(m.Survivors()))
 	}
-	if got := len(m.reports); got != 8 {
+	if got := len(m.Reports()); got != 8 {
 		t.Fatalf("reports = %d, want 8", got)
 	}
-	for _, r := range m.reports {
+	for _, r := range m.Reports() {
 		if r.ShutDown || r.Isolated {
 			t.Fatalf("false alarm must not shut anything down: %+v", r)
 		}
@@ -130,13 +130,13 @@ func TestNodeFailureRecovery(t *testing.T) {
 	// Detection: node 1 touches node 5's memory and times out.
 	m.Nodes[1].CPU.Submit(readOp(m, base5+0x800))
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
-	if len(m.reports) != 7 {
-		t.Fatalf("reports = %d, want 7 (survivors)", len(m.reports))
+	if len(m.Reports()) != 7 {
+		t.Fatalf("reports = %d, want 7 (survivors)", len(m.Reports()))
 	}
 	// The survivors must all agree node 5 is down.
-	for n, r := range m.reports {
+	for n, r := range m.Reports() {
 		if r.ShutDown {
 			t.Fatalf("node %d should not shut down", n)
 		}
@@ -169,7 +169,7 @@ func TestInfiniteLoopRecovery(t *testing.T) {
 		m.Nodes[i].CPU.Submit(readOp(m, base3+uint64(i)*0x100))
 	}
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
 	if m.Net.InFlight() != 0 {
 		t.Fatalf("fabric not drained: %d in flight", m.Net.InFlight())
@@ -186,10 +186,10 @@ func TestRouterFailureRecovery(t *testing.T) {
 	m.Inject(fault.Fault{Type: fault.RouterFailure, Router: 6})
 	m.Nodes[0].CPU.Submit(readOp(m, uint64(m.Space.Base(6))+0x100))
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
-	if len(m.reports) != 7 {
-		t.Fatalf("reports = %d, want 7", len(m.reports))
+	if len(m.Reports()) != 7 {
+		t.Fatalf("reports = %d, want 7", len(m.Reports()))
 	}
 	res := m.VerifyMemory(0, 1)
 	if !res.OK() {
@@ -218,13 +218,13 @@ func TestLinkFailureRecovery(t *testing.T) {
 	// Traffic 1->2 is black-holed until recovery reroutes.
 	m.Nodes[1].CPU.Submit(readOp(m, uint64(m.Space.Base(2))+0x100))
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
 	// No node lost: all 8 report, nobody shuts down.
-	if len(m.reports) != 8 {
-		t.Fatalf("reports = %d, want 8", len(m.reports))
+	if len(m.Reports()) != 8 {
+		t.Fatalf("reports = %d, want 8", len(m.Reports()))
 	}
-	for _, r := range m.reports {
+	for _, r := range m.Reports() {
 		if r.ShutDown {
 			t.Fatalf("link failure must not shut nodes down: %+v", r)
 		}
@@ -250,9 +250,9 @@ func TestFailureUnitsShutDownDoomedCell(t *testing.T) {
 	m.Inject(fault.Fault{Type: fault.NodeFailure, Node: 5})
 	m.Nodes[1].CPU.Submit(readOp(m, uint64(m.Space.Base(5))+0x100))
 	if !m.RunUntilRecovered(recoveryDeadline) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
-	for n, r := range m.reports {
+	for n, r := range m.Reports() {
 		inUnit1 := n >= 4
 		if inUnit1 && !r.ShutDown {
 			t.Fatalf("node %d shares the failed unit and must shut down", n)
@@ -298,12 +298,12 @@ func TestSecondFaultDuringRecoveryRestarts(t *testing.T) {
 	m.Inject(fault.Fault{Type: fault.NodeFailure, Node: 7})
 	if !m.RunUntilRecovered(5 * sim.Second) {
 		t.Fatalf("recovery did not complete after second fault; reports=%d/%d",
-			len(m.reports), len(m.expecting))
+			len(m.Reports()), len(m.Survivors()))
 	}
-	if len(m.reports) != 6 {
-		t.Fatalf("reports = %d, want 6", len(m.reports))
+	if len(m.Reports()) != 6 {
+		t.Fatalf("reports = %d, want 6", len(m.Reports()))
 	}
-	for n := range m.reports {
+	for n := range m.Reports() {
 		if m.Nodes[n].Ctrl.NodeUp(5) || m.Nodes[n].Ctrl.NodeUp(7) {
 			t.Fatalf("node %d's map misses a dead node", n)
 		}

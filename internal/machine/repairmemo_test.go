@@ -68,10 +68,10 @@ func TestRepairComputedOncePerView(t *testing.T) {
 	m.Inject(fault.Fault{Type: fault.NodeFailure, Node: 77})
 	m.Nodes[0].CPU.Submit(readOp(m, uint64(m.Space.Base(77))+0x100))
 	if !m.RunUntilRecovered(5 * sim.Second) {
-		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.reports), len(m.expecting))
+		t.Fatalf("recovery did not complete; reports=%d/%d", len(m.Reports()), len(m.Survivors()))
 	}
-	if len(m.reports) != 127 {
-		t.Fatalf("reports = %d, want 127", len(m.reports))
+	if len(m.Reports()) != 127 {
+		t.Fatalf("reports = %d, want 127", len(m.Reports()))
 	}
 	if len(counting.repairs) != 1 {
 		t.Fatalf("RepairTables ran %d times for one converged view, want 1", len(counting.repairs))
@@ -106,13 +106,13 @@ func TestSecondFaultMidP3MissesMemo(t *testing.T) {
 	m.Inject(fault.Fault{Type: fault.RouterFailure, Router: 10})
 	if !m.RunUntilRecovered(5 * sim.Second) {
 		t.Fatalf("recovery did not complete after second fault; reports=%d/%d",
-			len(m.reports), len(m.expecting))
+			len(m.Reports()), len(m.Survivors()))
 	}
 	if len(m.Survivors()) != 14 {
 		t.Fatalf("survivors = %d, want 14", len(m.Survivors()))
 	}
 	for _, n := range m.Survivors() {
-		if r := m.reports[n]; r == nil || r.Restarts == 0 || r.Isolated || r.ShutDown {
+		if r := m.Reports()[n]; r == nil || r.Restarts == 0 || r.Isolated || r.ShutDown {
 			t.Fatalf("survivor %d did not restart into a completed recovery: %+v", n, r)
 		}
 	}
@@ -125,13 +125,13 @@ func TestSecondFaultMidP3MissesMemo(t *testing.T) {
 	if one.RouterUp[5] || !one.RouterUp[10] {
 		t.Fatalf("first repair's view should lack router 5 only: %v", one.RouterUp)
 	}
-	if !slices.Equal(two.RouterUp, m.truth.RouterUp) || !slices.Equal(two.LinkUp, m.truth.LinkUp) {
+	if !slices.Equal(two.RouterUp, m.live.fabric.RouterUp) || !slices.Equal(two.LinkUp, m.live.fabric.LinkUp) {
 		t.Fatalf("second repair's view is not the surviving topology:\n got %v %v\nwant %v %v",
-			two.RouterUp, two.LinkUp, m.truth.RouterUp, m.truth.LinkUp)
+			two.RouterUp, two.LinkUp, m.live.fabric.RouterUp, m.live.fabric.LinkUp)
 	}
-	fresh := routing.Incremental.RepairTables(m.truth, m.truth.BFS(0))
+	fresh := routing.Incremental.RepairTables(m.live.fabric, m.live.fabric.BFS(0))
 	installed := m.InstalledTables()
-	for r, up := range m.truth.RouterUp {
+	for r, up := range m.live.fabric.RouterUp {
 		if up && !slices.Equal(installed[r], fresh.Tables[r]) {
 			t.Fatalf("router %d runs a stale row:\n got %v\nwant %v", r, installed[r], fresh.Tables[r])
 		}

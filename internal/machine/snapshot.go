@@ -66,22 +66,12 @@ func (m *Machine) Snapshot() *Snapshot {
 		panic(fmt.Sprintf("machine: snapshot with %d events pending", p))
 	}
 	switch {
-	case len(m.ctrlDead) > 0:
-		panic(fmt.Sprintf("machine: snapshot with %d dead controllers", len(m.ctrlDead)))
+	case m.live.Faults() > 0:
+		panic(fmt.Sprintf("machine: snapshot after %d faults", m.live.Faults()))
 	case m.recovered || m.lastEpoch != 0:
 		panic(fmt.Sprintf("machine: snapshot after recovery (epoch %d)", m.lastEpoch))
-	case len(m.reports) > 0 || len(m.expecting) > 0:
+	case len(m.Reports()) > 0:
 		panic("machine: snapshot with recovery in progress")
-	}
-	for i, up := range m.truth.RouterUp {
-		if !up {
-			panic(fmt.Sprintf("machine: snapshot with router %d down", i))
-		}
-	}
-	for l, up := range m.truth.LinkUp {
-		if !up {
-			panic(fmt.Sprintf("machine: snapshot with link %d down", l))
-		}
 	}
 	cfg := m.Cfg
 	cfg.Trace = nil

@@ -348,9 +348,6 @@ func (c *Controller) SetSlowFactor(factor int) {
 	c.slowFactor = factor
 }
 
-// SlowFactor returns the current handler occupancy multiplier.
-func (c *Controller) SlowFactor() int { return c.slowFactor }
-
 // CPUDied models the CPU-fail/memory-survives fault: the node's processor
 // complex (CPU and caches) fails while the controller and its memory/
 // directory bank keep serving coherence traffic. Outstanding processor-side
@@ -366,10 +363,6 @@ func (c *Controller) CPUDied() {
 	}
 	c.dropAllMSHRs()
 }
-
-// CPUDead reports whether the local processor complex has failed while the
-// controller lives on.
-func (c *Controller) CPUDead() bool { return c.cpuDead }
 
 // SetFirewall installs the write-access list for a page (nil opens it).
 func (c *Controller) SetFirewall(page coherence.Addr, writers coherence.NodeSet) {
