@@ -25,9 +25,7 @@ func fastValidationConfig() ValidationConfig {
 func TestValidationEachFaultType(t *testing.T) {
 	cfg := fastValidationConfig()
 	for _, ft := range fault.AllTypes() {
-		// Seed 2 is skipped: its node failure is a quiet fault that hits
-		// the fill-wait harness bug (ROADMAP item 1(a)).
-		for _, seed := range []int64{1, 3, 4} {
+		for _, seed := range []int64{1, 2, 3, 4} {
 			r := Validation(cfg, ft, seed)
 			if !r.OK() {
 				t.Errorf("%v seed %d failed: recovered=%v note=%s fault=%v",

@@ -164,7 +164,7 @@ func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
 	// Provoke detection with a read across the dead link.
 	kick := m.Topo.Links()[link].B
 	m.Nodes[m.Topo.Links()[link].A].CPU.Submit(workload.TouchOp(m, kick))
-	recoverAndVerify(m, res, 0, 0, cfg.Deadline, cfg.Stride())
+	recoverAndVerify(m, res, 0, cfg.Deadline, cfg.Stride())
 	return res
 }
 

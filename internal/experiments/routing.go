@@ -284,13 +284,12 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
 	var lostBase uint64
-	deadline := m.Now() + cfg.Deadline
-	fillAndInject(m, burst, deadline, func() {
+	fillAndInject(m, burst, m.Now()+cfg.Deadline, func() {
 		lostBase = m.Net.Dropped()
 		m.InjectAll(faults)
 	})
 	reader := driveDetection(m, faults[0])
-	res.Recovered = m.RunUntilRecovered(deadline)
+	res.Recovered = m.RunUntilRecovered(m.Now() + cfg.Deadline)
 	if !res.Recovered {
 		return res
 	}

@@ -26,3 +26,20 @@ func TestTransientLinkTail524Contained(t *testing.T) {
 			runSeed, r.Recovered, r.Verify)
 	}
 }
+
+// TestQuietNodeFailureGetsFullBudget pins run 2 of `flashsim -fault node
+// -nodes 8 -mem 65536 -l2 16384 -fill 48 -seed 5 -runs 8`. Its dead victim
+// still owed fill operations, so the fill wait idled until the deadline and
+// the quiet fault was first detected by the detection read, 5 s in. With
+// the recovery budget measured from the fill's start, recovery got no time
+// at all and the run failed with "recovery incomplete after 5s". The
+// budget now starts at detection, and the run must recover and verify.
+func TestQuietNodeFailureGetsFullBudget(t *testing.T) {
+	cfg := fastValidationConfig()
+	ws := WarmupValidation(cfg, runner.DeriveSeed(5, runner.StreamWarmup, 0))
+	runSeed := runner.DeriveSeed(5, ValidationCampaign{Fault: fault.NodeFailure}.Stream(), 2)
+	r := ValidationFromWarm(ws, fault.NodeFailure, runSeed, nil)
+	if !r.OK() {
+		t.Fatalf("run 2 (seed %d, %v) failed: recovered=%v note=%s", runSeed, r.Fault, r.Recovered, r.Note)
+	}
+}

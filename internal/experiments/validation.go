@@ -156,11 +156,13 @@ func fillAndInject(m *machine.Machine, filler *workload.Filler, deadline sim.Tim
 }
 
 // recoverAndVerify is the second half, entered once the fault is in and
-// detection traffic submitted: run recovery until start+budget, aggregate
+// detection traffic submitted: run recovery for budget from now, aggregate
 // the phase times, count the nodes the fault cost, and sweep memory from
-// reader. It fills res and notes whichever step failed.
-func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, start, budget sim.Time, stride int) {
-	res.Recovered = m.RunUntilRecovered(start + budget)
+// reader. It fills res and notes whichever step failed. The budget starts
+// at detection, not at the fill: a quiet fault's fill wait can use up the
+// whole deadline before the detection read is issued.
+func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, budget sim.Time, stride int) {
+	res.Recovered = m.RunUntilRecovered(m.Now() + budget)
 	if !res.Recovered {
 		res.Note = fmt.Sprintf("recovery incomplete after %v", budget)
 		return

@@ -93,8 +93,7 @@ func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.T
 		res.Events = eventsFired(m)
 		res.Metrics = m.MetricsSnapshot()
 	}()
-	start := m.Now()
-	fillAndInject(m, burst, start+ws.Cfg.Deadline, func() { m.Inject(f) })
-	recoverAndVerify(m, res, driveDetection(m, f), start, ws.Cfg.Deadline, ws.Cfg.Stride)
+	fillAndInject(m, burst, m.Now()+ws.Cfg.Deadline, func() { m.Inject(f) })
+	recoverAndVerify(m, res, driveDetection(m, f), ws.Cfg.Deadline, ws.Cfg.Stride)
 	return res
 }

@@ -99,7 +99,7 @@ type Cell struct {
 	rpcSeq   uint64
 	pending  map[uint64]*rpcCall
 	handlers map[string]func(from int, args any) (any, error)
-	seen     map[string]any // exactly-once dedup: "cell:seq" -> cached reply
+	seen     map[rpcID]any // exactly-once dedup: request -> cached reply
 }
 
 // Boss returns the cell's coordinating node id.
@@ -146,7 +146,7 @@ func New(m *machine.Machine, cfg Config) *Hive {
 			ID: ci, h: h, alive: true,
 			pending:  map[uint64]*rpcCall{},
 			handlers: map[string]func(int, any) (any, error){},
-			seen:     map[string]any{},
+			seen:     map[rpcID]any{},
 		}
 		for k := 0; k < per; k++ {
 			c.Nodes = append(c.Nodes, ci*per+k)
@@ -192,6 +192,7 @@ func (c *Cell) setupKernelPages() {
 // kernel data means the cell lost its own kernel state: kernel panic.
 func (c *Cell) scheduleHeartbeat() {
 	h := c.h
+	done := c.heartbeatDone
 	var beat func()
 	beat = func() {
 		if !c.Alive() {
@@ -203,21 +204,24 @@ func (c *Cell) scheduleHeartbeat() {
 		}
 		addr := c.kernel[c.hbIndex%len(c.kernel)]
 		c.hbIndex++
-		tok := h.M.Oracle.NextToken()
 		cpu := h.M.Nodes[c.Boss()].CPU
-		cpu.Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: tok, Done: func(r magic.Result) {
-			switch r.Err {
-			case nil:
-				h.M.Oracle.Wrote(addr, tok)
-			case magic.ErrBusError:
-				c.panic("kernel data lost (bus error on kernel page)")
-			case magic.ErrAborted:
-				// Recovery in progress; the next beat retries.
-			}
-		}})
+		cpu.Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: h.M.Oracle.NextToken(), DoneAt: done})
 		h.M.E.After(heartbeatInterval, beat)
 	}
 	h.M.E.After(heartbeatInterval, beat)
+}
+
+// heartbeatDone completes a heartbeat store; a committed store completes
+// with the token it stored.
+func (c *Cell) heartbeatDone(addr coherence.Addr, r magic.Result) {
+	switch r.Err {
+	case nil:
+		c.h.M.Oracle.Wrote(addr, r.Token)
+	case magic.ErrBusError:
+		c.panic("kernel data lost (bus error on kernel page)")
+	case magic.ErrAborted:
+		// Recovery in progress; the next beat retries.
+	}
 }
 
 // scheduleCrossCheck arranges the periodic aliveness probes: the boss

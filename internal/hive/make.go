@@ -73,18 +73,25 @@ func (s TaskState) String() string {
 	}
 }
 
-// CompileTask is one cell's compile.
+// CompileTask is one cell's compile. Everything an in-flight operation
+// needs lives here, so the task's three completions are bound once and no
+// memory operation allocates a closure.
 type CompileTask struct {
 	Cell    *Cell
 	FileID  int
 	State   TaskState
 	FailWhy string
 
+	mk       *Make
+	file     *openReply // the server's answer to "open"
 	inputSum uint64
 	readIdx  int
 	writeIdx int
 	resIdx   int
 	artifact uint64
+	// readDone, outputDone and resultDone complete an input read, an
+	// object-file store and a results-page store.
+	readDone, outputDone, resultDone func(coherence.Addr, magic.Result)
 }
 
 // openReply is the server's answer to "open".
@@ -112,13 +119,17 @@ type Make struct {
 }
 
 // NewMake prepares the workload: cell 0 serves files to every other cell.
+// It panics if the layout does not fit a node's memory (see checkLayout).
 func NewMake(h *Hive, cfg MakeConfig) *Make {
 	mk := &Make{H: h, Cfg: cfg, Server: h.Cells[0], submitted: map[int]uint64{}}
+	mk.checkLayout()
 	mk.prepareFiles()
 	mk.Server.Handle("open", mk.handleOpen)
 	mk.Server.Handle("submit", mk.handleSubmit)
 	for ci := 1; ci < len(h.Cells); ci++ {
-		mk.Tasks = append(mk.Tasks, &CompileTask{Cell: h.Cells[ci], FileID: ci - 1})
+		t := &CompileTask{Cell: h.Cells[ci], FileID: ci - 1, mk: mk}
+		t.readDone, t.outputDone, t.resultDone = t.readCompleted, t.outputStored, t.resultStored
+		mk.Tasks = append(mk.Tasks, t)
 	}
 	// OS recovery terminates applications with essential dependencies on
 	// dead cells (§4.6); Evaluate later classifies them as excused or
@@ -157,6 +168,27 @@ func (mk *Make) resultsBase(fileID int) coherence.Addr {
 func (mk *Make) outputBase(t *CompileTask) coherence.Addr {
 	base := mk.H.M.Space.Base(t.Cell.Boss())
 	return base + coherence.Addr(kernelPages*timing.PageSize)
+}
+
+// checkLayout refuses a layout that runs a region past its node's memory,
+// where the make would silently read or overwrite another node's memory and
+// a fault-free run would fail like a containment failure.
+func (mk *Make) checkLayout() {
+	mem := mk.H.M.Cfg.MemBytes
+	clients := len(mk.H.Cells) - 1
+	if n := mk.Cfg.ResultLines * timing.LineSize; n > timing.PageSize {
+		panic(fmt.Sprintf("hive: %d result lines (%d bytes) overflow a %d-byte results page",
+			mk.Cfg.ResultLines, n, timing.PageSize))
+	}
+	// The results page past the last client's ends the server's layout.
+	if end := uint64(mk.resultsBase(clients) - mk.H.M.Space.Base(mk.Server.Boss())); end > mem {
+		panic(fmt.Sprintf("hive: %d kernel pages, %d input files of %d lines and %d results pages need %d bytes; the server node has %d",
+			kernelPages, clients, mk.Cfg.FileLines, clients, end, mem))
+	}
+	if end := uint64(kernelPages*timing.PageSize + (mk.Cfg.OutputLines+1)*timing.LineSize); end > mem {
+		panic(fmt.Sprintf("hive: %d kernel pages and %d output lines need %d bytes; a client node has %d",
+			kernelPages, mk.Cfg.OutputLines, end, mem))
+	}
 }
 
 // prepareFiles fills the server's file regions (modeling the page cache
@@ -234,40 +266,49 @@ func (mk *Make) open(t *CompileTask) {
 			return
 		}
 		t.State = TaskReading
-		mk.readNext(t, v.(*openReply))
+		t.file = v.(*openReply)
+		mk.readNext(t)
 	})
 }
 
 // readNext streams the input file, retrying recovery-aborted reads and
 // failing on bus errors (input data lost with the server).
-func (mk *Make) readNext(t *CompileTask, or *openReply) {
+func (mk *Make) readNext(t *CompileTask) {
 	if !t.Cell.Alive() {
 		mk.fail(t, "cell died while reading")
 		return
 	}
-	if t.readIdx >= or.Lines {
+	if t.readIdx >= t.file.Lines {
 		mk.computeStep(t)
 		return
 	}
-	addr := or.Base + coherence.Addr(t.readIdx*timing.LineSize)
-	cpu := mk.H.M.Nodes[t.Cell.Boss()].CPU
-	cpu.Submit(proc.Op{Kind: proc.OpRead, Addr: addr, Done: func(r magic.Result) {
-		switch r.Err {
-		case nil:
-			t.inputSum += r.Token
-			t.readIdx++
-			mk.readNext(t, or)
-		case magic.ErrAborted:
-			mk.readNext(t, or) // reissue after recovery
-		default:
-			mk.fail(t, fmt.Sprintf("input line %d: %v", t.readIdx, r.Err))
-		}
-	}})
+	addr := t.file.Base + coherence.Addr(t.readIdx*timing.LineSize)
+	mk.cpu(t).Submit(proc.Op{Kind: proc.OpRead, Addr: addr, DoneAt: t.readDone})
+}
+
+// readCompleted completes an input read.
+func (t *CompileTask) readCompleted(_ coherence.Addr, r magic.Result) {
+	switch r.Err {
+	case nil:
+		t.inputSum += r.Token
+		t.readIdx++
+		t.mk.readNext(t)
+	case magic.ErrAborted:
+		t.mk.readNext(t) // reissue after recovery
+	default:
+		t.mk.fail(t, fmt.Sprintf("input line %d: %v", t.readIdx, r.Err))
+	}
+}
+
+// computeDone ends a task's compute step; a1 is the task.
+var computeDone sim.Callback = func(a1, _ any, _ uint64) {
+	t := a1.(*CompileTask)
+	t.mk.writeOutput(t)
 }
 
 func (mk *Make) computeStep(t *CompileTask) {
 	t.State = TaskComputing
-	mk.H.M.E.After(mk.Cfg.ComputeTime, func() { mk.writeOutput(t) })
+	mk.H.M.E.AfterCall(mk.Cfg.ComputeTime, computeDone, t, nil, 0)
 }
 
 // writeOutput writes the object file into the cell's own memory.
@@ -282,21 +323,23 @@ func (mk *Make) writeOutput(t *CompileTask) {
 		return
 	}
 	addr := mk.outputBase(t) + coherence.Addr((t.writeIdx+1)*timing.LineSize)
-	tok := mk.H.M.Oracle.NextToken()
-	cpu := mk.H.M.Nodes[t.Cell.Boss()].CPU
-	cpu.Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: tok, Done: func(r magic.Result) {
-		switch r.Err {
-		case nil:
-			mk.H.M.Oracle.Wrote(addr, tok)
-			t.artifact += tok
-			t.writeIdx++
-			mk.writeOutput(t)
-		case magic.ErrAborted:
-			mk.writeOutput(t)
-		default:
-			mk.fail(t, fmt.Sprintf("output line %d: %v", t.writeIdx, r.Err))
-		}
-	}})
+	mk.cpu(t).Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: mk.H.M.Oracle.NextToken(), DoneAt: t.outputDone})
+}
+
+// outputStored completes an object-file store. A committed store
+// completes with the token it stored.
+func (t *CompileTask) outputStored(addr coherence.Addr, r magic.Result) {
+	switch r.Err {
+	case nil:
+		t.mk.H.M.Oracle.Wrote(addr, r.Token)
+		t.artifact += r.Token
+		t.writeIdx++
+		t.mk.writeOutput(t)
+	case magic.ErrAborted:
+		t.mk.writeOutput(t)
+	default:
+		t.mk.fail(t, fmt.Sprintf("output line %d: %v", t.writeIdx, r.Err))
+	}
 }
 
 // writeResults pushes the result summary into the server-owned results
@@ -312,21 +355,25 @@ func (mk *Make) writeResults(t *CompileTask) {
 		return
 	}
 	addr := mk.resultsBase(t.FileID) + coherence.Addr(t.resIdx*timing.LineSize)
-	tok := mk.H.M.Oracle.NextToken()
-	cpu := mk.H.M.Nodes[t.Cell.Boss()].CPU
-	cpu.Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: tok, Done: func(r magic.Result) {
-		switch r.Err {
-		case nil:
-			mk.H.M.Oracle.Wrote(addr, tok)
-			t.resIdx++
-			mk.writeResults(t)
-		case magic.ErrAborted:
-			mk.writeResults(t)
-		default:
-			mk.fail(t, fmt.Sprintf("result line %d: %v", t.resIdx, r.Err))
-		}
-	}})
+	mk.cpu(t).Submit(proc.Op{Kind: proc.OpWrite, Addr: addr, Token: mk.H.M.Oracle.NextToken(), DoneAt: t.resultDone})
 }
+
+// resultStored completes a results-page store.
+func (t *CompileTask) resultStored(addr coherence.Addr, r magic.Result) {
+	switch r.Err {
+	case nil:
+		t.mk.H.M.Oracle.Wrote(addr, r.Token)
+		t.resIdx++
+		t.mk.writeResults(t)
+	case magic.ErrAborted:
+		t.mk.writeResults(t)
+	default:
+		t.mk.fail(t, fmt.Sprintf("result line %d: %v", t.resIdx, r.Err))
+	}
+}
+
+// cpu is the processor that runs t's compile.
+func (mk *Make) cpu(t *CompileTask) *proc.CPU { return mk.H.M.Nodes[t.Cell.Boss()].CPU }
 
 func (mk *Make) submit(t *CompileTask) {
 	t.State = TaskSubmitting

@@ -27,6 +27,12 @@ type rpcEnvelope struct {
 	IsReply  bool
 }
 
+// rpcID names one request for the server's exactly-once dedup.
+type rpcID struct {
+	cell int
+	seq  uint64
+}
+
 // rpcCall is a pending client-side call.
 type rpcCall struct {
 	seq      uint64
@@ -64,7 +70,7 @@ func (c *Cell) serve(env *rpcEnvelope) (any, error) {
 	if !c.Alive() {
 		return nil, fmt.Errorf("hive: cell %d not running", c.ID)
 	}
-	key := fmt.Sprintf("%d:%d", env.FromCell, env.Seq)
+	key := rpcID{env.FromCell, env.Seq}
 	if cached, ok := c.seen[key]; ok {
 		return cached, nil
 	}

@@ -1,6 +1,7 @@
 // Package workload provides the programs the experiments run on simulated
 // FLASH machines: the stand-alone cache-fill validation program of §5.2 and
-// (in parallelmake.go) the Hive parallel-make model of §5.1.
+// its partitioned-engine variant. The Hive parallel-make model of §5.1
+// lives with the OS model, in internal/hive/make.go.
 package workload
 
 import (
