@@ -120,26 +120,35 @@ func (c *Cache) Invalidate(a Addr) *CacheLine {
 }
 
 // Flush empties the cache and returns every line that must be written back
-// home (all exclusive lines) in deterministic FIFO order, each exactly once
-// with its latest token. Shared lines are dropped silently: the home copy is
-// valid (§4.5). The emptied index, FIFO and chunk are released rather than
-// kept at their warm size: a campaign holds every finished machine of a
-// batch, and a flushed cache that refills regrows them from empty.
+// home (all exclusive lines), as FlushEach visits them.
 func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
+	c.FlushEach(func(a Addr, l *CacheLine) {
+		addrs = append(addrs, a)
+		lines = append(lines, l)
+	})
+	return addrs, lines
+}
+
+// FlushEach empties the cache and hands every line that must be written
+// back home (all exclusive lines) to wb, in deterministic FIFO order, each
+// exactly once with its latest token; wb may be nil. Shared lines are
+// dropped silently: the home copy is valid (§4.5). The emptied index, FIFO
+// and chunk are released rather than kept at their warm size: a campaign
+// holds every finished machine of a batch, and a flushed cache that refills
+// regrows them from empty.
+func (c *Cache) FlushEach(wb func(a Addr, l *CacheLine)) {
 	for _, a := range c.fifo[c.head:] {
 		l, ok := c.lines[a]
 		if !ok {
 			continue // invalidated, or an older entry of a re-installed line
 		}
-		if l.State == CacheExclusive {
-			addrs = append(addrs, a)
-			lines = append(lines, l)
-		}
 		delete(c.lines, a)
+		if l.State == CacheExclusive && wb != nil {
+			wb(a, l)
+		}
 	}
 	c.lines = make(map[Addr]*CacheLine)
 	c.fifo, c.head, c.chunk = nil, 0, nil
-	return addrs, lines
 }
 
 // Clone returns a deep copy of the cache. Unlike memory and directory

@@ -57,12 +57,12 @@ type recMsg struct {
 	Hint   int       // BFT-height hint (0 = none), §4.3 scheduling optimization
 
 	// Barrier fields:
-	Barrier string
+	Barrier barrierKey
 	Dirty   bool // drain phase-B: sender saw stalled traffic since voting
 }
 
 func (m *recMsg) String() string {
-	return fmt.Sprintf("rec{%v from=%d ep=%d r=%d %s}", m.Kind, m.From, m.Epoch, m.Round, m.Barrier)
+	return fmt.Sprintf("rec{%v from=%d ep=%d r=%d %v}", m.Kind, m.From, m.Epoch, m.Round, m.Barrier)
 }
 
 // bytes is the wire size of the message for serialization cost.

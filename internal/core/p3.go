@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"flashfc/internal/routing"
 	"flashfc/internal/timing"
 )
@@ -73,15 +71,17 @@ func (a *Agent) startDrainPhase() {
 func (a *Agent) startPartialDrain() {
 	a.mDrainAttempts.Inc()
 	tr := a.cfg.Trace
-	spDrain := tr.Begin(a.E.Now(), a.ID, "drain-attempt", a.spPhase, 0)
-	spVote := tr.Begin(a.E.Now(), a.ID, "drain-tau-vote", spDrain, 0)
-	a.startBarrier("drain-a#0", func(bool) {
-		now := a.E.Now()
-		tr.End(now, spVote)
-		tr.End(now, spDrain)
-		a.reprogramRoutes()
-	})
-	a.drainQuietCheck("drain-a#0", 0)
+	a.spDrain = tr.Begin(a.E.Now(), a.ID, "drain-attempt", a.spPhase, 0)
+	a.spVote = tr.Begin(a.E.Now(), a.ID, "drain-tau-vote", a.spDrain, 0)
+	a.drainQuietCheck(a.startBarrier(barrierKey{kind: barDrain}))
+}
+
+// drainPassed ends the single-phase drain.
+func (a *Agent) drainPassed() {
+	now := a.E.Now()
+	a.cfg.Trace.End(now, a.spVote)
+	a.cfg.Trace.End(now, a.spDrain)
+	a.reprogramRoutes()
 }
 
 // isolateRouter configures discards on every port of r that points at a
@@ -100,49 +100,55 @@ func (a *Agent) isolateRouter(r int) {
 func (a *Agent) startDrain(attempt int) {
 	a.mDrainAttempts.Inc()
 	tr := a.cfg.Trace
-	spDrain := tr.Begin(a.E.Now(), a.ID, "drain-attempt", a.spPhase, int64(attempt))
-	spVote := tr.Begin(a.E.Now(), a.ID, "drain-tau-vote", spDrain, int64(attempt))
-	nameA := fmt.Sprintf("drain-a#%d", attempt)
-	nameB := fmt.Sprintf("drain-b#%d", attempt)
-	a.startBarrier(nameA, func(bool) {
-		dirty := a.Ctrl.LastNormalDelivery() > a.voteAt
-		tr.End(a.E.Now(), spVote)
-		spConfirm := tr.Begin(a.E.Now(), a.ID, "drain-tau-confirm", spDrain, int64(attempt))
-		a.startBarrier(nameB, func(dirty bool) {
-			now := a.E.Now()
-			tr.End(now, spConfirm)
-			tr.End(now, spDrain)
-			if dirty {
-				a.mDrainRestarts.Inc()
-				a.startDrain(attempt + 1)
-				return
-			}
-			a.reprogramRoutes()
-		})
-		a.barrierReady(nameB, dirty)
-	})
-	a.drainQuietCheck(nameA, attempt)
+	a.spDrain = tr.Begin(a.E.Now(), a.ID, "drain-attempt", a.spPhase, int64(attempt))
+	a.spVote = tr.Begin(a.E.Now(), a.ID, "drain-tau-vote", a.spDrain, int64(attempt))
+	a.drainQuietCheck(a.startBarrier(barrierKey{kind: barDrainVote, attempt: attempt}))
 }
 
-// drainQuietCheck votes in the drain barrier once the controller has seen
-// no normal-lane delivery for τ.
-func (a *Agent) drainQuietCheck(name string, attempt int) {
-	epoch := a.epoch
-	var check func()
-	check = func() {
-		if a.epoch != epoch || a.phase != PhaseInterconnect {
-			return
-		}
-		last := a.Ctrl.LastNormalDelivery()
-		quiet := a.E.Now() - last
-		if quiet >= timing.DrainTau {
-			a.voteAt = a.E.Now()
-			a.barrierReady(name, false)
-			return
-		}
-		a.E.After(timing.DrainTau-quiet, check)
+// drainVoted enters the confirm phase once every participant voted: this
+// node's confirm is dirty if stalled traffic arrived since its vote.
+func (a *Agent) drainVoted(attempt int) {
+	dirty := a.Ctrl.LastNormalDelivery() > a.voteAt
+	tr := a.cfg.Trace
+	tr.End(a.E.Now(), a.spVote)
+	a.spConfirm = tr.Begin(a.E.Now(), a.ID, "drain-tau-confirm", a.spDrain, int64(attempt))
+	a.barrierReady(a.startBarrier(barrierKey{kind: barDrainConfirm, attempt: attempt}), dirty)
+}
+
+// drainConfirmed ends a drain attempt: a dirty confirm restarts the
+// agreement, a clean one reprograms the routes.
+func (a *Agent) drainConfirmed(attempt int, dirty bool) {
+	now := a.E.Now()
+	a.cfg.Trace.End(now, a.spConfirm)
+	a.cfg.Trace.End(now, a.spDrain)
+	if dirty {
+		a.mDrainRestarts.Inc()
+		a.startDrain(attempt + 1)
+		return
 	}
-	a.E.After(timing.DrainTau, check)
+	a.reprogramRoutes()
+}
+
+// drainQuietCheck votes in drain barrier i once the controller has seen no
+// normal-lane delivery for τ.
+func (a *Agent) drainQuietCheck(i int) {
+	a.E.AfterCall(timing.DrainTau, drainQuiet, a, nil, a.tag(i))
+}
+
+// drainQuiet is drainQuietCheck's pre-bound check, re-armed until the
+// controller has been quiet for τ.
+func drainQuiet(a1, _ any, u uint64) {
+	a := a1.(*Agent)
+	if a.epoch != int(u>>32) || a.phase != PhaseInterconnect {
+		return
+	}
+	quiet := a.E.Now() - a.Ctrl.LastNormalDelivery()
+	if quiet >= timing.DrainTau {
+		a.voteAt = a.E.Now()
+		a.barrierReady(int(uint32(u)), false)
+		return
+	}
+	a.E.AfterCall(timing.DrainTau-quiet, drainQuiet, a, nil, u)
 }
 
 // reprogramRoutes takes the strategy's repair of the surviving graph (the
@@ -164,7 +170,7 @@ func (a *Agent) reprogramRoutes() {
 	if a.ID == a.root {
 		charge *= 2 // rows for orphaned routers too
 	}
-	spRoutes := a.cfg.Trace.Begin(a.E.Now(), a.ID, "route-reprogram", a.spPhase, 0)
+	a.spRoutes = a.cfg.Trace.Begin(a.E.Now(), a.ID, "route-reprogram", a.spPhase, 0)
 	a.execInstr(charge, func() {
 		a.Net.SetRouterTable(a.ID, rep.Tables[a.ID])
 		if a.ID == a.root {
@@ -174,11 +180,13 @@ func (a *Agent) reprogramRoutes() {
 				}
 			}
 		}
-		a.startBarrier("p3-post", func(bool) {
-			a.cfg.Trace.End(a.E.Now(), spRoutes)
-			a.report.P3End = a.E.Now()
-			a.startCoherenceRecovery()
-		})
-		a.barrierReady("p3-post", false)
+		a.passBarrier(barrierKey{kind: barP3Post})
 	})
+}
+
+// routesInstalled ends P3 once every participant has its new tables.
+func (a *Agent) routesInstalled() {
+	a.cfg.Trace.End(a.E.Now(), a.spRoutes)
+	a.report.P3End = a.E.Now()
+	a.startCoherenceRecovery()
 }

@@ -170,7 +170,7 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	a.resetState()
 	a.phase = PhaseDissemination
 	a.cwn = []int{1, 2}
-	a.cwnPath = map[int][]int{1: {0, 1}, 2: {0, 2}}
+	a.cwnRoute = [][]int{{0, 1}, {0, 2}}
 	a.st.setNode(1, triUp)
 	a.st.setRouter(1, triUp)
 	a.round, a.target = 1, 1
@@ -260,7 +260,7 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	a.resetState()
 	a.phase = PhaseDissemination
 	a.cwn = []int{1, 2}
-	a.cwnPath = map[int][]int{1: {0, 1}, 2: {0, 2}}
+	a.cwnRoute = [][]int{{0, 1}, {0, 2}}
 	a.round, a.target, a.hint = 1, 3, 3
 	// ship runs the engine until the current round is on the wire — past
 	// a pending merge, which charges the send — and returns its message,

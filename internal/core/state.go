@@ -137,12 +137,12 @@ func (s *sysState) words() int {
 	return 2*s.n + s.l + 4
 }
 
-// view converts the state into a topology.View for graph computations.
-// Unknown components are treated as down: by the time views are used (after
-// dissemination stabilizes) everything reachable has been resolved, and
-// anything still unknown is unreachable.
-func (s *sysState) view(t *topology.Topology) *topology.View {
-	v := topology.NewView(t)
+// viewInto makes v a view of t holding the state's knowledge, reusing v's
+// arrays. Unknown components are treated as down: by the time views are
+// used (after dissemination stabilizes) everything reachable has been
+// resolved, and anything still unknown is unreachable.
+func (s *sysState) viewInto(v *topology.View, t *topology.Topology) {
+	v.Reset(t)
 	for r := range v.RouterUp {
 		if s.router(r) != triUp {
 			v.RouterUp[r] = false
@@ -153,20 +153,18 @@ func (s *sysState) view(t *topology.Topology) *topology.View {
 			v.LinkUp[l] = false
 		}
 	}
-	return v
 }
 
-// functioningNodes lists nodes known up, ascending.
-func (s *sysState) functioningNodes() []int {
-	var out []int
+// appendFunctioning appends the nodes known up to dst, ascending.
+func (s *sysState) appendFunctioning(dst []int) []int {
 	for w, word := range s.up {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			if i >= s.n {
-				return out
+				return dst
 			}
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }

@@ -831,8 +831,9 @@ func (n *Network) deliverEv(a1, _ any, _ uint64) { n.deliver(a1.(*Packet)) }
 // answers if it and every traversed element are alive. The response arrives
 // after the round-trip time; if anything on the path is dead there is no
 // response and the caller's timeout fires instead. Path state is evaluated
-// when the probe would traverse it, i.e. at call time.
-func (n *Network) ProbeRouter(path []int, cb func()) {
+// when the probe would traverse it, i.e. at call time. The answer is the
+// pre-bound cb(a1, a2, u), so a probe allocates nothing.
+func (n *Network) ProbeRouter(path []int, cb sim.Callback, a1, a2 any, u uint64) {
 	if len(path) == 0 {
 		return
 	}
@@ -849,5 +850,5 @@ func (n *Network) ProbeRouter(path []int, cb func()) {
 			rtt += 2 * (timing.RouterHop + timing.LinkWire + 16*timing.LinkBytePeriod)
 		}
 	}
-	n.eng(path[0]).After(rtt+2*timing.RouterHop, cb)
+	n.eng(path[0]).AfterCall(rtt+2*timing.RouterHop, cb, a1, a2, u)
 }

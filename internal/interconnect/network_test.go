@@ -323,31 +323,27 @@ func TestSetRouterTableReroutes(t *testing.T) {
 
 func TestProbeRouterAliveAndDead(t *testing.T) {
 	e, n, _ := rig(t, 3, 1)
-	alive := false
-	n.ProbeRouter([]int{0, 1, 2}, func() { alive = true })
-	e.Run()
-	if !alive {
+	var answers []uint64
+	answered := func(_, _ any, u uint64) { answers = append(answers, u) }
+	probe := func(u uint64, path ...int) bool {
+		answers = nil
+		n.ProbeRouter(path, answered, nil, nil, u)
+		e.Run()
+		return len(answers) == 1 && answers[0] == u
+	}
+	if !probe(1, 0, 1, 2) {
 		t.Fatal("probe of healthy path should answer")
 	}
-	alive = false
 	n.FailRouter(2)
-	n.ProbeRouter([]int{0, 1, 2}, func() { alive = true })
-	e.Run()
-	if alive {
+	if probe(2, 0, 1, 2) || len(answers) != 0 {
 		t.Fatal("probe of dead router must not answer")
 	}
 	// Dead link on the path also kills the probe.
-	alive = false
-	n.ProbeRouter([]int{0, 1}, func() { alive = true })
-	e.Run()
-	if !alive {
+	if !probe(3, 0, 1) {
 		t.Fatal("probe of live router should answer")
 	}
 	n.FailLink(topologyLink(t, n, 0, 1))
-	alive = false
-	n.ProbeRouter([]int{0, 1}, func() { alive = true })
-	e.Run()
-	if alive {
+	if probe(4, 0, 1) || len(answers) != 0 {
 		t.Fatal("probe across dead link must not answer")
 	}
 }

@@ -426,7 +426,7 @@ func (m *Machine) KillCPU(id int) {
 	m.Metrics.Counter("machine.cpu_failures").Inc()
 	m.lostCacheContents(id)
 	m.Nodes[id].CPU.Pause()
-	m.Nodes[id].Cache.Flush() // the cache dies with the processor complex
+	m.Nodes[id].Cache.FlushEach(nil) // the cache dies with the processor complex
 	m.Nodes[id].Ctrl.CPUDied()
 	m.Nodes[id].Agent.Kill()
 	m.live.kill(id, ctrlDead|memServes)

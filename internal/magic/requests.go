@@ -291,7 +291,6 @@ func (c *Controller) Orphans() []*coherence.Message { return c.orphans }
 // number of writebacks sent. The writebacks travel in flush records (see
 // flushFree), not pooled ones.
 func (c *Controller) FlushCache() int {
-	addrs, lines := c.Cache.Flush()
 	sent := 0
 	put := func(a coherence.Addr, data uint64) {
 		msg := coherence.Message{Type: coherence.MsgPut, Addr: a, Req: c.ID, Data: data}
@@ -304,9 +303,7 @@ func (c *Controller) FlushCache() int {
 		c.Net.Send(&acquireFlushWire(c.ID, home, msg).pkt)
 		sent++
 	}
-	for i, a := range addrs {
-		put(a, lines[i].Token)
-	}
+	c.Cache.FlushEach(func(a coherence.Addr, l *coherence.CacheLine) { put(a, l.Token) })
 	// Return orphaned exclusive grants stashed during the drain: their
 	// data never reached a cache, so the home's memory copy must be
 	// refreshed from the grant before the directory sweep.

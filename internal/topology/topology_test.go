@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -111,6 +112,30 @@ func TestBFSWithFailures(t *testing.T) {
 	}
 	if len(comps[0]) != 4 || len(comps[1]) != 8 {
 		t.Errorf("component sizes = %d,%d, want 4,8", len(comps[0]), len(comps[1]))
+	}
+}
+
+// BFS carves the tree's three arrays and its queue from one block, so a
+// tree costs two allocations at any size, and BFSInto recomputes into a
+// tree of the view's size without allocating. Recomputing into a used tree
+// must give what a fresh one gives.
+func TestBFSAllocs(t *testing.T) {
+	for _, m := range []*Topology{NewMesh(2, 2), NewMesh(8, 8), NewMesh(32, 32), NewHypercube(10)} {
+		v := NewView(m)
+		v.FailRouter(1)
+		if n := testing.AllocsPerRun(20, func() { v.BFS(0) }); n > 2 {
+			t.Errorf("%d routers: BFS makes %.0f allocations, want <= 2", m.Routers(), n)
+		}
+		var b BFT
+		v.BFSInto(&b, m.Routers()-1)
+		if n := testing.AllocsPerRun(20, func() { v.BFSInto(&b, 0) }); n != 0 {
+			t.Errorf("%d routers: BFSInto a sized tree makes %.0f allocations, want 0", m.Routers(), n)
+		}
+		fresh := v.BFS(0)
+		if b.Root != fresh.Root || b.Height != fresh.Height || !slices.Equal(b.Dist, fresh.Dist) ||
+			!slices.Equal(b.Parent, fresh.Parent) || !slices.Equal(b.ParentPort, fresh.ParentPort) {
+			t.Errorf("%d routers: a reused tree differs from a fresh one", m.Routers())
+		}
 	}
 }
 

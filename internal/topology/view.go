@@ -12,10 +12,18 @@ type View struct {
 
 // NewView returns a view of t with every router and link up.
 func NewView(t *Topology) *View {
-	v := &View{
-		T:        t,
-		RouterUp: make([]bool, t.Routers()),
-		LinkUp:   make([]bool, len(t.Links())),
+	v := &View{}
+	v.Reset(t)
+	return v
+}
+
+// Reset makes v a view of t with every router and link up, reusing its
+// arrays when they are t's size.
+func (v *View) Reset(t *Topology) {
+	v.T = t
+	if len(v.RouterUp) != t.Routers() || len(v.LinkUp) != len(t.Links()) {
+		up := make([]bool, t.Routers()+len(t.Links()))
+		v.RouterUp, v.LinkUp = up[:t.Routers():t.Routers()], up[t.Routers():]
 	}
 	for i := range v.RouterUp {
 		v.RouterUp[i] = true
@@ -23,7 +31,6 @@ func NewView(t *Topology) *View {
 	for i := range v.LinkUp {
 		v.LinkUp[i] = true
 	}
-	return v
 }
 
 // Clone returns an independent copy of v.
@@ -62,31 +69,45 @@ type BFT struct {
 	Dist       []int // hop distance from Root; -1 if unreachable
 	Parent     []int // BFS parent; -1 for root and unreachable routers
 	ParentPort []int // port at the router leading to its parent; -1 likewise
+
+	queue []int // BFSInto's work queue, carved with the arrays
 }
 
 // BFS computes a breadth-first tree rooted at root over live routers and
 // links. Neighbors are visited in port order, so the tree is deterministic.
+// It allocates twice at any size: the tree and one block holding its three
+// arrays and the queue.
 func (v *View) BFS(root int) *BFT {
+	b := &BFT{}
+	v.BFSInto(b, root)
+	return b
+}
+
+// BFSInto computes BFS(root) into b, reusing b's arrays when they are the
+// view's size: a caller that recomputes trees keeps one BFT and allocates
+// nothing after the first.
+func (v *View) BFSInto(b *BFT, root int) {
 	n := v.T.Routers()
-	b := &BFT{
-		Root:       root,
-		Dist:       make([]int, n),
-		Parent:     make([]int, n),
-		ParentPort: make([]int, n),
+	if len(b.Dist) != n {
+		block := make([]int, 4*n)
+		b.Dist, b.Parent, b.ParentPort = block[:n:n], block[n:2*n:2*n], block[2*n:3*n:3*n]
+		b.queue = block[3*n:]
 	}
+	b.Root, b.Height = root, 0
 	for i := 0; i < n; i++ {
 		b.Dist[i] = -1
 		b.Parent[i] = -1
 		b.ParentPort[i] = -1
 	}
 	if root < 0 || root >= n || !v.RouterUp[root] {
-		return b
+		return
 	}
+	// Each router is enqueued at most once, so the queue never outgrows n
+	// and is popped by index.
 	b.Dist[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
+	queue := append(b.queue[:0], root)
+	for head := 0; head < len(queue); head++ {
+		r := queue[head]
 		if b.Dist[r] > b.Height {
 			b.Height = b.Dist[r]
 		}
@@ -100,7 +121,6 @@ func (v *View) BFS(root int) *BFT {
 			queue = append(queue, a.To)
 		}
 	}
-	return b
 }
 
 // Reachable reports how many live routers the BFT spans (including the root).
