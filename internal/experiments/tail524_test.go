@@ -43,3 +43,25 @@ func TestQuietNodeFailureGetsFullBudget(t *testing.T) {
 		t.Fatalf("run 2 (seed %d, %v) failed: recovered=%v note=%s", runSeed, r.Fault, r.Recovered, r.Note)
 	}
 }
+
+// TestFailSlowFlushDoneWaitsForWritebacks pins runs 0, 2, 7 and 10 of
+// `flashsim -fault fail-slow -nodes 16 -mem 65536 -l2 16384 -fill 32
+// -seed 1 -runs 16`. A survivor's flush-done reached a home slowed 100x
+// behind writebacks still queued at its controller, which handed it to
+// the agent at arrival; the home swept its directory before they applied
+// and marked 1-3 survivor-held lines incoherent. The controller now
+// queues the flush-done behind them, and every run must verify clean.
+func TestFailSlowFlushDoneWaitsForWritebacks(t *testing.T) {
+	cfg := fastValidationConfig()
+	cfg.Nodes = 16
+	cfg.FillLines = 32
+	ws := WarmupValidation(cfg, runner.DeriveSeed(1, runner.StreamWarmup, 0))
+	stream := ValidationCampaign{Fault: fault.FailSlow}.Stream()
+	for _, run := range []int{0, 2, 7, 10} {
+		runSeed := runner.DeriveSeed(1, stream, run)
+		r := ValidationFromWarm(ws, fault.FailSlow, runSeed, nil)
+		if !r.OK() {
+			t.Errorf("run %d (seed %d, %v) failed: recovered=%v verify=%v", run, runSeed, r.Fault, r.Recovered, r.Verify)
+		}
+	}
+}

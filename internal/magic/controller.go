@@ -292,7 +292,9 @@ func (c *Controller) SetMode(m Mode) {
 // the Table 4.1 trigger conditions.
 func (c *Controller) SetTriggerHandler(fn func(TriggerReason)) { c.onTrigger = fn }
 
-// SetRecoveryHandler registers the receiver for recovery-lane packets.
+// SetRecoveryHandler registers the receiver for recovery packets: those of
+// the recovery lanes at arrival, a normal-lane one (the P4 flush-done) in
+// its turn in the input queue.
 func (c *Controller) SetRecoveryHandler(fn func(*interconnect.Packet)) { c.onRecoveryPkt = fn }
 
 // SetDeadDropHandler registers an observer for coherence messages the
@@ -440,34 +442,31 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 		c.trigger(ReasonTruncated)
 		return true
 	}
-	msg, isCoh := p.Payload.(*coherence.Message)
-	if !isCoh {
-		// Normal-lane recovery control traffic (the P4 flush barrier
-		// travels behind the writebacks on the same channels to
-		// exploit in-order delivery, §4.5).
-		if c.onRecoveryPkt != nil {
-			c.onRecoveryPkt(p)
-		}
-		return true
-	}
-	switch c.mode {
-	case ModeDrain:
-		// §4.4: controllers keep fielding messages while the fabric
-		// drains, but incoming *requests* no longer generate replies.
-		// Writebacks are folded home and orphaned exclusive grants are
-		// stashed for return during the flush; everything else is
-		// consumed without effect.
-		switch msg.Type {
-		case coherence.MsgPut, coherence.MsgDataExcl:
-			// handled below (queued normally)
-		default:
-			c.discarded(msg)
-			return true
-		}
-	case ModeFlush:
-		if msg.Type != coherence.MsgPut && msg.Type != coherence.MsgDataExcl {
-			c.discarded(msg)
-			return true
+	// Normal-lane recovery control traffic (the P4 flush barrier's
+	// flush-done) queues like everything else: it travels behind the
+	// sender's writebacks on the same channels to exploit in-order delivery
+	// (§4.5), and that order must hold through this queue too, or a
+	// slowed home would sweep its directory before they apply.
+	if msg, isCoh := p.Payload.(*coherence.Message); isCoh {
+		switch c.mode {
+		case ModeDrain:
+			// §4.4: controllers keep fielding messages while the fabric
+			// drains, but incoming *requests* no longer generate replies.
+			// Writebacks are folded home and orphaned exclusive grants
+			// are stashed for return during the flush; everything else
+			// is consumed without effect.
+			switch msg.Type {
+			case coherence.MsgPut, coherence.MsgDataExcl:
+				// handled below (queued normally)
+			default:
+				c.discarded(msg)
+				return true
+			}
+		case ModeFlush:
+			if msg.Type != coherence.MsgPut && msg.Type != coherence.MsgDataExcl {
+				c.discarded(msg)
+				return true
+			}
 		}
 	}
 	if len(c.input) >= timing.InputQueue {
@@ -491,6 +490,11 @@ func (c *Controller) process() {
 	c.Net.NodeReady(c.ID) // freed an input slot
 	msg, ok := p.Payload.(*coherence.Message)
 	if !ok {
+		// Recovery control traffic reaches the agent in its place in the
+		// queue: everything that arrived before it has been handled.
+		if c.onRecoveryPkt != nil {
+			c.onRecoveryPkt(p)
+		}
 		c.process()
 		return
 	}
