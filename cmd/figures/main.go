@@ -4,7 +4,7 @@
 //	figures -fig 5.5            hardware recovery time vs machine size
 //	figures -fig 5.6            coherence recovery vs L2 size and memory size
 //	figures -fig 5.7            end-to-end suspension time vs machine size
-//	figures -fig ablations      §4.2 / §4.3 / §6.2 / §6.3 optimization measurements
+//	figures -fig ablations      §4.2 / §4.3 / §5.3 / §6.2 / §6.3 optimization measurements
 //	figures -fig dist           recovery-time distributions across random faults
 //
 // Each sweep is one campaign through the Campaign API: its points are
@@ -31,6 +31,7 @@ import (
 
 	"flashfc"
 	"flashfc/internal/cliflags"
+	"flashfc/internal/timing"
 )
 
 func main() {
@@ -264,6 +265,14 @@ func ablations(seed int64) (failed failures) {
 	failed.check(pOn.OK, "ablations §4.3 with hints")
 	failed.check(pOff.OK, "ablations §4.3 without hints")
 
+	fmt.Println("\n§5.3 uncached-instruction timing (total recovery, 8 nodes):")
+	simos := singleFault(&failed, "ablations §5.3 at SimOS timing", seed, func(*flashfc.MachineConfig) {})
+	rtl := singleFault(&failed, "ablations §5.3 at RTL timing", seed, func(c *flashfc.MachineConfig) {
+		c.Recovery.UncachedInstr = timing.UncachedInstrRTL
+	})
+	fmt.Printf("  SimOS %v/instr: %v\n  RTL %v/instr:   %v\n",
+		timing.UncachedInstrSimOS, simos.Total, timing.UncachedInstrRTL, rtl.Total)
+
 	fmt.Println("\n§6.2 firewall cost (intercell write miss latency):")
 	offLat := flashfc.FirewallLatency(false, seed)
 	onLat := flashfc.FirewallLatency(true, seed)
@@ -271,26 +280,30 @@ func ablations(seed int64) (failed failures) {
 		offLat, onLat, 100*flashfc.FirewallOverheadFraction(seed))
 
 	fmt.Println("\n§6.3 HAL-style reliable interconnect (flush-free P4, 8 nodes):")
-	fmt.Printf("  flushed P4:    %v\n  flush-free P4: %v\n",
-		measureP4(seed, false, false), measureP4(seed, true, false))
+	reliable := singleFault(&failed, "ablations §6.3 flush-free", seed, func(c *flashfc.MachineConfig) {
+		c.ReliableInterconnect = true
+	})
+	fmt.Printf("  flushed P4:    %v\n  flush-free P4: %v\n", simos.P4Time(), reliable.P4Time())
 
 	fmt.Println("\n§6.2 hardwired controller (minimum-support P4, 8 nodes):")
-	fmt.Printf("  programmable:  %v\n  hardwired:     %v\n",
-		measureP4(seed, false, false), measureP4(seed, false, true))
+	hardwired := singleFault(&failed, "ablations §6.2 hardwired", seed, func(c *flashfc.MachineConfig) {
+		c.Recovery.HardwiredController = true
+	})
+	fmt.Printf("  programmable:  %v\n  hardwired:     %v\n", simos.P4Time(), hardwired.P4Time())
 	return failed
 }
 
-// measureP4 runs one node-failure recovery and returns the P4 duration.
-func measureP4(seed int64, reliable, hardwired bool) flashfc.Time {
+// singleFault runs the §5.3/§6 ablations' one script on the 8-node default
+// machine that set adjusts: node 4 fails at 1 ms and node 0 touches it. It
+// returns the recovery's phase times and names point in failed when the
+// recovery does not complete.
+func singleFault(failed *failures, point string, seed int64, set func(*flashfc.MachineConfig)) flashfc.PhaseTimes {
 	cfg := flashfc.DefaultMachineConfig(8)
 	cfg.Seed = seed
-	cfg.ReliableInterconnect = reliable
-	cfg.Recovery.HardwiredController = hardwired
+	set(&cfg)
 	m := flashfc.NewMachine(cfg)
 	m.InjectAt(flashfc.Fault{Type: flashfc.NodeFailure, Node: 4}, flashfc.Millisecond)
 	m.E.At(flashfc.Millisecond, func() { m.Nodes[0].CPU.Submit(flashfc.TouchOp(m, 4)) })
-	if !m.RunUntilRecovered(10 * flashfc.Second) {
-		panic("recovery incomplete")
-	}
-	return m.Aggregate().P4Time()
+	failed.check(m.RunUntilRecovered(10*flashfc.Second), "%s", point)
+	return m.Aggregate()
 }

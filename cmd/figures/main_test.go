@@ -24,9 +24,17 @@ func TestMain(m *testing.M) {
 // code.
 func runFigures(t *testing.T, args ...string) (stderr string, code int) {
 	t.Helper()
+	_, stderr, code = runFiguresOut(t, args...)
+	return stderr, code
+}
+
+// runFiguresOut is runFigures that also returns what main() printed.
+func runFiguresOut(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "FIGURES_MAIN=1")
-	var errb bytes.Buffer
+	var outb, errb bytes.Buffer
+	cmd.Stdout = &outb
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
 		ee, ok := err.(*exec.ExitError)
@@ -35,7 +43,7 @@ func runFigures(t *testing.T, args ...string) (stderr string, code int) {
 		}
 		code = ee.ExitCode()
 	}
-	return errb.String(), code
+	return outb.String(), errb.String(), code
 }
 
 // Figures registers neither -exemplars (tables -table tail) nor flashsim's
@@ -148,5 +156,24 @@ func TestFailedPointsNamed(t *testing.T) {
 	none.check(true, "fig 5.7 at %d nodes", 2)
 	if none.report(&buf) || buf.Len() != 0 {
 		t.Fatalf("report with every point recovered = true, wrote %q", buf.String())
+	}
+}
+
+// -fig ablations runs each of its single recoveries to completion and
+// prints every section: the paper's §4.2, §4.3, §5.3, §6.2 (firewall and
+// hardwired controller) and §6.3 measurements.
+func TestAblationsPrintsEverySection(t *testing.T) {
+	stdout, stderr, code := runFiguresOut(t, "-fig", "ablations")
+	if code != 0 {
+		t.Fatalf("figures -fig ablations: exit %d; stderr:\n%s", code, stderr)
+	}
+	for _, section := range []string{
+		"§4.2 speculative pings", "§4.3 BFT-hint scheduling",
+		"§5.3 uncached-instruction timing", "§6.2 firewall cost",
+		"§6.3 HAL-style reliable interconnect", "§6.2 hardwired controller",
+	} {
+		if !strings.Contains(stdout, "\n"+section) {
+			t.Errorf("figures -fig ablations prints no %q section:\n%s", section, stdout)
+		}
 	}
 }

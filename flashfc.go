@@ -21,8 +21,8 @@
 //     units, with firewalled kernel pages, exactly-once inter-cell RPC and
 //     OS recovery (§3.3, §4.6); NewParallelMake builds the §5.1 workload.
 //   - The experiment drivers regenerate every table and figure of §5:
-//     single runs through RunValidation / RunEndToEnd, and every batch and
-//     sweep through the one campaign path — RunCampaign with a per-family
+//     single runs through RunValidation, and every batch and sweep
+//     through the one campaign path — RunCampaign with a per-family
 //     experiment struct (ValidationCampaign, EndToEndCampaign,
 //     Fig55Campaign, … or any custom Experiment[T]). RunTailCampaign and
 //     RunRoutingCampaign are loops over the same path that reduce its runs
@@ -395,11 +395,6 @@ func MeasureRecovery(cfg ScalingConfig) ScalingPoint { return experiments.Measur
 
 // DefaultEndToEndConfig returns the §5.1 end-to-end setup.
 func DefaultEndToEndConfig() EndToEndConfig { return experiments.DefaultEndToEndConfig() }
-
-// RunEndToEnd performs one Table 5.4 end-to-end experiment.
-func RunEndToEnd(cfg EndToEndConfig, ft FaultType, seed int64) *EndToEndResult {
-	return experiments.EndToEnd(cfg, ft, seed)
-}
 
 // FirewallLatency measures an intercell write-miss latency with the
 // firewall on or off (§6.2).

@@ -42,15 +42,7 @@ func (a *Agent) startCoherenceRecovery() {
 // in place.
 func (a *Agent) doScanReliable() {
 	a.report.FlushEnd = a.E.Now()
-	scanTime := sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine
-	a.armWatchdogFor(2*scanTime + a.cfg.watchdogTimeout)
-	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
-	a.traceScanChunks(spScan, scanTime)
-	a.execTime(scanTime, func() {
-		a.report.Incoherent = len(a.Ctrl.ScanDirectoryLiveness())
-		a.cfg.Trace.End(a.E.Now(), spScan)
-		a.passBarrier(barrierKey{kind: barP4Done})
-	})
+	a.sweepDirectory(sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine)
 }
 
 // traceScanChunks subdivides a known-duration sweep window into span
@@ -137,23 +129,27 @@ func (a *Agent) checkFlushBarrier() {
 func (a *Agent) doScan() {
 	a.cfg.Trace.End(a.E.Now(), a.spFlushWait)
 	a.spFlushWait = 0
-	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
+	d := sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine
 	if a.cfg.HardwiredController {
-		charge := a.Ctrl.Space.Lines() * timing.InstrHardwiredScanPerLine
-		a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.watchdogTimeout)
-		a.traceScanChunks(spScan, sim.Time(charge)*a.cfg.UncachedInstr)
-		a.execInstr(charge, func() {
-			a.report.Incoherent = len(a.Ctrl.ScanDirectory())
-			a.cfg.Trace.End(a.E.Now(), spScan)
-			a.passBarrier(barrierKey{kind: barP4Done})
-		})
-		return
+		d = sim.Time(a.Ctrl.Space.Lines()*timing.InstrHardwiredScanPerLine) * a.cfg.UncachedInstr
 	}
-	scanTime := sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine
-	a.armWatchdogFor(2*scanTime + a.cfg.watchdogTimeout)
-	a.traceScanChunks(spScan, scanTime)
-	a.execTime(scanTime, func() {
-		a.report.Incoherent = len(a.Ctrl.ScanDirectory())
+	a.sweepDirectory(d)
+}
+
+// sweepDirectory charges d of processor time for the directory sweep,
+// guarded by a watchdog at twice d, then records the lines it marked
+// incoherent — by liveness alone behind a reliable interconnect — and
+// joins P4's last barrier.
+func (a *Agent) sweepDirectory(d sim.Time) {
+	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
+	a.armWatchdogFor(2*d + a.cfg.watchdogTimeout)
+	a.traceScanChunks(spScan, d)
+	a.execTime(d, func() {
+		if a.cfg.ReliableInterconnect {
+			a.report.Incoherent = len(a.Ctrl.ScanDirectoryLiveness())
+		} else {
+			a.report.Incoherent = len(a.Ctrl.ScanDirectory())
+		}
 		a.cfg.Trace.End(a.E.Now(), spScan)
 		a.passBarrier(barrierKey{kind: barP4Done})
 	})

@@ -144,9 +144,10 @@ func TestPacketHopAllocs(t *testing.T) {
 // 3.2 on a cold engine (4.9 for the link failure below). Carving P1's
 // probes, routes and per-node state, P3's barriers and the views and trees
 // per agent and per epoch brings the 64-node node failure to 2.05 and the
-// 16-node link failure to 2.49, half of it the P4 flush's one record per
-// writeback. The bound sits between those and 2.7: one closure per probe or
-// barrier step, or a map per node, crosses it.
+// 16-node link failure to 2.49 — 2.54 in a process whose flush records are
+// not yet warm, since they are allocated a block at a time. The bound sits
+// between those and 2.7: one closure per probe or barrier step, a map per
+// node, or a record per flush writeback crosses it.
 const recoveryAllocsPerPacket = 2.6
 
 // recoveryAllocs runs a recovery of f on a filled nodes-node mesh, from the

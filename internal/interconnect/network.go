@@ -629,7 +629,7 @@ func (n *Network) kick(ch *channel) {
 		e := n.eng(from)
 		deliverAt := e.Now() + serviceTime(pkt) + pt.Extra
 		pt.P.Send(pt.Of[from], pt.Of[to], deliverAt,
-			nil, n.ingressFn, pkt, nil, packRL(to, int(ch.link)))
+			n.ingressFn, pkt, nil, packRL(to, int(ch.link)))
 		e.AfterCall(serviceTime(pkt), n.launchFn, ch, pkt, 0)
 		return
 	}

@@ -449,20 +449,13 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 	// slowed home would sweep its directory before they apply.
 	if msg, isCoh := p.Payload.(*coherence.Message); isCoh {
 		switch c.mode {
-		case ModeDrain:
+		case ModeDrain, ModeFlush:
 			// §4.4: controllers keep fielding messages while the fabric
-			// drains, but incoming *requests* no longer generate replies.
-			// Writebacks are folded home and orphaned exclusive grants
-			// are stashed for return during the flush; everything else
-			// is consumed without effect.
-			switch msg.Type {
-			case coherence.MsgPut, coherence.MsgDataExcl:
-				// handled below (queued normally)
-			default:
-				c.discarded(msg)
-				return true
-			}
-		case ModeFlush:
+			// drains and the caches flush, but incoming *requests* no
+			// longer generate replies. Writebacks are folded home and
+			// orphaned exclusive grants are stashed for return during the
+			// flush (both queued normally); everything else is consumed
+			// without effect.
 			if msg.Type != coherence.MsgPut && msg.Type != coherence.MsgDataExcl {
 				c.discarded(msg)
 				return true

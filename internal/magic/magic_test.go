@@ -768,7 +768,8 @@ func TestOrphanStashKeepsItsRecord(t *testing.T) {
 
 // The P4 flush's writebacks travel in flush records, which their homes hand
 // back to flushFree, never to wirePool, so the flush burst never sits in the
-// collector-cleared pool; ordinary traffic leaves flushFree alone.
+// collector-cleared pool; ordinary traffic leaves flushFree alone. A flush
+// that empties the list refills it a whole flushBlock at a time.
 func TestFlushRecordsRecycleThroughFlushFree(t *testing.T) {
 	free := func() int {
 		flushFree.Lock()
@@ -790,8 +791,10 @@ func TestFlushRecordsRecycleThroughFlushFree(t *testing.T) {
 		t.Fatalf("flush sent %d writebacks, want %d", n, lines)
 	}
 	sent := free()
-	if want := max(before-lines, 0); sent != want {
-		t.Fatalf("flushFree holds %d records after the flush took %d of %d, want %d", sent, lines, before, want)
+	short := max(lines-before, 0)
+	refill := (short + flushBlock - 1) / flushBlock * flushBlock
+	if want := before + refill - lines; sent != want {
+		t.Fatalf("flushFree holds %d records after the flush took %d of %d (refilled %d), want %d", sent, lines, before, refill, want)
 	}
 	r.e.Run()
 	if got := free(); got != sent+lines {

@@ -87,7 +87,6 @@ type Callback func(a1, a2 any, u uint64)
 type event struct {
 	at     Time
 	seq    uint64 // tiebreaker: FIFO among same-time events
-	fn     func()
 	cb     Callback
 	a1, a2 any
 	u      uint64
@@ -267,7 +266,6 @@ func (e *Engine) alloc(at Time) *event {
 // retiring its generation so stale Timers can no longer reach it.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.cb = nil
 	ev.a1 = nil
 	ev.a2 = nil
@@ -290,22 +288,14 @@ func (e *Engine) schedule(ev *event) Timer {
 
 // At schedules fn to run at absolute time at. Scheduling in the past panics:
 // that is always a model bug.
-func (e *Engine) At(at Time, fn func()) Timer {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
-	}
-	ev := e.alloc(at)
-	ev.fn = fn
-	return e.schedule(ev)
-}
+func (e *Engine) At(at Time, fn func()) Timer { return e.AtCall(at, runFunc, fn, nil, 0) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) Timer { return e.AfterCall(d, runFunc, fn, nil, 0) }
+
+// runFunc is the Callback that runs a1 as a func(): At and After schedule
+// a closure through it. A func value rides in a1 without allocating.
+func runFunc(a1, _ any, _ uint64) { a1.(func())() }
 
 // AtCall schedules the pre-bound cb(a1, a2, u) at absolute time at. Unlike
 // At with a capturing closure, the arguments travel inside the pooled event
@@ -381,13 +371,9 @@ func (e *Engine) step(limit Time, bounded bool) bool {
 		e.live--
 		e.now = next.at
 		e.fired++
-		fn, cb, a1, a2, u := next.fn, next.cb, next.a1, next.a2, next.u
+		cb, a1, a2, u := next.cb, next.a1, next.a2, next.u
 		e.release(next)
-		if cb != nil {
-			cb(a1, a2, u)
-		} else {
-			fn()
-		}
+		cb(a1, a2, u)
 		return true
 	}
 }

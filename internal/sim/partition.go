@@ -67,7 +67,6 @@ type xmsg struct {
 	sent   Time // send time (first merge tiebreak)
 	src    int32
 	idx    uint32 // per-source send index within the window
-	fn     func()
 	cb     Callback
 	a1, a2 any
 	u      uint64
@@ -165,21 +164,20 @@ func (p *Partitioned) GlobalActive() bool {
 	return p.haveGlobal && p.windowStart >= p.globalFrom
 }
 
-// Send schedules cb(a1, a2, u) (or fn, when cb is nil) at absolute time
-// `at` in region dst. It must be called from region src's execution (or
-// between windows with src's engine clock current). The delivery time must
-// not precede the end of the current window — equivalently, callers must
-// keep cross-region delays at or above the lookahead; anything tighter
-// would let one region affect another inside a window already running in
-// parallel.
-func (p *Partitioned) Send(src, dst int, at Time, fn func(), cb Callback, a1, a2 any, u uint64) {
+// Send schedules cb(a1, a2, u) at absolute time `at` in region dst. It must
+// be called from region src's execution (or between windows with src's
+// engine clock current). The delivery time must not precede the end of the
+// current window — equivalently, callers must keep cross-region delays at
+// or above the lookahead; anything tighter would let one region affect
+// another inside a window already running in parallel.
+func (p *Partitioned) Send(src, dst int, at Time, cb Callback, a1, a2 any, u uint64) {
 	if floor := p.windowStart + p.lookahead; at < floor {
 		panic(fmt.Sprintf("sim: cross-region send at %v violates lookahead window ending at %v", at, floor))
 	}
 	p.outbox[src] = append(p.outbox[src], xmsg{
 		dst: dst, at: at, sent: p.engines[src].Now(),
 		src: int32(src), idx: p.sendIdx[src],
-		fn: fn, cb: cb, a1: a1, a2: a2, u: u,
+		cb: cb, a1: a1, a2: a2, u: u,
 	})
 	p.sendIdx[src]++
 }
@@ -420,12 +418,7 @@ func (p *Partitioned) mergeOutboxes() {
 		return a.idx < b.idx
 	})
 	for _, m := range all {
-		e := p.engines[m.dst]
-		if m.cb != nil {
-			e.AtCall(m.at, m.cb, m.a1, m.a2, m.u)
-		} else {
-			e.At(m.at, m.fn)
-		}
+		p.engines[m.dst].AtCall(m.at, m.cb, m.a1, m.a2, m.u)
 		p.mergedIn[m.dst]++
 	}
 	p.merged += uint64(len(all))

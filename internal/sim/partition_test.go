@@ -50,7 +50,7 @@ func runRandomProgram(seed int64, regions, workers int, global bool, chunk Time)
 				if regions > 1 && r.Intn(3) == 0 {
 					dst := r.Intn(regions)
 					at := e.Now() + L + Time(r.Intn(4000))
-					p.Send(region, dst, at, handler(dst, depth+1), nil, nil, nil, 0)
+					p.Send(region, dst, at, runFunc, handler(dst, depth+1), nil, 0)
 				} else {
 					e.After(Time(r.Intn(2500)), handler(region, depth+1))
 				}
@@ -189,12 +189,12 @@ func TestPartitionedEqualTimestampMergeOrder(t *testing.T) {
 		// earliest (sentAt 5), so it merges first despite the higher
 		// region index; regions 0 and 1 send at the same instant (t=10)
 		// and order by (srcRegion, srcIndex).
-		p.Region(2).At(5, func() { p.Send(2, 3, 2100, note("r2#0"), nil, nil, nil, 0) })
+		p.Region(2).At(5, func() { p.Send(2, 3, 2100, runFunc, note("r2#0"), nil, 0) })
 		p.Region(0).At(10, func() {
-			p.Send(0, 3, 2100, note("r0#0"), nil, nil, nil, 0)
-			p.Send(0, 3, 2100, note("r0#1"), nil, nil, nil, 0)
+			p.Send(0, 3, 2100, runFunc, note("r0#0"), nil, 0)
+			p.Send(0, 3, 2100, runFunc, note("r0#1"), nil, 0)
 		})
-		p.Region(1).At(10, func() { p.Send(1, 3, 2100, note("r1#0"), nil, nil, nil, 0) })
+		p.Region(1).At(10, func() { p.Send(1, 3, 2100, runFunc, note("r1#0"), nil, 0) })
 		p.Run()
 		return log
 	}
@@ -218,7 +218,7 @@ func TestPartitionedLookaheadViolationPanics(t *testing.T) {
 			t.Fatal("Send below the lookahead floor did not panic")
 		}
 	}()
-	p.Send(0, 1, 999, func() {}, nil, nil, nil, 0)
+	p.Send(0, 1, 999, runFunc, func() {}, nil, 0)
 }
 
 // TestPartitionedRunUntilContract mirrors Engine.RunUntil: events at
