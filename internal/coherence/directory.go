@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 	"maps"
-	"slices"
 
 	"flashfc/internal/timing"
 )
@@ -51,23 +50,19 @@ func (s DirState) String() string {
 // Locked reports whether the line is in a transient state.
 func (s DirState) Locked() bool { return s == DirPendingRecall || s == DirPendingInval }
 
-// DirEntry is the directory state of one line at its home. Entries are
-// created by a Directory, which backs Sharers with the entry's own inline
-// word on machines of up to 64 nodes and with words carved beside the
-// entry on larger ones; copying an entry by value therefore aliases the
-// original's sharer list (Directory's copy-on-write re-points it). The
-// pending-transaction fields share one word with State, which keeps an
-// entry at 56 bytes.
+// DirEntry is the directory state of one line at its home. Its sharer
+// list holds up to three ids inline and spills to a heap bitmap only past
+// that, so an entry is 40 bytes on every machine size; copying an entry by
+// value aliases a spilled bitmap (copyEntry does not). The
+// pending-transaction fields share one word with State.
 type DirEntry struct {
 	State       DirState
-	PendingExcl bool    // the pending request is a GETX (valid while State.Locked())
-	AcksLeft    uint16  // outstanding invalidate acks (DirPendingInval); at most the sharer count
-	PendingReq  int32   // the requester the lock is held for (valid while State.Locked())
-	Owner       int     // valid in DirExclusive and DirPendingRecall
-	Sharers     NodeSet // valid in DirShared and DirPendingInval
-	PendingSeq  uint64  // requester's sequence number, echoed in the reply (valid while State.Locked())
-
-	word [1]uint64 // Sharers' backing store when the machine has <= 64 nodes
+	PendingExcl bool      // the pending request is a GETX (valid while State.Locked())
+	AcksLeft    uint16    // outstanding invalidate acks (DirPendingInval); at most the sharer count
+	PendingReq  int32     // the requester the lock is held for (valid while State.Locked())
+	Owner       int       // valid in DirExclusive and DirPendingRecall
+	Sharers     SharerSet // valid in DirShared and DirPendingInval
+	PendingSeq  uint64    // requester's sequence number, echoed in the reply (valid while State.Locked())
 }
 
 // maxDirNodes is the largest machine a Directory serves: AcksLeft counts
@@ -94,10 +89,9 @@ const maxDirNodes = 1<<16 - 1
 // indexed by local line number and stays one. Only a directory told its
 // lines by SetHome can switch; the frozen base is always a map.
 //
-// Entries, and on machines of more than 64 nodes their sharer words, are
-// carved from small per-directory chunks rather than allocated one by one
-// (an entry and its sharer list per swept line were a third of the verify
-// sweep's bytes). A dropped entry's slot is simply abandoned: its chunk is
+// Entries are carved from small per-directory chunks rather than allocated
+// one by one (an entry per swept line was a third of the verify sweep's
+// bytes). A dropped entry's slot is simply abandoned: its chunk is
 // collected once every entry in it is gone. The chunk is kept small
 // because a campaign holds every finished machine of a batch, and each of
 // their directories carries up to a chunk of slack.
@@ -109,7 +103,6 @@ type Directory struct {
 	base    Addr               // first line homed here (see SetHome)
 	lines   int                // lines homed here; 0 keeps the overlay a map
 	chunk   []DirEntry         // entries are carved from its spare capacity
-	words   []uint64           // sharer words for the chunk's entries on > 64 nodes
 }
 
 // dirChunk is the number of entries carved per allocation.
@@ -120,22 +113,11 @@ var tombstone = new(DirEntry)
 
 // newEntry carves a zeroed DirInvalid entry with an empty sharer list.
 func (d *Directory) newEntry() *DirEntry {
-	w := (d.nodes + 63) / 64
 	if len(d.chunk) == cap(d.chunk) {
 		d.chunk = make([]DirEntry, 0, dirChunk)
-		if w > 1 {
-			d.words = make([]uint64, dirChunk*w)
-		}
 	}
 	d.chunk = d.chunk[:len(d.chunk)+1]
-	e := &d.chunk[len(d.chunk)-1]
-	if w <= 1 {
-		e.Sharers = e.word[:]
-	} else {
-		e.Sharers = NodeSet(d.words[:w:w])
-		d.words = d.words[w:]
-	}
-	return e
+	return &d.chunk[len(d.chunk)-1]
 }
 
 // NewDirectory returns an empty directory for a machine of n nodes. It
@@ -272,19 +254,18 @@ func (d *Directory) cloneEntry(e *DirEntry) *DirEntry {
 	return c
 }
 
-// copyEntry overwrites dst with src, keeping dst's own sharer storage.
+// copyEntry overwrites dst with src, giving dst its own copy of a spilled
+// sharer bitmap.
 func copyEntry(dst, src *DirEntry) {
-	sharers := dst.Sharers
 	*dst = *src
-	dst.Sharers = sharers
-	copy(dst.Sharers, src.Sharers)
+	dst.Sharers = src.Sharers.clone()
 }
 
 // sameEntry reports whether two entries hold the same state.
 func sameEntry(a, b *DirEntry) bool {
 	return a.State == b.State && a.PendingExcl == b.PendingExcl && a.Owner == b.Owner &&
 		a.PendingReq == b.PendingReq && a.AcksLeft == b.AcksLeft && a.PendingSeq == b.PendingSeq &&
-		slices.Equal(a.Sharers, b.Sharers)
+		a.Sharers.equal(&b.Sharers)
 }
 
 // Peek returns the entry for line a without copying it up, or nil if the
@@ -476,8 +457,7 @@ func (d *Directory) ScanLiveness(up func(node int) bool) []Addr {
 				lost = append(lost, a)
 			}
 		case DirShared:
-			// ForEach ranges over a copy of each word, so removing
-			// members as it goes is safe.
+			// ForEach tolerates removing members as it goes.
 			e.Sharers.ForEach(func(id int) {
 				if !up(id) {
 					e.Sharers.Remove(id)
@@ -489,12 +469,7 @@ func (d *Directory) ScanLiveness(up func(node int) bool) []Addr {
 		case DirPendingInval:
 			// Unknown live sharers may remain: over-approximate.
 			e.State = DirShared
-			e.Sharers.Clear()
-			for i := 0; i < d.nodes; i++ {
-				if up(i) {
-					e.Sharers.Add(i)
-				}
-			}
+			e.Sharers.fill(d.nodes, up)
 		}
 		e.AcksLeft = 0
 	}, false)

@@ -16,18 +16,18 @@ type refEntry struct {
 	State       DirState
 	PendingExcl bool
 	Owner       int
-	Sharers     []uint64
+	Sharers     []int // members, ascending
 	PendingReq  int32
 	AcksLeft    uint16
 	PendingSeq  uint64
 }
 
 func refOf(e *DirEntry) refEntry {
-	return refEntry{e.State, e.PendingExcl, e.Owner, slices.Clone(e.Sharers), e.PendingReq, e.AcksLeft, e.PendingSeq}
+	return refEntry{e.State, e.PendingExcl, e.Owner, members(&e.Sharers), e.PendingReq, e.AcksLeft, e.PendingSeq}
 }
 
 func (r refEntry) String() string {
-	return fmt.Sprintf("%v excl=%v owner=%d sharers=%x req=%d acks=%d seq=%d",
+	return fmt.Sprintf("%v excl=%v owner=%d sharers=%v req=%d acks=%d seq=%d",
 		r.State, r.PendingExcl, r.Owner, r.Sharers, r.PendingReq, r.AcksLeft, r.PendingSeq)
 }
 
@@ -48,7 +48,7 @@ func refScan(ref map[Addr]refEntry) []Addr {
 			lost = append(lost, a)
 		case DirShared, DirPendingInval:
 			e.State = DirInvalid
-			clear(e.Sharers)
+			e.Sharers = nil
 		}
 		e.AcksLeft = 0
 		ref[a] = e
@@ -74,23 +74,16 @@ func refScanLiveness(ref map[Addr]refEntry, nodes int, up func(int) bool) []Addr
 				lost = append(lost, a)
 			}
 		case DirShared:
-			s := NodeSet(e.Sharers)
-			for id := 0; id < nodes; id++ {
-				if !up(id) {
-					s.Remove(id)
-				}
-			}
-			if s.Empty() {
+			e.Sharers = slices.DeleteFunc(slices.Clone(e.Sharers), func(id int) bool { return !up(id) })
+			if len(e.Sharers) == 0 {
 				e.State = DirInvalid
 			}
 		case DirPendingInval:
 			e.State = DirShared
-			s := NodeSet(e.Sharers)
+			e.Sharers = nil
 			for id := 0; id < nodes; id++ {
 				if up(id) {
-					s.Add(id)
-				} else {
-					s.Remove(id)
+					e.Sharers = append(e.Sharers, id)
 				}
 			}
 		}
@@ -101,13 +94,14 @@ func refScanLiveness(ref map[Addr]refEntry, nodes int, up func(int) bool) []Addr
 	return lost
 }
 
-// scribble gives e random state.
+// scribble gives e random state, with up to five sharers so that some
+// lists spill.
 func scribble(rng *rand.Rand, e *DirEntry, nodes int) {
 	e.State = DirState(rng.Intn(int(DirIncoherent) + 1))
 	e.PendingExcl = rng.Intn(2) == 0
 	e.Owner = rng.Intn(nodes)
 	e.Sharers.Clear()
-	for k := rng.Intn(4); k > 0; k-- {
+	for k := rng.Intn(6); k > 0; k-- {
 		e.Sharers.Add(rng.Intn(nodes))
 	}
 	e.PendingReq = int32(rng.Intn(nodes))
@@ -173,7 +167,7 @@ func runModel(t *testing.T, rng *rand.Rand, nodes, lines, pool int, wantDense bo
 			e := d.Get(a)
 			want, ok := ref[a.Line()]
 			if !ok {
-				want = refOf(&DirEntry{Sharers: NewNodeSet(nodes)})
+				want = refOf(&DirEntry{})
 			}
 			if got := refOf(e); !got.equal(want) {
 				fail("Get(%v) = %v, want %v", a, got, want)
@@ -276,16 +270,17 @@ func runModel(t *testing.T, rng *rand.Rand, nodes, lines, pool int, wantDense bo
 	}
 }
 
-// A directory entry packs its pending-transaction fields into one word.
-func TestDirEntryIs56Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(DirEntry{}); got != 56 {
-		t.Fatalf("DirEntry is %d bytes, want 56", got)
+// A directory entry packs its pending-transaction fields into one word
+// and holds its sharers inline: 40 bytes whatever the machine size.
+func TestDirEntryIs40Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(DirEntry{}); got != 40 {
+		t.Fatalf("DirEntry is %d bytes, want 40", got)
 	}
 }
 
-// New lines are carved eight at a time, sharer words included, on
-// machines too big for the inline sharer word: at most one entry chunk and
-// one word chunk per eight lines.
+// New lines are carved eight at a time, and a line with one sharer needs
+// no storage beyond its entry: one allocation per eight new lines, at
+// every machine size.
 func TestNewLinesCarveSharersWithEntries(t *testing.T) {
 	for _, nodes := range []int{128, 1024} {
 		d := NewDirectory(nodes)
@@ -297,8 +292,8 @@ func TestNewLinesCarveSharersWithEntries(t *testing.T) {
 				d.Drop(Addr(i) * timing.LineSize)
 			}
 		})
-		if allocs > 64/dirChunk*2 {
-			t.Errorf("%d nodes: 64 new lines cost %.1f allocations, want at most %d", nodes, allocs, 64/dirChunk*2)
+		if allocs > 64/dirChunk {
+			t.Errorf("%d nodes: 64 new lines cost %.1f allocations, want at most %d", nodes, allocs, 64/dirChunk)
 		}
 	}
 }

@@ -191,19 +191,20 @@ func fixtureDirectory() *Directory {
 func deepCopy(m map[Addr]*DirEntry) map[Addr]*DirEntry {
 	out := make(map[Addr]*DirEntry, len(m))
 	for a, e := range m {
-		c := &DirEntry{Sharers: NewNodeSet(8)}
+		c := new(DirEntry)
 		copyEntry(c, e)
 		out[a] = c
 	}
 	return out
 }
 
-// view renders a directory's live contents, for comparing two directories.
+// view renders a directory's live contents, sharers by member, for
+// comparing two directories.
 func view(d *Directory) map[Addr]string {
 	out := map[Addr]string{}
 	d.ForEach(func(a Addr, e *DirEntry) {
 		out[a] = fmt.Sprintf("%v excl=%v owner=%d sharers=%v req=%d acks=%d seq=%d",
-			e.State, e.PendingExcl, e.Owner, e.Sharers, e.PendingReq, e.AcksLeft, e.PendingSeq)
+			e.State, e.PendingExcl, e.Owner, members(&e.Sharers), e.PendingReq, e.AcksLeft, e.PendingSeq)
 	})
 	return out
 }

@@ -186,12 +186,12 @@ type Controller struct {
 	cfg   Config
 
 	mode   Mode
-	nodeUp []bool
+	nodeUp coherence.NodeSet
 	// memSrv marks nodes that are down in the node map but whose memory/
 	// directory bank is still served by a surviving controller (the
 	// CPU-fail/memory-survives model): coherence traffic to them flows,
 	// even though the node never answers recovery pings.
-	memSrv []bool
+	memSrv coherence.NodeSet
 	// slowFactor multiplies every handler's occupancy; 1 is a healthy
 	// engine. The fail-slow fault model raises it to 10-100x without
 	// killing the node. Recovery-lane traffic is unaffected (it bypasses
@@ -254,8 +254,8 @@ func New(e *sim.Engine, net *interconnect.Network, id int, space coherence.AddrS
 	c := &Controller{
 		ID: id, E: e, Net: net, Space: space,
 		Dir: dir, Mem: mem, Cache: cache, cfg: cfg,
-		nodeUp:     make([]bool, space.Nodes),
-		memSrv:     make([]bool, space.Nodes),
+		nodeUp:     coherence.NewNodeSet(space.Nodes),
+		memSrv:     coherence.NewNodeSet(space.Nodes),
 		slowFactor: 1,
 		firewall:   make(map[coherence.Addr]coherence.NodeSet),
 	}
@@ -263,8 +263,8 @@ func New(e *sim.Engine, net *interconnect.Network, id int, space coherence.AddrS
 	c.completeFn = c.completeEv
 	c.timeoutFn = c.timeoutEv
 	c.retryFn = c.retryEv
-	for i := range c.nodeUp {
-		c.nodeUp[i] = true
+	for i := 0; i < space.Nodes; i++ {
+		c.nodeUp.Add(i)
 	}
 	c.mFirewallDenied = cfg.Metrics.Counter("magic.firewall_denied")
 	c.mRangeDenied = cfg.Metrics.Counter("magic.range_denied")
@@ -322,24 +322,33 @@ func (c *Controller) SetFailureUnits(unit []int) { c.unit = unit }
 
 // SetNodeUp updates the node map (§3.1). Recovery calls this on every
 // functioning node after dissemination.
-func (c *Controller) SetNodeUp(id int, up bool) { c.nodeUp[id] = up }
+func (c *Controller) SetNodeUp(id int, up bool) { setNode(c.nodeUp, id, up) }
 
 // NodeUp reads the node map.
-func (c *Controller) NodeUp(id int) bool { return c.nodeUp[id] }
+func (c *Controller) NodeUp(id int) bool { return c.nodeUp.Has(id) }
 
 // SetMemReachable marks a down node's memory/directory bank as still
 // served (the CPU-fail/memory-survives model). Recovery installs it next
 // to the node map after dissemination; clearing the node map entry back to
 // up clears the distinction naturally, since reachable() ORs the two.
-func (c *Controller) SetMemReachable(id int, ok bool) { c.memSrv[id] = ok }
+func (c *Controller) SetMemReachable(id int, ok bool) { setNode(c.memSrv, id, ok) }
 
 // MemReachable reports whether node id's memory bank is served despite the
 // node being down in the node map.
-func (c *Controller) MemReachable(id int) bool { return c.memSrv[id] }
+func (c *Controller) MemReachable(id int) bool { return c.memSrv.Has(id) }
 
 // reachable reports whether coherence traffic to node id has somewhere to
 // go: the node is up, or its memory bank survived its processor.
-func (c *Controller) reachable(id int) bool { return c.nodeUp[id] || c.memSrv[id] }
+func (c *Controller) reachable(id int) bool { return c.nodeUp.Has(id) || c.memSrv.Has(id) }
+
+// setNode adds id to a node map when on is set and removes it otherwise.
+func setNode(m coherence.NodeSet, id int, on bool) {
+	if on {
+		m.Add(id)
+	} else {
+		m.Remove(id)
+	}
+}
 
 // SetSlowFactor degrades (or restores) the handler engine: every handler's
 // occupancy is multiplied by factor. Values below 1 are clamped to 1.

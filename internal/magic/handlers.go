@@ -1,8 +1,6 @@
 package magic
 
 import (
-	"math/bits"
-
 	"flashfc/internal/coherence"
 	"flashfc/internal/timing"
 )
@@ -137,13 +135,11 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
 		e.AcksLeft = uint16(acks)
-		for i, w := range e.Sharers {
-			for ; w != 0; w &= w - 1 {
-				if id := i*64 + bits.TrailingZeros64(w); id != msg.Req {
-					c.sendMsg(id, coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
-				}
+		e.Sharers.ForEach(func(id int) {
+			if id != msg.Req {
+				c.sendMsg(id, coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
 			}
-		}
+		})
 		e.Sharers.Clear()
 	case coherence.DirExclusive:
 		if e.Owner == msg.Req {

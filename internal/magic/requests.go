@@ -321,7 +321,7 @@ func (c *Controller) ScanDirectory() []coherence.Addr { return c.Dir.Scan() }
 // ScanDirectoryLiveness is the flush-free sweep used with a reliable
 // interconnect (§6.3): liveness comes from the freshly updated node map.
 func (c *Controller) ScanDirectoryLiveness() []coherence.Addr {
-	return c.Dir.ScanLiveness(func(n int) bool { return c.nodeUp[n] })
+	return c.Dir.ScanLiveness(c.nodeUp.Has)
 }
 
 // ScrubPage resets the coherence state of any incoherent lines in the page,

@@ -16,7 +16,7 @@ import (
 type Snapshot struct {
 	Seq                uint64
 	LastNormalDelivery sim.Time
-	NodeUp             []bool
+	NodeUp             coherence.NodeSet
 	Firewall           map[coherence.Addr]coherence.NodeSet
 }
 
@@ -41,7 +41,7 @@ func (c *Controller) Snapshot() *Snapshot {
 	return &Snapshot{
 		Seq:                c.seq,
 		LastNormalDelivery: c.lastNormalDelivery,
-		NodeUp:             append([]bool(nil), c.nodeUp...),
+		NodeUp:             c.nodeUp.Clone(),
 		Firewall:           fw,
 	}
 }
