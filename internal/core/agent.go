@@ -737,9 +737,8 @@ func (a *Agent) String() string {
 func (a *Agent) DebugString() string {
 	missing := ""
 	if a.phase == PhaseDissemination {
-		rm := a.inbox[a.round]
 		for _, q := range a.cwn {
-			if rm == nil || rm[q] == nil {
+			if a.latest(q) == nil {
 				missing += fmt.Sprintf(" %d", q)
 			}
 		}

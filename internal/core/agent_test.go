@@ -137,6 +137,41 @@ func TestNodeMapConsensusAfterDissemination(t *testing.T) {
 	}
 }
 
+// A round message a recovery lane drops is subsumed by the sender's next
+// one, since merge is a join: agent 0 never receives node 1's round-1
+// state, merges round 1 from node 1's round-2 state, and recovery
+// completes with no epoch restart anywhere.
+func TestP2MergesLostRoundFromLaterMessage(t *testing.T) {
+	r := newRig(t, 4, 2, nil)
+	a := r.agents[0]
+	withheld, stoodIn := false, false
+	r.ctrls[0].SetRecoveryHandler(func(p *interconnect.Packet) {
+		if m, ok := p.Payload.(*recMsg); ok && m.Kind == kState && m.From == 1 {
+			switch {
+			case m.Round == 1 && !withheld:
+				withheld = true
+				return
+			case m.Round == 2 && a.phase == PhaseDissemination && a.round == 1:
+				stoodIn = true
+			}
+		}
+		a.handlePacket(p)
+	})
+	r.agents[3].Trigger(magic.ReasonFalseAlarm)
+	r.run(t, 2*sim.Second, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	if !withheld || !stoodIn {
+		t.Fatalf("node 1's round-1 state withheld: %v; its round-2 state reached agent 0 in round 1: %v", withheld, stoodIn)
+	}
+	for n, rep := range r.done {
+		if rep.Restarts != 0 {
+			t.Fatalf("node %d restarted its epoch %d times", n, rep.Restarts)
+		}
+	}
+	if got := r.done[0].Rounds; got < 2 {
+		t.Fatalf("agent 0 ran %d rounds, want at least 2", got)
+	}
+}
+
 func TestFailureUnitDoom(t *testing.T) {
 	units := []int{0, 0, 1, 1, 0, 0, 1, 1} // columns 0-1 unit 0, 2-3 unit 1
 	r := newRig(t, 4, 2, func(c *Config) { c.FailureUnits = units })

@@ -106,16 +106,35 @@ func (a *Agent) onState(m *recMsg) {
 	a.checkRound()
 }
 
-// checkRound merges the current round once all cwn messages are in. The
-// merging guard prevents double-scheduling when the last message arrives
-// while sendRound's charge is still being paid.
+// latest returns cwn member q's state message for the current round or,
+// if that one is missing, q's earliest message of a later round; nil if
+// neither has arrived. merge is a join (idempotent, commutative and
+// associative) and a node's state only grows, so q's later state
+// subsumes the one a recovery lane dropped: the round merges without it
+// instead of waiting for the watchdog's epoch restart.
+func (a *Agent) latest(q int) *recMsg {
+	if m := a.inbox[a.round][q]; m != nil {
+		return m
+	}
+	var first *recMsg
+	for r, rm := range a.inbox {
+		if m := rm[q]; m != nil && r > a.round && (first == nil || r < first.Round) {
+			first = m
+		}
+	}
+	return first
+}
+
+// checkRound merges the current round once every cwn member's message for
+// it, or a later one standing in for it, is in. The merging guard prevents
+// double-scheduling when the last message arrives while sendRound's charge
+// is still being paid.
 func (a *Agent) checkRound() {
 	if a.phase != PhaseDissemination || a.round == 0 || a.merging {
 		return
 	}
-	rm := a.inbox[a.round]
 	for _, q := range a.cwn {
-		if rm == nil || rm[q] == nil {
+		if a.latest(q) == nil {
 			return
 		}
 	}
@@ -127,16 +146,16 @@ func (a *Agent) checkRound() {
 }
 
 // roundMerged folds the round's messages into a.st once the merge charge is
-// paid, and recycles the round's inbox map for a later round.
+// paid, and recycles the round's inbox map, if it has one, for a later
+// round.
 func roundMerged(a1, _ any, u uint64) {
 	a := a1.(*Agent)
 	if !a.atRound(u) {
 		return
 	}
-	rm := a.inbox[a.round]
 	changed := false
 	for _, q := range a.cwn {
-		m := rm[q]
+		m := a.latest(q)
 		if a.st.merge(m.State) {
 			changed = true
 		}
@@ -147,9 +166,11 @@ func roundMerged(a1, _ any, u uint64) {
 			a.hint = m.Hint
 		}
 	}
-	delete(a.inbox, a.round)
-	clear(rm)
-	a.spareInbox = rm
+	if rm := a.inbox[a.round]; rm != nil {
+		delete(a.inbox, a.round)
+		clear(rm)
+		a.spareInbox = rm
+	}
 	if changed {
 		a.stable = 0
 	} else {
