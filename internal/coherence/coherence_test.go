@@ -76,10 +76,6 @@ func TestNodeSetBasics(t *testing.T) {
 	if s.Has(63) || !c.Has(63) {
 		t.Fatal("Remove/Clone broken")
 	}
-	s.Clear()
-	if !s.Empty() {
-		t.Fatal("Clear broken")
-	}
 }
 
 func TestQuickNodeSetAddRemove(t *testing.T) {
