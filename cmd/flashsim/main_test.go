@@ -9,13 +9,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flashfc/internal/core"
+	"flashfc/internal/magic"
 )
 
 // The tests re-exec the test binary with FLASHSIM_MAIN=1 so that main()
 // runs exactly as the installed command would, letting us assert on the
-// real stdout/stderr split and on files it writes.
+// real stdout/stderr split and on files it writes. FLASHSIM_POISON=1 also
+// poisons every released wire and recovery record first.
 func TestMain(m *testing.M) {
 	if os.Getenv("FLASHSIM_MAIN") == "1" {
+		if os.Getenv("FLASHSIM_POISON") == "1" {
+			magic.PoisonReleasedForTest(true)
+			core.PoisonReleasedForTest(true)
+		}
 		main()
 		os.Exit(0)
 	}
@@ -36,8 +44,14 @@ func runFlashsim(t *testing.T, args ...string) (stdout, stderr string) {
 // runFlashsimExit runs main() in a child process and returns its exit code.
 func runFlashsimExit(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
+	return runFlashsimEnv(t, nil, args...)
+}
+
+// runFlashsimEnv is runFlashsimExit with extra environment variables.
+func runFlashsimEnv(t *testing.T, env []string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "FLASHSIM_MAIN=1")
+	cmd.Env = append(append(os.Environ(), "FLASHSIM_MAIN=1"), env...)
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
@@ -348,5 +362,30 @@ func TestBadSizesRefused(t *testing.T) {
 		if code != 2 || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic") || stdout != "" {
 			t.Errorf("flashsim %s %s: exit %d, want 2 naming %s; stdout:\n%s\nstderr:\n%s", c.flag, c.value, code, c.flag, stdout, stderr)
 		}
+	}
+}
+
+// Released wire and recovery records poisoned instead of zeroed must leave
+// a run's trace byte for byte as it was: nothing reads a record after its
+// release point.
+func TestPoisonedRecordsLeaveTraceJSON(t *testing.T) {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.json")
+	poisoned := filepath.Join(dir, "poisoned.json")
+	args := []string{"-nodes", "4", "-fault", "node", "-trace-json"}
+	runFlashsim(t, append(args, clean)...)
+	if _, stderr, code := runFlashsimEnv(t, []string{"FLASHSIM_POISON=1"}, append(args, poisoned)...); code != 0 {
+		t.Fatalf("poisoned run: exit %d\n%s", code, stderr)
+	}
+	b1, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := os.ReadFile(poisoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b1) == 0 || !bytes.Equal(b1, b2) {
+		t.Fatalf("trace JSON differs under poisoned records (%d vs %d bytes)", len(b1), len(b2))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
@@ -271,10 +272,11 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 }
 
 // A finished agent stays resident with its machine, so it keeps none of the
-// epoch's scratch: P2's round snapshot goes when P2 ends; its inbox maps,
-// P1's per-node state, probes, ping timeouts and route arena, the barrier
-// states and tree, and the view and BFT buffers by the time the node
-// resumes, shuts down with its failure unit, or dies.
+// epoch's scratch: P2's round snapshot goes when P2 ends; its inbox rows,
+// P1's per-node state, probes, ping timeouts and route arena, the snapshot
+// arena, the barrier states and tree, the view and BFT buffers, the record
+// free list and the held record by the time the node resumes, shuts down
+// with its failure unit, or dies.
 func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 	scratch := func(a *Agent) string {
 		held := ""
@@ -282,9 +284,8 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 			name string
 			held bool
 		}{
-			{"inbox", a.inbox != nil}, {"spare inbox", a.spareInbox != nil},
-			{"snapshot", a.snap != nil}, {"tree", a.tree != nil},
-			{"epoch scratch (node state, probes, ping timeouts, route arena, barriers, view and tree buffers)", a.ep != nil},
+			{"snapshot", a.snap != nil}, {"tree", a.tree != nil}, {"held record", a.held != nil},
+			{"epoch scratch (node state, probes, ping timeouts, route and snapshot arenas, barriers, inbox rows, view and tree buffers, record free list)", a.ep != nil},
 			{"view", a.view != nil}, {"BFT", a.bft != nil}, {"own BFT", a.own != nil},
 		} {
 			if f.held {
@@ -357,6 +358,16 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 	a.Kill()
 	if held := scratch(a); held != "" {
 		t.Fatalf("a node killed mid-P2 kept scratch:%s", held)
+	}
+}
+
+// Every held machine keeps one Agent per node, so an Agent must stay in the
+// 704-byte size class: objects with pointers above 512 bytes carry an
+// 8-byte allocator header, and 700 bytes would take the 768-byte class, 64
+// KiB more per 1 024-node machine.
+func TestAgentFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Agent{}); size+8 > 704 {
+		t.Fatalf("Agent is %d bytes; with its header it no longer fits the 704-byte size class", size)
 	}
 }
 

@@ -68,7 +68,7 @@ type barrierState struct {
 	// strays are arrivals from nodes that are not children here (a sender
 	// whose view disagrees); each still ORs in its dirty flag once.
 	strays    []int
-	pending   []*recMsg
+	pending   []recMsg
 	ready     bool
 	dirty     bool
 	released  bool
@@ -214,8 +214,8 @@ func (a *Agent) startBarrier(key barrierKey) int {
 	}
 	pending := b.pending
 	b.pending = nil
-	for _, m := range pending {
-		a.applyBarrierMsg(i, m)
+	for k := range pending {
+		a.applyBarrierMsg(i, &pending[k])
 	}
 	return i
 }
@@ -241,7 +241,7 @@ func (a *Agent) onBarrierMsg(m *recMsg) {
 	}
 	i := a.barrier(m.Barrier)
 	if b := &a.ep.bars[i]; !b.started {
-		b.pending = append(b.pending, m)
+		b.pending = append(b.pending, *m)
 		return
 	}
 	a.applyBarrierMsg(i, m)
@@ -299,7 +299,7 @@ func (a *Agent) releaseBarrier(i int, dirty bool) {
 	if len(b.children) > 0 {
 		t := a.barrierTree()
 		a.broadcast(b.children, interconnect.LaneRecoveryB,
-			&recMsg{Kind: kBarrierDown, Barrier: b.key, Dirty: dirty},
+			recMsg{Kind: kBarrierDown, Barrier: b.key, Dirty: dirty},
 			func(i int) []int { return t.down[i] })
 	}
 	b.doneDirty = dirty

@@ -42,9 +42,11 @@ func (k msgKind) String() string {
 	}
 }
 
-// recMsg is the payload of a recovery packet. A sent message is read-only:
-// every packet of one broadcast (a gossip round, a barrier release, a
-// flush's flush-dones) carries the same one.
+// recMsg is the payload of a recovery packet, carried in the sender's
+// record (recPacket) until the receiver's release point. A receiver that
+// keeps a message past its delivery (a round's inbox, an early barrier
+// message) keeps a copy. State is never part of a record: the snapshots a
+// round's messages share are read-only once sent.
 type recMsg struct {
 	Kind  msgKind
 	From  int

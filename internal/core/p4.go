@@ -84,7 +84,7 @@ func (a *Agent) doFlush() {
 		a.spFlushWait = a.cfg.Trace.Begin(a.E.Now(), a.ID, "flush-barrier", a.spPhase, 0)
 		// All-to-all barrier: one message to every other participant
 		// on the normal reply lane, behind our writebacks.
-		a.broadcast(a.participants, interconnect.LaneReply, &recMsg{Kind: kFlushDone}, nil)
+		a.broadcast(a.participants, interconnect.LaneReply, recMsg{Kind: kFlushDone}, nil)
 		a.noteFlushDone(a.ID)
 		a.checkFlushBarrier()
 	})

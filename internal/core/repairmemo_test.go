@@ -149,20 +149,40 @@ func TestRepairMemoBounded(t *testing.T) {
 	}
 }
 
-// TestGossipStateNeverWrittenAfterSend: a round's packets share one message
-// holding one snapshot of the sender's state, the lame-duck echo sends
-// finalState itself, and a P4 flush's packets share one flush-done message,
-// so none of them may alias state the sender keeps writing, and no later
-// send may rewrite a message already on the wire. A snapshot is shipped
-// again by the next round only when the merge between them changed nothing,
-// and P2's end hands the last one to finalState.
+// TestGossipStateNeverWrittenAfterSend: a round's packets each carry a
+// message of their own in their own record, but one snapshot of the
+// sender's state that all of them share; the lame-duck echo and a P4
+// flush's flush-dones are sent the same way. None of them may alias state
+// the sender keeps writing, and no later send may rewrite what is already
+// on the wire. A snapshot is shipped again by the next round only when the
+// merge between them changed nothing, and P2's end leaves finalState equal
+// to the last state shipped, in storage of its own.
 func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	r := newRig(t, 2, 2, func(c *Config) { c.watchdogTimeout = 0 })
-	var got []*recMsg
+	// got holds what each packet carried at delivery, copied out; a
+	// packet's State is compared with what it held when it was sent.
+	var got []recMsg
+	var recs []*recPacket
 	for _, q := range []int{1, 2} {
 		r.ctrls[q].SetRecoveryHandler(func(p *interconnect.Packet) {
-			got = append(got, p.Payload.(*recMsg))
+			got = append(got, *p.Payload.(*recMsg))
+			recs = append(recs, p.Rec.(*recPacket))
 		})
+	}
+	// round checks that the two packets just captured carry one round's
+	// messages, in two records, sharing one snapshot, and returns it.
+	round := func(n int) *sysState {
+		t.Helper()
+		if len(got) != 2 || got[0].Round != n || got[1].Round != n || got[0].Kind != kState {
+			t.Fatalf("round %d sent %+v, want two state messages of that round", n, got)
+		}
+		if recs[0] == recs[1] {
+			t.Fatalf("round %d's packets share a record", n)
+		}
+		if got[0].State != got[1].State {
+			t.Fatalf("round %d's packets carry different snapshots", n)
+		}
+		return got[0].State
 	}
 	a := r.agents[0]
 	a.epoch = 1
@@ -187,33 +207,25 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 		t.Fatal("merge changed nothing")
 	}
 	r.e.Run()
-	if len(got) != 2 {
-		t.Fatalf("captured %d state messages, want 2", len(got))
-	}
-	if got[0] != got[1] {
-		t.Fatal("a round's packets should share one message")
-	}
-	round1 := got[0]
-	sent := *round1
-	if round1.State == a.st || !statesEqual(round1.State, want) {
+	round1 := round(1)
+	if round1 == a.st || !statesEqual(round1, want) {
 		t.Fatalf("in-flight round state was written after send: %v, want %v",
-			entries(round1.State), entries(want))
+			entries(round1), entries(want))
 	}
-	// The next round ships a message of its own; the first is untouched.
-	got = nil
+	// The next round ships a snapshot of its own; the first is untouched.
+	got, recs = nil, nil
 	a.round, a.target, a.hint = 2, 3, 3
 	a.sendRound()
 	r.e.Run()
-	if len(got) != 2 || got[0] != got[1] || got[0] == round1 || got[0].Round != 2 {
-		t.Fatalf("round 2 sent %d messages (shared %v, new %v)", len(got),
-			len(got) == 2 && got[0] == got[1], len(got) > 0 && got[0] != round1)
+	if round(2) == round1 {
+		t.Fatal("round 2 shipped round 1's snapshot after a.st changed")
 	}
-	if *round1 != sent || !statesEqual(round1.State, want) {
-		t.Fatalf("round 1's message was rewritten: %+v, want %+v", *round1, sent)
+	if !statesEqual(round1, want) {
+		t.Fatalf("round 1's snapshot was rewritten: %v, want %v", entries(round1), entries(want))
 	}
 
 	// Lame duck: dissemination is over, late state messages get finalState.
-	got = nil
+	got, recs = nil, nil
 	a.finalState = a.st.clone()
 	want = a.st.clone()
 	a.phase = PhaseInterconnect
@@ -223,36 +235,38 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 		t.Fatal("merge changed nothing")
 	}
 	r.e.Run()
-	if len(got) != 1 || !statesEqual(got[0].State, want) {
+	if len(got) != 1 || got[0].State == a.st || !statesEqual(got[0].State, want) {
 		t.Fatalf("lame-duck echo state was written after send (%d messages)", len(got))
 	}
 
-	// P4: every participant's flush-done packet carries the same message,
-	// and a later flush (a restarted epoch's) does not rewrite it.
-	flush := func() []*recMsg {
-		got = nil
+	// P4: every participant gets a flush-done of its own, and a later
+	// flush (a restarted epoch's) does not rewrite one on the wire.
+	flush := func() []*recPacket {
+		got, recs = nil, nil
 		a.phase = PhaseCoherence
 		setParticipants(a, 0, 1, 2)
 		a.doFlush()
 		r.e.Run()
-		return got
+		return recs
 	}
 	first := flush()
-	if len(first) != 2 || first[0] != first[1] {
-		t.Fatalf("flush sent %d flush-done messages, want 2 sharing one", len(first))
+	if len(first) != 2 || first[0] == first[1] {
+		t.Fatalf("flush sent %d flush-done messages, want 2 in records of their own", len(first))
 	}
-	done := *first[0]
-	if done.Kind != kFlushDone || done.From != a.ID || done.Epoch != 1 {
-		t.Fatalf("flush-done message = %+v", done)
+	for _, m := range got {
+		if m.Kind != kFlushDone || m.From != a.ID || m.Epoch != 1 {
+			t.Fatalf("flush-done message = %+v", m)
+		}
 	}
+	done := first[0].msg
 	a.epoch = 2
 	a.resetState()
 	second := flush()
-	if len(second) != 2 || second[0] == first[0] || second[0].Epoch != 2 {
-		t.Fatalf("the restarted epoch's flush should send a message of its own")
+	if len(second) != 2 || got[0].Epoch != 2 {
+		t.Fatalf("the restarted epoch's flush sent %+v", got)
 	}
-	if *first[0] != done {
-		t.Fatalf("a sent flush-done message was rewritten: %+v, want %+v", *first[0], done)
+	if first[0].msg != done {
+		t.Fatalf("a flush-done message on the wire was rewritten: %+v, want %+v", first[0].msg, done)
 	}
 
 	// Snapshot reuse across real merges, in a fresh epoch.
@@ -263,26 +277,23 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	a.cwnRoute = [][]int{{0, 1}, {0, 2}}
 	a.round, a.target, a.hint = 1, 3, 3
 	// ship runs the engine until the current round is on the wire — past
-	// a pending merge, which charges the send — and returns its message,
+	// a pending merge, which charges the send — and returns its snapshot,
 	// which must hold a.st as it was at that instant.
-	ship := func() *recMsg {
+	ship := func() *sysState {
 		t.Helper()
-		got = nil
+		got, recs = nil, nil
 		r.e.RunUntil(a.busyUntil)
 		r.e.RunUntil(a.busyUntil)
 		atSend := a.st.clone()
 		r.e.Run()
-		if len(got) != 2 || got[0] != got[1] || got[0].Round != a.round {
-			t.Fatalf("round %d sent %d messages, want 2 sharing one", a.round, len(got))
+		s := round(a.round)
+		if !statesEqual(s, atSend) {
+			t.Fatalf("round %d shipped %v, but the sender held %v", a.round, entries(s), entries(atSend))
 		}
-		if !statesEqual(got[0].State, atSend) {
-			t.Fatalf("round %d shipped %v, but the sender held %v", a.round,
-				entries(got[0].State), entries(atSend))
-		}
-		return got[0]
+		return s
 	}
 	// merge hands the current round's messages, all carrying s, to a. The
-	// round's inbox map is the last merged round's, reused: it must come
+	// round's inbox row is the last merged round's, reused: it must come
 	// back empty, so the round waits for every message.
 	merge := func(s *sysState) {
 		t.Helper()
@@ -295,36 +306,40 @@ func TestGossipStateNeverWrittenAfterSend(t *testing.T) {
 	}
 	a.sendRound()
 	r1 := ship()
-	sent1 := r1.State.clone()
+	sent1 := r1.clone()
 	merge(newSysState(a.st.n, a.st.l)) // teaches a nothing
-	r2 := ship()
-	if r2 == r1 || r2.State != r1.State {
+	if r2 := ship(); r2 != r1 {
 		t.Fatal("a round after a merge that changed nothing should ship the previous round's snapshot")
 	}
+	r2 := r1
 	// A pong answering a speculative ping can land in P2 and write a.st
 	// outside any merge: the next round must not ship the stale snapshot.
 	a.onPong(&recMsg{Kind: kPong, From: 3, Epoch: a.epoch})
 	merge(newSysState(a.st.n, a.st.l))
 	r3 := ship()
-	if r3.State == r2.State {
+	if r3 == r2 {
 		t.Fatal("a round after a write outside the merge shipped the previous round's snapshot")
 	}
 	merge(news) // teaches a the failures
 	r4 := ship()
-	if r4.State == r3.State {
+	if r4 == r3 {
 		t.Fatal("a round after a merge that changed something shipped the previous round's snapshot")
 	}
-	if !statesEqual(r1.State, sent1) {
-		t.Fatalf("a shipped snapshot was written: %v, want %v", entries(r1.State), entries(sent1))
+	if !statesEqual(r1, sent1) {
+		t.Fatalf("a shipped snapshot was written: %v, want %v", entries(r1), entries(sent1))
 	}
-	// A last merge that changes nothing ends P2 at round 4 >= target: the
-	// last round's snapshot becomes finalState, and P2's scratch goes.
+	// A last merge that changes nothing ends P2 at round 4 >= target:
+	// finalState holds what the last round shipped, in storage of its own
+	// that later writes to a.st do not reach, and P2's scratch goes.
 	merge(news)
 	r.e.RunUntil(a.busyUntil)
-	if a.finalState != r4.State {
-		t.Fatal("finalState should be the last round's snapshot, not a fresh clone")
+	if a.finalState == nil || !statesEqual(a.finalState, r4) {
+		t.Fatalf("P2 ended with finalState %v, want the last round's %v", a.finalState, entries(r4))
 	}
-	if a.inbox != nil || a.spareInbox != nil || a.snap != nil {
-		t.Fatal("P2's inbox maps and snapshot outlived P2")
+	if a.finalState == r4 || a.finalState == a.st || &a.finalState.up[0] == &r4.up[0] {
+		t.Fatal("finalState shares storage with a round snapshot or a.st")
+	}
+	if a.ep.inbox != nil || a.ep.spareRow != nil || a.snap != nil {
+		t.Fatal("P2's inbox rows and snapshot outlived P2")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/core"
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/magic"
@@ -124,18 +125,20 @@ func poisonScenario(t *testing.T) poisonOutcome {
 	return out
 }
 
-// Pooled transaction records (wire records, MSHRs) are zeroed when released
-// and fully rewritten when acquired, so a run cannot depend on which record
-// it was handed — unless something still reads a record after its release
-// point. Poisoning released records instead of zeroing them turns any such
-// read into a different result: every fault class, the reliable fabric's
-// retained-packet resend, and the pinned run-524 race must come out exactly
-// as they do un-poisoned. Run under -race this also drives the process-wide
-// pools from eight workers at once.
+// Pooled transaction records (wire records, MSHRs) and recovery records are
+// zeroed when released and fully rewritten when acquired, so a run cannot
+// depend on which record it was handed — unless something still reads a
+// record after its release point. Poisoning released records instead of
+// zeroing them turns any such read into a different result: every fault
+// class, the reliable fabric's retained-packet resend, and the pinned
+// run-524 race must come out exactly as they do un-poisoned. Run under
+// -race this also drives the process-wide pools from eight workers at once.
 func TestPoisonedRecordsChangeNothing(t *testing.T) {
 	clean := poisonScenario(t)
 	magic.PoisonReleasedForTest(true)
 	defer magic.PoisonReleasedForTest(false)
+	core.PoisonReleasedForTest(true)
+	defer core.PoisonReleasedForTest(false)
 	poisoned := poisonScenario(t)
 	for ft, want := range clean.Validation {
 		for i := range want {
