@@ -186,6 +186,21 @@ func TestP2RoundsWithinBFTBound(t *testing.T) {
 	}
 }
 
+// core.recovery_restarts counts what the reports' Restarts count: an agent
+// joining its first recovery through a higher-epoch ping is not a restart.
+// A 128-node hypercube node failure restarts nothing.
+func TestRecoveryRestartsCountOnlyRestarts(t *testing.T) {
+	cfg := DefaultScalingConfig(128)
+	cfg.Topo = machine.TopoHypercube
+	p := MeasureRecovery(cfg)
+	if !p.OK {
+		t.Fatal("recovery incomplete")
+	}
+	if got := p.Metrics.Counters["core.recovery_restarts"]; got != uint64(p.Phases.Restarts) || got != 0 {
+		t.Fatalf("core.recovery_restarts = %d, reports' restarts = %d; want both 0", got, p.Phases.Restarts)
+	}
+}
+
 func TestFig56L2Linear(t *testing.T) {
 	pts := RunCampaign(CampaignConfig{Seed: 3},
 		Fig56L2Campaign{L2Sizes: []uint64{512 << 10, 2 << 20, 4 << 20}}).Values()
