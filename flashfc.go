@@ -390,7 +390,8 @@ func RunPartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResul
 // DefaultScalingConfig returns the Fig 5.5 measurement setup for n nodes.
 func DefaultScalingConfig(nodes int) ScalingConfig { return experiments.DefaultScalingConfig(nodes) }
 
-// MeasureRecovery injects a node failure and aggregates per-phase times.
+// MeasureRecovery injects a node failure, aggregates per-phase times and
+// judges the recovered machine.
 func MeasureRecovery(cfg ScalingConfig) ScalingPoint { return experiments.MeasureRecovery(cfg) }
 
 // DefaultEndToEndConfig returns the §5.1 end-to-end setup.

@@ -56,7 +56,7 @@ func (c DistributionCampaign) Run(_ RunEnv, i int, seed int64) ScalingPoint {
 
 // SummarizeDistribution folds a DistributionCampaign's per-run recovery
 // measurements into the per-phase distribution summary. A run that
-// panicked or did not complete recovery counts as failed.
+// panicked, did not complete recovery or failed the judge counts as failed.
 func SummarizeDistribution(nodes int, results []runner.Result[ScalingPoint], st runner.Stats) Distribution {
 	d := Distribution{Nodes: nodes}
 	d.Stats = st

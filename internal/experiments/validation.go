@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
@@ -24,9 +25,12 @@ import (
 type ValidationResult struct {
 	Fault     fault.Fault
 	Recovered bool
-	Verify    *machine.VerifyResult
-	Phases    machine.PhaseTimes
-	Note      string
+	// Judge is machine.Judge's verdict, taken between recovery and the
+	// sweep; empty on a passing run.
+	Judge  machine.Judgement
+	Verify *machine.VerifyResult
+	Phases machine.PhaseTimes
+	Note   string
 	// Events is the number of simulated events the run's engine fired;
 	// campaigns aggregate it into events/sec throughput.
 	Events uint64
@@ -40,11 +44,12 @@ type ValidationResult struct {
 	Metrics *metrics.Snapshot
 }
 
-// OK reports whether the run counts as passed: recovery completed and the
-// whole-memory sweep found data either intact or justifiably incoherent —
-// and, for false alarms, no data loss at all (§4.1).
+// OK reports whether the run counts as passed: recovery completed, the
+// judge found nothing, and the whole-memory sweep found data either intact
+// or justifiably incoherent — and, for false alarms, no data loss at all
+// (§4.1).
 func (r *ValidationResult) OK() bool {
-	if !r.Recovered || r.Verify == nil || !r.Verify.OK() {
+	if !r.Recovered || !r.Judge.OK() || r.Verify == nil || !r.Verify.OK() {
 		return false
 	}
 	switch r.Fault.Type {
@@ -157,10 +162,11 @@ func fillAndInject(m *machine.Machine, filler *workload.Filler, deadline sim.Tim
 
 // recoverAndVerify is the second half, entered once the fault is in and
 // detection traffic submitted: run recovery for budget from now, aggregate
-// the phase times, count the nodes the fault cost, and sweep memory from
-// reader. It fills res and notes whichever step failed. The budget starts
-// at detection, not at the fill: a quiet fault's fill wait can use up the
-// whole deadline before the detection read is issued.
+// the phase times, count the nodes the fault cost, judge the recovered
+// machine, and sweep memory from reader. It fills res and notes whichever
+// step failed. The budget starts at detection, not at the fill: a quiet
+// fault's fill wait can use up the whole deadline before the detection
+// read is issued.
 func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, budget sim.Time, stride int) {
 	res.Recovered = m.RunUntilRecovered(m.Now() + budget)
 	if !res.Recovered {
@@ -169,10 +175,16 @@ func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, bud
 	}
 	res.Phases = m.Aggregate()
 	res.AffectedNodes = m.Liveness().Affected()
+	res.Judge = m.Judge()
 	res.Verify = m.VerifyMemory(reader, stride)
-	if !res.Verify.OK() {
-		res.Note = res.Verify.String()
+	var notes []string
+	if !res.Judge.OK() {
+		notes = append(notes, res.Judge.String())
 	}
+	if !res.Verify.OK() {
+		notes = append(notes, res.Verify.String())
+	}
+	res.Note = strings.Join(notes, "; ")
 }
 
 // eventsFired is the machine's event count, partitioned or sequential.
