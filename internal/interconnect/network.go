@@ -731,21 +731,23 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 }
 
 // block marks ch blocked on its head packet and, for recovery lanes, arms
-// the head-drop timeout.
+// the head-drop timeout, tagged with the packet's flow.
 func (n *Network) block(ch *channel, pkt *Packet) {
 	ch.blocked = true
 	n.mStalls.Inc()
 	if pkt.Lane.IsRecovery() {
-		n.eng(int(ch.router)).AfterCall(timing.RecoveryHeadDrop, n.headDropFn, ch, pkt, 0)
+		n.eng(int(ch.router)).AfterCall(timing.RecoveryHeadDrop, n.headDropFn, ch, pkt, pkt.flow)
 	}
 }
 
 // headDropEv fires the recovery-lane head-drop timeout armed by block. The
 // guard makes stale timeouts (the head moved, or the channel unblocked)
-// no-ops.
-func (n *Network) headDropEv(a1, a2 any, _ uint64) {
+// no-ops. The flow tells one injection from the next: a sender may recycle
+// a delivered packet's storage for a new packet, which must not inherit the
+// old one's timeout if it blocks at the same head.
+func (n *Network) headDropEv(a1, a2 any, u uint64) {
 	ch, pkt := a1.(*channel), a2.(*Packet)
-	if ch.blocked && len(ch.q) > 0 && ch.q[0] == pkt {
+	if ch.blocked && len(ch.q) > 0 && ch.q[0] == pkt && pkt.flow == u {
 		n.drop("drop-headtimeout", int(ch.router), pkt)
 		n.popHead(ch)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"flashfc/internal/metrics"
 	"flashfc/internal/sim"
+	"flashfc/internal/timing"
 	"flashfc/internal/topology"
 	"flashfc/internal/trace"
 )
@@ -272,6 +273,40 @@ func TestRecoveryHeadDrop(t *testing.T) {
 	}
 	if n.InFlight() != 0 {
 		t.Fatalf("recovery lane should self-drain, %d in flight", n.InFlight())
+	}
+}
+
+// A sender may recycle a delivered packet's storage for its next packet.
+// The head-drop timeout armed while the first injection was blocked must
+// not drop the second when it blocks at the same head: the second is
+// dropped a full timeout after its own block.
+func TestStaleHeadDropSparesRecycledPacket(t *testing.T) {
+	e, n, cols := rig(t, 2, 1)
+	var p Packet
+	send := func() {
+		p = Packet{Src: 0, Dst: 1, Lane: LaneRecoveryA, Bytes: 16, SourceRoute: []int{0, 1}}
+		n.Send(&p)
+	}
+	cols[1].refuse = true
+	send()
+	e.RunUntil(2 * sim.Microsecond) // blocked at node 1: the first timeout is armed
+	cols[1].refuse = false
+	n.NodeReady(1)
+	e.RunUntil(3 * sim.Microsecond)
+	if len(cols[1].got) != 1 || n.InFlight() != 0 {
+		t.Fatalf("first injection: %d delivered, %d in flight", len(cols[1].got), n.InFlight())
+	}
+	cols[1].refuse = true
+	// The same storage, blocked at the same head; run past the first
+	// timeout but not the second.
+	send()
+	e.RunUntil(timing.RecoveryHeadDrop + 2*sim.Microsecond)
+	if drops := points(n, "drop-headtimeout"); drops != 0 || n.InFlight() != 1 {
+		t.Fatalf("the first injection's timeout dropped the second: %d drops, %d in flight", drops, n.InFlight())
+	}
+	e.RunUntil(sim.Millisecond)
+	if drops := points(n, "drop-headtimeout"); drops != 1 || n.InFlight() != 0 {
+		t.Fatalf("the second injection's own timeout: %d drops, %d in flight", drops, n.InFlight())
 	}
 }
 
