@@ -18,8 +18,9 @@
 // -metrics or -routing on 5.7, every campaign flag on ablations) exits 2,
 // as do the trace flags, which trace one run, on every figure.
 //
-// A point whose recovery did not complete is named on stderr after the
-// figure is printed, and figures then exits 1.
+// A point whose recovery did not complete, or that recovered and failed
+// the judge, is named on stderr after the figure is printed, and figures
+// then exits 1.
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 
 	"flashfc"
 	"flashfc/internal/cliflags"
+	"flashfc/internal/experiments"
 	"flashfc/internal/timing"
 )
 
@@ -261,8 +263,10 @@ func throughput(events uint64, start time.Time) {
 func ablations(seed int64) (failed failures) {
 	fmt.Println("Ablations")
 	fmt.Println("\n§4.2 speculative pings (recovery-triggering latency, 32 nodes):")
-	with := flashfc.TriggerLatency(32, true, seed)
-	without := flashfc.TriggerLatency(32, false, seed)
+	with, pWith := flashfc.TriggerLatency(32, true, seed)
+	without, pWithout := flashfc.TriggerLatency(32, false, seed)
+	failed.checkPoint(pWith, "ablations §4.2 with speculative pings")
+	failed.checkPoint(pWithout, "ablations §4.2 without speculative pings")
 	fmt.Printf("  with:    %v\n  without: %v\n  speedup: %.1fx (paper: ~5x)\n",
 		with, without, float64(without)/float64(with))
 
@@ -307,17 +311,11 @@ func ablations(seed int64) (failed failures) {
 	return failed
 }
 
-// singleFault runs the §5.3/§6 ablations' one script on the 8-node default
-// machine that set adjusts: node 4 fails at 1 ms and node 0 touches it. It
-// returns the recovery's phase times and names point in failed when the
-// recovery does not complete.
+// singleFault runs the §5.3/§6 ablations' faulted run on the machine that
+// set adjusts (experiments.SingleFault) and returns its phase times, naming
+// point in failed when it did not recover or failed the judge.
 func singleFault(failed *failures, point string, seed int64, set func(*flashfc.MachineConfig)) flashfc.PhaseTimes {
-	cfg := flashfc.DefaultMachineConfig(8)
-	cfg.Seed = seed
-	set(&cfg)
-	m := flashfc.NewMachine(cfg)
-	m.InjectAt(flashfc.Fault{Type: flashfc.NodeFailure, Node: 4}, flashfc.Millisecond)
-	m.E.At(flashfc.Millisecond, func() { m.Nodes[0].CPU.Submit(flashfc.TouchOp(m, 4)) })
-	failed.check(m.RunUntilRecovered(10*flashfc.Second), "%s", point)
-	return m.Aggregate()
+	p := experiments.SingleFault(seed, set)
+	failed.checkPoint(p, "%s", point)
+	return p.Phases
 }

@@ -30,9 +30,9 @@
 //	flashsim -fault fail-slow -runs 1000 -run-log runs.jsonl -progress
 //	flashsim -fault fail-slow -runs 1000 -run-seed 837 -trace-critical
 //
-// A size the simulator cannot run (-nodes below 2, -mem that is not a
-// positive multiple of the 128-byte line, -fill below 0, -stride below 1)
-// exits 2 naming the flag.
+// A size the simulator cannot run (-nodes below 2, or below 3 for
+// powerloss, -mem that is not a positive multiple of the 128-byte line,
+// -fill below 0, -stride below 1) exits 2 naming the flag.
 //
 // The single-scenario faults (powerloss, cablecut, none, boundary-link) run
 // once at -seed. -partitions N and -region-extra D, which only flashsim
@@ -70,6 +70,7 @@ import (
 
 	"flashfc"
 	"flashfc/internal/cliflags"
+	"flashfc/internal/experiments"
 	"flashfc/internal/timing"
 )
 
@@ -107,7 +108,7 @@ func main() {
 	}
 
 	cf.Check()
-	checkSizes(*nodes, *mem, *l2, *fill, *stride)
+	checkSizes(*faultName, *nodes, *mem, *l2, *fill, *stride)
 	if *faultName == "boundary-link" && *partitions <= 0 {
 		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
 		exit(2)
@@ -184,13 +185,16 @@ var ignored = map[string][]string{
 
 // checkSizes exits 2, naming the flag, on a machine or workload size the
 // simulator cannot run: fewer than two nodes leaves no survivor to recover,
-// memory and cache must be whole coherence lines, and the fill and verify
+// a power loss of nodes n/2 and n/2+1 needs a node n/2+1, memory and cache
+// must be whole coherence lines, and the fill and verify
 // stride count lines.
-func checkSizes(nodes int, mem, l2 uint64, fill, stride int) {
+func checkSizes(faultName string, nodes int, mem, l2 uint64, fill, stride int) {
 	var bad string
 	switch {
 	case nodes < 2:
 		bad = fmt.Sprintf("-nodes %d: need at least 2 (a victim and a survivor)", nodes)
+	case faultName == "powerloss" && nodes < 3:
+		bad = fmt.Sprintf("-nodes %d: -fault powerloss fails nodes n/2 and n/2+1, so it needs at least 3", nodes)
 	case mem == 0 || mem%timing.LineSize != 0:
 		bad = fmt.Sprintf("-mem %d: must be a positive multiple of the %d-byte line", mem, timing.LineSize)
 	case l2 == 0 || l2%timing.LineSize != 0:
@@ -404,53 +408,27 @@ func runPartition(vcfg flashfc.ValidationConfig, kind string, fill, partitions i
 
 // runCompound injects a §4.1 compound fault (power-supply loss of two
 // adjacent nodes, or a cable cut between the first two mesh columns) and
-// reports the recovery outcome.
+// reports the recovery outcome: the sweep and the judge must both pass.
 func runCompound(cfg flashfc.ValidationConfig, kind string, seed int64, topts traceOpts, showMetrics, metricsJSON bool) {
-	mc := flashfc.DefaultMachineConfig(cfg.Nodes)
-	mc.Seed = seed
-	mc.MemBytes = cfg.MemBytes
-	mc.L2Bytes = cfg.L2Bytes
-	mc.Routing = cfg.Routing
-	mc.Trace = topts.tracer
-	m := flashfc.NewMachine(mc)
-	var fs []flashfc.Fault
-	switch kind {
-	case "powerloss":
-		a := cfg.Nodes / 2
-		fs = flashfc.PowerLoss(m, []int{a, a + 1})
-	case "cablecut":
-		fs = flashfc.CableCut(m, 0)
-	}
+	fs, r := experiments.CompoundFault(cfg, kind == "powerloss", seed)
 	fmt.Fprintf(hout, "injecting %d-part compound fault: %v\n", len(fs), fs)
-	m.E.At(flashfc.Millisecond, func() { m.InjectAll(fs) })
-	m.E.At(flashfc.Millisecond+10*flashfc.Microsecond, func() {
-		m.Nodes[0].CPU.Submit(flashfc.TouchOp(m, cfg.Nodes/2))
-		if cfg.Nodes > 1 {
-			m.Nodes[1].CPU.Submit(flashfc.TouchOp(m, 0))
-		}
-	})
-	ok := m.RunUntilRecovered(10 * flashfc.Second)
 	if topts.tracer != nil && topts.dump {
 		fmt.Fprintln(hout, "timeline:")
 		topts.tracer.Dump(hout)
 	}
-	fmt.Fprintln(hout, "recovered:", ok)
+	fmt.Fprintln(hout, "recovered:", r.Recovered)
 	emitTrace(topts)
-	if !ok {
-		emitMetrics(m.MetricsSnapshot(), showMetrics, metricsJSON)
+	if !r.Recovered {
+		emitMetrics(r.Metrics, showMetrics, metricsJSON)
 		exit(1)
 	}
-	pt := m.Aggregate()
+	pt := r.Phases
 	fmt.Fprintf(hout, "phases:     P1=%v  P1,2=%v  P1,2,3=%v  total=%v\n", pt.P1, pt.P12, pt.P123, pt.Total)
 	fmt.Fprintf(hout, "survivors:  %d participants, %d restarts\n", pt.Participants, pt.Restarts)
-	// Verify from the main surviving component (a partition may have
-	// shut down the island containing node 0).
-	reader := m.Survivors()[0]
-	res := m.VerifyMemory(reader, cfg.Stride)
-	fmt.Fprintf(hout, "verify:     %v\n", res)
-	emitMetrics(m.MetricsSnapshot(), showMetrics, metricsJSON)
-	if !res.OK() {
-		fmt.Fprintln(hout, "result:     FAIL")
+	fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
+	emitMetrics(r.Metrics, showMetrics, metricsJSON)
+	if !r.OK() {
+		fmt.Fprintf(hout, "result:     FAIL — %s\n", r.Note)
 		exit(1)
 	}
 	fmt.Fprintln(hout, "result:     PASS — compound fault contained")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -345,22 +346,28 @@ func TestNegativeCountsRefused(t *testing.T) {
 // build or the workload, and -mem 100 reported a contained fault after
 // verifying no line at all. -l2 0 and -l2 100 ran with a cache that still
 // held a line and reported PASS, the P4 flush charged for none of it.
+// -fault powerloss at 2 nodes named node 2 and panicked.
 func TestBadSizesRefused(t *testing.T) {
-	for _, c := range []struct{ flag, value string }{
-		{"-nodes", "0"},
-		{"-nodes", "1"},
-		{"-mem", "0"},
-		{"-mem", "100"},
-		{"-mem", "200"},
-		{"-l2", "0"},
-		{"-l2", "100"},
-		{"-l2", "200"},
-		{"-fill", "-1"},
-		{"-stride", "0"},
+	for _, c := range []struct {
+		flag, value string
+		more        []string
+	}{
+		{"-nodes", "0", nil},
+		{"-nodes", "1", nil},
+		{"-nodes", "2", []string{"-fault", "powerloss"}}, // no node n/2+1 to power off
+		{"-mem", "0", nil},
+		{"-mem", "100", nil},
+		{"-mem", "200", nil},
+		{"-l2", "0", nil},
+		{"-l2", "100", nil},
+		{"-l2", "200", nil},
+		{"-fill", "-1", nil},
+		{"-stride", "0", nil},
 	} {
-		stdout, stderr, code := runFlashsimExit(t, append(fastArgs, c.flag, c.value)...)
+		args := append(append(slices.Clone(fastArgs), c.more...), c.flag, c.value)
+		stdout, stderr, code := runFlashsimExit(t, args...)
 		if code != 2 || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic") || stdout != "" {
-			t.Errorf("flashsim %s %s: exit %d, want 2 naming %s; stdout:\n%s\nstderr:\n%s", c.flag, c.value, code, c.flag, stdout, stderr)
+			t.Errorf("flashsim %v: exit %d, want 2 naming %s; stdout:\n%s\nstderr:\n%s", args, code, c.flag, stdout, stderr)
 		}
 	}
 }

@@ -407,8 +407,9 @@ func FirewallOverheadFraction(seed int64) float64 {
 }
 
 // TriggerLatency measures the recovery-triggering latency with or without
-// the §4.2 speculative-ping optimization.
-func TriggerLatency(nodes int, speculative bool, seed int64) Time {
+// the §4.2 speculative-ping optimization; the point carries the run's
+// recovery and judge verdict.
+func TriggerLatency(nodes int, speculative bool, seed int64) (Time, ScalingPoint) {
 	return experiments.TriggerLatency(nodes, speculative, seed)
 }
 

@@ -339,8 +339,11 @@ func TestFirewallOverheadUnderSevenPercent(t *testing.T) {
 }
 
 func TestSpeculativePingSpeedsTriggering(t *testing.T) {
-	with := TriggerLatency(32, true, 2)
-	without := TriggerLatency(32, false, 2)
+	with, pWith := TriggerLatency(32, true, 2)
+	without, pWithout := TriggerLatency(32, false, 2)
+	if !pWith.OK || !pWithout.OK {
+		t.Fatalf("runs failed: with %+v, without %+v", pWith.Judge, pWithout.Judge)
+	}
 	if with <= 0 || without <= 0 {
 		t.Fatalf("latencies not measured: with=%v without=%v", with, without)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,25 +8,20 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/sim"
-	"flashfc/internal/workload"
 )
 
-// recoveredFork runs ValidationFromWarm's fault script on a fork of ws up
-// to the end of recovery, then lets the running processors finish their
-// outstanding operations: the machine comes back at a quiescent point,
-// where the coherence invariants must hold.
+// recoveredFork runs ValidationFromWarm's script on a fork of ws with the
+// sweep off, then lets the running processors finish their outstanding
+// operations: the machine comes back at a quiescent point, where the
+// coherence invariants must hold.
 func recoveredFork(t *testing.T, ws *WarmState, ft fault.Type, runSeed int64) *machine.Machine {
 	t.Helper()
-	m := machine.FromSnapshot(ws.Snap, nil)
-	f := fault.Random(rand.New(rand.NewSource(runSeed)), ft, m.Topo, 1)
-	burst := workload.NewFillerSeeded(m, runSeed)
-	burst.FillLines = ws.burstLines()
-	start := m.Now()
-	fillAndInject(m, burst, start+ws.Cfg.Deadline, func() { m.Inject(f) })
-	driveDetection(m, f)
-	if !m.RunUntilRecovered(start + ws.Cfg.Deadline) {
-		t.Fatalf("%v seed %d: recovery incomplete", f, runSeed)
+	s := validationScript(ws, ft, runSeed, nil)
+	s.Stride = 0
+	if rec := s.Run(); !rec.Recovered {
+		t.Fatalf("%v seed %d: recovery incomplete", rec.Fault, runSeed)
 	}
+	m := s.M
 	busy := func() bool {
 		for _, n := range m.Nodes {
 			if !n.CPU.Paused() && n.CPU.Inflight()+n.CPU.QueueLen() > 0 {

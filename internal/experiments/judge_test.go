@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,24 +9,19 @@ import (
 	"flashfc/internal/coherence"
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
-	"flashfc/internal/workload"
 )
 
-// judgedFork runs ValidationFromWarm's fault script on a fork of ws up to
-// the point where recoverAndVerify judges it: recovery complete, nothing
-// swept yet. It returns the machine and the sweep's reader.
+// judgedFork runs ValidationFromWarm's script on a fork of ws with the
+// sweep off: recovery complete and judged, nothing swept yet. It returns
+// the machine and the sweep's reader, the lowest-id survivor.
 func judgedFork(t *testing.T, ws *WarmState, ft fault.Type, runSeed int64) (*machine.Machine, int) {
 	t.Helper()
-	m := machine.FromSnapshot(ws.Snap, nil)
-	f := fault.Random(rand.New(rand.NewSource(runSeed)), ft, m.Topo, 1)
-	burst := workload.NewFillerSeeded(m, runSeed)
-	burst.FillLines = ws.burstLines()
-	fillAndInject(m, burst, m.Now()+ws.Cfg.Deadline, func() { m.Inject(f) })
-	reader := driveDetection(m, f)
-	if !m.RunUntilRecovered(m.Now() + ws.Cfg.Deadline) {
-		t.Fatalf("%v seed %d: recovery incomplete", f, runSeed)
+	s := validationScript(ws, ft, runSeed, nil)
+	s.Stride = 0
+	if rec := s.Run(); !rec.Recovered {
+		t.Fatalf("%v seed %d: recovery incomplete", rec.Fault, runSeed)
 	}
-	return m, reader
+	return s.M, s.M.Survivors()[0]
 }
 
 // incoherentLines lists the lines marked incoherent at homes that serve,

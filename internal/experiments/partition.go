@@ -138,19 +138,13 @@ func BoundaryLink(m *machine.Machine) int {
 // PartitionBoundaryFault runs the region-cut fault scenario: start the fill
 // workload in parallel windows, then fail a link that is exactly on a
 // partition boundary. Injection switches the run to the deterministic
-// global interleave, recovery proceeds across the cut, and the sweep
-// verifies memory — exercising the one place where fault containment and
-// partition boundaries coincide.
+// global interleave, recovery proceeds across the cut, and the run
+// script's second half judges and sweeps the machine — exercising the one
+// place where fault containment and partition boundaries coincide.
 func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
 	m := buildPartitionMachine(cfg, seed)
 	link := BoundaryLink(m)
 	f := fault.Fault{Type: fault.LinkFailure, Link: link}
-	res := &ValidationResult{Fault: f}
-	defer func() {
-		res.Events = eventsFired(m)
-		res.Metrics = m.MetricsSnapshot()
-	}()
-
 	pf := workload.NewPartitionFill(m)
 	if cfg.OpsPerNode > 0 {
 		pf.OpsPerNode = cfg.OpsPerNode
@@ -164,8 +158,9 @@ func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
 	// Provoke detection with a read across the dead link.
 	kick := m.Topo.Links()[link].B
 	m.Nodes[m.Topo.Links()[link].A].CPU.Submit(workload.TouchOp(m, kick))
-	recoverAndVerify(m, res, 0, cfg.Deadline, cfg.Stride())
-	return res
+	s := Script{M: m, Budget: cfg.Deadline, Stride: cfg.Stride(), Record: &ValidationResult{Fault: f}}
+	s.recoverAndJudge()
+	return s.Record
 }
 
 // Stride returns the verification stride for the scenario size: full sweep

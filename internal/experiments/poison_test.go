@@ -47,7 +47,8 @@ func reliableLinkMachine(seed int64) (*machine.Machine, int, bool) {
 	filler.OnHalfDone = func() { m.Inject(f) }
 	filler.Start(func() {})
 	m.Advance(m.Now() + sim.Millisecond)
-	reader := driveDetection(m, f)
+	reader := m.Survivors()[0]
+	m.Nodes[reader].CPU.Submit(workload.TouchOp(m, detectionVictim(m, f)))
 	return m, reader, m.RunUntilRecovered(5 * sim.Second)
 }
 

@@ -15,7 +15,6 @@ import (
 	"flashfc/internal/sim"
 	"flashfc/internal/stats"
 	"flashfc/internal/topology"
-	"flashfc/internal/workload"
 )
 
 // Head-to-head routing campaigns: the same faulted runs replayed under every
@@ -73,9 +72,12 @@ type RoutingRun struct {
 	Strategy  string
 	Faults    []fault.Fault
 	Recovered bool
-	// OK is the validation verdict: recovered and the whole-memory sweep
-	// found nothing unjustified.
+	// OK is the validation verdict: recovered, and neither the judge nor
+	// the whole-memory sweep found anything unjustified.
 	OK bool
+	// Judge is machine.Judge's verdict on the recovered machine; empty on
+	// a passing run.
+	Judge machine.Judgement
 	// Acyclic is the deadlock-freedom verdict on the tables the strategy
 	// left installed: their channel-dependency graph on the surviving
 	// topology must have no cycle.
@@ -108,6 +110,8 @@ func (r *RoutingRun) FillRecord(rec *obs.RunRecord) {
 	switch {
 	case !r.Recovered:
 		rec.Outcome, rec.Note = obs.OutcomeFail, "recovery incomplete"
+	case !r.Judge.OK():
+		rec.Outcome, rec.Note = obs.OutcomeFail, r.Judge.String()
 	case !r.OK:
 		rec.Outcome, rec.Note = obs.OutcomeFail, "verification failed"
 	case !r.Acyclic:
@@ -270,39 +274,36 @@ func routingFaults(rng *rand.Rand, spec RoutingScenarioSpec, topo *topology.Topo
 // strategy (router tables are rebuilt at construction, so the fork is
 // bit-identical to any sibling until the first fault), run a runSeed-private
 // fill burst, inject the scenario's faults — drawn from runSeed alone —
-// once half the burst has committed, recover, then measure what the strategy
-// left behind: containment time, P3 share, packets lost, deadlock freedom of
-// the installed tables, and the verify sweep's post-recovery line rate.
+// once half the burst has committed, recover and judge, then measure what
+// the strategy left behind: containment time, P3 share, packets lost,
+// deadlock freedom of the installed tables, and the verify sweep's
+// post-recovery line rate.
 func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runSeed int64) *RoutingRun {
-	cfg := ws.Cfg
-	m := machine.FromSnapshotRouting(ws.Snap, nil, strat)
-	rng := rand.New(rand.NewSource(runSeed))
-	faults := routingFaults(rng, spec, m.Topo)
-	res := &RoutingRun{Strategy: strat, Faults: faults}
-	defer func() { res.Events = m.E.EventsFired() }()
+	return routingRun(strat, routingScript(ws, strat, spec, runSeed))
+}
 
-	burst := workload.NewFillerSeeded(m, runSeed)
-	burst.FillLines = ws.burstLines()
-	var lostBase uint64
-	fillAndInject(m, burst, m.Now()+cfg.Deadline, func() {
-		lostBase = m.Net.Dropped()
-		m.InjectAll(faults)
-	})
-	reader := driveDetection(m, faults[0])
-	res.Recovered = m.RunUntilRecovered(m.Now() + cfg.Deadline)
+// routingScript is RoutingFromWarm's run as a script value.
+func routingScript(ws *WarmState, strat string, spec RoutingScenarioSpec, runSeed int64) Script {
+	m := machine.FromSnapshotRouting(ws.Snap, nil, strat)
+	faults := routingFaults(rand.New(rand.NewSource(runSeed)), spec, m.Topo)
+	return forkScript(ws, m, runSeed, faults, &ValidationResult{Fault: faults[0]})
+}
+
+// routingRun runs s and reads its record as strategy strat's outcome.
+func routingRun(strat string, s Script) *RoutingRun {
+	rec := s.Run()
+	res := &RoutingRun{Strategy: strat, Faults: s.MidFill, Recovered: rec.Recovered, Events: rec.Events}
 	if !res.Recovered {
 		return res
 	}
-	ph := m.Aggregate()
-	res.Total = ph.Total
-	res.P3 = ph.P123 - ph.P12
-	res.Acyclic = m.RoutingAcyclic()
-	res.Lost = m.Net.Dropped() - lostBase
-	t0 := m.Now()
-	v := m.VerifyMemory(reader, cfg.Stride)
-	res.OK = v.OK()
-	if el := m.Now() - t0; el > 0 && v.LinesChecked > 0 {
-		res.Throughput = float64(v.LinesChecked) / (float64(el) / float64(sim.Millisecond))
+	res.Total = rec.Phases.Total
+	res.P3 = rec.Phases.P123 - rec.Phases.P12
+	res.Acyclic = s.M.RoutingAcyclic()
+	res.Lost = rec.lost
+	res.OK = rec.Judge.OK() && rec.Verify.OK()
+	res.Judge = rec.Judge
+	if v := rec.Verify; rec.swept > 0 && v.LinesChecked > 0 {
+		res.Throughput = float64(v.LinesChecked) / (float64(rec.swept) / float64(sim.Millisecond))
 	}
 	return res
 }

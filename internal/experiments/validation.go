@@ -8,9 +8,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
@@ -18,10 +15,10 @@ import (
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
-	"flashfc/internal/workload"
 )
 
-// ValidationResult is one Table 5.3 run.
+// ValidationResult is one Table 5.3 run, and the record every faulted run
+// script fills (Script.Record).
 type ValidationResult struct {
 	Fault     fault.Fault
 	Recovered bool
@@ -42,6 +39,11 @@ type ValidationResult struct {
 	// Metrics is the run's machine-wide metric snapshot (always set, even
 	// when recovery fails); campaigns merge and summarize them.
 	Metrics *metrics.Snapshot
+	// lost counts the packets the fabric destroyed from the injection to
+	// the end of recovery, from the drop count dropBase taken at the
+	// injection; swept is the verify sweep's simulated duration.
+	dropBase, lost uint64
+	swept          sim.Time
 }
 
 // OK reports whether the run counts as passed: recovery completed, the
@@ -140,87 +142,33 @@ func Validation(cfg ValidationConfig, ft fault.Type, seed int64) *ValidationResu
 	return ReplayValidationRun(cfg, ft, seed, 0).Result
 }
 
-// fillAndInject is the first half of a faulted run: start the fill, call
-// inject once half of it has committed (so transactions are in flight),
-// and drive the machine until the fill completes or the deadline passes. A
-// degenerate fill (everything completed in one batch) gets its fault after.
-func fillAndInject(m *machine.Machine, filler *workload.Filler, deadline sim.Time, inject func()) {
-	injected := false
-	filler.OnHalfDone = func() {
-		injected = true
-		inject()
-	}
-	done := false
-	filler.Start(func() { done = true })
-	for !done && m.Now() < deadline {
-		m.Advance(m.Now() + sim.Millisecond)
-	}
-	if !injected {
-		inject()
-	}
+// CompoundFault runs a §4.1 compound fault on cfg's machine, seeded by seed
+// and traced into cfg.Trace, and returns the faults and the run's record: a
+// power loss of nodes n/2 and n/2+1 (at least three nodes), or else a cut
+// of every link between the first two mesh columns. They land at 1 ms,
+// with no fill; 10 µs later node 0 reads the middle node's memory and node
+// 1 reads node 0's.
+func CompoundFault(cfg ValidationConfig, powerLoss bool, seed int64) ([]fault.Fault, *ValidationResult) {
+	s := compoundScript(cfg, powerLoss, seed)
+	return s.Timed[0].Faults, s.Run()
 }
 
-// recoverAndVerify is the second half, entered once the fault is in and
-// detection traffic submitted: run recovery for budget from now, aggregate
-// the phase times, count the nodes the fault cost, judge the recovered
-// machine, and sweep memory from reader. It fills res and notes whichever
-// step failed. The budget starts at detection, not at the fill: a quiet
-// fault's fill wait can use up the whole deadline before the detection
-// read is issued.
-func recoverAndVerify(m *machine.Machine, res *ValidationResult, reader int, budget sim.Time, stride int) {
-	res.Recovered = m.RunUntilRecovered(m.Now() + budget)
-	if !res.Recovered {
-		res.Note = fmt.Sprintf("recovery incomplete after %v", budget)
-		return
+// compoundScript is CompoundFault's run: the faults and the reads are two
+// timed steps, the sweep follows the judge at cfg.Stride.
+func compoundScript(cfg ValidationConfig, powerLoss bool, seed int64) Script {
+	mc := machine.DefaultConfig(cfg.Nodes)
+	mc.Seed = seed
+	mc.MemBytes = cfg.MemBytes
+	mc.L2Bytes = cfg.L2Bytes
+	mc.Routing = cfg.Routing
+	mc.Trace = cfg.Trace
+	m := machine.New(mc)
+	fs := fault.CableCut(m.Topo, 0)
+	if powerLoss {
+		fs = fault.PowerLoss(m.Topo, []int{cfg.Nodes / 2, cfg.Nodes/2 + 1})
 	}
-	res.Phases = m.Aggregate()
-	res.AffectedNodes = m.Liveness().Affected()
-	res.Judge = m.Judge()
-	res.Verify = m.VerifyMemory(reader, stride)
-	var notes []string
-	if !res.Judge.OK() {
-		notes = append(notes, res.Judge.String())
-	}
-	if !res.Verify.OK() {
-		notes = append(notes, res.Verify.String())
-	}
-	res.Note = strings.Join(notes, "; ")
-}
-
-// eventsFired is the machine's event count, partitioned or sequential.
-func eventsFired(m *machine.Machine) uint64 {
-	if m.P != nil {
-		return m.P.EventsFired()
-	}
-	return m.E.EventsFired()
-}
-
-// detectionVictim picks an address whose access will notice the fault.
-func detectionVictim(m *machine.Machine, f fault.Fault) int {
-	switch f.Type {
-	case fault.NodeFailure, fault.InfiniteLoop, fault.FailSlow, fault.CPUFail:
-		return f.Node
-	case fault.RouterFailure:
-		return f.Router
-	case fault.LinkFailure, fault.TransientLink:
-		// Touch the memory of the link's far end.
-		return m.Topo.Links()[f.Link].B
-	default:
-		return m.Cfg.Nodes - 1
-	}
-}
-
-// driveDetection submits the detection read from the lowest-id survivor.
-// Node 0 is the usual driver, but de-skewed victim selection means router 0
-// (and with it node 0) can be the casualty, so the kicker must be chosen
-// from ground truth.
-func driveDetection(m *machine.Machine, f fault.Fault) int {
-	s := m.Survivors()
-	if len(s) == 0 {
-		return -1
-	}
-	m.Nodes[s[0]].CPU.Submit(workload.TouchOp(m, detectionVictim(m, f)))
-	return s[0]
+	return Script{M: m, Budget: 10 * sim.Second, Stride: max(cfg.Stride, 1), Record: &ValidationResult{Fault: fs[0]},
+		Timed: []Step{{At: sim.Millisecond, Faults: fs}, {At: sim.Millisecond + 10*sim.Microsecond, Touches: []Touch{{0, cfg.Nodes / 2}, {1, 0}}}}}
 }
 
 // ValidationCampaign repeats §5.2 validation runs of one fault type

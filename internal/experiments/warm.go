@@ -78,22 +78,34 @@ func (ws *WarmState) burstLines() int {
 // the fault (also drawn from a runSeed-private stream, so sibling forks
 // place different faults) lands once half the burst has committed, and
 // recovery plus the whole-memory sweep judge the outcome. The burst doubles
-// as detection traffic for quiet faults, and ws.Cfg.Deadline is relative to
-// the warm-up's end clock. The engine's own random stream is untouched by
+// as detection traffic for quiet faults; ws.Cfg.Deadline bounds it from the
+// fork and recovery from the detection read. The engine's own random stream is untouched by
 // runSeed — it resumes exactly where the warm-up paused it, which is what
 // makes a fork bit-identical to a fresh warm-up continued by the same
 // script.
 func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.Tracer) *ValidationResult {
+	return validationScript(ws, ft, runSeed, tr).Run()
+}
+
+// validationScript is ValidationFromWarm's run as a script value: the fork,
+// its burst, the fault mid-burst, and a detection read from the lowest-id
+// survivor once the burst is done.
+func validationScript(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.Tracer) Script {
 	m := machine.FromSnapshot(ws.Snap, tr)
 	f := fault.Random(rand.New(rand.NewSource(runSeed)), ft, m.Topo, 1)
+	return forkScript(ws, m, runSeed, []fault.Fault{f}, &ValidationResult{Fault: f})
+}
+
+// forkScript is the script of a run on the warm fork m: a runSeed-private
+// fill burst, faults landing once half of it has committed, the lowest-id
+// survivor reading the first fault's victim once the burst is done, and
+// ws's deadline and stride (a stride below 1 sweeps every line).
+func forkScript(ws *WarmState, m *machine.Machine, runSeed int64, faults []fault.Fault, rec *ValidationResult) Script {
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
-	res := &ValidationResult{Fault: f}
-	defer func() {
-		res.Events = eventsFired(m)
-		res.Metrics = m.MetricsSnapshot()
-	}()
-	fillAndInject(m, burst, m.Now()+ws.Cfg.Deadline, func() { m.Inject(f) })
-	recoverAndVerify(m, res, driveDetection(m, f), ws.Cfg.Deadline, ws.Cfg.Stride)
-	return res
+	return Script{
+		M: m, Fill: burst, WaitFill: true, MidFill: faults,
+		Kick:   []Touch{{From: -1, To: detectionVictim(m, faults[0])}},
+		Budget: ws.Cfg.Deadline, Stride: max(ws.Cfg.Stride, 1), Record: rec,
+	}
 }
