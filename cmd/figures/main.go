@@ -295,7 +295,7 @@ func ablations(seed int64) (failed failures) {
 	offLat := flashfc.FirewallLatency(false, seed)
 	onLat := flashfc.FirewallLatency(true, seed)
 	fmt.Printf("  firewall off: %v\n  firewall on:  %v\n  increase: %.1f%% (paper: <7%%)\n",
-		offLat, onLat, 100*flashfc.FirewallOverheadFraction(seed))
+		offLat, onLat, 100*(float64(onLat-offLat)/float64(offLat)))
 
 	fmt.Println("\n§6.3 HAL-style reliable interconnect (flush-free P4, 8 nodes):")
 	reliable := singleFault(&failed, "ablations §6.3 flush-free", seed, func(c *flashfc.MachineConfig) {

@@ -47,14 +47,11 @@ func runFiguresOut(t *testing.T, args ...string) (stdout, stderr string, code in
 }
 
 // Figures registers neither -exemplars (tables -table tail) nor flashsim's
-// -run-seed, -partitions and -region-extra: passing any of them is a usage
-// error, not a silently ignored flag.
+// -run-seed: passing either is a usage error, not a silently ignored flag.
 func TestTableAndFlashsimFlagsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig", "ablations", "-exemplars", t.TempDir()},
 		{"-fig", "ablations", "-run-seed", "1"},
-		{"-fig", "ablations", "-partitions", "2"},
-		{"-fig", "ablations", "-region-extra", "2"},
 	} {
 		stderr, code := runFigures(t, args...)
 		if code != 2 || !strings.Contains(stderr, args[2]) {

@@ -34,13 +34,10 @@
 // powerloss, -mem that is not a positive multiple of the 128-byte line,
 // -fill below 0, -stride below 1) exits 2 naming the flag.
 //
-// The single-scenario faults (powerloss, cablecut, none, boundary-link) run
-// once at -seed. -partitions N and -region-extra D, which only flashsim
-// registers, run -fault none|boundary-link on N region workers of a
-// partitioned machine. A flag the chosen mode never reads exits 2 naming
-// it, as tables and figures do: campaign flags on a single scenario or a
-// single run, -partitions and -region-extra on a validation run, and the
-// trace flags on a campaign.
+// The compound faults (powerloss, cablecut) run once at -seed. A flag the
+// chosen mode never reads exits 2 naming it, as tables and figures do:
+// campaign flags on a compound fault or a single run, and the trace flags
+// on a campaign.
 //
 // -metrics prints the machine-wide metric registry after the run (merged
 // across runs in campaign mode, plus per-run distributions). -metrics-json
@@ -66,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"flashfc"
 	"flashfc/internal/cliflags"
@@ -90,14 +86,12 @@ func exit(code int) {
 func main() {
 	nodes := flag.Int("nodes", 8, "number of nodes")
 	faultName := flag.String("fault", "node",
-		"fault: node, router, link, loop, false-alarm, transient-link, fail-slow, cpu-fail, powerloss, cablecut, boundary-link, none")
+		"fault: node, router, link, loop, false-alarm, transient-link, fail-slow, cpu-fail, powerloss, cablecut")
 	mem := flag.Uint64("mem", 256<<10, "memory bytes per node")
 	l2 := flag.Uint64("l2", 64<<10, "L2 cache bytes")
 	fill := flag.Int("fill", 192, "cache-fill lines per node")
 	stride := flag.Int("stride", 1, "verification stride (1 = every line)")
 	runSeed := flag.Int("run-seed", -1, "trace exactly campaign run `i` (same derived seed as run i of the -runs N campaign); -1 = off")
-	partitions := flag.Int("partitions", 0, "intra-machine region workers of -fault none|boundary-link (0 = sequential engine; bit-identical at any value > 0)")
-	regionExtra := flag.Int64("region-extra", 0, "extra inter-region wire latency in `ns` for -fault none|boundary-link (0 = default)")
 	cf := cliflags.Register(flag.CommandLine, cliflags.Defaults{Runs: 1})
 	flag.Parse()
 	stopProfiles = cf.StartProfiles()
@@ -109,10 +103,6 @@ func main() {
 
 	cf.Check()
 	checkSizes(*faultName, *nodes, *mem, *l2, *fill, *stride)
-	if *faultName == "boundary-link" && *partitions <= 0 {
-		fmt.Fprintln(os.Stderr, "-fault boundary-link needs -partitions N (N > 0): it fails a link on a region boundary, and only a partitioned machine has regions")
-		exit(2)
-	}
 	cfg := flashfc.DefaultValidationConfig()
 	cfg.Routing = cf.Routing
 	cfg.Nodes = *nodes
@@ -125,8 +115,6 @@ func main() {
 	switch *faultName {
 	case "powerloss", "cablecut":
 		mode, what = "compound", "-fault "+*faultName
-	case "none", "boundary-link":
-		mode, what = "partitioned", "-fault "+*faultName
 	default:
 		if !validation {
 			fmt.Fprintf(os.Stderr, "unknown fault %q\n", *faultName)
@@ -145,9 +133,6 @@ func main() {
 	switch mode {
 	case "compound":
 		runCompound(cfg, *faultName, cf.Seed, topts, cf.Metrics, cf.MetricsJSON)
-	case "partitioned":
-		warnOversubscribed(*partitions)
-		runPartition(cfg, *faultName, *fill, *partitions, *regionExtra, cf, topts)
 	case "campaign":
 		runCampaign(cfg, ft, *faultName, cf)
 	default:
@@ -169,18 +154,13 @@ var validationFaults = map[string]flashfc.FaultType{
 }
 
 // ignored lists, per mode, the flags it never reads; RejectIgnored refuses
-// them. The single scenarios run once at -seed and write no run records:
-// the compound faults touch memory without a fill on a sequential machine,
-// and the partitioned fill and boundary-link fault pick their own verify
-// stride and recover with the paper's routing. Every validation run forks
-// a sequential machine's warm snapshot, so the partitioned engine never
-// runs; a single run writes no run records, and a campaign's interleaved
-// timelines trace nothing.
+// them. The compound faults run once at -seed, write no run records and
+// touch memory without a fill; a single run writes no run records, and a
+// campaign's interleaved timelines trace nothing.
 var ignored = map[string][]string{
-	"compound":    {"runs", "run-seed", "run-log", "run-log-host", "progress", "fill", "partitions", "region-extra"},
-	"partitioned": {"runs", "run-seed", "run-log", "run-log-host", "progress", "stride", "routing"},
-	"run":         {"run-log", "run-log-host", "progress", "partitions", "region-extra"},
-	"campaign":    append([]string{"partitions", "region-extra"}, cliflags.TraceFlags...),
+	"compound": {"runs", "run-seed", "run-log", "run-log-host", "progress", "fill"},
+	"run":      {"run-log", "run-log-host", "progress"},
+	"campaign": cliflags.TraceFlags,
 }
 
 // checkSizes exits 2, naming the flag, on a machine or workload size the
@@ -208,17 +188,6 @@ func checkSizes(faultName string, nodes int, mem, l2 uint64, fill, stride int) {
 	}
 	fmt.Fprintln(os.Stderr, "invalid "+bad)
 	exit(2)
-}
-
-// warnOversubscribed prints a warning when -partitions exceeds the host's
-// scheduler width. Oversubscribing is correct (results never depend on
-// worker counts) but slower.
-func warnOversubscribed(partitions int) {
-	if partitions > runtime.GOMAXPROCS(0) {
-		fmt.Fprintf(os.Stderr,
-			"warning: -partitions %d exceeds GOMAXPROCS %d; results are identical but oversubscription costs speed\n",
-			partitions, runtime.GOMAXPROCS(0))
-	}
 }
 
 // traceOpts bundles the trace output configuration for one run.
@@ -355,57 +324,6 @@ func runCampaign(cfg flashfc.ValidationConfig, ft flashfc.FaultType, name string
 	fmt.Fprintf(hout, "result:     PASS — all %d faults contained, no data anomalies\n", cf.Runs)
 }
 
-// runPartition runs the partitioned-simulation scenarios: -fault none is
-// the fault-free fill (the scenario the ledger's fill1024/fill1024-p2
-// workloads time), and
-// -fault boundary-link fails an inter-region link mid-fill and recovers
-// across the cut. Both honor -partitions (0 = sequential engine) and are
-// bit-identical at any partition count.
-func runPartition(vcfg flashfc.ValidationConfig, kind string, fill, partitions int, regionExtra int64, cf *cliflags.Flags, topts traceOpts) {
-	cfg := flashfc.DefaultPartitionConfig()
-	cfg.Nodes = vcfg.Nodes
-	cfg.MemBytes = vcfg.MemBytes
-	cfg.L2Bytes = vcfg.L2Bytes
-	cfg.OpsPerNode = fill
-	cfg.Partitions = partitions
-	cfg.RegionLinkExtra = flashfc.Time(regionExtra)
-	cfg.Trace = topts.tracer
-
-	if kind == "boundary-link" {
-		r := flashfc.RunPartitionBoundaryFault(cfg, cf.Seed)
-		fmt.Fprintf(hout, "fault:      %v (inter-region boundary link)\n", r.Fault)
-		fmt.Fprintf(hout, "recovered:  %v\n", r.Recovered)
-		if r.Recovered {
-			p := r.Phases
-			fmt.Fprintf(hout, "phases:     P1=%v  P1,2=%v  P1,2,3=%v  total=%v\n", p.P1, p.P12, p.P123, p.Total)
-			fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
-		}
-		emitTrace(topts)
-		emitMetrics(r.Metrics, cf.Metrics, cf.MetricsJSON)
-		if r.OK() {
-			fmt.Fprintln(hout, "result:     PASS — boundary fault contained across the region cut")
-			return
-		}
-		fmt.Fprintf(hout, "result:     FAIL — %s\n", r.Note)
-		exit(1)
-	}
-
-	r := flashfc.RunPartitionFill(cfg, cf.Seed)
-	fmt.Fprintf(hout, "scenario:   %d-node fill, %d regions, %d partition workers\n",
-		cfg.Nodes, r.Regions, cfg.Partitions)
-	fmt.Fprintf(hout, "workload:   %d/%d accesses completed at t=%v\n", r.Completed, r.Total, r.Now)
-	fmt.Fprintf(hout, "engine:     %d events, %d barriers, %d cross-region merges\n",
-		r.Events, r.Barriers, r.Merged)
-	emitTrace(topts)
-	emitMetrics(r.Metrics, cf.Metrics, cf.MetricsJSON)
-	if r.OK() {
-		fmt.Fprintln(hout, "result:     PASS — fill completed")
-		return
-	}
-	fmt.Fprintf(hout, "result:     FAIL — %s\n", r.Note)
-	exit(1)
-}
-
 // runCompound injects a §4.1 compound fault (power-supply loss of two
 // adjacent nodes, or a cable cut between the first two mesh columns) and
 // reports the recovery outcome: the sweep and the judge must both pass.
@@ -425,7 +343,9 @@ func runCompound(cfg flashfc.ValidationConfig, kind string, seed int64, topts tr
 	pt := r.Phases
 	fmt.Fprintf(hout, "phases:     P1=%v  P1,2=%v  P1,2,3=%v  total=%v\n", pt.P1, pt.P12, pt.P123, pt.Total)
 	fmt.Fprintf(hout, "survivors:  %d participants, %d restarts\n", pt.Participants, pt.Restarts)
-	fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
+	if r.Verify != nil {
+		fmt.Fprintf(hout, "verify:     %v\n", r.Verify)
+	}
 	emitMetrics(r.Metrics, showMetrics, metricsJSON)
 	if !r.OK() {
 		fmt.Fprintf(hout, "result:     FAIL — %s\n", r.Note)

@@ -244,52 +244,46 @@ func TestExemplarsIsNotAFlashsimFlag(t *testing.T) {
 	}
 }
 
-// -partitions is real only on -fault none|boundary-link. Every validation
-// run — a campaign or a single run, which is campaign run 0 — forks a
-// sequential machine's warm snapshot, so it refuses -partitions and
-// -region-extra, exit 2 naming the flag, before it writes a run log.
-func TestPartitionsWarnsOnWarmForkedCampaignOnly(t *testing.T) {
+// flashsim has no partitioned mode: every run it makes is faulted, and a
+// partitioned machine runs only a fault-free fill. -partitions is a usage
+// error naming the flag on a campaign and on a single run, and the
+// fault-free -fault none is an unknown fault; none of them writes a run
+// log.
+func TestPartitionsIsNotAFlashsimFlag(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "runs.jsonl")
-	campaign := append(fastArgs, "-runs", "4", "-run-log", log)
-	for _, args := range [][]string{
-		append(campaign, "-partitions", "4"),
-		append(campaign, "-region-extra", "500"),
-		append(fastArgs, "-fault", "fail-slow", "-partitions", "4"),
-		append(fastArgs, "-fault", "fail-slow", "-region-extra", "500"),
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append(fastArgs, "-runs", "4", "-run-log", log, "-partitions", "4"), "-partitions"},
+		{append(fastArgs, "-fault", "fail-slow", "-partitions", "4"), "-partitions"},
+		{append(fastArgs, "-fault", "none", "-run-log", log), `unknown fault "none"`},
 	} {
-		flag := args[len(args)-2]
-		_, stderr, code := runFlashsimExit(t, args...)
-		if code != 2 || !strings.Contains(stderr, "ignores "+flag+";") {
-			t.Errorf("flashsim %v: exit %d, want 2 naming %s; stderr:\n%s", args, code, flag, stderr)
+		_, stderr, code := runFlashsimExit(t, tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("flashsim %v: exit %d, want 2 naming %s; stderr:\n%s", tc.args, code, tc.want, stderr)
 		}
 		if _, err := os.Stat(log); err == nil {
-			t.Fatalf("flashsim %v wrote a run log before refusing %s", args, flag)
+			t.Fatalf("flashsim %v wrote a run log", tc.args)
 		}
-	}
-	_, stderr := runFlashsim(t, "-nodes", "16", "-fault", "none", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2", "-region-extra", "500")
-	if strings.Contains(stderr, "ignores") {
-		t.Errorf("-fault none refuses a partition flag:\n%s", stderr)
 	}
 }
 
-// The single-scenario faults run once at -seed and write no run records.
-// Each refuses every flag it was given and does not read, exit 2 naming it,
-// and writes no run log; with only the flags it honours it runs, and a
-// validation campaign takes the campaign flags the scenarios refuse.
+// The compound faults run once at -seed and write no run records. Each
+// refuses every flag it was given and does not read, exit 2 naming it, and
+// writes no run log; with only the flags it honours it runs, and a
+// validation campaign takes the campaign flags the compound faults refuse.
 func TestSingleScenarioWarnsIgnoredFlags(t *testing.T) {
 	log := filepath.Join(t.TempDir(), "runs.jsonl")
 	campaign := [][]string{{"-runs", "3"}, {"-run-seed", "1"}, {"-run-log", log}, {"-progress"}}
 	compound := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-routing", "incremental", "-stride", "4"}
-	partitioned := []string{"-nodes", "16", "-mem", "65536", "-l2", "16384", "-fill", "32", "-partitions", "2"}
 	for _, tc := range []struct {
 		fault    string
 		honoured []string
 		ignored  [][]string
 	}{
-		{"powerloss", compound, append(campaign, []string{"-fill", "32"}, []string{"-partitions", "2"}, []string{"-region-extra", "500"})},
-		{"cablecut", compound, append(campaign, []string{"-fill", "32"}, []string{"-partitions", "2"}, []string{"-region-extra", "500"})},
-		{"none", partitioned, append(campaign, []string{"-stride", "4"}, []string{"-routing", "incremental"})},
-		{"boundary-link", partitioned, append(campaign, []string{"-stride", "4"}, []string{"-routing", "incremental"})},
+		{"powerloss", compound, append(campaign, []string{"-fill", "32"})},
+		{"cablecut", compound, append(campaign, []string{"-fill", "32"})},
 	} {
 		args := append([]string{"-fault", tc.fault}, tc.honoured...)
 		for _, flag := range tc.ignored {
@@ -318,16 +312,6 @@ func TestSingleRunIsRunSeedZero(t *testing.T) {
 	replay, _ := runFlashsim(t, append(fastArgs, "-seed", "7", "-runs", "4", "-run-seed", "0", "-metrics-json")...)
 	if single != replay {
 		t.Error("single run and -run-seed 0 print different metrics JSON")
-	}
-}
-
-// -fault boundary-link fails a link on a region boundary, so without
-// -partitions there is nothing to fail: it is refused up front, naming the
-// flag, instead of panicking mid-run.
-func TestBoundaryLinkNeedsPartitions(t *testing.T) {
-	stdout, stderr, code := runFlashsimExit(t, "-nodes", "16", "-fault", "boundary-link")
-	if code != 2 || !strings.Contains(stderr, "-partitions") || strings.Contains(stderr, "panic") {
-		t.Fatalf("exit %d, want 2 with a message naming -partitions; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
 

@@ -57,15 +57,13 @@ func TestRunSeedIsNotATablesFlag(t *testing.T) {
 	}
 }
 
-// -partitions and -region-extra drive flashsim's partitioned scenarios;
-// tables never builds a partitioned machine and does not register them.
+// tables never builds a partitioned machine, which runs only a fault-free
+// fill, so -partitions is a usage error naming the flag.
 func TestPartitionFlagsAreNotTablesFlags(t *testing.T) {
-	for _, flag := range []string{"-partitions", "-region-extra"} {
-		for _, table := range []string{"5.3", "5.4"} {
-			stderr, code := runTables(t, "-table", table, "-runs", "1", flag, "2")
-			if code != 2 || !strings.Contains(stderr, flag) {
-				t.Errorf("tables -table %s %s: exit %d, want 2 naming %s; stderr:\n%s", table, flag, code, flag, stderr)
-			}
+	for _, table := range []string{"5.3", "5.4"} {
+		stderr, code := runTables(t, "-table", table, "-runs", "1", "-partitions", "2")
+		if code != 2 || !strings.Contains(stderr, "-partitions") {
+			t.Errorf("tables -table %s -partitions: exit %d, want 2 naming -partitions; stderr:\n%s", table, code, stderr)
 		}
 	}
 }

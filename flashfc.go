@@ -310,8 +310,8 @@ type (
 	// snapshot (see WarmupValidation / ValidationFromWarm in
 	// internal/experiments).
 	WarmState = experiments.WarmState
-	// PartitionConfig shapes a partitioned-simulation scenario (the
-	// 1024-node fill and the boundary-link fault runs).
+	// PartitionConfig shapes the partitioned-simulation scenario, the
+	// fault-free 1024-node fill.
 	PartitionConfig = experiments.PartitionConfig
 	// PartitionResult is one partitioned fill run.
 	PartitionResult = experiments.PartitionResult
@@ -381,12 +381,6 @@ func RunPartitionFill(cfg PartitionConfig, seed int64) *PartitionResult {
 	return experiments.PartitionFill(cfg, seed)
 }
 
-// RunPartitionBoundaryFault fails an inter-region link mid-fill on a
-// partitioned machine and runs recovery across the cut.
-func RunPartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
-	return experiments.PartitionBoundaryFault(cfg, seed)
-}
-
 // DefaultScalingConfig returns the Fig 5.5 measurement setup for n nodes.
 func DefaultScalingConfig(nodes int) ScalingConfig { return experiments.DefaultScalingConfig(nodes) }
 
@@ -400,11 +394,6 @@ func DefaultEndToEndConfig() EndToEndConfig { return experiments.DefaultEndToEnd
 // FirewallLatency measures an intercell write-miss latency with the
 // firewall on or off (§6.2).
 func FirewallLatency(on bool, seed int64) Time { return experiments.FirewallLatency(on, seed) }
-
-// FirewallOverheadFraction returns the firewall's relative latency cost.
-func FirewallOverheadFraction(seed int64) float64 {
-	return experiments.FirewallOverheadFraction(seed)
-}
 
 // TriggerLatency measures the recovery-triggering latency with or without
 // the §4.2 speculative-ping optimization; the point carries the run's

@@ -120,7 +120,8 @@ func TestPublicConstantsAndHelpers(t *testing.T) {
 	if flashfc.ErrBusError == nil || flashfc.ErrAborted == nil {
 		t.Fatal("errors unexported")
 	}
-	if frac := flashfc.FirewallOverheadFraction(1); frac <= 0 || frac >= 0.07 {
+	off, on := flashfc.FirewallLatency(false, 1), flashfc.FirewallLatency(true, 1)
+	if frac := float64(on-off) / float64(off); frac <= 0 || frac >= 0.07 {
 		t.Fatalf("firewall overhead fraction = %v", frac)
 	}
 }

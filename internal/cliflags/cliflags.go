@@ -32,8 +32,7 @@
 //	-memprofile FILE   write a pprof allocation profile at exit
 //
 // A flag only one binary honours is registered by that binary alone:
-// flashsim's -run-seed, -partitions and -region-extra, and tables'
-// -exemplars. A registered flag the chosen table or figure does not read
+// flashsim's -run-seed and tables' -exemplars. A registered flag the chosen table or figure does not read
 // is refused by RejectIgnored, and so is one the chosen flashsim mode does
 // not read.
 package cliflags

@@ -28,9 +28,8 @@ const repairMemoSize = 4
 // It is host-side cache, not simulated state: it is never snapshotted, and
 // every machine — cold-built or forked — owns a fresh one, so forks running
 // on parallel campaign workers share nothing. It needs no lock: the agents of
-// one machine run on one goroutine, including on a partitioned machine,
-// where fault injection and recovery execute in the engine's global
-// single-goroutine mode (DESIGN.md §7).
+// one machine run on one goroutine, because recovery never runs on a
+// partitioned machine (DESIGN.md §7).
 type RepairMemo struct {
 	entries []repairEntry
 	next    int // round-robin victim once full

@@ -35,10 +35,3 @@ func FirewallLatency(on bool, seed int64) sim.Time {
 	m.E.Run()
 	return end - start
 }
-
-// FirewallOverheadFraction returns (on-off)/off.
-func FirewallOverheadFraction(seed int64) float64 {
-	off := FirewallLatency(false, seed)
-	on := FirewallLatency(true, seed)
-	return float64(on-off) / float64(off)
-}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
 	"flashfc/internal/sim"
@@ -11,10 +10,9 @@ import (
 	"flashfc/internal/workload"
 )
 
-// PartitionConfig shapes a partitioned-simulation scenario: the fault-free
-// fill run that demonstrates intra-machine speedup (PartitionFill) and the
-// boundary-link fault run that exercises recovery across a region cut
-// (PartitionBoundaryFault).
+// PartitionConfig shapes the partitioned-simulation scenario: the
+// fault-free fill run that demonstrates intra-machine speedup
+// (PartitionFill), the only workload a partitioned machine runs.
 type PartitionConfig struct {
 	Nodes    int
 	MemBytes uint64
@@ -67,27 +65,15 @@ type PartitionResult struct {
 // OK reports whether every submitted access completed.
 func (r *PartitionResult) OK() bool { return r.Total > 0 && r.Completed == r.Total }
 
-// buildPartitionMachine constructs the scenario machine for cfg.
-func buildPartitionMachine(cfg PartitionConfig, seed int64) *machine.Machine {
-	mc := machine.DefaultConfig(cfg.Nodes)
-	mc.Seed = seed
-	mc.MemBytes = cfg.MemBytes
-	mc.L2Bytes = cfg.L2Bytes
-	mc.Trace = cfg.Trace
-	mc.Partitions = cfg.Partitions
-	mc.RegionLinkExtra = cfg.RegionLinkExtra
-	mc.ParallelWindows = true
-	return machine.New(mc)
-}
-
-// fillResult scrapes the common result fields from a finished run.
+// fillResult scrapes the result fields from a finished run.
 func fillResult(m *machine.Machine, pf *workload.PartitionFill, res *PartitionResult) {
 	res.Completed = pf.Total() - pf.Remaining()
 	res.Total = pf.Total()
 	res.Now = m.Now()
-	res.Events = eventsFired(m)
+	res.Events = m.E.EventsFired()
 	res.Regions = 1
 	if m.P != nil {
+		res.Events = m.P.EventsFired()
 		res.Regions = m.P.Regions()
 		res.Barriers = m.P.Barriers()
 		res.Merged = m.P.Merged()
@@ -102,7 +88,15 @@ func fillResult(m *machine.Machine, pf *workload.PartitionFill, res *PartitionRe
 // fill1024-p2 workloads, the identity claim by the machine determinism
 // tests).
 func PartitionFill(cfg PartitionConfig, seed int64) *PartitionResult {
-	m := buildPartitionMachine(cfg, seed)
+	mc := machine.DefaultConfig(cfg.Nodes)
+	mc.Seed = seed
+	mc.MemBytes = cfg.MemBytes
+	mc.L2Bytes = cfg.L2Bytes
+	mc.Trace = cfg.Trace
+	mc.Partitions = cfg.Partitions
+	mc.RegionLinkExtra = cfg.RegionLinkExtra
+	mc.ParallelWindows = true
+	m := machine.New(mc)
 	pf := workload.NewPartitionFill(m)
 	if cfg.OpsPerNode > 0 {
 		pf.OpsPerNode = cfg.OpsPerNode
@@ -118,57 +112,4 @@ func PartitionFill(cfg PartitionConfig, seed int64) *PartitionResult {
 			pf.Remaining(), pf.Total(), cfg.Deadline)
 	}
 	return res
-}
-
-// BoundaryLink returns a deterministic inter-region link of a partitioned
-// machine: the lowest-numbered link whose endpoints lie in different
-// regions. It panics if the machine has no region boundary (sequential
-// machine or single-region decomposition).
-func BoundaryLink(m *machine.Machine) int {
-	if m.Regions != nil {
-		for id := range m.Topo.Links() {
-			if m.Regions.CrossRegion(id) {
-				return id
-			}
-		}
-	}
-	panic("experiments: machine has no inter-region boundary link")
-}
-
-// PartitionBoundaryFault runs the region-cut fault scenario: start the fill
-// workload in parallel windows, then fail a link that is exactly on a
-// partition boundary. Injection switches the run to the deterministic
-// global interleave, recovery proceeds across the cut, and the run
-// script's second half judges and sweeps the machine — exercising the one
-// place where fault containment and partition boundaries coincide.
-func PartitionBoundaryFault(cfg PartitionConfig, seed int64) *ValidationResult {
-	m := buildPartitionMachine(cfg, seed)
-	link := BoundaryLink(m)
-	f := fault.Fault{Type: fault.LinkFailure, Link: link}
-	pf := workload.NewPartitionFill(m)
-	if cfg.OpsPerNode > 0 {
-		pf.OpsPerNode = cfg.OpsPerNode
-	}
-	pf.Start()
-	// Let roughly half the fill complete in parallel windows, then inject.
-	for pf.Remaining() > pf.Total()/2 && m.Now() < cfg.Deadline {
-		m.Advance(m.Now() + sim.Millisecond)
-	}
-	m.Inject(f)
-	// Provoke detection with a read across the dead link.
-	kick := m.Topo.Links()[link].B
-	m.Nodes[m.Topo.Links()[link].A].CPU.Submit(workload.TouchOp(m, kick))
-	s := Script{M: m, Budget: cfg.Deadline, Stride: cfg.Stride(), Record: &ValidationResult{Fault: f}}
-	s.recoverAndJudge()
-	return s.Record
-}
-
-// Stride returns the verification stride for the scenario size: full sweep
-// up to 64 nodes, sampled beyond (the 1024-node sweep would dominate the
-// run).
-func (cfg PartitionConfig) Stride() int {
-	if cfg.Nodes <= 64 {
-		return 1
-	}
-	return 8
 }

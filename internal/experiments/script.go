@@ -105,12 +105,13 @@ func (s Script) touch(ts []Touch) {
 // recoverAndJudge is the script's second half, entered once the faults
 // are in or scheduled and the kick submitted: recover within Budget of
 // detection, aggregate the phases, count the nodes the fault cost, judge,
-// and sweep from the lowest-id survivor. It fills the record and notes
-// whichever step failed.
+// and sweep from the lowest-id node that recovered without shutting down.
+// It fills the record and notes whichever step failed; with no such node
+// left the sweep cannot run, and the record fails.
 func (s Script) recoverAndJudge() {
 	m, rec := s.M, s.Record
 	defer func() {
-		rec.Events = eventsFired(m)
+		rec.Events = m.E.EventsFired()
 		rec.Metrics = m.MetricsSnapshot()
 	}()
 	from := m.Now()
@@ -132,22 +133,29 @@ func (s Script) recoverAndJudge() {
 		notes = append(notes, rec.Judge.String())
 	}
 	if s.Stride > 0 {
-		t0 := m.Now()
-		rec.Verify = m.VerifyMemory(m.Survivors()[0], s.Stride)
-		rec.swept = m.Now() - t0
-		if !rec.Verify.OK() {
-			notes = append(notes, rec.Verify.String())
+		if reader := liveReader(m); reader < 0 {
+			notes = append(notes, "recovery left no live node")
+		} else {
+			t0 := m.Now()
+			rec.Verify = m.VerifyMemory(reader, s.Stride)
+			rec.swept = m.Now() - t0
+			if !rec.Verify.OK() {
+				notes = append(notes, rec.Verify.String())
+			}
 		}
 	}
 	rec.Note = strings.Join(notes, "; ")
 }
 
-// eventsFired is the machine's event count, partitioned or sequential.
-func eventsFired(m *machine.Machine) uint64 {
-	if m.P != nil {
-		return m.P.EventsFired()
+// liveReader is the lowest-id node that came out of recovery healthy, or
+// -1 when recovery shut every survivor down.
+func liveReader(m *machine.Machine) int {
+	for _, n := range m.Survivors() {
+		if m.Liveness().Healthy(n) {
+			return n
+		}
 	}
-	return m.E.EventsFired()
+	return -1
 }
 
 // detectionVictim picks the node whose memory a read must touch to notice f.

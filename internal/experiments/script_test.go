@@ -44,11 +44,16 @@ func corruptLine(m *machine.Machine) {
 
 // Every faulted path runs its script through the judge: with a line
 // corrupted after recovery, each fails its run and its failure names the
-// judge. Passing runs of the same scripts are the rest of the suite.
+// judge. Passing runs of the same scripts are the rest of the suite. A
+// power loss at 3 nodes leaves node 0 without a majority, so recovery
+// shuts it down: that run fails too, naming the missing live node rather
+// than the reads a sweep from a shut-down node would leave pending.
 func TestEveryPathIsJudged(t *testing.T) {
 	cfg := fastValidationConfig()
 	ws := WarmupValidation(cfg, runner.DeriveSeed(1, runner.StreamWarmup, 0))
-	judged := func(note string) bool { return strings.Contains(note, "judge:") }
+	three := cfg
+	three.Nodes = 3
+	const judged = "judge:"
 	// verdict reads a finished script the way its path does: whether the
 	// run passed, and the note its failure carries.
 	type verdict func(Script) (ok bool, note string)
@@ -64,23 +69,27 @@ func TestEveryPathIsJudged(t *testing.T) {
 		name   string
 		script Script
 		read   verdict
+		want   string
 	}{
-		{"validation", validationScript(ws, fault.NodeFailure, 3, nil), record},
+		{"validation", validationScript(ws, fault.NodeFailure, 3, nil), record, judged},
 		{"routing", routingScript(ws, "paper", RoutingScenarioSpec{Links: 2}, 3), func(s Script) (bool, string) {
 			var rec obs.RunRecord
 			r := routingRun("paper", s)
 			r.FillRecord(&rec)
 			return r.OK && rec.Outcome != obs.OutcomeFail, rec.Note
-		}},
-		{"fig5.5", scalingScript(DefaultScalingConfig(8)), point},
-		{"trigger latency", triggerScript(8, true, 1, &lastEnter), point},
-		{"single fault", singleFaultScript(1, func(*machine.Config) {}), point},
-		{"powerloss", compoundScript(cfg, true, 1), record},
-		{"cablecut", compoundScript(cfg, false, 1), record},
+		}, judged},
+		{"fig5.5", scalingScript(DefaultScalingConfig(8)), point, judged},
+		{"trigger latency", triggerScript(8, true, 1, &lastEnter), point, judged},
+		{"single fault", singleFaultScript(1, func(*machine.Config) {}), point, judged},
+		{"powerloss", compoundScript(cfg, true, 1), record, judged},
+		{"cablecut", compoundScript(cfg, false, 1), record, judged},
+		{"powerloss at 3 nodes", compoundScript(three, true, 1), record, "recovery left no live node"},
 	} {
-		c.script.afterRecovery = corruptLine
-		if ok, note := c.read(c.script); ok || !judged(note) {
-			t.Errorf("%s: a corrupted line passed (%v) or its note does not name the judge: %q", c.name, ok, note)
+		if c.want == judged {
+			c.script.afterRecovery = corruptLine
+		}
+		if ok, note := c.read(c.script); ok || !strings.Contains(note, c.want) {
+			t.Errorf("%s: the run passed (%v) or its note does not name %q: %q", c.name, ok, c.want, note)
 		}
 	}
 }

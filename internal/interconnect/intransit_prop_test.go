@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -30,49 +29,22 @@ type propFault struct {
 	window sim.Time
 }
 
-// propOutcome is what must agree between worker counts of one fabric.
-type propOutcome struct {
-	Dropped   uint64
-	Points    []trace.Point
-	Truncated [][]uint64 // per link failure, the truncated flows in order
-}
-
-// propRun runs one seeded scenario. regions 0 is the classic sequential
-// fabric; otherwise the mesh is striped into that many regions and run at
-// the given worker count.
-func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
+// propRun runs one seeded scenario and returns the truncated flows of each
+// link failure, in order.
+func propRun(t *testing.T, seed int64) [][]uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	topo := topology.NewMesh(4, 4)
 	tr := trace.New()
 	cfg := DefaultConfig()
 	cfg.Trace = tr
-
-	var e *sim.Engine
-	var P *sim.Partitioned
-	if regions > 0 {
-		tr.Deterministic = true
-		reg := topology.PartitionMesh(topo, regions)
-		const extra = 200
-		P = sim.NewPartitioned(seed, reg.Count(), LookaheadBound(extra), workers)
-		pt := &Partition{Of: make([]int, topo.Routers()), P: P, Extra: extra}
-		for r := range pt.Of {
-			pt.Of[r] = reg.Of(r)
-		}
-		for i := 0; i < reg.Count(); i++ {
-			pt.Engines = append(pt.Engines, P.Region(i))
-		}
-		cfg.Partition = pt
-		e = P.Region(0)
-	} else {
-		e = sim.NewEngine(seed)
-	}
+	e := sim.NewEngine(seed)
 	n := New(e, topo, cfg)
 	for i := 0; i < topo.Routers(); i++ {
 		n.SetEndpoint(i, sinkEndpoint{})
 	}
 
-	// Random traffic, injected by events on each source's own engine.
+	// Random traffic.
 	const horizon = 20 * sim.Microsecond
 	send := sim.Callback(func(a1, _ any, _ uint64) { n.Send(a1.(*Packet)) })
 	var pkts []*Packet
@@ -82,7 +54,7 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 			p.Bytes = 128
 		}
 		pkts = append(pkts, p)
-		n.eng(p.Src).AtCall(sim.Time(rng.Int63n(int64(horizon))), send, p, nil, 0)
+		e.AtCall(sim.Time(rng.Int63n(int64(horizon))), send, p, nil, 0)
 	}
 	var faults []propFault
 	for i := 0; i < 8; i++ {
@@ -97,17 +69,7 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 	}
 	sort.Slice(faults, func(i, j int) bool { return faults[i].at < faults[j].at })
 
-	runTo := func(at sim.Time) {
-		if P != nil {
-			P.RunUntil(at)
-		} else {
-			e.RunUntil(at)
-		}
-	}
-	// Between RunUntil calls everything is single-threaded, so the fault
-	// calls and the OnLost observations below need no locking — but OnLost
-	// also fires from region workers during parallel windows, so it only
-	// records while a link failure is being applied.
+	// OnLost records only while a link failure is being applied.
 	var failing bool
 	var lostNow []*Packet
 	n.OnLost = func(p *Packet) {
@@ -117,13 +79,10 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 	}
 	doomed := map[*channel]*Packet{} // in service on a router when it failed
 	truncatedSoFar := map[*Packet]bool{}
-	var out propOutcome
+	var truncated [][]uint64
 
 	for _, f := range faults {
-		runTo(f.at)
-		if P != nil {
-			P.SetGlobalFrom(P.Now())
-		}
+		e.RunUntil(f.at)
 		if f.kind == 2 {
 			if !n.routers[f.id].failed {
 				chans := n.routerChans(f.id)
@@ -180,13 +139,12 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 					seed, f.id, p.flow, p.Truncated, truncatedSoFar[p])
 			}
 		}
-		out.Truncated = append(out.Truncated, flows(want))
+		truncated = append(truncated, flows(want))
 	}
-	runTo(horizon + sim.Millisecond)
+	e.RunUntil(horizon + sim.Millisecond)
 
 	truncPoints, dropPoints := 0, uint64(0)
-	out.Points = tr.Points()
-	for _, pt := range out.Points {
+	for _, pt := range tr.Points() {
 		switch {
 		case pt.Name == "truncate":
 			truncPoints++
@@ -195,19 +153,18 @@ func propRun(t *testing.T, seed int64, regions, workers int) propOutcome {
 		}
 	}
 	total := 0
-	for _, fl := range out.Truncated {
+	for _, fl := range truncated {
 		total += len(fl)
 	}
 	if truncPoints != total {
 		t.Fatalf("seed %d: %d truncate trace points for %d truncated packets", seed, truncPoints, total)
 	}
 	// Every drop site records its point and counts through one helper, so
-	// the count and the points agree at any worker count.
-	out.Dropped = n.Dropped()
-	if out.Dropped != dropPoints {
-		t.Fatalf("seed %d: Dropped %d, but %d drop-* trace points", seed, out.Dropped, dropPoints)
+	// the count and the points agree.
+	if d := n.Dropped(); d != dropPoints {
+		t.Fatalf("seed %d: Dropped %d, but %d drop-* trace points", seed, d, dropPoints)
 	}
-	return out
+	return truncated
 }
 
 func flows(ps []*Packet) []uint64 {
@@ -218,33 +175,18 @@ func flows(ps []*Packet) []uint64 {
 	return out
 }
 
+// The sequential fabric is the one that fails links: a partitioned fabric
+// carries only fault-free traffic.
 func TestInTransitSlotTruncatesExactlyTheInServicePackets(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		regions int
-	}{{"sequential", 0}, {"partitioned", 2}} {
-		t.Run(mode.name, func(t *testing.T) {
-			truncated := 0
-			for seed := int64(1); seed <= 25; seed++ {
-				one := propRun(t, seed, mode.regions, 1)
-				for _, fl := range one.Truncated {
-					truncated += len(fl)
-				}
-				if mode.regions == 0 {
-					continue
-				}
-				two := propRun(t, seed, mode.regions, 2)
-				if !reflect.DeepEqual(one, two) {
-					t.Fatalf("seed %d: Partitions 1 and 2 disagree:\n%s\nvs\n%s", seed, summarize(one), summarize(two))
-				}
+	t.Run("sequential", func(t *testing.T) {
+		truncated := 0
+		for seed := int64(1); seed <= 25; seed++ {
+			for _, fl := range propRun(t, seed) {
+				truncated += len(fl)
 			}
-			if truncated == 0 {
-				t.Fatal("no link failure ever caught a packet in service: the property went unexercised")
-			}
-		})
-	}
-}
-
-func summarize(o propOutcome) string {
-	return fmt.Sprintf("dropped %d, %d trace points, truncated %v", o.Dropped, len(o.Points), o.Truncated)
+		}
+		if truncated == 0 {
+			t.Fatal("no link failure ever caught a packet in service: the property went unexercised")
+		}
+	})
 }

@@ -482,18 +482,14 @@ func (n *Network) FailLink(l int) {
 // the in-flight packets are truncated, later traversals are black-holed —
 // but only for the given window of simulated time, after which the link
 // heals and carries traffic normally again. No-op if the link is already
-// down (a transient fault on a dead link adds nothing). The heal event is
-// scheduled on the engine of the link's A-side region, which keeps the
-// window deterministic at any partition worker count once injection has
-// forced global interleaving.
+// down (a transient fault on a dead link adds nothing).
 func (n *Network) FailLinkTransient(l int, window sim.Time) {
 	if !n.linkUp[l] {
 		return
 	}
 	n.mTransient.Inc()
 	n.FailLink(l)
-	lk := n.Topo.Links()[l]
-	n.eng(lk.A).After(window, func() { n.healLink(l) })
+	n.E.After(window, func() { n.healLink(l) })
 }
 
 // healLink restores a link downed by a transient window and restarts
@@ -629,7 +625,7 @@ func (n *Network) kick(ch *channel) {
 		e := n.eng(from)
 		deliverAt := e.Now() + serviceTime(pkt) + pt.Extra
 		pt.P.Send(pt.Of[from], pt.Of[to], deliverAt,
-			n.ingressFn, pkt, nil, packRL(to, int(ch.link)))
+			n.ingressFn, pkt, nil, uint64(to))
 		e.AfterCall(serviceTime(pkt), n.launchFn, ch, pkt, 0)
 		return
 	}
@@ -736,7 +732,7 @@ func (n *Network) block(ch *channel, pkt *Packet) {
 	ch.blocked = true
 	n.mStalls.Inc()
 	if pkt.Lane.IsRecovery() {
-		n.eng(int(ch.router)).AfterCall(timing.RecoveryHeadDrop, n.headDropFn, ch, pkt, pkt.flow)
+		n.E.AfterCall(timing.RecoveryHeadDrop, n.headDropFn, ch, pkt, pkt.flow)
 	}
 }
 
@@ -852,5 +848,5 @@ func (n *Network) ProbeRouter(path []int, cb sim.Callback, a1, a2 any, u uint64)
 			rtt += 2 * (timing.RouterHop + timing.LinkWire + 16*timing.LinkBytePeriod)
 		}
 	}
-	n.eng(path[0]).AfterCall(rtt+2*timing.RouterHop, cb, a1, a2, u)
+	n.E.AfterCall(rtt+2*timing.RouterHop, cb, a1, a2, u)
 }

@@ -27,6 +27,10 @@ import (
 // LookaheadBound(Extra) — the minimum time any packet needs to cross a
 // boundary — so every cross-region delivery lands at or beyond the next
 // window barrier.
+//
+// A partitioned fabric carries only fault-free traffic (the machine
+// refuses faults and recovery on it), so a boundary hop never meets a
+// failed router or link, a discarding node or a source route.
 type Partition struct {
 	// Of maps router -> region (topology.Regions.Of).
 	Of []int
@@ -61,31 +65,20 @@ func (n *Network) eng(r int) *sim.Engine {
 }
 
 // now returns the current simulated time at router r — its own region's
-// clock in partitioned mode. During a parallel window only r's region
-// observes it, and in global mode all clocks agree, so it is always the
-// time of the event being executed.
+// clock in partitioned mode. Only r's region observes it during a window,
+// so it is always the time of the event being executed.
 func (n *Network) now(r int) sim.Time {
 	return n.eng(r).Now()
-}
-
-// packRL packs a (router, link) pair into the one uint64 callback argument.
-func packRL(router, link int) uint64 {
-	return uint64(uint32(router))<<32 | uint64(uint32(link))
 }
 
 // launchEv fires on the source side when a packet finishes its service time
 // on an inter-region link: the packet has left the region, so free its
 // channel slot and move the queue along. The packet's fate is decided by
 // ingressEv on the destination side.
-func (n *Network) launchEv(a1, a2 any, _ uint64) {
-	ch, pkt := a1.(*channel), a2.(*Packet)
+func (n *Network) launchEv(a1, _ any, _ uint64) {
+	ch := a1.(*channel)
 	ch.serving = false
 	ch.inTransit = nil
-	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
-		// The source router failed mid-service and already destroyed
-		// this packet (and counted it); nothing left to pop.
-		return
-	}
 	n.popHead(ch)
 }
 
@@ -93,16 +86,7 @@ func (n *Network) launchEv(a1, a2 any, _ uint64) {
 // inter-region link (scheduled by kick through the partition coordinator).
 func (n *Network) ingressEv(a1, _ any, u uint64) {
 	pkt := a1.(*Packet)
-	r, link := int(u>>32), int(uint32(u))
-	// A link that died while the packet was on the wire destroys it — the
-	// inter-region cable is part of the link — unless the failure already
-	// marked it as the truncation victim, in which case it continues to
-	// its destination truncated, like any in-flight packet (§3.1).
-	if !n.linkUp[link] && !pkt.Truncated {
-		n.drop("drop-blackhole", r, pkt)
-		n.mBlackholed.Inc()
-		return
-	}
+	r := int(u)
 	n.tracePkt("hop", r, pkt)
 	n.arriveFree(r, pkt)
 }
@@ -124,38 +108,14 @@ func (n *Network) retryEv(a1, _ any, u uint64) {
 // crossings, are identical at any worker count, and never let one region
 // synchronously touch another mid-window.
 func (n *Network) arriveFree(r int, pkt *Packet) {
-	if n.routers[r].failed {
-		n.drop("drop-router", r, pkt)
-		return
-	}
-	if pkt.SourceRoute != nil {
-		if pkt.hop+1 >= len(pkt.SourceRoute) || pkt.SourceRoute[pkt.hop+1] != r {
-			n.drop("drop-noroute", r, pkt)
-			return
-		}
-	}
-	atDst := pkt.Dst == r
-	if pkt.SourceRoute != nil {
-		atDst = pkt.hop+2 == len(pkt.SourceRoute) && atDst
-	}
-	if atDst {
-		if n.routers[r].discardLocal {
-			n.drop("drop-deadnode", r, pkt)
-			return
-		}
+	if pkt.Dst == r {
 		if n.endpoints[r] == nil || n.endpoints[r].Accept(pkt) {
-			if pkt.SourceRoute != nil {
-				pkt.hop++
-			}
 			n.tracePkt("deliver", r, pkt)
 			return
 		}
 		n.mStalls.Inc()
 		n.eng(r).AfterCall(timing.DeliveryRetry, n.retryFn, pkt, nil, uint64(r))
 		return
-	}
-	if pkt.SourceRoute != nil {
-		pkt.hop++
 	}
 	port, ok := n.nextPort(r, pkt)
 	if !ok {

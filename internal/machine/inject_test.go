@@ -2,9 +2,11 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"flashfc/internal/fault"
+	"flashfc/internal/magic"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 )
@@ -103,5 +105,44 @@ func TestPacketPointsStopAtRecoveryAndResumeAtNextFault(t *testing.T) {
 	}
 	if before == 0 || after == 0 {
 		t.Fatalf("%d packet points up to the first recovery, %d from the second fault: want both > 0", before, after)
+	}
+}
+
+// A partitioned machine runs only a region-safe, fault-free workload: a
+// fault, a snapshot, recovery entry and a build without ParallelWindows
+// each panic, naming the rule.
+func TestPartitionedMachineRefusesFaults(t *testing.T) {
+	partitioned := func() *Machine {
+		cfg := DefaultConfig(16)
+		cfg.MemBytes = 64 << 10
+		cfg.L2Bytes = 16 << 10
+		cfg.Partitions = 2
+		cfg.ParallelWindows = true
+		return New(cfg)
+	}
+	f := fault.Fault{Type: fault.NodeFailure, Node: 5}
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Inject", func() { partitioned().Inject(f) }},
+		{"InjectAt", func() { partitioned().InjectAt(f, sim.Millisecond) }},
+		{"Snapshot", func() { partitioned().Snapshot() }},
+		{"recovery entry", func() { partitioned().Nodes[0].Agent.Trigger(magic.ReasonFalseAlarm) }},
+		{"ParallelWindows=false", func() {
+			cfg := DefaultConfig(16)
+			cfg.Partitions = 2
+			New(cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, partitionRule) {
+					t.Fatalf("panic %q does not name the rule %q", msg, partitionRule)
+				}
+			}()
+			tc.call()
+		})
 	}
 }

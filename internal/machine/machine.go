@@ -70,6 +70,10 @@ type Config struct {
 	// The decomposition is a pure function of the topology — Partitions
 	// only sets the thread count — so results are bit-identical at any
 	// value. 0 builds the classic single-engine machine, untouched.
+	//
+	// A partitioned machine runs only a region-safe, fault-free workload:
+	// Inject, InjectAt, Snapshot and recovery entry panic on it (see
+	// faultFree).
 	Partitions int
 	// RegionLinkExtra is the additional wire latency of inter-region links
 	// in partitioned mode: regions model clusters of a clusterized mesh,
@@ -77,13 +81,9 @@ type Config struct {
 	// conservative lookahead (interconnect.LookaheadBound). 0 selects
 	// DefaultRegionLinkExtra.
 	RegionLinkExtra sim.Time
-	// ParallelWindows opts into parallel window execution, for drivers
-	// whose workload is region-safe (every event handler touches only its
-	// own region's state; cross-region interaction is packet-only). Off by
-	// default: the machine then runs every window in the deterministic
-	// global interleave, which is safe for all workloads — including the
-	// fault/recovery paths, which touch machine-wide state. Fault
-	// injection forces global mode from the injection time regardless.
+	// ParallelWindows declares the workload region-safe: every event
+	// handler touches only its own region's state, and cross-region
+	// interaction is packet-only. New refuses Partitions > 0 without it.
 	ParallelWindows bool
 }
 
@@ -124,14 +124,12 @@ type Machine struct {
 	Topo *topology.Topology
 	// P is the partition coordinator of a partitioned machine (Config.
 	// Partitions > 0); nil on classic machines. When non-nil, E is region
-	// 0's engine and all driving must go through Advance/RunUntilRecovered.
-	P *sim.Partitioned
-	// Regions is the fixed region decomposition of a partitioned machine.
-	Regions *topology.Regions
-	Net     *interconnect.Network
-	Space   coherence.AddrSpace
-	Nodes   []*Node
-	Oracle  *Oracle
+	// 0's engine and all driving must go through Advance.
+	P      *sim.Partitioned
+	Net    *interconnect.Network
+	Space  coherence.AddrSpace
+	Nodes  []*Node
+	Oracle *Oracle
 	// Metrics is the machine-wide registry every layer reports into. Each
 	// machine owns its own registry — no globals — so parallel campaign
 	// runs stay independent and bit-identical.
@@ -189,6 +187,9 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	}
 	var regions *topology.Regions
 	if cfg.Partitions > 0 {
+		if !cfg.ParallelWindows {
+			panic(fmt.Sprintf("machine: Partitions %d without ParallelWindows: %s", cfg.Partitions, partitionRule))
+		}
 		regions = topology.AutoRegions(topo)
 	}
 	var e *sim.Engine
@@ -206,22 +207,8 @@ func build(cfg Config, snap *Snapshot) *Machine {
 		extra = DefaultRegionLinkExtra
 	}
 	if regions != nil {
-		la := interconnect.LookaheadBound(extra)
-		if snap != nil && len(snap.Regions) == regions.Count() {
-			engines := make([]*sim.Engine, regions.Count())
-			for i, es := range snap.Regions {
-				engines[i] = sim.NewEngineFromSnapshot(es)
-			}
-			P = sim.NewPartitionedFromEngines(engines, la, cfg.Partitions)
-		} else if snap != nil {
-			panic(fmt.Sprintf("machine: snapshot has %d region engines, topology needs %d",
-				len(snap.Regions), regions.Count()))
-		} else {
-			P = sim.NewPartitioned(cfg.Seed, regions.Count(), la, cfg.Partitions)
-		}
-		if !cfg.ParallelWindows {
-			P.SetGlobalFrom(0)
-		}
+		// Snapshot refuses a partitioned machine, so none is rehydrated.
+		P = sim.NewPartitioned(cfg.Seed, regions.Count(), interconnect.LookaheadBound(extra), cfg.Partitions)
 		e = P.Region(0)
 		if cfg.Trace != nil {
 			// Concurrent region workers make recording order scheduling
@@ -260,7 +247,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	}
 	space := coherence.AddrSpace{Nodes: cfg.Nodes, MemBytes: cfg.MemBytes}
 	m := &Machine{
-		Cfg: cfg, E: e, Topo: topo, P: P, Regions: regions, Net: net, Space: space,
+		Cfg: cfg, E: e, Topo: topo, P: P, Net: net, Space: space,
 		Oracle:  oracle,
 		Metrics: reg,
 		live:    newLiveness(topo, cfg.Nodes),
@@ -285,8 +272,8 @@ func build(cfg Config, snap *Snapshot) *Machine {
 
 	for i := 0; i < cfg.Nodes; i++ {
 		// Every component of node i lives on its region's engine, so all
-		// node-local events run on the region scheduler; only packets (and
-		// global-mode recovery) cross regions.
+		// node-local events run on the region scheduler; only packets
+		// cross regions.
 		en := e
 		if P != nil {
 			en = P.Region(regions.Of(i))
@@ -324,6 +311,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 		// is needed here.
 		nodeCfg := rcfg
 		nodeCfg.OnEnter = func(id int) {
+			m.faultFree("recovery entry")
 			m.Nodes[id].CPU.Pause()
 			if userOnEnter != nil {
 				userOnEnter(id)
@@ -411,7 +399,7 @@ func (m *Machine) SlowNode(id, factor int) {
 	// once one of its memory operations times out behind the 10-100x
 	// handlers. Modeled as a deterministic trigger one timeout after onset.
 	agent := m.Nodes[id].Agent
-	m.engineOf(id).After(timing.MemOpTimeout, func() {
+	m.E.After(timing.MemOpTimeout, func() {
 		agent.Trigger(magic.ReasonTimeout)
 	})
 }
@@ -436,21 +424,23 @@ func (m *Machine) KillCPU(id int) {
 	// the victim cannot run recovery code on a dead processor.
 	if s := m.Survivors(); len(s) > 0 {
 		agent := m.Nodes[s[0]].Agent
-		m.engineOf(s[0]).After(timing.MemOpTimeout, func() {
+		m.E.After(timing.MemOpTimeout, func() {
 			agent.Trigger(magic.ReasonCPUDead)
 		})
 	}
 }
 
-// engineOf returns the event engine owning node id's region (the machine's
-// single engine on classic builds). Fault injection always forces the
-// deterministic global interleave first, so scheduling on a region engine
-// is partition-safe.
-func (m *Machine) engineOf(id int) *sim.Engine {
+// partitionRule is the partitioned engine's contract, named by every
+// refusal of it.
+const partitionRule = "a partitioned machine runs only a region-safe, fault-free workload"
+
+// faultFree panics, naming what and the rule, on a partitioned machine: a
+// fault, a snapshot or a recovery touches machine-wide state that region
+// workers would race on.
+func (m *Machine) faultFree(what string) {
 	if m.P != nil {
-		return m.P.Region(m.Regions.Of(id))
+		panic(fmt.Sprintf("machine: %s on a partitioned machine: %s", what, partitionRule))
 	}
-	return m.E
 }
 
 // Inject applies f now.
@@ -459,30 +449,16 @@ func (m *Machine) Inject(f fault.Fault) { m.inject(f) }
 // InjectAll applies a compound fault (e.g. fault.PowerLoss) now.
 func (m *Machine) InjectAll(fs []fault.Fault) { m.inject(fs...) }
 
-// InjectAt schedules f at simulated time t. On a partitioned machine every
-// window from the one containing t on runs globally interleaved, so the
-// injection event (scheduled on region 0) fires at the correct global time
-// and may touch any region's state.
+// InjectAt schedules f at simulated time t.
 func (m *Machine) InjectAt(f fault.Fault, t sim.Time) {
-	if m.P != nil {
-		g := t - m.P.Lookahead() + 1
-		if g < 0 {
-			g = 0
-		}
-		m.P.SetGlobalFrom(g)
-	}
+	m.faultFree("InjectAt")
 	m.E.At(t, func() { m.inject(f) })
 }
 
 // inject is the one injection path: it turns packet points back on (see
-// agentDone), then records, counts and applies each fault. On a
-// partitioned machine it also switches all further execution to the
-// deterministic global interleave: fault handling and recovery touch
-// cross-region state and must not run concurrently with region workers.
+// agentDone), then records, counts and applies each fault.
 func (m *Machine) inject(fs ...fault.Fault) {
-	if m.P != nil {
-		m.P.SetGlobalFrom(m.P.Now())
-	}
+	m.faultFree("Inject")
 	m.Net.TracePackets(true)
 	for _, f := range fs {
 		m.Cfg.Trace.Record(m.Now(), -1, trace.KindFault, "%v", f)

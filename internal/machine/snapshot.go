@@ -39,12 +39,8 @@ type NodeSnapshot struct {
 // values inside Cfg (Recovery.OnEnter etc.) are carried as-is and must not
 // close over per-run state.
 type Snapshot struct {
-	Cfg    Config
-	Engine sim.EngineSnapshot
-	// Regions holds the per-region engine snapshots of a partitioned
-	// machine (Regions[0] == Engine); nil on sequential machines, keeping
-	// their snapshot format unchanged.
-	Regions []sim.EngineSnapshot `json:",omitempty"`
+	Cfg     Config
+	Engine  sim.EngineSnapshot
 	Net     *interconnect.Snapshot
 	Nodes   []NodeSnapshot
 	Oracle  *Oracle
@@ -56,13 +52,11 @@ type Snapshot struct {
 // recovery in progress or completed, every agent idle in epoch 0. Each
 // layer asserts its own share of that contract and panics with a
 // description of what is still in flight; the returned snapshot is then
-// complete by construction — nothing transient existed to lose.
+// complete by construction — nothing transient existed to lose. A
+// partitioned machine is never snapshotted (see faultFree).
 func (m *Machine) Snapshot() *Snapshot {
-	if m.P != nil {
-		if p := m.P.Pending(); p != 0 {
-			panic(fmt.Sprintf("machine: snapshot with %d events pending across regions", p))
-		}
-	} else if p := m.E.Pending(); p != 0 {
+	m.faultFree("Snapshot")
+	if p := m.E.Pending(); p != 0 {
 		panic(fmt.Sprintf("machine: snapshot with %d events pending", p))
 	}
 	switch {
@@ -82,12 +76,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		Nodes:   make([]NodeSnapshot, m.Cfg.Nodes),
 		Oracle:  m.Oracle.Clone(),
 		Metrics: m.Metrics.Clone(),
-	}
-	if m.P != nil {
-		s.Regions = make([]sim.EngineSnapshot, m.P.Regions())
-		for i := range s.Regions {
-			s.Regions[i] = m.P.Region(i).Snapshot()
-		}
 	}
 	for i, n := range m.Nodes {
 		if ph, ep := n.Agent.Phase(), n.Agent.Epoch(); ph != core.PhaseIdle || ep != 0 {

@@ -32,22 +32,15 @@ import (
 // worker or sixteen: results are bit-identical at any worker count,
 // including all (time, sequence) ties.
 //
-// Global mode. Some simulation phases (fault injection, recovery protocols)
-// legitimately touch cross-region state from a single logical thread of
-// control. SetGlobalFrom(t) switches execution to a deterministic global
-// interleave for every window from t on: one goroutine steps the regions'
-// engines event by event in (time, region) order. Global mode changes the
-// execution strategy only — windows, barriers and Send semantics are
-// unchanged — and because nothing runs concurrently, handlers may touch any
-// region's state and schedule directly on any region's engine.
+// There is no escape from region confinement: a workload whose handlers
+// touch another region's state (fault injection, recovery) does not run
+// here, and the machine layer refuses it.
 type Partitioned struct {
 	engines   []*Engine
 	lookahead Time
 	workers   int
 
 	windowStart Time
-	globalFrom  Time // windows starting at or after this run in global mode
-	haveGlobal  bool
 
 	outbox  [][]xmsg // per source region, filled during a window
 	sendIdx []uint32 // per source region, reset at each barrier
@@ -87,6 +80,9 @@ func NewPartitioned(seed int64, regions int, lookahead Time, workers int) *Parti
 	if regions < 1 {
 		panic("sim: partitioned simulation needs at least one region")
 	}
+	if lookahead <= 0 {
+		panic(fmt.Sprintf("sim: non-positive lookahead %v", lookahead))
+	}
 	engines := make([]*Engine, regions)
 	for i := range engines {
 		s := seed
@@ -95,33 +91,10 @@ func NewPartitioned(seed int64, regions int, lookahead Time, workers int) *Parti
 		}
 		engines[i] = NewEngine(s)
 	}
-	return NewPartitionedFromEngines(engines, lookahead, workers)
-}
-
-// NewPartitionedFromEngines builds a coordinator over pre-built engines —
-// the rehydration path for machines restored from snapshots. All engines
-// must share one clock value; windows resume from it.
-func NewPartitionedFromEngines(engines []*Engine, lookahead Time, workers int) *Partitioned {
-	if len(engines) == 0 {
-		panic("sim: partitioned simulation needs at least one region")
-	}
-	if lookahead <= 0 {
-		panic(fmt.Sprintf("sim: non-positive lookahead %v", lookahead))
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	now := engines[0].Now()
-	for i, e := range engines {
-		if e.Now() != now {
-			panic(fmt.Sprintf("sim: region %d clock %v differs from region 0 clock %v", i, e.Now(), now))
-		}
-	}
 	return &Partitioned{
 		engines:     engines,
 		lookahead:   lookahead,
-		workers:     workers,
-		windowStart: now,
+		workers:     max(workers, 1),
 		outbox:      make([][]xmsg, len(engines)),
 		sendIdx:     make([]uint32, len(engines)),
 		idleWindows: make([]uint64, len(engines)),
@@ -133,36 +106,12 @@ func NewPartitionedFromEngines(engines []*Engine, lookahead Time, workers int) *
 func (p *Partitioned) Regions() int { return len(p.engines) }
 
 // Region returns region i's engine. Handlers running on it must touch only
-// region-i state unless the run is in global mode.
+// region-i state.
 func (p *Partitioned) Region(i int) *Engine { return p.engines[i] }
-
-// Lookahead returns the window length.
-func (p *Partitioned) Lookahead() Time { return p.lookahead }
-
-// Workers returns the worker budget.
-func (p *Partitioned) Workers() int { return p.workers }
 
 // Now returns the coordinator clock: the start of the next unexecuted
 // window. Between windows every region's engine reads the same Now.
 func (p *Partitioned) Now() Time { return p.windowStart }
-
-// SetGlobalFrom switches every window that starts at or after t to the
-// deterministic global interleave. Calls only narrow the threshold (the
-// earliest requested time wins); passing 0 forces global mode for the whole
-// run. It must be called between windows (e.g. before the run starts, or
-// from the barrier hook), never from a handler inside a parallel window.
-func (p *Partitioned) SetGlobalFrom(t Time) {
-	if !p.haveGlobal || t < p.globalFrom {
-		p.haveGlobal = true
-		p.globalFrom = t
-	}
-}
-
-// GlobalActive reports whether the next window will run globally
-// interleaved.
-func (p *Partitioned) GlobalActive() bool {
-	return p.haveGlobal && p.windowStart >= p.globalFrom
-}
 
 // Send schedules cb(a1, a2, u) at absolute time `at` in region dst. It must
 // be called from region src's execution (or between windows with src's
@@ -253,12 +202,9 @@ func (p *Partitioned) Run() {
 // barrier: merge cross-region messages in deterministic order and advance
 // the window clock.
 func (p *Partitioned) runWindow(end Time) {
-	switch {
-	case p.GlobalActive():
-		p.runWindowGlobal(end)
-	case p.workers == 1 || len(p.engines) == 1:
+	if p.workers == 1 || len(p.engines) == 1 {
 		p.runWindowSeq(end)
-	default:
+	} else {
 		p.runWindowParallel(end)
 	}
 	p.windowStart = end
@@ -316,27 +262,12 @@ func (p *Partitioned) runWindowParallel(end Time) {
 	}
 }
 
-// runWindowGlobal fires all regions' events with at < end in the global
-// (time, region) interleave, then settles every clock at end.
-func (p *Partitioned) runWindowGlobal(end Time) {
-	fired := make([]uint64, len(p.engines))
-	p.interleave(end-1, fired)
-	for i, e := range p.engines {
-		if e.now < end {
-			e.now = end
-		}
-		if fired[i] == 0 {
-			p.idleWindows[i]++
-		}
-	}
-}
-
 // runBoundary executes the events at exactly time t (the RunUntil target)
 // in the same interleave, settles every clock at t, then merges any sends
 // they produced. It always runs single-threaded: boundary events are the
 // tail of a RunUntil contract, not a parallel window.
 func (p *Partitioned) runBoundary(t Time) {
-	p.interleave(t, nil)
+	p.interleave(t)
 	for _, e := range p.engines {
 		if e.now < t {
 			e.now = t
@@ -347,10 +278,9 @@ func (p *Partitioned) runBoundary(t Time) {
 
 // interleave fires all regions' events with at <= last on the calling
 // goroutine, in (time, region) order: always the globally earliest pending
-// event, region index breaking timestamp ties. The interleave gives
-// cross-region handlers a single deterministic, time-ordered thread of
-// control. fired, when non-nil, accumulates each region's fired count.
-func (p *Partitioned) interleave(last Time, fired []uint64) {
+// event, region index breaking timestamp ties: the one order every worker
+// count's windows must reproduce.
+func (p *Partitioned) interleave(last Time) {
 	for {
 		best := -1
 		var bestAt Time
@@ -366,11 +296,9 @@ func (p *Partitioned) interleave(last Time, fired []uint64) {
 		if best < 0 {
 			return
 		}
-		// Advance every region's clock to the fire time first, so a
-		// cross-region handler scheduling on another engine (legal in
-		// global mode) sees the current time, not a stale region clock.
-		// Safe because bestAt is the global minimum pending timestamp:
-		// no region has an event behind it.
+		// Advance every region's clock to the fire time first, so no
+		// region reads a stale clock. Safe because bestAt is the global
+		// minimum pending timestamp: no region has an event behind it.
 		for _, e := range p.engines {
 			if e.now < bestAt {
 				e.now = bestAt
@@ -380,12 +308,8 @@ func (p *Partitioned) interleave(last Time, fired []uint64) {
 		// make step consume residue and fire nothing, in which case the
 		// next iteration re-peeks with the residue gone.
 		e := p.engines[best]
-		before := e.fired
 		e.stopped = false
 		e.step(bestAt, true)
-		if fired != nil {
-			fired[best] += e.fired - before
-		}
 	}
 }
 

@@ -25,13 +25,11 @@ type progResult struct {
 // partitioned simulation: every handler logs (region, time, id), then uses
 // its own region's deterministic RNG to schedule further local events and
 // cross-region sends (always at or beyond the lookahead). All mutable state
-// is region-confined, per the Partitioned contract.
-func runRandomProgram(seed int64, regions, workers int, global bool, chunk Time) progResult {
+// is region-confined, per the Partitioned contract. interleaved drives it
+// through the reference order instead of the windows (see drive).
+func runRandomProgram(seed int64, regions, workers int, interleaved bool, chunk Time) progResult {
 	const L = Time(750)
 	p := NewPartitioned(seed, regions, L, workers)
-	if global {
-		p.SetGlobalFrom(0)
-	}
 	logs := make([][]string, regions)
 	nextID := make([]uint64, regions)
 
@@ -65,13 +63,7 @@ func runRandomProgram(seed int64, regions, workers int, global bool, chunk Time)
 		}
 	}
 
-	if chunk > 0 {
-		for p.Pending() > 0 {
-			p.RunUntil(p.Now() + chunk)
-		}
-	} else {
-		p.Run()
-	}
+	drive(p, interleaved, chunk)
 
 	res := progResult{Logs: logs, Now: p.Now(), Fired: p.EventsFired(), Merged: p.Merged(), Barriers: p.Barriers()}
 	for i := 0; i < regions; i++ {
@@ -82,10 +74,54 @@ func runRandomProgram(seed int64, regions, workers int, global bool, chunk Time)
 	return res
 }
 
+// drive runs p to quiescence: through Run, or RunUntil in chunks when chunk
+// is positive. interleaved instead fires each of those windows through the
+// package's interleave, the one (time, region) order on one goroutine,
+// with the same barriers and idle accounting: the reference that parallel
+// windows must reproduce.
+func drive(p *Partitioned, interleaved bool, chunk Time) {
+	if !interleaved {
+		if chunk <= 0 {
+			p.Run()
+		}
+		for p.Pending() > 0 {
+			p.RunUntil(p.Now() + chunk)
+		}
+		return
+	}
+	window := func(end Time) {
+		before := make([]uint64, len(p.engines))
+		for i, e := range p.engines {
+			before[i] = e.fired
+		}
+		p.interleave(end - 1)
+		for i, e := range p.engines {
+			e.now = max(e.now, end)
+			if e.fired == before[i] {
+				p.idleWindows[i]++
+			}
+		}
+		p.windowStart = end
+		p.mergeOutboxes()
+		p.barriers++
+	}
+	for p.Pending() > 0 {
+		if chunk <= 0 {
+			window(p.windowStart + p.lookahead)
+			continue
+		}
+		t := p.Now() + chunk
+		for p.windowStart < t {
+			window(min(p.windowStart+p.lookahead, t))
+		}
+		p.runBoundary(t)
+	}
+}
+
 // TestPartitionedWorkerCountInvariance is the core tentpole property: the
 // same program, same regions, same drive schedule must produce bit-identical
 // results whether the regions are multiplexed onto 1, 2, or R workers, or
-// run in the deterministic global interleave. Randomized across seeds and
+// run in the package's one-goroutine interleave. Randomized across seeds and
 // region counts; run under -race in CI so the parallel windows are also
 // exercised by the race detector.
 func TestPartitionedWorkerCountInvariance(t *testing.T) {
@@ -131,7 +167,7 @@ func TestPartitionedRunUntilDriveInvariance(t *testing.T) {
 	b := runRandomProgram(seed, regions, 4, false, 1337)
 	c := runRandomProgram(seed, regions, 4, true, 1337)
 	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
-		t.Fatalf("odd-chunk drive not worker-invariant:\n1w: %+v\n4w: %+v\nglobal: %+v", a, b, c)
+		t.Fatalf("odd-chunk drive not worker-invariant:\n1w: %+v\n4w: %+v\ninterleaved: %+v", a, b, c)
 	}
 }
 
@@ -175,14 +211,11 @@ func TestPartitionedSingleRegionMatchesEngine(t *testing.T) {
 
 // TestPartitionedEqualTimestampMergeOrder pins the cross-region tie-break:
 // messages delivering at the same instant merge in (sentAt, srcRegion,
-// srcIndex) order regardless of worker count or execution mode.
+// srcIndex) order regardless of worker count, and in the interleave.
 func TestPartitionedEqualTimestampMergeOrder(t *testing.T) {
 	const L = Time(1000)
-	run := func(workers int, global bool) []string {
+	run := func(workers int, interleaved bool) []string {
 		p := NewPartitioned(1, 4, L, workers)
-		if global {
-			p.SetGlobalFrom(0)
-		}
 		var log []string
 		note := func(s string) func() { return func() { log = append(log, s) } }
 		// All messages deliver to region 3 at t=2100. Region 2 sends
@@ -195,7 +228,7 @@ func TestPartitionedEqualTimestampMergeOrder(t *testing.T) {
 			p.Send(0, 3, 2100, runFunc, note("r0#1"), nil, 0)
 		})
 		p.Region(1).At(10, func() { p.Send(1, 3, 2100, runFunc, note("r1#0"), nil, 0) })
-		p.Run()
+		drive(p, interleaved, 0)
 		return log
 	}
 	want := []string{"r2#0", "r0#0", "r0#1", "r1#0"}
@@ -205,7 +238,7 @@ func TestPartitionedEqualTimestampMergeOrder(t *testing.T) {
 		}
 	}
 	if got := run(4, true); !reflect.DeepEqual(got, want) {
-		t.Fatalf("global mode merge order %v, want %v", got, want)
+		t.Fatalf("interleaved merge order %v, want %v", got, want)
 	}
 }
 
@@ -225,13 +258,12 @@ func TestPartitionedLookaheadViolationPanics(t *testing.T) {
 // exactly t fire, later events stay queued, and every region clock lands
 // on t.
 func TestPartitionedRunUntilContract(t *testing.T) {
-	p := NewPartitioned(1, 3, 500, 2)
+	p := NewPartitioned(1, 3, 500, 1) // one worker: `fired` is shared
 	var fired []string
 	mark := func(s string) func() { return func() { fired = append(fired, s) } }
 	p.Region(0).At(999, mark("a@999"))
 	p.Region(1).At(1000, mark("b@1000"))
 	p.Region(2).At(1001, mark("c@1001"))
-	p.SetGlobalFrom(0) // shared `fired` slice: needs the global interleave
 	p.RunUntil(1000)
 	if want := []string{"a@999", "b@1000"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("RunUntil(1000) fired %v, want %v", fired, want)
@@ -248,86 +280,4 @@ func TestPartitionedRunUntilContract(t *testing.T) {
 	if want := []string{"a@999", "b@1000", "c@1001"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("after RunUntil(1001) fired %v, want %v", fired, want)
 	}
-}
-
-// TestPartitionedGlobalModeCrossRegionScheduling pins the global-mode
-// loosening: handlers may schedule directly on other regions' engines (the
-// recovery path relies on this), because the interleave keeps all clocks
-// within one window.
-func TestPartitionedGlobalModeCrossRegionScheduling(t *testing.T) {
-	p := NewPartitioned(1, 3, 1000, 4)
-	p.SetGlobalFrom(0)
-	var log []string
-	p.Region(0).At(100, func() {
-		log = append(log, "r0@100")
-		p.Region(2).At(100, func() { log = append(log, "r2@100-direct") })
-		p.Region(1).After(50, func() { log = append(log, "r1@150-direct") })
-	})
-	p.Run()
-	want := []string{"r0@100", "r2@100-direct", "r1@150-direct"}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("global-mode direct scheduling log %v, want %v", log, want)
-	}
-}
-
-// TestPartitionedSetGlobalFromMidRun checks the deterministic mode switch
-// as machine.Inject makes it, between two RunUntil calls: parallel windows
-// before the threshold, global interleave after, with results identical at
-// any worker count.
-func TestPartitionedSetGlobalFromMidRun(t *testing.T) {
-	run := func(workers int) progResult {
-		const L = Time(750)
-		p := NewPartitioned(42, 4, L, workers)
-		logs := make([][]string, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			e := p.Region(i)
-			for k := 0; k < 3; k++ {
-				k := k
-				e.At(Time(100+500*k+13*i), func() {
-					logs[i] = append(logs[i], fmt.Sprintf("r%d@%d", i, e.Now()))
-				})
-			}
-		}
-		p.RunUntil(L) // the first window
-		if p.GlobalActive() {
-			t.Fatal("global mode engaged before the switch")
-		}
-		p.SetGlobalFrom(p.Now())
-		p.RunUntil(4 * L)
-		if !p.GlobalActive() {
-			t.Fatal("global mode never engaged")
-		}
-		return progResult{Logs: logs, Now: p.Now(), Fired: p.EventsFired(), Barriers: p.Barriers()}
-	}
-	ref := run(1)
-	if got := run(4); !reflect.DeepEqual(got, ref) {
-		t.Fatalf("mid-run mode switch diverged: 1w %+v, 4w %+v", ref, got)
-	}
-}
-
-// TestPartitionedFromEngines covers the snapshot-rehydration constructor:
-// equal clocks resume cleanly, mismatched clocks panic.
-func TestPartitionedFromEngines(t *testing.T) {
-	a, b := NewEngine(1), NewEngine(2)
-	a.RunUntil(5000)
-	b.RunUntil(5000)
-	p := NewPartitionedFromEngines([]*Engine{a, b}, 300, 2)
-	if p.Now() != 5000 {
-		t.Fatalf("resumed coordinator clock %v, want 5000", p.Now())
-	}
-	var ok bool
-	p.Region(0).After(1000, func() { ok = true })
-	p.Run()
-	if !ok {
-		t.Fatal("event scheduled after rehydration never fired")
-	}
-
-	c := NewEngine(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched region clocks did not panic")
-		}
-	}()
-	NewPartitionedFromEngines([]*Engine{a, c}, 300, 2)
 }
