@@ -310,6 +310,57 @@ func TestStaleHeadDropSparesRecycledPacket(t *testing.T) {
 	}
 }
 
+// A recovery lane drops what is stuck, not what is slow. A head waiting
+// for space behind state messages that take longer than RecoveryHeadDrop
+// to serialize is not dropped: the channel it waits on is serving, and
+// removes a head each time one finishes.
+func TestRecoveryHeadDropSparesSlowLane(t *testing.T) {
+	e, n, cols := rig(t, 3, 1)
+	const long = 3 * timing.RecoveryHeadDrop / timing.LinkBytePeriod // bytes
+	for i := 0; i < timing.LaneBuffer; i++ {
+		n.Send(&Packet{Src: 1, Dst: 2, Lane: LaneRecoveryA, Bytes: int(long)})
+	}
+	n.Send(&Packet{Src: 0, Dst: 2, Lane: LaneRecoveryA, Bytes: 16})
+	e.RunUntil(2 * timing.RecoveryHeadDrop)
+	if got := len(cols[2].got); got != 0 {
+		t.Fatalf("%d packets delivered before the first long one could finish", got)
+	}
+	e.Run()
+	if drops := points(n, "drop-headtimeout"); drops != 0 {
+		t.Fatalf("%d head drops on a lane that kept moving", drops)
+	}
+	if got := len(cols[2].got); got != timing.LaneBuffer+1 || cols[2].got[timing.LaneBuffer].Src != 0 {
+		t.Fatalf("%d packets delivered, want %d with node 0's last", got, timing.LaneBuffer+1)
+	}
+}
+
+// A head behind a channel that neither moves nor serves is still dropped.
+// Four source-routed streams around the 2x2 mesh's ring fill every
+// injection queue, so each stream's head waits for space in the next
+// stream's channel, whose own head waits in turn: a cycle that only a
+// head drop breaks.
+func TestRecoveryHeadDropBreaksStuckCycle(t *testing.T) {
+	e, n, _ := rig(t, 2, 2)
+	ring := []int{0, 1, 3, 2}
+	for i, r := range ring {
+		route := []int{r, ring[(i+1)%4], ring[(i+2)%4]}
+		for k := 0; k <= timing.LaneBuffer; k++ {
+			n.Send(&Packet{Src: r, Dst: route[2], Lane: LaneRecoveryA, Bytes: 16, SourceRoute: route})
+		}
+	}
+	e.RunUntil(timing.RecoveryHeadDrop / 2)
+	if drops := points(n, "drop-headtimeout"); drops != 0 || n.InFlight() != 4*(timing.LaneBuffer+1) {
+		t.Fatalf("before the timeout: %d drops, %d in flight; want a stuck cycle", drops, n.InFlight())
+	}
+	e.Run()
+	if points(n, "drop-headtimeout") == 0 {
+		t.Fatal("no head drop broke the cycle")
+	}
+	if n.InFlight() != 0 {
+		t.Fatalf("%d packets still in flight", n.InFlight())
+	}
+}
+
 func TestIsolationDiscardsQueuedTraffic(t *testing.T) {
 	e, n, cols := rig(t, 4, 1)
 	cols[3].refuse = true
