@@ -481,6 +481,11 @@ func (a *Agent) resetState() {
 	a.hint = 0
 	a.finalState = nil
 	a.view, a.bft, a.own = nil, nil, nil
+	if a.flushSeen != nil && a.flushSeen[a.ID] {
+		// The last epoch's flush-done fan-out may still be reading
+		// its participant list: build this epoch's in a new one.
+		a.participants = nil
+	}
 	a.participants = slices.Grow(a.participants[:0], n)
 	a.partSet = resetBools(a.partSet, n)
 	a.doomed = false
@@ -642,14 +647,16 @@ func watchdogFired(a1, _ any, u uint64) {
 // owned by the agent that sends it.
 //
 // Ownership: sendRec and broadcast take records from the owner's epoch
-// free list and hand &pkt to the fabric. A record has exactly one release
-// point: the receiving agent's next delivery after the one that consumed
-// it (see Agent.held), which puts it back on its owner's list. A record
-// that does not reach that point is never recycled and falls to the
-// garbage collector: a packet the fabric destroys (the reliable fabric may
-// retain it and resend its message in a fresh packet, which carries no
-// record), a packet to a dead controller or to an agent that has finished,
-// and a record whose owner has finished, its list gone with its scratch.
+// free list and hand &pkt to the fabric; the fabric takes a fan-out's
+// (sendFlushDone) through takeFanOut as it materialises the packets. A record
+// has exactly one release point: the receiving agent's next delivery after
+// the one that consumed it (see Agent.held), which puts it back on its
+// owner's list. A record that does not reach that point is never recycled
+// and falls to the garbage collector: a packet the fabric destroys (the
+// reliable fabric may retain it and resend its message in a fresh packet,
+// which carries no record), a packet to a dead controller or to an agent
+// that has finished, and a record whose owner has finished, its list gone
+// with its scratch.
 type recPacket struct {
 	pkt   interconnect.Packet
 	msg   recMsg
@@ -715,6 +722,22 @@ func (a *Agent) takeRec(n int) *recPacket {
 // allocations still but allocated 1.5 % more bytes on a 128-node recovery.
 const recsPerNeighbour = 2
 
+// takeFanOut is the storage callback of an agent's fan-outs: a record
+// from the free list of the agent that owns the template's record,
+// carrying a copy of the template's message. The fabric takes one per
+// packet as it materialises them, most of them records its earlier
+// packets' receivers have released, so a refill of an empty list takes a
+// block sized like the scratch's first one, not one for the fan-out's
+// whole remainder.
+func takeFanOut(tmpl *interconnect.Packet) *interconnect.Packet {
+	t := tmpl.Rec.(*recPacket)
+	a := t.owner
+	r := a.takeRec(recsPerNeighbour * len(a.Topo.Adjacency(a.ID)))
+	r.msg = t.msg
+	r.pkt.Payload, r.pkt.Rec = &r.msg, r
+	return &r.pkt
+}
+
 // send ships r's message, completed with the sender and epoch, to node to
 // over the given source route (nil: follow the tables) and lane.
 func (a *Agent) send(r *recPacket, to int, route []int, lane interconnect.Lane) {
@@ -734,7 +757,8 @@ func (a *Agent) sendRec(to int, route []int, lane interconnect.Lane, m recMsg) {
 }
 
 // broadcast ships m to every node of to but this one, route(i) giving the
-// source route to to[i] (nil route: follow the tables). Each destination
+// source route to to[i]: P2's round to the cwn and a barrier's release to
+// its children, fan-outs bounded by the node's degree. Each destination
 // gets a record, packet, flow and route of its own; what they share is
 // what m points at (a round's snapshot), read-only from here on.
 func (a *Agent) broadcast(to []int, lane interconnect.Lane, m recMsg, route func(i int) []int) {
@@ -748,13 +772,9 @@ func (a *Agent) broadcast(to []int, lane interconnect.Lane, m recMsg, route func
 		if q == a.ID {
 			continue
 		}
-		var rt []int
-		if route != nil {
-			rt = route(i)
-		}
 		r := a.takeRec(n)
 		r.msg = m
-		a.send(r, q, rt, lane)
+		a.send(r, q, route(i), lane)
 		n--
 	}
 }

@@ -82,12 +82,24 @@ func (a *Agent) doFlush() {
 		a.report.FlushEnd = a.E.Now()
 		a.cfg.Trace.End(a.E.Now(), spFlush)
 		a.spFlushWait = a.cfg.Trace.Begin(a.E.Now(), a.ID, "flush-barrier", a.spPhase, 0)
-		// All-to-all barrier: one message to every other participant
-		// on the normal reply lane, behind our writebacks.
-		a.broadcast(a.participants, interconnect.LaneReply, recMsg{Kind: kFlushDone}, nil)
+		a.sendFlushDone()
 		a.noteFlushDone(a.ID)
 		a.checkFlushBarrier()
 	})
+}
+
+// sendFlushDone starts the all-to-all barrier: one message to every other
+// participant on the normal reply lane, behind this node's writebacks,
+// sent as one fabric fan-out. The template is a record of the agent's own,
+// which names its owner for takeFanOut and is never released: the fabric
+// keeps it, and the participant list, until the last packet is
+// materialised (resetState starts a new list).
+func (a *Agent) sendFlushDone() {
+	t := a.takeRec(1)
+	t.msg = recMsg{Kind: kFlushDone, From: a.ID, Epoch: a.epoch}
+	t.pkt = interconnect.Packet{Src: a.ID, Lane: interconnect.LaneReply, Bytes: t.msg.bytes(),
+		Payload: &t.msg, Rec: t}
+	a.Net.SendEach(&t.pkt, a.participants, takeFanOut)
 }
 
 // onFlushDone records a peer's flush completion. Arrivals may precede this

@@ -5,7 +5,15 @@ import (
 	"testing"
 
 	"flashfc/internal/interconnect"
+	"flashfc/internal/magic"
+	"flashfc/internal/sim"
 )
+
+// flushDoneRecordsPerAgent bounds the distinct records an agent's
+// flush-done fan-out takes, on average, in
+// TestFlushDoneFanOutRecyclesRecords: measured 34.4, against 126 for a
+// record per destination.
+const flushDoneRecordsPerAgent = 40
 
 // The P4 flush barrier releases the directory sweep once this node's own
 // flush is done and every participant's flush-done has been seen — counted,
@@ -132,5 +140,54 @@ func TestFlushBarrierResetsOnRestart(t *testing.T) {
 	deliver(a, 2, 2)
 	if !a.scanned {
 		t.Fatal("barrier not released with every participant in")
+	}
+}
+
+// The flush-done fan-out waits in the fabric as one packet and a cursor per
+// output port, and the fabric takes each packet's record when it
+// materialises it, so an agent reuses the records its earlier flush-dones'
+// receivers have released instead of taking one per destination (126 on
+// this 128-node mesh with one node down). A record is released at its
+// receiver's next delivery, so an agent whose flush-dones reach nodes that
+// are still flushing holds nearly all of them (the most any agent takes
+// here is 111); the mean is what the fan-out saves.
+func TestFlushDoneFanOutRecyclesRecords(t *testing.T) {
+	const victim = 72
+	r := newRig(t, 16, 8, nil)
+	// took[v] holds the records that carried v's flush-dones to live
+	// receivers.
+	took := make([]map[any]bool, len(r.agents))
+	for i, a := range r.agents {
+		took[i] = map[any]bool{}
+		r.ctrls[i].SetRecoveryHandler(func(p *interconnect.Packet) {
+			if m := p.Payload.(*recMsg); m.Kind == kFlushDone {
+				took[m.From][p.Rec] = true
+			}
+			a.handlePacket(p)
+		})
+	}
+	r.ctrls[victim].SetMode(magic.ModeDead)
+	r.agents[victim].Kill()
+	r.agents[0].Trigger(magic.ReasonTimeout)
+	var live []int
+	for i := range r.agents {
+		if i != victim {
+			live = append(live, i)
+		}
+	}
+	r.run(t, 2*sim.Second, live)
+	sum, most := 0, 0
+	for _, i := range live {
+		if len(took[i]) == 0 {
+			t.Fatalf("node %d sent no flush-done", i)
+		}
+		sum += len(took[i])
+		most = max(most, len(took[i]))
+	}
+	mean := float64(sum) / float64(len(live))
+	t.Logf("an agent's flush-done fan-out took %.1f records on average, %d at most, for %d destinations",
+		mean, most, len(live)-1)
+	if mean > flushDoneRecordsPerAgent {
+		t.Fatalf("an agent's flush-done fan-out takes %.1f records on average, want <= %d", mean, flushDoneRecordsPerAgent)
 	}
 }
