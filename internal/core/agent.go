@@ -226,11 +226,6 @@ type Agent struct {
 	// dead is set when the node's hardware fails: the agent (which runs
 	// on the node's processor) stops executing entirely.
 	dead bool
-	// held is the record of the last packet this agent consumed. The
-	// fabric still reads the packet after handlePacket returns, so the
-	// record goes back to its owner at the agent's next delivery, not
-	// before; a finished agent lets go of it unreleased.
-	held *recPacket
 
 	// Pre-resolved machine-wide metric instruments (nil-safe).
 	mGossipRounds  *metrics.Counter
@@ -356,11 +351,9 @@ func (a *Agent) setPhase(p Phase) {
 		// A finished agent stays resident with its machine: it keeps
 		// none of the epoch's scratch. What it still answers — a late
 		// gossip round's echo, a ping — it answers from cwnRoute and
-		// finalState, or with a freshly built route. The held record
-		// is let go, not released: this may be its very delivery, and a
-		// record kept here would pin its block in every finished machine.
+		// finalState, or with a freshly built route.
 		a.dropP2Scratch()
-		a.ep, a.view, a.bft, a.own, a.tree, a.held = nil, nil, nil, nil, nil, nil
+		a.ep, a.view, a.bft, a.own, a.tree = nil, nil, nil, nil, nil
 	}
 	if a.cfg.OnPhase != nil {
 		a.cfg.OnPhase(a.ID, p)
@@ -648,15 +641,15 @@ func watchdogFired(a1, _ any, u uint64) {
 //
 // Ownership: sendRec and broadcast take records from the owner's epoch
 // free list and hand &pkt to the fabric; the fabric takes a fan-out's
-// (sendFlushDone) through takeFanOut as it materialises the packets. A record
-// has exactly one release point: the receiving agent's next delivery after
-// the one that consumed it (see Agent.held), which puts it back on its
-// owner's list. A record that does not reach that point is never recycled
-// and falls to the garbage collector: a packet the fabric destroys (the
-// reliable fabric may retain it and resend its message in a fresh packet,
-// which carries no record), a packet to a dead controller or to an agent
-// that has finished, and a record whose owner has finished, its list gone
-// with its scratch.
+// (sendFlushDone) through takeFanOut as it materialises the packets. The
+// fabric reads nothing of a packet its endpoint has accepted, so a record
+// has exactly one release point: the end of the receiving agent's
+// handlePacket, which puts it back on its owner's list. A record that does
+// not reach that point is never recycled and falls to the garbage
+// collector: a packet the fabric destroys (the reliable fabric may retain
+// it and resend its message in a fresh packet, which carries no record), a
+// packet to a dead controller, and a record whose owner has finished, its
+// list gone with its scratch.
 type recPacket struct {
 	pkt   interconnect.Packet
 	msg   recMsg
@@ -688,20 +681,19 @@ func (r *recPacket) release() {
 	a.ep.free = append(a.ep.free, r)
 }
 
-// takeRec returns a record for one of n sends in a row, refilling an empty
-// free list with one block of n, so a broadcast allocates once whatever its
-// fan-out. The scratch's first block is sized for what an agent has out at
-// once (recsPerNeighbour), so P1's pings and pongs do not take a block
-// each. With no epoch running (a finished agent answering a ping or a late
-// round) it allocates a record no list will take back.
-func (a *Agent) takeRec(n int) *recPacket {
+// takeRec returns a record from the free list, refilling an empty one with
+// a block sized for what an agent has out at once (recsPerNeighbour per
+// port), so neither P1's pings and pongs nor a round's broadcast take a
+// block each. With no epoch running (a finished agent answering a ping or
+// a late round) it allocates a record no list will take back.
+func (a *Agent) takeRec() *recPacket {
 	ep := a.ep
 	if ep == nil {
 		return &recPacket{}
 	}
 	if len(ep.free) == 0 {
+		n := max(1, recsPerNeighbour*a.Topo.Degree(a.ID)) // a lone router has no ports
 		if ep.free == nil {
-			n = max(n, recsPerNeighbour*len(a.Topo.Adjacency(a.ID)))
 			ep.free = make([]*recPacket, 0, n)
 		}
 		blk := make([]recPacket, n)
@@ -716,23 +708,19 @@ func (a *Agent) takeRec(n int) *recPacket {
 	return r
 }
 
-// recsPerNeighbour sizes an agent's first block of records: a record comes
-// back only at its receiver's next delivery, so per neighbour one round is
-// in flight while the last is held. Three per neighbour took fewer
-// allocations still but allocated 1.5 % more bytes on a 128-node recovery.
+// recsPerNeighbour sizes an agent's blocks of records: a record comes back
+// as soon as its receiver has handled it, so per neighbour a round's send
+// and the one before it, still in flight, cover what an agent has out.
 const recsPerNeighbour = 2
 
 // takeFanOut is the storage callback of an agent's fan-outs: a record
 // from the free list of the agent that owns the template's record,
 // carrying a copy of the template's message. The fabric takes one per
 // packet as it materialises them, most of them records its earlier
-// packets' receivers have released, so a refill of an empty list takes a
-// block sized like the scratch's first one, not one for the fan-out's
-// whole remainder.
+// packets' receivers have released.
 func takeFanOut(tmpl *interconnect.Packet) *interconnect.Packet {
 	t := tmpl.Rec.(*recPacket)
-	a := t.owner
-	r := a.takeRec(recsPerNeighbour * len(a.Topo.Adjacency(a.ID)))
+	r := t.owner.takeRec()
 	r.msg = t.msg
 	r.pkt.Payload, r.pkt.Rec = &r.msg, r
 	return &r.pkt
@@ -751,7 +739,7 @@ func (a *Agent) send(r *recPacket, to int, route []int, lane interconnect.Lane) 
 
 // sendRec ships m to node `to` over the given source route and lane.
 func (a *Agent) sendRec(to int, route []int, lane interconnect.Lane, m recMsg) {
-	r := a.takeRec(1)
+	r := a.takeRec()
 	r.msg = m
 	a.send(r, to, route, lane)
 }
@@ -762,20 +750,13 @@ func (a *Agent) sendRec(to int, route []int, lane interconnect.Lane, m recMsg) {
 // gets a record, packet, flow and route of its own; what they share is
 // what m points at (a round's snapshot), read-only from here on.
 func (a *Agent) broadcast(to []int, lane interconnect.Lane, m recMsg, route func(i int) []int) {
-	n := 0
-	for _, q := range to {
-		if q != a.ID {
-			n++
-		}
-	}
 	for i, q := range to {
 		if q == a.ID {
 			continue
 		}
-		r := a.takeRec(n)
+		r := a.takeRec()
 		r.msg = m
 		a.send(r, q, route(i), lane)
-		n--
 	}
 }
 
@@ -784,22 +765,17 @@ func (a *Agent) sendPing(to int, route []int) {
 }
 
 // handlePacket receives recovery-lane packets (and normal-lane recovery
-// control such as kFlushDone) forwarded by the controller. It is the
-// release point of the record the previous delivery held, and holds this
-// packet's record in its place.
+// control such as kFlushDone) forwarded by the controller. Its end is the
+// release point of the packet's record.
 func (a *Agent) handlePacket(p *interconnect.Packet) {
 	if a.dead {
 		return
 	}
-	if h := a.held; h != nil {
-		a.held = nil
-		h.release()
-	}
 	if m, ok := p.Payload.(*recMsg); ok {
 		a.receive(m, p)
 	}
-	if r, ok := p.Rec.(*recPacket); ok && a.ep != nil {
-		a.held = r
+	if r, ok := p.Rec.(*recPacket); ok {
+		r.release()
 	}
 }
 

@@ -274,9 +274,9 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 // A finished agent stays resident with its machine, so it keeps none of the
 // epoch's scratch: P2's round snapshot goes when P2 ends; its inbox rows,
 // P1's per-node state, probes, ping timeouts and route arena, the snapshot
-// arena, the barrier states and tree, the view and BFT buffers, the record
-// free list and the held record by the time the node resumes, shuts down
-// with its failure unit, or dies.
+// arena, the barrier states and tree, the view and BFT buffers and the
+// record free list by the time the node resumes, shuts down with its
+// failure unit, or dies.
 func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 	scratch := func(a *Agent) string {
 		held := ""
@@ -284,7 +284,7 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 			name string
 			held bool
 		}{
-			{"snapshot", a.snap != nil}, {"tree", a.tree != nil}, {"held record", a.held != nil},
+			{"snapshot", a.snap != nil}, {"tree", a.tree != nil},
 			{"epoch scratch (node state, probes, ping timeouts, route and snapshot arenas, barriers, inbox rows, view and tree buffers, record free list)", a.ep != nil},
 			{"view", a.view != nil}, {"BFT", a.bft != nil}, {"own BFT", a.own != nil},
 		} {

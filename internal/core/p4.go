@@ -95,7 +95,7 @@ func (a *Agent) doFlush() {
 // keeps it, and the participant list, until the last packet is
 // materialised (resetState starts a new list).
 func (a *Agent) sendFlushDone() {
-	t := a.takeRec(1)
+	t := a.takeRec()
 	t.msg = recMsg{Kind: kFlushDone, From: a.ID, Epoch: a.epoch}
 	t.pkt = interconnect.Packet{Src: a.ID, Lane: interconnect.LaneReply, Bytes: t.msg.bytes(),
 		Payload: &t.msg, Rec: t}

@@ -9,11 +9,14 @@ import (
 	"flashfc/internal/sim"
 )
 
-// flushDoneRecordsPerAgent bounds the distinct records an agent's
-// flush-done fan-out takes, on average, in
-// TestFlushDoneFanOutRecyclesRecords: measured 34.4, against 126 for a
-// record per destination.
-const flushDoneRecordsPerAgent = 40
+// flushDoneRecordsPerAgent and flushDoneRecordsMost bound the distinct
+// records an agent's flush-done fan-out takes, on average and at most, in
+// TestFlushDoneFanOutRecyclesRecords: measured 20.6 and 30, against 126 for
+// a record per destination.
+const (
+	flushDoneRecordsPerAgent = 24
+	flushDoneRecordsMost     = 36
+)
 
 // The P4 flush barrier releases the directory sweep once this node's own
 // flush is done and every participant's flush-done has been seen — counted,
@@ -147,10 +150,9 @@ func TestFlushBarrierResetsOnRestart(t *testing.T) {
 // output port, and the fabric takes each packet's record when it
 // materialises it, so an agent reuses the records its earlier flush-dones'
 // receivers have released instead of taking one per destination (126 on
-// this 128-node mesh with one node down). A record is released at its
-// receiver's next delivery, so an agent whose flush-dones reach nodes that
-// are still flushing holds nearly all of them (the most any agent takes
-// here is 111); the mean is what the fan-out saves.
+// this 128-node mesh with one node down). A record is released as soon as
+// its receiver has handled it, so even an agent whose flush-dones reach
+// nodes that are still flushing takes few.
 func TestFlushDoneFanOutRecyclesRecords(t *testing.T) {
 	const victim = 72
 	r := newRig(t, 16, 8, nil)
@@ -187,7 +189,8 @@ func TestFlushDoneFanOutRecyclesRecords(t *testing.T) {
 	mean := float64(sum) / float64(len(live))
 	t.Logf("an agent's flush-done fan-out took %.1f records on average, %d at most, for %d destinations",
 		mean, most, len(live)-1)
-	if mean > flushDoneRecordsPerAgent {
-		t.Fatalf("an agent's flush-done fan-out takes %.1f records on average, want <= %d", mean, flushDoneRecordsPerAgent)
+	if mean > flushDoneRecordsPerAgent || most > flushDoneRecordsMost {
+		t.Fatalf("an agent's flush-done fan-out takes %.1f records on average and %d at most, want <= %d and <= %d",
+			mean, most, flushDoneRecordsPerAgent, flushDoneRecordsMost)
 	}
 }

@@ -87,7 +87,13 @@ func TestVerifyMemoryAllocs(t *testing.T) {
 // woken. Each round sends six packets at a controller that refuses them, so
 // four fill the last channel (its head waiting on the node), the next channel
 // back blocks on that one, and opening the controller wakes both lists.
+//
+// The count is the process-wide one, so it is taken under GOMAXPROCS(1), as
+// testing.AllocsPerRun takes it, and is the least of three identical
+// batches: an allocation of the hop path recurs in every batch, a stray one
+// of the runtime's does not.
 func TestPacketHopAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := sim.NewEngine(1)
 	topo := topology.NewMesh(8, 8)
 	cfg := interconnect.DefaultConfig()
@@ -119,32 +125,36 @@ func TestPacketHopAllocs(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		round() // warm the event pool, the wheel's slots, the source queue and the waiter lists
 	}
-	const rounds = 100
+	const rounds, batches = 100, 3
 	delivered = 0
 	stalled := stalls.Value()
-	if got := mallocs(func() {
-		for i := 0; i < rounds; i++ {
-			round()
-		}
-	}); got != 0 {
-		t.Fatalf("%d allocations over %d packet trips, want 0", got, rounds*len(pkts))
+	least := ^uint64(0)
+	for b := 0; b < batches; b++ {
+		least = min(least, mallocs(func() {
+			for i := 0; i < rounds; i++ {
+				round()
+			}
+		}))
 	}
-	if delivered != rounds*len(pkts) || n.InFlight() != 0 {
-		t.Fatalf("%d packets delivered, %d in flight; want %d and 0", delivered, n.InFlight(), rounds*len(pkts))
+	if least != 0 {
+		t.Fatalf("%d allocations over %d packet trips in the least of %d batches, want 0", least, rounds*len(pkts), batches)
+	}
+	if delivered != batches*rounds*len(pkts) || n.InFlight() != 0 {
+		t.Fatalf("%d packets delivered, %d in flight; want %d and 0", delivered, n.InFlight(), batches*rounds*len(pkts))
 	}
 	// One channel blocked on the node and one on that channel, every round.
-	if got := stalls.Value() - stalled; got < 2*rounds {
-		t.Fatalf("%d blocked hops over %d rounds: the blocked-and-woken path went unexercised", got, rounds)
+	if got := stalls.Value() - stalled; got < 2*batches*rounds {
+		t.Fatalf("%d blocked hops over %d rounds: the blocked-and-woken path went unexercised", got, batches*rounds)
 	}
 }
 
 // recoveryAllocsPerPacket and linkRecoveryAllocsPerPacket bound a
 // recovery's allocations per recovery packet. Every send takes a record
-// from its agent's free list and gets it back at the receiver's next
-// delivery, P2's inbox holds messages by value, and round snapshots are
+// from its agent's free list and gets it back once its receiver has
+// handled it, P2's inbox holds messages by value, and round snapshots are
 // carved from a per-epoch arena, so what is left is per agent and per
-// epoch, not per message: the 64-node node failure measures 0.76, the
-// 16-node link failure 1.56, and 1.59 in a process whose P4 flush records
+// epoch, not per message: the 64-node node failure measures 0.72, the
+// 16-node link failure 1.52, and 1.55 in a process whose P4 flush records
 // are not yet warm, since those are allocated a block at a time. The
 // bounds sit about a quarter of an allocation above: a record, a message
 // copy or a closure per send, or a map per round, crosses them.

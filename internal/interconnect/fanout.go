@@ -145,12 +145,19 @@ func (n *Network) materialise(c *cursor) *Packet {
 	}
 }
 
-// dropHead removes ch's head packet. If the head was a cursor's, the
-// cursor's next packet takes its place, or the cursor ends.
+// dropHead removes ch's head packet, taking its cursor off it.
 func (n *Network) dropHead(ch *channel) {
 	p := ch.q[0]
-	if c := p.cur; c != nil {
-		p.cur = nil
+	c := p.cur
+	p.cur = nil
+	n.shiftHead(ch, c)
+}
+
+// shiftHead removes ch's head packet, whose cursor was c, without reading
+// it: the packet may already be an endpoint's (see handOver). If c is
+// non-nil, its next packet takes the head's place, or the cursor ends.
+func (n *Network) shiftHead(ch *channel, c *cursor) {
+	if c != nil {
 		if c.left > 0 {
 			q := n.materialise(c)
 			q.cur = c

@@ -190,7 +190,7 @@ func TestFanOutMatchesSendsUnderDiscard(t *testing.T) {
 		r.e.At(500, func() { r.fanOut(flushDone, everyNode) })
 		r.e.At(600, func() {
 			r.queued(t, 5, 9, LaneReply)
-			if !r.n.channel(5, south, LaneReply).serving {
+			if r.n.channel(5, south, LaneReply).inTransit == nil {
 				t.Fatal("the south port's head is not crossing its link")
 			}
 			r.n.SetDiscard(5, south, true)

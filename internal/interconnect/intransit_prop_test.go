@@ -18,8 +18,10 @@ import (
 // transient windows) and routers at random instants, and at every link
 // failure compares what the fabric truncated against an oracle that never
 // looks at the slot: the packet in service on a sending channel is the head
-// of a channel that is `serving` — or, on a router that failed mid-service,
-// the head it had at that moment.
+// of a channel with packets queued that is neither blocked nor on a failed
+// router. A failed router holds no packet in service: it destroyed the one
+// it had when it failed, and a later link failure must not truncate it
+// again.
 
 // propFault is one scheduled failure.
 type propFault struct {
@@ -77,21 +79,12 @@ func propRun(t *testing.T, seed int64) [][]uint64 {
 			lostNow = append(lostNow, p)
 		}
 	}
-	doomed := map[*channel]*Packet{} // in service on a router when it failed
 	truncatedSoFar := map[*Packet]bool{}
 	var truncated [][]uint64
 
 	for _, f := range faults {
 		e.RunUntil(f.at)
 		if f.kind == 2 {
-			if !n.routers[f.id].failed {
-				chans := n.routerChans(f.id)
-				for i := range chans {
-					if ch := &chans[i]; ch.serving && len(ch.q) > 0 {
-						doomed[ch] = ch.q[0]
-					}
-				}
-			}
 			n.FailRouter(f.id)
 			continue
 		}
@@ -103,15 +96,7 @@ func propRun(t *testing.T, seed int64) [][]uint64 {
 				port := topo.PortTo(r, lk.A+lk.B-r)
 				for l := Lane(0); l < NumLanes; l++ {
 					ch := n.channel(r, port, l)
-					if (ch.inTransit != nil) != ch.serving {
-						t.Fatalf("seed %d: channel r%d p%d %v: slot set=%v but serving=%v",
-							seed, r, port, l, ch.inTransit != nil, ch.serving)
-					}
-					switch {
-					case !ch.serving:
-					case n.routers[r].failed:
-						want = append(want, doomed[ch])
-					default:
+					if len(ch.q) > 0 && !ch.blocked && !n.routers[r].failed {
 						want = append(want, ch.q[0])
 					}
 				}

@@ -102,10 +102,11 @@ func mustPanic(t *testing.T, f func()) (msg string) {
 	return ""
 }
 
-// A malformed table must be refused where it is handed over — New for the
-// pristine set, SetRouterTable for a repair row — with the offending router,
-// destination and value in the message, not thousands of events later as an
-// index panic on the hop that first uses it.
+// A malformed table row must be refused where it is handed over —
+// SetRouterTable, for a repair row — with the offending router, destination
+// and value in the message, not thousands of events later as an index panic
+// on the hop that first uses it; and New must refuse a router with more
+// ports than a table entry can name before it builds any table.
 func TestTableShapeCheckedAtTheDoor(t *testing.T) {
 	topo := topology.NewMesh(3, 3)
 	good := func() topology.Tables { return topology.DefaultTables(topo) }
@@ -115,7 +116,6 @@ func TestTableShapeCheckedAtTheDoor(t *testing.T) {
 		corrupt func(tb topology.Tables) topology.Tables
 		want    []string
 	}{
-		{"missing row", func(tb topology.Tables) topology.Tables { return tb[:8] }, []string{"8 routers", "9-router"}},
 		{"short row", func(tb topology.Tables) topology.Tables { tb[4] = tb[4][:5]; return tb }, []string{"router 4", "5 entries", "want 9"}},
 		{"port beyond the degree", func(tb topology.Tables) topology.Tables { tb[corner][7] = 2; return tb }, []string{"router 0", "destination 7", "port 2", "2 ports"}},
 		{"below PortLocal", func(tb topology.Tables) topology.Tables { tb[5][1] = -3; return tb }, []string{"router 5", "destination 1", "port -3"}},
@@ -129,12 +129,6 @@ func TestTableShapeCheckedAtTheDoor(t *testing.T) {
 						t.Errorf("%s panicked with %q, which does not mention %q", where, msg, w)
 					}
 				}
-			}
-			cfg := DefaultConfig()
-			cfg.Tables = bad
-			check("New", mustPanic(t, func() { New(sim.NewEngine(1), topo, cfg) }))
-			if len(bad) != topo.Routers() {
-				return // not a row defect
 			}
 			n := New(sim.NewEngine(1), topo, DefaultConfig())
 			pristine := good()
@@ -158,17 +152,14 @@ func TestTableShapeCheckedAtTheDoor(t *testing.T) {
 			links = append(links, topology.Link{A: 0, B: leaf})
 		}
 		star := topology.NewGraph(len(links)+1, links)
-		cfg := DefaultConfig()
-		cfg.Tables = topology.NewTables(star.Routers()) // keep DefaultTables out of it
-		msg := mustPanic(t, func() { New(sim.NewEngine(1), star, cfg) })
+		msg := mustPanic(t, func() { New(sim.NewEngine(1), star, DefaultConfig()) })
 		for _, w := range []string{"router 0", "128 ports", "at most 127"} {
 			if !strings.Contains(msg, w) {
 				t.Errorf("New panicked with %q, which does not mention %q", msg, w)
 			}
 		}
 		ok := topology.NewGraph(len(links), links[:topology.MaxDegree])
-		cfg.Tables = topology.NewTables(ok.Routers())
-		New(sim.NewEngine(1), ok, cfg) // 127 ports fit
+		New(sim.NewEngine(1), ok, DefaultConfig()) // 127 ports fit
 	})
 }
 
@@ -177,9 +168,7 @@ func TestTableShapeCheckedAtTheDoor(t *testing.T) {
 func TestRouterTableRoundTrip(t *testing.T) {
 	topo := topology.NewMesh(3, 3)
 	pristine := topology.DefaultTables(topo)
-	cfg := DefaultConfig()
-	cfg.Tables = pristine
-	n := New(sim.NewEngine(1), topo, cfg)
+	n := New(sim.NewEngine(1), topo, DefaultConfig())
 	for r := range pristine {
 		if !slices.Equal(n.RouterTable(r), pristine[r]) {
 			t.Fatalf("router %d does not read back its pristine row", r)

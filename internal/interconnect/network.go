@@ -32,10 +32,6 @@ type Config struct {
 	// engines of a partitioned simulation (see partition.go). Nil keeps
 	// the classic single-engine fabric, bit-for-bit.
 	Partition *Partition
-	// Tables, when non-nil, are the pristine routing tables to install at
-	// construction instead of the topology's defaults — the hook routing
-	// strategies use to own pristine-table generation.
-	Tables topology.Tables
 }
 
 // DefaultConfig returns the standard fabric: unreliable, untraced, on one
@@ -52,7 +48,7 @@ type channel struct {
 	// port's link, and link that link's id: Topo.Adjacency(router)[port],
 	// copied at construction so a hop never leaves the flat arrays.
 	router, to, link int32
-	serving, blocked bool
+	blocked          bool
 	// pops counts the channel's head removals, modulo 2^16: a recovery
 	// head blocked waiting for space here records it to tell later
 	// whether the channel has moved since (see headDropEv).
@@ -60,12 +56,13 @@ type channel struct {
 	q       []*Packet
 	waiters []*channel // channels blocked waiting for space here
 	// inTransit is the packet currently being serviced across this
-	// channel's link, used to truncate the in-flight packet on link
-	// failure. One slot suffices: serving serialises the link, so kick
-	// never starts a second service before arrive (or launchEv) has
-	// cleared the first. Tracking it per channel (rather than per link)
-	// keeps every slot owned by exactly one region in partitioned mode: a
-	// boundary link's two directions belong to different regions.
+	// channel's link, nil while the channel is idle or blocked: it is the
+	// channel's whole in-service state, and what a link failure truncates.
+	// One slot suffices: kick starts no service while it is set, and only
+	// arrive, launchEv and FailRouter (which destroys the packet) clear it.
+	// Tracking it per channel (rather than per link) keeps every slot
+	// owned by exactly one region in partitioned mode: a boundary link's
+	// two directions belong to different regions.
 	inTransit *Packet
 	// buf is q's first backing array (New points q at it). A burst that
 	// outgrows it moves q to the heap; dropHead moves it back.
@@ -270,7 +267,7 @@ func (n *Network) RetransmitLost(nodeUp func(int) bool) int {
 }
 
 // New builds a fabric over topo with the topology's default deadlock-free
-// routing tables installed in every router.
+// routing tables (topology.DefaultTables) installed in every router.
 func New(e *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	n := &Network{
 		E:         e,
@@ -302,23 +299,18 @@ func New(e *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	n.mStalls = cfg.Metrics.Counter("interconnect.backpressure_stalls")
 	n.mTransient = cfg.Metrics.Counter("interconnect.transient_link_windows")
 	n.mLinkHeals = cfg.Metrics.Counter("interconnect.link_heals")
-	tables := cfg.Tables
-	if tables == nil {
-		tables = topology.DefaultTables(topo)
+	for r := range n.routers {
+		if d := topo.Degree(r); d > topology.MaxDegree {
+			panic(fmt.Sprintf("interconnect: router %d has %d ports, a table entry names at most %d", r, d, topology.MaxDegree))
+		}
 	}
-	if len(tables) != len(n.routers) {
-		panic(fmt.Sprintf("interconnect: tables for %d routers on a %d-router topology", len(tables), len(n.routers)))
-	}
+	tables := topology.DefaultTables(topo)
 	ports := 2 * len(topo.Links())
 	n.chans = make([]channel, ports*int(NumLanes))
 	discard := make([]bool, ports)
 	base := 0
 	for r := range n.routers {
 		adj := topo.Adjacency(r)
-		if len(adj) > topology.MaxDegree {
-			panic(fmt.Sprintf("interconnect: router %d has %d ports, a table entry names at most %d", r, len(adj), topology.MaxDegree))
-		}
-		checkRow(topo, r, tables[r])
 		rs := &n.routers[r]
 		rs.chanBase = int32(base)
 		rs.discard, discard = discard[:len(adj):len(adj)], discard[len(adj):]
@@ -393,7 +385,7 @@ func (n *Network) SetDiscard(r, p int, on bool) {
 	chans := n.portChans(r, p)
 	for i := range chans {
 		ch := &chans[i]
-		if ch.serving {
+		if ch.inTransit != nil {
 			// The head packet is mid-flight; let it finish (it will
 			// be re-checked on arrival). Drop the rest.
 			n.dropQueued(ch, true, "drop-isolation", r)
@@ -415,10 +407,12 @@ func (n *Network) SetDiscardLocal(r int, on bool) {
 	}
 }
 
-// FailRouter kills router r: its queued packets are lost and it sinks all
-// future traffic (§4.1: a router failure is the failure of the router; we do
-// not also fail its links here — callers model a cabinet loss as explicit
-// combinations of router and link failures).
+// FailRouter kills router r: its queued packets are lost, those in service
+// on its channels included, each once — a later failure of one of its links
+// finds nothing in transit to truncate — and it sinks all future traffic
+// (§4.1: a router failure is the failure of the router; we do not also fail
+// its links here — callers model a cabinet loss as explicit combinations of
+// router and link failures).
 func (n *Network) FailRouter(r int) {
 	rs := &n.routers[r]
 	if rs.failed {
@@ -429,7 +423,7 @@ func (n *Network) FailRouter(r int) {
 	for i := range chans {
 		ch := &chans[i]
 		n.dropQueued(ch, false, "drop-router", r)
-		ch.blocked = false
+		ch.blocked, ch.inTransit = false, nil
 		n.wakeWaiters(ch)
 	}
 	// Channels blocked delivering into this node will retry, find the
@@ -543,12 +537,10 @@ func (n *Network) Send(p *Packet) {
 		p.flow = n.nextFlow(p.Src)
 	}
 	n.tracePkt("inject", p.Src, p)
-	if p.SourceRoute != nil {
-		if len(p.SourceRoute) == 0 || p.SourceRoute[0] != p.Src {
-			panic(fmt.Sprintf("interconnect: bad source route %v from %d", p.SourceRoute, p.Src))
-		}
-		p.hop = 0
+	if p.SourceRoute != nil && (len(p.SourceRoute) == 0 || p.SourceRoute[0] != p.Src) {
+		panic(fmt.Sprintf("interconnect: bad source route %v from %d", p.SourceRoute, p.Src))
 	}
+	p.hop = 0
 	if p.Dst == p.Src && (p.SourceRoute == nil || len(p.SourceRoute) == 1) {
 		n.eng(p.Src).AfterCall(timing.LoopbackDelay, n.deliverFn, p, nil, 0)
 		return
@@ -557,7 +549,7 @@ func (n *Network) Send(p *Packet) {
 		n.drop("drop-router", p.Src, p)
 		return
 	}
-	port, ok := n.nextPort(p.Src, p)
+	port, ok := n.nextPort(p.Src, p, 0)
 	if !ok {
 		return // counted by nextPort
 	}
@@ -577,16 +569,17 @@ func (n *Network) nextFlow(src int) uint64 {
 	return n.flowSeq
 }
 
-// nextPort picks the output port at router r for packet p, applying source
-// routes, tables, discard configuration and dead-end accounting. ok=false
-// means the packet was dropped.
-func (n *Network) nextPort(r int, p *Packet) (port int, ok bool) {
+// nextPort picks the output port at router r, hop routers along p's path
+// (r is p.SourceRoute[hop] on a source route), applying source routes,
+// tables, discard configuration and dead-end accounting. ok=false means the
+// packet was dropped.
+func (n *Network) nextPort(r int, p *Packet, hop int) (port int, ok bool) {
 	if p.SourceRoute != nil {
-		if p.hop+1 >= len(p.SourceRoute) {
+		if hop+1 >= len(p.SourceRoute) {
 			n.drop("drop-noroute", r, p)
 			return 0, false
 		}
-		next := p.SourceRoute[p.hop+1]
+		next := p.SourceRoute[hop+1]
 		port = n.Topo.PortTo(r, next)
 		if port < 0 {
 			n.drop("drop-noroute", r, p)
@@ -608,7 +601,7 @@ func (n *Network) nextPort(r int, p *Packet) (port int, ok bool) {
 
 // kick starts servicing the head of ch if idle.
 func (n *Network) kick(ch *channel) {
-	if ch.serving || ch.blocked || len(ch.q) == 0 {
+	if ch.inTransit != nil || ch.blocked || len(ch.q) == 0 {
 		return
 	}
 	from, to := int(ch.router), int(ch.to)
@@ -625,7 +618,6 @@ func (n *Network) kick(ch *channel) {
 		n.kick(ch)
 		return
 	}
-	ch.serving = true
 	ch.inTransit = pkt
 	if pt := n.cfg.Partition; pt != nil && pt.Of[from] != pt.Of[to] {
 		// Inter-region link: the hop splits into a source-side launch
@@ -653,13 +645,12 @@ func (n *Network) arriveEv(a1, a2 any, _ uint64) {
 // logically at the far router's input; it advances into that router's chosen
 // output channel (or node) or blocks, keeping its slot in ch.
 func (n *Network) arrive(ch *channel, pkt *Packet) {
-	ch.serving = false
-	ch.inTransit = nil
-	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
+	if ch.inTransit != pkt {
 		// The source router failed mid-service and already destroyed
 		// this packet (and counted it); nothing left to advance.
 		return
 	}
+	ch.inTransit = nil
 	if !n.linkUp[ch.link] && !pkt.Truncated {
 		// The link died before service completed and the packet was
 		// not marked as the in-flight victim; sink it.
@@ -682,16 +673,15 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 		n.popHead(ch)
 		return
 	}
+	hop := pkt.hop + 1 // r's index along the path
+	atDst := pkt.Dst == r
 	if pkt.SourceRoute != nil {
-		if pkt.hop+1 >= len(pkt.SourceRoute) || pkt.SourceRoute[pkt.hop+1] != r {
+		if hop >= len(pkt.SourceRoute) || pkt.SourceRoute[hop] != r {
 			n.drop("drop-noroute", r, pkt)
 			n.popHead(ch)
 			return
 		}
-	}
-	atDst := pkt.Dst == r
-	if pkt.SourceRoute != nil {
-		atDst = pkt.hop+2 == len(pkt.SourceRoute) && atDst
+		atDst = atDst && hop+1 == len(pkt.SourceRoute)
 	}
 	if atDst {
 		if rs.discardLocal {
@@ -699,12 +689,9 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 			n.popHead(ch)
 			return
 		}
-		if n.endpoints[r] == nil || n.endpoints[r].Accept(pkt) {
-			if pkt.SourceRoute != nil {
-				pkt.hop++
-			}
-			n.tracePkt("deliver", r, pkt)
-			n.popHead(ch)
+		if c, ok := n.handOver(r, pkt); ok {
+			n.shiftHead(ch, c)
+			n.resume(ch)
 			return
 		}
 		n.block(ch, pkt, nil)
@@ -712,29 +699,36 @@ func (n *Network) advance(ch *channel, pkt *Packet) {
 		return
 	}
 	// Forward through r.
-	if pkt.SourceRoute != nil {
-		pkt.hop++
-	}
-	port, ok := n.nextPort(r, pkt)
+	port, ok := n.nextPort(r, pkt, hop)
 	if !ok {
-		if pkt.SourceRoute != nil {
-			pkt.hop-- // undo; packet is gone anyway
-		}
 		n.popHead(ch)
 		return
 	}
 	tch := n.channel(r, port, pkt.Lane)
 	if n.room(tch) {
+		pkt.hop = hop
 		n.popHead(ch)
 		tch.push(pkt)
 		n.kick(tch)
 		return
 	}
-	if pkt.SourceRoute != nil {
-		pkt.hop-- // not moved yet
-	}
 	n.block(ch, pkt, tch)
 	tch.waiters = append(tch.waiters, ch)
+}
+
+// handOver offers pkt to node r's endpoint (none: the packet vanishes into
+// the router) and reports whether it took it. A packet taken is the
+// endpoint's from then on, to keep, rewrite or recycle from inside Accept,
+// so the fabric reads nothing of it after: the deliver point is traced from
+// fields read before, and c is the packet's fan-out cursor as it was, for
+// the caller to shift the packet's channel head with.
+func (n *Network) handOver(r int, pkt *Packet) (c *cursor, ok bool) {
+	flow, lane, c := pkt.flow, pkt.Lane, pkt.cur
+	if ep := n.endpoints[r]; ep != nil && !ep.Accept(pkt) {
+		return nil, false
+	}
+	n.tracePoint("deliver", r, flow, r, lane)
+	return c, true
 }
 
 // block marks ch blocked on its head packet, which waits for space in on
@@ -770,7 +764,7 @@ func (n *Network) headDropEv(a1, a2 any, u uint64) {
 		return
 	}
 	pkt := ch.q[0]
-	if on != nil && (on.pops != pkt.awaitPops || on.serving) {
+	if on != nil && (on.pops != pkt.awaitPops || on.inTransit != nil) {
 		return
 	}
 	n.drop("drop-headtimeout", int(ch.router), pkt)
@@ -781,6 +775,12 @@ func (n *Network) headDropEv(a1, a2 any, u uint64) {
 // and restarts service on ch.
 func (n *Network) popHead(ch *channel) {
 	n.dropHead(ch)
+	n.resume(ch)
+}
+
+// resume follows a removal of ch's head: ch is unblocked, anything waiting
+// for space in it is woken, and its next head starts service.
+func (n *Network) resume(ch *channel) {
 	ch.blocked = false
 	n.wakeWaiters(ch)
 	n.kick(ch)
@@ -832,19 +832,17 @@ func (n *Network) NodeReady(id int) { n.wakeNodeWaiters(id) }
 // the local-delivery discard, the packet is dropped like any other traffic
 // bound for the dead controller.
 func (n *Network) deliver(p *Packet) {
-	ep := n.endpoints[p.Dst]
-	if ep == nil {
+	dst := p.Dst
+	if n.endpoints[dst] == nil {
 		return
 	}
-	if n.routers[p.Dst].discardLocal {
-		n.drop("drop-deadnode", p.Dst, p)
+	if n.routers[dst].discardLocal {
+		n.drop("drop-deadnode", dst, p)
 		return
 	}
-	if !ep.Accept(p) {
-		n.eng(p.Dst).AfterCall(timing.DeliveryRetry, n.deliverFn, p, nil, 0)
-		return
+	if _, ok := n.handOver(dst, p); !ok {
+		n.eng(dst).AfterCall(timing.DeliveryRetry, n.deliverFn, p, nil, 0)
 	}
-	n.tracePkt("deliver", p.Dst, p)
 }
 
 // deliverEv is the pre-bound event form of deliver, used for loopback

@@ -74,7 +74,10 @@ type Packet struct {
 	// packet uses it to hand the record back (see magic's wire pool).
 	Rec any
 
-	hop int // index of the current router within SourceRoute
+	// hop is the index along the packet's path of the router whose
+	// channel holds it (of that router within SourceRoute on a source
+	// route). It moves when the packet moves, and only then.
+	hop int
 	// cur is the fan-out cursor whose packets follow this one in its
 	// source channel (see fanout.go), nil once it has left that
 	// channel's head.

@@ -77,7 +77,6 @@ func (n *Network) now(r int) sim.Time {
 // ingressEv on the destination side.
 func (n *Network) launchEv(a1, _ any, _ uint64) {
 	ch := a1.(*channel)
-	ch.serving = false
 	ch.inTransit = nil
 	n.popHead(ch)
 }
@@ -109,18 +108,18 @@ func (n *Network) retryEv(a1, _ any, u uint64) {
 // synchronously touch another mid-window.
 func (n *Network) arriveFree(r int, pkt *Packet) {
 	if pkt.Dst == r {
-		if n.endpoints[r] == nil || n.endpoints[r].Accept(pkt) {
-			n.tracePkt("deliver", r, pkt)
-			return
+		if _, ok := n.handOver(r, pkt); !ok {
+			n.mStalls.Inc()
+			n.eng(r).AfterCall(timing.DeliveryRetry, n.retryFn, pkt, nil, uint64(r))
 		}
-		n.mStalls.Inc()
-		n.eng(r).AfterCall(timing.DeliveryRetry, n.retryFn, pkt, nil, uint64(r))
 		return
 	}
-	port, ok := n.nextPort(r, pkt)
+	hop := pkt.hop + 1
+	port, ok := n.nextPort(r, pkt, hop)
 	if !ok {
 		return // counted by nextPort; packet is gone
 	}
+	pkt.hop = hop
 	tch := n.channel(r, port, pkt.Lane)
 	tch.push(pkt) // elastic ingress: the boundary absorbs bursts
 	n.kick(tch)

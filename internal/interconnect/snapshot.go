@@ -68,7 +68,7 @@ func (n *Network) mustQuiescent() {
 			}
 			chans := n.portChans(r, p)
 			for l := range chans {
-				if ch := &chans[l]; len(ch.q) > 0 || ch.serving || ch.blocked || len(ch.waiters) > 0 || ch.inTransit != nil {
+				if ch := &chans[l]; len(ch.q) > 0 || ch.blocked || len(ch.waiters) > 0 || ch.inTransit != nil {
 					panic(fmt.Sprintf("interconnect: snapshot with active channel r%d p%d lane %v", r, p, Lane(l)))
 				}
 			}

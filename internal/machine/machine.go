@@ -59,8 +59,8 @@ type Config struct {
 	Recovery core.Config
 	// Routing names the interconnect-recovery routing strategy
 	// (routing.Names: "paper", "incremental", "adaptive"; "" is "paper").
-	// Kept as a name rather than a routing.Strategy so snapshots serialize
-	// it and forks can override it (FromSnapshotRouting).
+	// Kept as a name, as the -routing flag gives it, so a fork can override
+	// its snapshot's by name (FromSnapshotRouting).
 	Routing string
 
 	// Partitions, when > 0, runs the machine's event core as a partitioned
@@ -229,7 +229,6 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	icfg.Reliable = cfg.ReliableInterconnect
 	icfg.Metrics = reg
 	icfg.Trace = cfg.Trace
-	icfg.Tables = strat.PristineTables(topo)
 	if P != nil {
 		of := make([]int, topo.Routers())
 		engines := make([]*sim.Engine, regions.Count())

@@ -108,8 +108,8 @@ func FromSnapshot(s *Snapshot, tr *trace.Tracer) *Machine {
 
 // FromSnapshotRouting is FromSnapshot with the routing strategy overridden
 // on the fork. Router tables are not part of the interconnect snapshot
-// (they are rebuilt at construction), and all registered strategies share
-// the same pristine tables, so a quiescent pre-fault snapshot forks
+// (they are rebuilt at construction), and every strategy starts from the
+// fabric's pristine tables, so a quiescent pre-fault snapshot forks
 // bit-identically under any strategy until the first fault — the property
 // the head-to-head routing campaigns rely on to replay one warm-up under
 // every strategy.

@@ -1,7 +1,8 @@
 // Package routing makes the interconnect-recovery routing policy a
-// strategy: one object owns the pristine-table generation, the post-fault
-// table repair, and the drain discipline P3 runs before new tables take
-// effect. The paper's behaviour — dimension-order/e-cube pristine routing,
+// strategy: one object owns the post-fault table repair and the drain
+// discipline P3 runs before new tables take effect; every strategy starts
+// from the topology's default (pristine) tables, which the fabric installs
+// itself. The paper's behaviour — dimension-order/e-cube pristine routing,
 // a full two-phase τ drain, and a complete up*/down* rewrite on the
 // surviving graph (§4.4) — is the `paper` strategy and stays byte-identical
 // to the pre-strategy code path. Alternatives trade the global drain for
@@ -82,8 +83,6 @@ func (r Repair) TotalPatched() int {
 type Strategy interface {
 	// Name is the registry key (`-routing` flag value).
 	Name() string
-	// PristineTables is the fault-free routing installed at machine build.
-	PristineTables(t *topology.Topology) topology.Tables
 	// RepairTables computes the tables to install on the surviving graph.
 	// v is the stabilized post-dissemination view, bft the dissemination
 	// BFT rooted at the elected root. Deterministic: every agent computes

@@ -85,23 +85,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestPristineTablesMatchDefaults(t *testing.T) {
-	for _, topo := range []*topology.Topology{topology.NewMesh(4, 2), topology.NewHypercube(3)} {
-		want := topology.DefaultTables(topo)
-		for _, name := range Names() {
-			s, _ := Get(name)
-			got := s.PristineTables(topo)
-			for r := range want {
-				for d := range want[r] {
-					if got[r][d] != want[r][d] {
-						t.Fatalf("%s pristine[%d][%d] = %d, want %d", name, r, d, got[r][d], want[r][d])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestPaperRepairIsFullUpDown(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	v := topology.NewView(topo)

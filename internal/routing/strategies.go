@@ -33,10 +33,6 @@ func (paperStrategy) Name() string { return "paper" }
 
 func (paperStrategy) Drain() DrainKind { return DrainFull }
 
-func (paperStrategy) PristineTables(t *topology.Topology) topology.Tables {
-	return topology.DefaultTables(t)
-}
-
 func (paperStrategy) RepairTables(v *topology.View, bft *topology.BFT) Repair {
 	n := v.T.Routers()
 	per := make([]int, n)
@@ -52,10 +48,6 @@ func (incrementalStrategy) Name() string { return "incremental" }
 
 func (incrementalStrategy) Drain() DrainKind { return DrainPartial }
 
-func (incrementalStrategy) PristineTables(t *topology.Topology) topology.Tables {
-	return topology.DefaultTables(t)
-}
-
 func (incrementalStrategy) RepairTables(v *topology.View, bft *topology.BFT) Repair {
 	return patchBroken(v, bft, topology.UpDownTables(v, bft))
 }
@@ -65,10 +57,6 @@ type adaptiveStrategy struct{}
 func (adaptiveStrategy) Name() string { return "adaptive" }
 
 func (adaptiveStrategy) Drain() DrainKind { return DrainNone }
-
-func (adaptiveStrategy) PristineTables(t *topology.Topology) topology.Tables {
-	return topology.DefaultTables(t)
-}
 
 func (adaptiveStrategy) RepairTables(v *topology.View, bft *topology.BFT) Repair {
 	donor, orient := topology.UpDownTables(v, bft), bft
