@@ -240,6 +240,9 @@ func (n *Network) lost(p *Packet) {
 	}
 }
 
+// Reliable reports whether the fabric delivers end to end (Config.Reliable).
+func (n *Network) Reliable() bool { return n.cfg.Reliable }
+
 // RetainedLost reports how many packets await retransmission.
 func (n *Network) RetainedLost() int { return len(n.retained) }
 

@@ -73,8 +73,7 @@ func (s *verifySweep) lineDone(addr coherence.Addr, r magic.Result) {
 // the count, because a read that never completes times out and triggers a
 // recovery of its own every few milliseconds. The longest gap between two
 // completions, over the repository's tests and the six benchmark
-// workloads, is 33 µs; sweeps stuck on a grant the reliable fabric
-// orphaned give up after about 70 ms of simulated time.
+// workloads, is 33 µs.
 const sweepStall = 10 * sim.Millisecond
 
 // VerifyMemory sweeps every line of the system's memory from the reader

@@ -2,26 +2,34 @@ package magic
 
 import (
 	"flashfc/internal/coherence"
+	"flashfc/internal/interconnect"
 	"flashfc/internal/timing"
 )
 
 // Home-side and requester-side protocol handlers. Each runs after its
 // dispatch occupancy has been charged (see Controller.process).
 
-// handle runs the handler for msg. It reports whether it retained msg beyond
-// its return (the orphan stash), in which case the caller must not recycle
-// the record msg lives in.
-func (c *Controller) handle(msg *coherence.Message) (retained bool) {
+// handle runs the handler for the message p carries. It reports whether it
+// retained the message beyond its return (the orphan stash, the deferred
+// queue), in which case the caller must not recycle the record it lives in.
+func (c *Controller) handle(p *interconnect.Packet) (retained bool) {
+	msg := p.Payload.(*coherence.Message)
 	// The mode may have changed while this handler sat in the queue.
 	switch c.mode {
 	case ModeDead, ModeLoop:
 		c.discarded(msg)
 		return false
 	case ModeDrain, ModeFlush:
-		switch msg.Type {
-		case coherence.MsgPut:
+		switch {
+		case msg.Type == coherence.MsgPut:
 			c.handlePut(msg)
-		case coherence.MsgDataExcl:
+		case c.Net.Reliable():
+			// §6.3: the reliable machine loses no message, and it does
+			// not flush. Keep the message for replay in normal mode,
+			// after the liveness scan, rather than discard it.
+			c.deferred = append(c.deferred, p)
+			return true
+		case msg.Type == coherence.MsgDataExcl:
 			// An exclusive grant whose requesting operation was
 			// aborted by recovery: the line's only valid copy is in
 			// this message. Stash it; the flush returns it home.
@@ -306,6 +314,20 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 		// learns the line may legitimately be lost.
 		if c.cpuDead && msg.Type.CarriesData() {
 			c.discarded(msg)
+			return
+		}
+		if msg.Type == coherence.MsgDataExcl && c.Net.Reliable() {
+			// An orphaned grant behind a reliable fabric: drain
+			// deferred it, or the fabric resent it, after recovery
+			// aborted its operation. The home accounts the line to
+			// this node, which never cached the grant, so the grant
+			// goes straight back home, as FlushCache returns the
+			// stash. A shared copy the aborted upgrade left behind
+			// goes with it: the home will hold no entry for it.
+			c.Cache.Invalidate(msg.Addr)
+			c.sendMsg(c.Space.Home(msg.Addr), coherence.Message{
+				Type: coherence.MsgPut, Addr: msg.Addr, Req: c.ID, Data: msg.Data,
+			})
 		}
 		return
 	}

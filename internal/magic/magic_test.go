@@ -634,6 +634,76 @@ func TestOrphanGrantReturnedByFlush(t *testing.T) {
 	}
 }
 
+// Behind a reliable fabric drain keeps what it would discard: the grant of
+// an aborted write waits in the requester's deferred queue, not in the
+// orphan stash, and goes home when the mode is normal again, leaving the
+// home no entry that names a cache without the line (§6.3).
+func TestReliableDrainDefersOrphanGrantAndReturnsIt(t *testing.T) {
+	icfg := interconnect.DefaultConfig()
+	icfg.Reliable = true
+	r := newRigNet(t, 2, DefaultConfig(), icfg)
+	a := r.space.Base(1) + 0x80
+	committed := false
+	r.ctrl[0].Write(a, 42, func(res Result) { committed = res.Err == nil })
+	r.e.RunUntil(380) // the grant is on the wire (see TestOrphanGrantReturnedByFlush)
+	r.ctrl[0].EnterRecovery()
+	r.ctrl[1].EnterRecovery()
+	r.e.RunUntil(r.e.Now() + sim.Millisecond)
+	if committed {
+		t.Fatal("write should have been aborted")
+	}
+	if n, d := len(r.ctrl[0].Orphans()), len(r.ctrl[0].deferred); n != 0 || d != 1 {
+		t.Fatalf("orphans = %d, deferred = %d, want 0 and 1", n, d)
+	}
+	if lost := r.ctrl[1].ScanDirectoryLiveness(); len(lost) != 0 {
+		t.Fatalf("liveness scan marked %v", lost)
+	}
+	if e := r.ctrl[1].Dir.Peek(a); e == nil || e.State != coherence.DirExclusive || e.Owner != 0 {
+		t.Fatalf("home entry before replay = %+v, want exclusive at 0", e)
+	}
+	r.ctrl[1].SetMode(ModeNormal)
+	r.ctrl[0].SetMode(ModeNormal)
+	r.e.Run()
+	if d := len(r.ctrl[0].deferred); d != 0 {
+		t.Fatalf("deferred = %d after replay", d)
+	}
+	if e := r.ctrl[1].Dir.Peek(a); e != nil {
+		t.Fatalf("home entry after replay = %+v, want none", e)
+	}
+	if r.ctrl[0].Cache.Lookup(a) != nil {
+		t.Fatal("the orphaned grant must not be cached")
+	}
+	if got := r.read(t, 0, a); got.Err != nil || got.Token != coherence.InitialToken(a) {
+		t.Fatalf("read after replay: %+v", got)
+	}
+}
+
+// A message drain deferred from a node that the node map has since marked
+// down is dropped at replay, through the dead-drop hook, not handled.
+func TestReliableReplayDropsMessagesFromDownNodes(t *testing.T) {
+	icfg := interconnect.DefaultConfig()
+	icfg.Reliable = true
+	r := newRigNet(t, 2, DefaultConfig(), icfg)
+	var dropped []coherence.MsgType
+	r.ctrl[1].SetDeadDropHandler(func(m *coherence.Message) { dropped = append(dropped, m.Type) })
+	a := r.space.Base(1) + 0x80
+	r.ctrl[0].Read(a, func(Result) {})
+	r.ctrl[1].EnterRecovery() // the GET is on the wire
+	r.e.Run()
+	if d := len(r.ctrl[1].deferred); d != 1 {
+		t.Fatalf("deferred = %d, want the GET", d)
+	}
+	r.ctrl[1].SetNodeUp(0, false)
+	r.ctrl[1].SetMode(ModeNormal)
+	r.e.Run()
+	if len(dropped) != 1 || dropped[0] != coherence.MsgGet {
+		t.Fatalf("dead-drop hook saw %v, want one GET", dropped)
+	}
+	if e := r.ctrl[1].Dir.Peek(a); e != nil {
+		t.Fatalf("home entry = %+v: the dropped GET was handled", e)
+	}
+}
+
 func TestSendUncachedToDeadNodeFailsFast(t *testing.T) {
 	r := newRig(t, 2, DefaultConfig())
 	r.ctrl[0].SetNodeUp(1, false)

@@ -260,15 +260,20 @@ func (c *Controller) EnterRecovery() {
 	}
 	c.dropAllMSHRs()
 	// Queued writebacks and exclusive grants are still fielded in drain
-	// mode (they carry data); everything else queued is consumed.
+	// mode (they carry data); everything else queued is consumed. Behind
+	// a reliable fabric everything but a writeback is deferred instead,
+	// as Accept defers what arrives in drain mode.
+	reliable := c.Net.Reliable()
 	kept := c.input[:0]
 	for _, p := range c.input {
 		msg, ok := p.Payload.(*coherence.Message)
-		if ok && (msg.Type == coherence.MsgPut || msg.Type == coherence.MsgDataExcl) {
+		switch {
+		case !ok:
+		case msg.Type == coherence.MsgPut || msg.Type == coherence.MsgDataExcl && !reliable:
 			kept = append(kept, p)
-			continue
-		}
-		if ok {
+		case reliable:
+			c.deferred = append(c.deferred, p)
+		default:
 			c.discarded(msg)
 		}
 	}

@@ -20,8 +20,10 @@ import (
 // recycled and falls to the garbage collector: packets the fabric destroys
 // (it may retain them for an end-to-end resend of the same payload),
 // truncated deliveries, packets a controller consumes without dispatching
-// (dead/drain/flush modes, recovery entry), and exclusive grants stashed as
-// orphans.
+// (dead/drain/flush modes, recovery entry), exclusive grants stashed as
+// orphans, and deferred packets a replay or a shutdown drops. A packet
+// drain defers behind a reliable fabric keeps its record until its
+// replayed dispatch.
 type wire struct {
 	pkt interconnect.Packet
 	msg coherence.Message
