@@ -34,7 +34,8 @@ type CacheLine struct {
 // A fork copies its cache eagerly (Clone), but the P4 flush empties it and
 // Flush then releases the index, FIFO and chunk, so a finished forked
 // machine holds only what its run installed after recovery, not a
-// warm-sized map.
+// warm-sized map. An empty cache has no index until its first Install, or
+// until Reserve sizes one for the installs a fill is about to make.
 type Cache struct {
 	capacity int // lines
 	lines    map[Addr]*CacheLine
@@ -58,10 +59,20 @@ func (c *Cache) newLine(state CacheState, token uint64) *CacheLine {
 
 // NewCache returns a cache holding capacityBytes worth of 128-byte lines.
 func NewCache(capacityBytes uint64) *Cache {
-	return &Cache{
-		capacity: int(capacityBytes / timing.LineSize),
-		lines:    make(map[Addr]*CacheLine),
+	return &Cache{capacity: int(capacityBytes / timing.LineSize)}
+}
+
+// Reserve sizes an empty cache's index and FIFO for n installs, at most
+// its capacity, so a fill that knows how many lines it is about to install
+// does not grow them a step at a time. It is only a hint: it changes
+// nothing on a cache that holds lines or has FIFO entries.
+func (c *Cache) Reserve(n int) {
+	n = min(n, c.capacity)
+	if n <= 0 || len(c.lines) > 0 || len(c.fifo) > 0 {
+		return
 	}
+	c.lines = make(map[Addr]*CacheLine, n)
+	c.fifo = make([]Addr, 0, n)
 }
 
 // CapacityLines returns the cache size in lines.
@@ -86,6 +97,9 @@ func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, ev
 	}
 	if len(c.lines) >= c.capacity {
 		victim, evicted = c.evictOldest()
+	}
+	if c.lines == nil {
+		c.lines = make(map[Addr]*CacheLine)
 	}
 	c.lines[a] = c.newLine(state, token)
 	if c.head > 0 && len(c.fifo) == cap(c.fifo) && c.head >= len(c.fifo)/2 {
@@ -135,7 +149,7 @@ func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
 // dropped silently: the home copy is valid (§4.5). The emptied index, FIFO
 // and chunk are released rather than kept at their warm size: a campaign
 // holds every finished machine of a batch, and a flushed cache that refills
-// regrows them from empty.
+// regrows them from empty, its index from the next Install.
 func (c *Cache) FlushEach(wb func(a Addr, l *CacheLine)) {
 	for _, a := range c.fifo[c.head:] {
 		l, ok := c.lines[a]
@@ -147,8 +161,7 @@ func (c *Cache) FlushEach(wb func(a Addr, l *CacheLine)) {
 			wb(a, l)
 		}
 	}
-	c.lines = make(map[Addr]*CacheLine)
-	c.fifo, c.head, c.chunk = nil, 0, nil
+	c.lines, c.fifo, c.head, c.chunk = nil, nil, 0, nil
 }
 
 // Clone returns a deep copy of the cache. Unlike memory and directory

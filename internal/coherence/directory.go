@@ -82,12 +82,13 @@ const maxDirNodes = 1<<16 - 1
 // after which only incoherent lines survive, copies those up and lets go
 // of the base. The warm image a fork never touched is never duplicated.
 //
-// The overlay starts as a sparse map. Once it holds more than a quarter of
-// the home's lines, a map that size already costs about a pointer per
-// line, and a run that touches that many (the §5.2 verify sweep touches
-// every one) is headed for all of them: the overlay becomes a slice
-// indexed by local line number and stays one. Only a directory told its
-// lines by SetHome can switch; the frozen base is always a map.
+// The overlay starts as a sparse map, made on the first write or sized
+// ahead by Reserve. Once it holds more than a quarter of the home's lines,
+// a map that size already costs about a pointer per line, and a run that
+// touches that many (the §5.2 verify sweep touches every one) is headed
+// for all of them: the overlay becomes a slice indexed by local line
+// number and stays one. Only a directory told its lines by SetHome can
+// switch; the frozen base is always a map.
 //
 // Entries are carved from small per-directory chunks rather than allocated
 // one by one (an entry per swept line was a third of the verify sweep's
@@ -126,7 +127,19 @@ func NewDirectory(n int) *Directory {
 	if n > maxDirNodes {
 		panic(fmt.Sprintf("coherence: a directory serves at most %d nodes, not %d", maxDirNodes, n))
 	}
-	return &Directory{nodes: n, entries: make(map[Addr]*DirEntry)}
+	return &Directory{nodes: n}
+}
+
+// Reserve sizes an empty, unforked directory's overlay for n lines, so a
+// fill that knows how many of this home's lines it is about to touch does
+// not grow the map a step at a time. It is only a hint: it changes nothing
+// on a directory that holds entries or a frozen base, nor where n lines
+// would make the overlay line-indexed, which is sized by the home already.
+func (d *Directory) Reserve(n int) {
+	if n <= 0 || len(d.entries) > 0 || d.dense != nil || d.frozen != nil || d.lines > 0 && 4*n > d.lines {
+		return
+	}
+	d.entries = make(map[Addr]*DirEntry, n)
 }
 
 // SetHome tells the directory that it holds the lines lines starting at
@@ -165,6 +178,9 @@ func (d *Directory) setOver(a Addr, e *DirEntry) {
 		}
 		d.dense[d.index(a)] = e
 		return
+	}
+	if d.entries == nil {
+		d.entries = make(map[Addr]*DirEntry)
 	}
 	d.entries[a] = e
 	if d.lines > 0 && 4*len(d.entries) > d.lines {
@@ -215,8 +231,7 @@ func (d *Directory) index(a Addr) int { return int((a - d.base) / timing.LineSiz
 func (d *Directory) Freeze() map[Addr]*DirEntry {
 	switch {
 	case d.frozen == nil && d.dense == nil:
-		d.frozen = d.entries // no base, so no tombstones
-		d.entries = make(map[Addr]*DirEntry)
+		d.frozen, d.entries = d.entries, nil // no base, so no tombstones
 		return d.frozen
 	case d.dense == nil && len(d.entries) == 0:
 		return d.frozen
@@ -234,7 +249,7 @@ func (d *Directory) Freeze() map[Addr]*DirEntry {
 	if d.dense != nil {
 		clear(d.dense)
 	} else {
-		d.entries = make(map[Addr]*DirEntry)
+		d.entries = nil
 	}
 	return d.frozen
 }

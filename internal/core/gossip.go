@@ -372,14 +372,15 @@ func (a *Agent) dropP2Scratch() {
 	a.snap = nil
 }
 
-// failedUnits returns the set of failure-unit ids containing any failed
-// node, failed router, or failed intra-unit link.
-func (a *Agent) failedUnits() map[int]bool {
-	out := map[int]bool{}
+// failedUnits reports, indexed by failure-unit id, which units contain a
+// failed node, failed router, or failed intra-unit link. It is nil on a
+// machine without failure units, where nothing reads it.
+func (a *Agent) failedUnits() []bool {
 	units := a.cfg.FailureUnits
 	if units == nil {
-		return out
+		return nil
 	}
+	out := make([]bool, slices.Max(units)+1)
 	for i := 0; i < a.Topo.Routers(); i++ {
 		if a.st.node(i) == triDown || a.st.router(i) == triDown {
 			out[units[i]] = true

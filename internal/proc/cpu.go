@@ -52,8 +52,11 @@ type CPU struct {
 
 	inflight int
 	// queue[head:] are the operations waiting to issue.
-	queue  []Op
-	head   int
+	queue []Op
+	head  int
+	// handed marks a queue that SubmitAll has filled: it is let go as
+	// soon as it drains, whatever its size.
+	handed bool
 	paused bool
 	// onDrained fires once when paused and the last in-flight op ends.
 	onDrained func()
@@ -125,6 +128,25 @@ func (c *CPU) Submit(op Op) {
 		c.queue, c.head = c.queue[:n], 0
 	}
 	c.queue = append(c.queue, op)
+	c.issue()
+}
+
+// SubmitAll queues ops for issue, in order, exactly as len(ops) Submit
+// calls in a row would. An idle CPU takes ops itself as its queue, with no
+// copy, and owns it from then on: the caller must not touch ops again. A
+// busy one appends them. Either way the CPU lets its queue go as soon as
+// the last of them has issued, so a machine whose CPUs have finished pins
+// none of it.
+func (c *CPU) SubmitAll(ops []Op) {
+	if len(ops) == 0 {
+		return
+	}
+	if c.head == len(c.queue) {
+		c.queue, c.head = ops, 0
+	} else {
+		c.queue = append(c.queue, ops...)
+	}
+	c.handed = true
 	c.issue()
 }
 
@@ -203,6 +225,9 @@ func (c *CPU) issue() {
 	}
 	if c.head == len(c.queue) {
 		c.queue, c.head = c.queue[:0], 0
+		if c.handed {
+			c.queue, c.handed = nil, false
+		}
 	}
 }
 

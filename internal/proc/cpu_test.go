@@ -227,10 +227,94 @@ func TestSubmitReadsMatchesPerLineSubmits(t *testing.T) {
 	}
 }
 
-// fill1024 queues every fill operation up front, so an Op that grows costs
-// every queued operation the difference.
+// A fill builds every node's operations up front, one slice per node that
+// its CPU takes whole, so an Op that grows costs every one the difference.
 func TestOpStaysFortyBytes(t *testing.T) {
 	if n := unsafe.Sizeof(Op{}); n != 40 {
 		t.Fatalf("proc.Op is %d bytes, want 40", n)
+	}
+}
+
+// SubmitAll issues and completes a block exactly as the same operations
+// submitted one at a time: the same completions, in the same order, at the
+// same simulated times, with the same queue and window behind each. It does
+// so on an idle CPU, on one already busy with earlier submits, with a
+// submit from a completion (which queues behind the whole block), and with
+// a pause and a resume in the middle of the block. A drained CPU keeps no
+// queue array, and an idle one takes the block itself, with no copy.
+func TestSubmitAllMatchesSubmits(t *testing.T) {
+	type step struct {
+		addr             coherence.Addr
+		at               sim.Time
+		queued, inflight int
+	}
+	const n, resubmitted = 40, coherence.Addr(0x4000)
+	for _, tc := range []struct {
+		name            string
+		before          int  // plain submits ahead of the block
+		resubmit, pause bool // from the first, the tenth completion
+	}{
+		{name: "idle"},
+		{name: "busy", before: 5},
+		{name: "resubmit", resubmit: true},
+		{name: "pause", pause: true},
+	} {
+		run := func(all bool) []step {
+			e, cpu, _ := newCPU(t)
+			var got []step
+			var done func(coherence.Addr, magic.Result)
+			done = func(a coherence.Addr, r magic.Result) {
+				if r.Err != nil {
+					t.Errorf("%s: op on %v: %v", tc.name, a, r.Err)
+				}
+				got = append(got, step{a, e.Now(), cpu.QueueLen(), cpu.Inflight()})
+				if tc.resubmit && len(got) == 1 {
+					cpu.Submit(Op{Kind: OpRead, Addr: resubmitted, DoneAt: done})
+				}
+				if tc.pause && len(got) == 10 {
+					cpu.Pause()
+					e.After(5*sim.Microsecond, cpu.Resume)
+				}
+			}
+			for i := 0; i < tc.before; i++ {
+				cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(0x8000 + i*128), DoneAt: done})
+			}
+			// Both nodes' memory, every kind, repeated lines: misses,
+			// hits, upgrades and merges into an outstanding miss.
+			ops := make([]Op, n)
+			for i := range ops {
+				addr := coherence.Addr(i%2)*(64<<10) + coherence.Addr(i%7)*128
+				ops[i] = Op{Kind: OpKind(i % 3), Addr: addr, Token: uint64(i + 1), DoneAt: done}
+			}
+			if !all {
+				for _, op := range ops {
+					cpu.Submit(op)
+				}
+			} else {
+				cpu.SubmitAll(ops)
+				if tc.before == 0 && unsafe.SliceData(cpu.queue) != unsafe.SliceData(ops) {
+					t.Errorf("%s: an idle CPU copied the block", tc.name)
+				}
+			}
+			e.Run()
+			if all && cap(cpu.queue) != 0 {
+				t.Errorf("%s: drained CPU still holds a %d-op queue array", tc.name, cap(cpu.queue))
+			}
+			return got
+		}
+		submits, all := run(false), run(true)
+		want := n + tc.before
+		if tc.resubmit {
+			want++
+		}
+		if len(all) != want {
+			t.Fatalf("%s: %d completions, want %d", tc.name, len(all), want)
+		}
+		if !slices.Equal(submits, all) {
+			t.Fatalf("%s: SubmitAll differs from Submit calls:\nsubmits %v\nblock   %v", tc.name, submits, all)
+		}
+		if tc.resubmit && all[len(all)-1].addr != resubmitted {
+			t.Fatalf("%s: the resubmitted read completed at %v, not behind the block", tc.name, all[len(all)-1])
+		}
 	}
 }

@@ -60,14 +60,20 @@ func NewFillerSeeded(m *machine.Machine, seed int64) *Filler {
 // Start submits the fill operations on every node; done fires when all
 // processors have completed their fills. Every operation completes through
 // one of two completions bound here, so a fill allocates no closure per op.
+// Each node's program is built in one slice of its own that its CPU takes
+// whole (a slice shared by every node would be pinned entire by one CPU
+// that never drains, as a failed node's does), and each cache and home
+// directory is sized for the lines the fill sends it before any issues.
 func (f *Filler) Start(done func()) {
 	f.done = done
 	completed, stored := f.completed, f.stored
 	totalLines := uint64(f.M.Cfg.Nodes) * f.M.Cfg.MemBytes / 128
-	for _, n := range f.M.Nodes {
-		for i := 0; i < f.FillLines; i++ {
+	programs := make([][]proc.Op, len(f.M.Nodes))
+	homed := make([]int, len(f.M.Nodes))
+	for id := range programs {
+		ops := make([]proc.Op, f.FillLines)
+		for i := range ops {
 			line := coherence.Addr(uint64(f.rng.Int63n(int64(totalLines))) * 128)
-			f.pending++
 			op := proc.Op{Kind: proc.OpRead, Addr: line, DoneAt: completed}
 			if f.rng.Intn(2) == 0 {
 				if f.rng.Float64() < f.WriteFraction {
@@ -77,12 +83,29 @@ func (f *Filler) Start(done func()) {
 					op = proc.Op{Kind: proc.OpReadExclusive, Addr: line, DoneAt: completed}
 				}
 			}
-			n.CPU.Submit(op)
+			ops[i] = op
+			homed[f.M.Space.Home(line)]++
 		}
+		programs[id] = ops
 	}
+	f.pending = len(programs) * f.FillLines
 	f.total = f.pending
+	submitPrograms(f.M, programs, homed)
 	if f.pending == 0 {
 		done()
+	}
+}
+
+// submitPrograms sizes every node's cache for its program and every home's
+// directory for the homed operations aimed at it, then hands each CPU its
+// program whole.
+func submitPrograms(m *machine.Machine, programs [][]proc.Op, homed []int) {
+	for id, n := range m.Nodes {
+		n.Cache.Reserve(len(programs[id]))
+		n.Dir.Reserve(homed[id])
+	}
+	for id, n := range m.Nodes {
+		n.CPU.SubmitAll(programs[id])
 	}
 }
 

@@ -55,8 +55,8 @@ func NewPartitionFill(m *machine.Machine) *PartitionFill {
 	}
 }
 
-// Start submits every node's accesses. Call it before the first Advance;
-// poll Done between windows.
+// Start submits every node's accesses, one slice per node as Filler.Start
+// does. Call it before the first Advance; poll Done between windows.
 func (f *PartitionFill) Start() {
 	nodes := f.M.Cfg.Nodes
 	lines := int64(f.M.Cfg.MemBytes / 128)
@@ -66,9 +66,12 @@ func (f *PartitionFill) Start() {
 	// One generator, reseeded per node: a source is 4.9 KB, and reseeding
 	// gives the stream a fresh one would.
 	rng := rand.New(rand.NewSource(0))
-	for id, n := range f.M.Nodes {
+	programs := make([][]proc.Op, nodes)
+	homed := make([]int, nodes)
+	for id := range programs {
 		rng.Seed(f.M.Cfg.Seed ^ (int64(id)+1)*0x5851f42d4c957f2d)
-		for i := 0; i < f.OpsPerNode; i++ {
+		ops := make([]proc.Op, f.OpsPerNode)
+		for i := range ops {
 			target := id
 			if rng.Float64() >= f.LocalFraction {
 				target = rng.Intn(nodes)
@@ -78,9 +81,12 @@ func (f *PartitionFill) Start() {
 			if rng.Float64() < f.ExclusiveFraction {
 				op.Kind = proc.OpReadExclusive
 			}
-			n.CPU.Submit(op)
+			ops[i] = op
+			homed[target]++
 		}
+		programs[id] = ops
 	}
+	submitPrograms(f.M, programs, homed)
 }
 
 func (f *PartitionFill) complete(magic.Result) { f.remaining.Add(-1) }
