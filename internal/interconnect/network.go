@@ -628,11 +628,16 @@ func (n *Network) kick(ch *channel) {
 		// destination-side ingress scheduled through the partition
 		// coordinator after the extra inter-region wire delay. See
 		// partition.go for the model.
+		// The packet is the destination region's from the Send on: its
+		// cursor comes off first and travels to launchEv, which reads
+		// nothing of the packet.
 		e := n.eng(from)
-		deliverAt := e.Now() + serviceTime(pkt) + pt.Extra
-		pt.P.Send(pt.Of[from], pt.Of[to], deliverAt,
+		d := serviceTime(pkt)
+		c := pkt.cur
+		pkt.cur = nil
+		pt.P.Send(pt.Of[from], pt.Of[to], e.Now()+d+pt.Extra,
 			n.ingressFn, pkt, nil, uint64(to))
-		e.AfterCall(serviceTime(pkt), n.launchFn, ch, pkt, 0)
+		e.AfterCall(d, n.launchFn, ch, c, 0)
 		return
 	}
 	n.eng(from).AfterCall(serviceTime(pkt), n.arriveFn, ch, pkt, 0)

@@ -73,12 +73,15 @@ func (n *Network) now(r int) sim.Time {
 
 // launchEv fires on the source side when a packet finishes its service time
 // on an inter-region link: the packet has left the region, so free its
-// channel slot and move the queue along. The packet's fate is decided by
-// ingressEv on the destination side.
-func (n *Network) launchEv(a1, _ any, _ uint64) {
+// channel slot and move the queue along. a2 is the head's fan-out cursor,
+// taken off the packet by kick: the packet itself belongs to the
+// destination region, whose ingressEv decides its fate, and is not read.
+func (n *Network) launchEv(a1, a2 any, _ uint64) {
 	ch := a1.(*channel)
 	ch.inTransit = nil
-	n.popHead(ch)
+	c, _ := a2.(*cursor)
+	n.shiftHead(ch, c)
+	n.resume(ch)
 }
 
 // ingressEv fires in the destination region when a packet arrives over an
