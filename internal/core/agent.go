@@ -170,7 +170,10 @@ type Agent struct {
 	epoch     int
 	phase     Phase
 	busyUntil sim.Time
-	report    *Report
+	// heard is when the agent last heard a message of its epoch (or
+	// entered it): with busyUntil, what the watchdog counts as progress.
+	heard  sim.Time
+	report *Report
 
 	// ep is the epoch's host scratch; nil before the first epoch and once
 	// the agent has finished.
@@ -407,7 +410,11 @@ func (a *Agent) enter(reason magic.TriggerReason) {
 	if a.cfg.OnEnter != nil {
 		a.cfg.OnEnter(a.ID)
 	}
-	a.armWatchdog()
+	a.heard = a.E.Now()
+	a.watchdog.Cancel()
+	if a.cfg.watchdogTimeout > 0 {
+		a.watchdog = a.E.AfterCall(a.cfg.watchdogTimeout, watchdogFired, a, nil, uint64(a.epoch))
+	}
 	// §4.2 optimization: speculatively ping immediate neighbors before
 	// any exploration, so the recovery wave spreads while this node is
 	// still dropping its own processor into recovery.
@@ -605,28 +612,17 @@ func (a *Agent) reserve(d sim.Time) sim.Time {
 	return a.busyUntil
 }
 
-// armWatchdog (re)arms the no-progress watchdog.
-func (a *Agent) armWatchdog() { a.armWatchdogFor(a.cfg.watchdogTimeout) }
-
-// armWatchdogFor (re)arms the watchdog with an explicit deadline — used
-// before long known-duration local work (the P4 flush and directory sweep
-// can legitimately exceed the normal progress timeout on big memories).
-func (a *Agent) armWatchdogFor(d sim.Time) {
-	a.watchdog.Cancel()
-	if a.cfg.watchdogTimeout <= 0 {
-		return
-	}
-	if d < a.cfg.watchdogTimeout {
-		d = a.cfg.watchdogTimeout
-	}
-	a.watchdog = a.E.AfterCall(d, watchdogFired, a, nil, uint64(a.epoch))
-}
-
-// watchdogFired is the watchdog's pre-bound callback: a1 is the agent, u the
-// epoch the timer was armed in.
+// watchdogFired is the watchdog's pre-bound callback, armed once per epoch
+// by enter: a1 is the agent, u the epoch. An agent is stalled only when it
+// has neither heard a message of its epoch nor run charged recovery code
+// for the whole timeout; until then the check re-arms for the rest of it.
 func watchdogFired(a1, _ any, u uint64) {
 	a := a1.(*Agent)
 	if a.epoch != int(u) || a.phase == PhaseDone || a.phase == PhaseShutdown || a.phase == PhaseIdle {
+		return
+	}
+	if quiet := a.E.Now() - max(a.heard, a.busyUntil); quiet < a.cfg.watchdogTimeout {
+		a.watchdog = a.E.AfterCall(a.cfg.watchdogTimeout-quiet, watchdogFired, a, nil, u)
 		return
 	}
 	// No progress: assume an additional failure and restart the algorithm
@@ -799,7 +795,7 @@ func (a *Agent) receive(m *recMsg, p *interconnect.Packet) {
 		}
 		return
 	}
-	a.armWatchdog()
+	a.heard = a.E.Now()
 	switch m.Kind {
 	case kPing:
 		a.onPing(m, p)
@@ -846,8 +842,12 @@ func (a *Agent) String() string {
 	return fmt.Sprintf("agent(%d %v ep=%d)", a.ID, a.phase, a.epoch)
 }
 
-// DebugString dumps the agent's progress state for diagnostics.
+// DebugString dumps the agent's progress state for diagnostics; a finished
+// or dead agent, which keeps no epoch scratch, has only its String.
 func (a *Agent) DebugString() string {
+	if a.ep == nil {
+		return a.String()
+	}
 	missing := ""
 	if a.phase == PhaseDissemination {
 		for _, q := range a.cwn {

@@ -75,7 +75,6 @@ func (a *Agent) doFlush() {
 		perLine = timing.InstrHardwiredFlushPerLine
 	}
 	charge := a.Ctrl.Cache.CapacityLines() * perLine
-	a.armWatchdogFor(2*sim.Time(charge)*a.cfg.UncachedInstr + a.cfg.watchdogTimeout)
 	spFlush := a.cfg.Trace.Begin(a.E.Now(), a.ID, "cache-flush", a.spPhase, 0)
 	a.execInstr(charge, func() {
 		a.report.Writebacks = a.Ctrl.FlushCache()
@@ -148,13 +147,11 @@ func (a *Agent) doScan() {
 	a.sweepDirectory(d)
 }
 
-// sweepDirectory charges d of processor time for the directory sweep,
-// guarded by a watchdog at twice d, then records the lines it marked
-// incoherent — by liveness alone behind a reliable interconnect — and
-// joins P4's last barrier.
+// sweepDirectory charges d of processor time for the directory sweep, then
+// records the lines it marked incoherent — by liveness alone behind a
+// reliable interconnect — and joins P4's last barrier.
 func (a *Agent) sweepDirectory(d sim.Time) {
 	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
-	a.armWatchdogFor(2*d + a.cfg.watchdogTimeout)
 	a.traceScanChunks(spScan, d)
 	a.execTime(d, func() {
 		if a.cfg.ReliableInterconnect {

@@ -118,8 +118,9 @@ const (
 	// must cover the target's recovery-entry time (~70 µs of uncached
 	// execution).
 	PingTimeout = 400 * sim.Microsecond
-	// WatchdogTimeout restarts recovery (with a higher epoch) when no
-	// progress happens for this long — the §4.1 reaction to additional
+	// WatchdogTimeout restarts recovery (with a higher epoch) when an
+	// agent has neither heard a message of its epoch nor run charged
+	// recovery code for this long — the §4.1 reaction to additional
 	// failures during recovery.
 	WatchdogTimeout = 150 * sim.Millisecond
 	// RecoveryHeadDrop is how long a source-routed recovery packet may
