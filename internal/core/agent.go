@@ -98,14 +98,6 @@ type Config struct {
 	// marked memory-reachable instead of being isolated, so survivors can
 	// salvage clean lines homed there. nil means never.
 	MemServes func(node int) bool
-	// ReliableInterconnect models the HAL machine of §6.3: the hardware
-	// provides end-to-end reliable delivery of coherence traffic, so the
-	// coherence-recovery phase skips the global cache flush entirely —
-	// caches stay warm — and the directory sweep only accounts for lines
-	// entrusted to dead nodes. Lost packets are retransmitted by the
-	// fabric once recovery completes. The machine sets it from its own
-	// ReliableInterconnect, the one switch for the HAL variant.
-	ReliableInterconnect bool
 	// HardwiredController models the §6.2 hardwired-node-controller
 	// variant: the main processor performs the node controller's
 	// recovery work itself through uncached accesses, so the P4 flush

@@ -329,7 +329,7 @@ func (a *Agent) barrierPassed(key barrierKey, dirty bool) {
 	case barP3Post:
 		a.routesInstalled()
 	case barP4Mode:
-		if a.cfg.ReliableInterconnect {
+		if a.Net.Reliable() {
 			a.doScanReliable()
 		} else {
 			a.doFlush()

@@ -26,7 +26,7 @@ import (
 
 func (a *Agent) startCoherenceRecovery() {
 	a.setPhase(PhaseCoherence)
-	if a.cfg.ReliableInterconnect {
+	if a.Net.Reliable() {
 		// §6.3: with HAL-style end-to-end reliability no writeback was
 		// ever lost, so the flush is eliminated; only the directory
 		// sweep remains, and caches stay warm across recovery.
@@ -154,7 +154,7 @@ func (a *Agent) sweepDirectory(d sim.Time) {
 	spScan := a.cfg.Trace.Begin(a.E.Now(), a.ID, "dir-scan", a.spPhase, 0)
 	a.traceScanChunks(spScan, d)
 	a.execTime(d, func() {
-		if a.cfg.ReliableInterconnect {
+		if a.Net.Reliable() {
 			a.report.Incoherent = len(a.Ctrl.ScanDirectoryLiveness())
 		} else {
 			a.report.Incoherent = len(a.Ctrl.ScanDirectory())
@@ -177,7 +177,7 @@ func (a *Agent) finishRecovery() {
 		a.setPhase(PhaseDone)
 		a.Ctrl.SetMode(magic.ModeNormal)
 	}
-	if a.cfg.ReliableInterconnect && a.ID == a.root && !a.doomed {
+	if a.Net.Reliable() && a.ID == a.root && !a.doomed {
 		// Once everyone has resumed, the fabric's end-to-end machinery
 		// resends what the failure destroyed (§6.3). The short delay
 		// models the hardware retransmission timer and guarantees all

@@ -8,7 +8,9 @@ import (
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/fault"
+	"flashfc/internal/interconnect"
 	"flashfc/internal/machine"
+	"flashfc/internal/magic"
 )
 
 // judgedFork runs ValidationFromWarm's script on a fork of ws with the
@@ -109,6 +111,44 @@ func TestJudgeCatchesSkippedMark(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed lost a dirty line: the mutation went unexercised")
+}
+
+// A writeback dropped during the P4 flush without the loss being reported
+// leaves its line marked incoherent at home with nothing to justify the
+// mark: the oracle never saw the line lost. With the sweep off, the judge
+// alone must name that line, and only it, and the run's record must fail on
+// the judge's note.
+func TestJudgeCatchesSilentlyDroppedWriteback(t *testing.T) {
+	ws := WarmupValidation(DefaultValidationConfig(), 1)
+	for seed := int64(1); seed <= 4; seed++ {
+		s := validationScript(ws, fault.LinkFailure, seed, nil)
+		s.Stride = 0
+		var swallowed []coherence.Addr
+		for _, n := range s.M.Nodes {
+			ctrl := n.Ctrl
+			s.M.Net.SetEndpoint(n.ID, interconnect.EndpointFunc(func(p *interconnect.Packet) bool {
+				if msg, ok := p.Payload.(*coherence.Message); ok && len(swallowed) == 0 &&
+					msg.Type == coherence.MsgPut && ctrl.Mode() == magic.ModeFlush {
+					swallowed = append(swallowed, msg.Addr)
+					return true
+				}
+				return ctrl.Accept(p)
+			}))
+		}
+		rec := s.Run()
+		if !rec.Recovered {
+			t.Fatalf("seed %d: recovery incomplete", seed)
+		}
+		if len(swallowed) == 0 {
+			t.Fatalf("seed %d: no writeback arrived during the flush: the mutation went unexercised", seed)
+		}
+		if got := flagged(rec.Judge, "without a justifying loss"); len(rec.Judge) != 1 || !slices.Equal(got, swallowed) {
+			t.Fatalf("seed %d: swallowing the writeback of %v: judge %q", seed, swallowed[0], rec.Judge)
+		}
+		if !strings.Contains(rec.Note, "judge: ") {
+			t.Fatalf("seed %d: the record's note %q does not name the judge", seed, rec.Note)
+		}
+	}
 }
 
 // A P4 sweep that marks every line over-marks: the judge names every line

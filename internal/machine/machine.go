@@ -54,8 +54,8 @@ type Config struct {
 	// Magic carries controller options (firewall, protocol-memory range).
 	Magic magic.Config
 	// Recovery carries recovery-algorithm options; machine wiring wraps
-	// its callbacks and sets its routing strategy, failure units and
-	// ReliableInterconnect from this Config.
+	// its callbacks and sets its routing strategy and failure units from
+	// this Config.
 	Recovery core.Config
 	// Routing names the interconnect-recovery routing strategy
 	// (routing.Names: "paper", "incremental", "adaptive"; "" is "paper").
@@ -263,7 +263,6 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	// a fresh memo, shared by this machine's agents only.
 	m.repairs = core.NewRepairMemo()
 	rcfg.Repairs = m.repairs
-	rcfg.ReliableInterconnect = cfg.ReliableInterconnect
 	rcfg.FailureUnits = cfg.FailureUnits
 	rcfg.MemServes = m.live.MemServes
 	userOnEnter := rcfg.OnEnter

@@ -5,11 +5,13 @@
 // a given seed.
 //
 // The scheduler is a three-level hierarchical timing wheel (64 ns base slots,
-// ~1 s horizon) with a binary-heap fallback for far-future timeouts and a
-// free list that recycles event records across firings. Level-0 slots are
-// arrays, handed from a loaded slot to the next one to fill; upper-level
-// slots are lists threaded through the event records themselves, so a
-// fresh engine schedules into them without allocating. A reached slot is
+// a ~1 s window) with a free list that recycles event records across
+// firings. The wheel is the only structure that orders events: one beyond
+// its window waits in the window's last slot and is placed again when that
+// slot is reached. Level-0 slots are arrays, handed from a loaded slot to
+// the next one to fill; upper-level slots are lists threaded through the
+// event records themselves, so a fresh engine schedules into them without
+// allocating. A reached slot is
 // loaded into a sorted run without comparisons when it can be — events
 // scheduled straight into a slot already sit in sequence order, so a stable
 // counting sort on the 64 ns of the slot finishes the job — and the earliest
@@ -113,7 +115,6 @@ type Engine struct {
 	compactions uint64
 
 	wheel wheel
-	far   farHeap
 	// drain is the sorted run of due events pulled from the reached wheel
 	// slot; drainPos is the pop cursor and drainCeil the exclusive time
 	// bound below which new schedulings must be merged into drain rather
@@ -200,20 +201,26 @@ func (t Timer) Cancel() bool {
 // worth a sweep.
 const compactMin = 64
 
-// maybeCompact discards cancelled events from every structure (drain, wheel
-// slots, far heap) once they outnumber the live ones, returning their
-// records to the free list. Protocol timeouts are armed per operation and
-// almost always cancelled, so without this the queue holds dead entries
-// (and their closures) until their timestamps come up. The trigger is kept
-// for memory: with it disabled, live heap grows by a quarter to two thirds
-// on the ledger workloads at -seconds 3, seed 1 (live_heap_mb: table53
-// 43.8 → 54.7, tail-sparse 66.0 → 83.2, recovery128 11.4 → 18.5) and
-// table53 allocs_per_run 10.4 k → 13.3 k.
+// maybeCompact purges cancelled events once they outnumber the live ones,
+// returning their records to the free list. Protocol timeouts are armed per
+// operation and almost always cancelled, so without this the queue holds
+// dead entries (and their closures) until their timestamps come up. The
+// trigger is kept for memory: with it disabled, live heap grows by a quarter
+// to two thirds on the ledger workloads at -seconds 3, seed 1 (live_heap_mb:
+// table53 43.8 → 54.7, tail-sparse 66.0 → 83.2, recovery128 11.4 → 18.5)
+// and table53 allocs_per_run 10.4 k → 13.3 k.
 func (e *Engine) maybeCompact() {
 	if e.total < compactMin || 2*e.live >= e.total {
 		return
 	}
 	e.compactions++
+	e.purge()
+}
+
+// purge releases every cancelled event in the pending drain run and the
+// wheel to the free list, leaving total == live. Compaction and Snapshot
+// both call it.
+func (e *Engine) purge() {
 	w := e.drainPos
 	for i := e.drainPos; i < len(e.drain); i++ {
 		if ev := e.drain[i]; ev.cancel {
@@ -228,20 +235,6 @@ func (e *Engine) maybeCompact() {
 	}
 	e.drain = e.drain[:w]
 	e.wheel.purgeCancelled(e)
-	k := 0
-	for _, ev := range e.far {
-		if ev.cancel {
-			e.release(ev)
-		} else {
-			e.far[k] = ev
-			k++
-		}
-	}
-	for i := k; i < len(e.far); i++ {
-		e.far[i] = nil
-	}
-	e.far = e.far[:k]
-	e.far.reinit()
 	e.total = e.live
 }
 
@@ -331,19 +324,10 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) peekNext() *event {
 	for e.drainPos >= len(e.drain) {
 		if !e.refill() {
-			if len(e.far) > 0 {
-				return e.far[0]
-			}
 			return nil
 		}
 	}
-	d := e.drain[e.drainPos]
-	if len(e.far) > 0 {
-		if f := e.far[0]; f.at < d.at || (f.at == d.at && f.seq < d.seq) {
-			return f
-		}
-	}
-	return d
+	return e.drain[e.drainPos]
 }
 
 // step executes the next event. It reports false when the queue is empty.
@@ -357,12 +341,8 @@ func (e *Engine) step(limit Time, bounded bool) bool {
 			e.now = limit
 			return false
 		}
-		if len(e.far) > 0 && next == e.far[0] {
-			e.far.pop()
-		} else {
-			e.drain[e.drainPos] = nil
-			e.drainPos++
-		}
+		e.drain[e.drainPos] = nil
+		e.drainPos++
 		e.total--
 		if next.cancel {
 			e.release(next)

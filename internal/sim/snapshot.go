@@ -33,7 +33,10 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	if e.live != 0 {
 		panic(fmt.Sprintf("sim: Snapshot with %d live events; snapshots require a quiescent engine", e.live))
 	}
-	e.purgeResidue()
+	e.purge() // every popped slot of the drain run is already nil
+	e.drain = e.drain[:0]
+	e.drainPos = 0
+	e.drainCeil = 0
 	return EngineSnapshot{
 		Seed:        e.seed,
 		Draws:       e.src.n,
@@ -42,27 +45,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Fired:       e.fired,
 		Compactions: e.compactions,
 	}
-}
-
-// purgeResidue releases every resident (necessarily cancelled) event from
-// the drain run, the wheel and the far heap, leaving total == live == 0.
-func (e *Engine) purgeResidue() {
-	for i := e.drainPos; i < len(e.drain); i++ {
-		e.release(e.drain[i])
-	}
-	for i := range e.drain {
-		e.drain[i] = nil
-	}
-	e.drain = e.drain[:0]
-	e.drainPos = 0
-	e.drainCeil = 0
-	e.wheel.purgeCancelled(e)
-	for i, ev := range e.far {
-		e.release(ev)
-		e.far[i] = nil
-	}
-	e.far = e.far[:0]
-	e.total = 0
 }
 
 // NewEngineFromSnapshot rehydrates an independent engine from a snapshot:

@@ -56,8 +56,10 @@ func TestSnapshotRNGFastForward(t *testing.T) {
 }
 
 // exercise runs a deterministic scheduling script on an engine: a chain of
-// events that re-schedule, cancel timers (leaving residue for compaction),
-// and consume the random stream.
+// events that re-schedule, cancel timers and consume the random stream. Each
+// round stops a second on, leaving its cancelled timeouts resident for a
+// later compaction or a snapshot to purge, among them one an hour ahead that
+// waits in the wheel's slot for events beyond its window.
 func exercise(e *Engine, rounds int) {
 	for r := 0; r < rounds; r++ {
 		var cancels []Timer
@@ -73,10 +75,11 @@ func exercise(e *Engine, rounds int) {
 		for i := 0; i < 20; i++ {
 			cancels = append(cancels, e.After(2*Second+Time(i), func() {}))
 		}
+		cancels = append(cancels, e.After(3600*Second, func() {}))
 		for _, tm := range cancels {
 			tm.Cancel()
 		}
-		e.Run()
+		e.RunUntil(e.Now() + Second)
 	}
 }
 
@@ -88,6 +91,9 @@ func TestSnapshotForkContinuesIdentically(t *testing.T) {
 	exercise(e, 3)
 	if e.Pending() != 0 {
 		t.Fatalf("exercise left %d live events", e.Pending())
+	}
+	if beyondWindow(e) == 0 {
+		t.Fatal("no cancelled timeout waits beyond the window for the snapshot to purge")
 	}
 	f := NewEngineFromSnapshot(e.Snapshot())
 

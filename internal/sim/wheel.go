@@ -7,13 +7,15 @@ import (
 
 // The wheel is three levels of 256 slots. Level l buckets timestamps by
 // bits [baseShift+8l, baseShift+8(l+1)) — 64 ns slots at level 0, ~16 us at
-// level 1, ~4.2 ms at level 2 — for a horizon of 2^30 ns (~1.07 s) beyond
-// which events fall through to the far heap. Every resident wheel event
-// satisfies at >= max(now, drainCeil), so each level's 256-slot window
-// covers at most one slot-time per index and slots never mix rotations:
-// a circular scan from the reference index enumerates slots in strictly
-// increasing time order, and a whole slot can be drained or cascaded
-// without filtering.
+// level 1, ~4.2 ms at level 2 — for a window of 2^30 ns (~1.07 s). An event
+// beyond that window waits in level 2's farthest slot, whose base is earlier
+// than the event; when that slot cascades, the event is placed again from
+// the slot's base, like every other cascaded event. Every resident wheel
+// event satisfies at >= max(now, drainCeil), so each level's 256-slot
+// window covers at most one slot-time per index and slots never mix
+// rotations: a circular scan from the reference index enumerates slots in
+// strictly increasing time order, and a whole slot can be drained or
+// cascaded without filtering.
 //
 // A level-0 slot is an array, because loadDrain sorts it into the drain
 // run; once loaded, the array goes to a spare list for the next empty slot
@@ -89,11 +91,16 @@ func (e *Engine) ref() Time {
 }
 
 // placeWheel buckets ev into the shallowest level whose window (relative to
-// ref) reaches ev.at, or pushes it to the far heap beyond the horizon.
+// ref) reaches ev.at. An event beyond the top level's window goes into that
+// window's last slot; it is placed again, from that slot's base, each time
+// the slot cascades, once per 2^30 ns it waits.
 func (e *Engine) placeWheel(ev *event, ref Time) {
 	d := uint64(ev.at) >> baseShift
 	r := uint64(ref) >> baseShift
 	for l := 0; l < numLevels; l++ {
+		if l == numLevels-1 && d-r >= numSlots {
+			d = r + numSlots - 1
+		}
 		if d-r < numSlots {
 			idx := int(d) & slotMask
 			w := &e.wheel
@@ -119,7 +126,6 @@ func (e *Engine) placeWheel(ev *event, ref Time) {
 		d >>= slotBits
 		r >>= slotBits
 	}
-	e.far.push(ev)
 }
 
 // earliestSlot finds the non-empty slot of level l with the smallest base
@@ -170,9 +176,10 @@ func (lv *wheelLevel) vacate(idx int) {
 // slots whose base precedes every level-0 slot cascade one level down
 // first; since no pending wheel event is earlier than such a slot's base,
 // the cursor (drainCeil) jumps to it, which guarantees the cascaded events
-// land a level below (and keeps cascades O(1) amortized per event: each
-// event descends at most numLevels-1 times in its life). Reports false when
-// the wheel holds no events at all (the far heap may still).
+// land a level below (and keeps cascades O(1) amortized per event: an event
+// within the window descends at most numLevels-1 times in its life, and one
+// beyond it is re-placed at the top level once per 2^30 ns it waits first).
+// Reports false when the wheel holds no events at all.
 func (e *Engine) refill() bool {
 	e.drain = e.drain[:0]
 	e.drainPos = 0
@@ -205,7 +212,9 @@ func (e *Engine) refill() bool {
 		}
 		// Cascade: no wheel event precedes bestBase, so it becomes the
 		// new placement reference; every event in the slot re-places at
-		// a strictly lower level, in the order it was placed here.
+		// a strictly lower level, in the order it was placed here, except
+		// one that waited here from beyond the window: it goes back to
+		// level 2.
 		if e.drainCeil < bestBase {
 			e.drainCeil = bestBase
 		}
@@ -357,69 +366,4 @@ func (w *wheel) purgeList(e *Engine, q *eventList) bool {
 		ev = next
 	}
 	return q.head == nil
-}
-
-// farHeap is a plain (at, seq) min-heap for events beyond the wheel
-// horizon. Far events are never promoted into the wheel; the pop path
-// merges the heap top against the drain head instead.
-type farHeap []*event
-
-func (h farHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *farHeap) push(ev *event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *farHeap) pop() *event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h farHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		min := left
-		if right := left + 1; right < n && h.less(right, left) {
-			min = right
-		}
-		if !h.less(min, i) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-}
-
-// reinit restores the heap property after a compaction filtered the slice
-// in place.
-func (h farHeap) reinit() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
 }

@@ -13,7 +13,8 @@ import (
 // so that it is obviously correct, and the property test below drives both
 // implementations through randomized schedule/cancel/advance scripts that
 // cover every placement tier: level-0 slots, cascades from levels 1 and 2,
-// the far heap beyond the 2^30 ns horizon, and same-slot inserts that land
+// events beyond the 2^30 ns window that wait in level 2's last slot and are
+// placed again each time it is reached, and same-slot inserts that land
 // in the live drain run. Bursts of hundreds to thousands of events into one
 // slot, and the scripted scenarios further down, take the comparison through
 // both ways loadDrain sorts a slot and through the cached upper-level scans.
@@ -183,9 +184,10 @@ func respawnDelay(id int) Time {
 	return Time(uint64(id) * 2654435761 % (1 << 16))
 }
 
-// randDelay stresses every placement tier of the wheel plus the far heap.
+// randDelay stresses every placement tier of the wheel, beyond its window
+// included.
 func randDelay(rng *rand.Rand) Time {
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return Time(rng.Intn(64)) // level-0 slot, often the live drain run
 	case 1:
@@ -193,9 +195,11 @@ func randDelay(rng *rand.Rand) Time {
 	case 2:
 		return Time(rng.Intn(1 << 22)) // level 2 cascade
 	case 3:
-		return Time(rng.Intn(1 << 30)) // anywhere in the wheel horizon
+		return Time(rng.Intn(1 << 30)) // anywhere in the wheel's window
+	case 4:
+		return Time(1<<30 + rng.Int63n(1<<32)) // beyond it, a few cascades
 	default:
-		return Time(1<<30 + rng.Int63n(1<<32)) // far heap
+		return Time(1<<34 + rng.Int63n(1<<40-1<<34)) // hours ahead
 	}
 }
 
@@ -233,13 +237,82 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 				}
 				p.runUntil(p.e.Now() + Time(rng.Int63n(1<<uint(6+rng.Intn(27)))))
 			}
-			// Drain everything, far heap included.
+			// Drain everything, hours ahead included.
 			p.runUntil(Time(1) << 62)
 			if p.e.Pending() != 0 {
 				t.Fatalf("%d events still pending after full drain", p.e.Pending())
 			}
 		})
 	}
+}
+
+// beyondWindow counts the wheel's resident events that lie past the top
+// level's window from the current placement reference: the ones waiting in
+// its last slot to be placed again.
+func beyondWindow(e *Engine) int {
+	n := 0
+	for _, q := range e.wheel.lists[numLevels-2] {
+		for _, ev := range q.events() {
+			if ev.at-e.ref() >= 1<<(baseShift+numLevels*slotBits) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// An event a day ahead waits in the top level's last slot and is placed
+// again each time that slot is reached, about 80 000 times. It must fire at
+// exactly its time, alone or among neighbours at the same instant: those
+// scheduled with it from time zero, one hour in (still beyond the window),
+// a millisecond before (straight into level 1) and 10 ns before (straight
+// into level 0, behind the cascaded ones). All fire in scheduling order.
+func TestEventBeyondHorizonFiresOnTime(t *testing.T) {
+	const day = 24 * 3600 * Second
+	t.Run("alone", func(t *testing.T) {
+		e := NewEngine(1)
+		fired := Time(-1)
+		e.After(day, func() { fired = e.Now() })
+		if n := beyondWindow(e); n != 1 {
+			t.Fatalf("%d events wait beyond the window, want 1", n)
+		}
+		e.Run()
+		if fired != day || e.EventsFired() != 1 {
+			t.Fatalf("fired at %v after %d events, want %v after 1", fired, e.EventsFired(), day)
+		}
+	})
+	t.Run("with neighbours", func(t *testing.T) {
+		e := NewEngine(1)
+		var got []popRec
+		next := 0
+		batch := func() {
+			for i := 0; i < 12; i++ {
+				id := next
+				next++
+				e.At(day, func() { got = append(got, popRec{e.Now(), id}) })
+			}
+		}
+		batch()
+		e.At(day+1, func() { got = append(got, popRec{e.Now(), -1}) })
+		e.At(3600*Second, batch)
+		e.At(day-Millisecond, batch)
+		e.At(day-10, batch)
+		if n := beyondWindow(e); n != 16 {
+			t.Fatalf("%d events wait beyond the window, want 16", n)
+		}
+		e.Run()
+		if len(got) != 4*12+1 {
+			t.Fatalf("%d events fired, want %d", len(got), 4*12+1)
+		}
+		for i, r := range got[:48] {
+			if r != (popRec{day, i}) {
+				t.Fatalf("pop %d is (t=%v id=%d), want (t=%v id=%d)", i, r.at, r.id, day, i)
+			}
+		}
+		if r := got[48]; r != (popRec{day + 1, -1}) {
+			t.Fatalf("last pop is (t=%v id=%d), want the event 1 ns later", r.at, r.id)
+		}
+	})
 }
 
 // events lists an upper-level slot's events in placement order.
