@@ -39,7 +39,8 @@ func (a *Agent) startCoherenceRecovery() {
 
 // doScanReliable is the flush-free §6.3 sweep: lines owned or locked by
 // dead nodes become incoherent; everything held by survivors stays valid
-// in place.
+// in place, except copies of lines whose home is gone, which each cache
+// drops (DESIGN §6).
 func (a *Agent) doScanReliable() {
 	a.report.FlushEnd = a.E.Now()
 	a.sweepDirectory(sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine)
@@ -155,6 +156,7 @@ func (a *Agent) sweepDirectory(d sim.Time) {
 	a.traceScanChunks(spScan, d)
 	a.execTime(d, func() {
 		if a.Net.Reliable() {
+			a.Ctrl.DropUnreachableLines()
 			a.report.Incoherent = len(a.Ctrl.ScanDirectoryLiveness())
 		} else {
 			a.report.Incoherent = len(a.Ctrl.ScanDirectory())

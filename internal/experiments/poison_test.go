@@ -32,16 +32,17 @@ type cachedLine struct {
 }
 
 // reliableLinkMachine fills an 8-node machine with a HAL-style reliable
-// fabric, fails a link mid-fill, and runs recovery. It returns the machine,
-// the node that drove detection, and whether recovery completed.
-func reliableLinkMachine(seed int64) (*machine.Machine, int, bool) {
+// fabric, injects a random fault of type ft mid-fill, and runs recovery. It
+// returns the machine, the node that drove detection, and whether recovery
+// completed.
+func reliableLinkMachine(ft fault.Type, seed int64) (*machine.Machine, int, bool) {
 	mc := machine.DefaultConfig(8)
 	mc.Seed = seed
 	mc.MemBytes = 64 << 10
 	mc.L2Bytes = 16 << 10
 	mc.ReliableInterconnect = true
 	m := machine.New(mc)
-	f := fault.Random(m.E.Rand(), fault.LinkFailure, m.Topo, 1)
+	f := fault.Random(m.E.Rand(), ft, m.Topo, 1)
 	filler := workload.NewFiller(m)
 	filler.FillLines = 48
 	filler.OnHalfDone = func() { m.Inject(f) }
@@ -58,7 +59,7 @@ func reliableLinkMachine(seed int64) (*machine.Machine, int, bool) {
 // machine's settled state rather than a verify sweep, which
 // TestReliableLinkSweepCompletesClean runs.
 func reliableLinkRun(seed int64) reliableOutcome {
-	m, _, recovered := reliableLinkMachine(seed)
+	m, _, recovered := reliableLinkMachine(fault.LinkFailure, seed)
 	out := reliableOutcome{Recovered: recovered}
 	if !out.Recovered {
 		return out
@@ -156,27 +157,32 @@ func TestPoisonedRecordsChangeNothing(t *testing.T) {
 
 // Behind a reliable fabric drain defers the coherence traffic it would
 // discard, and each controller replays it once the liveness scan has run
-// and it is back in normal mode; orphaned grants go home (§6.3). A link
-// failure in the middle of a fill then leaves nothing behind: once the
-// retransmissions have settled the judge passes, and a full sweep reads
-// every line back correct, promptly, with the invariants still holding.
+// and it is back in normal mode; orphaned grants go home (§6.3). A node,
+// link or router failure in the middle of a fill then leaves nothing
+// behind: once the retransmissions have settled the judge passes, and a
+// full sweep reads every line back correct, promptly, with the invariants
+// still holding. The sweep also reads a bus error from every line of a
+// dead home, whether or not the reader had cached it before the failure:
+// the flush-free P4 drops survivors' copies of such lines (DESIGN §6).
 func TestReliableLinkSweepCompletesClean(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		m, reader, recovered := reliableLinkMachine(seed)
-		if !recovered {
-			t.Fatalf("seed %d did not recover", seed)
-		}
-		m.Advance(m.Now() + 20*sim.Millisecond)
-		if j := m.Judge(); !j.OK() {
-			t.Errorf("seed %d: %v", seed, j)
-		}
-		start := m.Now()
-		v := m.VerifyMemory(reader, 1)
-		if took := m.Now() - start; !v.OK() || took >= sim.Second {
-			t.Errorf("seed %d: sweep took %v of simulated time: %v", seed, took, v)
-		}
-		if bad := m.CheckCoherenceInvariants(); len(bad) > 0 {
-			t.Errorf("seed %d: %d violations after the sweep: %v", seed, len(bad), bad[:min(3, len(bad))])
+	for _, ft := range []fault.Type{fault.NodeFailure, fault.LinkFailure, fault.RouterFailure} {
+		for seed := int64(1); seed <= 40; seed++ {
+			m, reader, recovered := reliableLinkMachine(ft, seed)
+			if !recovered {
+				t.Fatalf("%v seed %d did not recover", ft, seed)
+			}
+			m.Advance(m.Now() + 20*sim.Millisecond)
+			if j := m.Judge(); !j.OK() {
+				t.Errorf("%v seed %d: %v", ft, seed, j)
+			}
+			start := m.Now()
+			v := m.VerifyMemory(reader, 1)
+			if took := m.Now() - start; !v.OK() || took >= sim.Second {
+				t.Errorf("%v seed %d: sweep took %v of simulated time: %v", ft, seed, took, v)
+			}
+			if bad := m.CheckCoherenceInvariants(); len(bad) > 0 {
+				t.Errorf("%v seed %d: %d violations after the sweep: %v", ft, seed, len(bad), bad[:min(3, len(bad))])
+			}
 		}
 	}
 }

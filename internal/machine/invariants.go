@@ -17,7 +17,8 @@ import (
 //     its holder is recorded in the sharer list (silent evictions make the
 //     recorded list a superset, never a subset);
 //   - no line is resident in any cache without a directory entry naming
-//     that cache;
+//     that cache, nor at all once its home is gone: recovery leaves the
+//     node map's bus error as the only answer for such a line;
 //   - no directory entry is stuck in a transient (locked) state.
 //
 // The check knows which hardware failed, from the liveness view. A node
@@ -97,6 +98,7 @@ func (m *Machine) CheckCoherenceInvariants() []string {
 		n.Cache.ForEach(func(a coherence.Addr, l *coherence.CacheLine) {
 			home := m.Nodes[m.Space.Home(a)]
 			if !m.live.HomeServes(home.ID) {
+				flag(a, "resident at %d while its home %d is gone", n.ID, home.ID)
 				return
 			}
 			e := home.Dir.Peek(a)
