@@ -27,15 +27,19 @@ type CacheLine struct {
 // FIFO-replacement set of lines. CapacityBytes bounds residency; the paper's
 // experiments use 1 MB (Table 5.1).
 //
-// Lines are carved from chunks rather than allocated one by one. FIFO
-// replacement retires lines roughly in the order they were carved, so a
-// chunk's lines die together and the chunk is collected behind them.
+// Lines are carved from chunks rather than allocated one by one, and only
+// while the cache fills: an install into a full cache stores the new line
+// in the line it evicts, and hands the victim back by value. A cache that
+// streams many more lines than it holds, as the verify sweep's reader
+// does, carves its capacity once. A *CacheLine is therefore good only
+// until the next Install.
 //
 // A fork copies its cache eagerly (Clone), but the P4 flush empties it and
 // Flush then releases the index, FIFO and chunk, so a finished forked
 // machine holds only what its run installed after recovery, not a
 // warm-sized map. An empty cache has no index until its first Install, or
-// until Reserve sizes one for the installs a fill is about to make.
+// until Reserve sizes one for the installs a fill or the verify sweep is
+// about to make.
 type Cache struct {
 	capacity int // lines
 	lines    map[Addr]*CacheLine
@@ -49,11 +53,12 @@ type Cache struct {
 // cacheChunk is the number of lines carved per allocation.
 const cacheChunk = 32
 
-func (c *Cache) newLine(state CacheState, token uint64) *CacheLine {
+// newLine carves a zeroed line.
+func (c *Cache) newLine() *CacheLine {
 	if len(c.chunk) == cap(c.chunk) {
 		c.chunk = make([]CacheLine, 0, cacheChunk)
 	}
-	c.chunk = append(c.chunk, CacheLine{State: state, Token: token})
+	c.chunk = c.chunk[:len(c.chunk)+1]
 	return &c.chunk[len(c.chunk)-1]
 }
 
@@ -63,8 +68,8 @@ func NewCache(capacityBytes uint64) *Cache {
 }
 
 // Reserve sizes an empty cache's index and FIFO for n installs, at most
-// its capacity, so a fill that knows how many lines it is about to install
-// does not grow them a step at a time. It is only a hint: it changes
+// its capacity, so a caller that knows how many lines it is about to
+// install does not grow them a step at a time. It is only a hint: it changes
 // nothing on a cache that holds lines or has FIFO entries.
 func (c *Cache) Reserve(n int) {
 	n = min(n, c.capacity)
@@ -85,23 +90,30 @@ func (c *Cache) Len() int { return len(c.lines) }
 func (c *Cache) Lookup(a Addr) *CacheLine { return c.lines[a.Line()] }
 
 // Install places a line into the cache. If the cache is full it evicts the
-// oldest resident line first and returns it (and its address) so the caller
-// can issue a writeback for exclusive victims. evicted is nil if no eviction
-// was needed.
-func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, evicted *CacheLine) {
+// oldest resident line first and returns its address and contents, with ok
+// set, so the caller can issue a writeback for an exclusive victim; the new
+// line takes the victim's storage.
+func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, evicted CacheLine, ok bool) {
 	a = a.Line()
-	if l, ok := c.lines[a]; ok {
+	if l, hit := c.lines[a]; hit {
 		l.State = state
 		l.Token = token
-		return 0, nil
+		return 0, CacheLine{}, false
 	}
+	var l *CacheLine
 	if len(c.lines) >= c.capacity {
-		victim, evicted = c.evictOldest()
+		if victim, l = c.evictOldest(); l != nil {
+			evicted, ok = *l, true
+		}
 	}
+	if l == nil {
+		l = c.newLine()
+	}
+	*l = CacheLine{State: state, Token: token}
 	if c.lines == nil {
 		c.lines = make(map[Addr]*CacheLine)
 	}
-	c.lines[a] = c.newLine(state, token)
+	c.lines[a] = l
 	if c.head > 0 && len(c.fifo) == cap(c.fifo) && c.head >= len(c.fifo)/2 {
 		// Reclaim the consumed front in place instead of growing: at
 		// capacity every install evicts, so the live span stays bounded.
@@ -109,7 +121,7 @@ func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, ev
 		c.fifo, c.head = c.fifo[:n], 0
 	}
 	c.fifo = append(c.fifo, a)
-	return victim, evicted
+	return victim, evicted, ok
 }
 
 func (c *Cache) evictOldest() (Addr, *CacheLine) {
@@ -175,7 +187,9 @@ func (c *Cache) Clone() *Cache {
 		chunk:    make([]CacheLine, 0, len(c.lines)),
 	}
 	for a, l := range c.lines {
-		n.lines[a] = n.newLine(l.State, l.Token)
+		nl := n.newLine()
+		*nl = *l
+		n.lines[a] = nl
 	}
 	return n
 }

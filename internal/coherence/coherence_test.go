@@ -149,15 +149,15 @@ func TestCacheEviction(t *testing.T) {
 	c := NewCache(2 * timing.LineSize)
 	c.Install(0, CacheExclusive, 1)
 	c.Install(128, CacheShared, 2)
-	victim, ev := c.Install(256, CacheShared, 3)
-	if ev == nil || victim != 0 || ev.State != CacheExclusive {
-		t.Fatalf("eviction broken: victim=%v ev=%+v", victim, ev)
+	victim, ev, ok := c.Install(256, CacheShared, 3)
+	if !ok || victim != 0 || ev.State != CacheExclusive || ev.Token != 1 {
+		t.Fatalf("eviction broken: victim=%v ev=%+v ok=%v", victim, ev, ok)
 	}
 	if c.Len() != 2 {
 		t.Fatal("Len after eviction wrong")
 	}
 	// Reinstalling a resident line must not evict.
-	if _, ev := c.Install(128, CacheExclusive, 9); ev != nil {
+	if _, _, ok := c.Install(128, CacheExclusive, 9); ok {
 		t.Fatal("reinstall evicted")
 	}
 	if c.Lookup(128).Token != 9 {

@@ -87,15 +87,19 @@ const maxDirNodes = 1<<16 - 1
 // a map that size already costs about a pointer per line, and a run that
 // touches that many (the §5.2 verify sweep touches every one) is headed
 // for all of them: the overlay becomes a slice indexed by local line
-// number and stays one. Only a directory told its lines by SetHome can
-// switch; the frozen base is always a map.
+// number and stays one. A Reserve that would take it past the quarter
+// switches it at once, rather than growing a map on the way there. Only a
+// directory told its lines by SetHome can switch; the frozen base is
+// always a map.
 //
 // Entries are carved from small per-directory chunks rather than allocated
 // one by one (an entry per swept line was a third of the verify sweep's
-// bytes). A dropped entry's slot is simply abandoned: its chunk is
+// bytes), or from one block of the reserved size when a Reserve switches
+// the overlay. A dropped entry's slot is simply abandoned: its chunk is
 // collected once every entry in it is gone. The chunk is kept small
 // because a campaign holds every finished machine of a batch, and each of
-// their directories carries up to a chunk of slack.
+// their directories carries up to a chunk of slack; a block is only ever
+// carved for lines about to be touched.
 type Directory struct {
 	nodes   int
 	entries map[Addr]*DirEntry // sparse overlay; nil value = deleted base entry
@@ -130,16 +134,31 @@ func NewDirectory(n int) *Directory {
 	return &Directory{nodes: n}
 }
 
-// Reserve sizes an empty, unforked directory's overlay for n lines, so a
-// fill that knows how many of this home's lines it is about to touch does
-// not grow the map a step at a time. It is only a hint: it changes nothing
-// on a directory that holds entries or a frozen base, nor where n lines
-// would make the overlay line-indexed, which is sized by the home already.
+// Reserve tells the directory that up to n more of its lines are about to
+// gain entries, so it can size its storage once instead of a step at a
+// time. It is only a hint, and changes no entry:
+//
+//   - where the overlay plus n lines would pass a quarter of the home's
+//     lines, the overlay becomes line-indexed at once, as it would on
+//     the way there, and the n entries are carved as one block;
+//   - otherwise an empty, unforked directory sizes its sparse overlay for
+//     n lines (a fill that knows how many of this home's lines it will
+//     touch); one that holds entries or a frozen base is left alone.
+//
+// A directory never told its lines by SetHome only ever sizes the map.
 func (d *Directory) Reserve(n int) {
-	if n <= 0 || len(d.entries) > 0 || d.dense != nil || d.frozen != nil || d.lines > 0 && 4*n > d.lines {
-		return
+	switch {
+	case n <= 0:
+	case d.lines > 0 && (d.dense != nil || 4*(len(d.entries)+n) > d.lines):
+		if d.dense == nil {
+			d.promote()
+		}
+		if cap(d.chunk)-len(d.chunk) < n {
+			d.chunk = make([]DirEntry, 0, n)
+		}
+	case len(d.entries) == 0 && d.frozen == nil:
+		d.entries = make(map[Addr]*DirEntry, n)
 	}
-	d.entries = make(map[Addr]*DirEntry, n)
 }
 
 // SetHome tells the directory that it holds the lines lines starting at
@@ -184,12 +203,18 @@ func (d *Directory) setOver(a Addr, e *DirEntry) {
 	}
 	d.entries[a] = e
 	if d.lines > 0 && 4*len(d.entries) > d.lines {
-		d.dense = make([]*DirEntry, d.lines)
-		for la, le := range d.entries {
-			d.setOver(la, le)
-		}
-		d.entries = nil
+		d.promote()
 	}
+}
+
+// promote turns the sparse overlay into the line-indexed one, which it
+// stays.
+func (d *Directory) promote() {
+	d.dense = make([]*DirEntry, d.lines)
+	for a, e := range d.entries {
+		d.setOver(a, e)
+	}
+	d.entries = nil
 }
 
 // unsetOver removes line a from the overlay.

@@ -29,7 +29,7 @@ func runCache(c *Cache, seed int64) cacheRun {
 			c.Invalidate(a)
 			continue
 		}
-		if v, l := c.Install(a, CacheState(rng.Intn(2)), rng.Uint64()); l != nil {
+		if v, _, ok := c.Install(a, CacheState(rng.Intn(2)), rng.Uint64()); ok {
 			out.victims = append(out.victims, v)
 		}
 	}
@@ -96,18 +96,18 @@ func TestFlushedCacheHoldsNoIndex(t *testing.T) {
 	}
 }
 
-// dirRun drives a directory through seeded Get, Drop and Release calls on
-// a quarter of a home's lines at most, then reports its live entries in
-// address order, what Freeze sealed, and what Scan marked.
+// dirRun is what a directory holds after touchDirectory: its live entries
+// in address order, what Freeze sealed, and what Scan marked.
 type dirRun struct {
 	live   []refEntry
 	frozen []refEntry
 	lost   []Addr
 }
 
-func runDirectory(d *Directory, base Addr, pool int, seed int64) dirRun {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 300; i++ {
+// touchDirectory drives a directory through ops seeded Get, Drop and
+// Release calls on the first pool lines of the home at base.
+func touchDirectory(d *Directory, base Addr, pool, ops int, rng *rand.Rand) {
+	for i := 0; i < ops; i++ {
 		a := base + Addr(rng.Intn(pool))*timing.LineSize
 		switch rng.Intn(4) {
 		case 0:
@@ -118,6 +118,11 @@ func runDirectory(d *Directory, base Addr, pool int, seed int64) dirRun {
 			scribble(rng, d.Get(a), 8)
 		}
 	}
+}
+
+// settleDirectory reports a directory's live entries, then freezes and
+// scans it.
+func settleDirectory(d *Directory) dirRun {
 	sorted := func(m map[Addr]*DirEntry) []refEntry {
 		addrs := make([]Addr, 0, len(m))
 		for a := range m {
@@ -139,31 +144,78 @@ func runDirectory(d *Directory, base Addr, pool int, seed int64) dirRun {
 }
 
 // A directory sized ahead by Reserve holds the same entries, seals the same
-// base and marks the same lines as one that grew from empty.
+// base and marks the same lines as one that grew from empty: a sparse
+// reservation on an empty home, and reservations past a quarter of the
+// home's lines on an empty home, on one already holding sparse entries, on
+// forks of a frozen base with and without entries of their own, and one
+// far larger than what is then touched. A reservation past a quarter
+// makes the overlay line-indexed at once and leaves room for its entries
+// in one block; a smaller one on an empty, unforked home sizes the map.
 func TestReservedDirectoryBehavesAsUnreserved(t *testing.T) {
 	const lines = 256
 	base := Addr(2 * lines * timing.LineSize)
-	for _, n := range []int{1, 16, lines / 4} {
+	src := NewDirectory(8)
+	src.SetHome(base, lines)
+	touchDirectory(src, base, lines, 40, rand.New(rand.NewSource(99)))
+	frozen := src.Freeze()
+	for _, tc := range []struct {
+		name         string
+		fork         bool
+		prefix       int // operations before the reservation
+		n, pool, ops int
+		promoted     bool
+	}{
+		{name: "empty, one line", n: 1, pool: lines / 4, ops: 300},
+		{name: "empty, sparse", n: 16, pool: lines / 4, ops: 300},
+		{name: "empty, a quarter", n: lines / 4, pool: lines / 4, ops: 300},
+		{name: "empty, past a quarter", n: lines/4 + 1, pool: lines / 2, ops: 300, promoted: true},
+		{name: "empty, whole home", n: lines, pool: lines, ops: 600, promoted: true},
+		{name: "sparse entries, past a quarter", prefix: 40, n: lines / 4, pool: lines / 2, ops: 300, promoted: true},
+		{name: "fork, past a quarter", fork: true, n: lines / 2, pool: lines, ops: 300, promoted: true},
+		{name: "fork with entries, past a quarter", fork: true, prefix: 30, n: lines / 4, pool: lines, ops: 300, promoted: true},
+		{name: "larger than touched", n: lines, pool: lines / 8, ops: 100, promoted: true},
+	} {
 		for seed := int64(1); seed <= 4; seed++ {
-			plain, reserved := NewDirectory(8), NewDirectory(8)
-			plain.SetHome(base, lines)
-			reserved.SetHome(base, lines)
-			reserved.Reserve(n)
-			if reserved.entries == nil {
-				t.Fatalf("Reserve(%d) of %d lines sized no overlay", n, lines)
+			home := func() *Directory {
+				d := NewDirectory(8)
+				if tc.fork {
+					d = ForkDirectory(8, frozen)
+				}
+				d.SetHome(base, lines)
+				return d
 			}
-			want, got := runDirectory(plain, base, lines/4, seed), runDirectory(reserved, base, lines/4, seed)
+			plain, reserved := home(), home()
+			plainRng, reservedRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			touchDirectory(plain, base, tc.pool, tc.prefix, plainRng)
+			touchDirectory(reserved, base, tc.pool, tc.prefix, reservedRng)
+			if reserved.dense != nil {
+				t.Fatalf("%s: the overlay was line-indexed before the reservation", tc.name)
+			}
+			reserved.Reserve(tc.n)
+			switch {
+			case tc.promoted && (reserved.dense == nil || reserved.entries != nil):
+				t.Fatalf("%s: Reserve(%d) of %d lines left the overlay a map", tc.name, tc.n, lines)
+			case tc.promoted && cap(reserved.chunk)-len(reserved.chunk) < tc.n:
+				t.Fatalf("%s: Reserve(%d) left room for %d entries", tc.name, tc.n, cap(reserved.chunk)-len(reserved.chunk))
+			case !tc.promoted && (reserved.entries == nil || reserved.dense != nil):
+				t.Fatalf("%s: Reserve(%d) of %d lines sized no map overlay", tc.name, tc.n, lines)
+			}
+			touchDirectory(plain, base, tc.pool, tc.ops, plainRng)
+			touchDirectory(reserved, base, tc.pool, tc.ops, reservedRng)
+			want, got := settleDirectory(plain), settleDirectory(reserved)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("Reserve(%d), seed %d: reserved directory differs\nplain    %+v\nreserved %+v", n, seed, want, got)
+				t.Fatalf("%s, seed %d: reserved directory differs\nplain    %+v\nreserved %+v", tc.name, seed, want, got)
 			}
 		}
 	}
 }
 
-// Reserve is a hint for an empty, unforked directory whose overlay would
-// stay a map: on one that holds entries, a fork of a frozen base, or a
-// home where n lines would make the overlay line-indexed, it changes
-// nothing.
+// Reserve leaves alone the overlay of a directory whose overlay would stay
+// a map and that holds entries or a frozen base. Where the overlay plus
+// the reservation would pass a quarter of the home's lines, it makes the
+// overlay line-indexed at once, keeping what the overlay held, and carves
+// the reserved entries as one block that the next Gets use; a directory
+// never told its lines only sizes the map.
 func TestDirectoryReserveLeavesOthersAlone(t *testing.T) {
 	const lines = 256
 	base := Addr(2 * lines * timing.LineSize)
@@ -174,20 +226,42 @@ func TestDirectoryReserveLeavesOthersAlone(t *testing.T) {
 	frozenSrc.Get(base).State = DirShared
 	fork := ForkDirectory(8, frozenSrc.Freeze())
 	fork.SetHome(base, lines)
-	big := NewDirectory(8)
-	big.SetHome(base, lines)
 	for name, tc := range map[string]struct {
 		d *Directory
 		n int
 	}{
-		"non-empty":        {held, 16},
-		"fork":             {fork, 16},
-		"would-be-indexed": {big, lines/4 + 1},
+		"non-empty": {held, 16},
+		"fork":      {fork, 16},
 	} {
 		overlay := reflect.ValueOf(tc.d.entries).UnsafePointer()
 		tc.d.Reserve(tc.n)
 		if reflect.ValueOf(tc.d.entries).UnsafePointer() != overlay || tc.d.dense != nil {
 			t.Errorf("%s: Reserve(%d) changed the overlay", name, tc.n)
 		}
+	}
+
+	big := NewDirectory(8)
+	big.SetHome(base, lines)
+	big.Get(base + timing.LineSize).State = DirExclusive
+	const n = lines / 4
+	big.Reserve(n)
+	if big.dense == nil || big.entries != nil {
+		t.Fatalf("would-be-indexed: Reserve(%d) of %d lines with one entry left the overlay a map", n, lines)
+	}
+	if e := big.Peek(base + timing.LineSize); e == nil || e.State != DirExclusive {
+		t.Fatalf("would-be-indexed: the promotion lost the entry it held: %+v", e)
+	}
+	block := unsafe.SliceData(big.chunk)
+	for i := 2; i < 2+n; i++ {
+		big.Get(base + Addr(i)*timing.LineSize)
+	}
+	if unsafe.SliceData(big.chunk) != block || len(big.chunk) != n {
+		t.Fatalf("would-be-indexed: %d Gets did not fill the reserved block (len %d)", n, len(big.chunk))
+	}
+
+	unhomed := NewDirectory(8)
+	unhomed.Reserve(4 * lines)
+	if unhomed.entries == nil || unhomed.dense != nil || unhomed.chunk != nil {
+		t.Fatalf("a directory without SetHome: Reserve made dense %v, chunk %d", unhomed.dense != nil, cap(unhomed.chunk))
 	}
 }

@@ -64,20 +64,45 @@ func TestRemoteReadAllocs(t *testing.T) {
 
 // The whole-memory sweep of a warm-forked Table 5.3 machine: one sweep
 // object and one queue for all lines, not a closure and a dozen records
-// per line.
+// per line. Each answering home's directory carves the entries the sweep
+// gives it as one block, already line-indexed, and the reader's cache
+// installs its 16 384 lines into the storage of the ones they evict, so
+// per line what is left is 0.018 allocations and 57.5 bytes, against
+// 0.182 and 91.5 when every home grew its overlay map and 8-entry chunks
+// a step at a time and every install carved a line. The bounds sit about
+// a quarter above the measured cost.
 func TestVerifyMemoryAllocs(t *testing.T) {
+	const (
+		allocsPerLine = 0.025
+		bytesPerLine  = 70
+	)
 	ws := WarmupValidation(DefaultValidationConfig(), runner.DeriveSeed(1, runner.StreamWarmup, 0))
 	machine.FromSnapshot(ws.Snap, nil).VerifyMemory(0, 1) // warm the pools
 	m := machine.FromSnapshot(ws.Snap, nil)
 	var res *machine.VerifyResult
-	n := mallocs(func() { res = m.VerifyMemory(0, 1) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res = m.VerifyMemory(0, 1)
+	runtime.ReadMemStats(&after)
 	if !res.OK() || res.LinesChecked != 8*2048 {
 		t.Fatalf("sweep: %v", res)
 	}
-	per := float64(n) / float64(res.LinesChecked)
-	t.Logf("%.3f allocs per line checked", per)
-	if per > 1 {
-		t.Fatalf("verify sweep allocates %.2f allocs per line checked, want <= 1", per)
+	per := float64(after.Mallocs-before.Mallocs) / float64(res.LinesChecked)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.LinesChecked)
+	t.Logf("%.3f allocs, %.1f bytes per line checked", per, bytes)
+	if raceEnabled {
+		// The race detector drops pooled records at random, so only the
+		// one-per-line bound of the pooled path holds.
+		if per > 1 {
+			t.Fatalf("verify sweep allocates %.2f allocs per line checked under -race, want <= 1", per)
+		}
+		return
+	}
+	if per > allocsPerLine {
+		t.Fatalf("verify sweep allocates %.3f allocs per line checked, want <= %.3f", per, allocsPerLine)
+	}
+	if bytes > bytesPerLine {
+		t.Fatalf("verify sweep allocates %.1f bytes per line checked, want <= %d", bytes, bytesPerLine)
 	}
 }
 

@@ -91,7 +91,13 @@ func (m *Machine) VerifyMemory(reader int, stride int) *VerifyResult {
 	cpu := m.Nodes[reader].CPU
 	sweep := &verifySweep{m: m, res: res, cpu: cpu, ctrl: m.Nodes[reader].Ctrl}
 	sweep.done = sweep.lineDone
+	// Every read of a home that answers gives that home's directory an
+	// entry and the reader's cache a line: size both once, up front.
+	m.Nodes[reader].Cache.Reserve(res.LinesChecked)
 	for home := 0; home < m.Cfg.Nodes; home++ {
+		if sweep.ctrl.NodeUp(home) || sweep.ctrl.MemReachable(home) {
+			m.Nodes[home].Dir.Reserve(perHome)
+		}
 		cpu.SubmitReads(m.Space.Base(home), perHome, coherence.Addr(stride*128), sweep.done)
 	}
 	var stalled sim.Time
