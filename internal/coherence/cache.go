@@ -20,6 +20,9 @@ const (
 // CacheLine is one resident line.
 type CacheLine struct {
 	State CacheState
+	// walk is the number of the last ForEach walk that visited the line.
+	// It sits in what would be padding: the line stays 16 bytes.
+	walk  uint32
 	Token uint64
 }
 
@@ -48,6 +51,7 @@ type Cache struct {
 	fifo  []Addr
 	head  int
 	chunk []CacheLine // lines are carved from its spare capacity
+	walks uint32      // ForEach walks so far (CacheLine.walk)
 }
 
 // cacheChunk is the number of lines carved per allocation.
@@ -185,6 +189,7 @@ func (c *Cache) Clone() *Cache {
 		lines:    make(map[Addr]*CacheLine, len(c.lines)),
 		fifo:     append([]Addr(nil), c.fifo[c.head:]...),
 		chunk:    make([]CacheLine, 0, len(c.lines)),
+		walks:    c.walks,
 	}
 	for a, l := range c.lines {
 		nl := n.newLine()
@@ -194,10 +199,21 @@ func (c *Cache) Clone() *Cache {
 	return n
 }
 
-// ForEach visits resident lines in insertion order.
+// ForEach visits each resident line once, at its oldest FIFO entry: the
+// order FlushEach writes lines back in. A line invalidated and installed
+// again has an entry for each install; the walk number stamped on the line
+// at its first visit skips the later ones. fn may invalidate the line it
+// is handed, but must not install.
 func (c *Cache) ForEach(fn func(a Addr, l *CacheLine)) {
+	if c.walks++; c.walks == 0 { // wrapped: clear the stamps so none matches
+		for _, l := range c.lines {
+			l.walk = 0
+		}
+		c.walks = 1
+	}
 	for _, a := range c.fifo[c.head:] {
-		if l, ok := c.lines[a]; ok {
+		if l, ok := c.lines[a]; ok && l.walk != c.walks {
+			l.walk = c.walks
 			fn(a, l)
 		}
 	}

@@ -21,12 +21,15 @@ import (
 type barrierKind uint8
 
 const (
-	barDrainVote    barrierKind = iota // two-phase drain, τ vote (§4.4)
+	barDrainVote    barrierKind = iota // drain τ vote (§4.4); a single-phase drain has no other
 	barDrainConfirm                    // two-phase drain, confirm
-	barDrain                           // single-phase drain
 	barP3Post                          // tables reprogrammed
-	barP4Mode                          // controllers in flush mode (§4.5)
-	barP4Done                          // directories swept
+	// barP4Mode opens P4: every controller is in flush mode (§4.5), which
+	// here is the drain mode it entered recovery in (magic.ModeDrain), so
+	// the barrier changes no mode. It stays for the paper's algorithm,
+	// whose timing (Fig 5.5, 5.6) includes it.
+	barP4Mode
+	barP4Done // directories swept
 )
 
 // barrierKey names a barrier within an epoch; only the two-phase drain's
@@ -42,8 +45,6 @@ func (k barrierKey) String() string {
 		return fmt.Sprintf("drain-a#%d", k.attempt)
 	case barDrainConfirm:
 		return fmt.Sprintf("drain-b#%d", k.attempt)
-	case barDrain:
-		return "drain-a#0"
 	case barP3Post:
 		return "p3-post"
 	case barP4Mode:
@@ -324,16 +325,10 @@ func (a *Agent) barrierPassed(key barrierKey, dirty bool) {
 		a.drainVoted(key.attempt)
 	case barDrainConfirm:
 		a.drainConfirmed(key.attempt, dirty)
-	case barDrain:
-		a.drainPassed()
 	case barP3Post:
 		a.routesInstalled()
 	case barP4Mode:
-		if a.Net.Reliable() {
-			a.doScanReliable()
-		} else {
-			a.doFlush()
-		}
+		a.doFlush()
 	case barP4Done:
 		a.finishRecovery()
 	}

@@ -13,9 +13,9 @@ import (
 // The drain discipline and the table repair are owned by the configured
 // routing.Strategy. The default, routing.Paper, is the paper's policy —
 // full two-phase drain (DrainFull), complete up*/down* rewrite charged per
-// whole row. Alternatives swap in a single-phase drain (DrainPartial)
-// or none at all (DrainNone) and charge reprogramming per entry actually
-// patched.
+// whole row. Alternatives swap in a single-phase drain (DrainPartial:
+// the two-phase drain's vote at attempt 0, with no confirm) or none at all
+// (DrainNone) and charge reprogramming per entry actually patched.
 
 func (a *Agent) startInterconnectRecovery() {
 	a.setPhase(PhaseInterconnect)
@@ -58,30 +58,9 @@ func (a *Agent) startDrainPhase() {
 		// Tables change under live traffic; in-flight packets reroute
 		// mid-journey or die against the new discards.
 		a.reprogramRoutes()
-	case routing.DrainPartial:
-		a.startPartialDrain()
 	default:
 		a.startDrain(0)
 	}
-}
-
-// startPartialDrain is the single-phase discipline: wait for τ of
-// normal-lane silence, then one barrier. There is no confirm phase, so a
-// packet that raced the vote may still be in flight when tables change.
-func (a *Agent) startPartialDrain() {
-	a.mDrainAttempts.Inc()
-	tr := a.cfg.Trace
-	a.spDrain = tr.Begin(a.E.Now(), a.ID, "drain-attempt", a.spPhase, 0)
-	a.spVote = tr.Begin(a.E.Now(), a.ID, "drain-tau-vote", a.spDrain, 0)
-	a.drainQuietCheck(a.startBarrier(barrierKey{kind: barDrain}))
-}
-
-// drainPassed ends the single-phase drain.
-func (a *Agent) drainPassed() {
-	now := a.E.Now()
-	a.cfg.Trace.End(now, a.spVote)
-	a.cfg.Trace.End(now, a.spDrain)
-	a.reprogramRoutes()
 }
 
 // isolateRouter configures discards on every port of r that points at a
@@ -106,11 +85,18 @@ func (a *Agent) startDrain(attempt int) {
 }
 
 // drainVoted enters the confirm phase once every participant voted: this
-// node's confirm is dirty if stalled traffic arrived since its vote.
+// node's confirm is dirty if stalled traffic arrived since its vote. The
+// single-phase drain (DrainPartial) has no confirm and ends here, so a
+// packet that raced the vote may still be in flight when tables change.
 func (a *Agent) drainVoted(attempt int) {
-	dirty := a.Ctrl.LastNormalDelivery() > a.voteAt
 	tr := a.cfg.Trace
 	tr.End(a.E.Now(), a.spVote)
+	if a.cfg.Routing.Drain() == routing.DrainPartial {
+		tr.End(a.E.Now(), a.spDrain)
+		a.reprogramRoutes()
+		return
+	}
+	dirty := a.Ctrl.LastNormalDelivery() > a.voteAt
 	a.spConfirm = tr.Begin(a.E.Now(), a.ID, "drain-tau-confirm", a.spDrain, int64(attempt))
 	a.barrierReady(a.startBarrier(barrierKey{kind: barDrainConfirm, attempt: attempt}), dirty)
 }

@@ -8,13 +8,14 @@ import (
 	"flashfc/internal/trace"
 )
 
-// Phase 4: cache coherence protocol recovery (§4.5): every node switches
-// its controller to flush mode (barrier), flushes its processor cache
-// sending all dirty lines home, joins an all-to-all barrier that rides the
-// normal lanes behind the writebacks (in-order delivery ⇒ every writeback
-// destined to a node precedes that node's barrier message), sweeps its
-// directory marking lost lines incoherent, and barriers once more before
-// normal operation resumes.
+// Phase 4: cache coherence protocol recovery (§4.5): with every node's
+// controller in flush mode (barrier) — here the drain mode it has been in
+// since recovery entry, magic.ModeDrain standing for both — every node
+// flushes its processor cache sending all dirty lines home, joins an
+// all-to-all barrier that rides the normal lanes behind the writebacks
+// (in-order delivery ⇒ every writeback destined to a node precedes that
+// node's barrier message), sweeps its directory marking lost lines
+// incoherent, and barriers once more before normal operation resumes.
 //
 // The fabric keeps the lane's order up to the home's controller; the
 // controller keeps it from there: a flush-done waits in its input queue
@@ -26,24 +27,7 @@ import (
 
 func (a *Agent) startCoherenceRecovery() {
 	a.setPhase(PhaseCoherence)
-	if a.Net.Reliable() {
-		// §6.3: with HAL-style end-to-end reliability no writeback was
-		// ever lost, so the flush is eliminated; only the directory
-		// sweep remains, and caches stay warm across recovery.
-		a.passBarrier(barrierKey{kind: barP4Mode})
-		return
-	}
-	a.Ctrl.SetMode(magic.ModeFlush)
 	a.passBarrier(barrierKey{kind: barP4Mode})
-}
-
-// doScanReliable is the flush-free §6.3 sweep: lines owned or locked by
-// dead nodes become incoherent; everything held by survivors stays valid
-// in place, except copies of lines whose home is gone, which each cache
-// drops (DESIGN §6).
-func (a *Agent) doScanReliable() {
-	a.report.FlushEnd = a.E.Now()
-	a.sweepDirectory(sim.Time(a.Ctrl.Space.Lines()) * timing.DirScanPerLine)
 }
 
 // traceScanChunks subdivides a known-duration sweep window into span
@@ -70,7 +54,17 @@ func (a *Agent) traceScanChunks(parent trace.SpanID, d sim.Time) {
 // configured L2 size, Fig 5.6 left) and sends every exclusive line home.
 // With a hardwired controller the processor drives the flush through
 // uncached controller accesses, costing extra instructions per line (§6.2).
+//
+// Behind a reliable fabric (§6.3) no writeback was ever lost, so there is
+// no flush: only the directory sweep remains, and caches stay warm across
+// recovery, except for copies of lines whose home is gone, which each
+// cache drops (DESIGN §6).
 func (a *Agent) doFlush() {
+	if a.Net.Reliable() {
+		a.report.FlushEnd = a.E.Now()
+		a.doScan()
+		return
+	}
 	perLine := timing.InstrFlushPerLine
 	if a.cfg.HardwiredController {
 		perLine = timing.InstrHardwiredFlushPerLine

@@ -7,10 +7,10 @@ import (
 	"testing"
 
 	"flashfc/internal/coherence"
+	"flashfc/internal/core"
 	"flashfc/internal/fault"
 	"flashfc/internal/interconnect"
 	"flashfc/internal/machine"
-	"flashfc/internal/magic"
 )
 
 // judgedFork runs ValidationFromWarm's script on a fork of ws with the
@@ -125,10 +125,10 @@ func TestJudgeCatchesSilentlyDroppedWriteback(t *testing.T) {
 		s.Stride = 0
 		var swallowed []coherence.Addr
 		for _, n := range s.M.Nodes {
-			ctrl := n.Ctrl
+			ctrl, agent := n.Ctrl, n.Agent
 			s.M.Net.SetEndpoint(n.ID, interconnect.EndpointFunc(func(p *interconnect.Packet) bool {
 				if msg, ok := p.Payload.(*coherence.Message); ok && len(swallowed) == 0 &&
-					msg.Type == coherence.MsgPut && ctrl.Mode() == magic.ModeFlush {
+					msg.Type == coherence.MsgPut && agent.Phase() == core.PhaseCoherence {
 					swallowed = append(swallowed, msg.Addr)
 					return true
 				}

@@ -135,53 +135,72 @@ func TestTraceCriticalPathInvariants(t *testing.T) {
 }
 
 // The span tree of a node-failure recovery contains the expected phase
-// hierarchy, and every parent link points at an existing earlier span.
+// hierarchy under each routing strategy, and every parent link points at an
+// existing earlier span. The drain spans follow the strategy's drain: the
+// paper's two phases vote and confirm, incremental's single phase only
+// votes, and adaptive does not drain.
 func TestTraceSpanTreeShape(t *testing.T) {
-	cfg := fastValidationConfig()
-	cfg.Trace = trace.New()
-	r := Validation(cfg, fault.NodeFailure, 7)
-	if !r.OK() {
-		t.Fatalf("run failed: %s", r.Note)
-	}
-	spans := cfg.Trace.SnapshotSpans()
-	seen := map[string]bool{}
-	for _, s := range spans {
-		seen[s.Name] = true
-		if s.Parent != 0 {
-			if s.Parent >= s.ID {
-				t.Errorf("span %s#%d has non-earlier parent %d", s.Name, s.ID, s.Parent)
-			}
-		} else if s.Name != "recovery" {
-			t.Errorf("non-root span %s has no parent", s.Name)
-		}
-		if s.Open {
-			t.Errorf("span %s still open after recovery", s.Name)
-		}
-	}
-	for _, want := range []string{
-		"recovery", "node-recovery",
-		"P1-initiation", "P2-dissemination", "P3-interconnect", "P4-coherence",
-		"gossip-round", "drain-attempt", "drain-tau-vote", "drain-tau-confirm",
-		"route-reprogram", "cache-flush", "flush-barrier", "dir-scan", "scan-chunk",
+	for _, tc := range []struct {
+		routing      string
+		drain, never []string
+	}{
+		{"paper", []string{"drain-attempt", "drain-tau-vote", "drain-tau-confirm"}, nil},
+		{"incremental", []string{"drain-attempt", "drain-tau-vote"}, []string{"drain-tau-confirm"}},
+		{"adaptive", nil, []string{"drain-attempt", "drain-tau-vote", "drain-tau-confirm"}},
 	} {
-		if !seen[want] {
-			t.Errorf("span tree lacks %q (have %v)", want, seen)
-		}
-	}
-	// Packet lifecycle and denial points must be present too.
-	cats := map[string]bool{}
-	names := map[string]bool{}
-	for _, p := range cfg.Trace.Points() {
-		cats[p.Cat] = true
-		names[p.Name] = true
-	}
-	if !cats["pkt"] {
-		t.Error("no packet points recorded")
-	}
-	for _, want := range []string{"inject", "hop", "deliver"} {
-		if !names[want] {
-			t.Errorf("no %q packet points recorded", want)
-		}
+		t.Run(tc.routing, func(t *testing.T) {
+			cfg := fastValidationConfig()
+			cfg.Routing = tc.routing
+			cfg.Trace = trace.New()
+			r := Validation(cfg, fault.NodeFailure, 7)
+			if !r.OK() {
+				t.Fatalf("run failed: %s", r.Note)
+			}
+			spans := cfg.Trace.SnapshotSpans()
+			seen := map[string]bool{}
+			for _, s := range spans {
+				seen[s.Name] = true
+				if s.Parent != 0 {
+					if s.Parent >= s.ID {
+						t.Errorf("span %s#%d has non-earlier parent %d", s.Name, s.ID, s.Parent)
+					}
+				} else if s.Name != "recovery" {
+					t.Errorf("non-root span %s has no parent", s.Name)
+				}
+				if s.Open {
+					t.Errorf("span %s still open after recovery", s.Name)
+				}
+			}
+			for _, want := range append([]string{
+				"recovery", "node-recovery",
+				"P1-initiation", "P2-dissemination", "P3-interconnect", "P4-coherence",
+				"gossip-round", "route-reprogram", "cache-flush", "flush-barrier", "dir-scan", "scan-chunk",
+			}, tc.drain...) {
+				if !seen[want] {
+					t.Errorf("span tree lacks %q (have %v)", want, seen)
+				}
+			}
+			for _, never := range tc.never {
+				if seen[never] {
+					t.Errorf("span tree has %q", never)
+				}
+			}
+			// Packet lifecycle and denial points must be present too.
+			cats := map[string]bool{}
+			names := map[string]bool{}
+			for _, p := range cfg.Trace.Points() {
+				cats[p.Cat] = true
+				names[p.Name] = true
+			}
+			if !cats["pkt"] {
+				t.Error("no packet points recorded")
+			}
+			for _, want := range []string{"inject", "hop", "deliver"} {
+				if !names[want] {
+					t.Errorf("no %q packet points recorded", want)
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/magic"
 	"flashfc/internal/sim"
+	"flashfc/internal/timing"
 )
 
 // Compound-fault and split-brain tests (§4.1, §4.2).
@@ -119,6 +120,37 @@ func TestHardwiredControllerSlowerP4(t *testing.T) {
 	r := float64(hardwired) / float64(flexible)
 	if r < 1.5 || r > 10 {
 		t.Fatalf("hardwired/flexible P4 ratio = %.1f, want ~2-6", r)
+	}
+}
+
+// Behind a reliable fabric (§6.3) P4 has no flush, but a hardwired
+// controller (§6.2) still cannot run the directory sweep: the processor
+// reads the directory through uncached accesses, and is charged for it on
+// this fabric as on any other. Each node's P4 after its flush is at least
+// that sweep, which the flexible controller's sweep is well under.
+func TestHardwiredSweepChargedBehindReliableFabric(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Seed = 47
+	cfg.MemBytes = 1 << 20
+	cfg.L2Bytes = 1 << 20
+	cfg.ReliableInterconnect = true
+	scan := func(hardwired bool) sim.Time {
+		cfg.Recovery.HardwiredController = hardwired
+		m := New(cfg)
+		m.Inject(fault.Fault{Type: fault.NodeFailure, Node: 5})
+		m.Nodes[1].CPU.Submit(readOp(m, uint64(m.Space.Base(5))+0x80))
+		if !m.RunUntilRecovered(10 * sim.Second) {
+			t.Fatalf("hardwired %v: recovery incomplete", hardwired)
+		}
+		return m.Aggregate().Scan
+	}
+	lines := sim.Time(cfg.MemBytes / timing.LineSize)
+	sweep := lines * timing.InstrHardwiredScanPerLine * cfg.Recovery.UncachedInstr
+	if flexible := scan(false); flexible >= sweep {
+		t.Fatalf("flexible controller's scan %v, want under the hardwired sweep %v", flexible, sweep)
+	}
+	if hardwired := scan(true); hardwired < sweep {
+		t.Fatalf("hardwired controller's scan %v behind a reliable fabric, want at least its sweep %v", hardwired, sweep)
 	}
 }
 

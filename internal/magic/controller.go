@@ -26,14 +26,13 @@ type Mode int
 const (
 	// ModeNormal services coherence traffic.
 	ModeNormal Mode = iota
-	// ModeDrain fields and discards incoming coherence traffic without
-	// generating replies or invalidates, recording delivery times for
-	// the τ drain agreement (§4.4). Behind a reliable fabric it defers
-	// that traffic instead, for replay once the mode is normal again.
+	// ModeDrain is a recovering controller's mode, from EnterRecovery to
+	// the end of P4: it stands for both the paper's drain mode, while the
+	// fabric drains (§4.4), and its flush mode, while the caches flush
+	// (§4.5), which behave alike here. It records delivery times for the
+	// τ drain agreement, generates no replies or invalidates, and settles
+	// each coherence message by one rule (drainFate).
 	ModeDrain
-	// ModeFlush services only writebacks (and recovery traffic), for the
-	// coherence-recovery cache flush (§4.5).
-	ModeFlush
 	// ModeLoop models a firmware handler stuck in an infinite loop: the
 	// controller stops accepting packets and congests the fabric (§3.1).
 	ModeLoop
@@ -47,8 +46,6 @@ func (m Mode) String() string {
 		return "normal"
 	case ModeDrain:
 		return "drain"
-	case ModeFlush:
-		return "flush"
 	case ModeLoop:
 		return "loop"
 	case ModeDead:
@@ -460,6 +457,36 @@ func (c *Controller) trigger(r TriggerReason) {
 	}
 }
 
+// drainFate is what a controller in drain mode does with a coherence message.
+type drainFate uint8
+
+const (
+	fateFold    drainFate = iota // queue it, then fold it home (handlePut)
+	fateOrphan                   // queue it, then stash it for the P4 flush
+	fateDefer                    // keep it for replay in normal mode
+	fateDiscard                  // consume it, through the dead-drop hook
+)
+
+// drainFate is the drain-mode rule (§4.4) that Accept, handle and
+// EnterRecovery apply: controllers keep fielding messages while the fabric
+// drains and the caches flush, but requests no longer generate replies. A
+// writeback carries a line's only valid copy and is folded home. Behind a
+// reliable fabric (§6.3) nothing is lost or flushed, so anything else is
+// deferred. Otherwise an exclusive grant whose operation recovery aborted
+// holds the line's only valid copy too and is stashed; the rest is
+// discarded.
+func (c *Controller) drainFate(t coherence.MsgType) drainFate {
+	switch {
+	case t == coherence.MsgPut:
+		return fateFold
+	case c.Net.Reliable():
+		return fateDefer
+	case t == coherence.MsgDataExcl:
+		return fateOrphan
+	}
+	return fateDiscard
+}
+
 // Accept implements interconnect.Endpoint.
 func (c *Controller) Accept(p *interconnect.Packet) bool {
 	switch c.mode {
@@ -495,25 +522,14 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 	// sender's writebacks on the same channels to exploit in-order delivery
 	// (§4.5), and that order must hold through this queue too, or a
 	// slowed home would sweep its directory before they apply.
-	if msg, isCoh := p.Payload.(*coherence.Message); isCoh {
-		switch c.mode {
-		case ModeDrain, ModeFlush:
-			// §4.4: controllers keep fielding messages while the fabric
-			// drains and the caches flush, but incoming *requests* no
-			// longer generate replies. Writebacks are folded home and
-			// orphaned exclusive grants are stashed for return during the
-			// flush (both queued normally); everything else is consumed
-			// without effect. Behind a reliable fabric everything but a
-			// writeback is deferred instead (see handle).
-			switch {
-			case msg.Type == coherence.MsgPut:
-			case c.Net.Reliable():
-				c.deferred = append(c.deferred, p)
-				return true
-			case msg.Type != coherence.MsgDataExcl:
-				c.discarded(msg)
-				return true
-			}
+	if msg, isCoh := p.Payload.(*coherence.Message); isCoh && c.mode == ModeDrain {
+		switch c.drainFate(msg.Type) {
+		case fateDefer:
+			c.deferred = append(c.deferred, p)
+			return true
+		case fateDiscard:
+			c.discarded(msg)
+			return true
 		}
 	}
 	if len(c.input) >= timing.InputQueue {

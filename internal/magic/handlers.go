@@ -19,21 +19,15 @@ func (c *Controller) handle(p *interconnect.Packet) (retained bool) {
 	case ModeDead, ModeLoop:
 		c.discarded(msg)
 		return false
-	case ModeDrain, ModeFlush:
-		switch {
-		case msg.Type == coherence.MsgPut:
+	case ModeDrain:
+		switch c.drainFate(msg.Type) {
+		case fateFold:
 			c.handlePut(msg)
-		case c.Net.Reliable():
-			// §6.3: the reliable machine loses no message, and it does
-			// not flush. Keep the message for replay in normal mode,
-			// after the liveness scan, rather than discard it.
-			c.deferred = append(c.deferred, p)
-			return true
-		case msg.Type == coherence.MsgDataExcl:
-			// An exclusive grant whose requesting operation was
-			// aborted by recovery: the line's only valid copy is in
-			// this message. Stash it; the flush returns it home.
+		case fateOrphan:
 			c.orphans = append(c.orphans, msg)
+			return true
+		case fateDefer:
+			c.deferred = append(c.deferred, p)
 			return true
 		default:
 			c.discarded(msg)
@@ -178,29 +172,21 @@ func (c *Controller) handlePut(msg *coherence.Message) {
 	if e == nil {
 		return // stale writeback for a reset line
 	}
-	if c.mode == ModeFlush || c.mode == ModeDrain {
-		// During recovery, writebacks are folded home without
-		// generating the replies a pending transaction would normally
-		// get (§4.4/§4.5); the aborted requester reissues afterwards
-		// and the directory sweep resets whatever remains.
-		if (e.State == coherence.DirExclusive && e.Owner == msg.Req) ||
-			(e.State == coherence.DirPendingRecall && e.Owner == msg.Req) {
-			c.Mem.Write(msg.Addr, msg.Data)
-			c.Dir.Drop(msg.Addr)
-		}
-		return
-	}
 	switch {
-	case e.State == coherence.DirExclusive && e.Owner == msg.Req:
-		c.Mem.Write(msg.Addr, msg.Data)
-		c.Dir.Drop(msg.Addr)
-	case e.State == coherence.DirPendingRecall && e.Owner == msg.Req:
+	case e.Owner != msg.Req:
+		// Stale PUT (e.g. crossing an invalidation); ignore.
+	case e.State == coherence.DirPendingRecall && c.mode != ModeDrain:
 		// The recalled owner's data arrives; complete the waiting
 		// transaction.
 		c.Mem.Write(msg.Addr, msg.Data)
 		c.completeRecall(msg.Addr, c.Dir.Lookup(msg.Addr), msg.Data)
-	default:
-		// Stale PUT (e.g. crossing an invalidation); ignore.
+	case e.State == coherence.DirExclusive || e.State == coherence.DirPendingRecall:
+		// An eviction, or during recovery any writeback of the owner:
+		// folded home without the replies a pending transaction would
+		// get (§4.4/§4.5); the aborted requester reissues afterwards and
+		// the directory sweep resets whatever remains.
+		c.Mem.Write(msg.Addr, msg.Data)
+		c.Dir.Drop(msg.Addr)
 	}
 }
 

@@ -412,7 +412,7 @@ func TestDrainModeConsumesWithoutReplying(t *testing.T) {
 	}
 }
 
-func TestFlushModeAcceptsOnlyWritebacks(t *testing.T) {
+func TestDrainModeFoldsFlushWritebacks(t *testing.T) {
 	r := newRig(t, 2, DefaultConfig())
 	a := r.space.Base(1) + 0x80
 	r.write(t, 0, a, 99)
@@ -420,8 +420,6 @@ func TestFlushModeAcceptsOnlyWritebacks(t *testing.T) {
 	r.ctrl[0].EnterRecovery()
 	r.ctrl[1].EnterRecovery()
 	r.e.Run()
-	r.ctrl[0].SetMode(ModeFlush)
-	r.ctrl[1].SetMode(ModeFlush)
 	if n := r.ctrl[0].FlushCache(); n != 1 {
 		t.Fatalf("flush sent %d writebacks, want 1", n)
 	}
@@ -442,8 +440,6 @@ func TestScanMarksLostLinesIncoherent(t *testing.T) {
 	// Node 0 dies without flushing: its exclusive line is lost.
 	r.ctrl[0].SetMode(ModeDead)
 	r.ctrl[1].EnterRecovery()
-	r.e.Run()
-	r.ctrl[1].SetMode(ModeFlush)
 	r.e.Run()
 	lost := r.ctrl[1].ScanDirectory()
 	if len(lost) != 1 || lost[0] != a.Line() {
@@ -622,8 +618,6 @@ func TestOrphanGrantReturnedByFlush(t *testing.T) {
 		t.Fatalf("orphans = %d, want 1", len(r.ctrl[0].Orphans()))
 	}
 	// Flush returns the orphan home; the sweep then finds nothing lost.
-	r.ctrl[0].SetMode(ModeFlush)
-	r.ctrl[1].SetMode(ModeFlush)
 	r.ctrl[0].FlushCache()
 	r.e.Run()
 	if lost := r.ctrl[1].ScanDirectory(); len(lost) != 0 {
@@ -675,6 +669,83 @@ func TestReliableDrainDefersOrphanGrantAndReturnsIt(t *testing.T) {
 	}
 	if got := r.read(t, 0, a); got.Err != nil || got.Token != coherence.InitialToken(a) {
 		t.Fatalf("read after replay: %+v", got)
+	}
+}
+
+// The drain rule (drainFate) meets every coherence message type at three
+// doors, with the reliable fabric off and on: the message arrives at a
+// controller already in drain mode (Accept), sits queued when recovery
+// begins (EnterRecovery), or is dispatched after the mode changed under it
+// (handle). At each door the message must end the same way: a writeback
+// folded home, or an exclusive grant stashed as an orphan; behind a
+// reliable fabric everything else deferred; otherwise everything else
+// reported through the dead-drop hook.
+func TestDrainFateSameAtEveryDoor(t *testing.T) {
+	doors := []struct {
+		name string
+		pass func(c *Controller, p *interconnect.Packet)
+	}{
+		{"arrives in drain mode", func(c *Controller, p *interconnect.Packet) {
+			c.SetMode(ModeDrain)
+			c.Accept(p)
+		}},
+		{"queued at EnterRecovery", func(c *Controller, p *interconnect.Packet) {
+			c.busy = true // hold the message in the input queue
+			c.Accept(p)
+			c.EnterRecovery()
+			c.busy = false
+			c.process()
+		}},
+		{"dispatched after the mode changed", func(c *Controller, p *interconnect.Packet) {
+			c.Accept(p)
+			c.SetMode(ModeDrain)
+		}},
+	}
+	for _, reliable := range []bool{false, true} {
+		for ty := coherence.MsgGet; ty <= coherence.MsgUncachedErr; ty++ {
+			var want string
+			switch {
+			case ty == coherence.MsgPut:
+				want = "folded"
+			case reliable:
+				want = "deferred"
+			case ty == coherence.MsgDataExcl:
+				want = "orphaned"
+			default:
+				want = "discarded"
+			}
+			for _, door := range doors {
+				icfg := interconnect.DefaultConfig()
+				icfg.Reliable = reliable
+				r := newRigNet(t, 2, DefaultConfig(), icfg)
+				c := r.ctrl[0]
+				dropped := 0
+				c.SetDeadDropHandler(func(*coherence.Message) { dropped++ })
+				// Node 1 owns a line of home 0, so its writeback folds.
+				a := r.space.Base(0) + 0x80
+				e := c.Dir.Get(a)
+				e.State, e.Owner = coherence.DirExclusive, 1
+				msg := coherence.Message{Type: ty, Addr: a, Req: 1, Data: 77}
+				door.pass(c, &interconnect.Packet{Src: 1, Dst: 0, Lane: interconnect.LaneRequest, Bytes: 16, Payload: &msg})
+				r.e.Run()
+				var got []string
+				if c.Mem.Read(a) == 77 && c.Dir.Peek(a) == nil {
+					got = append(got, "folded")
+				}
+				if len(c.orphans) == 1 {
+					got = append(got, "orphaned")
+				}
+				if len(c.deferred) == 1 {
+					got = append(got, "deferred")
+				}
+				if dropped == 1 {
+					got = append(got, "discarded")
+				}
+				if len(got) != 1 || got[0] != want {
+					t.Errorf("reliable %v, %v %s: %v, want %s", reliable, ty, door.name, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -824,8 +895,6 @@ func TestOrphanStashKeepsItsRecord(t *testing.T) {
 		if o.Type != coherence.MsgDataExcl || o.Addr != a || o.Data != coherence.InitialToken(a) {
 			t.Fatalf("orphan overwritten while stashed: %+v", *o)
 		}
-		r.ctrl[0].SetMode(ModeFlush)
-		r.ctrl[1].SetMode(ModeFlush)
 		if sent := r.ctrl[0].FlushCache(); sent != 1 {
 			t.Fatalf("flush sent %d writebacks, want the orphan's", sent)
 		}
@@ -854,8 +923,6 @@ func TestFlushRecordsRecycleThroughFlushFree(t *testing.T) {
 	r.ctrl[0].EnterRecovery()
 	r.ctrl[1].EnterRecovery()
 	r.e.Run()
-	r.ctrl[0].SetMode(ModeFlush)
-	r.ctrl[1].SetMode(ModeFlush)
 	before := free()
 	if n := r.ctrl[0].FlushCache(); n != lines {
 		t.Fatalf("flush sent %d writebacks, want %d", n, lines)

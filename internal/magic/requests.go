@@ -259,19 +259,20 @@ func (c *Controller) EnterRecovery() {
 		}
 	}
 	c.dropAllMSHRs()
-	// Queued writebacks and exclusive grants are still fielded in drain
-	// mode (they carry data); everything else queued is consumed. Behind
-	// a reliable fabric everything but a writeback is deferred instead,
-	// as Accept defers what arrives in drain mode.
-	reliable := c.Net.Reliable()
+	// What is queued meets the drain rule now, as if it arrived in drain
+	// mode.
 	kept := c.input[:0]
 	for _, p := range c.input {
 		msg, ok := p.Payload.(*coherence.Message)
-		switch {
-		case !ok:
-		case msg.Type == coherence.MsgPut || msg.Type == coherence.MsgDataExcl && !reliable:
+		if !ok {
+			// The only queued non-coherence packet is a flush-done, of
+			// an epoch this entry supersedes: drop it.
+			continue
+		}
+		switch c.drainFate(msg.Type) {
+		case fateFold, fateOrphan:
 			kept = append(kept, p)
-		case reliable:
+		case fateDefer:
 			c.deferred = append(c.deferred, p)
 		default:
 			c.discarded(msg)
