@@ -285,21 +285,23 @@ func fillCost(t *testing.T, m *machine.Machine, ops int, start func(), done func
 // the 128-node validation fill behind recovery128 (128 a node, 8 192-line
 // caches and homes). Each node's program is one exactly sized slice its
 // CPU takes whole, and its cache and home directory are sized for the fill
-// before it issues, so what is left per operation is its line, directory
-// entry, packets and MSHR: 254.6 bytes and 1.271 allocations on the
-// partitioned fill, 228.5 and 0.572 on the validation fill, against 387.6
+// before it issues, and event records, CPU operation records and MSHRs are
+// minted a block at a time, so what is left per operation is its line,
+// directory entry and packets: 252.9 bytes and 0.807 allocations on the
+// partitioned fill, 226.7 and 0.399 on the validation fill, against 254.6
+// and 1.271, 228.5 and 0.572 with a record minted per allocation, and 387.6
 // and 1.687, 356.2 and 0.805 when each CPU queue, cache index and home
-// overlay grew by appending. The bounds sit about 15 % above the measured
-// cost, so any one of those growing again crosses them.
+// overlay grew by appending as well. The bounds sit about 15 % above the
+// measured cost, so any one of those growing again crosses them.
 func TestFillAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const (
-		partitionBytesPerOp  = 295
-		partitionAllocsPerOp = 1.45
-		fillerBytesPerOp     = 265
-		fillerAllocsPerOp    = 0.66
+		partitionBytesPerOp  = 290
+		partitionAllocsPerOp = 0.93
+		fillerBytesPerOp     = 260
+		fillerAllocsPerOp    = 0.46
 	)
 	t.Run("partition256", func(t *testing.T) {
 		pc := DefaultPartitionConfig()

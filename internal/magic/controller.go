@@ -203,7 +203,8 @@ type Controller struct {
 	// outside the local unit are bus-errored (§3.3). nil disables checks.
 	unit []int
 	// firewall maps a page base to its write-access list; absent pages
-	// are writable by everyone.
+	// are writable by everyone. It stays nil until the first SetFirewall
+	// that closes a page.
 	firewall map[coherence.Addr]coherence.NodeSet
 
 	input []*interconnect.Packet
@@ -222,7 +223,7 @@ type Controller struct {
 	// mshrs is the table of outstanding operations in issue order, which
 	// is also ascending seq order. It is a handful of entries deep (the
 	// processor window plus uncached operations), so lookups scan it;
-	// mshrFree recycles completed records.
+	// mshrFree recycles completed records, minted mshrBlock at a time.
 	mshrs    []*mshr
 	mshrFree []*mshr
 	seq      uint64
@@ -261,7 +262,6 @@ func New(e *sim.Engine, net *interconnect.Network, id int, space coherence.AddrS
 		nodeUp:     coherence.NewNodeSet(space.Nodes),
 		memSrv:     coherence.NewNodeSet(space.Nodes),
 		slowFactor: 1,
-		firewall:   make(map[coherence.Addr]coherence.NodeSet),
 	}
 	c.dispatchFn = c.dispatchEv
 	c.completeFn = c.completeEv
@@ -416,6 +416,9 @@ func (c *Controller) SetFirewall(page coherence.Addr, writers coherence.NodeSet)
 	if writers == nil {
 		delete(c.firewall, page.Page())
 		return
+	}
+	if c.firewall == nil {
+		c.firewall = make(map[coherence.Addr]coherence.NodeSet)
 	}
 	c.firewall[page.Page()] = writers
 }

@@ -1,7 +1,10 @@
 package magic
 
 import (
+	"cmp"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
@@ -942,6 +945,87 @@ func TestFlushRecordsRecycleThroughFlushFree(t *testing.T) {
 	r.churn(t, 0)
 	if got := free(); got != sent+lines {
 		t.Fatalf("ordinary traffic moved flushFree to %d records, want %d", got, sent+lines)
+	}
+}
+
+// A controller mints its MSHRs mshrBlock at a time, in one allocation, and
+// grows its table and free list with each block, so completing operations
+// never grows either. A record recycled into its block still reads poisoned
+// under PoisonReleasedForTest, and the operation handed it next overwrites
+// the poison.
+func TestMSHRsMintedInBlocks(t *testing.T) {
+	if size := unsafe.Sizeof(mshr{}); mshrBlock*size != 384 {
+		t.Fatalf("a block of %d %d-byte MSHRs no longer fills the 384-byte size class", mshrBlock, size)
+	}
+	PoisonReleasedForTest(true)
+	defer PoisonReleasedForTest(false)
+	r := newRig(t, 2, DefaultConfig())
+	c := r.ctrl[0]
+	const ops = 2*mshrBlock + 1
+	const minted = (ops + mshrBlock - 1) / mshrBlock * mshrBlock
+	done := 0
+	for i := 0; i < ops; i++ {
+		c.Read(r.space.Base(1)+coherence.Addr(i*128), func(res Result) {
+			if res.Err != nil {
+				t.Errorf("read: %v", res.Err)
+			}
+			done++
+		})
+	}
+	if c.Outstanding() != ops || len(c.mshrFree) != minted-ops {
+		t.Fatalf("%d outstanding and %d free MSHRs, want %d and %d", c.Outstanding(), len(c.mshrFree), ops, minted-ops)
+	}
+	tableCap, freeCap := cap(c.mshrs), cap(c.mshrFree)
+	if tableCap < minted || freeCap < minted {
+		t.Fatalf("table cap %d and free list cap %d, want room for all %d records", tableCap, freeCap, minted)
+	}
+	r.e.Run()
+	if done != ops {
+		t.Fatalf("%d of %d reads completed", done, ops)
+	}
+	if len(c.mshrFree) != minted || cap(c.mshrs) != tableCap || cap(c.mshrFree) != freeCap {
+		t.Fatalf("free list holds %d of cap %d and the table cap %d after the run, want %d of cap %d and %d",
+			len(c.mshrFree), cap(c.mshrFree), cap(c.mshrs), minted, freeCap, tableCap)
+	}
+	recs := slices.Clone(c.mshrFree)
+	slices.SortFunc(recs, func(a, b *mshr) int {
+		return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
+	})
+	adjacent := 0
+	for i := 1; i < len(recs); i++ {
+		if uintptr(unsafe.Pointer(recs[i]))-uintptr(unsafe.Pointer(recs[i-1])) == unsafe.Sizeof(mshr{}) {
+			adjacent++
+		}
+	}
+	if want := minted / mshrBlock * (mshrBlock - 1); adjacent < want {
+		t.Fatalf("%d of the records sit next to another, want at least %d: not minted in blocks", adjacent, want)
+	}
+	poisoned := 0
+	for _, m := range c.mshrFree {
+		if m.seq == ^uint64(0) && m.addr == ^coherence.Addr(0) {
+			poisoned++
+		}
+	}
+	if poisoned != ops {
+		t.Fatalf("%d of %d recycled MSHRs read poisoned", poisoned, ops)
+	}
+	// Every record, poisoned or never used, is handed out again at once.
+	done = 0
+	for i := 0; i < minted; i++ {
+		a := r.space.Base(1) + coherence.Addr(0x8000+i*128)
+		c.Read(a, func(res Result) {
+			if res.Err != nil || res.Token != coherence.InitialToken(a) {
+				t.Errorf("read of %v through a recycled MSHR: %+v", a, res)
+			}
+			done++
+		})
+	}
+	if len(c.mshrFree) != 0 || cap(c.mshrFree) != freeCap {
+		t.Fatalf("%d free MSHRs of cap %d with all %d handed out, want none of cap %d", len(c.mshrFree), cap(c.mshrFree), minted, freeCap)
+	}
+	r.e.Run()
+	if done != minted {
+		t.Fatalf("%d of %d reads completed", done, minted)
 	}
 }
 

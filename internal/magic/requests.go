@@ -78,20 +78,41 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 	}))
 }
 
-// addMSHR appends v to the outstanding-operation table in a recycled (or
-// new) record. Sequence numbers only grow, so appending keeps the table in
-// seq order.
+// mshrBlock is how many MSHRs an empty free list is refilled with at once:
+// two records of 192 bytes fill the 384-byte size class exactly. A larger
+// block costs resident heap in every controller that never has that many
+// operations outstanding, and a campaign holds every finished machine.
+const mshrBlock = 2
+
+// addMSHR appends v to the outstanding-operation table in a recycled
+// record, minting a block first if the free list is empty. Sequence numbers
+// only grow, so appending keeps the table in seq order.
 func (c *Controller) addMSHR(v mshr) *mshr {
-	var m *mshr
-	if n := len(c.mshrFree); n > 0 {
-		m = c.mshrFree[n-1]
-		c.mshrFree = c.mshrFree[:n-1]
-	} else {
-		m = new(mshr)
+	if len(c.mshrFree) == 0 {
+		c.mintMSHRs()
 	}
+	n := len(c.mshrFree)
+	m := c.mshrFree[n-1]
+	c.mshrFree[n-1] = nil
+	c.mshrFree = c.mshrFree[:n-1]
 	*m = v
 	c.mshrs = append(c.mshrs, m)
 	return m
+}
+
+// mintMSHRs refills the empty free list with a block of records in one
+// allocation. Every record not on the list is in the table, so the list and
+// the table grow to hold all of them, and neither dropMSHR nor addMSHR's
+// appends have to grow them. It stays out of line so that addMSHR inlines.
+//
+//go:noinline
+func (c *Controller) mintMSHRs() {
+	c.mshrs = slices.Grow(c.mshrs, mshrBlock)
+	c.mshrFree = slices.Grow(c.mshrFree, len(c.mshrs)+mshrBlock)
+	blk := make([]mshr, mshrBlock)
+	for i := len(blk) - 1; i >= 0; i-- {
+		c.mshrFree = append(c.mshrFree, &blk[i])
+	}
 }
 
 // findMSHR returns the outstanding operation with sequence number seq, or

@@ -48,11 +48,14 @@ func (c *Controller) Snapshot() *Snapshot {
 
 // Restore installs a snapshot's state on a freshly built controller for
 // the same node. The firewall image is deep-copied so sibling forks never
-// share mutable NodeSets.
+// share mutable NodeSets; an image with no closed page leaves the map nil.
 func (c *Controller) Restore(s *Snapshot) {
 	c.seq = s.Seq
 	c.lastNormalDelivery = s.LastNormalDelivery
 	copy(c.nodeUp, s.NodeUp)
+	if len(s.Firewall) > 0 {
+		c.firewall = make(map[coherence.Addr]coherence.NodeSet, len(s.Firewall))
+	}
 	for page, writers := range s.Firewall {
 		c.firewall[page] = writers.Clone()
 	}

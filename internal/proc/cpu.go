@@ -8,6 +8,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 
 	"flashfc/internal/coherence"
 	"flashfc/internal/magic"
@@ -80,18 +81,36 @@ type opRecord struct {
 	done func(magic.Result)
 }
 
+// newRecord takes a record off the free list for op, minting a block first
+// if the list is empty.
 func (c *CPU) newRecord(op Op) *opRecord {
-	var r *opRecord
-	if n := len(c.freeRecs); n > 0 {
-		r = c.freeRecs[n-1]
-		c.freeRecs[n-1] = nil
-		c.freeRecs = c.freeRecs[:n-1]
-	} else {
-		r = &opRecord{cpu: c}
-		r.done = r.retire
+	if len(c.freeRecs) == 0 {
+		c.mintRecords()
 	}
+	n := len(c.freeRecs)
+	r := c.freeRecs[n-1]
+	c.freeRecs[n-1] = nil
+	c.freeRecs = c.freeRecs[:n-1]
 	r.op = op
 	return r
+}
+
+// mintRecords refills the empty free list with one Window of records in a
+// single allocation, each record's done bound there. Every record not on
+// the list is in flight, so the list grows to hold all of them, and retire
+// never has to grow it. It stays out of line so that newRecord inlines.
+//
+//go:noinline
+func (c *CPU) mintRecords() {
+	n := max(c.Window, 1)
+	c.freeRecs = slices.Grow(c.freeRecs, c.inflight+n)
+	blk := make([]opRecord, n)
+	for i := n - 1; i >= 0; i-- {
+		r := &blk[i]
+		r.cpu = c
+		r.done = r.retire
+		c.freeRecs = append(c.freeRecs, r)
+	}
 }
 
 // retire completes the record's operation: the submitter's callback, drain notification, and the next issue round. The record
@@ -212,8 +231,8 @@ func (c *CPU) issue() {
 			*next = Op{}
 			c.head++
 		}
-		c.inflight++
 		done := c.newRecord(op).done
+		c.inflight++
 		switch op.Kind {
 		case OpRead:
 			c.Ctrl.Read(op.Addr, done)

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 	"unsafe"
@@ -316,5 +317,52 @@ func TestSubmitAllMatchesSubmits(t *testing.T) {
 		if tc.resubmit && all[len(all)-1].addr != resubmitted {
 			t.Fatalf("%s: the resubmitted read completed at %v, not behind the block", tc.name, all[len(all)-1])
 		}
+	}
+}
+
+// A CPU mints its operation records one Window at a time, in one block, and
+// binds each record's completion there: a steady stream deeper than the
+// window reuses the one block. A wider window mints one more block, and the
+// free list, grown with it, takes every record back without growing again.
+func TestOpRecordsMintedOneWindowAtATime(t *testing.T) {
+	e, cpu, _ := newCPU(t)
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			cpu.Submit(Op{Kind: OpRead, Addr: coherence.Addr(i%2)*(64<<10) + coherence.Addr(i)*128})
+		}
+	}
+	submit(16)
+	e.Run()
+	if len(cpu.freeRecs) != cpu.Window {
+		t.Fatalf("%d records after 16 operations through a window of %d, want one block of %d", len(cpu.freeRecs), cpu.Window, cpu.Window)
+	}
+	recs := slices.Clone(cpu.freeRecs)
+	slices.SortFunc(recs, func(a, b *opRecord) int {
+		return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
+	})
+	for i := 1; i < len(recs); i++ {
+		if uintptr(unsafe.Pointer(recs[i]))-uintptr(unsafe.Pointer(recs[i-1])) != unsafe.Sizeof(opRecord{}) {
+			t.Fatal("the window's records are not one block")
+		}
+	}
+	for _, r := range recs {
+		if r.done == nil || r.cpu != cpu {
+			t.Fatal("a record of the block was not bound when it was minted")
+		}
+	}
+
+	// The old block's 2 records issue first; the third op mints 6 more.
+	cpu.Window = 6
+	submit(32)
+	if cpu.Inflight() != 6 || len(cpu.freeRecs) != 2 {
+		t.Fatalf("inflight %d with %d free records, want the window of 6 and 2 of the new block", cpu.Inflight(), len(cpu.freeRecs))
+	}
+	grown := cap(cpu.freeRecs)
+	if grown < 2+6 {
+		t.Fatalf("free list cap %d after a second block, want room for all %d records", grown, 2+6)
+	}
+	e.Run()
+	if len(cpu.freeRecs) != 2+6 || cap(cpu.freeRecs) != grown {
+		t.Fatalf("free list holds %d of cap %d after the run, want 8 of cap %d", len(cpu.freeRecs), cap(cpu.freeRecs), grown)
 	}
 }

@@ -6,23 +6,27 @@
 //
 // The scheduler is a three-level hierarchical timing wheel (64 ns base slots,
 // a ~1 s window) with a free list that recycles event records across
-// firings. The wheel is the only structure that orders events: one beyond
-// its window waits in the window's last slot and is placed again when that
-// slot is reached. Level-0 slots are arrays, handed from a loaded slot to
-// the next one to fill; upper-level slots are lists threaded through the
-// event records themselves, so a fresh engine schedules into them without
-// allocating. A reached slot is
-// loaded into a sorted run without comparisons when it can be — events
-// scheduled straight into a slot already sit in sequence order, so a stable
-// counting sort on the 64 ns of the slot finishes the job — and the earliest
-// slot of each upper level is remembered between drains rather than
-// re-scanned. Events pop in exactly the (time, sequence) order of a binary
-// heap — the structure is a throughput optimization, never a semantic one.
+// firings and mints them a block at a time, so an engine's peak of N
+// scheduled events costs about N/23 allocations, not N. The wheel is the
+// only structure that orders events: one beyond its window waits in the
+// window's last slot and is placed again when that slot is reached.
+// Level-0 slots are arrays, handed from a loaded slot to the next one to
+// fill; upper-level slots are lists threaded through the event records
+// themselves, so a fresh engine schedules into them without allocating. A
+// reached slot is loaded into a sorted run without comparisons when it can
+// be — events scheduled straight into a slot already sit in sequence order,
+// so a stable counting sort on the 64 ns of the slot finishes the job — and
+// the earliest slot of each upper level is remembered between drains rather
+// than re-scanned. Events pop in exactly the (time, sequence) order of a
+// binary heap — the structure is a throughput optimization, never a
+// semantic one.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"unsafe"
 )
 
 // Time is a simulated timestamp or duration in nanoseconds.
@@ -238,21 +242,44 @@ func (e *Engine) purge() {
 	e.total = e.live
 }
 
-// alloc takes an event record off the free list (or mints one) and stamps
-// it with the next sequence number.
+// eventBlock is how many event records an empty free list is refilled
+// with at once: as many as fit 2 KiB, one of the allocator's size classes,
+// beside the 8-byte header it puts in front of an object with pointers
+// (23 records of 88 bytes). An engine holds its last block's unused records
+// for good, and a campaign holds every finished machine's engine, so the
+// block is sized from resident heap: blocks of 93 and 46 records held
+// 0.9 % and 0.3 % more on hive54 than records minted one at a time, and
+// this one slightly less (DESIGN §11).
+const eventBlock = (2<<10 - 8) / int(unsafe.Sizeof(event{}))
+
+// alloc takes an event record off the free list, minting a block first if
+// the list is empty, and stamps it with the next sequence number.
 func (e *Engine) alloc(at Time) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{}
+	if len(e.free) == 0 {
+		e.mintEvents()
 	}
+	n := len(e.free)
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
 	ev.at = at
 	ev.seq = e.seq
 	e.seq++
 	return ev
+}
+
+// mintEvents refills the empty free list with a block of records in one
+// allocation. Every record not on the list is resident, so the list grows
+// to hold all of them, and release never has to grow it. It stays out of
+// line so that alloc, on every schedule, is small enough to inline.
+//
+//go:noinline
+func (e *Engine) mintEvents() {
+	e.free = slices.Grow(e.free, e.total+eventBlock)
+	blk := make([]event, eventBlock)
+	for i := len(blk) - 1; i >= 0; i-- {
+		e.free = append(e.free, &blk[i])
+	}
 }
 
 // release returns a popped or purged event record to the free list,

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -236,6 +239,75 @@ func TestCancelCompactsHeap(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending after drain = %d", e.Pending())
+	}
+}
+
+// An engine mints its event records a block at a time: a peak of N live
+// events costs ⌈N/eventBlock⌉ blocks and a few geometric growths of the free
+// list, not N records, and once the peak has been reached a schedule-and-fire
+// loop allocates nothing, release included. A record goes back to its block
+// and is handed out again; a Timer left over from its previous tenancy must
+// not cancel the next one.
+func TestEventRecordsMintedInBlocks(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); eventBlock*int(size)+8 > 2<<10 {
+		t.Fatalf("a block of %d %d-byte records overflows its 2 KiB size class", eventBlock, size)
+	}
+	const n = 10*eventBlock + 1
+	const l1 = Time(1) << (baseShift + slotBits) // upper-level slots take no array
+	cb := Callback(func(any, any, uint64) {})
+	e := NewEngine(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		e.AtCall(l1+Time(i), cb, nil, nil, 0)
+	}
+	runtime.ReadMemStats(&after)
+	blocks := (n + eventBlock - 1) / eventBlock
+	if got, most := after.Mallocs-before.Mallocs, uint64(blocks+bits.Len(uint(blocks))+1); got > most && !raceEnabled {
+		t.Fatalf("%d live events cost %d allocations, want at most %d (%d blocks and the free list's growth)", n, got, most, blocks)
+	}
+	if minted := e.total + len(e.free); minted != blocks*eventBlock {
+		t.Fatalf("engine minted %d records for a peak of %d, want %d blocks of %d", minted, n, blocks, eventBlock)
+	}
+	freeCap := cap(e.free)
+	e.Run()
+	if len(e.free) != blocks*eventBlock || cap(e.free) != freeCap {
+		t.Fatalf("free list holds %d of cap %d after the run, want %d of cap %d: release regrew it",
+			len(e.free), cap(e.free), blocks*eventBlock, freeCap)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < n; i++ {
+			e.AfterCall(l1+Time(i), cb, nil, nil, 0)
+		}
+		e.Run()
+	}); allocs != 0 {
+		t.Fatalf("a schedule-and-fire loop under the peak allocates %.1f times, want 0", allocs)
+	}
+
+	// Every record of a block is reissued after it fired; none of the old
+	// Timers reaches its record's next tenant.
+	var stale []Timer
+	for i := 0; i < eventBlock; i++ {
+		stale = append(stale, e.AfterCall(1, cb, nil, nil, 0))
+	}
+	e.Run()
+	fired := 0
+	count := Callback(func(any, any, uint64) { fired++ })
+	reissued := map[*event]bool{}
+	for i := 0; i < eventBlock; i++ {
+		reissued[e.AfterCall(1, count, nil, nil, 0).ev] = true
+	}
+	for _, tm := range stale {
+		if !reissued[tm.ev] {
+			t.Fatal("a fired record was not handed out again before a fresh one")
+		}
+		if tm.Cancel() {
+			t.Fatal("a stale Timer cancelled its record's next tenant")
+		}
+	}
+	e.Run()
+	if fired != eventBlock {
+		t.Fatalf("%d of %d reissued events fired, want all", fired, eventBlock)
 	}
 }
 
