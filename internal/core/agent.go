@@ -133,6 +133,9 @@ type Config struct {
 	OnComplete func(*Report)
 	// OnPhase, if set, observes phase transitions (tests, tracing).
 	OnPhase func(node int, p Phase)
+	// OnStall, if set, observes a watchdog that found the agent stalled
+	// in phase p and round of epoch, just before the agent restarts.
+	OnStall func(node int, p Phase, round, epoch int)
 
 	// watchdogTimeout is timing.WatchdogTimeout; a test rig sets it to 0
 	// to run without the restart watchdog.
@@ -620,6 +623,9 @@ func watchdogFired(a1, _ any, u uint64) {
 	// No progress: assume an additional failure and restart the algorithm
 	// at a higher epoch. The restart wave (pings carry the new epoch)
 	// brings everyone else along.
+	if a.cfg.OnStall != nil {
+		a.cfg.OnStall(a.ID, a.phase, a.round, a.epoch)
+	}
 	a.restartTo(a.epoch + 1)
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"flashfc/internal/interconnect"
+)
 
 // msgKind enumerates recovery protocol messages.
 type msgKind uint8
@@ -73,4 +77,15 @@ func (m *recMsg) bytes() int {
 		return 16 + 4*m.State.words()
 	}
 	return 16
+}
+
+// RecoveryMessage describes the recovery message p carries, for
+// diagnostics: its kind, its epoch and, for a gossip round's state, its
+// round. ok is false for a packet that carries none.
+func RecoveryMessage(p *interconnect.Packet) (kind string, epoch, round int, ok bool) {
+	m, ok := p.Payload.(*recMsg)
+	if !ok {
+		return "", 0, 0, false
+	}
+	return m.Kind.String(), m.Epoch, m.Round, true
 }

@@ -66,6 +66,9 @@ type ScalingPoint struct {
 	// Judge is the recovered machine's verdict; empty on a passing run and
 	// on one that did not recover.
 	Judge machine.Judgement
+	// Livelock is the note of a recovery the machine stopped because two
+	// consecutive epochs repeated (machine.Livelock); empty otherwise.
+	Livelock string
 	// Events is the number of simulated events the run's engine fired.
 	Events uint64
 	// Metrics is the run's machine-wide metric snapshot; sweeps merge the
@@ -78,7 +81,10 @@ func (p ScalingPoint) SimEvents() uint64             { return p.Events }
 func (p ScalingPoint) RunMetrics() *metrics.Snapshot { return p.Metrics }
 func (p ScalingPoint) FillRecord(rec *obs.RunRecord) {
 	rec.ContainmentNS = int64(p.Phases.Total)
-	if !p.OK {
+	switch {
+	case p.Livelock != "":
+		rec.Outcome, rec.Note = obs.OutcomeLivelock, p.Livelock
+	case !p.OK:
 		rec.Outcome = obs.OutcomeFail
 		if !p.Judge.OK() {
 			rec.Note = p.Judge.String()
@@ -96,8 +102,12 @@ func MeasureRecovery(cfg ScalingConfig) ScalingPoint { return scalingPoint(scali
 func scalingPoint(s Script) ScalingPoint {
 	rec := s.Run()
 	n := len(s.M.Nodes)
-	return ScalingPoint{Nodes: n, X: float64(n), Phases: s.M.Aggregate(), OK: rec.Recovered && rec.Judge.OK(),
+	p := ScalingPoint{Nodes: n, X: float64(n), Phases: s.M.Aggregate(), OK: rec.Recovered && rec.Judge.OK(),
 		Judge: rec.Judge, Events: rec.Events, Metrics: rec.Metrics}
+	if rec.Livelock {
+		p.Livelock = rec.Note
+	}
+	return p
 }
 
 // scalingScript is MeasureRecovery's run: the node failure lands half way

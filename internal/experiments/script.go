@@ -120,6 +120,9 @@ func (s Script) recoverAndJudge() {
 	}
 	if rec.Recovered = m.RunUntilRecovered(from + s.Budget); !rec.Recovered {
 		rec.Note = fmt.Sprintf("recovery incomplete after %v", s.Budget)
+		if note := m.Livelock(); note != "" {
+			rec.Livelock, rec.Note = true, note
+		}
 		return
 	}
 	if s.afterRecovery != nil {

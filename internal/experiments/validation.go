@@ -22,6 +22,9 @@ import (
 type ValidationResult struct {
 	Fault     fault.Fault
 	Recovered bool
+	// Livelock is set when the machine stopped the recovery because two
+	// consecutive epochs repeated (machine.Livelock); Note names them.
+	Livelock bool
 	// Judge is machine.Judge's verdict, taken between recovery and the
 	// sweep; empty on a passing run.
 	Judge  machine.Judgement
@@ -73,7 +76,10 @@ func (r *ValidationResult) FillRecord(rec *obs.RunRecord) {
 	rec.Fault = r.Fault.String()
 	rec.ContainmentNS = int64(r.Phases.Total)
 	rec.AffectedNodes = r.AffectedNodes
-	if !r.OK() {
+	switch {
+	case r.Livelock:
+		rec.Outcome, rec.Note = obs.OutcomeLivelock, r.Note
+	case !r.OK():
 		rec.Outcome, rec.Note = obs.OutcomeFail, r.Note
 	}
 }

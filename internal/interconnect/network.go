@@ -772,12 +772,22 @@ func (n *Network) headDropEv(a1, a2 any, u uint64) {
 		return
 	}
 	pkt := ch.q[0]
-	if on != nil && (on.pops != pkt.awaitPops || on.inTransit != nil) {
+	if on != nil && !slowHeadsDropped.Load() && (on.pops != pkt.awaitPops || on.inTransit != nil) {
 		return
 	}
 	n.drop("drop-headtimeout", int(ch.router), pkt)
 	n.popHead(ch)
 }
+
+// slowHeadsDropped switches off the rule that a recovery lane keeps a head
+// behind traffic that moves; see DropSlowRecoveryHeadsForTest.
+var slowHeadsDropped atomic.Bool
+
+// DropSlowRecoveryHeadsForTest makes every recovery-lane head-drop timeout
+// drop its head, whether or not the channel it waits on has moved: the
+// rule before recovery lanes told a stuck head from a slow one. Test-only:
+// it shows what a recovery that repeats one failure every epoch does.
+func DropSlowRecoveryHeadsForTest(on bool) { slowHeadsDropped.Store(on) }
 
 // popHead removes ch's head packet, wakes anything waiting for space in ch,
 // and restarts service on ch.

@@ -141,6 +141,8 @@ type Machine struct {
 	live *Liveness
 	// repairs is the P3 table-repair memo this machine's agents share.
 	repairs *core.RepairMemo
+	// watch stops a recovery whose epochs repeat (livelock.go).
+	watch livelockWatch
 
 	recovered bool
 	lastEpoch int
@@ -251,7 +253,7 @@ func build(cfg Config, snap *Snapshot) *Machine {
 		Metrics: reg,
 		live:    newLiveness(topo, cfg.Nodes),
 	}
-	net.OnLost = m.Oracle.PacketLost
+	net.OnLost = m.packetLost
 	cfg.Magic.Metrics = reg
 	cfg.Magic.Trace = cfg.Trace
 
@@ -267,6 +269,13 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	rcfg.MemServes = m.live.MemServes
 	userOnEnter := rcfg.OnEnter
 	userOnComplete := rcfg.OnComplete
+	userOnStall := rcfg.OnStall
+	rcfg.OnStall = func(id int, p core.Phase, round, epoch int) {
+		m.agentStalled(id, p, round, epoch)
+		if userOnStall != nil {
+			userOnStall(id, p, round, epoch)
+		}
+	}
 
 	for i := 0; i < cfg.Nodes; i++ {
 		// Every component of node i lives on its region's engine, so all
@@ -530,6 +539,7 @@ func (m *Machine) agentDone(r *core.Report) {
 		return
 	}
 	m.recovered = true
+	m.watch = livelockWatch{}
 	m.Cfg.Trace.EndRoot(m.E.Now())
 	// The trace explains the containment window, fault to recovery: what
 	// follows (the verify sweep, OS recovery, the workload resuming) records
@@ -646,10 +656,11 @@ func (m *Machine) Advance(t sim.Time) {
 	m.E.RunUntil(t)
 }
 
-// RunUntilRecovered advances the simulation until recovery completes or the
-// deadline passes; it reports whether recovery completed.
+// RunUntilRecovered advances the simulation until recovery completes, the
+// deadline passes or the recovery livelocks (Livelock); it reports whether
+// recovery completed.
 func (m *Machine) RunUntilRecovered(deadline sim.Time) bool {
-	for !m.recovered && m.Now() < deadline {
+	for !m.recovered && m.watch.note == "" && m.Now() < deadline {
 		step := m.Now() + sim.Millisecond
 		if step > deadline {
 			step = deadline

@@ -36,7 +36,7 @@ type RunRecord struct {
 	// Fault names the injected fault (class plus parameters), empty for
 	// fault-free runs.
 	Fault string `json:"fault,omitempty"`
-	// Outcome classifies the run: "pass", "fail", or "panic".
+	// Outcome classifies the run: "pass", "fail", "livelock" or "panic".
 	Outcome string `json:"outcome"`
 	// ContainmentNS is the run's containment time (recovery entry to the
 	// last node's completion) in simulated nanoseconds; 0 when recovery
@@ -64,6 +64,9 @@ const (
 	OutcomePass  = "pass"
 	OutcomeFail  = "fail"
 	OutcomePanic = "panic"
+	// OutcomeLivelock is a failed run whose recovery the livelock watch
+	// stopped: two consecutive epochs met the same drops and stalls.
+	OutcomeLivelock = "livelock"
 )
 
 // Batch announces a campaign batch to a Sink before its first record:

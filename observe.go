@@ -37,9 +37,10 @@ type (
 
 // Run outcomes.
 const (
-	OutcomePass  = obs.OutcomePass
-	OutcomeFail  = obs.OutcomeFail
-	OutcomePanic = obs.OutcomePanic
+	OutcomePass     = obs.OutcomePass
+	OutcomeFail     = obs.OutcomeFail
+	OutcomePanic    = obs.OutcomePanic
+	OutcomeLivelock = obs.OutcomeLivelock
 )
 
 // NewRunLog returns a RunLog writing JSONL to w. host keeps the host-side
