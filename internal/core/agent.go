@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
 	"flashfc/internal/magic"
 	"flashfc/internal/metrics"
@@ -111,10 +112,11 @@ type Config struct {
 	// up*/down* rewrite). The strategy-only counters are registered for
 	// every other strategy, so a paper machine's metrics carry none.
 	Routing routing.Strategy
-	// Repairs memoises the P3 table repair across the agents of one
-	// machine, which wires a fresh memo into every agent it builds. nil
-	// gives the agent a private one.
-	Repairs *RepairMemo
+	// Memo holds what the agents of one machine derive from a system
+	// state — view, trees, participants, failed units, P3 repair — once
+	// for all of them; the machine wires a fresh one into every agent it
+	// builds. nil gives the agent a private one.
+	Memo *Memo
 
 	// Metrics, when non-nil, receives machine-wide recovery-algorithm
 	// counters (gossip rounds, BFT bound growth, drain attempts/restarts,
@@ -196,24 +198,26 @@ type Agent struct {
 	// arenas.
 	finalState *sysState
 
-	// Post-P2 derived state. view, bft and own point into ep once
-	// computed.
-	view         *topology.View
-	bft          *topology.BFT // rooted at root
-	own          *topology.BFT // rooted here, for routeTo; built on first use
-	root         int
-	participants []int
-	partSet      []bool // partSet[v]: v is a participant
-	doomed       bool
+	// boundAt is the memo's entry for the state afterMerge took for the
+	// P2 bound, until boundComputed reads it.
+	boundAt *stateEntry
+	// Post-P2 derived state. conv is the memo's entry for the state P2
+	// ended with: the view, the root, its tree and the participants,
+	// shared read-only with every agent that converged on it. own points
+	// into ep once computed.
+	conv   *stateEntry
+	own    *topology.BFT // rooted here, for routeTo; built on first use
+	doomed bool
 
 	// Barriers.
 	tree   *barrierTree // built on the epoch's first barrier
 	voteAt sim.Time
 
-	// P4 all-to-all flush barrier: flushSeen[v] once node v's flush-done
-	// (or, for v == ID, this node's own flush) is in this epoch;
-	// flushCount counts the participants among them.
-	flushSeen  []bool
+	// P4 all-to-all flush barrier: flushSeen holds v once node v's
+	// flush-done (or, for v == ID, this node's own flush) is in this
+	// epoch; flushCount counts the participants among them. nil once the
+	// agent has finished.
+	flushSeen  coherence.NodeSet
 	flushCount int
 	scanned    bool
 
@@ -253,20 +257,17 @@ type pongDest struct {
 
 // epochScratch is what an epoch's P1 and P3 work with on the host. It is
 // allocated at an agent's first epoch, cleared in place at a restart, and
-// dropped when the agent finishes.
+// dropped when the agent finishes. Its P1 lists hold only what P1 reaches,
+// which is the agent's neighbours and a dead neighbour's, not the machine.
 type epochScratch struct {
-	nodes    []nodeScratch // indexed by node (and its router)
-	explored []bool        // links already probed
-	probes   []probe       // the probes, named by index in callbacks
-	pings    []sim.Timer   // the ping timeouts
+	nodes  []nodeScratch // the nodes P1 reached, in the order it did (see node)
+	probes []probe       // the probes, named by index in callbacks
+	pings  []sim.Timer   // the ping timeouts
 	// paths is the route arena (see carve): probe, ping, pong, barrier and
 	// routeTo routes are carved from it.
 	paths []int
-	// The view and trees the agent computes into: P2's bound computations
-	// and the final view and BFT share view and bft.
-	view     topology.View
-	bft, own topology.BFT
-	bars     []barrierState // the barriers, named by index in callbacks
+	own   topology.BFT   // the tree routeTo walks, rooted here
+	bars  []barrierState // the barriers, named by index in callbacks
 	// inbox holds P2's state messages of the rounds not yet merged, by
 	// value, one row per round in ascending round order (see store).
 	inbox []inboxRow
@@ -286,12 +287,47 @@ type epochScratch struct {
 
 // nodeScratch is what this epoch's P1 knows of one node and its router.
 type nodeScratch struct {
-	path    []int // source route to the router; nil until reached
+	id      int32 // the node
 	waiters int32 // probes waiting on the node's ping outcome
 	ping    int32 // 1 + the index of its ping's timeout in pings; 0 if none
 	known   bool  // the ping outcome is in
 	alive   bool  // the outcome: a pong came back
 	inCwn   bool
+	path    []int // source route to the router; nil until reached
+}
+
+// node returns what P1 knows of node id, nil if it knows nothing: a scan
+// of the few nodes P1 reached, so a pong or ping timeout naming any other
+// node misses in a handful of compares. The pointer is good until the next
+// reach.
+func (ep *epochScratch) node(id int) *nodeScratch {
+	for i := range ep.nodes {
+		if int(ep.nodes[i].id) == id {
+			return &ep.nodes[i]
+		}
+	}
+	return nil
+}
+
+// reach returns what P1 knows of node id, listing the node if P1 had not
+// reached it yet.
+func (ep *epochScratch) reach(id int) *nodeScratch {
+	if ns := ep.node(id); ns != nil {
+		return ns
+	}
+	ep.nodes = append(ep.nodes, nodeScratch{id: int32(id)})
+	return &ep.nodes[len(ep.nodes)-1]
+}
+
+// explored reports whether this epoch has probed link l: every link probe
+// is listed in probes from the moment exploreFrom decides on it.
+func (ep *epochScratch) explored(l int) bool {
+	for i := range ep.probes {
+		if ep.probes[i].link == l {
+			return true
+		}
+	}
+	return false
 }
 
 // NewAgent wires a recovery agent to its node and registers it as the
@@ -304,8 +340,8 @@ func NewAgent(e *sim.Engine, net *interconnect.Network, ctrl *magic.Controller,
 	if a.cfg.Routing == nil {
 		a.cfg.Routing = routing.Paper
 	}
-	if a.cfg.Repairs == nil {
-		a.cfg.Repairs = NewRepairMemo()
+	if a.cfg.Memo == nil {
+		a.cfg.Memo = NewMemo()
 	}
 	a.mGossipRounds = cfg.Metrics.Counter("core.gossip_rounds")
 	a.mBFTBoundHits = cfg.Metrics.Counter("core.bft_bound_hits")
@@ -347,11 +383,12 @@ func (a *Agent) setPhase(p Phase) {
 	}
 	if p == PhaseDone || p == PhaseShutdown {
 		// A finished agent stays resident with its machine: it keeps
-		// none of the epoch's scratch. What it still answers — a late
-		// gossip round's echo, a ping — it answers from cwnRoute and
-		// finalState, or with a freshly built route.
+		// none of the epoch's scratch and no reference into the memo.
+		// What it still answers — a late gossip round's echo, a ping —
+		// it answers from cwnRoute and finalState, or with a freshly
+		// built route; a late flush-done finds nothing to count.
 		a.dropP2Scratch()
-		a.ep, a.view, a.bft, a.own, a.tree = nil, nil, nil, nil, nil
+		a.ep, a.boundAt, a.conv, a.own, a.tree, a.flushSeen = nil, nil, nil, nil, nil, nil
 	}
 	if a.cfg.OnPhase != nil {
 		a.cfg.OnPhase(a.ID, p)
@@ -448,16 +485,13 @@ func (a *Agent) resetState() {
 	}
 	clear(ep.pings)
 	ep.pings = ep.pings[:0]
-	if len(ep.nodes) != n {
-		ep.nodes = make([]nodeScratch, n)
-	} else {
-		clear(ep.nodes)
-	}
-	ep.explored = resetBools(ep.explored, len(a.Topo.Links()))
 	// P1's lists are sized for the common epoch, which probes this node's
-	// links and those of a dead neighbor: growing them costs more
+	// links and those of a dead neighbor, and reaches this node, its
+	// neighbours and the dead neighbour's: growing them costs more
 	// allocations than the epoch's few sends.
 	deg := 2 * len(a.Topo.Adjacency(a.ID))
+	clear(ep.nodes)
+	ep.nodes = slices.Grow(ep.nodes[:0], deg+2)
 	ep.probes = slices.Grow(ep.probes[:0], deg+1)
 	ep.paths = make([]int, 0, routeBlock)
 	clear(ep.bars)
@@ -475,17 +509,14 @@ func (a *Agent) resetState() {
 	a.dropP2Scratch()
 	a.hint = 0
 	a.finalState = nil
-	a.view, a.bft, a.own = nil, nil, nil
-	if a.flushSeen != nil && a.flushSeen[a.ID] {
-		// The last epoch's flush-done fan-out may still be reading
-		// its participant list: build this epoch's in a new one.
-		a.participants = nil
-	}
-	a.participants = slices.Grow(a.participants[:0], n)
-	a.partSet = resetBools(a.partSet, n)
+	a.boundAt, a.conv, a.own = nil, nil, nil
 	a.doomed = false
 	a.tree = nil
-	a.flushSeen = resetBools(a.flushSeen, n)
+	if a.flushSeen == nil {
+		a.flushSeen = coherence.NewNodeSet(n)
+	} else {
+		clear(a.flushSeen)
+	}
 	a.flushCount = 0
 	a.scanned = false
 }
@@ -520,15 +551,6 @@ func (a *Agent) reverse(route []int) []int {
 		out[len(route)-1-i] = r
 	}
 	return out
-}
-
-// resetBools returns b cleared, or a fresh slice if b is not n long.
-func resetBools(b []bool, n int) []bool {
-	if len(b) != n {
-		return make([]bool, n)
-	}
-	clear(b)
-	return b
 }
 
 // restartTo abandons the current run and re-executes the algorithm at a
@@ -860,7 +882,11 @@ func (a *Agent) DebugString() string {
 			bars += fmt.Sprintf(" %v(ready=%v ups=%d/%d)", b.key, b.ready, b.ups(), len(b.children))
 		}
 	}
+	parts := 0
+	if a.conv != nil {
+		parts = len(a.conv.parts)
+	}
 	return fmt.Sprintf("node %d %v ep=%d probing=%d cwn=%v round=%d/%d stable=%d merging=%v missing=[%s] flush=%d/%d bars=%s",
 		a.ID, a.phase, a.epoch, a.probing, a.cwn, a.round, a.target, a.stable, a.merging,
-		missing, a.flushCount, len(a.participants), bars)
+		missing, a.flushCount, parts, bars)
 }

@@ -25,8 +25,13 @@ type rig struct {
 
 func newRig(t *testing.T, w, h int, mod func(*Config)) *rig {
 	t.Helper()
+	return newRigOn(t, topology.NewMesh(w, h), mod)
+}
+
+// newRigOn is newRig on any topology.
+func newRigOn(t *testing.T, topo *topology.Topology, mod func(*Config)) *rig {
+	t.Helper()
 	e := sim.NewEngine(1)
-	topo := topology.NewMesh(w, h)
 	net := interconnect.New(e, topo, interconnect.DefaultConfig())
 	n := topo.Routers()
 	space := coherence.AddrSpace{Nodes: n, MemBytes: 64 << 10}
@@ -231,11 +236,11 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 	// Hand the agent a converged view so the helpers can be probed
 	// without running the algorithm.
 	a.st = allUp(r.topo)
-	a.view = &topology.View{}
-	a.st.viewInto(a.view, r.topo)
-	a.root = 0
-	a.bft = a.view.BFS(0)
-	setParticipants(a, 0, 1, 2, 3, 4, 5, 6, 7)
+	a.conv = a.cfg.Memo.lookup(a.st, r.topo)
+	a.conv.converge()
+	if a.conv.root != 0 || !slices.Equal(a.conv.parts, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("converged on root %d and participants %v, want 0 and every node", a.conv.root, a.conv.parts)
+	}
 	if got := a.barrierParent(0); got != -1 {
 		t.Fatalf("root's parent = %d", got)
 	}
@@ -272,11 +277,13 @@ func TestBarrierTopologyHelpers(t *testing.T) {
 }
 
 // A finished agent stays resident with its machine, so it keeps none of the
-// epoch's scratch: P2's round snapshot goes when P2 ends; its inbox rows,
-// P1's per-node state, probes, ping timeouts and route arena, the snapshot
-// arena, the barrier states and tree, the view and BFT buffers and the
-// record free list by the time the node resumes, shuts down with its
-// failure unit, or dies.
+// epoch's scratch and nothing N-sized: P2's round snapshot goes when P2
+// ends; its inbox rows, P1's per-node state, probes, ping timeouts and
+// route arena, the snapshot arena, the barrier states and tree, its own
+// tree's buffers, the record free list, its references into the memo (the
+// view, the tree, the participant list and the participant set) and the
+// flush barrier's set of flush-dones seen by the time the node resumes,
+// shuts down with its failure unit, or dies.
 func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 	scratch := func(a *Agent) string {
 		held := ""
@@ -285,8 +292,10 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 			held bool
 		}{
 			{"snapshot", a.snap != nil}, {"tree", a.tree != nil},
-			{"epoch scratch (node state, probes, ping timeouts, route and snapshot arenas, barriers, inbox rows, view and tree buffers, record free list)", a.ep != nil},
-			{"view", a.view != nil}, {"BFT", a.bft != nil}, {"own BFT", a.own != nil},
+			{"epoch scratch (node state, probes, ping timeouts, route and snapshot arenas, barriers, inbox rows, own tree buffers, record free list)", a.ep != nil},
+			{"memo entry (view, BFT, participant list, participant set)", a.conv != nil},
+			{"bound's memo entry", a.boundAt != nil},
+			{"own BFT", a.own != nil}, {"flush-done set", a.flushSeen != nil},
 		} {
 			if f.held {
 				held += " " + f.name
@@ -303,7 +312,7 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 			a := r.agents[node]
 			switch p {
 			case PhaseDissemination:
-				if ep := a.ep; ep != nil && len(ep.probes) > 0 && len(ep.paths) > 0 && ep.nodes != nil {
+				if ep := a.ep; ep != nil && len(ep.probes) > 0 && len(ep.paths) > 0 && len(ep.nodes) > 0 {
 					probed++
 				}
 			case PhaseInterconnect:
@@ -311,12 +320,12 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 					t.Errorf("node %d entered P3 holding its round snapshot", node)
 				}
 			case PhaseCoherence:
-				if a.tree != nil && len(a.ep.bars) > 0 && a.view == &a.ep.view && a.bft == &a.ep.bft {
+				if e := a.conv; a.tree != nil && len(a.ep.bars) > 0 && e != nil && e.bft != nil && len(e.parts) > 0 && a.flushSeen != nil {
 					trees++
 				}
 				// Every agent can route to every participant from its
 				// own tree; ask for one outside cwn to build it.
-				for _, q := range a.participants {
+				for _, q := range a.conv.parts {
 					if _, inCwn := slices.BinarySearch(a.cwn, q); !inCwn && q != a.ID {
 						if a.routeTo(q) == nil || a.own == nil {
 							t.Errorf("node %d has no route to participant %d", node, q)
@@ -343,6 +352,11 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 		if held := scratch(a); held != "" {
 			t.Errorf("finished node %d (%v) holds scratch:%s", a.ID, a.Phase(), held)
 		}
+		// A late flush-done of its own epoch finds nothing to count.
+		deliver(a, (a.ID+1)%len(r.agents), a.epoch)
+		if held := scratch(a); held != "" {
+			t.Errorf("a late flush-done at finished node %d rebuilt scratch:%s", a.ID, held)
+		}
 	}
 
 	// A node that dies mid-P2 drops what it held.
@@ -362,13 +376,16 @@ func TestFinishedAgentHoldsNoScratch(t *testing.T) {
 }
 
 // Every held machine keeps one Agent per node, so an Agent must stay in the
-// 704-byte size class: objects with pointers above 512 bytes carry an
-// 8-byte allocator header, and 700 bytes would take the 768-byte class, 64
-// KiB more per 1 024-node machine.
+// 640-byte size class: objects with pointers above 512 bytes carry an
+// 8-byte allocator header, and 640 bytes would take the 704-byte class, 64
+// KiB more per 1 024-node machine. The view, trees and participants an
+// Agent derives after P2 are one reference into the machine's memo.
 func TestAgentFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Agent{}); size+8 > 704 {
-		t.Fatalf("Agent is %d bytes; with its header it no longer fits the 704-byte size class", size)
+	size := unsafe.Sizeof(Agent{})
+	if size+8 > 640 {
+		t.Fatalf("Agent is %d bytes; with its header it no longer fits the 640-byte size class", size)
 	}
+	t.Logf("Agent is %d bytes", size)
 }
 
 func TestTriggerIgnoredWhileRunningAndWhenDead(t *testing.T) {
@@ -407,11 +424,75 @@ func allUp(t *topology.Topology) *sysState {
 }
 
 // setParticipants fixes a's participant list by hand, as
-// finishDissemination would.
+// finishDissemination would, in an entry of its own.
 func setParticipants(a *Agent, parts ...int) {
-	a.participants = parts
-	a.partSet = resetBools(a.partSet, a.Topo.Routers())
+	set := coherence.NewNodeSet(a.Topo.Routers())
 	for _, p := range parts {
-		a.partSet[p] = true
+		set.Add(p)
+	}
+	a.conv = &stateEntry{converged: true, parts: parts, partSet: set}
+}
+
+// P1 probes this node's links and, through a dead neighbour's router, that
+// neighbour's links, so what it knows of nodes is what it reached: this
+// node, its neighbours and a dead neighbour's — at most 2·degree+2 entries,
+// not one per node of the machine. Every agent of a 16×8 mesh and of a
+// 128-node hypercube with one node down ends P1 within that bound, and
+// lists only nodes within two hops of it.
+func TestP1ScratchHoldsOnlyReachedNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		topo   *topology.Topology
+		victim int
+	}{
+		{"mesh16x8", topology.NewMesh(16, 8), 72},
+		{"hypercube128", topology.NewHypercube(7), 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r *rig
+			sum, most, agents := 0, 0, 0
+			r = newRigOn(t, tc.topo, func(c *Config) {
+				c.OnPhase = func(node int, p Phase) {
+					if p != PhaseDissemination {
+						return
+					}
+					a := r.agents[node]
+					deg := tc.topo.Degree(node)
+					if got := len(a.ep.nodes); got > 2*deg+2 {
+						t.Errorf("node %d (degree %d) ended P1 knowing %d nodes, want <= %d", node, deg, got, 2*deg+2)
+					}
+					near := tc.topo.Adjacency(node)
+					for _, ns := range a.ep.nodes {
+						v := int(ns.id)
+						ok := v == node
+						for _, adj := range near {
+							if adj.To == v || (adj.To == tc.victim && tc.topo.PortTo(tc.victim, v) >= 0) {
+								ok = true
+							}
+						}
+						if !ok {
+							t.Errorf("node %d's P1 lists node %d, beyond its neighbours and the dead one's", node, v)
+						}
+					}
+					sum += len(a.ep.nodes)
+					most = max(most, len(a.ep.nodes))
+					agents++
+				}
+			})
+			r.ctrls[tc.victim].SetMode(magic.ModeDead)
+			r.agents[tc.victim].Kill()
+			r.agents[0].Trigger(magic.ReasonTimeout)
+			var live []int
+			for i := range r.agents {
+				if i != tc.victim {
+					live = append(live, i)
+				}
+			}
+			r.run(t, 2*sim.Second, live)
+			if agents != len(live) {
+				t.Fatalf("%d agents reached P2, want %d", agents, len(live))
+			}
+			t.Logf("P1 knew %.1f nodes on average, %d at most, of %d", float64(sum)/float64(agents), most, tc.topo.Routers())
+		})
 	}
 }

@@ -106,21 +106,21 @@ func (b *barrierState) ups() int {
 // barrierParent returns the nearest BFT ancestor of node v whose node is a
 // participant (the root returns -1).
 func (a *Agent) barrierParent(v int) int {
-	for r := a.bft.Parent[v]; r >= 0; r = a.bft.Parent[r] {
-		if a.partSet[r] {
+	for r := a.conv.bft.Parent[v]; r >= 0; r = a.conv.bft.Parent[r] {
+		if a.conv.partSet.Has(r) {
 			return r
 		}
 	}
-	if v == a.root {
+	if v == a.conv.root {
 		return -1
 	}
-	return a.root
+	return a.conv.root
 }
 
 // barrierChildren lists participants whose barrierParent is v.
 func (a *Agent) barrierChildren(v int) []int {
 	var out []int
-	for _, p := range a.participants {
+	for _, p := range a.conv.parts {
 		if p != v && a.barrierParent(p) == v {
 			out = append(out, p)
 		}
@@ -133,14 +133,14 @@ func (a *Agent) barrierChildren(v int) []int {
 func (a *Agent) bftPath(desc, anc int) []int {
 	n := 1
 	for r := desc; r != anc; n++ {
-		if r = a.bft.Parent[r]; r < 0 {
+		if r = a.conv.bft.Parent[r]; r < 0 {
 			return nil
 		}
 	}
 	path := a.carve(n)
 	for i, r := 0, desc; i < n; i++ {
 		path[i] = r
-		r = a.bft.Parent[r]
+		r = a.conv.bft.Parent[r]
 	}
 	return path
 }

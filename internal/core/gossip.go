@@ -250,9 +250,10 @@ func (a *Agent) afterMerge() {
 		}
 		// Compute the BFT bound now, charging O(V+E); without hints
 		// this computation happens on every stable round and chains
-		// between neighbors. The view is taken now, the tree once the
-		// charge is paid, both in the epoch's own buffers.
-		a.st.viewInto(&a.ep.view, a.Topo)
+		// between neighbors. The state is taken now, as the machine's
+		// memo entry for it; the charged continuation reads the bound
+		// from that entry, computed once for every agent that asks.
+		a.boundAt = a.cfg.Memo.lookup(a.st, a.Topo)
 		charge := timing.InstrBFTPerEdge * (a.Topo.Routers() + len(a.Topo.Links()))
 		a.execArg(charge, boundComputed, 0)
 		return
@@ -260,21 +261,15 @@ func (a *Agent) afterMerge() {
 	a.advanceRound()
 }
 
-// boundComputed raises the termination bound to 2h of the view afterMerge
+// boundComputed raises the termination bound to 2h of the state afterMerge
 // took (§4.3) and advances the round.
 func boundComputed(a1, _ any, u uint64) {
 	a := a1.(*Agent)
 	if !a.current(u) || a.phase != PhaseDissemination {
 		return
 	}
-	bound := 0
-	if root := a.ep.view.ElectRoot(); root >= 0 {
-		a.ep.view.BFSInto(&a.ep.bft, root)
-		bound = 2 * a.ep.bft.Height
-	}
-	if bound < 1 {
-		bound = 1
-	}
+	bound := a.boundAt.termination()
+	a.boundAt = nil
 	if bound > a.target {
 		a.target = bound
 		a.mBFTBoundHits.Inc()
@@ -303,43 +298,34 @@ func (a *Agent) finishDissemination() {
 	a.dropP2Scratch()
 	charge := timing.InstrBFTPerEdge * (a.Topo.Routers() + len(a.Topo.Links()))
 	a.execInstr(charge, func() {
-		a.st.viewInto(&a.ep.view, a.Topo)
-		a.view = &a.ep.view
-		// The functioning nodes, filtered in place to the participants.
-		functioning := a.st.appendFunctioning(a.participants[:0])
-		if len(functioning) == 0 {
+		// The view, the root (the first functioning node), its tree and
+		// the participants — the functioning nodes reachable from the
+		// root — come from the machine's memo entry for this state.
+		e := a.cfg.Memo.lookup(a.st, a.Topo)
+		e.converge()
+		if e.root < 0 {
 			a.isolatedShutdown()
 			return
 		}
-		a.root = functioning[0]
-		a.view.BFSInto(&a.ep.bft, a.root)
-		a.bft = &a.ep.bft
-		// Participants: functioning nodes reachable from the root.
-		// The algorithm assumes no split brain (§4.2).
-		a.participants = functioning[:0]
-		clear(a.partSet)
+		a.conv = e
 		a.flushCount = 0
-		for _, n := range functioning {
-			if a.bft.Dist[n] >= 0 {
-				a.participants = append(a.participants, n)
-				a.partSet[n] = true
-				if a.flushSeen[n] {
-					a.flushCount++ // a flush-done that beat the participant list
-				}
+		for _, n := range e.parts {
+			if a.flushSeen.Has(n) {
+				a.flushCount++ // a flush-done that beat the participant list
 			}
 		}
-		if !a.partSet[a.ID] {
+		if !e.partSet.Has(a.ID) {
 			a.isolatedShutdown()
 			return
 		}
 		// Split-brain guard (§4.2): refuse to recover a minority island.
-		if float64(len(a.participants)) < timing.QuorumFraction*float64(a.Topo.Routers()) {
+		if float64(len(e.parts)) < timing.QuorumFraction*float64(a.Topo.Routers()) {
 			a.isolatedShutdown()
 			return
 		}
 		// Failure units: a unit with any failed component takes its
 		// surviving members down with it after P4 (§4.3).
-		failedUnit := a.failedUnits()
+		failedUnit := e.failedUnits(a.cfg.FailureUnits)
 		units := a.cfg.FailureUnits
 		a.doomed = units != nil && failedUnit[units[a.ID]]
 		// Node map: failed nodes and doomed-unit members are marked
@@ -372,42 +358,20 @@ func (a *Agent) dropP2Scratch() {
 	a.snap = nil
 }
 
-// failedUnits reports, indexed by failure-unit id, which units contain a
-// failed node, failed router, or failed intra-unit link. It is nil on a
-// machine without failure units, where nothing reads it.
-func (a *Agent) failedUnits() []bool {
-	units := a.cfg.FailureUnits
-	if units == nil {
-		return nil
-	}
-	out := make([]bool, slices.Max(units)+1)
-	for i := 0; i < a.Topo.Routers(); i++ {
-		if a.st.node(i) == triDown || a.st.router(i) == triDown {
-			out[units[i]] = true
-		}
-	}
-	for l, link := range a.Topo.Links() {
-		if a.st.link(l) == triDown && units[link.A] == units[link.B] {
-			out[units[link.A]] = true
-		}
-	}
-	return out
-}
-
 // routeTo returns a source route to a participant: the P1 route to a cwn
 // member, else the path down the tree rooted here over the post-
 // dissemination view (built once per epoch, on first use). A finished
-// agent, its views dropped, answers from cwnRoute alone (nil: follow the
+// agent, its view dropped, answers from cwnRoute alone (nil: follow the
 // tables).
 func (a *Agent) routeTo(node int) []int {
 	if i, ok := slices.BinarySearch(a.cwn, node); ok {
 		return a.cwnRoute[i]
 	}
-	if a.view == nil {
+	if a.conv == nil {
 		return nil
 	}
 	if a.own == nil {
-		a.view.BFSInto(&a.ep.own, a.ID)
+		a.conv.viewOf().BFSInto(&a.ep.own, a.ID)
 		a.own = &a.ep.own
 	}
 	d := a.own.Dist[node]

@@ -25,12 +25,12 @@ func (a *Agent) startInterconnectRecovery() {
 	// do it), including the local-delivery discard that unclogs a
 	// controller stuck in an infinite loop.
 	charge := timing.InstrRecoveryEntry / 4
-	if a.ID == a.root {
+	if a.ID == a.conv.root {
 		charge += a.Topo.Routers() * 8
 	}
 	a.execInstr(charge, func() {
 		a.isolateRouter(a.ID)
-		if a.ID == a.root {
+		if a.ID == a.conv.root {
 			for r := 0; r < a.Topo.Routers(); r++ {
 				if a.st.router(r) == triUp && a.st.node(r) != triUp {
 					// A dead node whose memory bank still serves requests
@@ -146,20 +146,20 @@ func drainQuiet(a1, _ any, u uint64) {
 // the entries the repair patches in its row (the paper's: the whole row).
 func (a *Agent) reprogramRoutes() {
 	n := a.Topo.Routers()
-	rep := a.cfg.Repairs.lookup(a.cfg.Routing, a.view, a.bft)
+	rep := a.conv.repair(a.cfg.Routing)
 	patched := rep.PatchedPerRouter[a.ID]
 	a.mRoutesPatched.Add(uint64(patched))
 	if rep.Fallback {
 		a.mRouteFallbacks.Inc()
 	}
 	charge := patched * timing.InstrRouteTablePerEntry
-	if a.ID == a.root {
+	if a.ID == a.conv.root {
 		charge *= 2 // rows for orphaned routers too
 	}
 	a.spRoutes = a.cfg.Trace.Begin(a.E.Now(), a.ID, "route-reprogram", a.spPhase, 0)
 	a.execInstr(charge, func() {
 		a.Net.SetRouterTable(a.ID, rep.Tables[a.ID])
-		if a.ID == a.root {
+		if a.ID == a.conv.root {
 			for r := 0; r < n; r++ {
 				if a.st.router(r) == triUp && a.st.node(r) != triUp {
 					a.Net.SetRouterTable(r, rep.Tables[r])

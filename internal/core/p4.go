@@ -87,17 +87,19 @@ func (a *Agent) doFlush() {
 // sent as one fabric fan-out. The template is a record of the agent's own,
 // which names its owner for takeFanOut and is never released: the fabric
 // keeps it, and the participant list, until the last packet is
-// materialised (resetState starts a new list).
+// materialised. The list is the memo's, read-only, so no later epoch
+// writes to it.
 func (a *Agent) sendFlushDone() {
 	t := a.takeRec()
 	t.msg = recMsg{Kind: kFlushDone, From: a.ID, Epoch: a.epoch}
 	t.pkt = interconnect.Packet{Src: a.ID, Lane: interconnect.LaneReply, Bytes: t.msg.bytes(),
 		Payload: &t.msg, Rec: t}
-	a.Net.SendEach(&t.pkt, a.participants, takeFanOut)
+	a.Net.SendEach(&t.pkt, a.conv.parts, takeFanOut)
 }
 
 // onFlushDone records a peer's flush completion. Arrivals may precede this
-// node's own flush; the count is consulted when both sides are ready.
+// node's own flush; the count is consulted when both sides are ready. A
+// finished agent, its flush barrier passed, has nothing to record.
 func (a *Agent) onFlushDone(m *recMsg) {
 	a.noteFlushDone(m.From)
 	a.checkFlushBarrier()
@@ -107,11 +109,11 @@ func (a *Agent) onFlushDone(m *recMsg) {
 // if it is a participant. A flush-done that arrives before the participant
 // list is fixed is counted by finishDissemination instead.
 func (a *Agent) noteFlushDone(from int) {
-	if a.flushSeen[from] {
+	if a.flushSeen == nil || a.flushSeen.Has(from) {
 		return
 	}
-	a.flushSeen[from] = true
-	if a.partSet[from] {
+	a.flushSeen.Add(from)
+	if a.conv != nil && a.conv.partSet.Has(from) {
 		a.flushCount++
 	}
 }
@@ -119,8 +121,8 @@ func (a *Agent) noteFlushDone(from int) {
 // checkFlushBarrier releases the directory sweep once this node's own flush
 // is done and every participant's flush-done has been seen.
 func (a *Agent) checkFlushBarrier() {
-	if a.phase != PhaseCoherence || a.scanned || !a.flushSeen[a.ID] ||
-		a.flushCount < len(a.participants) {
+	if a.phase != PhaseCoherence || a.scanned || !a.flushSeen.Has(a.ID) ||
+		a.flushCount < len(a.conv.parts) {
 		return
 	}
 	a.scanned = true
@@ -165,6 +167,7 @@ func (a *Agent) sweepDirectory(d sim.Time) {
 func (a *Agent) finishRecovery() {
 	a.report.P4End = a.E.Now()
 	a.watchdog.Cancel()
+	root := a.conv.root // setPhase drops the memo entry
 	if a.doomed {
 		a.report.ShutDown = true
 		a.setPhase(PhaseShutdown)
@@ -173,7 +176,7 @@ func (a *Agent) finishRecovery() {
 		a.setPhase(PhaseDone)
 		a.Ctrl.SetMode(magic.ModeNormal)
 	}
-	if a.Net.Reliable() && a.ID == a.root && !a.doomed {
+	if a.Net.Reliable() && a.ID == root && !a.doomed {
 		// Once everyone has resumed, the fabric's end-to-end machinery
 		// resends what the failure destroyed (§6.3). The short delay
 		// models the hardware retransmission timer and guarantees all

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"flashfc/internal/interconnect"
@@ -100,8 +99,8 @@ func TestFlushBarrierCountsArrivalsBeforeParticipantsFixed(t *testing.T) {
 	a.st = allUp(r.topo)
 	a.finishDissemination()
 	r.e.RunUntil(a.busyUntil) // the participant list is fixed
-	if len(a.participants) != 8 || a.flushCount != 3 {
-		t.Fatalf("participants=%v count=%d, want all 8 and the 3 early arrivals", a.participants, a.flushCount)
+	if len(a.conv.parts) != 8 || a.flushCount != 3 {
+		t.Fatalf("participants=%v count=%d, want all 8 and the 3 early arrivals", a.conv.parts, a.flushCount)
 	}
 	a.phase = PhaseCoherence
 	ownFlush(a)
@@ -126,12 +125,12 @@ func TestFlushBarrierResetsOnRestart(t *testing.T) {
 	deliver(a, 1, 1)
 	deliver(a, 2, 1)
 	a.restartTo(2)
-	if a.flushCount != 0 || slices.Contains(a.flushSeen, true) {
+	if a.flushCount != 0 || !a.flushSeen.Empty() {
 		t.Fatalf("restart kept count=%d seen=%v", a.flushCount, a.flushSeen)
 	}
 	enterP4(a, 0, 1, 2, 3)
 	deliver(a, 3, 1) // epoch-1 straggler
-	if a.flushSeen[3] {
+	if a.flushSeen.Has(3) {
 		t.Fatal("a superseded epoch's flush-done was recorded")
 	}
 	ownFlush(a)

@@ -66,7 +66,7 @@ func ownRouterAnswered(a1, _ any, u uint64) {
 	a.st.setRouter(a.ID, triUp)
 	path := a.carve(1)
 	path[0] = a.ID
-	a.ep.nodes[a.ID].path = path
+	a.ep.reach(a.ID).path = path
 	a.exploreFrom(a.ID)
 	a.checkExplorationDone()
 }
@@ -97,15 +97,15 @@ func (a *Agent) isolatedShutdown() {
 // the routers at the end of unexplored links, then ping the attached nodes;
 // expansion stops at functioning nodes and failed links).
 func (a *Agent) exploreFrom(r int) {
-	basePath := a.ep.nodes[r].path
-	if basePath == nil {
+	ns := a.ep.node(r)
+	if ns == nil || ns.path == nil {
 		return
 	}
+	basePath := ns.path
 	for _, adj := range a.Topo.Adjacency(r) {
-		if a.ep.explored[adj.Link] {
+		if a.ep.explored(adj.Link) {
 			continue
 		}
-		a.ep.explored[adj.Link] = true
 		path := a.carve(len(basePath) + 1)
 		copy(path, basePath)
 		path[len(basePath)] = adj.To
@@ -154,7 +154,7 @@ func probeTimedOut(a1, _ any, u uint64) {
 func (a *Agent) onRouterAlive(link, far int, path []int) {
 	a.st.setLink(link, triUp)
 	a.st.setRouter(far, triUp)
-	ns := &a.ep.nodes[far]
+	ns := a.ep.reach(far)
 	if ns.path == nil {
 		ns.path = path
 	}
@@ -170,7 +170,7 @@ func (a *Agent) onRouterAlive(link, far int, path []int) {
 
 // ensurePing sends at most one ping per node per epoch and arms its timeout.
 func (a *Agent) ensurePing(node int, route []int) {
-	ns := &a.ep.nodes[node]
+	ns := a.ep.node(node)
 	if ns.ping != 0 {
 		return
 	}
@@ -185,18 +185,23 @@ func pingTimedOut(a1, _ any, u uint64) {
 	if a.epoch != int(u>>32) || a.ep == nil {
 		return
 	}
-	if node := int(uint32(u)); !a.ep.nodes[node].known {
+	if node := int(uint32(u)); !a.ep.node(node).known {
 		a.resolveNode(node, false)
 	}
 }
 
 // onPong handles a pong: the sender has started executing recovery code.
 func (a *Agent) onPong(m *recMsg) {
-	if a.ep == nil || a.ep.nodes[m.From].known {
+	if a.ep == nil {
 		return
 	}
-	if i := a.ep.nodes[m.From].ping; i != 0 {
-		a.ep.pings[i-1].Cancel()
+	if ns := a.ep.node(m.From); ns != nil {
+		if ns.known {
+			return
+		}
+		if ns.ping != 0 {
+			a.ep.pings[ns.ping-1].Cancel()
+		}
 	}
 	a.resolveNode(m.From, true)
 }
@@ -204,7 +209,7 @@ func (a *Agent) onPong(m *recMsg) {
 // resolveNode fixes a node's liveness verdict and releases all probes
 // waiting on it.
 func (a *Agent) resolveNode(node int, alive bool) {
-	ns := &a.ep.nodes[node]
+	ns := a.ep.reach(node)
 	ns.known, ns.alive = true, alive
 	if alive {
 		a.st.setNode(node, triUp)
@@ -228,8 +233,8 @@ func (a *Agent) resolveNode(node int, alive bool) {
 // deduplicated). A node whose router path is not yet known is only
 // recorded; a later onRouterAlive settles it properly.
 func (a *Agent) settleNode(node int, alive bool) {
-	ns := &a.ep.nodes[node]
-	if ns.path == nil {
+	ns := a.ep.node(node)
+	if ns == nil || ns.path == nil {
 		return
 	}
 	if alive {
@@ -251,7 +256,7 @@ func (a *Agent) checkExplorationDone() {
 	sort.Ints(a.cwn)
 	a.cwnRoute = slices.Grow(a.cwnRoute[:0], len(a.cwn))
 	for _, q := range a.cwn {
-		a.cwnRoute = append(a.cwnRoute, a.ep.nodes[q].path)
+		a.cwnRoute = append(a.cwnRoute, a.ep.node(q).path)
 	}
 	a.report.CwnSize = len(a.cwn)
 	a.report.P1End = a.E.Now()

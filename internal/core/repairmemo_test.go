@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flashfc/internal/interconnect"
@@ -24,9 +25,81 @@ func randomSurvivorView(rng *rand.Rand, t *topology.Topology) (*topology.View, *
 	return v, v.BFS(v.ElectRoot())
 }
 
+// stateOf returns the converged state P2 reaches on v: every router and
+// link as v has it, and a node up exactly where its router is.
+func stateOf(v *topology.View) *sysState {
+	s := newSysState(v.T.Routers(), len(v.T.Links()))
+	for r, up := range v.RouterUp {
+		if up {
+			s.setNode(r, triUp)
+			s.setRouter(r, triUp)
+		} else {
+			s.setNode(r, triDown)
+			s.setRouter(r, triDown)
+		}
+	}
+	for l, up := range v.LinkUp {
+		if up {
+			s.setLink(l, triUp)
+		} else {
+			s.setLink(l, triDown)
+		}
+	}
+	return s
+}
+
+// checkEntry compares everything e derived from its state with a direct
+// computation from s: the view, the P2 bound, the root and its tree, the
+// participants and the failed units.
+func checkEntry(t *testing.T, e *stateEntry, s *sysState, topo *topology.Topology, units []int) {
+	t.Helper()
+	var v topology.View
+	s.viewInto(&v, topo)
+	if got := e.viewOf(); !slices.Equal(got.RouterUp, v.RouterUp) || !slices.Equal(got.LinkUp, v.LinkUp) {
+		t.Fatal("memoised view differs from the state's")
+	}
+	bound := 1
+	if root := v.ElectRoot(); root >= 0 {
+		bound = max(1, 2*v.BFS(root).Height)
+	}
+	if got := e.termination(); got != bound {
+		t.Fatalf("memoised bound %d, want %d", got, bound)
+	}
+	e.converge()
+	functioning := s.appendFunctioning(nil)
+	if len(functioning) == 0 {
+		if e.root != -1 {
+			t.Fatalf("root %d with no functioning node", e.root)
+		}
+		return
+	}
+	bft := v.BFS(functioning[0])
+	var parts []int
+	for _, n := range functioning {
+		if bft.Dist[n] >= 0 {
+			parts = append(parts, n)
+		}
+	}
+	if e.root != functioning[0] || !reflect.DeepEqual(e.bft.Dist, bft.Dist) || !reflect.DeepEqual(e.bft.Parent, bft.Parent) {
+		t.Fatalf("memoised root %d or tree differs from a direct BFS from %d", e.root, functioning[0])
+	}
+	if !slices.Equal(e.parts, parts) {
+		t.Fatalf("memoised participants %v, want %v", e.parts, parts)
+	}
+	for n := range topo.Routers() {
+		if e.partSet.Has(n) != slices.Contains(parts, n) {
+			t.Fatalf("participant set disagrees with the list on node %d", n)
+		}
+	}
+	if got, want := e.failedUnits(units), s.failedUnits(units, topo); !slices.Equal(got, want) {
+		t.Fatalf("memoised failed units %v, want %v", got, want)
+	}
+}
+
 // TestRepairMemoDifferential drives one memo through repeated, changed and
-// re-repeated (view, BFT) keys under every strategy and checks each answer
-// against a direct computation, and that exactly the changed keys missed.
+// re-repeated states under every strategy and checks each answer — the
+// repair and everything else an entry derives — against a direct
+// computation, and that exactly the changed states missed.
 func TestRepairMemoDifferential(t *testing.T) {
 	topos := []*topology.Topology{topology.NewMesh(5, 4), topology.NewHypercube(4)}
 	strats := []routing.Strategy{nil, routing.Paper, routing.Incremental, routing.Adaptive}
@@ -44,8 +117,9 @@ func TestRepairMemoDifferential(t *testing.T) {
 			strat = defaulted
 		}
 		t.Run(fmt.Sprintf("%d-%v-%s", iter, topo.Kind(), name), func(t *testing.T) {
-			v1, b1 := randomSurvivorView(rng, topo)
-			// v2 differs from v1 in one link the first view still had up.
+			v1, _ := randomSurvivorView(rng, topo)
+			s1 := stateOf(v1)
+			// s2 differs from s1 in one link the first state still had up.
 			v2 := v1.Clone()
 			for l, up := range v2.LinkUp {
 				if up {
@@ -53,81 +127,92 @@ func TestRepairMemoDifferential(t *testing.T) {
 					break
 				}
 			}
-			b2 := v2.BFS(v2.ElectRoot())
-			// b3 keeps v1's graph but orients it from another root.
-			root3 := -1
-			for r, up := range v1.RouterUp {
-				if up && r != b1.Root {
-					root3 = r
-				}
-			}
-			if root3 < 0 {
+			s2 := stateOf(v2)
+			// s3 keeps s1's graph but loses its first functioning node,
+			// whose router still carries traffic: the tree is oriented
+			// from another root.
+			functioning := s1.appendFunctioning(nil)
+			if len(functioning) < 2 {
 				t.Skip("fewer than two live routers")
 			}
-			b3 := v1.BFS(root3)
+			s3 := s1.clone()
+			s3.setNode(functioning[0], triDown)
+			units := make([]int, topo.Routers())
+			for i := range units {
+				units[i] = i / 4
+			}
 
-			m := NewRepairMemo()
+			m := NewMemo()
 			steps := []struct {
-				v    *topology.View
-				b    *topology.BFT
+				s    *sysState
 				miss bool
 			}{
-				{v1, b1, true},
-				{v1.Clone(), v1.BFS(b1.Root), false}, // equal content, other pointers
-				{v2, b2, true},
-				{v1, b1, false},
-				{v1, b3, true},
-				{v2, b2, false},
-				{v1, b3, false},
+				{s1, true},
+				{s1.clone(), false}, // equal content, other storage
+				{s2, true},
+				{s1, false},
+				{s3, true},
+				{s2, false},
+				{s3, false},
 			}
-			for i, s := range steps {
-				before := m.Misses
-				got := m.lookup(strat, s.v, s.b)
-				if missed := m.Misses != before; missed != s.miss {
-					t.Fatalf("step %d: missed = %v, want %v", i, missed, s.miss)
+			for i, st := range steps {
+				misses, repairs := m.Misses, m.Repairs
+				e := m.lookup(st.s, topo)
+				got := e.repair(strat)
+				if missed := m.Misses != misses; missed != st.miss {
+					t.Fatalf("step %d: missed = %v, want %v", i, missed, st.miss)
 				}
+				if computed := m.Repairs != repairs; computed != st.miss {
+					t.Fatalf("step %d: repair computed = %v, want %v", i, computed, st.miss)
+				}
+				checkEntry(t, e, st.s, topo, units)
+				var v topology.View
+				st.s.viewInto(&v, topo)
+				b := v.BFS(st.s.appendFunctioning(nil)[0])
 				if name == "nil" {
-					if want := topology.UpDownTables(s.v, s.b); !reflect.DeepEqual(got.Tables, want) {
+					if want := topology.UpDownTables(&v, b); !reflect.DeepEqual(got.Tables, want) {
 						t.Fatalf("step %d: nil-strategy tables differ from UpDownTables", i)
 					}
 				}
-				if want := strat.RepairTables(s.v, s.b); !reflect.DeepEqual(got, want) {
+				if want := strat.RepairTables(&v, b); !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: memoised repair differs from a direct RepairTables\n got %+v\nwant %+v",
 						i, got, want)
 				}
 			}
-			if m.Lookups != len(steps) {
-				t.Fatalf("Lookups = %d, want %d", m.Lookups, len(steps))
+			if m.Lookups != len(steps) || m.RepairLookups != len(steps) {
+				t.Fatalf("Lookups = %d and RepairLookups = %d, want %d", m.Lookups, m.RepairLookups, len(steps))
 			}
 		})
 	}
 }
 
-// TestRepairMemoKeyedByStrategy: the same view under two strategies is two
-// entries, never one strategy's repair handed to the other.
+// TestRepairMemoKeyedByStrategy: the same state under two strategies is one
+// entry holding two repairs, never one strategy's repair handed to the
+// other.
 func TestRepairMemoKeyedByStrategy(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
 	v := topology.NewView(topo)
 	v.FailRouter(5)
+	s := stateOf(v)
 	b := v.BFS(v.ElectRoot())
-	m := NewRepairMemo()
-	for _, s := range []routing.Strategy{routing.Paper, routing.Incremental, routing.Paper, routing.Incremental} {
-		if got, want := m.lookup(s, v, b), s.RepairTables(v, b); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: memoised repair differs from a direct one", s.Name())
+	m := NewMemo()
+	for _, strat := range []routing.Strategy{routing.Paper, routing.Incremental, routing.Paper, routing.Incremental} {
+		if got, want := m.lookup(s, topo).repair(strat), strat.RepairTables(v, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memoised repair differs from a direct one", strat.Name())
 		}
 	}
-	if m.Misses != 2 {
-		t.Fatalf("Misses = %d, want 2 (one per strategy)", m.Misses)
+	if m.Repairs != 2 || m.Misses != 1 {
+		t.Fatalf("Repairs = %d over %d states, want 2 (one per strategy) over 1", m.Repairs, m.Misses)
 	}
 }
 
-// TestRepairMemoBounded: more distinct keys than the memo holds evict the
+// TestRepairMemoBounded: more distinct states than the memo holds evict the
 // oldest, stay correct, and never grow the memo.
 func TestRepairMemoBounded(t *testing.T) {
 	topo := topology.NewMesh(4, 4)
-	m := NewRepairMemo()
+	m := NewMemo()
 	var views []*topology.View
-	for l := 0; l <= repairMemoSize; l++ {
+	for l := 0; l <= memoSize; l++ {
 		v := topology.NewView(topo)
 		v.FailLink(l)
 		views = append(views, v)
@@ -135,17 +220,17 @@ func TestRepairMemoBounded(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, v := range views {
 			b := v.BFS(0)
-			if got, want := m.lookup(routing.Paper, v, b).Tables, topology.UpDownTables(v, b); !reflect.DeepEqual(got, want) {
+			if got, want := m.lookup(stateOf(v), topo).repair(routing.Paper).Tables, topology.UpDownTables(v, b); !reflect.DeepEqual(got, want) {
 				t.Fatal("evicting memo returned wrong tables")
 			}
 		}
 	}
-	if len(m.entries) != repairMemoSize {
-		t.Fatalf("memo holds %d entries, bound is %d", len(m.entries), repairMemoSize)
+	if len(m.entries) != memoSize {
+		t.Fatalf("memo holds %d entries, bound is %d", len(m.entries), memoSize)
 	}
-	// Cycling through size+1 keys round-robin misses every time.
-	if m.Misses != m.Lookups {
-		t.Fatalf("Misses = %d of %d lookups, want all", m.Misses, m.Lookups)
+	// Cycling through size+1 states round-robin misses every time.
+	if m.Misses != m.Lookups || m.Repairs != m.RepairLookups {
+		t.Fatalf("Misses = %d of %d lookups and %d repairs of %d, want all", m.Misses, m.Lookups, m.Repairs, m.RepairLookups)
 	}
 }
 

@@ -155,6 +155,27 @@ func (s *sysState) viewInto(v *topology.View, t *topology.Topology) {
 	}
 }
 
+// failedUnits reports, indexed by failure-unit id, which units of t contain
+// a failed node, failed router, or failed intra-unit link. It is nil on a
+// machine without failure units, where nothing reads it.
+func (s *sysState) failedUnits(units []int, t *topology.Topology) []bool {
+	if units == nil {
+		return nil
+	}
+	out := make([]bool, slices.Max(units)+1)
+	for i := 0; i < t.Routers(); i++ {
+		if s.node(i) == triDown || s.router(i) == triDown {
+			out[units[i]] = true
+		}
+	}
+	for l, link := range t.Links() {
+		if s.link(l) == triDown && units[link.A] == units[link.B] {
+			out[units[link.A]] = true
+		}
+	}
+	return out
+}
+
 // appendFunctioning appends the nodes known up to dst, ascending.
 func (s *sysState) appendFunctioning(dst []int) []int {
 	for w, word := range s.up {

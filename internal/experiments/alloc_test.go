@@ -261,6 +261,38 @@ func TestLinkRecoveryAllocs(t *testing.T) {
 	}
 }
 
+// The 1 024-node hypercube's node-failure recovery (Fig 5.5's point), from
+// machine build to judged recovery, allocates 106.7 MiB. The recovery
+// agents keep O(degree) host state each and the machine's memo holds the
+// converged view, trees, participants and repair once: with a
+// node-indexed P1 scratch, a view and two trees per agent it allocated
+// 199.0 MiB. The bound sits about 15 % above, so one N-sized array per
+// agent and epoch coming back (1 024 agents × 8 KiB is 8 MiB) and a second
+// crosses it.
+func TestHypercube1024RecoveryBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	if testing.Short() {
+		t.Skip("the 1 024-node hypercube takes seconds")
+	}
+	const boundMiB = 123
+	cfg := DefaultScalingConfig(1024)
+	cfg.Topo = machine.TopoHypercube
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := MeasureRecovery(cfg)
+	runtime.ReadMemStats(&after)
+	if !p.OK {
+		t.Fatal("recovery incomplete")
+	}
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("%.1f MiB allocated over %d events", mib, p.Events)
+	if mib > boundMiB {
+		t.Fatalf("the 1 024-node hypercube recovery allocates %.1f MiB, want <= %d", mib, boundMiB)
+	}
+}
+
 // fillCost runs a fill on m, from start to its last completion, and
 // returns the bytes and allocations it cost per fill operation.
 func fillCost(t *testing.T, m *machine.Machine, ops int, start func(), done func() bool) (bytes, allocs float64) {

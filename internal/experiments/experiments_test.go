@@ -193,8 +193,8 @@ func TestP2RoundsWithinBFTBound(t *testing.T) {
 // failure on the 4 096-node hypercube, where one P2 round charges each agent
 // about 32 ms to send and 63 ms to merge. It recovers with no epoch restart
 // in 2h rounds because the watchdog counts an agent's charged work as
-// progress (DESIGN.md §13). It takes over a minute and about 2.5 GiB of host
-// memory, so it runs only on request:
+// progress (DESIGN.md §13). It takes over a minute, allocates 932 MiB and
+// peaks at 0.7–0.9 GiB of heap, so it runs only on request:
 //
 //	FLASHFC_HYPERCUBE_4096=1 go test -count=1 -v -timeout 30m -run TestHypercube4096RecoversIn2hRounds ./internal/experiments
 func TestHypercube4096RecoversIn2hRounds(t *testing.T) {

@@ -139,8 +139,9 @@ type Machine struct {
 	// injected, independent of what the algorithm discovers) and the
 	// current recovery round's reports.
 	live *Liveness
-	// repairs is the P3 table-repair memo this machine's agents share.
-	repairs *core.RepairMemo
+	// memo is what this machine's agents derive from a system state, held
+	// once for all of them (core.Memo).
+	memo *core.Memo
 	// watch stops a recovery whose epochs repeat (livelock.go).
 	watch livelockWatch
 
@@ -263,8 +264,8 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	rcfg.Routing = strat
 	// Host-side cache, not simulated state: a cold build and every fork get
 	// a fresh memo, shared by this machine's agents only.
-	m.repairs = core.NewRepairMemo()
-	rcfg.Repairs = m.repairs
+	m.memo = core.NewMemo()
+	rcfg.Memo = m.memo
 	rcfg.FailureUnits = cfg.FailureUnits
 	rcfg.MemServes = m.live.MemServes
 	userOnEnter := rcfg.OnEnter
@@ -335,6 +336,10 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	}
 	return m
 }
+
+// Memo returns the memo this machine's recovery agents share: its counters
+// tell how often they derived a view, a tree or a repair.
+func (m *Machine) Memo() *core.Memo { return m.memo }
 
 // --- fault.Target implementation -------------------------------------------
 

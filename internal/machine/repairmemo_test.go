@@ -76,8 +76,8 @@ func TestRepairComputedOncePerView(t *testing.T) {
 	if len(counting.repairs) != 1 {
 		t.Fatalf("RepairTables ran %d times for one converged view, want 1", len(counting.repairs))
 	}
-	if m.repairs.Lookups != 127 || m.repairs.Misses != 1 {
-		t.Fatalf("memo lookups/misses = %d/%d, want 127/1", m.repairs.Lookups, m.repairs.Misses)
+	if m.memo.RepairLookups != 127 || m.memo.Repairs != 1 {
+		t.Fatalf("memo repair lookups/misses = %d/%d, want 127/1", m.memo.RepairLookups, m.memo.Repairs)
 	}
 	want := uint64(127 * counting.repairs[0].PatchedPerRouter[0])
 	if got := m.Metrics.Counter("core.routes_patched").Value(); got != want {
@@ -94,7 +94,7 @@ func TestSecondFaultMidP3MissesMemo(t *testing.T) {
 	m := New(countingConfig(16, 43))
 	m.Inject(fault.Fault{Type: fault.RouterFailure, Router: 5})
 	m.Nodes[0].CPU.Submit(readOp(m, uint64(m.Space.Base(5))+0x100))
-	for m.repairs.Misses == 0 {
+	for m.memo.Repairs == 0 {
 		if m.E.Now() > recoveryDeadline {
 			t.Fatal("no agent reached route reprogramming")
 		}
@@ -116,11 +116,12 @@ func TestSecondFaultMidP3MissesMemo(t *testing.T) {
 			t.Fatalf("survivor %d did not restart into a completed recovery: %+v", n, r)
 		}
 	}
-	if len(counting.repairs) != 2 || m.repairs.Misses != 2 {
+	if len(counting.repairs) != 2 || m.memo.Repairs != 2 {
 		t.Fatalf("RepairTables ran %d times (%d misses), want 2: one per view",
-			len(counting.repairs), m.repairs.Misses)
+			len(counting.repairs), m.memo.Repairs)
 	}
-	t.Logf("memo lookups=%d misses=%d", m.repairs.Lookups, m.repairs.Misses)
+	t.Logf("memo repair lookups=%d misses=%d; state lookups=%d misses=%d",
+		m.memo.RepairLookups, m.memo.Repairs, m.memo.Lookups, m.memo.Misses)
 	one, two := counting.views[0], counting.views[1]
 	if one.RouterUp[5] || !one.RouterUp[10] {
 		t.Fatalf("first repair's view should lack router 5 only: %v", one.RouterUp)
@@ -145,25 +146,25 @@ func TestSecondFaultMidP3MissesMemo(t *testing.T) {
 func TestEveryMachineOwnsItsMemo(t *testing.T) {
 	src := New(smallConfig(47))
 	snap := src.Snapshot()
-	if snap.Cfg.Recovery.Repairs != nil {
-		t.Fatal("snapshot carries the source machine's repair memo")
+	if snap.Cfg.Recovery.Memo != nil {
+		t.Fatal("snapshot carries the source machine's memo")
 	}
 	a, b := FromSnapshot(snap, nil), FromSnapshotRouting(snap, nil, "incremental")
 	for _, m := range []*Machine{src, a, b} {
-		if m.repairs == nil {
-			t.Fatal("machine built without a repair memo")
+		if m.memo == nil {
+			t.Fatal("machine built without a memo")
 		}
 	}
-	if a.repairs == src.repairs || b.repairs == src.repairs || a.repairs == b.repairs {
-		t.Fatal("two machines share one repair memo")
+	if a.memo == src.memo || b.memo == src.memo || a.memo == b.memo {
+		t.Fatal("two machines share one memo")
 	}
 	a.Inject(fault.Fault{Type: fault.NodeFailure, Node: 5})
 	a.Nodes[1].CPU.Submit(readOp(a, uint64(a.Space.Base(5))+0x100))
 	if !a.RunUntilRecovered(recoveryDeadline) {
 		t.Fatal("fork did not recover")
 	}
-	if a.repairs.Misses != 1 || b.repairs.Lookups != 0 || src.repairs.Lookups != 0 {
+	if a.memo.Repairs != 1 || b.memo.Lookups != 0 || src.memo.Lookups != 0 {
 		t.Fatalf("a fork's recovery touched another machine's memo: fork %d/%d, sibling %d, source %d",
-			a.repairs.Lookups, a.repairs.Misses, b.repairs.Lookups, src.repairs.Lookups)
+			a.memo.RepairLookups, a.memo.Repairs, b.memo.Lookups, src.memo.Lookups)
 	}
 }

@@ -53,7 +53,7 @@ func (k DrainKind) String() string {
 
 // Repair is the outcome of a strategy's post-fault table computation. It is
 // immutable once returned: one Repair is shared read-only by every agent of
-// a machine whose view it answers (core.RepairMemo), so nothing may write to
+// a machine whose view it answers (core.Memo), so nothing may write to
 // Tables or PatchedPerRouter afterwards.
 type Repair struct {
 	// Tables is the complete table set to install (strategies that patch
